@@ -111,6 +111,38 @@ class GraphDirichletForm:
         """Per-vertex sum of incident conductances."""
         return np.asarray(self.adjacency.sum(axis=1)).ravel()
 
+    @cached_property
+    def _dense_eigen(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One full dense eigensolve of the generator, shared by every k_max.
+
+        Returns the raw eigenvalues, the mu-normalized sign-fixed
+        eigenfields (read-only, in the Fortran order LAPACK returns, so a
+        column slice sums in the same BLAS order as a truncated solve) and
+        each column's relative residual against its raw eigenvalue.
+        """
+        n = self.n
+        w = self.cloud.weights
+        inv_sqrt = 1.0 / np.sqrt(w)
+        lap = np.zeros((n, n))
+        c = self.conductances
+        i, j = self.edge_i, self.edge_j
+        np.subtract.at(lap, (i, j), c)
+        np.subtract.at(lap, (j, i), c)
+        np.add.at(lap, (i, i), c)
+        np.add.at(lap, (j, j), c)
+        sym = lap * inv_sqrt[:, None] * inv_sqrt[None, :]
+        del lap
+        sym = sym + sym.T
+        sym /= 2.0
+        # eigh on the explicitly symmetrized matrix is deterministic.  The
+        # matrix equals its transpose bit for bit, so handing LAPACK the
+        # Fortran-ordered transpose lets it work in place without a copy.
+        vals, vecs = scipy.linalg.eigh(sym.T, overwrite_a=True)
+        del sym
+        fields = _mu_normalize(vecs, inv_sqrt)
+        fields.flags.writeable = False
+        return vals, fields, _column_residuals(self, vals, fields)
+
     def laplacian_apply(self, values: np.ndarray) -> np.ndarray:
         """(C f)(x) = sum_y c_xy (f_x - f_y), the conductance Laplacian."""
         return self.degrees * values - self.adjacency @ values
@@ -249,7 +281,9 @@ class Spectrum:
     substitution v = M^{1/2} u, which keeps everything in one deterministic
     dense solve.  ``residual`` is the worst mu-norm of L u - lambda u,
     relative to the generator's Gershgorin scale so the 1e-8 gate means
-    the same thing on unit-scale graphs and fine lattices.
+    the same thing on unit-scale graphs and fine lattices.  On a dense form
+    every Spectrum shares the form's one cached decomposition:
+    ``eigenfields`` is a read-only view of its first ``k_max`` columns.
     """
 
     form: GraphDirichletForm
@@ -273,28 +307,56 @@ class Spectrum:
                 writer.writerow([k, repr(float(lam))])
 
 
+def _mu_normalize(vecs: np.ndarray, inv_sqrt: np.ndarray) -> np.ndarray:
+    """Turn v = M^{1/2} u back into mu-orthonormal eigenfields, in place."""
+    vecs *= inv_sqrt[:, None]
+    # Sign convention: the entry of largest magnitude is positive.
+    for k in range(vecs.shape[1]):
+        col = vecs[:, k]
+        lead = np.argmax(np.abs(col))
+        if col[lead] < 0:
+            vecs[:, k] = -col
+    return vecs
+
+
+def _column_residuals(
+    form: GraphDirichletForm, vals: np.ndarray, fields: np.ndarray
+) -> np.ndarray:
+    """Per column, the mu-norm of L u_k - lambda_k u_k over the Gershgorin scale.
+
+    An absolute gate is unattainable in float64 once ||L|| reaches 1/h^2
+    territory, hence the normalization.
+    """
+    w = form.cloud.weights
+    scale = max(1.0, 2.0 * float(np.max(form.degrees / w)))
+    out = np.empty(len(vals))
+    for k, lam in enumerate(vals):
+        r = form.generator_apply(fields[:, k]) - lam * fields[:, k]
+        out[k] = float(np.sqrt(np.sum(w * r**2))) / scale
+    return out
+
+
 def spectrum(form: GraphDirichletForm, k_max: int | None = None) -> Spectrum:
-    """Low eigenpairs of the generator, dense below DENSE_EIGEN_LIMIT."""
+    """Low eigenpairs of the generator, dense below DENSE_EIGEN_LIMIT.
+
+    A dense form is solved once, on first use, and the decomposition is
+    cached on the form: every k_max then picks a read-only view of its
+    leading eigenfields.  Larger forms go through a shift-invert Lanczos
+    solve for the k_max lowest pairs on each call.
+    """
     n = form.n
     if k_max is None:
         k_max = n if n <= DENSE_EIGEN_LIMIT else PARTIAL_EIGEN_COUNT
     if not (1 <= k_max <= n):
         raise ValueError(f"k_max must lie in [1, {n}], got {k_max}")
-    w = form.cloud.weights
-    inv_sqrt = 1.0 / np.sqrt(w)
     if n <= DENSE_EIGEN_LIMIT:
-        lap = np.zeros((n, n))
-        c = form.conductances
-        i, j = form.edge_i, form.edge_j
-        np.subtract.at(lap, (i, j), c)
-        np.subtract.at(lap, (j, i), c)
-        np.add.at(lap, (i, i), c)
-        np.add.at(lap, (j, j), c)
-        sym = lap * inv_sqrt[:, None] * inv_sqrt[None, :]
-        # eigh on the explicitly symmetrized matrix is deterministic.
-        vals, vecs = scipy.linalg.eigh((sym + sym.T) / 2.0)
-        vals, vecs = vals[:k_max], vecs[:, :k_max]
+        all_vals, all_fields, all_res = form._dense_eigen
+        vals = all_vals[:k_max].copy()
+        fields = all_fields[:, :k_max]
+        res = all_res[:k_max].copy()
     else:
+        w = form.cloud.weights
+        inv_sqrt = 1.0 / np.sqrt(w)
         lap = sp.diags(form.degrees) - form.adjacency
         sym = sp.diags(inv_sqrt) @ lap @ sp.diags(inv_sqrt)
         v0 = np.full(n, 1.0 / np.sqrt(n))  # fixed start for reproducible runs
@@ -305,26 +367,15 @@ def spectrum(form: GraphDirichletForm, k_max: int | None = None) -> Spectrum:
             sym.tocsc(), k=k_max, sigma=-1e-3 * scale, v0=v0
         )
         order = np.argsort(vals, kind="stable")
-        vals, vecs = vals[order], vecs[:, order]
+        vals, fields = vals[order], _mu_normalize(vecs[:, order], inv_sqrt)
+        res = _column_residuals(form, vals, fields)
 
-    vals = vals.copy()
-    vals[np.abs(vals) < 1e-11 * max(1.0, float(np.abs(vals).max()))] = 0.0
-    fields = vecs * inv_sqrt[:, None]
-    # Sign convention: the entry of largest magnitude is positive.
-    for k in range(fields.shape[1]):
-        col = fields[:, k]
-        lead = np.argmax(np.abs(col))
-        if col[lead] < 0:
-            fields[:, k] = -col
-
-    residual = 0.0
-    gen = (form.degrees[:, None] * fields - form.adjacency @ fields) / w[:, None]
-    # Normalize by the generator's Gershgorin scale: an absolute gate is
-    # unattainable in float64 once ||L|| reaches 1/h^2 territory.
-    scale = max(1.0, 2.0 * float(np.max(form.degrees / w)))
-    for k in range(fields.shape[1]):
-        r = gen[:, k] - vals[k] * fields[:, k]
-        residual = max(residual, float(np.sqrt(np.sum(w * r**2))) / scale)
+    clamp = np.abs(vals) < 1e-11 * max(1.0, float(np.abs(vals).max()))
+    vals[clamp] = 0.0
+    # A clamped eigenvalue is reported as zero, so its residual is taken
+    # against zero too.
+    res[clamp] = _column_residuals(form, vals[clamp], fields[:, clamp])
+    residual = float(res.max())
     if residual > 1e-8:
         raise RuntimeError(
             f"eigensolver relative residual {residual:.3e} exceeds 1e-8; "
@@ -510,14 +561,21 @@ def fit_subgaussian(
     tvals = np.array([r[2] for r in rows])
     x_ids = np.array([r[3] for r in rows], dtype=np.intp)
 
+    # Every free-exponent trial shares d_w_fit and so the same radii: query
+    # the balls once per distinct radius vector.
+    masses: dict[bytes, np.ndarray] = {}
+
     def mass_at(radii: np.ndarray) -> np.ndarray:
-        out = np.empty(radii.size)
-        for k in range(radii.size):
-            ids = cloud.ball_ids(int(x_ids[k]), float(radii[k]))
-            out[k] = cloud.weights[ids].sum() if ids.size else float(
-                cloud.weights[x_ids[k]]
-            )
-        return out
+        key = radii.tobytes()
+        if key not in masses:
+            out = np.empty(radii.size)
+            for k in range(radii.size):
+                ids = cloud.ball_ids(int(x_ids[k]), float(radii[k]))
+                out[k] = cloud.weights[ids].sum() if ids.size else float(
+                    cloud.weights[x_ids[k]]
+                )
+            masses[key] = out
+        return masses[key]
 
     def best_over(grid: np.ndarray, expo_of: "callable") -> tuple:
         found = None

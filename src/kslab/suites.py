@@ -162,6 +162,8 @@ class SuiteContext:
     @cached_property
     def full_spectrum(self) -> gf.Spectrum:
         # Heat-kernel decay fits need the whole spectrum, not the low band.
+        # A dense form is solved once: this and ``spectrum`` are read-only
+        # views of the same cached decomposition.
         return gf.spectrum(self.form)
 
     def standard_fields(self) -> list[tuple[str, ScalarField]]:
@@ -233,8 +235,8 @@ def resolve_walk_dimension(
             coarse = interval_grid((n + 1) // 2)
     if coarse is not None:
         coarse_form = gf.build_form(coarse, FORM_KINDS[kind])
-        fine_form = gf.build_form(cloud, FORM_KINDS[kind])
-        eigen_value = gf.eigen_walk_dimension(coarse_form, fine_form).d_w_hat
+        # ctx.form already holds the solve that standard_fields made on gaskets.
+        eigen_value = gf.eigen_walk_dimension(coarse_form, ctx.form).d_w_hat
 
     chosen = eigen_value if eigen_value is not None else fit.d_w_hat
     info: dict = {

@@ -269,6 +269,41 @@ def test_spectrum_k_max_validation():
     assert spectrum(form, k_max=3).eigenvalues.size == 3
 
 
+def test_dense_form_is_solved_once(eigh_sizes):
+    form = build_form(gasket(5), "gasket")
+    coarse = build_form(gasket(4), "gasket")
+    spectrum(form, 25)
+    spectrum(form)
+    spectrum(form, 4)
+    eigen_walk_dimension(coarse, form)
+    assert eigh_sizes.count(form.n) == 1
+    assert eigh_sizes.count(coarse.n) == 1
+
+
+@pytest.mark.parametrize(
+    "kind, make_cloud, size", [("gasket", gasket, 5), ("grid1d", interval_grid, 201)]
+)
+def test_cached_spectrum_matches_fresh_solve(kind, make_cloud, size):
+    # k_max = 1 keeps only the null mode, whose eigenvalue is clamped to zero
+    # and whose residual must then be taken against zero.
+    cloud = make_cloud(size)
+    shared = build_form(cloud, kind)
+    spectrum(shared)
+    for k_max in (25, None, 4, 1):
+        cached = spectrum(shared, k_max)
+        fresh = spectrum(build_form(cloud, kind), k_max)
+        assert np.array_equal(cached.eigenvalues, fresh.eigenvalues)
+        assert np.array_equal(cached.eigenfields, fresh.eigenfields)
+        assert cached.residual == fresh.residual
+        assert cached.k_max == fresh.k_max
+
+
+def test_spectrum_eigenfields_are_read_only():
+    spec = spectrum(build_form(interval_grid(25), "grid1d"), 5)
+    with pytest.raises(ValueError):
+        spec.eigenfields[0, 0] = 1.0
+
+
 def test_gasket_relaxation_ratio_near_five(gasket6):
     # Renorm-adjusted lambda_1 ratios approach the resistance factor 5.
     f4 = build_form(gasket(4), "gasket")
@@ -374,6 +409,24 @@ def test_subgaussian_fit_gasket(gasket6):
     assert fit.residual <= 1.0
     tied = fit.d_w_fit / (fit.d_w_fit - 1.0)
     assert fit.exponent_fit == pytest.approx(tied, abs=0.2)
+
+
+def test_subgaussian_fit_queries_each_radius_vector_once(monkeypatch):
+    cloud = gasket(5)
+    spec = spectrum(build_form(cloud, "gasket"))
+    calls = []
+    real_ball_ids = cloud.ball_ids
+
+    def counting_ball_ids(x, r):
+        calls.append((x, r))
+        return real_ball_ids(x, r)
+
+    monkeypatch.setattr(cloud, "ball_ids", counting_ball_ids)
+    fit = fit_subgaussian(spec, cloud)
+    # The tied search tries 57 + 21 values of d_w; the free-exponent refit
+    # reuses the radii of d_w_fit instead of querying them 101 more times.
+    assert len(calls) % fit.n_samples == 0
+    assert len(calls) // fit.n_samples <= 57 + 21 + 1
 
 
 def test_subgaussian_fit_rejects_bad_window():

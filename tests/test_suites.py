@@ -55,6 +55,10 @@ class TestResolveWalkDimension:
         assert abs(info["fit_d_w"] - value) <= 0.15
         assert info["agreement"] is True
 
+    def test_fit_on_gasket_solves_each_level_once(self, eigh_sizes):
+        resolve_walk_dimension(gasket(5), "fit", seed=0)
+        assert sorted(eigh_sizes) == [gasket(4).n, gasket(5).n]
+
     def test_fit_on_interval_agrees_with_two(self, grid401):
         value, info = resolve_walk_dimension(grid401, "fit", seed=0)
         assert abs(value - 2.0) <= 0.05
