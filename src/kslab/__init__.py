@@ -17,7 +17,8 @@ clouds and implements, side by side:
   (:mod:`kslab.convergence`).
 
 A small CLI (``kslab``) batch-runs the diagnostic suites on configured
-spaces and writes machine-readable reports; see :mod:`kslab.cli`.
+spaces and writes machine-readable reports; see :mod:`kslab.cli`.  Every
+CSV and JSON artifact goes through one writer, :mod:`kslab.export`.
 """
 
 from .space import (

@@ -3,21 +3,21 @@
 The single JSON config file is the audit trail: every run echoes it into the
 summary, and identical config plus identical seed gives a byte-identical
 summary.  Exit codes: 0 all selected checks pass, 1 at least one check fails,
-2 the config or invocation is invalid (nothing is written in that case).
+2 the config or invocation is invalid or a computation rejects it.  Every
+artifact is computed before the output directory is created, so exit 2
+writes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .energy import DEFAULT_COUNT, DEFAULT_RATIO, DEFAULT_WINDOW, energy_sweep
+from .export import write_csv, write_json
 from .space import DEFAULT_KAPPA, build_cloud, estimate_doubling
 from .suites import (
     DEFAULT_TOLERANCES,
@@ -199,47 +199,6 @@ def _merge_cli(cfg: dict, args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _json_ready(value):
-    """Recursively convert to plain JSON types; non-finite floats become null."""
-    if isinstance(value, dict):
-        return {str(k): _json_ready(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_ready(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_json_ready(v) for v in value.tolist()]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        return v if math.isfinite(v) else None
-    return value
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    text = json.dumps(_json_ready(payload), sort_keys=True, indent=2, allow_nan=False)
-    path.write_text(text + "\n")
-
-
-def _write_table(path: Path, header, rows) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(header))
-        for row in rows:
-            out = []
-            for cell in row:
-                if isinstance(cell, (bool, np.bool_)):
-                    out.append(str(bool(cell)))
-                elif isinstance(cell, (int, np.integer)):
-                    out.append(str(int(cell)))
-                elif isinstance(cell, (float, np.floating)):
-                    out.append(repr(float(cell)))
-                else:
-                    out.append(str(cell))
-            writer.writerow(out)
-
-
 def _build_context(cfg: dict):
     cloud = build_cloud(cfg["space"])
     grid = cfg["scale_grid"]
@@ -265,9 +224,18 @@ def _require_out(cfg: dict) -> None:
     _require("out" in cfg, "output directory is mandatory: set 'out' in the config or pass --out")
 
 
-def _out_dir(cfg: dict) -> Path:
+def _write_bundle(cfg: dict, tables: dict, payloads: dict) -> Path:
+    """Create the output directory and write the given artifacts into it.
+
+    Called only after everything is computed, so a run that exits 2
+    leaves nothing on disk.
+    """
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
+    for name, (header, rows) in tables.items():
+        write_csv(out / name, header, rows)
+    for name, payload in payloads.items():
+        write_json(out / name, payload)
     return out
 
 
@@ -287,10 +255,10 @@ def _run_bundle(cfg: dict) -> int:
     _require_out(cfg)
     cloud, ctx, d_w, info = _build_context(cfg)
     selected = _select_suites(cfg, cloud)
-    out = _out_dir(cfg)
 
     checks = []
     failed = []
+    tables = {}
     for suite_name in selected:
         for result in run_suite(suite_name, ctx):
             row = result.row()
@@ -299,8 +267,7 @@ def _run_bundle(cfg: dict) -> int:
             if not result.passed:
                 failed.append(result.name)
             if result.table is not None:
-                header, rows = result.table
-                _write_table(out / f"{result.name}.csv", header, rows)
+                tables[f"{result.name}.csv"] = result.table
 
     summary = {
         "all_passed": not failed,
@@ -312,7 +279,7 @@ def _run_bundle(cfg: dict) -> int:
         "n_checks": len(checks),
         "suites": selected,
     }
-    _write_json(out / "summary.json", summary)
+    out = _write_bundle(cfg, tables, {"summary.json": summary})
     print(f"{len(checks)} checks, {len(failed)} failed -> {out / 'summary.json'}")
     return 1 if failed else 0
 
@@ -335,18 +302,9 @@ def cmd_space(args: argparse.Namespace) -> int:
     cfg = _merge_cli(load_config(args.config), args)
     _require_out(cfg)
     cloud, ctx, d_w, info = _build_context(cfg)
-    out = _out_dir(cfg)
-    cloud.to_csv(out / "cloud.csv")
-    grid = ctx.scale_grid()
-    scales = [
-        float(r) * (1.0 - 1.0 / 32.0)
-        for r in grid.scales
-        if r <= cloud.diameter / 2.0
-    ]
     profile = estimate_doubling(
-        cloud, n_samples=40, scales=scales, seed=cfg["seed"], kappa=ctx.kappa
+        cloud, n_samples=40, scales=ctx.doubling_scales(), seed=cfg["seed"], kappa=ctx.kappa
     )
-    profile.to_csv(out / "doubling.csv")
     payload = {
         "cloud": {
             "kind": cloud.meta.get("kind"),
@@ -361,7 +319,8 @@ def cmd_space(args: argparse.Namespace) -> int:
         "d_w_provenance": info,
         "doubling": profile.summary(),
     }
-    _write_json(out / "space.json", payload)
+    out = _write_bundle(cfg, {"doubling.csv": profile.table()}, {"space.json": payload})
+    cloud.to_csv(out / "cloud.csv")
     print(f"cloud with {cloud.n} points -> {out / 'space.json'}")
     return 0
 
@@ -370,14 +329,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _merge_cli(load_config(args.config), args)
     _require_out(cfg)
     cloud, ctx, d_w, info = _build_context(cfg)
-    out = _out_dir(cfg)
+    tables = {}
     summaries = {}
     for label, f in ctx.standard_fields():
         sweep = energy_sweep(
             cloud, f, d_w=ctx.d_w, r_max=ctx.r_max, ratio=ctx.ratio,
             count=ctx.count, window=ctx.window, kappa=ctx.kappa, label=label,
         )
-        sweep.to_csv(out / f"sweep_{label}.csv")
+        tables[f"sweep_{label}.csv"] = sweep.table()
         summaries[label] = sweep.summary()
     payload = {
         "config": {k: v for k, v in cfg.items() if k != "out"},
@@ -385,7 +344,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "d_w_provenance": info,
         "sweeps": summaries,
     }
-    _write_json(out / "sweep.json", payload)
+    out = _write_bundle(cfg, tables, {"sweep.json": payload})
     print(f"{len(summaries)} field sweeps -> {out / 'sweep.json'}")
     return 0
 

@@ -10,8 +10,6 @@ fitted-limit stand-in and assert stability.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,6 +23,7 @@ from .energy import (
     liminf_window_scales,
     make_scale_grid,
 )
+from .export import Table, json_ready, write_csv, write_json
 from .graphform import GraphDirichletForm, Spectrum, form_energy
 from .smoothing import build_net, mollify, partition_of_unity
 from .space import DEFAULT_KAPPA, MeasuredPointCloud
@@ -51,12 +50,6 @@ NULLITY_TOL = 0.05
 TREND_SLACK = 1.05
 
 
-def _json_value(x: float | None) -> float | None:
-    if x is None or not math.isfinite(x):
-        return None
-    return float(x)
-
-
 @dataclass(frozen=True)
 class MoscoReport:
     """Margins for the two halves of the variational convergence check.
@@ -79,28 +72,27 @@ class MoscoReport:
     nullity: float | None = None
 
     def summary(self) -> dict:
-        return {
-            "oracle": _json_value(self.oracle),
-            "d_w": self.d_w,
-            "recovery_margin": _json_value(self.recovery_margin),
-            "liminf_margin": _json_value(self.liminf_margin),
-            "recovery_ok": self.recovery_ok,
-            "liminf_ok": self.liminf_ok,
-            "nullity": _json_value(self.nullity),
-            "n_steps": len(self.rows),
-        }
+        return json_ready(
+            {
+                "oracle": self.oracle,
+                "d_w": self.d_w,
+                "recovery_margin": self.recovery_margin,
+                "liminf_margin": self.liminf_margin,
+                "recovery_ok": self.recovery_ok,
+                "liminf_ok": self.liminf_ok,
+                "nullity": self.nullity,
+                "n_steps": len(self.rows),
+            }
+        )
 
     def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.summary(), sort_keys=True, indent=2) + "\n")
+        write_json(path, self.summary())
+
+    def table(self) -> Table:
+        return self.row_header, self.rows
 
     def to_csv(self, path: str | Path) -> None:
-        with Path(path).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.row_header)
-            for row in self.rows:
-                writer.writerow(
-                    [v if isinstance(v, int) else repr(float(v)) for v in row]
-                )
+        write_csv(path, *self.table())
 
 
 def _oracle_energy(
@@ -339,7 +331,7 @@ class CompactnessProbe:
         }
 
     def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.summary(), sort_keys=True, indent=2) + "\n")
+        write_json(path, self.summary())
 
 
 def liminf_proxy(
@@ -446,7 +438,7 @@ class SobolevReport:
         }
 
     def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.summary(), sort_keys=True, indent=2) + "\n")
+        write_json(path, self.summary())
 
 
 def sobolev_check(

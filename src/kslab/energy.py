@@ -18,14 +18,13 @@ repeated evaluations are bitwise reproducible.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .export import Table, write_csv, write_json
 from .space import DEFAULT_KAPPA, MeasuredPointCloud, segment_sums
 
 # Canonical sweep geometry: r_k = r_max * ratio**k, k = 0..count-1, with
@@ -245,6 +244,11 @@ class ScaleGrid:
         return self.scales[::-1][: min(w, self.scales.size)]
 
 
+def snap_mid_mesh(raw: np.ndarray, h: float) -> np.ndarray:
+    """Move each radius to the nearest (j + 1/2) * h (see ``ScaleGrid``)."""
+    return (np.round(raw / h - 0.5) + 0.5) * h
+
+
 def make_scale_grid(
     cloud: MeasuredPointCloud,
     r_max: float | None = None,
@@ -266,9 +270,8 @@ def make_scale_grid(
     if r_max <= 0.0:
         raise ValueError("r_max must be positive")
     raw = r_max * ratio ** np.arange(count)
-    h = cloud.mesh
-    snapped = (np.round(raw / h - 0.5) + 0.5) * h
-    floor = kappa * h
+    snapped = snap_mid_mesh(raw, cloud.mesh)
+    floor = kappa * cloud.mesh
     scales = np.unique(snapped[snapped >= floor])[::-1]
     if scales.size == 0:
         raise ValueError(
@@ -312,12 +315,11 @@ class EnergySweep:
     seed: int | None = None
     label: str = ""
 
+    def table(self) -> Table:
+        return ("r", "energy"), tuple(zip(self.scales.tolist(), self.values.tolist()))
+
     def to_csv(self, path: str | Path) -> None:
-        with Path(path).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["r", "energy"])
-            for r, e in zip(self.scales, self.values):
-                writer.writerow([repr(float(r)), repr(float(e))])
+        write_csv(path, *self.table())
 
     def summary(self) -> dict:
         return {
@@ -339,7 +341,7 @@ class EnergySweep:
         }
 
     def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.summary(), sort_keys=True, indent=2) + "\n")
+        write_json(path, self.summary())
 
 
 def _fit_window_endpoint(window_scales: np.ndarray, window_values: np.ndarray) -> float:
@@ -422,16 +424,6 @@ class WalkDimFit:
     scales: np.ndarray
     per_item: np.ndarray
     details: dict = field(default_factory=dict)
-
-    def summary(self) -> dict:
-        return {
-            "d_w_hat": self.d_w_hat,
-            "method": self.method,
-            "residual": self.residual,
-            "scales": [float(s) for s in self.scales],
-            "per_item": [float(v) for v in self.per_item],
-            **{k: v for k, v in self.details.items()},
-        }
 
 
 def raw_increment_sum(

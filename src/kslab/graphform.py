@@ -11,8 +11,7 @@ metric, and the energy-measure versus Lipschitz comparison.
 
 from __future__ import annotations
 
-import csv
-import json
+import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -24,6 +23,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .energy import ScalarField, WalkDimFit
+from .export import Table, write_csv, write_json
 from .smoothing import discrete_lip
 from .space import DEFAULT_KAPPA, MeasuredPointCloud, gasket_graph
 
@@ -152,11 +152,8 @@ class GraphDirichletForm:
         return self.laplacian_apply(values) / self.cloud.weights
 
     def to_csv(self, path: str | Path) -> None:
-        with Path(path).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "y", "c"])
-            for i, j, c in zip(self.edge_i, self.edge_j, self.conductances):
-                writer.writerow([int(i), int(j), repr(float(c))])
+        rows = zip(self.edge_i.tolist(), self.edge_j.tolist(), self.conductances.tolist())
+        write_csv(path, ("x", "y", "c"), rows)
 
 
 def _grid1d_edges(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -257,15 +254,19 @@ class EnergyMeasure:
         return self.density / self.form.cloud.weights
 
 
-def energy_measure(form: GraphDirichletForm, f: ScalarField) -> EnergyMeasure:
-    """Gamma(f,f)(x) = 1/2 sum_y c_xy (f_x - f_y)^2."""
-    _check_form_field(form, f)
-    diff = f.values[form.edge_i] - f.values[form.edge_j]
+def _gamma_density(form: GraphDirichletForm, values: np.ndarray) -> np.ndarray:
+    diff = values[form.edge_i] - values[form.edge_j]
     half = 0.5 * form.conductances * diff**2
     density = np.zeros(form.n)
     np.add.at(density, form.edge_i, half)
     np.add.at(density, form.edge_j, half)
-    return EnergyMeasure(form=form, density=density)
+    return density
+
+
+def energy_measure(form: GraphDirichletForm, f: ScalarField) -> EnergyMeasure:
+    """Gamma(f,f)(x) = 1/2 sum_y c_xy (f_x - f_y)^2."""
+    _check_form_field(form, f)
+    return EnergyMeasure(form=form, density=_gamma_density(form, f.values))
 
 
 # ----------------------------------------------------------------------
@@ -299,12 +300,11 @@ class Spectrum:
     def field(self, k: int) -> ScalarField:
         return ScalarField(self.form.cloud, self.eigenfields[:, k].copy())
 
+    def table(self) -> Table:
+        return ("k", "lambda"), tuple(enumerate(self.eigenvalues.tolist()))
+
     def to_csv(self, path: str | Path) -> None:
-        with Path(path).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k", "lambda"])
-            for k, lam in enumerate(self.eigenvalues):
-                writer.writerow([k, repr(float(lam))])
+        write_csv(path, *self.table())
 
 
 def _mu_normalize(vecs: np.ndarray, inv_sqrt: np.ndarray) -> np.ndarray:
@@ -437,17 +437,7 @@ class HeatKernelFit:
     n_samples: int
 
     def to_json(self, path: str | Path) -> None:
-        payload = {
-            "c1": self.c1,
-            "c2": self.c2,
-            "d_w_fit": self.d_w_fit,
-            "exponent_fit": self.exponent_fit,
-            "d_s_fit": self.d_s_fit,
-            "residual": self.residual,
-            "t_window": list(self.t_window),
-            "n_samples": self.n_samples,
-        }
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        write_json(path, dataclasses.asdict(self))
 
 
 def _subgaussian_sse(
@@ -724,15 +714,6 @@ def _length_graph(form: GraphDirichletForm, lengths: np.ndarray) -> sp.csr_matri
     return sp.csr_matrix((d, (i, j)), shape=(n, n))
 
 
-def _gamma_density(form: GraphDirichletForm, values: np.ndarray) -> np.ndarray:
-    diff = values[form.edge_i] - values[form.edge_j]
-    half = 0.5 * form.conductances * diff**2
-    density = np.zeros(form.n)
-    np.add.at(density, form.edge_i, half)
-    np.add.at(density, form.edge_j, half)
-    return density
-
-
 def intrinsic_metric(
     form: GraphDirichletForm,
     x: int,
@@ -824,13 +805,6 @@ class GammaLipReport:
     c_best: float
     r_loc: float
     n_active: int
-
-    def summary(self) -> dict:
-        return {
-            "c_best": float(self.c_best),
-            "r_loc": float(self.r_loc),
-            "n_active": int(self.n_active),
-        }
 
 
 def gamma_vs_lip_check(

@@ -11,8 +11,6 @@ that controls ball averages along a dyadic chain of radii.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,7 +24,9 @@ from .energy import (
     ScalarField,
     ks_energy_density,
     liminf_window_scales,
+    snap_mid_mesh,
 )
+from .export import Table, write_csv, write_json
 from .graphform import GraphDirichletForm
 from .graphform import energy_measure as graph_energy_measure
 from .smoothing import discrete_lip
@@ -87,20 +87,12 @@ class PoincareReport:
     floor: float
     n_used: int
 
+    def table(self) -> Table:
+        header = ("center", "R", "lhs", "rhs", "ratio")
+        return header, tuple((s.center, s.radius, s.lhs, s.rhs, s.ratio) for s in self.samples)
+
     def to_csv(self, path: str | Path) -> None:
-        with Path(path).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["center", "R", "lhs", "rhs", "ratio"])
-            for s in self.samples:
-                writer.writerow(
-                    [
-                        s.center,
-                        repr(float(s.radius)),
-                        repr(float(s.lhs)),
-                        repr(float(s.rhs)),
-                        repr(float(s.ratio)),
-                    ]
-                )
+        write_csv(path, *self.table())
 
     def summary(self) -> dict:
         return {
@@ -114,7 +106,7 @@ class PoincareReport:
         }
 
     def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.summary(), sort_keys=True, indent=2) + "\n")
+        write_json(path, self.summary())
 
 
 def _default_samples(
@@ -254,11 +246,7 @@ class MaximalField:
     values: np.ndarray
 
     def to_csv(self, path: str | Path) -> None:
-        with Path(path).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["id", "maximal"])
-            for i, v in enumerate(self.values):
-                writer.writerow([i, repr(float(v))])
+        write_csv(path, ("id", "maximal"), enumerate(self.values.tolist()))
 
 
 def _maximal_rho_grid(
@@ -269,9 +257,7 @@ def _maximal_rho_grid(
     if R <= floor:
         raise ValueError(f"empty radius ladder: R = {R:g} is at or under the floor {floor:g}")
     count = max(1, math.ceil(math.log(R / floor) / math.log(1.0 / DEFAULT_RATIO)) + 2)
-    raw = R * DEFAULT_RATIO ** np.arange(count)
-    h = cloud.mesh
-    snapped = (np.round(raw / h - 0.5) + 0.5) * h
+    snapped = snap_mid_mesh(R * DEFAULT_RATIO ** np.arange(count), cloud.mesh)
     keep = (snapped >= floor) & (snapped < R)
     grid = np.unique(snapped[keep])[::-1]
     if grid.size == 0:
@@ -362,16 +348,6 @@ class WeakL2Report:
     @property
     def max_quotient(self) -> float:
         return float(self.quotients.max()) if self.quotients.size else 0.0
-
-    def summary(self) -> dict:
-        return {
-            "R": self.R,
-            "d_w": self.d_w,
-            "e_proxy": self.e_proxy,
-            "thresholds": [float(t) for t in self.thresholds],
-            "quotients": [float(q) for q in self.quotients],
-            "max_quotient": self.max_quotient,
-        }
 
 
 def weak_l2_check(

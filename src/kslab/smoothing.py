@@ -11,7 +11,6 @@ functionals.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -28,6 +27,7 @@ from .energy import (
     ks_energy_many,
     make_scale_grid,
 )
+from .export import write_csv
 from .space import DEFAULT_KAPPA, MeasuredPointCloud, segment_max, segment_sums
 
 __all__ = [
@@ -65,19 +65,8 @@ class CoveringNet:
         return int(self.center_ids.size)
 
     def to_csv(self, path: str | Path) -> None:
-        with Path(path).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["center_id", "epsilon"])
-            for c in self.center_ids:
-                writer.writerow([int(c), repr(float(self.epsilon))])
-
-    def summary(self) -> dict:
-        return {
-            "epsilon": float(self.epsilon),
-            "n_centers": self.n_centers,
-            "cover_ok": bool(self.cover_ok),
-            "overlap_5eps": int(self.overlap_5eps),
-        }
+        rows = ((c, self.epsilon) for c in self.center_ids.tolist())
+        write_csv(path, ("center_id", "epsilon"), rows)
 
 
 def build_net(cloud: MeasuredPointCloud, epsilon: float) -> CoveringNet:
@@ -155,12 +144,8 @@ class PartitionOfUnity:
     def to_triplets(self, path: str | Path) -> None:
         """Sparse text export: one ``center_index,point_id,value`` line per
         strictly positive entry."""
-        with Path(path).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["i", "j", "phi"])
-            for i, row in enumerate(self.phi):
-                for j in np.flatnonzero(row > 0.0):
-                    writer.writerow([i, int(j), repr(float(row[j]))])
+        i, j = np.nonzero(self.phi > 0.0)
+        write_csv(path, ("i", "j", "phi"), zip(i.tolist(), j.tolist(), self.phi[i, j].tolist()))
 
 
 def partition_of_unity(net: CoveringNet) -> PartitionOfUnity:
@@ -276,13 +261,6 @@ class MollifierReport:
     l2_numerator: float
     l2_denominator: float
 
-    def summary(self) -> dict:
-        return {
-            "epsilon": float(self.epsilon),
-            "lip_bound_ratio": float(self.lip_bound_ratio),
-            "l2_bound_ratio": float(self.l2_bound_ratio),
-        }
-
 
 def _guarded_ratio(num: float, den: float) -> float:
     if num == 0.0:
@@ -355,14 +333,6 @@ class CutoffReport:
     worst: float
     per_center: np.ndarray
     scales: np.ndarray
-
-    def summary(self) -> dict:
-        return {
-            "epsilon": float(self.epsilon),
-            "d_w": float(self.d_w),
-            "worst": float(self.worst),
-            "n_centers": int(self.per_center.size),
-        }
 
 
 def check_controlled_cutoff(

@@ -25,13 +25,14 @@ radius refuse them.  ``kappa = 3`` is the package-wide default.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
+
+from .export import Table, write_csv
 
 # Admissibility factor: radii below DEFAULT_KAPPA * mesh are refused.
 DEFAULT_KAPPA = 3.0
@@ -393,20 +394,12 @@ class MeasuredPointCloud:
 
     def to_csv(self, path: str | Path) -> None:
         """Write the cloud as CSV with columns id, x0..x{d-1}, weight."""
-        path = Path(path)
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            if self._coords is not None:
-                header = ["id"] + [f"x{k}" for k in range(self.dim)] + ["weight"]
-                writer.writerow(header)
-                for i in range(self.n):
-                    writer.writerow(
-                        [i, *(repr(float(v)) for v in self._coords[i]), repr(float(self._weights[i]))]
-                    )
-            else:
-                writer.writerow(["id", "weight"])
-                for i in range(self.n):
-                    writer.writerow([i, repr(float(self._weights[i]))])
+        if self._coords is None:
+            write_csv(path, ["id", "weight"], enumerate(self._weights.tolist()))
+        else:
+            header = ["id"] + [f"x{k}" for k in range(self.dim)] + ["weight"]
+            rows = np.column_stack([self._coords, self._weights]).tolist()
+            write_csv(path, header, ([i, *row] for i, row in enumerate(rows)))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = self.meta.get("kind", "custom")
@@ -654,12 +647,13 @@ class DoublingProfile:
     seed: int
     meta: dict = field(default_factory=dict)
 
+    def table(self) -> Table:
+        header = ("center", "r", "mass_r", "mass_2r", "ratio")
+        cols = (self.centers, self.radii, self.mass_r, self.mass_2r, self.ratios)
+        return header, tuple(zip(*(c.tolist() for c in cols)))
+
     def to_csv(self, path: str | Path) -> None:
-        with Path(path).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["center", "r", "mass_r", "mass_2r", "ratio"])
-            for row in zip(self.centers, self.radii, self.mass_r, self.mass_2r, self.ratios):
-                writer.writerow([int(row[0]), *(repr(float(v)) for v in row[1:])])
+        write_csv(path, *self.table())
 
     def summary(self) -> dict:
         return {

@@ -29,6 +29,7 @@ from .energy import (
     ks_energy,
     make_scale_grid,
 )
+from .export import Table
 from .space import (
     DEFAULT_KAPPA,
     MeasuredPointCloud,
@@ -91,7 +92,7 @@ class CheckResult:
     passed: bool
     constant: float | None
     details: dict = field(default_factory=dict)
-    table: tuple[tuple[str, ...], tuple[tuple, ...]] | None = None
+    table: Table | None = None
 
     def row(self) -> dict:
         c = self.constant
@@ -141,6 +142,16 @@ class SuiteContext:
             count=self.count,
             kappa=self.kappa,
         )
+
+    def doubling_scales(self) -> list[float]:
+        # Shrink off the mid-mesh ladder: doubling evaluates mass at 2r as well,
+        # and doubled mid-mesh radii land exactly on lattice distances, where
+        # float rounding decides sphere membership point by point.
+        return [
+            float(r) * (1.0 - 1.0 / 32.0)
+            for r in self.scale_grid().scales
+            if r <= self.cloud.diameter / 2.0
+        ]
 
     @property
     def kind(self) -> str:
@@ -259,20 +270,10 @@ def resolve_walk_dimension(
 
 
 def suite_doubling(ctx: SuiteContext) -> list[CheckResult]:
-    cloud = ctx.cloud
-    grid = ctx.scale_grid()
-    # Shrink off the mid-mesh ladder: doubling evaluates mass at 2r as well,
-    # and doubled mid-mesh radii land exactly on lattice distances, where
-    # float rounding decides sphere membership point by point.
-    scales = [
-        float(r) * (1.0 - 1.0 / 32.0)
-        for r in grid.scales
-        if r <= cloud.diameter / 2.0
-    ]
     interior = ctx.kind == "square_grid"
     profile = estimate_doubling(
-        cloud, n_samples=40, scales=scales, seed=ctx.seed, kappa=ctx.kappa,
-        interior_only=interior,
+        ctx.cloud, n_samples=40, scales=ctx.doubling_scales(), seed=ctx.seed,
+        kappa=ctx.kappa, interior_only=interior,
     )
     if ctx.kind == "interval_grid":
         bound = ctx.tol["doubling_c_d_interval"]
@@ -280,12 +281,6 @@ def suite_doubling(ctx: SuiteContext) -> list[CheckResult]:
         bound = ctx.tol["doubling_c_d_square"]
     else:
         bound = ctx.tol["doubling_c_d_other"]
-    rows = tuple(
-        (int(c), float(r), float(m1), float(m2), float(q))
-        for c, r, m1, m2, q in zip(
-            profile.centers, profile.radii, profile.mass_r, profile.mass_2r, profile.ratios
-        )
-    )
     results = [
         CheckResult(
             name="doubling",
@@ -293,7 +288,7 @@ def suite_doubling(ctx: SuiteContext) -> list[CheckResult]:
             passed=bool(math.isfinite(profile.c_d) and profile.c_d <= bound),
             constant=profile.c_d,
             details={"bound": bound, "q_fit": profile.q_fit, "interior_only": interior},
-            table=(("center", "r", "mass_r", "mass_2r", "ratio"), rows),
+            table=profile.table(),
         )
     ]
     mass = check_mass_bounds(profile, q=profile.q_fit)
@@ -307,11 +302,6 @@ def suite_doubling(ctx: SuiteContext) -> list[CheckResult]:
         )
     )
     return results
-
-
-def _sweep_table(sweep) -> tuple[tuple[str, ...], tuple[tuple, ...]]:
-    rows = tuple((float(r), float(v)) for r, v in zip(sweep.scales, sweep.values))
-    return ("r", "energy"), rows
 
 
 def suite_energy(ctx: SuiteContext) -> list[CheckResult]:
@@ -387,7 +377,7 @@ def suite_energy(ctx: SuiteContext) -> list[CheckResult]:
                 passed=bool(np.all(np.isfinite(s.values))),
                 constant=s.fitted_limit,
                 details={"liminf": s.liminf_proxy, "limsup": s.limsup_proxy, "sup": s.sup_all},
-                table=_sweep_table(s),
+                table=s.table(),
             )
         )
     if ctx.dw_info.get("source") == "fit":
@@ -493,19 +483,10 @@ def suite_poincare(ctx: SuiteContext) -> list[CheckResult]:
     cloud = ctx.cloud
     label, f = next(lf for lf in ctx.standard_fields() if not lf[1].is_constant())
     results = []
-    sample_table = None
     for mode in ("lip", "ks"):
         rep = pc.poincare_check(
             cloud, f, mode, d_w=ctx.d_w, seed=ctx.seed, kappa=ctx.kappa
         )
-        if mode == "ks":
-            sample_table = (
-                ("center", "R", "lhs", "rhs", "ratio"),
-                tuple(
-                    (s.center, float(s.radius), float(s.lhs), float(s.rhs), float(s.ratio))
-                    for s in rep.samples
-                ),
-            )
         results.append(
             CheckResult(
                 name=f"poincare_{mode}",
@@ -515,7 +496,7 @@ def suite_poincare(ctx: SuiteContext) -> list[CheckResult]:
                 ),
                 constant=rep.c_best,
                 details={"field": label, "n_used": rep.n_used},
-                table=sample_table if mode == "ks" else None,
+                table=rep.table() if mode == "ks" else None,
             )
         )
     if ctx.has_form:
@@ -629,10 +610,7 @@ def suite_graphform(ctx: SuiteContext) -> list[CheckResult]:
             passed=bool(spec.residual <= ctx.tol["spectrum_residual"]),
             constant=spec.residual,
             details={"k_max": spec.k_max},
-            table=(
-                ("k", "lambda"),
-                tuple((int(k), float(v)) for k, v in enumerate(spec.eigenvalues)),
-            ),
+            table=spec.table(),
         )
     )
 
@@ -781,7 +759,7 @@ def suite_convergence(ctx: SuiteContext) -> list[CheckResult]:
             passed=bool(rec.recovery_ok and math.isfinite(rec.recovery_margin)),
             constant=rec.recovery_margin,
             details={"per_step_spread": spread, "oracle": rec.oracle},
-            table=(rec.row_header, rec.rows),
+            table=rec.table(),
         )
     )
 
@@ -802,7 +780,7 @@ def suite_convergence(ctx: SuiteContext) -> list[CheckResult]:
             passed=bool(lim.liminf_ok),
             constant=lim.liminf_margin if math.isfinite(lim.liminf_margin) else None,
             details={"per_step_spread": spread, "nullity": lim.nullity},
-            table=(lim.row_header, lim.rows),
+            table=lim.table(),
         )
     )
 
@@ -851,14 +829,8 @@ def suite_convergence(ctx: SuiteContext) -> list[CheckResult]:
 
 
 def _growth_exponent(ctx: SuiteContext) -> float:
-    grid = ctx.scale_grid()
-    scales = [
-        float(r) * (1.0 - 1.0 / 32.0)
-        for r in grid.scales
-        if r <= ctx.cloud.diameter / 2.0
-    ]
     profile = estimate_doubling(
-        ctx.cloud, n_samples=40, scales=scales, seed=ctx.seed, kappa=ctx.kappa
+        ctx.cloud, n_samples=40, scales=ctx.doubling_scales(), seed=ctx.seed, kappa=ctx.kappa
     )
     return float(profile.q_fit)
 

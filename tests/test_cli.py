@@ -4,6 +4,10 @@ import json
 
 import pytest
 
+import kslab.cli as cli
+import kslab.convergence as cv
+import kslab.poincare as pc
+import kslab.suites as suites
 from kslab.cli import ConfigError, load_config, main
 
 
@@ -98,6 +102,23 @@ class TestRun:
         assert not (tmp_path / "bundle").exists()
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, space",
+        [
+            ("run", {"kind": "interval_grid", "n": 33}),
+            ("space", {"kind": "gasket", "level": 3}),
+        ],
+    )
+    def test_failure_after_validation_writes_nothing(self, tmp_path, capsys, command, space):
+        # Both configs validate, then a computation raises: interval 33 is
+        # too coarse for the identity-ratio radius 0.05, gasket 3 for the
+        # doubling scale grid.
+        out = tmp_path / "bundle"
+        path = write_config(tmp_path, space=space, suite="all", out=str(out))
+        assert main([command, "--config", str(path)]) == 2
+        assert not out.exists()
+        assert "error:" in capsys.readouterr().err
+
     def test_missing_out_rejected(self, tmp_path):
         path = write_config(tmp_path)
         assert main(["run", "--config", str(path)]) == 2
@@ -142,6 +163,54 @@ class TestRun:
         assert prov["eigen_d_w"] is not None
         assert isinstance(prov["agreement"], bool)
         assert summary["d_w"] == prov["value"]
+
+
+def _record_results(monkeypatch, module, name):
+    made = []
+    real = getattr(module, name)
+
+    def recording(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(module, name, recording)
+    return made
+
+
+def test_bundle_tables_are_the_reports_csv(tmp_path, monkeypatch):
+    """Each table `run` writes is byte-equal to its report's own to_csv."""
+    profiles = _record_results(monkeypatch, suites, "estimate_doubling")
+    sweeps = _record_results(monkeypatch, suites, "energy_sweep")
+    poincare = _record_results(monkeypatch, pc, "poincare_check")
+    recovery = _record_results(monkeypatch, cv, "recovery_check")
+    liminf = _record_results(monkeypatch, cv, "weak_liminf_probe")
+    contexts = []
+
+    class RecordingContext(suites.SuiteContext):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            contexts.append(self)
+
+    monkeypatch.setattr(cli, "SuiteContext", RecordingContext)
+    out = tmp_path / "bundle"
+    path = write_config(
+        tmp_path, space={"kind": "interval_grid", "n": 257}, suite="all", out=str(out)
+    )
+    assert main(["run", "--config", str(path)]) == 0
+
+    reports = {
+        "doubling": profiles[0],
+        **{f"sweep_{s.label}": s for s in sweeps},
+        "poincare_ks": next(r for r in poincare if r.mode == "ks"),
+        "spectrum_residual": contexts[0].spectrum,
+        "mosco_recovery": recovery[0],
+        "mosco_liminf": liminf[0],
+    }
+    assert len(reports) == 8
+    for name, report in reports.items():
+        mine = tmp_path / f"{name}.csv"
+        report.to_csv(mine)
+        assert (out / f"{name}.csv").read_bytes() == mine.read_bytes(), name
 
 
 class TestCheck:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from kslab.convergence import (
+    SobolevReport,
     compactness_probe,
     liminf_proxy,
     recovery_check,
@@ -379,3 +380,17 @@ class TestSobolevCheck:
         assert data["branch"] == "lq"
         assert data["exponent"] == pytest.approx(6.0)
         assert len(data["quotients"]) == 1
+
+    def test_non_finite_quotient_written_as_null(self, tmp_path):
+        rep = SobolevReport(
+            Q=3.0, d_w=2.0, branch="lq", exponent=6.0, quotients=np.array([0.5, np.inf])
+        )
+        path = tmp_path / "sobolev.json"
+        rep.to_json(path)
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        data = json.loads(path.read_text(), parse_constant=reject)
+        assert data["quotients"] == [0.5, None]
+        assert data["max_quotient"] is None
