@@ -45,6 +45,7 @@ from .energy import (
     comparability_ratio,
     energy_sweep,
     fit_walk_dimension,
+    ks_energies,
     ks_energy,
     ks_energy_density,
     ks_energy_many,
@@ -59,6 +60,7 @@ from .smoothing import (
     check_controlled_cutoff,
     discrete_lip,
     mollifier_estimates,
+    mollifier_ladder,
     mollify,
     partition_of_unity,
 )
@@ -134,6 +136,7 @@ __all__ = [
     "comparability_ratio",
     "energy_sweep",
     "fit_walk_dimension",
+    "ks_energies",
     "ks_energy",
     "ks_energy_density",
     "ks_energy_many",
@@ -146,6 +149,7 @@ __all__ = [
     "check_controlled_cutoff",
     "discrete_lip",
     "mollifier_estimates",
+    "mollifier_ladder",
     "mollify",
     "partition_of_unity",
     "MaximalField",

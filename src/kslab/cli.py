@@ -202,13 +202,12 @@ def _merge_cli(cfg: dict, args: argparse.Namespace) -> dict:
 def _build_context(cfg: dict):
     cloud = build_cloud(cfg["space"])
     grid = cfg["scale_grid"]
-    d_w, info = resolve_walk_dimension(
-        cloud, cfg["d_w"], seed=cfg["seed"], kappa=grid["kappa"]
-    )
+    # The walk dimension is resolved on the run's own context, so a fit's
+    # forms and solves serve the suites as well.
     ctx = SuiteContext(
         cloud,
-        d_w,
-        info,
+        2.0,
+        {},
         seed=cfg["seed"],
         kappa=grid["kappa"],
         r_max=grid["r_max"],
@@ -217,6 +216,10 @@ def _build_context(cfg: dict):
         window=grid["window"],
         tolerances=cfg["tolerances"],
     )
+    d_w, info = resolve_walk_dimension(
+        cloud, cfg["d_w"], seed=cfg["seed"], kappa=grid["kappa"], ctx=ctx
+    )
+    ctx.d_w, ctx.dw_info = d_w, info
     return cloud, ctx, d_w, info
 
 

@@ -12,8 +12,10 @@ on a finite cloud the limit is unreachable, so sweeps over a geometric scale
 grid report window proxies (liminf / limsup over the smallest resolved
 scales) and a fitted endpoint value instead.
 
-All reductions run in ascending centre-id order over fixed chunks, so
-repeated evaluations are bitwise reproducible.
+Every reduction is exact per centre: a ball's sum reads only that ball's
+members, in ascending id order, and a total sums the per-centre vector once.
+Results therefore do not depend on how the ball engine splits centres into
+blocks, and several scales can share one ball pass at the largest of them.
 """
 
 from __future__ import annotations
@@ -90,7 +92,18 @@ class ScalarField:
         return bool(np.ptp(self.values) <= tol)
 
 
-def _check_fields(cloud: MeasuredPointCloud, fields: Sequence[ScalarField]) -> np.ndarray:
+def _validated(
+    cloud: MeasuredPointCloud,
+    fields: Sequence[ScalarField],
+    radii: Sequence[float],
+    kappa: float,
+    d_w: float | None = None,
+) -> np.ndarray:
+    """Checks shared by the energy entry points; returns the field matrix."""
+    if d_w is not None and d_w < 2.0:
+        raise ValueError("d_w must be at least 2")
+    for r in radii:
+        cloud.require_admissible(float(r), kappa)
     for f in fields:
         if f.cloud is not cloud:
             raise ValueError("field does not live on the given cloud")
@@ -108,47 +121,84 @@ def _region_ids(cloud: MeasuredPointCloud, region: np.ndarray | None) -> np.ndar
     return ids
 
 
+def ball_increment_sums(
+    cloud: MeasuredPointCloud,
+    matrix: np.ndarray,
+    radii: Sequence[float],
+    powers: Sequence[int],
+    centers: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-centre ball sums of ``mu_y |f(x) - f(y)|**p`` from one ball pass.
+
+    ``matrix`` holds one field per row; radius ``radii[k]`` is reduced with
+    exponent ``powers[k]`` (1 or 2).  Returns ``(sums, masses)`` with
+    ``sums[k, i, j]`` the sum over ``B(c_j, radii[k])`` for field row i and
+    ``masses[k, j] = mu(B(c_j, radii[k]))``, where ``c_j`` runs over
+    ``centers`` (default: every point, in id order).
+    """
+    mu = cloud.weights
+    n_out = cloud.n if centers is None else len(centers)
+    sums = np.zeros((len(radii), matrix.shape[0], n_out))
+    masses = np.zeros((len(radii), n_out))
+    pos = 0
+    for sub, members in cloud.nested_ball_chunks(radii, centers):
+        blk = slice(pos, pos + sub.size)
+        for k, (flat, counts) in enumerate(members):
+            w_flat = mu[flat]
+            masses[k, blk] = segment_sums(w_flat, counts)
+            for i, row in enumerate(matrix):
+                diff = np.repeat(row[sub], counts) - row[flat]
+                term = w_flat * diff * diff if powers[k] == 2 else w_flat * np.abs(diff)
+                sums[k, i, blk] = segment_sums(term, counts)
+        pos += sub.size
+    return sums, masses
+
+
 def _increment_table(
     cloud: MeasuredPointCloud,
     matrix: np.ndarray,
-    r: float,
+    radii: Sequence[float],
     centers: np.ndarray | None,
-    want_density: bool,
 ) -> np.ndarray:
-    """Per-centre normalized increment sums for one or more fields.
+    """Per-centre normalized increment sums for one or more fields and radii.
 
-    Returns, for each field row and centre x,
+    Entry ``[k, i, j]`` is, for field row i and centre x = ``centers[j]``,
 
-        mu_x / mu(B(x, r)) * sum_{y in B(x, r)} mu_y (f(x) - f(y))**2
-
-    either summed over centres (want_density=False -> shape (m,)) or kept
-    per centre (want_density=True -> shape (m, len(centers))).
+        mu_x / mu(B(x, r_k)) * sum_{y in B(x, r_k)} mu_y (f(x) - f(y))**2.
     """
-    mu = cloud.weights
-    m = matrix.shape[0]
-    if want_density:
-        n_out = cloud.n if centers is None else len(centers)
-        out = np.zeros((m, n_out))
-    else:
-        out = np.zeros(m)
-    pos = 0
-    for sub, flat, counts in cloud.ball_chunks(r, centers=centers):
-        if flat.size == 0:
-            pos += sub.size
-            continue
-        w_flat = mu[flat]
-        mass = segment_sums(w_flat, counts)
-        scale = mu[sub] / mass
-        for k in range(m):
-            row = matrix[k]
-            diff = np.repeat(row[sub], counts) - row[flat]
-            contrib = segment_sums(w_flat * diff * diff, counts) * scale
-            if want_density:
-                out[k, pos : pos + sub.size] = contrib
-            else:
-                out[k] += contrib.sum()
-        pos += sub.size
-    return out
+    sums, masses = ball_increment_sums(cloud, matrix, radii, [2] * len(radii), centers)
+    mu_c = cloud.weights if centers is None else cloud.weights[centers]
+    return sums * (mu_c / masses)[:, None, :]
+
+
+def _raw_sums(
+    cloud: MeasuredPointCloud,
+    fields: Sequence[ScalarField],
+    radii: Sequence[float],
+    kappa: float,
+    d_w: float | None = None,
+    region: np.ndarray | None = None,
+) -> np.ndarray:
+    """Validated raw increment sums, shape (len(radii), len(fields))."""
+    mat = _validated(cloud, fields, radii, kappa, d_w)
+    return _increment_table(cloud, mat, radii, _region_ids(cloud, region)).sum(axis=-1)
+
+
+def ks_energies(
+    cloud: MeasuredPointCloud,
+    fields: Sequence[ScalarField],
+    radii: Sequence[float],
+    d_w: float = 2.0,
+    region: np.ndarray | None = None,
+    kappa: float = DEFAULT_KAPPA,
+) -> np.ndarray:
+    """Energies of several fields at several scales, sharing one ball pass.
+
+    Returns shape (len(radii), len(fields)); each entry equals the
+    corresponding ``ks_energy`` bit for bit.
+    """
+    raw = _raw_sums(cloud, fields, radii, kappa, d_w, region)
+    return np.stack([raw[k] / float(r) ** d_w for k, r in enumerate(radii)])
 
 
 def ks_energy(
@@ -165,13 +215,7 @@ def ks_energy(
     still range over the whole cloud.  The radius must clear the
     admissibility floor ``kappa * h``.
     """
-    if d_w < 2.0:
-        raise ValueError("d_w must be at least 2")
-    cloud.require_admissible(r, kappa)
-    mat = _check_fields(cloud, [f])
-    ids = _region_ids(cloud, region)
-    raw = _increment_table(cloud, mat, r, ids, want_density=False)[0]
-    return float(raw / r**d_w)
+    return float(ks_energies(cloud, [f], [r], d_w, region, kappa)[0, 0])
 
 
 def ks_energy_many(
@@ -183,13 +227,7 @@ def ks_energy_many(
     kappa: float = DEFAULT_KAPPA,
 ) -> np.ndarray:
     """Energies of several fields at one scale, sharing the ball pass."""
-    if d_w < 2.0:
-        raise ValueError("d_w must be at least 2")
-    cloud.require_admissible(r, kappa)
-    mat = _check_fields(cloud, fields)
-    ids = _region_ids(cloud, region)
-    raw = _increment_table(cloud, mat, r, ids, want_density=False)
-    return raw / r**d_w
+    return ks_energies(cloud, fields, [r], d_w, region, kappa)[0]
 
 
 def ks_energy_density(
@@ -206,13 +244,9 @@ def ks_energy_density(
     restricted to that region, which is what localized functionals (maximal
     fields, ball-restricted sweeps) build on.
     """
-    if d_w < 2.0:
-        raise ValueError("d_w must be at least 2")
-    cloud.require_admissible(r, kappa)
-    mat = _check_fields(cloud, [f])
+    mat = _validated(cloud, [f], [r], kappa, d_w)
     ids = None if centers is None else np.asarray(centers, dtype=np.intp)
-    raw = _increment_table(cloud, mat, r, ids, want_density=True)[0]
-    return raw / r**d_w
+    return _increment_table(cloud, mat, [r], ids)[0, 0] / r**d_w
 
 
 @dataclass(frozen=True)
@@ -371,9 +405,7 @@ def energy_sweep(
     """Evaluate the energy of ``f`` across the canonical geometric grid."""
     grid = make_scale_grid(cloud, r_max=r_max, ratio=ratio, count=count, kappa=kappa)
     ids = _region_ids(cloud, region)
-    values = np.array(
-        [ks_energy(cloud, f, float(r), d_w=d_w, region=ids, kappa=kappa) for r in grid.scales]
-    )
+    values = ks_energies(cloud, [f], grid.scales, d_w=d_w, region=ids, kappa=kappa)[:, 0]
     w_scales = grid.window(window)
     w_values = values[::-1][: w_scales.size]
     return EnergySweep(
@@ -438,10 +470,7 @@ def raw_increment_sum(
     Equals ``r**d_w * ks_energy(...)`` for any d_w; its log-log slope in r is
     the scaling exponent the walk-dimension fit extracts.
     """
-    cloud.require_admissible(r, kappa)
-    mat = _check_fields(cloud, [f])
-    ids = _region_ids(cloud, region)
-    return float(_increment_table(cloud, mat, r, ids, want_density=False)[0])
+    return float(_raw_sums(cloud, [f], [r], kappa, region=region)[0, 0])
 
 
 def fit_walk_dimension(
@@ -455,22 +484,20 @@ def fit_walk_dimension(
     Per field, regress log S(f, r) on log r over the admissible grid; report
     the median slope.  Constant fields carry no signal and are skipped; all
     fields constant is an error, as is a grid with fewer than three scales.
+    All fields and scales share one ball pass.
     """
     if grid is None:
         grid = make_scale_grid(cloud, kappa=kappa)
     if grid.scales.size < 3:
         raise ValueError("walk-dimension fit needs at least three scales")
+    varying = [f for f in fields if not f.is_constant()]
     slopes = []
-    for f in fields:
-        if f.is_constant():
-            continue
-        s_vals = np.array(
-            [raw_increment_sum(cloud, f, float(r), kappa=kappa) for r in grid.scales]
-        )
-        if np.any(s_vals <= 0.0):
-            continue
-        slope, _ = np.polyfit(np.log(grid.scales), np.log(s_vals), 1)
-        slopes.append(float(slope))
+    if varying:
+        for s_vals in _raw_sums(cloud, varying, grid.scales, kappa).T:
+            if np.any(s_vals <= 0.0):
+                continue
+            slope, _ = np.polyfit(np.log(grid.scales), np.log(s_vals), 1)
+            slopes.append(float(slope))
     if not slopes:
         raise ValueError("all fields are constant (or energy-free): no scaling signal")
     arr = np.array(slopes)

@@ -23,8 +23,8 @@ from .energy import (
     DEFAULT_WINDOW,
     ScalarField,
     ScaleGrid,
-    ks_energy,
-    ks_energy_many,
+    ball_increment_sums,
+    ks_energies,
     make_scale_grid,
 )
 from .export import write_csv
@@ -41,6 +41,7 @@ __all__ = [
     "discrete_lip",
     "ball_mean_deviation",
     "mollifier_estimates",
+    "mollifier_ladder",
     "check_controlled_cutoff",
 ]
 
@@ -231,14 +232,8 @@ def ball_mean_deviation(
     if f.cloud is not cloud:
         raise ValueError("field does not live on the given cloud")
     cloud.require_admissible(r, kappa)
-    w = cloud.weights
-    out = np.zeros(cloud.n)
-    for sub, flat, counts in cloud.ball_chunks(r):
-        rep = np.repeat(sub, counts)
-        dev = np.abs(f.values[flat] - f.values[rep])
-        mass = segment_sums(w[flat], counts)
-        out[sub] = segment_sums(w[flat] * dev, counts) / mass
-    return out
+    sums, masses = ball_increment_sums(cloud, f.values[None, :], [r], [1])
+    return sums[0, 0] / masses[0]
 
 
 @dataclass(frozen=True)
@@ -282,46 +277,75 @@ def mollifier_estimates(
     The slope of f_eps is measured with the discrete Lipschitz operator at
     the finest admissible radius kappa * h.  The energy side is the raw
     increment sum at 2 eps divided by eps^2, which is what stays flat in
-    epsilon for smooth fields; the d_w passed in only affects the internal
-    normalization and cancels out of the ratio.
+    epsilon for smooth fields; d_w would cancel out of the ratio, so it is
+    only validated.
+    """
+    return mollifier_ladder(cloud, f, [epsilon], d_w=d_w, kappa=kappa)[0]
+
+
+def mollifier_ladder(
+    cloud: MeasuredPointCloud,
+    f: ScalarField,
+    epsilons: Sequence[float],
+    d_w: float = 2.0,
+    kappa: float = DEFAULT_KAPPA,
+) -> list[MollifierReport]:
+    """``mollifier_estimates`` at every epsilon of a ladder.
+
+    The increment sums at 2 eps and the first moments at 6 eps of every
+    rung come from one ball pass; each report equals the single-epsilon
+    call bit for bit.
     """
     if f.is_constant():
         # Both numerators vanish identically; skip the 0/0 float noise.
-        return MollifierReport(
-            epsilon=float(epsilon),
-            lip_bound_ratio=0.0,
-            l2_bound_ratio=0.0,
-            lip_numerator=0.0,
-            lip_denominator=0.0,
-            l2_numerator=0.0,
-            l2_denominator=0.0,
-        )
-    net = build_net(cloud, epsilon)
-    pou = partition_of_unity(net)
-    smoothed = mollify(f, pou)
+        return [
+            MollifierReport(
+                epsilon=float(eps),
+                lip_bound_ratio=0.0,
+                l2_bound_ratio=0.0,
+                lip_numerator=0.0,
+                lip_denominator=0.0,
+                l2_numerator=0.0,
+                l2_denominator=0.0,
+            )
+            for eps in epsilons
+        ]
+    epsilons = [float(eps) for eps in epsilons]
+    # Nets and partitions first: they refuse epsilons below the covering floor.
+    smoothed = [mollify(f, partition_of_unity(build_net(cloud, eps))) for eps in epsilons]
+    if d_w < 2.0:
+        raise ValueError("d_w must be at least 2")
+    radii = [2.0 * eps for eps in epsilons] + [6.0 * eps for eps in epsilons]
+    for r in radii:
+        cloud.require_admissible(r, kappa)
+    sums, masses = ball_increment_sums(
+        cloud, f.values[None, :], radii, [2] * len(epsilons) + [1] * len(epsilons)
+    )
 
     w = cloud.weights
-    lip = discrete_lip(cloud, smoothed, kappa * cloud.mesh, kappa=kappa)
-    lip_num = float(np.sum(w * lip.values**2))
-    lip_den = (
-        ks_energy(cloud, f, 2.0 * epsilon, d_w=d_w, kappa=kappa)
-        * (2.0 * epsilon) ** d_w
-        / epsilon**2
-    )
+    reports = []
+    for k, (eps, f_eps) in enumerate(zip(epsilons, smoothed)):
+        lip = discrete_lip(cloud, f_eps, kappa * cloud.mesh, kappa=kappa)
+        lip_num = float(np.sum(w * lip.values**2))
+        # Raw increment sum at 2 eps: the energy times (2 eps)^{d_w}.
+        lip_den = (sums[k, 0] * (w / masses[k])).sum() / eps**2
 
-    l2_num = float(np.sum(w * (smoothed.values - f.values) ** 2))
-    dev = ball_mean_deviation(cloud, f, 6.0 * epsilon, kappa=kappa)
-    l2_den = float(np.sum(w * dev**2))
+        l2_num = float(np.sum(w * (f_eps.values - f.values) ** 2))
+        dev = sums[len(epsilons) + k, 0] / masses[len(epsilons) + k]
+        l2_den = float(np.sum(w * dev**2))
 
-    return MollifierReport(
-        epsilon=float(epsilon),
-        lip_bound_ratio=_guarded_ratio(lip_num, lip_den),
-        l2_bound_ratio=_guarded_ratio(l2_num, l2_den),
-        lip_numerator=lip_num,
-        lip_denominator=float(lip_den),
-        l2_numerator=l2_num,
-        l2_denominator=l2_den,
-    )
+        reports.append(
+            MollifierReport(
+                epsilon=eps,
+                lip_bound_ratio=_guarded_ratio(lip_num, lip_den),
+                l2_bound_ratio=_guarded_ratio(l2_num, l2_den),
+                lip_numerator=lip_num,
+                lip_denominator=float(lip_den),
+                l2_numerator=l2_num,
+                l2_denominator=l2_den,
+            )
+        )
+    return reports
 
 
 @dataclass(frozen=True)
@@ -344,10 +368,11 @@ def check_controlled_cutoff(
 ) -> CutoffReport:
     """Scaled small-scale energies of the partition bumps.
 
-    For each bump the limsup proxy of its energy sweep is multiplied by
+    For each bump the limsup proxy of its energy sweep (the max over the
+    ``window`` smallest scales of ``grid``) is multiplied by
     eps^{d_w} / mu(B(c, eps)); the report keeps the worst center.  All bumps
-    share one ball pass per scale, which is what makes sweeping a few dozen
-    of them affordable.
+    and window scales share one ball pass, which is what makes sweeping a
+    few dozen of them affordable.
     """
     cloud = pou.cloud
     eps = pou.epsilon
@@ -355,13 +380,10 @@ def check_controlled_cutoff(
         grid = make_scale_grid(
             cloud, ratio=DEFAULT_RATIO, count=DEFAULT_COUNT, kappa=kappa
         )
-    fields = pou.fields()
-    energies = np.zeros((grid.scales.size, len(fields)))
-    for k, r in enumerate(grid.scales):
-        energies[k] = ks_energy_many(cloud, fields, float(r), d_w=d_w, kappa=kappa)
+    # Only the window is read, so only the window is evaluated.
     window_scales = grid.window(window)
-    in_window = np.isin(grid.scales, window_scales)
-    limsups = energies[in_window].max(axis=0)
+    energies = ks_energies(cloud, pou.fields(), window_scales, d_w=d_w, kappa=kappa)
+    limsups = energies.max(axis=0)
 
     masses = np.zeros(pou.n_centers)
     pos = 0

@@ -7,6 +7,18 @@ over the underlying space is discretized as a weighted sum, and every ball is
 an open ball ``{y : d(x, y) < r}`` resolved by exact comparison, so results
 do not depend on the index used to accelerate the query.
 
+Ball engine.  ``MeasuredPointCloud.ball_chunks`` streams the balls of many
+centres in blocks sized from the tree's per-centre counts, so no block holds
+more than its member budget unless one ball alone does.  On coordinate
+clouds the tree only proposes candidate pairs (``sparse_distance_matrix``
+slightly beyond r); the canonical filter then recomputes every candidate's
+distance with the one formula of ``_point_distances`` and keeps ``d < r``.
+Distance-matrix clouds read matrix rows instead and give the same interface.
+Members come in ascending id order per centre.  ``nested_ball_chunks``
+serves several radii from one pass at the largest by masking the canonical
+distances, and ``segment_sums`` reduces each ball on its own members, so
+no result depends on the block layout or on which radii share a pass.
+
 The module also carries the volume-doubling diagnostics: sampled ratios
 ``mu(B(x, 2r)) / mu(B(x, r))``, a fitted mass-growth exponent, and lower mass
 bounds ``mu(B(x, r)) >= c r^Q``.
@@ -51,27 +63,51 @@ def _point_distances(coords: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
-def segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Sum consecutive segments of ``values`` with the given lengths.
+def _segment_reduce(op: np.ufunc, values: np.ndarray, counts: np.ndarray, empty: float) -> np.ndarray:
+    """``op.reduceat`` over the non-empty consecutive segments of ``values``.
 
-    Safe for zero-length segments, unlike a bare ``np.add.reduceat``.
+    Each segment is reduced on its own values only, so a result does not
+    depend on what else shares the array (how centres are split into
+    blocks); empty segments, which a bare ``reduceat`` mishandles, get
+    ``empty``.
     """
-    ends = np.cumsum(counts)
-    if values.size == 0:
-        return np.zeros(counts.size)
-    run = np.concatenate([[0.0], np.cumsum(values)])
-    return run[ends] - run[ends - counts]
+    out = np.full(counts.size, empty)
+    nonempty = counts > 0
+    if values.size and np.any(nonempty):
+        starts = np.cumsum(counts) - counts
+        out[nonempty] = op.reduceat(values, starts[nonempty])
+    return out
+
+
+def segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sum consecutive segments of ``values`` with the given lengths (empty: 0)."""
+    return _segment_reduce(np.add, values, counts, 0.0)
 
 
 def segment_max(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Max over consecutive segments; empty segments give -inf."""
-    out = np.full(counts.size, -np.inf)
-    nonempty = counts > 0
-    if values.size == 0 or not np.any(nonempty):
-        return out
-    starts = np.cumsum(counts) - counts
-    out[nonempty] = np.maximum.reduceat(values, starts[nonempty])
-    return out
+    return _segment_reduce(np.maximum, values, counts, -np.inf)
+
+
+def _kept_counts(keep: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per-segment number of ``True`` entries of ``keep`` (exact integers)."""
+    run = np.concatenate([[0], np.cumsum(keep, dtype=np.intp)])
+    ends = np.cumsum(counts)
+    return run[ends] - run[ends - counts]
+
+
+def _budget_blocks(sizes: np.ndarray, budget: int) -> Iterator[slice]:
+    """Consecutive slices whose ``sizes`` sum to at most ``budget``.
+
+    A single entry larger than the budget gets a slice of its own.
+    """
+    ends = np.cumsum(sizes)
+    lo = 0
+    while lo < sizes.size:
+        base = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, base + budget, side="right")))
+        yield slice(lo, hi)
+        lo = hi
 
 
 @dataclass(frozen=True)
@@ -328,13 +364,20 @@ class MeasuredPointCloud:
         r: float,
         centers: np.ndarray | None = None,
         flat_budget: int = 4_000_000,
-    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        distances: bool = False,
+    ) -> Iterator[tuple[np.ndarray, ...]]:
         """Stream ball memberships for many centres without holding them all.
 
         Yields ``(center_ids, flat_member_ids, counts)`` where the members of
-        ``center_ids[i]`` occupy the i-th slice of ``flat_member_ids``.
-        Centres are processed in ascending id order, so any reduction over
-        the chunks is order-deterministic.
+        ``center_ids[i]`` occupy the i-th slice of ``flat_member_ids``, in
+        ascending id order; with ``distances`` each tuple also carries the
+        canonical distance of every member to its centre.  Centres are
+        processed in the given order, in blocks of at most ``flat_budget``
+        candidate members (a single larger ball gets a block of its own).
+
+        Coordinate clouds ask the tree for candidate pairs within
+        ``r * (1 + 1e-12)`` and keep those whose canonical distance is below
+        ``r``; distance-matrix clouds read the matrix rows directly.
         """
         if centers is None:
             centers = np.arange(self.n, dtype=np.intp)
@@ -346,35 +389,73 @@ class MeasuredPointCloud:
             block = max(1, int(flat_budget // max(1, self.n)))
             for lo in range(0, centers.size, block):
                 sub = centers[lo : lo + block]
-                hits = self._dist[sub] < r
-                counts = hits.sum(axis=1)
-                yield sub, np.flatnonzero(hits.ravel()) % self.n, counts
+                rows = self._dist[sub]
+                hits = rows < r
+                flat = np.flatnonzero(hits.ravel()) % self.n
+                yield (sub, flat, hits.sum(axis=1)) + ((rows[hits],) if distances else ())
             return
 
-        # Estimate the ball size from one centre to pick the block size.
         tree = self._kdtree()
-        probe = len(tree.query_ball_point(self._coords[centers[0]], r))
-        block = int(np.clip(flat_budget // max(1, probe), 16, 8192))
         r_query = r * (1.0 + 1e-12)
-        for lo in range(0, centers.size, block):
-            sub = centers[lo : lo + block]
-            lists = tree.query_ball_point(
-                self._coords[sub], r_query, workers=-1, return_sorted=True
+        sizes = tree.query_ball_point(
+            self._coords[centers], r_query, return_length=True, workers=-1
+        )
+        for part in _budget_blocks(sizes, flat_budget):
+            sub = centers[part]
+            pairs = cKDTree(self._coords[sub]).sparse_distance_matrix(
+                tree, r_query, output_type="ndarray"
             )
-            counts = np.fromiter((len(l) for l in lists), dtype=np.intp, count=len(lists))
-            if counts.sum() == 0:
-                yield sub, np.empty(0, dtype=np.intp), counts
-                continue
-            flat = np.concatenate([np.asarray(l, dtype=np.intp) for l in lists])
-            # Exact filter: candidate lists may include points at d in [r, r_query].
-            rep = np.repeat(sub, counts)
-            diff = self._coords[flat] - self._coords[rep]
+            # Sorting (local centre, member) keys puts every centre's
+            # members in ascending id order, centre by centre.
+            keys = pairs["i"].astype(np.int64) * self.n + pairs["j"]
+            del pairs
+            keys.sort()
+            local, flat = np.divmod(keys, self.n)
+            del keys
+            counts = np.bincount(local, minlength=sub.size)
+            del local
+            # Exact filter: the tree may propose points at d in [r, r_query].
+            diff = self._coords.take(flat, axis=0)
+            diff -= np.repeat(self._coords[sub], counts, axis=0)
             d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+            del diff
             keep = d < r
             if not np.all(keep):
-                counts = segment_sums(keep.astype(float), counts).astype(np.intp)
-                flat = flat[keep]
-            yield sub, flat, counts
+                counts = _kept_counts(keep, counts)
+                flat, d = flat[keep], d[keep]
+            flat = flat.astype(np.intp, copy=False)
+            yield (sub, flat, counts) + ((d,) if distances else ())
+
+    def nested_ball_chunks(
+        self,
+        radii: Sequence[float],
+        centers: np.ndarray | None = None,
+        flat_budget: int = 4_000_000,
+    ) -> Iterator[tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]]:
+        """Ball memberships at several radii from one pass at the largest.
+
+        Yields ``(center_ids, members)`` with ``members[k] = (flat, counts)``
+        laid out as in ``ball_chunks`` for ``radii[k]``.  Each radius keeps
+        the members of the pass whose canonical distance is below it, in the
+        same order, so every radius sees exactly what a pass of its own
+        would yield.  Radii are peeled off largest first, each from the
+        previous (smaller) selection.
+        """
+        radii = [float(r) for r in radii]
+        if not radii:
+            return
+        order = sorted(range(len(radii)), key=lambda k: -radii[k])
+        for sub, flat, counts, d in self.ball_chunks(
+            radii[order[0]], centers, flat_budget, distances=True
+        ):
+            members: list = [None] * len(radii)
+            for k in order:
+                keep = d < radii[k]
+                if not np.all(keep):
+                    counts = _kept_counts(keep, counts)
+                    flat, d = flat[keep], d[keep]
+                members[k] = (flat, counts)
+            yield sub, members
 
     def boundary_margin(self) -> np.ndarray:
         """Per-point distance to the coordinate bounding box (coords mode).

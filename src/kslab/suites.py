@@ -166,6 +166,17 @@ class SuiteContext:
         return gf.build_form(self.cloud, FORM_KINDS[self.kind])
 
     @cached_property
+    def coarse_form(self) -> gf.GraphDirichletForm | None:
+        """Form of the next coarser level of the cloud's mesh hierarchy, if any."""
+        if self.kind == "gasket" and int(self.cloud.meta.get("level", 0)) >= 2:
+            return gf.build_form(gasket(int(self.cloud.meta["level"]) - 1), "gasket")
+        if self.kind == "interval_grid":
+            n = int(self.cloud.meta.get("n", 0))
+            if n >= 5 and (n - 1) % 2 == 0:
+                return gf.build_form(interval_grid((n + 1) // 2), "grid1d")
+        return None
+
+    @cached_property
     def spectrum(self) -> gf.Spectrum:
         k_max = min(25, self.cloud.n - 1)
         return gf.spectrum(self.form, k_max=k_max)
@@ -212,20 +223,22 @@ def resolve_walk_dimension(
     requested: float | str,
     seed: int = 0,
     kappa: float = DEFAULT_KAPPA,
+    ctx: SuiteContext | None = None,
 ) -> tuple[float, dict]:
     """Resolve an explicit d_w or fit one from the cloud itself.
 
     Fitting runs the increment-scaling regression on standard fields and,
     when the cloud belongs to a mesh hierarchy, the cross-level eigenvalue
     estimate; the latter wins when both exist, and the report carries both
-    values plus an agreement flag.
+    values plus an agreement flag.  Passing the run's ``ctx`` lets the
+    suites reuse the forms (and their solves) that the fit builds.
     """
     if requested != "fit":
         value = float(requested)
         return value, {"source": "explicit", "value": value}
 
-    kind = str(cloud.meta.get("kind", "unknown"))
-    ctx = SuiteContext(cloud, 2.0, {}, seed, kappa)
+    if ctx is None:
+        ctx = SuiteContext(cloud, 2.0, {}, seed, kappa)
     fields = [f for _, f in ctx.standard_fields() if not f.is_constant()]
     try:
         grid = make_scale_grid(cloud, kappa=kappa)
@@ -237,17 +250,9 @@ def resolve_walk_dimension(
         fit = fit_walk_dimension(cloud, fields, grid=grid, kappa=kappa)
 
     eigen_value = None
-    coarse = None
-    if kind == "gasket" and int(cloud.meta.get("level", 0)) >= 2:
-        coarse = gasket(int(cloud.meta["level"]) - 1)
-    elif kind == "interval_grid":
-        n = int(cloud.meta.get("n", 0))
-        if n >= 5 and (n - 1) % 2 == 0:
-            coarse = interval_grid((n + 1) // 2)
-    if coarse is not None:
-        coarse_form = gf.build_form(coarse, FORM_KINDS[kind])
+    if ctx.coarse_form is not None:
         # ctx.form already holds the solve that standard_fields made on gaskets.
-        eigen_value = gf.eigen_walk_dimension(coarse_form, ctx.form).d_w_hat
+        eigen_value = gf.eigen_walk_dimension(ctx.coarse_form, ctx.form).d_w_hat
 
     chosen = eigen_value if eigen_value is not None else fit.d_w_hat
     info: dict = {
@@ -413,10 +418,7 @@ def suite_smoothing(ctx: SuiteContext) -> list[CheckResult]:
     ladder = _mollifier_ladder(ctx)
     results = []
     if len(ladder) >= 2 and f is not None:
-        reports = [
-            sm.mollifier_estimates(cloud, f, eps, d_w=ctx.d_w, kappa=ctx.kappa)
-            for eps in ladder
-        ]
+        reports = sm.mollifier_ladder(cloud, f, ladder, d_w=ctx.d_w, kappa=ctx.kappa)
         lips = [r.lip_bound_ratio for r in reports]
         l2s = [r.l2_bound_ratio for r in reports]
         errs = [r.l2_numerator for r in reports]
@@ -685,8 +687,7 @@ def suite_graphform(ctx: SuiteContext) -> list[CheckResult]:
                     },
                 )
             )
-            coarse_form = gf.build_form(gasket(level - 1), "gasket")
-            walk = gf.eigen_walk_dimension(coarse_form, form)
+            walk = gf.eigen_walk_dimension(ctx.coarse_form, form)
             results.append(
                 CheckResult(
                     name="eigen_walk_dimension",
@@ -696,20 +697,17 @@ def suite_graphform(ctx: SuiteContext) -> list[CheckResult]:
                     details={"target": LOG5_LOG2, "residual": walk.residual},
                 )
             )
-    elif ctx.kind == "interval_grid":
-        n = int(cloud.meta.get("n", 0))
-        if n >= 5 and (n - 1) % 2 == 0:
-            coarse_form = gf.build_form(interval_grid((n + 1) // 2), "grid1d")
-            walk = gf.eigen_walk_dimension(coarse_form, form)
-            results.append(
-                CheckResult(
-                    name="eigen_walk_dimension",
-                    claim="cross-level-eigenvalue-scaling",
-                    passed=bool(abs(walk.d_w_hat - 2.0) <= ctx.tol["eigen_dw_abs"]),
-                    constant=walk.d_w_hat,
-                    details={"target": 2.0, "residual": walk.residual},
-                )
+    elif ctx.kind == "interval_grid" and ctx.coarse_form is not None:
+        walk = gf.eigen_walk_dimension(ctx.coarse_form, form)
+        results.append(
+            CheckResult(
+                name="eigen_walk_dimension",
+                claim="cross-level-eigenvalue-scaling",
+                passed=bool(abs(walk.d_w_hat - 2.0) <= ctx.tol["eigen_dw_abs"]),
+                constant=walk.d_w_hat,
+                details={"target": 2.0, "residual": walk.residual},
             )
+        )
     return results
 
 

@@ -16,3 +16,32 @@ def eigh_sizes(monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
     return sizes
+
+
+@pytest.fixture
+def tiny_blocks(monkeypatch):
+    """Make every ball pass run in blocks of at most 50 candidate members."""
+    from kslab.space import MeasuredPointCloud
+
+    real = MeasuredPointCloud.ball_chunks
+
+    def small_blocks(self, r, centers=None, flat_budget=None, distances=False):
+        return real(self, r, centers, 50, distances)
+
+    monkeypatch.setattr(MeasuredPointCloud, "ball_chunks", small_blocks)
+
+
+@pytest.fixture
+def pass_radii(monkeypatch):
+    """Record the radius of every ball pass, in call order."""
+    from kslab.space import MeasuredPointCloud
+
+    radii = []
+    real = MeasuredPointCloud.ball_chunks
+
+    def recording(self, r, *args, **kwargs):
+        radii.append(float(r))
+        return real(self, r, *args, **kwargs)
+
+    monkeypatch.setattr(MeasuredPointCloud, "ball_chunks", recording)
+    return radii

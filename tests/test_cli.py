@@ -164,6 +164,19 @@ class TestRun:
         assert isinstance(prov["agreement"], bool)
         assert summary["d_w"] == prov["value"]
 
+    def test_fit_run_solves_each_level_once(self, tmp_path, eigh_sizes):
+        path = write_config(
+            tmp_path,
+            space={"kind": "gasket", "level": 5},
+            d_w="fit",
+            suite="graphform",
+            out=str(tmp_path / "bundle"),
+        )
+        assert main(["run", "--config", str(path)]) in (0, 1)
+        # The fine level (366 vertices) for the standard fields, then the
+        # coarse level (123) for the eigenvalue ratio; the suite reuses both.
+        assert eigh_sizes == [366, 123]
+
 
 def _record_results(monkeypatch, module, name):
     made = []

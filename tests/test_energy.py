@@ -291,3 +291,122 @@ def test_liminf_window_scales_ascending():
     assert win.size == 3
     assert np.all(np.diff(win) > 0)
     assert win[0] >= 3.0 * cloud.mesh
+
+
+# ----------------------------------------------------------------------
+# exact reductions and the shared ball pass
+# ----------------------------------------------------------------------
+
+
+def _fsum_balls(cloud, r):
+    """Per-centre member ids, ball masses and weights, with fsum masses."""
+    import math
+
+    for x in range(cloud.n):
+        ids = oracles.brute_ball_ids(cloud.coords, x, r)
+        w = cloud.weights[ids]
+        yield x, ids, w, math.fsum(w)
+
+
+def _max_rel_error(got, want):
+    return float(np.max(np.abs(got - want) / np.abs(want)))
+
+
+def test_energy_density_matches_fsum_oracle():
+    import math
+
+    cloud = square_grid(61)
+    f = ScalarField.from_function(
+        cloud, lambda c: np.sin(3.0 * c[:, 0]) * np.cos(2.0 * c[:, 1]) + c[:, 0]
+    )
+    r = 0.2
+    want = np.empty(cloud.n)
+    v = f.values
+    for x, ids, w, mass in _fsum_balls(cloud, r):
+        inner = math.fsum(w * (v[x] - v[ids]) ** 2)
+        want[x] = cloud.weights[x] * inner / mass / r**2
+    got = ks_energy_density(cloud, f, r, d_w=2.0)
+    assert _max_rel_error(got, want) <= 1e-13
+
+
+def test_ball_mean_deviation_matches_fsum_oracle():
+    import math
+
+    from kslab.smoothing import ball_mean_deviation
+
+    cloud = square_grid(61)
+    f = ScalarField.from_function(cloud, lambda c: np.exp(c[:, 0] - 2.0 * c[:, 1]))
+    r = 0.2
+    want = np.empty(cloud.n)
+    v = f.values
+    for x, ids, w, mass in _fsum_balls(cloud, r):
+        want[x] = math.fsum(w * np.abs(v[x] - v[ids])) / mass
+    got = ball_mean_deviation(cloud, f, r)
+    assert _max_rel_error(got, want) <= 1e-13
+
+
+def _engine_results(cloud, fields):
+    f = fields[0]
+    grid = make_scale_grid(cloud)
+    sweep = energy_sweep(cloud, f, d_w=2.0)
+    region = np.arange(0, cloud.n, 7)
+    return {
+        "energy": ks_energy(cloud, f, float(grid.scales[2])),
+        "region": ks_energy(cloud, f, float(grid.scales[0]), region=region),
+        "many": ks_energy_many(cloud, fields, float(grid.scales[-1])),
+        "density": ks_energy_density(cloud, f, float(grid.scales[1])),
+        "density_centers": ks_energy_density(
+            cloud, f, float(grid.scales[1]), centers=region[::-1]
+        ),
+        "sweep": sweep.values,
+        "raw": raw_increment_sum(cloud, f, float(grid.scales[3])),
+    }
+
+
+@pytest.fixture(scope="module")
+def engine_cloud():
+    grid = square_grid(30)
+    weights = np.random.default_rng(12).uniform(0.5, 2.0, size=grid.n)
+    cloud = MeasuredPointCloud(weights, coords=grid.coords, mesh=grid.mesh)
+    fields = [
+        ScalarField.from_function(cloud, lambda c: np.sin(4.0 * c[:, 0]) + c[:, 1] ** 2),
+        ScalarField.coordinate(cloud, 1),
+    ]
+    return cloud, fields, _engine_results(cloud, fields)
+
+
+def test_energies_do_not_depend_on_block_size(engine_cloud, tiny_blocks):
+    cloud, fields, default = engine_cloud
+    small = _engine_results(cloud, fields)
+    for key, value in default.items():
+        np.testing.assert_array_equal(small[key], value, err_msg=key)
+
+
+def test_energy_sweep_matches_single_scale_passes(engine_cloud):
+    cloud, fields, default = engine_cloud
+    f = fields[0]
+    grid = make_scale_grid(cloud)
+    singles = [ks_energy(cloud, f, float(r), d_w=2.0) for r in grid.scales]
+    np.testing.assert_array_equal(default["sweep"], singles)
+
+
+def test_ks_energies_one_pass_equals_separate_passes(pass_radii):
+    from kslab.energy import ks_energies
+
+    cloud = gasket(5)
+    fields = [
+        ScalarField.coordinate(cloud, 0),
+        ScalarField.from_function(cloud, lambda c: np.cos(5.0 * c[:, 1])),
+    ]
+    radii = [0.3, 0.11, 0.2]
+    table = ks_energies(cloud, fields, radii, d_w=2.3)
+    assert pass_radii == [0.3]
+    for k, r in enumerate(radii):
+        np.testing.assert_array_equal(table[k], ks_energy_many(cloud, fields, r, d_w=2.3))
+
+
+def test_fit_walk_dimension_makes_one_pass(pass_radii):
+    cloud = interval_grid(401)
+    fields = [ScalarField.coordinate(cloud), ScalarField.constant(cloud, 2.0)]
+    fit = fit_walk_dimension(cloud, fields)
+    assert pass_radii == [float(fit.scales.max())]

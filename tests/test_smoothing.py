@@ -356,3 +356,81 @@ def test_net_and_partition_exports(tmp_path):
     i, j, v = tri[1].split(",")
     assert float(v) > 0
     assert pou.phi[int(i), int(j)] == pytest.approx(float(v))
+
+
+# ----------------------------------------------------------------------
+# shared ball passes
+# ----------------------------------------------------------------------
+
+
+def _cutoff_reference(pou, d_w):
+    """Per-centre cutoff quotients from one pass per scale over the whole grid."""
+    from kslab.energy import ks_energy_many
+    from kslab.space import segment_sums
+
+    cloud = pou.cloud
+    eps = pou.epsilon
+    grid = make_scale_grid(cloud)
+    energies = np.stack(
+        [ks_energy_many(cloud, pou.fields(), float(r), d_w=d_w) for r in grid.scales]
+    )
+    limsups = energies[np.isin(grid.scales, grid.window(3))].max(axis=0)
+    masses = np.concatenate(
+        [
+            segment_sums(cloud.weights[flat], counts)
+            for _, flat, counts in cloud.ball_chunks(eps, centers=pou.net.center_ids)
+        ]
+    )
+    return limsups * eps**d_w / masses
+
+
+def test_cutoff_reads_only_the_window(pass_radii):
+    cloud = interval_grid(801)
+    pou = partition_of_unity(build_net(cloud, 0.1))
+    rep = check_controlled_cutoff(pou, d_w=2.0)
+    grid = make_scale_grid(cloud)
+    # One pass at the largest window scale, one at eps for the bump masses.
+    assert pass_radii == [float(grid.window(3).max()), 0.1]
+    np.testing.assert_array_equal(rep.scales, grid.scales)
+    np.testing.assert_array_equal(rep.per_center, _cutoff_reference(pou, 2.0))
+
+
+def _smoothing_results():
+    cloud = gasket(5)
+    d_w = np.log(5) / np.log(2)
+    pou = partition_of_unity(build_net(cloud, 0.125))
+    f = ScalarField.from_function(cloud, lambda c: np.sin(3.0 * c[:, 0]) + c[:, 1])
+    return (
+        check_controlled_cutoff(pou, d_w=d_w).per_center,
+        mollifier_estimates(cloud, f, 0.125, d_w=d_w),
+        ball_mean_deviation(cloud, f, 0.2),
+        mollify(f, pou).values,
+    )
+
+
+@pytest.fixture(scope="module")
+def smoothing_defaults():
+    return _smoothing_results()
+
+
+def test_cutoff_and_mollifier_do_not_depend_on_block_size(smoothing_defaults, tiny_blocks):
+    cutoff, moll, dev, smoothed = _smoothing_results()
+    np.testing.assert_array_equal(cutoff, smoothing_defaults[0])
+    assert moll == smoothing_defaults[1]
+    np.testing.assert_array_equal(dev, smoothing_defaults[2])
+    np.testing.assert_array_equal(smoothed, smoothing_defaults[3])
+
+
+def test_mollifier_ladder_equals_single_epsilon_calls(pass_radii):
+    from kslab.smoothing import mollifier_ladder
+
+    cloud = interval_grid(1001)
+    f = ScalarField.from_function(cloud, lambda c: np.sin(np.pi * c[:, 0]))
+    ladder = [0.2, 0.1, 0.05]
+    reports = mollifier_ladder(cloud, f, ladder)
+    # One mollify pass per rung, then 2 eps and 6 eps of every rung share a
+    # single pass at 6 * 0.2, then one slope pass per rung at kappa * h.
+    lip_r = 3.0 * cloud.mesh
+    assert pass_radii == ladder + [6.0 * 0.2] + [lip_r] * len(ladder)
+    for eps, rep in zip(ladder, reports):
+        assert rep == mollifier_estimates(cloud, f, eps)

@@ -162,6 +162,102 @@ def test_ball_chunks_agree_with_single_queries():
     assert len(seen) == 150
     for x in range(150):
         np.testing.assert_array_equal(np.sort(seen[x]), cloud.ball_ids(x, r))
+        # Members come in ascending id order, not just as the same set.
+        assert np.all(np.diff(seen[x]) > 0)
+
+
+def _balls_by_center(chunks):
+    """Map each centre to its (member ids, distances) from a ball pass."""
+    out = {}
+    for sub, flat, counts, *rest in chunks:
+        ends = np.cumsum(counts)
+        for c, lo, hi in zip(sub.tolist(), ends - counts, ends):
+            out[c] = (flat[lo:hi], rest[0][lo:hi] if rest else None)
+    return out
+
+
+def test_ball_chunks_blocks_respect_budget():
+    # The corner cell's ball is about a quarter of an interior ball, so
+    # sizing every block from the first centre overshoots the budget.
+    cloud = carpet(3)
+    budget = 5_000
+    sizes = []
+    for sub, flat, counts in cloud.ball_chunks(0.3, flat_budget=budget):
+        assert flat.size <= budget or sub.size == 1
+        sizes.append(sub.size)
+    assert sum(sizes) == cloud.n
+    # A ball larger than the budget gets a block of its own.
+    for sub, flat, counts in cloud.ball_chunks(0.3, flat_budget=10):
+        assert sub.size == 1
+
+
+def test_ball_chunks_distances_are_canonical():
+    rng = np.random.default_rng(2)
+    coords = rng.uniform(size=(120, 2))
+    cloud = MeasuredPointCloud(np.ones(120), coords=coords)
+    balls = _balls_by_center(cloud.ball_chunks(0.25, flat_budget=300, distances=True))
+    for x, (ids, d) in balls.items():
+        np.testing.assert_array_equal(ids, cloud.ball_ids(x, 0.25))
+        np.testing.assert_array_equal(d, cloud.distances_from(x)[ids])
+
+
+def test_ball_chunks_repeated_and_unordered_centers():
+    cloud = square_grid(15)
+    centers = np.array([40, 3, 40, 200, 3])
+    got = list(cloud.ball_chunks(0.2, centers=centers, flat_budget=60))
+    assert np.concatenate([sub for sub, _, _ in got]).tolist() == centers.tolist()
+    flat = np.concatenate([f for _, f, _ in got])
+    counts = np.concatenate([c for _, _, c in got])
+    want = [cloud.ball_ids(int(c), 0.2) for c in centers]
+    assert counts.tolist() == [w.size for w in want]
+    np.testing.assert_array_equal(flat, np.concatenate(want))
+
+
+@pytest.mark.parametrize("abstract", [False, True])
+def test_nested_pass_equals_separate_passes(abstract):
+    rng = np.random.default_rng(8)
+    coords = rng.uniform(size=(160, 2))
+    if abstract:
+        cloud = MeasuredPointCloud(np.ones(160), dist_matrix=oracles.dist_matrix(coords))
+    else:
+        cloud = MeasuredPointCloud(np.ones(160), coords=coords)
+    radii = [0.2, 0.45, 0.1, 0.45]
+    centers = np.arange(0, 160, 3)
+    nested = {}
+    for sub, members in cloud.nested_ball_chunks(radii, centers=centers, flat_budget=500):
+        for k, (flat, counts) in enumerate(members):
+            nested.setdefault(k, []).append((sub, flat, counts))
+    for k, r in enumerate(radii):
+        single = _balls_by_center(cloud.ball_chunks(r, centers=centers))
+        multi = _balls_by_center(nested[k])
+        assert multi.keys() == single.keys()
+        for c in single:
+            np.testing.assert_array_equal(multi[c][0], single[c][0])
+
+
+def test_segment_sums_zero_length_segments():
+    values = np.array([1.0, 2.0, 3.0, 4.0])
+    counts = np.array([0, 2, 0, 0, 2, 0])
+    np.testing.assert_array_equal(space.segment_sums(values, counts), [0, 3, 0, 0, 7, 0])
+    np.testing.assert_array_equal(space.segment_sums(np.empty(0), np.zeros(3, int)), [0, 0, 0])
+    np.testing.assert_array_equal(
+        space.segment_max(values, counts), [-np.inf, 2, -np.inf, -np.inf, 4, -np.inf]
+    )
+
+
+def test_segment_sums_match_fsum_and_ignore_neighbours():
+    import math
+
+    rng = np.random.default_rng(4)
+    counts = rng.integers(0, 400, size=60)
+    values = rng.uniform(size=counts.sum()) * 10.0 ** rng.uniform(-6, 6, size=counts.sum())
+    got = space.segment_sums(values, counts)
+    ends = np.cumsum(counts)
+    for k, (lo, hi) in enumerate(zip(ends - counts, ends)):
+        want = math.fsum(values[lo:hi])
+        assert abs(got[k] - want) <= 1e-14 * abs(want)
+        # The same segment alone gives the same bits.
+        assert space.segment_sums(values[lo:hi], counts[k : k + 1])[0] == got[k]
 
 
 def test_ball_monotone_in_radius():
