@@ -202,8 +202,8 @@ def _merge_cli(cfg: dict, args: argparse.Namespace) -> dict:
 def _build_context(cfg: dict):
     cloud = build_cloud(cfg["space"])
     grid = cfg["scale_grid"]
-    # The walk dimension is resolved on the run's own context, so a fit's
-    # forms and solves serve the suites as well.
+    # d_w is resolved on the run's own context (below), so a fit's forms and
+    # solves serve the suites as well.
     ctx = SuiteContext(
         cloud,
         2.0,
@@ -216,10 +216,7 @@ def _build_context(cfg: dict):
         window=grid["window"],
         tolerances=cfg["tolerances"],
     )
-    d_w, info = resolve_walk_dimension(
-        cloud, cfg["d_w"], seed=cfg["seed"], kappa=grid["kappa"], ctx=ctx
-    )
-    ctx.d_w, ctx.dw_info = d_w, info
+    d_w, info = resolve_walk_dimension(cloud, cfg["d_w"], ctx=ctx)
     return cloud, ctx, d_w, info
 
 

@@ -121,54 +121,39 @@ def _region_ids(cloud: MeasuredPointCloud, region: np.ndarray | None) -> np.ndar
     return ids
 
 
-def ball_increment_sums(
-    cloud: MeasuredPointCloud,
-    matrix: np.ndarray,
-    radii: Sequence[float],
-    powers: Sequence[int],
-    centers: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-centre ball sums of ``mu_y |f(x) - f(y)|**p`` from one ball pass.
-
-    ``matrix`` holds one field per row; radius ``radii[k]`` is reduced with
-    exponent ``powers[k]`` (1 or 2).  Returns ``(sums, masses)`` with
-    ``sums[k, i, j]`` the sum over ``B(c_j, radii[k])`` for field row i and
-    ``masses[k, j] = mu(B(c_j, radii[k]))``, where ``c_j`` runs over
-    ``centers`` (default: every point, in id order).
-    """
-    mu = cloud.weights
-    n_out = cloud.n if centers is None else len(centers)
-    sums = np.zeros((len(radii), matrix.shape[0], n_out))
-    masses = np.zeros((len(radii), n_out))
-    pos = 0
-    for sub, members in cloud.nested_ball_chunks(radii, centers):
-        blk = slice(pos, pos + sub.size)
-        for k, (flat, counts) in enumerate(members):
-            w_flat = mu[flat]
-            masses[k, blk] = segment_sums(w_flat, counts)
-            for i, row in enumerate(matrix):
-                diff = np.repeat(row[sub], counts) - row[flat]
-                term = w_flat * diff * diff if powers[k] == 2 else w_flat * np.abs(diff)
-                sums[k, i, blk] = segment_sums(term, counts)
-        pos += sub.size
-    return sums, masses
-
-
 def _increment_table(
     cloud: MeasuredPointCloud,
     matrix: np.ndarray,
     radii: Sequence[float],
     centers: np.ndarray | None,
+    powers: Sequence[int] | None = None,
 ) -> np.ndarray:
     """Per-centre normalized increment sums for one or more fields and radii.
 
-    Entry ``[k, i, j]`` is, for field row i and centre x = ``centers[j]``,
+    ``matrix`` holds one field per row.  Entry ``[k, i, j]`` is, for field
+    row i and centre x = ``centers[j]`` (default: every point, in id order),
 
-        mu_x / mu(B(x, r_k)) * sum_{y in B(x, r_k)} mu_y (f(x) - f(y))**2.
+        mu_x / mu(B(x, r_k)) * sum_{y in B(x, r_k)} mu_y |f(x) - f(y)|**p_k,
+
+    with ``p_k = powers[k]`` (1 or 2; default 2).  All radii share one ball
+    pass at the largest.
     """
-    sums, masses = ball_increment_sums(cloud, matrix, radii, [2] * len(radii), centers)
-    mu_c = cloud.weights if centers is None else cloud.weights[centers]
-    return sums * (mu_c / masses)[:, None, :]
+    powers = [2] * len(radii) if powers is None else powers
+    mu = cloud.weights
+    n_out = cloud.n if centers is None else len(centers)
+    table = np.zeros((len(radii), matrix.shape[0], n_out))
+    pos = 0
+    for sub, members in cloud.nested_ball_chunks(radii, centers):
+        blk = slice(pos, pos + sub.size)
+        for k, (flat, counts) in enumerate(members):
+            w_flat = mu[flat]
+            scale = mu[sub] / segment_sums(w_flat, counts)
+            for i, row in enumerate(matrix):
+                diff = np.repeat(row[sub], counts) - row[flat]
+                term = w_flat * diff * diff if powers[k] == 2 else w_flat * np.abs(diff)
+                table[k, i, blk] = segment_sums(term, counts) * scale
+        pos += sub.size
+    return table
 
 
 def _raw_sums(

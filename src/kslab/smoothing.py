@@ -23,7 +23,8 @@ from .energy import (
     DEFAULT_WINDOW,
     ScalarField,
     ScaleGrid,
-    ball_increment_sums,
+    _increment_table,
+    _validated,
     ks_energies,
     make_scale_grid,
 )
@@ -229,11 +230,9 @@ def ball_mean_deviation(
     kappa: float = DEFAULT_KAPPA,
 ) -> np.ndarray:
     """Per-point first absolute moment avg_{B(x,r)} |f(x) - f(y)| dmu(y)."""
-    if f.cloud is not cloud:
-        raise ValueError("field does not live on the given cloud")
-    cloud.require_admissible(r, kappa)
-    sums, masses = ball_increment_sums(cloud, f.values[None, :], [r], [1])
-    return sums[0, 0] / masses[0]
+    mat = _validated(cloud, [f], [r], kappa)
+    # The table carries the centre weight mu_x; dividing it out leaves the average.
+    return _increment_table(cloud, mat, [r], None, [1])[0, 0] / cloud.weights
 
 
 @dataclass(frozen=True)
@@ -313,14 +312,11 @@ def mollifier_ladder(
     epsilons = [float(eps) for eps in epsilons]
     # Nets and partitions first: they refuse epsilons below the covering floor.
     smoothed = [mollify(f, partition_of_unity(build_net(cloud, eps))) for eps in epsilons]
-    if d_w < 2.0:
-        raise ValueError("d_w must be at least 2")
     radii = [2.0 * eps for eps in epsilons] + [6.0 * eps for eps in epsilons]
-    for r in radii:
-        cloud.require_admissible(r, kappa)
-    sums, masses = ball_increment_sums(
-        cloud, f.values[None, :], radii, [2] * len(epsilons) + [1] * len(epsilons)
-    )
+    mat = _validated(cloud, [f], radii, kappa, d_w)
+    m = len(epsilons)
+    # Rows 0..m-1: squared increments at 2 eps; rows m..: first moments at 6 eps.
+    table = _increment_table(cloud, mat, radii, None, [2] * m + [1] * m)[:, 0]
 
     w = cloud.weights
     reports = []
@@ -328,10 +324,10 @@ def mollifier_ladder(
         lip = discrete_lip(cloud, f_eps, kappa * cloud.mesh, kappa=kappa)
         lip_num = float(np.sum(w * lip.values**2))
         # Raw increment sum at 2 eps: the energy times (2 eps)^{d_w}.
-        lip_den = (sums[k, 0] * (w / masses[k])).sum() / eps**2
+        lip_den = table[k].sum() / eps**2
 
         l2_num = float(np.sum(w * (f_eps.values - f.values) ** 2))
-        dev = sums[len(epsilons) + k, 0] / masses[len(epsilons) + k]
+        dev = table[m + k] / w  # as in ball_mean_deviation
         l2_den = float(np.sum(w * dev**2))
 
         reports.append(

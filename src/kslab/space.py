@@ -7,9 +7,10 @@ over the underlying space is discretized as a weighted sum, and every ball is
 an open ball ``{y : d(x, y) < r}`` resolved by exact comparison, so results
 do not depend on the index used to accelerate the query.
 
-Ball engine.  ``MeasuredPointCloud.ball_chunks`` streams the balls of many
-centres in blocks sized from the tree's per-centre counts, so no block holds
-more than its member budget unless one ball alone does.  On coordinate
+Ball engine.  ``MeasuredPointCloud.ball_chunks`` and ``nested_ball_chunks``
+read one engine that streams the balls of many centres in blocks sized from
+the tree's per-centre counts, so no block holds more than its member budget
+unless one ball alone does.  On coordinate
 clouds the tree only proposes candidate pairs (``sparse_distance_matrix``
 slightly beyond r); the canonical filter then recomputes every candidate's
 distance with the one formula of ``_point_distances`` and keeps ``d < r``.
@@ -51,6 +52,9 @@ DEFAULT_KAPPA = 3.0
 
 # Spot-check budget for the triangle inequality on imported distance matrices.
 TRIANGLE_BUDGET = 10_000
+
+# Default ball-engine block budget, in candidate members.
+FLAT_BUDGET = 4_000_000
 
 
 def _point_distances(coords: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -363,21 +367,60 @@ class MeasuredPointCloud:
         self,
         r: float,
         centers: np.ndarray | None = None,
-        flat_budget: int = 4_000_000,
-        distances: bool = False,
-    ) -> Iterator[tuple[np.ndarray, ...]]:
+        flat_budget: int = FLAT_BUDGET,
+    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Stream ball memberships for many centres without holding them all.
 
         Yields ``(center_ids, flat_member_ids, counts)`` where the members of
         ``center_ids[i]`` occupy the i-th slice of ``flat_member_ids``, in
-        ascending id order; with ``distances`` each tuple also carries the
-        canonical distance of every member to its centre.  Centres are
-        processed in the given order, in blocks of at most ``flat_budget``
-        candidate members (a single larger ball gets a block of its own).
+        ascending id order.  Centres are processed in the given order, in
+        blocks of at most ``flat_budget`` candidate members (a single larger
+        ball gets a block of its own).
+        """
+        for sub, flat, counts, _ in self._ball_pass(r, centers, flat_budget):
+            yield sub, flat, counts
+
+    def nested_ball_chunks(
+        self,
+        radii: Sequence[float],
+        centers: np.ndarray | None = None,
+    ) -> Iterator[tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]]:
+        """Ball memberships at several radii from one pass at the largest.
+
+        Yields ``(center_ids, members)`` with ``members[k] = (flat, counts)``
+        laid out as in ``ball_chunks`` for ``radii[k]``.  Each radius keeps
+        the members of the pass whose canonical distance is below it, in the
+        same order, so every radius sees exactly what a pass of its own
+        would yield.  Radii are peeled off largest first, each from the
+        previous (smaller) selection.
+        """
+        radii = [float(r) for r in radii]
+        if not radii:
+            return
+        order = sorted(range(len(radii)), key=lambda k: -radii[k])
+        for sub, flat, counts, d in self._ball_pass(radii[order[0]], centers):
+            members: list = [None] * len(radii)
+            for k in order:
+                keep = d < radii[k]
+                if not np.all(keep):
+                    counts = _kept_counts(keep, counts)
+                    flat, d = flat[keep], d[keep]
+                members[k] = (flat, counts)
+            yield sub, members
+
+    def _ball_pass(
+        self,
+        r: float,
+        centers: np.ndarray | None,
+        flat_budget: int = FLAT_BUDGET,
+    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """The ball engine: ``ball_chunks`` blocks plus each member's distance.
 
         Coordinate clouds ask the tree for candidate pairs within
         ``r * (1 + 1e-12)`` and keep those whose canonical distance is below
-        ``r``; distance-matrix clouds read the matrix rows directly.
+        ``r``; distance-matrix clouds read the matrix rows directly.  The
+        fourth array holds those canonical distances, which lets
+        ``nested_ball_chunks`` cut smaller radii out of one pass.
         """
         if centers is None:
             centers = np.arange(self.n, dtype=np.intp)
@@ -391,8 +434,7 @@ class MeasuredPointCloud:
                 sub = centers[lo : lo + block]
                 rows = self._dist[sub]
                 hits = rows < r
-                flat = np.flatnonzero(hits.ravel()) % self.n
-                yield (sub, flat, hits.sum(axis=1)) + ((rows[hits],) if distances else ())
+                yield sub, np.flatnonzero(hits.ravel()) % self.n, hits.sum(axis=1), rows[hits]
             return
 
         tree = self._kdtree()
@@ -423,39 +465,7 @@ class MeasuredPointCloud:
             if not np.all(keep):
                 counts = _kept_counts(keep, counts)
                 flat, d = flat[keep], d[keep]
-            flat = flat.astype(np.intp, copy=False)
-            yield (sub, flat, counts) + ((d,) if distances else ())
-
-    def nested_ball_chunks(
-        self,
-        radii: Sequence[float],
-        centers: np.ndarray | None = None,
-        flat_budget: int = 4_000_000,
-    ) -> Iterator[tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]]:
-        """Ball memberships at several radii from one pass at the largest.
-
-        Yields ``(center_ids, members)`` with ``members[k] = (flat, counts)``
-        laid out as in ``ball_chunks`` for ``radii[k]``.  Each radius keeps
-        the members of the pass whose canonical distance is below it, in the
-        same order, so every radius sees exactly what a pass of its own
-        would yield.  Radii are peeled off largest first, each from the
-        previous (smaller) selection.
-        """
-        radii = [float(r) for r in radii]
-        if not radii:
-            return
-        order = sorted(range(len(radii)), key=lambda k: -radii[k])
-        for sub, flat, counts, d in self.ball_chunks(
-            radii[order[0]], centers, flat_budget, distances=True
-        ):
-            members: list = [None] * len(radii)
-            for k in order:
-                keep = d < radii[k]
-                if not np.all(keep):
-                    counts = _kept_counts(keep, counts)
-                    flat, d = flat[keep], d[keep]
-                members[k] = (flat, counts)
-            yield sub, members
+            yield sub, flat.astype(np.intp, copy=False), counts, d
 
     def boundary_margin(self) -> np.ndarray:
         """Per-point distance to the coordinate bounding box (coords mode).

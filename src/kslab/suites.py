@@ -106,7 +106,12 @@ class CheckResult:
 
 
 class SuiteContext:
-    """Shared state for one suite run: cloud, resolved d_w, lazy form/spectrum."""
+    """Shared state for one suite run: cloud, resolved d_w, lazy form/spectrum.
+
+    ``resolve_walk_dimension`` may set ``d_w`` after construction, on the
+    same context whose forms the fit builds, so nothing cached on the
+    context may depend on ``d_w``.
+    """
 
     def __init__(
         self,
@@ -230,15 +235,25 @@ def resolve_walk_dimension(
     Fitting runs the increment-scaling regression on standard fields and,
     when the cloud belongs to a mesh hierarchy, the cross-level eigenvalue
     estimate; the latter wins when both exist, and the report carries both
-    values plus an agreement flag.  Passing the run's ``ctx`` lets the
-    suites reuse the forms (and their solves) that the fit builds.
+    values plus an agreement flag.
+
+    Passing the run's ``ctx`` resolves on that context: its cloud, seed and
+    kappa are used, the result is stored as ``ctx.d_w`` / ``ctx.dw_info``,
+    and the suites reuse the forms (and their solves) that the fit builds.
     """
+    if ctx is None:
+        ctx = SuiteContext(cloud, 2.0, {}, seed, kappa)
+    d_w, info = _resolve_on(ctx, requested)
+    ctx.d_w, ctx.dw_info = d_w, info
+    return d_w, info
+
+
+def _resolve_on(ctx: SuiteContext, requested: float | str) -> tuple[float, dict]:
     if requested != "fit":
         value = float(requested)
         return value, {"source": "explicit", "value": value}
 
-    if ctx is None:
-        ctx = SuiteContext(cloud, 2.0, {}, seed, kappa)
+    cloud, kappa = ctx.cloud, ctx.kappa
     fields = [f for _, f in ctx.standard_fields() if not f.is_constant()]
     try:
         grid = make_scale_grid(cloud, kappa=kappa)

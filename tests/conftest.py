@@ -23,12 +23,12 @@ def tiny_blocks(monkeypatch):
     """Make every ball pass run in blocks of at most 50 candidate members."""
     from kslab.space import MeasuredPointCloud
 
-    real = MeasuredPointCloud.ball_chunks
+    real = MeasuredPointCloud._ball_pass
 
-    def small_blocks(self, r, centers=None, flat_budget=None, distances=False):
-        return real(self, r, centers, 50, distances)
+    def small_blocks(self, r, centers, flat_budget=None):
+        return real(self, r, centers, 50)
 
-    monkeypatch.setattr(MeasuredPointCloud, "ball_chunks", small_blocks)
+    monkeypatch.setattr(MeasuredPointCloud, "_ball_pass", small_blocks)
 
 
 @pytest.fixture
@@ -37,11 +37,11 @@ def pass_radii(monkeypatch):
     from kslab.space import MeasuredPointCloud
 
     radii = []
-    real = MeasuredPointCloud.ball_chunks
+    real = MeasuredPointCloud._ball_pass
 
     def recording(self, r, *args, **kwargs):
         radii.append(float(r))
         return real(self, r, *args, **kwargs)
 
-    monkeypatch.setattr(MeasuredPointCloud, "ball_chunks", recording)
+    monkeypatch.setattr(MeasuredPointCloud, "_ball_pass", recording)
     return radii

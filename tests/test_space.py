@@ -167,12 +167,12 @@ def test_ball_chunks_agree_with_single_queries():
 
 
 def _balls_by_center(chunks):
-    """Map each centre to its (member ids, distances) from a ball pass."""
+    """Map each centre to its member ids from a ball pass."""
     out = {}
-    for sub, flat, counts, *rest in chunks:
+    for sub, flat, counts in chunks:
         ends = np.cumsum(counts)
         for c, lo, hi in zip(sub.tolist(), ends - counts, ends):
-            out[c] = (flat[lo:hi], rest[0][lo:hi] if rest else None)
+            out[c] = flat[lo:hi]
     return out
 
 
@@ -191,14 +191,20 @@ def test_ball_chunks_blocks_respect_budget():
         assert sub.size == 1
 
 
-def test_ball_chunks_distances_are_canonical():
-    rng = np.random.default_rng(2)
-    coords = rng.uniform(size=(120, 2))
-    cloud = MeasuredPointCloud(np.ones(120), coords=coords)
-    balls = _balls_by_center(cloud.ball_chunks(0.25, flat_budget=300, distances=True))
-    for x, (ids, d) in balls.items():
-        np.testing.assert_array_equal(ids, cloud.ball_ids(x, 0.25))
-        np.testing.assert_array_equal(d, cloud.distances_from(x)[ids])
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_ball_filter_is_canonical_on_lattice_distances(k):
+    # Radii equal to lattice distances put many points on the sphere, where
+    # only the canonical formula decides membership.
+    cloud = square_grid(15)
+    r = k * cloud.mesh
+    want = {x: np.flatnonzero(cloud.distances_from(x) < r) for x in range(cloud.n)}
+    single = _balls_by_center(cloud.ball_chunks(r, flat_budget=300))
+    nested = {}
+    for sub, members in cloud.nested_ball_chunks([1.5 * r, r]):
+        nested.update(_balls_by_center([(sub, *members[1])]))
+    for x, ids in want.items():
+        np.testing.assert_array_equal(single[x], ids)
+        np.testing.assert_array_equal(nested[x], ids)
 
 
 def test_ball_chunks_repeated_and_unordered_centers():
@@ -214,7 +220,7 @@ def test_ball_chunks_repeated_and_unordered_centers():
 
 
 @pytest.mark.parametrize("abstract", [False, True])
-def test_nested_pass_equals_separate_passes(abstract):
+def test_nested_pass_equals_separate_passes(abstract, tiny_blocks):
     rng = np.random.default_rng(8)
     coords = rng.uniform(size=(160, 2))
     if abstract:
@@ -224,7 +230,7 @@ def test_nested_pass_equals_separate_passes(abstract):
     radii = [0.2, 0.45, 0.1, 0.45]
     centers = np.arange(0, 160, 3)
     nested = {}
-    for sub, members in cloud.nested_ball_chunks(radii, centers=centers, flat_budget=500):
+    for sub, members in cloud.nested_ball_chunks(radii, centers=centers):
         for k, (flat, counts) in enumerate(members):
             nested.setdefault(k, []).append((sub, flat, counts))
     for k, r in enumerate(radii):
@@ -232,7 +238,7 @@ def test_nested_pass_equals_separate_passes(abstract):
         multi = _balls_by_center(nested[k])
         assert multi.keys() == single.keys()
         for c in single:
-            np.testing.assert_array_equal(multi[c][0], single[c][0])
+            np.testing.assert_array_equal(multi[c], single[c])
 
 
 def test_segment_sums_zero_length_segments():
