@@ -12,6 +12,7 @@ metric, and the energy-measure versus Lipschitz comparison.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -51,8 +52,10 @@ __all__ = [
     "gasket_harmonic_field",
 ]
 
-# Full dense eigensolves stay cheap up to a few thousand vertices; beyond
-# that only a truncated low end of the spectrum is computed.
+# Full dense eigensolves (LAPACK divide and conquer on a matrix that is
+# symmetric by construction) stay cheap up to a few thousand vertices;
+# beyond that only the lowest PARTIAL_EIGEN_COUNT modes are computed, which
+# is too few for the heat-kernel fit.
 DENSE_EIGEN_LIMIT = 5000
 PARTIAL_EIGEN_COUNT = 200
 
@@ -111,6 +114,24 @@ class GraphDirichletForm:
         """Per-vertex sum of incident conductances."""
         return np.asarray(self.adjacency.sum(axis=1)).ravel()
 
+    def _symmetric_generator(self) -> np.ndarray:
+        """M^{-1/2} C M^{-1/2} as a dense Fortran-ordered array.
+
+        Each edge's value is computed once and written to both triangles, so
+        the matrix equals its transpose bit for bit by construction; the
+        diagonal is deg / mu.
+        """
+        n = self.n
+        w = self.cloud.weights
+        inv_sqrt = 1.0 / np.sqrt(w)
+        i, j = self.edge_i, self.edge_j
+        off = -self.conductances * (inv_sqrt[i] * inv_sqrt[j])
+        sym = np.zeros((n, n), order="F")
+        np.add.at(sym, (i, j), off)
+        np.add.at(sym, (j, i), off)
+        sym[np.diag_indices(n)] = self.degrees / w
+        return sym
+
     @cached_property
     def _dense_eigen(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One full dense eigensolve of the generator, shared by every k_max.
@@ -120,26 +141,14 @@ class GraphDirichletForm:
         column slice sums in the same BLAS order as a truncated solve) and
         each column's relative residual against its raw eigenvalue.
         """
-        n = self.n
-        w = self.cloud.weights
-        inv_sqrt = 1.0 / np.sqrt(w)
-        lap = np.zeros((n, n))
-        c = self.conductances
-        i, j = self.edge_i, self.edge_j
-        np.subtract.at(lap, (i, j), c)
-        np.subtract.at(lap, (j, i), c)
-        np.add.at(lap, (i, i), c)
-        np.add.at(lap, (j, j), c)
-        sym = lap * inv_sqrt[:, None] * inv_sqrt[None, :]
-        del lap
-        sym = sym + sym.T
-        sym /= 2.0
-        # eigh on the explicitly symmetrized matrix is deterministic.  The
-        # matrix equals its transpose bit for bit, so handing LAPACK the
-        # Fortran-ordered transpose lets it work in place without a copy.
-        vals, vecs = scipy.linalg.eigh(sym.T, overwrite_a=True)
-        del sym
-        fields = _mu_normalize(vecs, inv_sqrt)
+        # Divide and conquer (LAPACK dsyevd) overwrites the Fortran-ordered
+        # matrix with its eigenvectors, so no copy of it is made; the
+        # default MRRR solver is several times slower on the gasket's
+        # clustered, highly degenerate spectrum.
+        vals, vecs = scipy.linalg.eigh(
+            self._symmetric_generator(), overwrite_a=True, driver="evd"
+        )
+        fields = _mu_normalize(vecs, 1.0 / np.sqrt(self.cloud.weights))
         fields.flags.writeable = False
         return vals, fields, _column_residuals(self, vals, fields)
 
@@ -280,11 +289,15 @@ class Spectrum:
 
     Solved as the generalized symmetric problem C u = lambda M u through the
     substitution v = M^{1/2} u, which keeps everything in one deterministic
-    dense solve.  ``residual`` is the worst mu-norm of L u - lambda u,
-    relative to the generator's Gershgorin scale so the 1e-8 gate means
-    the same thing on unit-scale graphs and fine lattices.  On a dense form
-    every Spectrum shares the form's one cached decomposition:
-    ``eigenfields`` is a read-only view of its first ``k_max`` columns.
+    dense divide-and-conquer solve of M^{-1/2} C M^{-1/2}, a matrix that is
+    symmetric bit for bit by construction.  Inside a degenerate eigenspace
+    the eigenfields are one orthonormal basis chosen by the solver; sums
+    over the eigenspace do not depend on that choice.  ``residual`` is the
+    worst mu-norm of L u - lambda u, relative to the generator's Gershgorin
+    scale so the 1e-8 gate means the same thing on unit-scale graphs and
+    fine lattices.  On a dense form every Spectrum shares the form's one
+    cached decomposition: ``eigenfields`` is a read-only view of its first
+    ``k_max`` columns.
     """
 
     form: GraphDirichletForm
@@ -325,14 +338,19 @@ def _column_residuals(
     """Per column, the mu-norm of L u_k - lambda_k u_k over the Gershgorin scale.
 
     An absolute gate is unattainable in float64 once ||L|| reaches 1/h^2
-    territory, hence the normalization.
+    territory, hence the normalization.  Columns go through the generator
+    256 at a time; each column's norm is a contiguous sum of its own
+    entries, so it does not depend on the block layout.
     """
+    block = 256
     w = form.cloud.weights
     scale = max(1.0, 2.0 * float(np.max(form.degrees / w)))
     out = np.empty(len(vals))
-    for k, lam in enumerate(vals):
-        r = form.generator_apply(fields[:, k]) - lam * fields[:, k]
-        out[k] = float(np.sqrt(np.sum(w * r**2))) / scale
+    for lo in range(0, len(vals), block):
+        u = fields[:, lo : lo + block]
+        lu = (form.degrees[:, None] * u - form.adjacency @ u) / w[:, None]
+        r = np.asfortranarray(lu - u * vals[lo : lo + block])
+        out[lo : lo + block] = np.sqrt(np.sum(w[:, None] * r**2, axis=0)) / scale
     return out
 
 
@@ -492,6 +510,12 @@ def fit_subgaussian(
     """
     if cloud is not spec.form.cloud:
         raise ValueError("cloud does not match the spectrum's form")
+    if spec.k_max < spec.n:
+        # Small-t kernels need every mode, and lambda_max sets the window.
+        raise ValueError(
+            f"heat-kernel fit needs the full spectrum; this one is truncated "
+            f"to {spec.k_max} of {spec.n} modes"
+        )
     form = spec.form
     lam = spec.eigenvalues
     positive = lam[lam > 0]
@@ -724,8 +748,9 @@ def intrinsic_metric(
 
     Starts from the distance field of a provably feasible edge metric, then
     alternates push steps on the endpoints with per-vertex quadratic
-    projections (Gauss-Seidel in id order) and a global rescale, keeping the
-    best certified value seen.
+    projections and a global rescale, keeping the best certified value
+    seen.  The projections are scalar Gauss-Seidel sweeps in id order over
+    per-vertex neighbour lists built once per call.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -736,9 +761,6 @@ def intrinsic_metric(
         return IntrinsicMetricResult(0.0, 0.0, 0, np.zeros(n))
 
     mu = form.cloud.weights
-    adj = form.adjacency
-    indptr, indices, data = adj.indptr, adj.indices, adj.data
-
     dist_feasible = dijkstra(
         _length_graph(form, _edge_lengths_feasible(form)), indices=y, directed=False
     )
@@ -761,32 +783,49 @@ def intrinsic_metric(
         values = values / worst if worst > 1.0 else values.copy()
         return float(values[x] - values[y]), values
 
-    f = dist_feasible.copy()
-    best, witness = certify(f)
+    # Per vertex: (neighbour ids, conductances, total conductance, mu) as
+    # plain Python numbers, so a sweep costs no array calls.
+    adj = form.adjacency
+    bounds = adj.indptr.tolist()
+    stars = [
+        (
+            adj.indices[lo:hi].tolist(),
+            adj.data[lo:hi].tolist(),
+            float(adj.data[lo:hi].sum()),
+            mu_z,
+        )
+        for lo, hi, mu_z in zip(bounds[:-1], bounds[1:], mu.tolist())
+    ]
+
+    best, witness = certify(dist_feasible)
+    vals = dist_feasible.tolist()
 
     for it in range(iterations):
         step = 0.25 * max(upper - best, 1e-3 * max(upper, 1.0))
-        f[x] += step
+        vals[x] += step
         # Three projection sweeps: move each violating vertex toward the
         # conductance-weighted mean of its neighbours, as far as its own
         # quadratic constraint allows.
         for _ in range(3):
-            for z in range(n):
-                lo, hi = indptr[z], indptr[z + 1]
-                nbr = indices[lo:hi]
-                c = data[lo:hi]
-                a = c.sum()
-                m = float(np.dot(c, f[nbr])) / a
-                q = 0.5 * float(np.dot(c, (f[nbr] - m) ** 2))
-                cap_sq = max(0.0, 2.0 * (mu[z] - q)) / a
-                dev = f[z] - m
-                cap = np.sqrt(cap_sq)
-                if abs(dev) > cap:
-                    f[z] = m + np.sign(dev) * cap
-        value, scaled = certify(f)
+            for z, (nbr, c, a, mu_z) in enumerate(stars):
+                m = 0.0
+                for k, c_k in zip(nbr, c):
+                    m += c_k * vals[k]
+                m /= a
+                q = 0.0
+                for k, c_k in zip(nbr, c):
+                    d = vals[k] - m
+                    q += c_k * (d * d)
+                cap = math.sqrt(max(0.0, 2.0 * (mu_z - 0.5 * q)) / a)
+                dev = vals[z] - m
+                if dev > cap:
+                    vals[z] = m + cap
+                elif dev < -cap:
+                    vals[z] = m - cap
+        value, scaled = certify(np.array(vals))
         if value > best:
             best, witness = value, scaled
-        f = scaled.copy()
+        vals = scaled.tolist()
 
     return IntrinsicMetricResult(
         lower=best, upper=upper, iterations=iterations, witness=witness

@@ -4,9 +4,11 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kslab import graphform as gf
 from kslab.energy import ScalarField
 from kslab.graphform import (
     GraphDirichletForm,
@@ -298,6 +300,58 @@ def test_cached_spectrum_matches_fresh_solve(kind, make_cloud, size):
         assert cached.k_max == fresh.k_max
 
 
+def _mu_projectors(vals, fields, weights, tol):
+    """The mu-orthogonal projector onto each cluster of equal eigenvalues."""
+    breaks = np.flatnonzero(np.diff(vals) > tol) + 1
+    for block in np.split(np.arange(vals.size), breaks):
+        u = fields[:, block]
+        yield block, u @ (u.T * weights)
+
+
+@pytest.mark.parametrize(
+    "kind, make_cloud, size", [("gasket", gasket, 5), ("grid1d", interval_grid, 201)]
+)
+def test_dense_solve_matches_independent_solve(kind, make_cloud, size):
+    # Gasket 5 has a doubly degenerate lambda_1: inside a degenerate
+    # eigenspace the two solvers may pick different bases, so eigenspaces
+    # are compared through their projectors, not vector by vector.  A
+    # projector is only determined to about eps * lambda_max / gap, so
+    # eigenvalues closer than 1e-6 lambda_max count as one cluster (gasket 5
+    # has a simple and a double eigenvalue 1.5e-8 lambda_max apart).
+    cloud = make_cloud(size)
+    form = build_form(cloud, kind)
+    sym = form._symmetric_generator()
+    assert np.array_equal(sym, sym.T)
+    ref_vals, ref_vecs = scipy.linalg.eigh(sym, driver="evr")
+    ref_fields = ref_vecs / np.sqrt(cloud.weights)[:, None]
+
+    spec = spectrum(form)
+    lam_max = float(ref_vals[-1])
+    assert np.max(np.abs(spec.eigenvalues - ref_vals)) <= 1e-10 * lam_max
+    w = cloud.weights
+    tol = 1e-6 * lam_max
+    ours = list(_mu_projectors(spec.eigenvalues, spec.eigenfields, w, tol))
+    theirs = list(_mu_projectors(ref_vals, ref_fields, w, tol))
+    assert [b.tolist() for b, _ in ours] == [b.tolist() for b, _ in theirs]
+    if kind == "gasket":
+        assert ours[1][0].tolist() == [1, 2]
+    for (_, p), (_, q) in zip(ours, theirs):
+        assert np.max(np.abs(p - q)) <= 1e-9
+
+
+def test_column_residuals_match_per_column_formula():
+    # Gasket 5 has 366 columns, so the residuals span two column blocks.
+    form = build_form(gasket(5), "gasket")
+    vals, fields, res = form._dense_eigen
+    w = form.cloud.weights
+    scale = max(1.0, 2.0 * float(np.max(form.degrees / w)))
+    per_column = [
+        float(np.sqrt(np.sum(w * (form.generator_apply(u) - lam * u) ** 2))) / scale
+        for lam, u in zip(vals, fields.T)
+    ]
+    assert np.array_equal(res, per_column)
+
+
 def test_spectrum_eigenfields_are_read_only():
     spec = spectrum(build_form(interval_grid(25), "grid1d"), 5)
     with pytest.raises(ValueError):
@@ -429,6 +483,15 @@ def test_subgaussian_fit_queries_each_radius_vector_once(monkeypatch):
     assert len(calls) // fit.n_samples <= 57 + 21 + 1
 
 
+def test_subgaussian_fit_refuses_truncated_spectrum(monkeypatch):
+    cloud = gasket(5)
+    monkeypatch.setattr(gf, "DENSE_EIGEN_LIMIT", cloud.n - 1)
+    spec = spectrum(build_form(cloud, "gasket"))
+    assert spec.k_max == gf.PARTIAL_EIGEN_COUNT < cloud.n
+    with pytest.raises(ValueError, match="truncated to 200 of 366 modes"):
+        fit_subgaussian(spec, cloud)
+
+
 def test_subgaussian_fit_rejects_bad_window():
     cloud = interval_grid(51)
     spec = spectrum(build_form(cloud, "grid1d"))
@@ -558,6 +621,72 @@ def test_intrinsic_metric_witness_feasible():
     np.add.at(gamma, np.arange(59), half)
     np.add.at(gamma, np.arange(1, 60), half)
     assert np.all(gamma <= cloud.weights * (1.0 + 1e-9))
+
+
+def numpy_sweep_metric(form, x, y, iterations=60):
+    """The intrinsic-metric ascent with array-valued Gauss-Seidel updates."""
+    from scipy.sparse.csgraph import dijkstra
+
+    n = form.n
+    mu = form.cloud.weights
+    adj = form.adjacency
+    indptr, indices, data = adj.indptr, adj.indices, adj.data
+    dist_feasible = dijkstra(
+        gf._length_graph(form, gf._edge_lengths_feasible(form)), indices=y, directed=False
+    )
+    upper = float(
+        dijkstra(
+            gf._length_graph(form, gf._edge_lengths_upper(form)), indices=y, directed=False
+        )[x]
+    )
+
+    def certify(values):
+        gamma = gf._gamma_density(form, values)
+        worst = np.sqrt(np.max(gamma / mu))
+        values = values / worst if worst > 1.0 else values.copy()
+        return float(values[x] - values[y]), values
+
+    f = dist_feasible.copy()
+    best, witness = certify(f)
+    for _ in range(iterations):
+        step = 0.25 * max(upper - best, 1e-3 * max(upper, 1.0))
+        f[x] += step
+        for _ in range(3):
+            for z in range(n):
+                lo, hi = indptr[z], indptr[z + 1]
+                nbr = indices[lo:hi]
+                c = data[lo:hi]
+                a = c.sum()
+                m = float(np.dot(c, f[nbr])) / a
+                q = 0.5 * float(np.dot(c, (f[nbr] - m) ** 2))
+                cap = np.sqrt(max(0.0, 2.0 * (mu[z] - q)) / a)
+                dev = f[z] - m
+                if abs(dev) > cap:
+                    f[z] = m + np.sign(dev) * cap
+        value, scaled = certify(f)
+        if value > best:
+            best, witness = value, scaled
+        f = scaled.copy()
+    return best, upper, witness
+
+
+@pytest.mark.parametrize(
+    "kind, cloud", [("grid1d", interval_grid(201)), ("grid2d", square_grid(21))]
+)
+def test_intrinsic_metric_matches_array_sweep(kind, cloud):
+    form = build_form(cloud, kind)
+    x, y = 0, cloud.n - 1
+    res = intrinsic_metric(form, x, y)
+    lower, upper, witness = numpy_sweep_metric(form, x, y)
+    assert res.iterations == 60
+    assert res.lower == pytest.approx(lower, rel=1e-12, abs=0.0)
+    assert res.upper == pytest.approx(upper, rel=1e-12, abs=0.0)
+    scale = np.max(np.abs(witness))
+    assert np.max(np.abs(res.witness - witness)) <= 1e-12 * scale
+    # The certificate: the witness attains ``lower`` and is feasible.
+    assert res.witness[x] - res.witness[y] == res.lower
+    gamma = gf._gamma_density(form, res.witness)
+    assert np.all(gamma <= cloud.weights * (1.0 + 1e-12))
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from kslab import graphform as gf
 from kslab.space import MeasuredPointCloud, gasket, interval_grid, square_grid
 from kslab.suites import (
     DEFAULT_TOLERANCES,
@@ -155,6 +156,19 @@ class TestSuiteVerdicts:
         assert by_name["subgaussian_fit"].passed
         assert abs(by_name["eigen_walk_dimension"].constant - LOG5_LOG2) <= 0.05
         assert "intrinsic_metric" not in by_name
+
+    def test_gasket_graphform_skips_fit_on_truncated_spectrum(self, gasket5, monkeypatch):
+        # Above the dense limit the spectrum keeps only its low end; the fit
+        # row becomes an explicit skip and the other rows still run.
+        monkeypatch.setattr(gf, "DENSE_EIGEN_LIMIT", gasket5.n - 1)
+        results = run_suite("graphform", _ctx(gasket5, d_w=LOG5_LOG2))
+        by_name = {r.name: r for r in results}
+        assert "subgaussian_fit" not in by_name
+        skipped = by_name["subgaussian_fit_skipped"]
+        assert skipped.passed and skipped.constant is None
+        assert "full spectrum" in skipped.details["reason"]
+        assert by_name["spectrum_residual"].passed
+        assert abs(by_name["eigen_walk_dimension"].constant - LOG5_LOG2) <= 0.05
 
     def test_poincare_identity_pinned_on_interval(self, grid401):
         results = run_suite("poincare", _ctx(grid401))
