@@ -42,7 +42,7 @@ print(f"\ninterior identity ball: ratio = {s.ratio:.5f} (exact value 1/3)")
 # threshold.
 R = cloud.diameter / 8
 maximal = maximal_function(cloud, f, R, d_w=2.0)
-weak = weak_l2_check(maximal, f)
+weak = weak_l2_check(maximal)
 print(f"\nmaximal function up to R={R:.4f}")
 for lam, q in zip(weak.thresholds, weak.quotients):
     print(f"  threshold {lam:.4f}: lam^2 mu(M f > lam) / ||f||^2 = {q:.4f}")

@@ -48,7 +48,6 @@ from .energy import (
     ks_energies,
     ks_energy,
     ks_energy_density,
-    ks_energy_many,
     make_scale_grid,
 )
 from .smoothing import (
@@ -139,7 +138,6 @@ __all__ = [
     "ks_energies",
     "ks_energy",
     "ks_energy_density",
-    "ks_energy_many",
     "make_scale_grid",
     "CoveringNet",
     "CutoffReport",

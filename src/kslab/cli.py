@@ -16,9 +16,9 @@ import math
 import sys
 from pathlib import Path
 
-from .energy import DEFAULT_COUNT, DEFAULT_RATIO, DEFAULT_WINDOW, energy_sweep
+from .energy import DEFAULT_COUNT, DEFAULT_RATIO, DEFAULT_WINDOW
 from .export import write_csv, write_json
-from .space import DEFAULT_KAPPA, build_cloud, estimate_doubling
+from .space import DEFAULT_KAPPA, build_cloud
 from .suites import (
     DEFAULT_TOLERANCES,
     SUITES,
@@ -302,9 +302,7 @@ def cmd_space(args: argparse.Namespace) -> int:
     cfg = _merge_cli(load_config(args.config), args)
     _require_out(cfg)
     cloud, ctx, d_w, info = _build_context(cfg)
-    profile = estimate_doubling(
-        cloud, n_samples=40, scales=ctx.doubling_scales(), seed=cfg["seed"], kappa=ctx.kappa
-    )
+    profile = ctx.doubling_profile()
     payload = {
         "cloud": {
             "kind": cloud.meta.get("kind"),
@@ -328,14 +326,10 @@ def cmd_space(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _merge_cli(load_config(args.config), args)
     _require_out(cfg)
-    cloud, ctx, d_w, info = _build_context(cfg)
+    _, ctx, d_w, info = _build_context(cfg)
     tables = {}
     summaries = {}
-    for label, f in ctx.standard_fields():
-        sweep = energy_sweep(
-            cloud, f, d_w=ctx.d_w, r_max=ctx.r_max, ratio=ctx.ratio,
-            count=ctx.count, window=ctx.window, kappa=ctx.kappa, label=label,
-        )
+    for label, sweep in ctx.standard_sweeps().items():
         tables[f"sweep_{label}.csv"] = sweep.table()
         summaries[label] = sweep.summary()
     payload = {

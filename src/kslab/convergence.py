@@ -19,6 +19,7 @@ import numpy as np
 
 from .energy import (
     ScalarField,
+    ks_energies,
     ks_energy,
     liminf_window_scales,
     make_scale_grid,
@@ -336,15 +337,16 @@ class CompactnessProbe:
 
 def liminf_proxy(
     cloud: MeasuredPointCloud,
-    f: ScalarField,
+    fields: Sequence[ScalarField],
     d_w: float = 2.0,
     kappa: float = DEFAULT_KAPPA,
-) -> float:
-    """Small-scale window minimum of the global increment energy."""
+) -> np.ndarray:
+    """Small-scale window minimum of the global increment energy, per field.
+
+    All fields and window scales share one ball pass.
+    """
     scales = liminf_window_scales(cloud, kappa=kappa)
-    return float(
-        min(ks_energy(cloud, f, float(r), d_w=d_w, kappa=kappa) for r in scales)
-    )
+    return ks_energies(cloud, fields, scales, d_w=d_w, kappa=kappa).min(axis=0)
 
 
 def compactness_probe(
@@ -369,8 +371,9 @@ def compactness_probe(
             raise ValueError(f"field {i} lives on a different cloud")
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    for i, f in enumerate(fields):
-        score = f.l2sq() + liminf_proxy(cloud, f, d_w=d_w, kappa=kappa)
+    proxies = liminf_proxy(cloud, fields, d_w=d_w, kappa=kappa)
+    for i, (f, proxy) in enumerate(zip(fields, proxies)):
+        score = f.l2sq() + float(proxy)
         if score > cap * (1.0 + 1e-9):
             raise ValueError(
                 f"field {i} violates the energy cap: {score:g} > {cap:g}"
@@ -453,15 +456,15 @@ def sobolev_check(
         raise ValueError("volume growth exponent must be positive")
     if not fields:
         raise ValueError("empty family")
-    mu = cloud.weights
-    quotients = []
     for i, f in enumerate(fields):
         if f.cloud is not cloud:
             raise ValueError(f"field {i} lives on a different cloud")
         if f.is_constant():
             raise ValueError(f"field {i} is constant; the quotient is vacuous")
+    mu = cloud.weights
+    quotients = []
+    for f, proxy in zip(fields, liminf_proxy(cloud, fields, d_w=d_w, kappa=kappa)):
         l2 = math.sqrt(f.l2sq())
-        proxy = liminf_proxy(cloud, f, d_w=d_w, kappa=kappa)
         denom_core = l2 + math.sqrt(proxy)
         if Q > d_w:
             q = 2.0 * Q / (Q - d_w)

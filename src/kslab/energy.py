@@ -203,35 +203,25 @@ def ks_energy(
     return float(ks_energies(cloud, [f], [r], d_w, region, kappa)[0, 0])
 
 
-def ks_energy_many(
-    cloud: MeasuredPointCloud,
-    fields: Sequence[ScalarField],
-    r: float,
-    d_w: float = 2.0,
-    region: np.ndarray | None = None,
-    kappa: float = DEFAULT_KAPPA,
-) -> np.ndarray:
-    """Energies of several fields at one scale, sharing the ball pass."""
-    return ks_energies(cloud, fields, [r], d_w, region, kappa)[0]
-
-
 def ks_energy_density(
     cloud: MeasuredPointCloud,
     f: ScalarField,
-    r: float,
+    radii: Sequence[float],
     d_w: float = 2.0,
     centers: np.ndarray | None = None,
     kappa: float = DEFAULT_KAPPA,
 ) -> np.ndarray:
-    """Per-centre contributions to the energy at scale r.
+    """Per-centre contributions to the energy at several scales, one pass.
 
-    Summing the returned vector over any centre set equals the energy
-    restricted to that region, which is what localized functionals (maximal
-    fields, ball-restricted sweeps) build on.
+    Returns shape (len(radii), len(centers)), centres defaulting to every
+    point in id order.  Summing row k over any centre set equals the energy
+    at ``radii[k]`` restricted to that region, which is what localized
+    functionals (maximal fields, ball-restricted sweeps) build on.
     """
-    mat = _validated(cloud, [f], [r], kappa, d_w)
+    mat = _validated(cloud, [f], radii, kappa, d_w)
     ids = None if centers is None else np.asarray(centers, dtype=np.intp)
-    return _increment_table(cloud, mat, [r], ids)[0, 0] / r**d_w
+    table = _increment_table(cloud, mat, radii, ids)[:, 0]
+    return np.stack([table[k] / float(r) ** d_w for k, r in enumerate(radii)])
 
 
 @dataclass(frozen=True)

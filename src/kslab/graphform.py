@@ -26,7 +26,7 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 from .energy import ScalarField, WalkDimFit
 from .export import Table, write_csv, write_json
 from .smoothing import discrete_lip
-from .space import DEFAULT_KAPPA, MeasuredPointCloud, gasket_graph
+from .space import DEFAULT_KAPPA, MeasuredPointCloud, _gasket_subdivision, gasket_graph
 
 __all__ = [
     "DENSE_EIGEN_LIMIT",
@@ -892,23 +892,5 @@ def gasket_harmonic_field(
     """
     if cloud.meta.get("kind") != "gasket":
         raise ValueError("harmonic extension needs a gasket cloud")
-    level = int(cloud.meta["level"])
-    side = 2**level
-    corners = ((0, 0), (side, 0), (0, side))
-    values: dict[tuple[int, int], float] = dict(zip(corners, map(float, boundary)))
-    cells = [corners]
-    for _ in range(level):
-        nxt = []
-        for a, b, c in cells:
-            ab = ((a[0] + b[0]) // 2, (a[1] + b[1]) // 2)
-            ac = ((a[0] + c[0]) // 2, (a[1] + c[1]) // 2)
-            bc = ((b[0] + c[0]) // 2, (b[1] + c[1]) // 2)
-            va, vb, vc = values[a], values[b], values[c]
-            values[ab] = (2.0 * va + 2.0 * vb + vc) / 5.0
-            values[ac] = (2.0 * va + 2.0 * vc + vb) / 5.0
-            values[bc] = (2.0 * vb + 2.0 * vc + va) / 5.0
-            nxt.extend([(a, ab, ac), (ab, b, bc), (ac, bc, c)])
-        cells = nxt
-    verts, _, _ = gasket_graph(level)
-    out = np.array([values[(int(a), int(b))] for a, b in verts])
-    return ScalarField(cloud, out)
+    _, verts, values = _gasket_subdivision(int(cloud.meta["level"]), boundary)
+    return ScalarField(cloud, np.array([values[v] for v in verts]))

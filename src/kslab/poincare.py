@@ -192,9 +192,7 @@ def poincare_check(
         rhs_power = 2.0
     elif mode == "ks":
         w_scales = liminf_window_scales(cloud, kappa=kappa)
-        rhs_rows = np.stack(
-            [ks_energy_density(cloud, f, float(r), d_w=d_w, kappa=kappa) for r in w_scales]
-        )
+        rhs_rows = ks_energy_density(cloud, f, w_scales, d_w=d_w, kappa=kappa)
         rhs_power = d_w
     else:
         rhs_rows = graph_energy_measure(form, f).density[None, :]
@@ -236,6 +234,8 @@ class MaximalField:
 
     Per point, the value is the square root of the largest normalized
     small-scale energy over the radius ladder: values carry the ^{1/2}.
+    ``window_rows`` holds the per-point energy densities at the window
+    scales, one row per scale, that the values were built from.
     """
 
     cloud: MeasuredPointCloud
@@ -243,6 +243,7 @@ class MaximalField:
     d_w: float
     rho_grid: np.ndarray  # descending radii in [kappa h, R)
     window_scales: np.ndarray
+    window_rows: np.ndarray
     values: np.ndarray
 
     def to_csv(self, path: str | Path) -> None:
@@ -265,25 +266,6 @@ def _maximal_rho_grid(
     return grid
 
 
-def _normalized_window_minimum(
-    cloud: MeasuredPointCloud,
-    dens_rows: np.ndarray,
-    rho: float,
-) -> np.ndarray:
-    """Per-center min-over-window energy of B(x, rho), divided by ball mass."""
-    mu = cloud.weights
-    n = cloud.n
-    out = np.empty(n)
-    pos = 0
-    for sub, flat, counts in cloud.ball_chunks(rho):
-        w_flat = mu[flat]
-        mass = segment_sums(w_flat, counts)
-        sums = np.stack([segment_sums(row[flat], counts) for row in dens_rows])
-        out[pos : pos + sub.size] = sums.min(axis=0) / mass
-        pos += sub.size
-    return out
-
-
 def maximal_function(
     cloud: MeasuredPointCloud,
     f: ScalarField,
@@ -298,6 +280,7 @@ def maximal_function(
     The normalized quantity at radius rho is the window-minimum of the
     ball-restricted increment energy divided by mu(B(x, rho)); the reported
     value is its square root, so the field scales like the local slope.
+    The whole ladder is served by one ball pass at its largest radius.
     """
     if f.cloud is not cloud:
         raise ValueError("field does not live on the given cloud")
@@ -313,19 +296,23 @@ def maximal_function(
                 f"radius ladder must sit inside [{floor:g}, {R:g})"
             )
     w_scales = liminf_window_scales(cloud, window=window, kappa=kappa)
-    dens_rows = np.stack(
-        [ks_energy_density(cloud, f, float(r), d_w=d_w, kappa=kappa) for r in w_scales]
-    )
+    rows = ks_energy_density(cloud, f, w_scales, d_w=d_w, kappa=kappa)
+    mu = cloud.weights
     best = np.zeros(cloud.n)
-    for rho in grid:
-        cand = _normalized_window_minimum(cloud, dens_rows, float(rho))
-        np.maximum(best, cand, out=best)
+    pos = 0
+    for sub, members in cloud.nested_ball_chunks(grid):
+        out = best[pos : pos + sub.size]
+        for flat, counts in members:
+            sums = np.stack([segment_sums(row[flat], counts) for row in rows])
+            np.maximum(out, sums.min(axis=0) / segment_sums(mu[flat], counts), out=out)
+        pos += sub.size
     return MaximalField(
         cloud=cloud,
         R=float(R),
         d_w=float(d_w),
         rho_grid=grid,
         window_scales=w_scales,
+        window_rows=rows,
         values=np.sqrt(np.maximum(best, 0.0)),
     )
 
@@ -352,29 +339,19 @@ class WeakL2Report:
 
 def weak_l2_check(
     maximal: MaximalField,
-    f: ScalarField,
-    d_w: float | None = None,
     thresholds: Sequence[float] | np.ndarray | None = None,
-    kappa: float = DEFAULT_KAPPA,
 ) -> WeakL2Report:
     """Check mu{M_R f > t} <= C t^{-2} E against the global energy proxy.
 
-    The reported quotient mu{M > t} t^2 / E must stay bounded as thresholds
-    and resolutions vary; the theorem's C is its ceiling.
+    E is the window minimum of the global energy of the field ``maximal``
+    was built from, read off its window rows.  The reported quotient
+    mu{M > t} t^2 / E must stay bounded as thresholds and resolutions
+    vary; the theorem's C is its ceiling.
     """
     cloud = maximal.cloud
-    if f.cloud is not cloud:
-        raise ValueError("field does not live on the maximal field's cloud")
-    if d_w is None:
-        d_w = maximal.d_w
+    d_w = maximal.d_w
     mvals = maximal.values
-    dens_rows = np.stack(
-        [
-            ks_energy_density(cloud, f, float(r), d_w=d_w, kappa=kappa)
-            for r in maximal.window_scales
-        ]
-    )
-    e_proxy = float(dens_rows.sum(axis=1).min())
+    e_proxy = float(maximal.window_rows.sum(axis=1).min())
     if e_proxy <= 0.0:
         if np.any(mvals > 0.0):
             raise RuntimeError(
@@ -466,16 +443,17 @@ def telescoping_bound(
     fv = f.values
     lhs = abs(ball_average(cloud, fv, x, rho) - ball_average(cloud, fv, x, rho_min))
 
+    # Every ladder ball sits inside B(x, lam rho), so the densities are
+    # needed at its members only.
+    region = cloud.ball_ids(x, lam * rho)
     w_scales = liminf_window_scales(cloud, window=window, kappa=kappa)
-    dens_rows = np.stack(
-        [ks_energy_density(cloud, f, float(r), d_w=d_w, kappa=kappa) for r in w_scales]
-    )
+    rows = ks_energy_density(cloud, f, w_scales, d_w=d_w, centers=region, kappa=kappa)
     mu = cloud.weights
     m_val = 0.0
     for r in _maximal_rho_grid(cloud, lam * rho, kappa):
         ids = cloud.ball_ids(x, float(r))
         mass = float(mu[ids].sum())
-        val = float(dens_rows[:, ids].sum(axis=1).min()) / mass
+        val = float(rows[:, np.searchsorted(region, ids)].sum(axis=1).min()) / mass
         m_val = max(m_val, val)
     m_val = math.sqrt(max(m_val, 0.0))
 

@@ -542,6 +542,40 @@ def square_grid(n: int) -> MeasuredPointCloud:
     )
 
 
+def _gasket_subdivision(
+    level: int, corner_values: Sequence[float] | None = None
+) -> tuple[list, list, dict | None]:
+    """Cells and sorted vertices of the level-m gasket, by repeated splitting.
+
+    Vertices are integer lattice pairs (a, b), sorted by (b, a); cells are
+    the upward triangles as vertex triples.  With ``corner_values``, each
+    split also assigns a side midpoint 2/5 of either endpoint value plus 1/5
+    of the opposite corner, and the third result maps every vertex to its
+    value (the harmonic extension); otherwise it is ``None``.
+    """
+    if level < 0:
+        raise ValueError("gasket level must be nonnegative")
+    side = 2**level
+    corners = ((0, 0), (side, 0), (0, side))
+    values = None if corner_values is None else dict(zip(corners, map(float, corner_values)))
+    cells = [corners]
+    for _ in range(level):
+        nxt = []
+        for a, b, c in cells:
+            ab = ((a[0] + b[0]) // 2, (a[1] + b[1]) // 2)
+            ac = ((a[0] + c[0]) // 2, (a[1] + c[1]) // 2)
+            bc = ((b[0] + c[0]) // 2, (b[1] + c[1]) // 2)
+            if values is not None:
+                va, vb, vc = values[a], values[b], values[c]
+                values[ab] = (2.0 * va + 2.0 * vb + vc) / 5.0
+                values[ac] = (2.0 * va + 2.0 * vc + vb) / 5.0
+                values[bc] = (2.0 * vb + 2.0 * vc + va) / 5.0
+            nxt.extend([(a, ab, ac), (ab, b, bc), (ac, bc, c)])
+        cells = nxt
+    verts = sorted({v for cell in cells for v in cell}, key=lambda p: (p[1], p[0]))
+    return cells, verts, values
+
+
 def gasket_graph(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vertices, cells, and edges of the level-m Sierpinski gasket graph.
 
@@ -551,21 +585,7 @@ def gasket_graph(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ids follow the lexicographic order of (b, a), which fixes every
     downstream labelling.
     """
-    if level < 0:
-        raise ValueError("gasket level must be nonnegative")
-    side = 2**level
-    corners = ((0, 0), (side, 0), (0, side))
-    cells = [corners]
-    for _ in range(level):
-        nxt = []
-        for a, b, c in cells:
-            ab = ((a[0] + b[0]) // 2, (a[1] + b[1]) // 2)
-            ac = ((a[0] + c[0]) // 2, (a[1] + c[1]) // 2)
-            bc = ((b[0] + c[0]) // 2, (b[1] + c[1]) // 2)
-            nxt.extend([(a, ab, ac), (ab, b, bc), (ac, bc, c)])
-        cells = nxt
-
-    verts = sorted({v for cell in cells for v in cell}, key=lambda p: (p[1], p[0]))
+    cells, verts, _ = _gasket_subdivision(level)
     index = {v: i for i, v in enumerate(verts)}
     tri = np.array([[index[a], index[b], index[c]] for a, b, c in cells], dtype=np.intp)
     edge_set = set()

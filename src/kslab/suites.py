@@ -22,6 +22,7 @@ from .energy import (
     DEFAULT_COUNT,
     DEFAULT_RATIO,
     DEFAULT_WINDOW,
+    EnergySweep,
     ScalarField,
     comparability_ratio,
     energy_sweep,
@@ -32,6 +33,7 @@ from .energy import (
 from .export import Table
 from .space import (
     DEFAULT_KAPPA,
+    DoublingProfile,
     MeasuredPointCloud,
     check_mass_bounds,
     estimate_doubling,
@@ -138,6 +140,7 @@ class SuiteContext:
         self.tol = dict(DEFAULT_TOLERANCES)
         if tolerances:
             self.tol.update(tolerances)
+        self._doubling: dict[bool, DoublingProfile] = {}
 
     def scale_grid(self, r_max: float | None = None):
         return make_scale_grid(
@@ -157,6 +160,25 @@ class SuiteContext:
             for r in self.scale_grid().scales
             if r <= self.cloud.diameter / 2.0
         ]
+
+    def doubling_profile(self, interior_only: bool = False) -> DoublingProfile:
+        """The sampled doubling profile over ``doubling_scales``, made once."""
+        if interior_only not in self._doubling:
+            self._doubling[interior_only] = estimate_doubling(
+                self.cloud, n_samples=40, scales=self.doubling_scales(), seed=self.seed,
+                kappa=self.kappa, interior_only=interior_only,
+            )
+        return self._doubling[interior_only]
+
+    def standard_sweeps(self) -> dict[str, EnergySweep]:
+        """Energy sweep of each standard field over the context's scale grid."""
+        return {
+            label: energy_sweep(
+                self.cloud, f, d_w=self.d_w, r_max=self.r_max, ratio=self.ratio,
+                count=self.count, window=self.window, kappa=self.kappa, label=label,
+            )
+            for label, f in self.standard_fields()
+        }
 
     @property
     def kind(self) -> str:
@@ -291,10 +313,7 @@ def _resolve_on(ctx: SuiteContext, requested: float | str) -> tuple[float, dict]
 
 def suite_doubling(ctx: SuiteContext) -> list[CheckResult]:
     interior = ctx.kind == "square_grid"
-    profile = estimate_doubling(
-        ctx.cloud, n_samples=40, scales=ctx.doubling_scales(), seed=ctx.seed,
-        kappa=ctx.kappa, interior_only=interior,
-    )
+    profile = ctx.doubling_profile(interior)
     if ctx.kind == "interval_grid":
         bound = ctx.tol["doubling_c_d_interval"]
     elif ctx.kind == "square_grid":
@@ -327,12 +346,7 @@ def suite_doubling(ctx: SuiteContext) -> list[CheckResult]:
 def suite_energy(ctx: SuiteContext) -> list[CheckResult]:
     cloud = ctx.cloud
     results = []
-    sweeps = {}
-    for label, f in ctx.standard_fields():
-        sweeps[label] = energy_sweep(
-            cloud, f, d_w=ctx.d_w, r_max=ctx.r_max, ratio=ctx.ratio,
-            count=ctx.count, window=ctx.window, kappa=ctx.kappa, label=label,
-        )
+    sweeps = ctx.standard_sweeps()
 
     if ctx.kind == "interval_grid" and ctx.d_w == 2.0:
         targets = {"x": 1.0 / 3.0, "x_squared": 4.0 / 9.0, "sin_pi_x": math.pi**2 / 6.0}
@@ -552,11 +566,12 @@ def suite_poincare(ctx: SuiteContext) -> list[CheckResult]:
             )
         )
 
+    # One radius serves as the maximal function's R and the chain's rho.
     R = max(4.0 * ctx.kappa * cloud.mesh, cloud.diameter / 8.0)
     maximal = pc.maximal_function(
         cloud, f, R, d_w=ctx.d_w, kappa=ctx.kappa, window=ctx.window
     )
-    weak = pc.weak_l2_check(maximal, f, kappa=ctx.kappa)
+    weak = pc.weak_l2_check(maximal)
     results.append(
         CheckResult(
             name="weak_l2_maximal",
@@ -572,11 +587,10 @@ def suite_poincare(ctx: SuiteContext) -> list[CheckResult]:
             ),
         )
     )
-    rho = max(4.0 * ctx.kappa * cloud.mesh, cloud.diameter / 8.0)
     rng = np.random.default_rng(ctx.seed)
     center = int(rng.integers(0, cloud.n))
     tele = pc.telescoping_bound(
-        cloud, f, center, rho, d_w=ctx.d_w, kappa=ctx.kappa, window=ctx.window
+        cloud, f, center, R, d_w=ctx.d_w, kappa=ctx.kappa, window=ctx.window
     )
     results.append(
         CheckResult(
@@ -859,10 +873,7 @@ def suite_convergence(ctx: SuiteContext) -> list[CheckResult]:
 
 
 def _growth_exponent(ctx: SuiteContext) -> float:
-    profile = estimate_doubling(
-        ctx.cloud, n_samples=40, scales=ctx.doubling_scales(), seed=ctx.seed, kappa=ctx.kappa
-    )
-    return float(profile.q_fit)
+    return float(ctx.doubling_profile().q_fit)
 
 
 SUITES = {

@@ -299,7 +299,7 @@ def test_08_maximal_function_weak_l2():
         f = ScalarField.coordinate(cloud, 0)
         radius = max(12.0 * cloud.mesh, cloud.diameter / 8.0)
         maximal = pc.maximal_function(cloud, f, radius, d_w=2.0)
-        quotients[n] = pc.weak_l2_check(maximal, f).max_quotient
+        quotients[n] = pc.weak_l2_check(maximal).max_quotient
     spread = _spread(list(quotients.values()))
     _verdict(
         8, "maximal-function-weak-l2", spread <= 2.0,

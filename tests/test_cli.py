@@ -226,6 +226,16 @@ def test_bundle_tables_are_the_reports_csv(tmp_path, monkeypatch):
         assert (out / f"{name}.csv").read_bytes() == mine.read_bytes(), name
 
 
+def test_all_run_estimates_doubling_once(tmp_path, monkeypatch):
+    """The doubling suite and the Sobolev growth exponent share one profile."""
+    profiles = _record_results(monkeypatch, suites, "estimate_doubling")
+    path = write_config(
+        tmp_path, space={"kind": "interval_grid", "n": 257}, suite="all", out=str(tmp_path / "b")
+    )
+    assert main(["run", "--config", str(path)]) == 0
+    assert len(profiles) == 1
+
+
 class TestCheck:
     def test_single_suite_runs(self, tmp_path):
         path = write_config(tmp_path, suite="all", out=str(tmp_path / "bundle"))

@@ -15,7 +15,7 @@ from kslab.convergence import (
     sobolev_check,
     weak_liminf_probe,
 )
-from kslab.energy import ScalarField, ks_energy, make_scale_grid
+from kslab.energy import ScalarField, ks_energy, liminf_window_scales, make_scale_grid
 from kslab.graphform import build_form, form_energy, spectrum
 from kslab.space import gasket, interval_grid, square_grid
 
@@ -245,11 +245,31 @@ class TestWeakLiminfProbe:
         assert len(lines) == 6
 
 
+def test_liminf_proxy_equals_per_field_window_minimum(pass_radii):
+    cloud = gasket(5)
+    fields = [
+        ScalarField.coordinate(cloud, 0),
+        ScalarField.from_function(cloud, lambda c: np.cos(4.0 * c[:, 1])),
+        ScalarField.constant(cloud, 3.0),
+    ]
+    proxies = liminf_proxy(cloud, fields, d_w=D_W_GASKET)
+    scales = liminf_window_scales(cloud)
+    assert pass_radii == [max(scales)]
+    for f, got in zip(fields, proxies):
+        want = min(ks_energy(cloud, f, float(r), d_w=D_W_GASKET) for r in scales)
+        assert got == want
+
+
 class TestCompactnessProbe:
+    def test_one_ball_pass_for_the_family(self, gasket5_family, pass_radii):
+        cloud, fields = gasket5_family
+        compactness_probe(fields, d_w=D_W_GASKET, cap=1.0, delta=0.1)
+        assert pass_radii == [max(liminf_window_scales(cloud))]
+
     def test_copies_collapse_to_one(self, grid401):
         cloud, _ = grid401
         f = ScalarField.coordinate(cloud, 0)
-        unit = ScalarField(cloud, f.values / math.sqrt(f.l2sq() + liminf_proxy(cloud, f)))
+        unit = ScalarField(cloud, f.values / math.sqrt(f.l2sq() + liminf_proxy(cloud, [f])[0]))
         probe = compactness_probe([unit] * 10, cap=1.0, delta=0.1)
         assert probe.net_size == 1
         assert probe.n_fields == 10
@@ -352,6 +372,12 @@ class TestSobolevCheck:
             assert np.all(rep.quotients > 0.0)
             quots.append(rep.max_quotient)
         assert max(quots) / min(quots) <= 2.0
+
+    def test_one_ball_pass_for_the_family(self, pass_radii):
+        cloud = interval_grid(101)
+        fields = [ScalarField.coordinate(cloud, 0), ScalarField.from_function(cloud, np.exp)]
+        sobolev_check(cloud, fields, d_w=2.0, Q=3.0)
+        assert pass_radii == [max(liminf_window_scales(cloud))]
 
     def test_bad_growth_exponent(self):
         cloud = interval_grid(101)

@@ -8,9 +8,9 @@ from kslab.energy import (
     comparability_ratio,
     energy_sweep,
     fit_walk_dimension,
+    ks_energies,
     ks_energy,
     ks_energy_density,
-    ks_energy_many,
     liminf_window_scales,
     make_scale_grid,
     raw_increment_sum,
@@ -57,12 +57,12 @@ def test_ks_energy_region_matches_brute_force():
     assert got == pytest.approx(want, rel=1e-12)
 
 
-def test_ks_energy_many_consistent_with_single():
+def test_ks_energies_consistent_with_single():
     cloud = random_cloud(90, 2, 4)
     rng = np.random.default_rng(42)
     fields = [ScalarField(cloud, rng.normal(size=cloud.n)) for _ in range(4)]
     r = 3.2 * cloud.mesh
-    batch = ks_energy_many(cloud, fields, r, d_w=2.0)
+    batch = ks_energies(cloud, fields, [r], d_w=2.0)[0]
     singles = [ks_energy(cloud, f, r, d_w=2.0) for f in fields]
     np.testing.assert_allclose(batch, singles, rtol=1e-13)
 
@@ -71,7 +71,7 @@ def test_density_sums_to_regional_energy():
     cloud = random_cloud(100, 2, 5)
     f = ScalarField(cloud, np.cos(4 * cloud.coords[:, 1]))
     r = 3.2 * cloud.mesh
-    dens = ks_energy_density(cloud, f, r, d_w=2.0)
+    dens = ks_energy_density(cloud, f, [r], d_w=2.0)[0]
     assert dens.sum() == pytest.approx(ks_energy(cloud, f, r, d_w=2.0), rel=1e-12)
     region = np.arange(10, 55)
     assert dens[region].sum() == pytest.approx(
@@ -325,7 +325,7 @@ def test_energy_density_matches_fsum_oracle():
     for x, ids, w, mass in _fsum_balls(cloud, r):
         inner = math.fsum(w * (v[x] - v[ids]) ** 2)
         want[x] = cloud.weights[x] * inner / mass / r**2
-    got = ks_energy_density(cloud, f, r, d_w=2.0)
+    got = ks_energy_density(cloud, f, [r], d_w=2.0)[0]
     assert _max_rel_error(got, want) <= 1e-13
 
 
@@ -353,10 +353,10 @@ def _engine_results(cloud, fields):
     return {
         "energy": ks_energy(cloud, f, float(grid.scales[2])),
         "region": ks_energy(cloud, f, float(grid.scales[0]), region=region),
-        "many": ks_energy_many(cloud, fields, float(grid.scales[-1])),
-        "density": ks_energy_density(cloud, f, float(grid.scales[1])),
+        "many": ks_energies(cloud, fields, [float(grid.scales[-1])])[0],
+        "density": ks_energy_density(cloud, f, grid.scales[1:3]),
         "density_centers": ks_energy_density(
-            cloud, f, float(grid.scales[1]), centers=region[::-1]
+            cloud, f, grid.scales[1:3], centers=region[::-1]
         ),
         "sweep": sweep.values,
         "raw": raw_increment_sum(cloud, f, float(grid.scales[3])),
@@ -391,8 +391,6 @@ def test_energy_sweep_matches_single_scale_passes(engine_cloud):
 
 
 def test_ks_energies_one_pass_equals_separate_passes(pass_radii):
-    from kslab.energy import ks_energies
-
     cloud = gasket(5)
     fields = [
         ScalarField.coordinate(cloud, 0),
@@ -402,7 +400,23 @@ def test_ks_energies_one_pass_equals_separate_passes(pass_radii):
     table = ks_energies(cloud, fields, radii, d_w=2.3)
     assert pass_radii == [0.3]
     for k, r in enumerate(radii):
-        np.testing.assert_array_equal(table[k], ks_energy_many(cloud, fields, r, d_w=2.3))
+        np.testing.assert_array_equal(table[k], ks_energies(cloud, fields, [r], d_w=2.3)[0])
+
+
+@pytest.mark.parametrize("centers", [None, np.arange(200, 20, -3)])
+def test_energy_density_rows_equal_single_radius_rows(pass_radii, centers):
+    from kslab.energy import _increment_table
+
+    cloud = gasket(5)
+    f = ScalarField.from_function(cloud, lambda c: np.cos(5.0 * c[:, 1]) + c[:, 0] ** 2)
+    radii = [0.11, 0.3, 0.2]
+    rows = ks_energy_density(cloud, f, radii, d_w=2.3, centers=centers)
+    assert pass_radii == [0.3]
+    assert rows.shape == (3, cloud.n if centers is None else centers.size)
+    for k, r in enumerate(radii):
+        # The single-radius definition: one pass at r alone.
+        want = _increment_table(cloud, f.values[None, :], [r], centers)[0, 0] / r**2.3
+        np.testing.assert_array_equal(rows[k], want)
 
 
 def test_fit_walk_dimension_makes_one_pass(pass_radii):

@@ -142,6 +142,35 @@ def test_gasket_harmonic_energy_level_invariant():
     assert np.ptp(energies) < 1e-8
 
 
+def _harmonic_by_subdivision(level, boundary):
+    """The 1/5-2/5 extension by splitting cells, as a standalone loop."""
+    side = 2**level
+    corners = ((0, 0), (side, 0), (0, side))
+    values = dict(zip(corners, map(float, boundary)))
+    cells = [corners]
+    for _ in range(level):
+        nxt = []
+        for a, b, c in cells:
+            ab = ((a[0] + b[0]) // 2, (a[1] + b[1]) // 2)
+            ac = ((a[0] + c[0]) // 2, (a[1] + c[1]) // 2)
+            bc = ((b[0] + c[0]) // 2, (b[1] + c[1]) // 2)
+            va, vb, vc = values[a], values[b], values[c]
+            values[ab] = (2.0 * va + 2.0 * vb + vc) / 5.0
+            values[ac] = (2.0 * va + 2.0 * vc + vb) / 5.0
+            values[bc] = (2.0 * vb + 2.0 * vc + va) / 5.0
+            nxt.extend([(a, ab, ac), (ab, b, bc), (ac, bc, c)])
+        cells = nxt
+    verts, _, _ = gf.gasket_graph(level)
+    return np.array([values[(int(a), int(b))] for a, b in verts])
+
+
+@pytest.mark.parametrize("level", [3, 6])
+@pytest.mark.parametrize("boundary", [(1.0, 0.0, 0.0), (0.3, -1.7, 2.9)])
+def test_gasket_harmonic_matches_subdivision_loop(level, boundary):
+    got = gasket_harmonic_field(gasket(level), boundary).values
+    assert np.array_equal(got, _harmonic_by_subdivision(level, boundary))
+
+
 def test_gasket_harmonic_needs_gasket_cloud():
     with pytest.raises(ValueError, match="gasket"):
         gasket_harmonic_field(interval_grid(5))

@@ -1,22 +1,22 @@
 """Tests for sampled Poincaré inequalities, the maximal function, and the
 telescoping estimate."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from kslab.energy import ScalarField, ks_energy_density
+from kslab.energy import ScalarField, ks_energy_density, liminf_window_scales
 from kslab.graphform import build_form, spectrum
 from kslab.poincare import (
-    MaximalField,
+    _maximal_rho_grid,
     maximal_function,
     poincare_check,
     telescoping_bound,
     weak_l2_check,
-    _normalized_window_minimum,
 )
-from kslab.space import gasket, interval_grid
+from kslab.space import DEFAULT_KAPPA, carpet, gasket, interval_grid, segment_sums
 
 from oracles import chain_ball_average, dist_matrix
 
@@ -204,11 +204,35 @@ class TestMaximalFunction:
     def test_dominates_top_scale(self, grid401):
         cloud, f = grid401
         m = maximal_function(cloud, f, R=0.1)
-        dens = np.stack(
-            [ks_energy_density(cloud, f, float(r)) for r in m.window_scales]
-        )
-        top = _normalized_window_minimum(cloud, dens, float(m.rho_grid[0]))
-        assert np.all(m.values**2 >= top - 1e-12)
+        rho = float(m.rho_grid[0])
+        for x in range(cloud.n):
+            ids = cloud.ball_ids(x, rho)
+            top = m.window_rows[:, ids].sum(axis=1).min() / cloud.weights[ids].sum()
+            assert m.values[x] ** 2 >= top - 1e-12
+
+    @pytest.mark.parametrize("make", [lambda: interval_grid(401), lambda: carpet(3)])
+    def test_equals_per_radius_formula(self, make, pass_radii):
+        # One ball pass per ladder radius, as the maximal function was once
+        # computed: per centre, the window minimum of the ball's energy over
+        # its mass, maximized over the ladder.
+        cloud = make()
+        f = ScalarField.from_function(cloud, lambda c: np.sin(3.0 * c[:, 0]) + c[:, -1] ** 2)
+        R = cloud.diameter / 8.0
+        m = maximal_function(cloud, f, R)
+        assert pass_radii == [max(m.window_scales), m.rho_grid[0]]
+        rows = np.stack([ks_energy_density(cloud, f, [r])[0] for r in m.window_scales])
+        np.testing.assert_array_equal(m.window_rows, rows)
+        best = np.zeros(cloud.n)
+        for rho in m.rho_grid:
+            cand = np.empty(cloud.n)
+            pos = 0
+            for sub, flat, counts in cloud.ball_chunks(float(rho)):
+                mass = segment_sums(cloud.weights[flat], counts)
+                sums = np.stack([segment_sums(row[flat], counts) for row in rows])
+                cand[pos : pos + sub.size] = sums.min(axis=0) / mass
+                pos += sub.size
+            np.maximum(best, cand, out=best)
+        np.testing.assert_array_equal(m.values, np.sqrt(best))
 
     def test_radius_under_floor_rejected(self, grid401):
         cloud, f = grid401
@@ -235,20 +259,20 @@ class TestWeakL2:
         cloud, _ = grid401
         c = ScalarField.constant(cloud, 1.0)
         m = maximal_function(cloud, c, R=0.1)
-        rep = weak_l2_check(m, c, thresholds=[0.1, 1.0])
+        rep = weak_l2_check(m, thresholds=[0.1, 1.0])
         assert rep.e_proxy == 0.0
         assert np.all(rep.quotients == 0.0)
 
     def test_large_threshold_vanishes(self, grid401):
         cloud, f = grid401
         m = maximal_function(cloud, f, R=0.1)
-        rep = weak_l2_check(m, f, thresholds=[1e6])
+        rep = weak_l2_check(m, thresholds=[1e6])
         assert rep.quotients[0] == 0.0
 
     def test_quotients_bounded(self, grid401):
         cloud, f = grid401
         m = maximal_function(cloud, f, R=0.1)
-        rep = weak_l2_check(m, f)
+        rep = weak_l2_check(m)
         assert rep.max_quotient < 10.0
         assert np.all(rep.quotients >= 0.0)
 
@@ -261,31 +285,33 @@ class TestWeakL2:
             cloud = interval_grid(n)
             f = ScalarField.coordinate(cloud, 0)
             m = maximal_function(cloud, f, R=0.1)
-            quots.append(weak_l2_check(m, f, thresholds=thresholds).quotients)
+            quots.append(weak_l2_check(m, thresholds=thresholds).quotients)
         for a, b in zip(*quots):
             assert a > 0.0 and b > 0.0
             assert max(a, b) / min(a, b) < 2.0
 
     def test_inconsistent_inputs_rejected(self, grid401):
+        # The maximal field of f paired with the (zero) window energies of
+        # a constant field.
         cloud, f = grid401
         c = ScalarField.constant(cloud, 1.0)
         m = maximal_function(cloud, f, R=0.1)
-        fake = MaximalField(
-            cloud=cloud,
-            R=m.R,
-            d_w=m.d_w,
-            rho_grid=m.rho_grid,
-            window_scales=m.window_scales,
-            values=m.values,
-        )
+        flat_rows = maximal_function(cloud, c, R=0.1).window_rows
+        fake = dataclasses.replace(m, window_rows=flat_rows)
         with pytest.raises(RuntimeError, match="zero global energy"):
-            weak_l2_check(fake, c)
+            weak_l2_check(fake)
+
+    def test_energy_proxy_is_window_minimum(self, grid401):
+        cloud, f = grid401
+        m = maximal_function(cloud, f, R=0.1)
+        rows = [ks_energy_density(cloud, f, [r])[0] for r in m.window_scales]
+        assert weak_l2_check(m).e_proxy == min(float(row.sum()) for row in rows)
 
     def test_positive_thresholds_required(self, grid401):
         cloud, f = grid401
         m = maximal_function(cloud, f, R=0.1)
         with pytest.raises(ValueError, match="positive"):
-            weak_l2_check(m, f, thresholds=[0.0, 1.0])
+            weak_l2_check(m, thresholds=[0.0, 1.0])
 
     def test_csv_export(self, grid401, tmp_path):
         cloud, f = grid401
@@ -348,6 +374,22 @@ class TestTelescopingBound:
         cloud, f = grid2001
         with pytest.raises(ValueError, match="dyadic chain"):
             telescoping_bound(cloud, f, 500, 0.005)
+
+    @pytest.mark.parametrize("x", [0, 500, 1000])
+    def test_rhs_equals_full_cloud_formula(self, grid2001, x, pass_radii):
+        cloud, _ = grid2001
+        f = ScalarField.from_function(cloud, lambda c: c[:, 0] ** 2)
+        rho, lam, d_w = 0.2, 2.0, 2.0
+        rep = telescoping_bound(cloud, f, x, rho, d_w=d_w, lam=lam)
+        w_scales = liminf_window_scales(cloud)
+        # The densities are made at the members of B(x, lam rho) only.
+        assert pass_radii == [max(w_scales)]
+        rows = np.stack([ks_energy_density(cloud, f, [r], d_w=d_w)[0] for r in w_scales])
+        m_val = 0.0
+        for r in _maximal_rho_grid(cloud, lam * rho, DEFAULT_KAPPA):
+            ids = cloud.ball_ids(x, float(r))
+            m_val = max(m_val, float(rows[:, ids].sum(axis=1).min()) / float(cloud.weights[ids].sum()))
+        assert rep.rhs == rho ** (d_w / 2.0) * math.sqrt(m_val)
 
     def test_center_validated(self, grid2001):
         cloud, f = grid2001

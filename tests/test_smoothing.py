@@ -365,14 +365,14 @@ def test_net_and_partition_exports(tmp_path):
 
 def _cutoff_reference(pou, d_w):
     """Per-centre cutoff quotients from one pass per scale over the whole grid."""
-    from kslab.energy import ks_energy_many
+    from kslab.energy import ks_energies
     from kslab.space import segment_sums
 
     cloud = pou.cloud
     eps = pou.epsilon
     grid = make_scale_grid(cloud)
     energies = np.stack(
-        [ks_energy_many(cloud, pou.fields(), float(r), d_w=d_w) for r in grid.scales]
+        [ks_energies(cloud, pou.fields(), [float(r)], d_w=d_w)[0] for r in grid.scales]
     )
     limsups = energies[np.isin(grid.scales, grid.window(3))].max(axis=0)
     masses = np.concatenate(

@@ -176,6 +176,12 @@ class TestSuiteVerdicts:
         assert by_name["poincare_identity_third"].passed
         assert by_name["poincare_identity_third"].details["worst_rel"] <= 0.3
 
+    def test_poincare_suite_makes_six_ball_passes(self, grid401, pass_radii):
+        # lip slopes, the ks window rows, the maximal window rows and ladder,
+        # the telescoping rows, and the interval identity check's slopes.
+        run_suite("poincare", _ctx(grid401))
+        assert len(pass_radii) == 6
+
     def test_smoothing_rows_have_tables(self, grid401):
         results = run_suite("smoothing", _ctx(grid401))
         moll = next(r for r in results if r.name == "mollifier_estimates")
