@@ -260,7 +260,11 @@ def _run_bundle(cfg: dict) -> int:
     failed = []
     tables = {}
     for suite_name in selected:
-        for result in run_suite(suite_name, ctx):
+        try:
+            results = run_suite(suite_name, ctx)
+        except ValueError as exc:
+            raise ValueError(f"suite {suite_name!r}: {exc}") from exc
+        for result in results:
             row = result.row()
             row["suite"] = suite_name
             checks.append(row)

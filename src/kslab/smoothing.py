@@ -94,8 +94,8 @@ def build_net(cloud: MeasuredPointCloud, epsilon: float) -> CoveringNet:
     center_ids = np.asarray(centers, dtype=np.intp)
 
     counts5 = np.zeros(cloud.n, dtype=np.intp)
-    for c in center_ids:
-        counts5[cloud.ball_ids(int(c), 5.0 * epsilon)] += 1
+    for _, flat, _, _ in cloud.ball_chunks(5.0 * epsilon, center_ids):
+        counts5 += np.bincount(flat, minlength=cloud.n)
     # Every point sits strictly inside some epsilon-ball, hence also in the
     # dilated one; covered.all() re-checks that instead of trusting the scan.
     return CoveringNet(
@@ -162,9 +162,11 @@ def partition_of_unity(net: CoveringNet) -> PartitionOfUnity:
     cloud = net.cloud
     eps = net.epsilon
     psi = np.zeros((net.n_centers, cloud.n))
-    for i, c in enumerate(net.center_ids):
-        t = cloud.distances_from(int(c)) / eps
-        psi[i] = np.clip(2.0 - t, 0.0, 1.0)
+    pos = 0
+    for sub, flat, counts, d in cloud.ball_chunks(2.0 * eps, net.center_ids):
+        rows = np.repeat(np.arange(pos, pos + sub.size), counts)
+        psi[rows, flat] = np.clip(2.0 - d / eps, 0.0, 1.0)
+        pos += sub.size
     total = psi.sum(axis=0)
     if np.any(total <= 0.0):
         raise RuntimeError("kernel sum vanished at a point despite cover_ok")
@@ -185,7 +187,7 @@ def mollify(f: ScalarField, pou: PartitionOfUnity) -> ScalarField:
     w = cloud.weights
     averages = np.zeros(pou.n_centers)
     pos = 0
-    for sub, flat, counts in cloud.ball_chunks(eps, centers=pou.net.center_ids):
+    for sub, flat, counts, _ in cloud.ball_chunks(eps, centers=pou.net.center_ids):
         mass = segment_sums(w[flat], counts)
         averages[pos : pos + sub.size] = (
             segment_sums(w[flat] * f.values[flat], counts) / mass
@@ -208,7 +210,7 @@ def discrete_lip(
         raise ValueError("field does not live on the given cloud")
     cloud.require_admissible(r_loc, kappa)
     out = np.zeros(cloud.n)
-    for sub, flat, counts in cloud.ball_chunks(r_loc):
+    for sub, flat, counts, d in cloud.ball_chunks(r_loc):
         if np.any(counts < 2):
             lonely = sub[counts < 2][0]
             raise ValueError(
@@ -216,7 +218,6 @@ def discrete_lip(
                 "neighbours; increase r_loc"
             )
         rep = np.repeat(sub, counts)
-        d = cloud.pair_distances(rep, flat)
         keep = d > 0.0  # drops exactly the center itself
         quotients = np.abs(f.values[flat[keep]] - f.values[rep[keep]]) / d[keep]
         out[sub] = segment_max(quotients, counts - 1)
@@ -279,27 +280,29 @@ def mollifier_estimates(
     epsilon for smooth fields; d_w would cancel out of the ratio, so it is
     only validated.
     """
-    return mollifier_ladder(cloud, f, [epsilon], d_w=d_w, kappa=kappa)[0]
+    pou = partition_of_unity(build_net(cloud, epsilon))
+    return mollifier_ladder(cloud, f, [pou], d_w=d_w, kappa=kappa)[0]
 
 
 def mollifier_ladder(
     cloud: MeasuredPointCloud,
     f: ScalarField,
-    epsilons: Sequence[float],
+    pous: Sequence[PartitionOfUnity],
     d_w: float = 2.0,
     kappa: float = DEFAULT_KAPPA,
 ) -> list[MollifierReport]:
-    """``mollifier_estimates`` at every epsilon of a ladder.
+    """``mollifier_estimates`` at every rung of a ladder of partitions.
 
     The increment sums at 2 eps and the first moments at 6 eps of every
     rung come from one ball pass; each report equals the single-epsilon
     call bit for bit.
     """
+    epsilons = [pou.epsilon for pou in pous]
     if f.is_constant():
         # Both numerators vanish identically; skip the 0/0 float noise.
         return [
             MollifierReport(
-                epsilon=float(eps),
+                epsilon=eps,
                 lip_bound_ratio=0.0,
                 l2_bound_ratio=0.0,
                 lip_numerator=0.0,
@@ -309,9 +312,7 @@ def mollifier_ladder(
             )
             for eps in epsilons
         ]
-    epsilons = [float(eps) for eps in epsilons]
-    # Nets and partitions first: they refuse epsilons below the covering floor.
-    smoothed = [mollify(f, partition_of_unity(build_net(cloud, eps))) for eps in epsilons]
+    smoothed = [mollify(f, pou) for pou in pous]
     radii = [2.0 * eps for eps in epsilons] + [6.0 * eps for eps in epsilons]
     mat = _validated(cloud, [f], radii, kappa, d_w)
     m = len(epsilons)
@@ -383,7 +384,7 @@ def check_controlled_cutoff(
 
     masses = np.zeros(pou.n_centers)
     pos = 0
-    for sub, flat, counts in cloud.ball_chunks(eps, centers=pou.net.center_ids):
+    for sub, flat, counts, _ in cloud.ball_chunks(eps, centers=pou.net.center_ids):
         masses[pos : pos + sub.size] = segment_sums(cloud.weights[flat], counts)
         pos += sub.size
     per_center = limsups * eps**d_w / masses

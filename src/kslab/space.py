@@ -7,18 +7,20 @@ over the underlying space is discretized as a weighted sum, and every ball is
 an open ball ``{y : d(x, y) < r}`` resolved by exact comparison, so results
 do not depend on the index used to accelerate the query.
 
-Ball engine.  ``MeasuredPointCloud.ball_chunks`` and ``nested_ball_chunks``
-read one engine that streams the balls of many centres in blocks sized from
-the tree's per-centre counts, so no block holds more than its member budget
-unless one ball alone does.  On coordinate
+Ball engine.  ``MeasuredPointCloud.ball_chunks`` is the one engine every
+multi-centre consumer reads.  It streams the balls of many centres in blocks
+sized from the tree's per-centre counts, so no block holds more than
+``FLAT_BUDGET`` candidate members unless one ball alone does, and it yields
+each member's canonical distance to its centre next to its id.  On coordinate
 clouds the tree only proposes candidate pairs (``sparse_distance_matrix``
 slightly beyond r); the canonical filter then recomputes every candidate's
 distance with the one formula of ``_point_distances`` and keeps ``d < r``.
 Distance-matrix clouds read matrix rows instead and give the same interface.
 Members come in ascending id order per centre.  ``nested_ball_chunks``
-serves several radii from one pass at the largest by masking the canonical
-distances, and ``segment_sums`` reduces each ball on its own members, so
+serves several radii from one ``ball_chunks`` pass at the largest by masking
+the distances, and ``segment_sums`` reduces each ball on its own members, so
 no result depends on the block layout or on which radii share a pass.
+Single balls (``ball_ids``) keep a direct tree query.
 
 The module also carries the volume-doubling diagnostics: sampled ratios
 ``mu(B(x, 2r)) / mu(B(x, r))``, a fitted mass-growth exponent, and lower mass
@@ -93,11 +95,16 @@ def segment_max(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return _segment_reduce(np.maximum, values, counts, -np.inf)
 
 
-def _kept_counts(keep: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Per-segment number of ``True`` entries of ``keep`` (exact integers)."""
+def _keep_below(
+    r: float, flat: np.ndarray, counts: np.ndarray, d: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Drop the members at distance ``d >= r`` and recount each segment."""
+    keep = d < r
+    if np.all(keep):
+        return flat, counts, d
     run = np.concatenate([[0], np.cumsum(keep, dtype=np.intp)])
     ends = np.cumsum(counts)
-    return run[ends] - run[ends - counts]
+    return flat[keep], run[ends] - run[ends - counts], d[keep]
 
 
 def _budget_blocks(sizes: np.ndarray, budget: int) -> Iterator[slice]:
@@ -307,8 +314,16 @@ class MeasuredPointCloud:
     # distances and balls
     # ------------------------------------------------------------------
 
+    def _checked_ids(self, ids):
+        """``ids`` (one id or an array of them), refusing any outside [0, n)."""
+        bad = (ids < 0) | (ids >= self.n)
+        if bad.any() if isinstance(bad, np.ndarray) else bad:
+            raise ValueError(f"center id {np.extract(bad, ids)[0]} out of range")
+        return ids
+
     def distances_from(self, x: int) -> np.ndarray:
         """Distances from point ``x`` to every point, in id order."""
+        x = self._checked_ids(x)
         if self._dist is not None:
             return self._dist[x]
         return _point_distances(self._coords, self._coords[x])
@@ -343,6 +358,7 @@ class MeasuredPointCloud:
         The tree only proposes candidates; membership is always decided by
         the canonical distance formula, so an O(n) scan gives the same set.
         """
+        x = self._checked_ids(x)
         if self._dist is not None:
             return np.flatnonzero(self._dist[x] < r)
         cand = np.asarray(
@@ -356,29 +372,68 @@ class MeasuredPointCloud:
 
     def ball(self, x: int, r: float) -> Ball:
         """Open ball around point ``x`` with its members and mass."""
-        if not (0 <= x < self.n):
-            raise ValueError(f"center id {x} out of range")
         if not np.isfinite(r) or r <= 0.0:
             raise ValueError(f"radius must be positive, got {r!r}")
         ids = self.ball_ids(x, r)
         return Ball(int(x), float(r), ids, float(self._weights[ids].sum()))
 
     def ball_chunks(
-        self,
-        r: float,
-        centers: np.ndarray | None = None,
-        flat_budget: int = FLAT_BUDGET,
-    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Stream ball memberships for many centres without holding them all.
+        self, r: float, centers: np.ndarray | None = None
+    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """The ball engine: stream the balls of many centres, with distances.
 
-        Yields ``(center_ids, flat_member_ids, counts)`` where the members of
-        ``center_ids[i]`` occupy the i-th slice of ``flat_member_ids``, in
-        ascending id order.  Centres are processed in the given order, in
-        blocks of at most ``flat_budget`` candidate members (a single larger
-        ball gets a block of its own).
+        Yields ``(center_ids, flat_member_ids, counts, distances)`` where the
+        members of ``center_ids[i]`` occupy the i-th slice of
+        ``flat_member_ids``, in ascending id order, and ``distances`` holds
+        each member's canonical distance to its centre.  Centres are
+        processed in the given order, in blocks of at most ``FLAT_BUDGET``
+        candidate members (a single larger ball gets a block of its own).
+
+        Coordinate clouds ask the tree for candidate pairs within
+        ``r * (1 + 1e-12)`` and keep those whose canonical distance is below
+        ``r``; distance-matrix clouds read the matrix rows directly.
         """
-        for sub, flat, counts, _ in self._ball_pass(r, centers, flat_budget):
-            yield sub, flat, counts
+        if centers is None:
+            centers = np.arange(self.n, dtype=np.intp)
+        else:
+            centers = self._checked_ids(np.asarray(centers, dtype=np.intp))
+        if centers.size == 0:
+            return
+        if self._dist is not None:
+            block = max(1, int(FLAT_BUDGET // self.n))
+            for lo in range(0, centers.size, block):
+                sub = centers[lo : lo + block]
+                rows = self._dist[sub]
+                hits = rows < r
+                yield sub, np.flatnonzero(hits.ravel()) % self.n, hits.sum(axis=1), rows[hits]
+            return
+
+        tree = self._kdtree()
+        r_query = r * (1.0 + 1e-12)
+        sizes = tree.query_ball_point(
+            self._coords[centers], r_query, return_length=True, workers=-1
+        )
+        for part in _budget_blocks(sizes, FLAT_BUDGET):
+            sub = centers[part]
+            pairs = cKDTree(self._coords[sub]).sparse_distance_matrix(
+                tree, r_query, output_type="ndarray"
+            )
+            # Sorting (local centre, member) keys puts every centre's
+            # members in ascending id order, centre by centre.
+            keys = pairs["i"].astype(np.int64) * self.n + pairs["j"]
+            del pairs
+            keys.sort()
+            local, flat = np.divmod(keys, self.n)
+            del keys
+            counts = np.bincount(local, minlength=sub.size)
+            del local
+            # Exact filter: the tree may propose points at d in [r, r_query].
+            diff = self._coords.take(flat, axis=0)
+            diff -= np.repeat(self._coords[sub], counts, axis=0)
+            d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+            del diff
+            flat, counts, d = _keep_below(r, flat.astype(np.intp, copy=False), counts, d)
+            yield sub, flat, counts, d
 
     def nested_ball_chunks(
         self,
@@ -398,74 +453,12 @@ class MeasuredPointCloud:
         if not radii:
             return
         order = sorted(range(len(radii)), key=lambda k: -radii[k])
-        for sub, flat, counts, d in self._ball_pass(radii[order[0]], centers):
+        for sub, flat, counts, d in self.ball_chunks(radii[order[0]], centers):
             members: list = [None] * len(radii)
             for k in order:
-                keep = d < radii[k]
-                if not np.all(keep):
-                    counts = _kept_counts(keep, counts)
-                    flat, d = flat[keep], d[keep]
+                flat, counts, d = _keep_below(radii[k], flat, counts, d)
                 members[k] = (flat, counts)
             yield sub, members
-
-    def _ball_pass(
-        self,
-        r: float,
-        centers: np.ndarray | None,
-        flat_budget: int = FLAT_BUDGET,
-    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-        """The ball engine: ``ball_chunks`` blocks plus each member's distance.
-
-        Coordinate clouds ask the tree for candidate pairs within
-        ``r * (1 + 1e-12)`` and keep those whose canonical distance is below
-        ``r``; distance-matrix clouds read the matrix rows directly.  The
-        fourth array holds those canonical distances, which lets
-        ``nested_ball_chunks`` cut smaller radii out of one pass.
-        """
-        if centers is None:
-            centers = np.arange(self.n, dtype=np.intp)
-        else:
-            centers = np.asarray(centers, dtype=np.intp)
-        if centers.size == 0:
-            return
-        if self._dist is not None:
-            block = max(1, int(flat_budget // max(1, self.n)))
-            for lo in range(0, centers.size, block):
-                sub = centers[lo : lo + block]
-                rows = self._dist[sub]
-                hits = rows < r
-                yield sub, np.flatnonzero(hits.ravel()) % self.n, hits.sum(axis=1), rows[hits]
-            return
-
-        tree = self._kdtree()
-        r_query = r * (1.0 + 1e-12)
-        sizes = tree.query_ball_point(
-            self._coords[centers], r_query, return_length=True, workers=-1
-        )
-        for part in _budget_blocks(sizes, flat_budget):
-            sub = centers[part]
-            pairs = cKDTree(self._coords[sub]).sparse_distance_matrix(
-                tree, r_query, output_type="ndarray"
-            )
-            # Sorting (local centre, member) keys puts every centre's
-            # members in ascending id order, centre by centre.
-            keys = pairs["i"].astype(np.int64) * self.n + pairs["j"]
-            del pairs
-            keys.sort()
-            local, flat = np.divmod(keys, self.n)
-            del keys
-            counts = np.bincount(local, minlength=sub.size)
-            del local
-            # Exact filter: the tree may propose points at d in [r, r_query].
-            diff = self._coords.take(flat, axis=0)
-            diff -= np.repeat(self._coords[sub], counts, axis=0)
-            d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-            del diff
-            keep = d < r
-            if not np.all(keep):
-                counts = _kept_counts(keep, counts)
-                flat, d = flat[keep], d[keep]
-            yield sub, flat.astype(np.intp, copy=False), counts, d
 
     def boundary_margin(self) -> np.ndarray:
         """Per-point distance to the coordinate bounding box (coords mode).

@@ -445,9 +445,23 @@ def suite_smoothing(ctx: SuiteContext) -> list[CheckResult]:
         (None, None),
     )
     ladder = _mollifier_ladder(ctx)
+    if len(ladder) < 2:
+        return [
+            CheckResult(
+                name="smoothing_skipped",
+                claim="mollifier-slope-and-l2-control",
+                passed=True,
+                constant=None,
+                details={"reason": "no admissible epsilon ladder on this cloud"},
+            )
+        ]
+    # Each rung's net and partition are built once: the mollifier ladder
+    # reads every rung, the cutoff check the first two.
+    rungs = ladder if f is not None else ladder[:2]
+    pous = [sm.partition_of_unity(sm.build_net(cloud, eps)) for eps in rungs]
     results = []
-    if len(ladder) >= 2 and f is not None:
-        reports = sm.mollifier_ladder(cloud, f, ladder, d_w=ctx.d_w, kappa=ctx.kappa)
+    if f is not None:
+        reports = sm.mollifier_ladder(cloud, f, pous, d_w=ctx.d_w, kappa=ctx.kappa)
         lips = [r.lip_bound_ratio for r in reports]
         l2s = [r.l2_bound_ratio for r in reports]
         errs = [r.l2_numerator for r in reports]
@@ -480,33 +494,19 @@ def suite_smoothing(ctx: SuiteContext) -> list[CheckResult]:
                 table=(("eps", "lip_ratio", "l2_ratio", "l2_error_sq"), rows),
             )
         )
-    if len(ladder) >= 2:
-        worsts = []
-        for eps in ladder[:2]:
-            pou = sm.partition_of_unity(sm.build_net(cloud, eps))
-            worsts.append(
-                sm.check_controlled_cutoff(pou, d_w=ctx.d_w, kappa=ctx.kappa).worst
-            )
-        spread = max(worsts) / min(worsts) if min(worsts) > 0 else 1.0
-        results.append(
-            CheckResult(
-                name="controlled_cutoff",
-                claim="cutoff-energy-scaling",
-                passed=bool(spread <= ctx.tol["cutoff_spread"]),
-                constant=spread,
-                details={"epsilons": ladder[:2], "worst_quotients": worsts},
-            )
+    worsts = [
+        sm.check_controlled_cutoff(pou, d_w=ctx.d_w, kappa=ctx.kappa).worst for pou in pous[:2]
+    ]
+    spread = max(worsts) / min(worsts) if min(worsts) > 0 else 1.0
+    results.append(
+        CheckResult(
+            name="controlled_cutoff",
+            claim="cutoff-energy-scaling",
+            passed=bool(spread <= ctx.tol["cutoff_spread"]),
+            constant=spread,
+            details={"epsilons": ladder[:2], "worst_quotients": worsts},
         )
-    if not results:
-        results.append(
-            CheckResult(
-                name="smoothing_skipped",
-                claim="mollifier-slope-and-l2-control",
-                passed=True,
-                constant=None,
-                details={"reason": "no admissible epsilon ladder on this cloud"},
-            )
-        )
+    )
     return results
 
 

@@ -21,14 +21,9 @@ def eigh_sizes(monkeypatch):
 @pytest.fixture
 def tiny_blocks(monkeypatch):
     """Make every ball pass run in blocks of at most 50 candidate members."""
-    from kslab.space import MeasuredPointCloud
+    import kslab.space
 
-    real = MeasuredPointCloud._ball_pass
-
-    def small_blocks(self, r, centers, flat_budget=None):
-        return real(self, r, centers, 50)
-
-    monkeypatch.setattr(MeasuredPointCloud, "_ball_pass", small_blocks)
+    monkeypatch.setattr(kslab.space, "FLAT_BUDGET", 50)
 
 
 @pytest.fixture
@@ -37,11 +32,11 @@ def pass_radii(monkeypatch):
     from kslab.space import MeasuredPointCloud
 
     radii = []
-    real = MeasuredPointCloud._ball_pass
+    real = MeasuredPointCloud.ball_chunks
 
     def recording(self, r, *args, **kwargs):
         radii.append(float(r))
         return real(self, r, *args, **kwargs)
 
-    monkeypatch.setattr(MeasuredPointCloud, "_ball_pass", recording)
+    monkeypatch.setattr(MeasuredPointCloud, "ball_chunks", recording)
     return radii

@@ -112,12 +112,15 @@ class TestRun:
     def test_failure_after_validation_writes_nothing(self, tmp_path, capsys, command, space):
         # Both configs validate, then a computation raises: interval 33 is
         # too coarse for the identity-ratio radius 0.05, gasket 3 for the
-        # doubling scale grid.
+        # doubling scale grid.  A suite's error names the suite.
         out = tmp_path / "bundle"
         path = write_config(tmp_path, space=space, suite="all", out=str(out))
         assert main([command, "--config", str(path)]) == 2
         assert not out.exists()
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        if command == "run":
+            assert "error: suite 'poincare': radius 0.05" in err
 
     def test_missing_out_rejected(self, tmp_path):
         path = write_config(tmp_path)
@@ -288,3 +291,28 @@ class TestReport:
         with pytest.raises(SystemExit) as exc:
             main(["run"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "space", [{"kind": "carpet", "level": 3}, {"kind": "interval_grid", "n": 257}]
+)
+def test_every_pair_query_is_a_ball_chunks_pass(tmp_path, monkeypatch, space):
+    # One ball engine: every tree pair query of a whole run is made by
+    # MeasuredPointCloud.ball_chunks itself, not by a private side door.
+    import sys
+
+    import kslab.space
+
+    engine = kslab.space.MeasuredPointCloud.ball_chunks.__code__
+    callers = []
+
+    class RecordingTree(kslab.space.cKDTree):
+        def sparse_distance_matrix(self, *args, **kwargs):
+            callers.append(sys._getframe(1).f_code)
+            return super().sparse_distance_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(kslab.space, "cKDTree", RecordingTree)
+    path = write_config(tmp_path, space=space, suite="all", out=str(tmp_path / "bundle"))
+    assert main(["run", "--config", str(path)]) in (0, 1)
+    assert callers
+    assert all(code is engine for code in callers), {code.co_name for code in callers}

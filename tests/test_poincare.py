@@ -226,7 +226,7 @@ class TestMaximalFunction:
         for rho in m.rho_grid:
             cand = np.empty(cloud.n)
             pos = 0
-            for sub, flat, counts in cloud.ball_chunks(float(rho)):
+            for sub, flat, counts, _ in cloud.ball_chunks(float(rho)):
                 mass = segment_sums(cloud.weights[flat], counts)
                 sums = np.stack([segment_sums(row[flat], counts) for row in rows])
                 cand[pos : pos + sub.size] = sums.min(axis=0) / mass

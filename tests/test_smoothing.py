@@ -378,7 +378,7 @@ def _cutoff_reference(pou, d_w):
     masses = np.concatenate(
         [
             segment_sums(cloud.weights[flat], counts)
-            for _, flat, counts in cloud.ball_chunks(eps, centers=pou.net.center_ids)
+            for _, flat, counts, _ in cloud.ball_chunks(eps, centers=pou.net.center_ids)
         ]
     )
     return limsups * eps**d_w / masses
@@ -389,8 +389,9 @@ def test_cutoff_reads_only_the_window(pass_radii):
     pou = partition_of_unity(build_net(cloud, 0.1))
     rep = check_controlled_cutoff(pou, d_w=2.0)
     grid = make_scale_grid(cloud)
-    # One pass at the largest window scale, one at eps for the bump masses.
-    assert pass_radii == [float(grid.window(3).max()), 0.1]
+    # The net's 5 eps overlap pass and the partition's 2 eps pass, then one
+    # pass at the largest window scale, one at eps for the bump masses.
+    assert pass_radii == [5.0 * 0.1, 2.0 * 0.1, float(grid.window(3).max()), 0.1]
     np.testing.assert_array_equal(rep.scales, grid.scales)
     np.testing.assert_array_equal(rep.per_center, _cutoff_reference(pou, 2.0))
 
@@ -427,10 +428,13 @@ def test_mollifier_ladder_equals_single_epsilon_calls(pass_radii):
     cloud = interval_grid(1001)
     f = ScalarField.from_function(cloud, lambda c: np.sin(np.pi * c[:, 0]))
     ladder = [0.2, 0.1, 0.05]
-    reports = mollifier_ladder(cloud, f, ladder)
-    # One mollify pass per rung, then 2 eps and 6 eps of every rung share a
+    pous = [partition_of_unity(build_net(cloud, eps)) for eps in ladder]
+    reports = mollifier_ladder(cloud, f, pous)
+    # The 5 eps overlap and 2 eps partition passes of every rung's net, one
+    # mollify pass per rung, then 2 eps and 6 eps of every rung share a
     # single pass at 6 * 0.2, then one slope pass per rung at kappa * h.
     lip_r = 3.0 * cloud.mesh
-    assert pass_radii == ladder + [6.0 * 0.2] + [lip_r] * len(ladder)
+    nets = [r for eps in ladder for r in (5.0 * eps, 2.0 * eps)]
+    assert pass_radii == nets + ladder + [6.0 * 0.2] + [lip_r] * len(ladder)
     for eps, rep in zip(ladder, reports):
         assert rep == mollifier_estimates(cloud, f, eps)

@@ -138,6 +138,26 @@ def test_ball_is_open():
     np.testing.assert_array_equal(b.member_ids, [0])
 
 
+@pytest.mark.parametrize("abstract", [False, True])
+@pytest.mark.parametrize("bad", [-1, 5])
+def test_out_of_range_centre_ids_are_refused(abstract, bad):
+    grid = interval_grid(5)
+    if abstract:
+        cloud = MeasuredPointCloud(grid.weights, dist_matrix=oracles.dist_matrix(grid.coords))
+    else:
+        cloud = grid
+    queries = [
+        lambda: cloud.ball_ids(bad, 0.3),
+        lambda: cloud.ball(bad, 0.3),
+        lambda: cloud.distances_from(bad),
+        lambda: next(cloud.ball_chunks(0.3, centers=[0, bad])),
+        lambda: next(cloud.nested_ball_chunks([0.3, 0.2], centers=[bad])),
+    ]
+    for query in queries:
+        with pytest.raises(ValueError, match=f"center id {bad} out of range"):
+            query()
+
+
 def test_ball_matches_brute_force_scan():
     rng = np.random.default_rng(5)
     coords = rng.uniform(size=(180, 2))
@@ -148,16 +168,19 @@ def test_ball_matches_brute_force_scan():
             np.testing.assert_array_equal(got, oracles.brute_ball_ids(coords, x, r))
 
 
-def test_ball_chunks_agree_with_single_queries():
+def test_ball_chunks_agree_with_single_queries(monkeypatch):
+    monkeypatch.setattr(space, "FLAT_BUDGET", 400)
     rng = np.random.default_rng(11)
     coords = rng.uniform(size=(150, 2))
     cloud = MeasuredPointCloud(np.full(150, 1.0), coords=coords)
     r = 0.3
     seen = {}
-    for sub, flat, counts in cloud.ball_chunks(r, flat_budget=400):
+    for sub, flat, counts, d in cloud.ball_chunks(r):
         pos = 0
         for c, k in zip(sub, counts):
-            seen[int(c)] = flat[pos : pos + k]
+            ids = seen[int(c)] = flat[pos : pos + k]
+            # Each member comes with its canonical distance to the centre.
+            np.testing.assert_array_equal(d[pos : pos + k], cloud.distances_from(c)[ids])
             pos += k
     assert len(seen) == 150
     for x in range(150):
@@ -169,36 +192,40 @@ def test_ball_chunks_agree_with_single_queries():
 def _balls_by_center(chunks):
     """Map each centre to its member ids from a ball pass."""
     out = {}
-    for sub, flat, counts in chunks:
+    for sub, flat, counts, *_ in chunks:
         ends = np.cumsum(counts)
         for c, lo, hi in zip(sub.tolist(), ends - counts, ends):
             out[c] = flat[lo:hi]
     return out
 
 
-def test_ball_chunks_blocks_respect_budget():
+def test_ball_chunks_blocks_respect_budget(monkeypatch):
     # The corner cell's ball is about a quarter of an interior ball, so
     # sizing every block from the first centre overshoots the budget.
     cloud = carpet(3)
     budget = 5_000
+    monkeypatch.setattr(space, "FLAT_BUDGET", budget)
     sizes = []
-    for sub, flat, counts in cloud.ball_chunks(0.3, flat_budget=budget):
+    for sub, flat, counts, d in cloud.ball_chunks(0.3):
         assert flat.size <= budget or sub.size == 1
+        assert d.size == flat.size
         sizes.append(sub.size)
     assert sum(sizes) == cloud.n
     # A ball larger than the budget gets a block of its own.
-    for sub, flat, counts in cloud.ball_chunks(0.3, flat_budget=10):
+    monkeypatch.setattr(space, "FLAT_BUDGET", 10)
+    for sub, flat, counts, d in cloud.ball_chunks(0.3):
         assert sub.size == 1
 
 
 @pytest.mark.parametrize("k", [2, 3, 5])
-def test_ball_filter_is_canonical_on_lattice_distances(k):
+def test_ball_filter_is_canonical_on_lattice_distances(k, monkeypatch):
     # Radii equal to lattice distances put many points on the sphere, where
     # only the canonical formula decides membership.
     cloud = square_grid(15)
     r = k * cloud.mesh
     want = {x: np.flatnonzero(cloud.distances_from(x) < r) for x in range(cloud.n)}
-    single = _balls_by_center(cloud.ball_chunks(r, flat_budget=300))
+    monkeypatch.setattr(space, "FLAT_BUDGET", 300)
+    single = _balls_by_center(cloud.ball_chunks(r))
     nested = {}
     for sub, members in cloud.nested_ball_chunks([1.5 * r, r]):
         nested.update(_balls_by_center([(sub, *members[1])]))
@@ -207,13 +234,14 @@ def test_ball_filter_is_canonical_on_lattice_distances(k):
         np.testing.assert_array_equal(nested[x], ids)
 
 
-def test_ball_chunks_repeated_and_unordered_centers():
+def test_ball_chunks_repeated_and_unordered_centers(monkeypatch):
+    monkeypatch.setattr(space, "FLAT_BUDGET", 60)
     cloud = square_grid(15)
     centers = np.array([40, 3, 40, 200, 3])
-    got = list(cloud.ball_chunks(0.2, centers=centers, flat_budget=60))
-    assert np.concatenate([sub for sub, _, _ in got]).tolist() == centers.tolist()
-    flat = np.concatenate([f for _, f, _ in got])
-    counts = np.concatenate([c for _, _, c in got])
+    got = list(cloud.ball_chunks(0.2, centers=centers))
+    assert np.concatenate([sub for sub, *_ in got]).tolist() == centers.tolist()
+    flat = np.concatenate([f for _, f, _, _ in got])
+    counts = np.concatenate([c for _, _, c, _ in got])
     want = [cloud.ball_ids(int(c), 0.2) for c in centers]
     assert counts.tolist() == [w.size for w in want]
     np.testing.assert_array_equal(flat, np.concatenate(want))
