@@ -16,9 +16,8 @@ import math
 import sys
 from pathlib import Path
 
-from .energy import DEFAULT_COUNT, DEFAULT_RATIO, DEFAULT_WINDOW
 from .export import write_csv, write_json
-from .space import DEFAULT_KAPPA, build_cloud
+from .space import build_cloud
 from .suites import (
     DEFAULT_TOLERANCES,
     SUITES,
@@ -73,20 +72,6 @@ def _check_space(space) -> dict:
     return out
 
 
-def _check_number(cfg: dict, key: str, lo: float, hi: float, default: float) -> float:
-    value = cfg.get(key, default)
-    _require(
-        isinstance(value, (int, float)) and not isinstance(value, bool),
-        f"config key {key!r} must be a number",
-    )
-    value = float(value)
-    _require(
-        math.isfinite(value) and lo <= value <= hi,
-        f"config key {key!r} must lie in [{lo:g}, {hi:g}]",
-    )
-    return value
-
-
 def load_config(path: str | Path) -> dict:
     """Read, validate, and normalize an experiment config.
 
@@ -101,7 +86,7 @@ def load_config(path: str | Path) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     _require(isinstance(raw, dict), "config root must be a JSON object")
 
-    known = {"space", "d_w", "seed", "suite", "scale_grid", "tolerances", "out"}
+    known = {"space", "d_w", "seed", "suite", "tolerances", "out"}
     extra = set(raw) - known
     _require(not extra, f"unknown config keys: {sorted(extra)}")
     _require("space" in raw, "config needs a 'space' object")
@@ -129,38 +114,6 @@ def load_config(path: str | Path) -> dict:
     suite = raw.get("suite", "all")
     _require(suite in SUITE_NAMES, f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
     cfg["suite"] = suite
-
-    grid = raw.get("scale_grid", {})
-    _require(isinstance(grid, dict), "config key 'scale_grid' must be an object")
-    extra = set(grid) - {"r_max", "ratio", "count", "window", "kappa"}
-    _require(not extra, f"unknown scale_grid keys: {sorted(extra)}")
-    r_max = grid.get("r_max")
-    if r_max is not None:
-        _require(
-            isinstance(r_max, (int, float))
-            and not isinstance(r_max, bool)
-            and math.isfinite(float(r_max))
-            and r_max > 0,
-            "scale_grid.r_max must be a positive number or null",
-        )
-        r_max = float(r_max)
-    count = grid.get("count", DEFAULT_COUNT)
-    _require(
-        isinstance(count, int) and not isinstance(count, bool) and 3 <= count <= 64,
-        "scale_grid.count must be an integer in [3, 64]",
-    )
-    window = grid.get("window", DEFAULT_WINDOW)
-    _require(
-        isinstance(window, int) and not isinstance(window, bool) and 1 <= window <= count,
-        "scale_grid.window must be an integer in [1, count]",
-    )
-    cfg["scale_grid"] = {
-        "r_max": r_max,
-        "ratio": _check_number(grid, "ratio", 0.05, 0.95, DEFAULT_RATIO),
-        "count": count,
-        "window": window,
-        "kappa": _check_number(grid, "kappa", 1.0, 10.0, DEFAULT_KAPPA),
-    }
 
     tol = raw.get("tolerances", {})
     _require(isinstance(tol, dict), "config key 'tolerances' must be an object")
@@ -201,21 +154,9 @@ def _merge_cli(cfg: dict, args: argparse.Namespace) -> dict:
 
 def _build_context(cfg: dict):
     cloud = build_cloud(cfg["space"])
-    grid = cfg["scale_grid"]
     # d_w is resolved on the run's own context (below), so a fit's forms and
     # solves serve the suites as well.
-    ctx = SuiteContext(
-        cloud,
-        2.0,
-        {},
-        seed=cfg["seed"],
-        kappa=grid["kappa"],
-        r_max=grid["r_max"],
-        ratio=grid["ratio"],
-        count=grid["count"],
-        window=grid["window"],
-        tolerances=cfg["tolerances"],
-    )
+    ctx = SuiteContext(cloud, 2.0, {}, seed=cfg["seed"], tolerances=cfg["tolerances"])
     d_w, info = resolve_walk_dimension(cloud, cfg["d_w"], ctx=ctx)
     return cloud, ctx, d_w, info
 

@@ -107,13 +107,11 @@ def _oracle_energy(
     return value
 
 
-def _default_recovery_pairs(
-    cloud: MeasuredPointCloud, kappa: float, n_steps: int
-) -> list[tuple[float, float]]:
+def _default_recovery_pairs(cloud: MeasuredPointCloud, n_steps: int) -> list[tuple[float, float]]:
     # The smallest admissible scales: the limit statements live at eps -> 0.
-    scales = make_scale_grid(cloud, kappa=kappa).scales
+    scales = make_scale_grid(cloud).scales
     eps = [float(s) for s in scales[-n_steps:]]
-    return [(e, e * kappa / 2.0) for e in eps]
+    return [(e, e * DEFAULT_KAPPA / 2.0) for e in eps]
 
 
 def recovery_check(
@@ -122,7 +120,6 @@ def recovery_check(
     d_w: float = 2.0,
     pairs: Sequence[tuple[float, float]] | None = None,
     oracle: GraphDirichletForm | float | None = None,
-    kappa: float = DEFAULT_KAPPA,
     n_steps: int = DEFAULT_PROBES,
 ) -> MoscoReport:
     """Drive the mollifier along a shrinking scale ladder and compare.
@@ -141,11 +138,11 @@ def recovery_check(
         raise ValueError("oracle energy is zero for a nonconstant field")
 
     if pairs is None:
-        pairs = _default_recovery_pairs(cloud, kappa, n_steps)
+        pairs = _default_recovery_pairs(cloud, n_steps)
     pairs = [(float(e), float(r)) for e, r in pairs]
     if len(pairs) < 3:
         raise ValueError("need at least 3 scale pairs to judge the trend")
-    floor = kappa * cloud.mesh
+    floor = cloud.floor
     for (e0, r0), (e1, r1) in zip(pairs, pairs[1:]):
         if not (e1 < e0 and r1 < r0):
             raise ValueError("scale pairs must be strictly decreasing")
@@ -161,7 +158,7 @@ def recovery_check(
         pou = partition_of_unity(build_net(cloud, e))
         f_eps = mollify(f, pou)
         err = math.sqrt(float(mu @ (f_eps.values - f.values) ** 2))
-        en = ks_energy(cloud, f_eps, r, d_w=d_w, kappa=kappa)
+        en = ks_energy(cloud, f_eps, r, d_w=d_w)
         errors.append(err)
         energies.append(en)
         rows.append((e, r, err, en))
@@ -223,7 +220,6 @@ def weak_liminf_probe(
     n_probes: int = DEFAULT_PROBES,
     amplitude: float = 1.0,
     offset: int | None = None,
-    kappa: float = DEFAULT_KAPPA,
 ) -> MoscoReport:
     """Perturb f by high-index eigenfields and bound the energy from below.
 
@@ -248,7 +244,7 @@ def weak_liminf_probe(
     elif offset < 1 or n_probes + offset > spec.k_max - 1:
         raise ValueError("probe offset leaves the available spectrum")
     if scales is None:
-        grid = make_scale_grid(cloud, kappa=kappa).scales
+        grid = make_scale_grid(cloud).scales
         if grid.size < n_probes:
             raise ValueError("scale grid too short for the probe count")
         ladder = [float(r) for r in grid[-n_probes:]]
@@ -256,11 +252,10 @@ def weak_liminf_probe(
         ladder = [float(r) for r in scales]
         if len(ladder) != n_probes:
             raise ValueError("need exactly one scale per probe")
-        floor = kappa * cloud.mesh
         for a, b in zip(ladder, ladder[1:]):
             if not (b < a):
                 raise ValueError("probe scales must be strictly decreasing")
-        if ladder[-1] < floor:
+        if ladder[-1] < cloud.floor:
             raise ValueError("probe scales must respect the admissibility floor")
 
     oracle_value = form_energy(spec.form, f)
@@ -280,7 +275,7 @@ def weak_liminf_probe(
         else:
             nullity = 0.0
             probe = f
-        en = ks_energy(cloud, probe, r, d_w=d_w, kappa=kappa)
+        en = ks_energy(cloud, probe, r, d_w=d_w)
         energies.append(en)
         rows.append((k, r, en, nullity))
 
@@ -339,14 +334,12 @@ def liminf_proxy(
     cloud: MeasuredPointCloud,
     fields: Sequence[ScalarField],
     d_w: float = 2.0,
-    kappa: float = DEFAULT_KAPPA,
 ) -> np.ndarray:
     """Small-scale window minimum of the global increment energy, per field.
 
     All fields and window scales share one ball pass.
     """
-    scales = liminf_window_scales(cloud, kappa=kappa)
-    return ks_energies(cloud, fields, scales, d_w=d_w, kappa=kappa).min(axis=0)
+    return ks_energies(cloud, fields, liminf_window_scales(cloud), d_w=d_w).min(axis=0)
 
 
 def compactness_probe(
@@ -354,7 +347,6 @@ def compactness_probe(
     d_w: float = 2.0,
     cap: float = 1.0,
     delta: float = 0.1,
-    kappa: float = DEFAULT_KAPPA,
 ) -> CompactnessProbe:
     """Totally-bounded-in-L2 check for a family under an energy cap.
 
@@ -371,7 +363,7 @@ def compactness_probe(
             raise ValueError(f"field {i} lives on a different cloud")
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    proxies = liminf_proxy(cloud, fields, d_w=d_w, kappa=kappa)
+    proxies = liminf_proxy(cloud, fields, d_w=d_w)
     for i, (f, proxy) in enumerate(zip(fields, proxies)):
         score = f.l2sq() + float(proxy)
         if score > cap * (1.0 + 1e-9):
@@ -449,7 +441,6 @@ def sobolev_check(
     fields: Sequence[ScalarField],
     d_w: float,
     Q: float,
-    kappa: float = DEFAULT_KAPPA,
 ) -> SobolevReport:
     """Embedding quotients for nonconstant fields at volume growth Q."""
     if Q <= 0.0:
@@ -463,7 +454,7 @@ def sobolev_check(
             raise ValueError(f"field {i} is constant; the quotient is vacuous")
     mu = cloud.weights
     quotients = []
-    for f, proxy in zip(fields, liminf_proxy(cloud, fields, d_w=d_w, kappa=kappa)):
+    for f, proxy in zip(fields, liminf_proxy(cloud, fields, d_w=d_w)):
         l2 = math.sqrt(f.l2sq())
         denom_core = l2 + math.sqrt(proxy)
         if Q > d_w:

@@ -29,9 +29,9 @@ import numpy as np
 from .export import Table, write_csv, write_json
 from .space import DEFAULT_KAPPA, MeasuredPointCloud, segment_sums
 
-# Canonical sweep geometry: r_k = r_max * ratio**k, k = 0..count-1, with
-# r_max defaulting to diam/4, and proxies taken over the `window` smallest
-# admissible scales.
+# The one sweep geometry: r_k = r_max * DEFAULT_RATIO**k, k = 0..11, with
+# r_max = diam/4 unless a caller widens it, scales under the floor kappa h
+# dropped, and proxies taken over the DEFAULT_WINDOW smallest that remain.
 DEFAULT_RATIO = 2.0**-0.5
 DEFAULT_COUNT = 12
 DEFAULT_WINDOW = 3
@@ -96,14 +96,13 @@ def _validated(
     cloud: MeasuredPointCloud,
     fields: Sequence[ScalarField],
     radii: Sequence[float],
-    kappa: float,
     d_w: float | None = None,
 ) -> np.ndarray:
     """Checks shared by the energy entry points; returns the field matrix."""
     if d_w is not None and d_w < 2.0:
         raise ValueError("d_w must be at least 2")
     for r in radii:
-        cloud.require_admissible(float(r), kappa)
+        cloud.require_admissible(float(r))
     for f in fields:
         if f.cloud is not cloud:
             raise ValueError("field does not live on the given cloud")
@@ -160,12 +159,11 @@ def _raw_sums(
     cloud: MeasuredPointCloud,
     fields: Sequence[ScalarField],
     radii: Sequence[float],
-    kappa: float,
     d_w: float | None = None,
     region: np.ndarray | None = None,
 ) -> np.ndarray:
     """Validated raw increment sums, shape (len(radii), len(fields))."""
-    mat = _validated(cloud, fields, radii, kappa, d_w)
+    mat = _validated(cloud, fields, radii, d_w)
     return _increment_table(cloud, mat, radii, _region_ids(cloud, region)).sum(axis=-1)
 
 
@@ -175,14 +173,13 @@ def ks_energies(
     radii: Sequence[float],
     d_w: float = 2.0,
     region: np.ndarray | None = None,
-    kappa: float = DEFAULT_KAPPA,
 ) -> np.ndarray:
     """Energies of several fields at several scales, sharing one ball pass.
 
     Returns shape (len(radii), len(fields)); each entry equals the
     corresponding ``ks_energy`` bit for bit.
     """
-    raw = _raw_sums(cloud, fields, radii, kappa, d_w, region)
+    raw = _raw_sums(cloud, fields, radii, d_w, region)
     return np.stack([raw[k] / float(r) ** d_w for k, r in enumerate(radii)])
 
 
@@ -192,7 +189,6 @@ def ks_energy(
     r: float,
     d_w: float = 2.0,
     region: np.ndarray | None = None,
-    kappa: float = DEFAULT_KAPPA,
 ) -> float:
     """Ball-increment energy of one field at one scale.
 
@@ -200,7 +196,7 @@ def ks_energy(
     still range over the whole cloud.  The radius must clear the
     admissibility floor ``kappa * h``.
     """
-    return float(ks_energies(cloud, [f], [r], d_w, region, kappa)[0, 0])
+    return float(ks_energies(cloud, [f], [r], d_w, region)[0, 0])
 
 
 def ks_energy_density(
@@ -209,7 +205,6 @@ def ks_energy_density(
     radii: Sequence[float],
     d_w: float = 2.0,
     centers: np.ndarray | None = None,
-    kappa: float = DEFAULT_KAPPA,
 ) -> np.ndarray:
     """Per-centre contributions to the energy at several scales, one pass.
 
@@ -218,7 +213,7 @@ def ks_energy_density(
     at ``radii[k]`` restricted to that region, which is what localized
     functionals (maximal fields, ball-restricted sweeps) build on.
     """
-    mat = _validated(cloud, [f], radii, kappa, d_w)
+    mat = _validated(cloud, [f], radii, d_w)
     ids = None if centers is None else np.asarray(centers, dtype=np.intp)
     table = _increment_table(cloud, mat, radii, ids)[:, 0]
     return np.stack([table[k] / float(r) ** d_w for k, r in enumerate(radii)])
@@ -226,23 +221,22 @@ def ks_energy_density(
 
 @dataclass(frozen=True)
 class ScaleGrid:
-    """Near-geometric scale grid, mid-mesh snapped and admissibility-filtered.
+    """The fixed near-geometric scale grid, mid-mesh snapped and filtered.
 
-    Each requested scale r_max * ratio**k is moved to the nearest
-    (j + 1/2) * h before use.  On near-regular clouds, ball membership
-    jumps wherever a radius crosses a lattice distance, and radii that sit
-    close to such a crossing carry an O(h/r) bias in the increment sums.
-    Mid-mesh radii reduce that to O((h/r)^2), which is what keeps the
+    The scales are r_max * 2^{-k/2}, k = 0..11 (``DEFAULT_RATIO``,
+    ``DEFAULT_COUNT``), with r_max = diam/4 unless the caller widens it;
+    those under the admissibility floor kappa h (``cloud.floor``) are
+    dropped, and ``count`` is how many remain.  Each scale is moved to the
+    nearest (j + 1/2) * h before use.  On near-regular clouds, ball
+    membership jumps wherever a radius crosses a lattice distance, and radii
+    that sit close to such a crossing carry an O(h/r) bias in the increment
+    sums.  Mid-mesh radii reduce that to O((h/r)^2), which is what keeps the
     small-scale window usable for limit fits.
     """
 
     r_max: float
-    ratio: float
     count: int
-    kappa: float
-    floor: float
     scales: np.ndarray  # descending, admissible only
-    requested: int
 
     @property
     def r_min(self) -> float:
@@ -258,60 +252,39 @@ def snap_mid_mesh(raw: np.ndarray, h: float) -> np.ndarray:
     return (np.round(raw / h - 0.5) + 0.5) * h
 
 
-def make_scale_grid(
-    cloud: MeasuredPointCloud,
-    r_max: float | None = None,
-    ratio: float = DEFAULT_RATIO,
-    count: int = DEFAULT_COUNT,
-    kappa: float = DEFAULT_KAPPA,
-) -> ScaleGrid:
-    """Build the canonical sweep grid for a cloud.
+def make_scale_grid(cloud: MeasuredPointCloud, r_max: float | None = None) -> ScaleGrid:
+    """Build the sweep grid for a cloud, from r_max (default diam/4) down.
 
     Scales below ``kappa * h`` are dropped; an entirely inadmissible grid is
     an error.
     """
-    if not (0.0 < ratio < 1.0):
-        raise ValueError("ratio must lie in (0, 1)")
-    if count < 1:
-        raise ValueError("count must be positive")
     if r_max is None:
         r_max = cloud.diameter / 4.0
     if r_max <= 0.0:
         raise ValueError("r_max must be positive")
-    raw = r_max * ratio ** np.arange(count)
+    raw = r_max * DEFAULT_RATIO ** np.arange(DEFAULT_COUNT)
     snapped = snap_mid_mesh(raw, cloud.mesh)
-    floor = kappa * cloud.mesh
+    floor = cloud.floor
     scales = np.unique(snapped[snapped >= floor])[::-1]
     if scales.size == 0:
-        raise ValueError(
-            f"empty admissible grid: r_max={r_max:g}, floor={floor:g}, count={count}"
-        )
-    return ScaleGrid(
-        r_max=float(r_max),
-        ratio=float(ratio),
-        count=int(scales.size),
-        kappa=float(kappa),
-        floor=float(floor),
-        scales=scales,
-        requested=int(count),
-    )
+        raise ValueError(f"empty admissible grid: r_max={r_max:g}, floor={floor:g}")
+    return ScaleGrid(r_max=float(r_max), count=int(scales.size), scales=scales)
 
 
 @dataclass(frozen=True)
 class EnergySweep:
-    """Energies of one field across a geometric scale grid.
+    """Energies of one field across the fixed scale grid.
 
     ``liminf_proxy`` / ``limsup_proxy`` are the min / max over the window
-    (the smallest resolved scales); ``sup_all`` is the max over the whole
-    grid; ``fitted_limit`` evaluates a log-log affine fit over the window at
-    the smallest admissible scale, the declared stand-in for the r -> 0
-    endpoint on a finite cloud.
+    (the ``DEFAULT_WINDOW`` smallest resolved scales); ``sup_all`` is the
+    max over the whole grid; ``fitted_limit`` evaluates a log-log affine fit
+    over the window at the smallest admissible scale, the declared stand-in
+    for the r -> 0 endpoint on a finite cloud.
     """
 
     d_w: float
     scales: np.ndarray
     values: np.ndarray
-    window: int
     window_scales: np.ndarray
     window_values: np.ndarray
     liminf_proxy: float
@@ -334,9 +307,9 @@ class EnergySweep:
         return {
             "label": self.label,
             "d_w": self.d_w,
-            "kappa": self.grid.kappa,
-            "ratio": self.grid.ratio,
-            "window": self.window,
+            "kappa": DEFAULT_KAPPA,
+            "ratio": DEFAULT_RATIO,
+            "window": int(self.window_scales.size),
             "r_max": self.grid.r_max,
             "r_min": self.grid.r_min,
             "n_scales": int(self.scales.size),
@@ -370,24 +343,18 @@ def energy_sweep(
     f: ScalarField,
     d_w: float = 2.0,
     region: np.ndarray | None = None,
-    r_max: float | None = None,
-    ratio: float = DEFAULT_RATIO,
-    count: int = DEFAULT_COUNT,
-    window: int = DEFAULT_WINDOW,
-    kappa: float = DEFAULT_KAPPA,
     label: str = "",
 ) -> EnergySweep:
-    """Evaluate the energy of ``f`` across the canonical geometric grid."""
-    grid = make_scale_grid(cloud, r_max=r_max, ratio=ratio, count=count, kappa=kappa)
+    """Evaluate the energy of ``f`` across the fixed scale grid."""
+    grid = make_scale_grid(cloud)
     ids = _region_ids(cloud, region)
-    values = ks_energies(cloud, [f], grid.scales, d_w=d_w, region=ids, kappa=kappa)[:, 0]
-    w_scales = grid.window(window)
+    values = ks_energies(cloud, [f], grid.scales, d_w=d_w, region=ids)[:, 0]
+    w_scales = grid.window(DEFAULT_WINDOW)
     w_values = values[::-1][: w_scales.size]
     return EnergySweep(
         d_w=float(d_w),
         scales=grid.scales,
         values=values,
-        window=int(min(window, w_scales.size)),
         window_scales=w_scales,
         window_values=w_values,
         liminf_proxy=float(w_values.min()),
@@ -438,21 +405,19 @@ def raw_increment_sum(
     f: ScalarField,
     r: float,
     region: np.ndarray | None = None,
-    kappa: float = DEFAULT_KAPPA,
 ) -> float:
     """Unnormalized double sum of ball-averaged squared increments.
 
     Equals ``r**d_w * ks_energy(...)`` for any d_w; its log-log slope in r is
     the scaling exponent the walk-dimension fit extracts.
     """
-    return float(_raw_sums(cloud, [f], [r], kappa, region=region)[0, 0])
+    return float(_raw_sums(cloud, [f], [r], region=region)[0, 0])
 
 
 def fit_walk_dimension(
     cloud: MeasuredPointCloud,
     fields: Sequence[ScalarField],
     grid: ScaleGrid | None = None,
-    kappa: float = DEFAULT_KAPPA,
 ) -> WalkDimFit:
     """Estimate d_w from the scaling of raw increment sums.
 
@@ -462,13 +427,13 @@ def fit_walk_dimension(
     All fields and scales share one ball pass.
     """
     if grid is None:
-        grid = make_scale_grid(cloud, kappa=kappa)
+        grid = make_scale_grid(cloud)
     if grid.scales.size < 3:
         raise ValueError("walk-dimension fit needs at least three scales")
     varying = [f for f in fields if not f.is_constant()]
     slopes = []
     if varying:
-        for s_vals in _raw_sums(cloud, varying, grid.scales, kappa).T:
+        for s_vals in _raw_sums(cloud, varying, grid.scales).T:
             if np.any(s_vals <= 0.0):
                 continue
             slope, _ = np.polyfit(np.log(grid.scales), np.log(s_vals), 1)
@@ -487,13 +452,6 @@ def fit_walk_dimension(
     )
 
 
-def liminf_window_scales(
-    cloud: MeasuredPointCloud,
-    window: int = DEFAULT_WINDOW,
-    ratio: float = DEFAULT_RATIO,
-    count: int = DEFAULT_COUNT,
-    kappa: float = DEFAULT_KAPPA,
-) -> np.ndarray:
-    """Canonical small-scale window used by liminf proxies, ascending."""
-    grid = make_scale_grid(cloud, ratio=ratio, count=count, kappa=kappa)
-    return grid.window(window)
+def liminf_window_scales(cloud: MeasuredPointCloud) -> np.ndarray:
+    """The small-scale window used by liminf proxies, ascending."""
+    return make_scale_grid(cloud).window(DEFAULT_WINDOW)

@@ -26,7 +26,7 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 from .energy import ScalarField, WalkDimFit
 from .export import Table, write_csv, write_json
 from .smoothing import discrete_lip
-from .space import DEFAULT_KAPPA, MeasuredPointCloud, _gasket_subdivision, gasket_graph
+from .space import MeasuredPointCloud, _gasket_subdivision, gasket_graph
 
 __all__ = [
     "DENSE_EIGEN_LIMIT",
@@ -851,7 +851,6 @@ def gamma_vs_lip_check(
     cloud: MeasuredPointCloud,
     f: ScalarField,
     r_loc: float | None = None,
-    kappa: float = DEFAULT_KAPPA,
 ) -> GammaLipReport:
     """Compare the energy-measure density with the squared discrete slope.
 
@@ -864,9 +863,9 @@ def gamma_vs_lip_check(
         raise ValueError("cloud does not match the form")
     _check_form_field(form, f)
     if r_loc is None:
-        r_loc = kappa * cloud.mesh
+        r_loc = cloud.floor
     ratio_gamma = energy_measure(form, f).per_mass()
-    lip = discrete_lip(cloud, f, r_loc, kappa=kappa).values
+    lip = discrete_lip(cloud, f, r_loc).values
     active = lip > 0
     if not np.any(active):
         return GammaLipReport(c_best=0.0, r_loc=float(r_loc), n_active=0)

@@ -20,7 +20,6 @@ import numpy as np
 
 from .energy import (
     DEFAULT_RATIO,
-    DEFAULT_WINDOW,
     ScalarField,
     ks_energy_density,
     liminf_window_scales,
@@ -30,7 +29,7 @@ from .export import Table, write_csv, write_json
 from .graphform import GraphDirichletForm
 from .graphform import energy_measure as graph_energy_measure
 from .smoothing import discrete_lip
-from .space import DEFAULT_KAPPA, MeasuredPointCloud, ball_average, segment_sums
+from .space import MeasuredPointCloud, ball_average, segment_sums
 
 __all__ = [
     "DEFAULT_LAMBDA",
@@ -115,9 +114,8 @@ def _default_samples(
     seed: int,
     n_centers: int,
     radii_per_decade: int,
-    kappa: float,
 ) -> list[tuple[int, float]]:
-    r_lo = kappa * cloud.mesh
+    r_lo = cloud.floor
     r_hi = cloud.diameter / (2.0 * lam)
     if r_hi <= r_lo:
         raise ValueError(
@@ -140,7 +138,6 @@ def poincare_check(
     samples: Sequence[tuple[int, float]] | None = None,
     form: GraphDirichletForm | None = None,
     seed: int = 0,
-    kappa: float = DEFAULT_KAPPA,
     n_centers: int = DEFAULT_CENTERS,
     radii_per_decade: int = RADII_PER_DECADE,
 ) -> PoincareReport:
@@ -169,11 +166,11 @@ def poincare_check(
 
     used_seed: int | None = seed
     if samples is None:
-        pairs = _default_samples(cloud, lam, seed, n_centers, radii_per_decade, kappa)
+        pairs = _default_samples(cloud, lam, seed, n_centers, radii_per_decade)
     else:
         pairs = [(int(c), float(r)) for c, r in samples]
         used_seed = None
-    r_lo = kappa * cloud.mesh
+    r_lo = cloud.floor
     r_hi = cloud.diameter / (2.0 * lam)
     for c, r in pairs:
         if not (0 <= c < cloud.n):
@@ -186,13 +183,12 @@ def poincare_check(
     mu = cloud.weights
     fv = f.values
     if mode == "lip":
-        slope = discrete_lip(cloud, f, kappa * cloud.mesh, kappa=kappa).values
+        slope = discrete_lip(cloud, f, cloud.floor).values
         rhs_density = mu * slope**2
         rhs_rows = rhs_density[None, :]
         rhs_power = 2.0
     elif mode == "ks":
-        w_scales = liminf_window_scales(cloud, kappa=kappa)
-        rhs_rows = ks_energy_density(cloud, f, w_scales, d_w=d_w, kappa=kappa)
+        rhs_rows = ks_energy_density(cloud, f, liminf_window_scales(cloud), d_w=d_w)
         rhs_power = d_w
     else:
         rhs_rows = graph_energy_measure(form, f).density[None, :]
@@ -250,11 +246,9 @@ class MaximalField:
         write_csv(path, ("id", "maximal"), enumerate(self.values.tolist()))
 
 
-def _maximal_rho_grid(
-    cloud: MeasuredPointCloud, R: float, kappa: float
-) -> np.ndarray:
+def _maximal_rho_grid(cloud: MeasuredPointCloud, R: float) -> np.ndarray:
     """Mid-mesh snapped geometric ladder spanning [kappa h, R)."""
-    floor = kappa * cloud.mesh
+    floor = cloud.floor
     if R <= floor:
         raise ValueError(f"empty radius ladder: R = {R:g} is at or under the floor {floor:g}")
     count = max(1, math.ceil(math.log(R / floor) / math.log(1.0 / DEFAULT_RATIO)) + 2)
@@ -272,8 +266,6 @@ def maximal_function(
     R: float,
     d_w: float = 2.0,
     rho_grid: Sequence[float] | np.ndarray | None = None,
-    kappa: float = DEFAULT_KAPPA,
-    window: int = DEFAULT_WINDOW,
 ) -> MaximalField:
     """M_R f: sup over rho < R of the normalized local energy, rooted.
 
@@ -285,18 +277,18 @@ def maximal_function(
     if f.cloud is not cloud:
         raise ValueError("field does not live on the given cloud")
     if rho_grid is None:
-        grid = _maximal_rho_grid(cloud, R, kappa)
+        grid = _maximal_rho_grid(cloud, R)
     else:
         grid = np.unique(np.asarray(rho_grid, dtype=float))[::-1]
         if grid.size == 0:
             raise ValueError("empty radius ladder")
-        floor = kappa * cloud.mesh
+        floor = cloud.floor
         if grid[-1] < floor or grid[0] >= R:
             raise ValueError(
                 f"radius ladder must sit inside [{floor:g}, {R:g})"
             )
-    w_scales = liminf_window_scales(cloud, window=window, kappa=kappa)
-    rows = ks_energy_density(cloud, f, w_scales, d_w=d_w, kappa=kappa)
+    w_scales = liminf_window_scales(cloud)
+    rows = ks_energy_density(cloud, f, w_scales, d_w=d_w)
     mu = cloud.weights
     best = np.zeros(cloud.n)
     pos = 0
@@ -415,8 +407,6 @@ def telescoping_bound(
     rho: float,
     d_w: float = 2.0,
     lam: float = DEFAULT_LAMBDA,
-    kappa: float = DEFAULT_KAPPA,
-    window: int = DEFAULT_WINDOW,
 ) -> TelescopeReport:
     """|f_{B(x,rho)} - f_{B(x,rho_min)}| against rho^{d_w/2} M f(x).
 
@@ -429,7 +419,7 @@ def telescoping_bound(
         raise ValueError("field does not live on the given cloud")
     if not (0 <= x < cloud.n):
         raise ValueError(f"center {x} out of range")
-    floor = kappa * cloud.mesh
+    floor = cloud.floor
     if rho < 4.0 * floor:
         raise ValueError(
             f"rho = {rho:g} leaves no room for a dyadic chain (need >= {4 * floor:g})"
@@ -446,11 +436,10 @@ def telescoping_bound(
     # Every ladder ball sits inside B(x, lam rho), so the densities are
     # needed at its members only.
     region = cloud.ball_ids(x, lam * rho)
-    w_scales = liminf_window_scales(cloud, window=window, kappa=kappa)
-    rows = ks_energy_density(cloud, f, w_scales, d_w=d_w, centers=region, kappa=kappa)
+    rows = ks_energy_density(cloud, f, liminf_window_scales(cloud), d_w=d_w, centers=region)
     mu = cloud.weights
     m_val = 0.0
-    for r in _maximal_rho_grid(cloud, lam * rho, kappa):
+    for r in _maximal_rho_grid(cloud, lam * rho):
         ids = cloud.ball_ids(x, float(r))
         mass = float(mu[ids].sum())
         val = float(rows[:, np.searchsorted(region, ids)].sum(axis=1).min()) / mass

@@ -18,18 +18,15 @@ from typing import Sequence
 import numpy as np
 
 from .energy import (
-    DEFAULT_COUNT,
-    DEFAULT_RATIO,
     DEFAULT_WINDOW,
     ScalarField,
-    ScaleGrid,
     _increment_table,
     _validated,
     ks_energies,
     make_scale_grid,
 )
 from .export import write_csv
-from .space import DEFAULT_KAPPA, MeasuredPointCloud, segment_max, segment_sums
+from .space import MeasuredPointCloud, _keep_below, segment_max, segment_sums
 
 __all__ = [
     "CoveringNet",
@@ -112,11 +109,14 @@ class PartitionOfUnity:
     """Tent-kernel partition subordinate to the 2-epsilon dilated net balls.
 
     ``phi`` holds one row per center; rows are nonnegative, vanish outside
-    B(c, 2 eps), and sum to one at every point.
+    B(c, 2 eps), and sum to one at every point.  ``ball_masses`` holds
+    mu(B(c, eps)) per center, summed on the members of the partition's own
+    2 eps pass that lie within eps.
     """
 
     net: CoveringNet
     phi: np.ndarray
+    ball_masses: np.ndarray
 
     @property
     def cloud(self) -> MeasuredPointCloud:
@@ -162,15 +162,18 @@ def partition_of_unity(net: CoveringNet) -> PartitionOfUnity:
     cloud = net.cloud
     eps = net.epsilon
     psi = np.zeros((net.n_centers, cloud.n))
+    masses = np.zeros(net.n_centers)
     pos = 0
     for sub, flat, counts, d in cloud.ball_chunks(2.0 * eps, net.center_ids):
         rows = np.repeat(np.arange(pos, pos + sub.size), counts)
         psi[rows, flat] = np.clip(2.0 - d / eps, 0.0, 1.0)
+        inner, inner_counts, _ = _keep_below(eps, flat, counts, d)
+        masses[pos : pos + sub.size] = segment_sums(cloud.weights[inner], inner_counts)
         pos += sub.size
     total = psi.sum(axis=0)
     if np.any(total <= 0.0):
         raise RuntimeError("kernel sum vanished at a point despite cover_ok")
-    return PartitionOfUnity(net=net, phi=psi / total)
+    return PartitionOfUnity(net=net, phi=psi / total, ball_masses=masses)
 
 
 def mollify(f: ScalarField, pou: PartitionOfUnity) -> ScalarField:
@@ -200,7 +203,6 @@ def discrete_lip(
     cloud: MeasuredPointCloud,
     f: ScalarField,
     r_loc: float,
-    kappa: float = DEFAULT_KAPPA,
 ) -> ScalarField:
     """Largest difference quotient against neighbours within ``r_loc``.
 
@@ -208,7 +210,7 @@ def discrete_lip(
     """
     if f.cloud is not cloud:
         raise ValueError("field does not live on the given cloud")
-    cloud.require_admissible(r_loc, kappa)
+    cloud.require_admissible(r_loc)
     out = np.zeros(cloud.n)
     for sub, flat, counts, d in cloud.ball_chunks(r_loc):
         if np.any(counts < 2):
@@ -228,10 +230,9 @@ def ball_mean_deviation(
     cloud: MeasuredPointCloud,
     f: ScalarField,
     r: float,
-    kappa: float = DEFAULT_KAPPA,
 ) -> np.ndarray:
     """Per-point first absolute moment avg_{B(x,r)} |f(x) - f(y)| dmu(y)."""
-    mat = _validated(cloud, [f], [r], kappa)
+    mat = _validated(cloud, [f], [r])
     # The table carries the centre weight mu_x; dividing it out leaves the average.
     return _increment_table(cloud, mat, [r], None, [1])[0, 0] / cloud.weights
 
@@ -270,7 +271,6 @@ def mollifier_estimates(
     f: ScalarField,
     epsilon: float,
     d_w: float = 2.0,
-    kappa: float = DEFAULT_KAPPA,
 ) -> MollifierReport:
     """Evaluate both smoothing estimates for one field at one epsilon.
 
@@ -281,7 +281,7 @@ def mollifier_estimates(
     only validated.
     """
     pou = partition_of_unity(build_net(cloud, epsilon))
-    return mollifier_ladder(cloud, f, [pou], d_w=d_w, kappa=kappa)[0]
+    return mollifier_ladder(cloud, f, [pou], d_w=d_w)[0]
 
 
 def mollifier_ladder(
@@ -289,7 +289,6 @@ def mollifier_ladder(
     f: ScalarField,
     pous: Sequence[PartitionOfUnity],
     d_w: float = 2.0,
-    kappa: float = DEFAULT_KAPPA,
 ) -> list[MollifierReport]:
     """``mollifier_estimates`` at every rung of a ladder of partitions.
 
@@ -314,7 +313,7 @@ def mollifier_ladder(
         ]
     smoothed = [mollify(f, pou) for pou in pous]
     radii = [2.0 * eps for eps in epsilons] + [6.0 * eps for eps in epsilons]
-    mat = _validated(cloud, [f], radii, kappa, d_w)
+    mat = _validated(cloud, [f], radii, d_w)
     m = len(epsilons)
     # Rows 0..m-1: squared increments at 2 eps; rows m..: first moments at 6 eps.
     table = _increment_table(cloud, mat, radii, None, [2] * m + [1] * m)[:, 0]
@@ -322,7 +321,7 @@ def mollifier_ladder(
     w = cloud.weights
     reports = []
     for k, (eps, f_eps) in enumerate(zip(epsilons, smoothed)):
-        lip = discrete_lip(cloud, f_eps, kappa * cloud.mesh, kappa=kappa)
+        lip = discrete_lip(cloud, f_eps, cloud.floor)
         lip_num = float(np.sum(w * lip.values**2))
         # Raw increment sum at 2 eps: the energy times (2 eps)^{d_w}.
         lip_den = table[k].sum() / eps**2
@@ -356,38 +355,22 @@ class CutoffReport:
     scales: np.ndarray
 
 
-def check_controlled_cutoff(
-    pou: PartitionOfUnity,
-    d_w: float = 2.0,
-    grid: ScaleGrid | None = None,
-    window: int = DEFAULT_WINDOW,
-    kappa: float = DEFAULT_KAPPA,
-) -> CutoffReport:
+def check_controlled_cutoff(pou: PartitionOfUnity, d_w: float = 2.0) -> CutoffReport:
     """Scaled small-scale energies of the partition bumps.
 
     For each bump the limsup proxy of its energy sweep (the max over the
-    ``window`` smallest scales of ``grid``) is multiplied by
-    eps^{d_w} / mu(B(c, eps)); the report keeps the worst center.  All bumps
-    and window scales share one ball pass, which is what makes sweeping a
-    few dozen of them affordable.
+    window, the ``DEFAULT_WINDOW`` smallest scales of the grid) is
+    multiplied by eps^{d_w} / mu(B(c, eps)), with the masses the partition
+    already summed; the report keeps the worst center.  All bumps and
+    window scales share one ball pass, which is what makes sweeping a few
+    dozen of them affordable.
     """
     cloud = pou.cloud
     eps = pou.epsilon
-    if grid is None:
-        grid = make_scale_grid(
-            cloud, ratio=DEFAULT_RATIO, count=DEFAULT_COUNT, kappa=kappa
-        )
+    grid = make_scale_grid(cloud)
     # Only the window is read, so only the window is evaluated.
-    window_scales = grid.window(window)
-    energies = ks_energies(cloud, pou.fields(), window_scales, d_w=d_w, kappa=kappa)
-    limsups = energies.max(axis=0)
-
-    masses = np.zeros(pou.n_centers)
-    pos = 0
-    for sub, flat, counts, _ in cloud.ball_chunks(eps, centers=pou.net.center_ids):
-        masses[pos : pos + sub.size] = segment_sums(cloud.weights[flat], counts)
-        pos += sub.size
-    per_center = limsups * eps**d_w / masses
+    energies = ks_energies(cloud, pou.fields(), grid.window(DEFAULT_WINDOW), d_w=d_w)
+    per_center = energies.max(axis=0) * eps**d_w / pou.ball_masses
     return CutoffReport(
         epsilon=float(eps),
         d_w=float(d_w),

@@ -34,8 +34,9 @@ Built-in model spaces:
 * ``carpet(level)``     - cell centres of the level-m Sierpinski carpet;
 * ``file(path)``        - plain-text import, coordinates or distance matrix.
 
-Scales below ``kappa * h`` are considered unresolved: operations that take a
-radius refuse them.  ``kappa = 3`` is the package-wide default.
+Scales below the floor ``kappa * h`` (``MeasuredPointCloud.floor``, with the
+fixed admissibility factor ``kappa = DEFAULT_KAPPA = 3``) are considered
+unresolved: operations that take a radius refuse them.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from scipy.spatial import cKDTree
 
 from .export import Table, write_csv
 
-# Admissibility factor: radii below DEFAULT_KAPPA * mesh are refused.
+# The one admissibility factor: radii below DEFAULT_KAPPA * mesh are refused.
 DEFAULT_KAPPA = 3.0
 
 # Spot-check budget for the triangle inequality on imported distance matrices.
@@ -257,6 +258,11 @@ class MeasuredPointCloud:
         return self._mesh
 
     @property
+    def floor(self) -> float:
+        """Admissibility floor kappa * h: the smallest resolved radius."""
+        return DEFAULT_KAPPA * self._mesh
+
+    @property
     def total_mass(self) -> float:
         return float(self._weights.sum())
 
@@ -342,14 +348,14 @@ class MeasuredPointCloud:
         diff = self._coords[ids_a] - self._coords[ids_b]
         return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
-    def require_admissible(self, r: float, kappa: float = DEFAULT_KAPPA) -> None:
+    def require_admissible(self, r: float) -> None:
         """Refuse radii the mesh cannot resolve (r < kappa * h)."""
         if not np.isfinite(r) or r <= 0.0:
             raise ValueError(f"radius must be positive, got {r!r}")
-        if r < kappa * self._mesh:
+        if r < self.floor:
             raise ValueError(
-                f"radius {r:g} below admissibility floor {kappa:g} * h = "
-                f"{kappa * self._mesh:g}"
+                f"radius {r:g} below admissibility floor {DEFAULT_KAPPA:g} * h = "
+                f"{self.floor:g}"
             )
 
     def ball_ids(self, x: int, r: float) -> np.ndarray:
@@ -775,13 +781,12 @@ def estimate_doubling(
     n_samples: int,
     scales: Sequence[float],
     seed: int,
-    kappa: float = DEFAULT_KAPPA,
     interior_only: bool = False,
 ) -> DoublingProfile:
     """Sample doubling ratios ``mu(B(x, 2r)) / mu(B(x, r))``.
 
     ``n_samples`` centres are drawn uniformly with replacement; each centre
-    is paired with every admissible scale (kappa*h <= r <= diam/2).  With
+    is paired with every admissible scale (kappa h <= r <= diam/2).  With
     ``interior_only`` a (centre, r) pair is kept only when the doubled ball
     clears the coordinate bounding box, which removes boundary clipping from
     the ratios.
@@ -793,7 +798,7 @@ def estimate_doubling(
     req = np.asarray(sorted(float(s) for s in scales))
     if req.size == 0:
         raise ValueError("no scales given")
-    lo, hi = kappa * cloud.mesh, cloud.diameter / 2.0
+    lo, hi = cloud.floor, cloud.diameter / 2.0
     adm = req[(req >= lo) & (req <= hi)]
     if adm.size == 0:
         raise ValueError(

@@ -19,9 +19,6 @@ from . import graphform as gf
 from . import poincare as pc
 from . import smoothing as sm
 from .energy import (
-    DEFAULT_COUNT,
-    DEFAULT_RATIO,
-    DEFAULT_WINDOW,
     EnergySweep,
     ScalarField,
     comparability_ratio,
@@ -121,35 +118,16 @@ class SuiteContext:
         d_w: float,
         dw_info: dict,
         seed: int,
-        kappa: float = DEFAULT_KAPPA,
-        r_max: float | None = None,
-        ratio: float = DEFAULT_RATIO,
-        count: int = DEFAULT_COUNT,
-        window: int = DEFAULT_WINDOW,
         tolerances: dict[str, float] | None = None,
     ):
         self.cloud = cloud
         self.d_w = float(d_w)
         self.dw_info = dw_info
         self.seed = int(seed)
-        self.kappa = float(kappa)
-        self.r_max = None if r_max is None else float(r_max)
-        self.ratio = float(ratio)
-        self.count = int(count)
-        self.window = int(window)
         self.tol = dict(DEFAULT_TOLERANCES)
         if tolerances:
             self.tol.update(tolerances)
         self._doubling: dict[bool, DoublingProfile] = {}
-
-    def scale_grid(self, r_max: float | None = None):
-        return make_scale_grid(
-            self.cloud,
-            r_max=self.r_max if r_max is None else r_max,
-            ratio=self.ratio,
-            count=self.count,
-            kappa=self.kappa,
-        )
 
     def doubling_scales(self) -> list[float]:
         # Shrink off the mid-mesh ladder: doubling evaluates mass at 2r as well,
@@ -157,7 +135,7 @@ class SuiteContext:
         # float rounding decides sphere membership point by point.
         return [
             float(r) * (1.0 - 1.0 / 32.0)
-            for r in self.scale_grid().scales
+            for r in make_scale_grid(self.cloud).scales
             if r <= self.cloud.diameter / 2.0
         ]
 
@@ -166,17 +144,14 @@ class SuiteContext:
         if interior_only not in self._doubling:
             self._doubling[interior_only] = estimate_doubling(
                 self.cloud, n_samples=40, scales=self.doubling_scales(), seed=self.seed,
-                kappa=self.kappa, interior_only=interior_only,
+                interior_only=interior_only,
             )
         return self._doubling[interior_only]
 
     def standard_sweeps(self) -> dict[str, EnergySweep]:
-        """Energy sweep of each standard field over the context's scale grid."""
+        """Energy sweep of each standard field over the fixed scale grid."""
         return {
-            label: energy_sweep(
-                self.cloud, f, d_w=self.d_w, r_max=self.r_max, ratio=self.ratio,
-                count=self.count, window=self.window, kappa=self.kappa, label=label,
-            )
+            label: energy_sweep(self.cloud, f, d_w=self.d_w, label=label)
             for label, f in self.standard_fields()
         }
 
@@ -249,7 +224,6 @@ def resolve_walk_dimension(
     cloud: MeasuredPointCloud,
     requested: float | str,
     seed: int = 0,
-    kappa: float = DEFAULT_KAPPA,
     ctx: SuiteContext | None = None,
 ) -> tuple[float, dict]:
     """Resolve an explicit d_w or fit one from the cloud itself.
@@ -260,11 +234,11 @@ def resolve_walk_dimension(
     values plus an agreement flag.
 
     Passing the run's ``ctx`` resolves on that context: its cloud, seed and
-    kappa are used, the result is stored as ``ctx.d_w`` / ``ctx.dw_info``,
+    tolerances are used, the result is stored as ``ctx.d_w`` / ``ctx.dw_info``,
     and the suites reuse the forms (and their solves) that the fit builds.
     """
     if ctx is None:
-        ctx = SuiteContext(cloud, 2.0, {}, seed, kappa)
+        ctx = SuiteContext(cloud, 2.0, {}, seed)
     d_w, info = _resolve_on(ctx, requested)
     ctx.d_w, ctx.dw_info = d_w, info
     return d_w, info
@@ -275,16 +249,16 @@ def _resolve_on(ctx: SuiteContext, requested: float | str) -> tuple[float, dict]
         value = float(requested)
         return value, {"source": "explicit", "value": value}
 
-    cloud, kappa = ctx.cloud, ctx.kappa
+    cloud = ctx.cloud
     fields = [f for _, f in ctx.standard_fields() if not f.is_constant()]
     try:
-        grid = make_scale_grid(cloud, kappa=kappa)
+        grid = make_scale_grid(cloud)
         if grid.scales.size < 3:
             raise ValueError("short grid")
-        fit = fit_walk_dimension(cloud, fields, grid=grid, kappa=kappa)
+        fit = fit_walk_dimension(cloud, fields, grid=grid)
     except ValueError:
-        grid = make_scale_grid(cloud, r_max=cloud.diameter / 2.0, kappa=kappa)
-        fit = fit_walk_dimension(cloud, fields, grid=grid, kappa=kappa)
+        grid = make_scale_grid(cloud, r_max=cloud.diameter / 2.0)
+        fit = fit_walk_dimension(cloud, fields, grid=grid)
 
     eigen_value = None
     if ctx.coarse_form is not None:
@@ -301,7 +275,7 @@ def _resolve_on(ctx: SuiteContext, requested: float | str) -> tuple[float, dict]
     }
     if eigen_value is not None:
         info["agreement"] = bool(
-            abs(eigen_value - fit.d_w_hat) <= DEFAULT_TOLERANCES["walk_dim_agreement"]
+            abs(eigen_value - fit.d_w_hat) <= ctx.tol["walk_dim_agreement"]
         )
     return float(chosen), info
 
@@ -362,9 +336,9 @@ def suite_energy(ctx: SuiteContext) -> list[CheckResult]:
                 details={k: sweeps[k].fitted_limit for k in targets},
             )
         )
-    elif ctx.kind == "square_grid" and ctx.d_w == 2.0 and 0.05 >= ctx.kappa * cloud.mesh:
+    elif ctx.kind == "square_grid" and ctx.d_w == 2.0 and 0.05 >= cloud.floor:
         f = dict(ctx.standard_fields())["x"]
-        value = ks_energy(cloud, f, 0.05, d_w=2.0, kappa=ctx.kappa)
+        value = ks_energy(cloud, f, 0.05, d_w=2.0)
         rel = abs(value - 0.25) / 0.25
         results.append(
             CheckResult(
@@ -429,7 +403,7 @@ def suite_energy(ctx: SuiteContext) -> list[CheckResult]:
 
 def _mollifier_ladder(ctx: SuiteContext) -> list[float]:
     cloud = ctx.cloud
-    floor = ctx.kappa * cloud.mesh
+    floor = cloud.floor
     eps = cloud.diameter / 5.0
     ladder = []
     while eps >= floor and len(ladder) < 3:
@@ -461,7 +435,7 @@ def suite_smoothing(ctx: SuiteContext) -> list[CheckResult]:
     pous = [sm.partition_of_unity(sm.build_net(cloud, eps)) for eps in rungs]
     results = []
     if f is not None:
-        reports = sm.mollifier_ladder(cloud, f, pous, d_w=ctx.d_w, kappa=ctx.kappa)
+        reports = sm.mollifier_ladder(cloud, f, pous, d_w=ctx.d_w)
         lips = [r.lip_bound_ratio for r in reports]
         l2s = [r.l2_bound_ratio for r in reports]
         errs = [r.l2_numerator for r in reports]
@@ -494,9 +468,7 @@ def suite_smoothing(ctx: SuiteContext) -> list[CheckResult]:
                 table=(("eps", "lip_ratio", "l2_ratio", "l2_error_sq"), rows),
             )
         )
-    worsts = [
-        sm.check_controlled_cutoff(pou, d_w=ctx.d_w, kappa=ctx.kappa).worst for pou in pous[:2]
-    ]
+    worsts = [sm.check_controlled_cutoff(pou, d_w=ctx.d_w).worst for pou in pous[:2]]
     spread = max(worsts) / min(worsts) if min(worsts) > 0 else 1.0
     results.append(
         CheckResult(
@@ -514,36 +486,22 @@ def suite_poincare(ctx: SuiteContext) -> list[CheckResult]:
     cloud = ctx.cloud
     label, f = next(lf for lf in ctx.standard_fields() if not lf[1].is_constant())
     results = []
-    for mode in ("lip", "ks"):
+    modes = pc.POINCARE_MODES if ctx.has_form else ("lip", "ks")
+    for mode in modes:
         rep = pc.poincare_check(
-            cloud, f, mode, d_w=ctx.d_w, seed=ctx.seed, kappa=ctx.kappa
+            cloud, f, mode, d_w=ctx.d_w, seed=ctx.seed,
+            form=ctx.form if mode == "energy_measure" else None,
         )
         results.append(
             CheckResult(
                 name=f"poincare_{mode}",
-                claim=f"ball-variance-bound-{mode}",
+                claim=f"ball-variance-bound-{mode.replace('_', '-')}",
                 passed=bool(
                     math.isfinite(rep.c_best) and 0.0 < rep.c_best <= ctx.tol["poincare_c_best_max"]
                 ),
                 constant=rep.c_best,
                 details={"field": label, "n_used": rep.n_used},
                 table=rep.table() if mode == "ks" else None,
-            )
-        )
-    if ctx.has_form:
-        rep = pc.poincare_check(
-            cloud, f, "energy_measure", d_w=ctx.d_w, form=ctx.form,
-            seed=ctx.seed, kappa=ctx.kappa,
-        )
-        results.append(
-            CheckResult(
-                name="poincare_energy_measure",
-                claim="ball-variance-bound-energy-measure",
-                passed=bool(
-                    math.isfinite(rep.c_best) and 0.0 < rep.c_best <= ctx.tol["poincare_c_best_max"]
-                ),
-                constant=rep.c_best,
-                details={"field": label, "n_used": rep.n_used},
             )
         )
     if ctx.kind == "interval_grid" and ctx.d_w == 2.0:
@@ -553,7 +511,7 @@ def suite_poincare(ctx: SuiteContext) -> list[CheckResult]:
         fx = ScalarField.coordinate(cloud, 0)
         rep = pc.poincare_check(
             cloud, fx, "lip", d_w=2.0, lam=1.0,
-            samples=[(c, r) for c in centers for r in radii], kappa=ctx.kappa,
+            samples=[(c, r) for c in centers for r in radii],
         )
         worst = max(abs(s.ratio * 3.0 - 1.0) for s in rep.samples)
         results.append(
@@ -567,10 +525,8 @@ def suite_poincare(ctx: SuiteContext) -> list[CheckResult]:
         )
 
     # One radius serves as the maximal function's R and the chain's rho.
-    R = max(4.0 * ctx.kappa * cloud.mesh, cloud.diameter / 8.0)
-    maximal = pc.maximal_function(
-        cloud, f, R, d_w=ctx.d_w, kappa=ctx.kappa, window=ctx.window
-    )
+    R = max(4.0 * DEFAULT_KAPPA * cloud.mesh, cloud.diameter / 8.0)
+    maximal = pc.maximal_function(cloud, f, R, d_w=ctx.d_w)
     weak = pc.weak_l2_check(maximal)
     results.append(
         CheckResult(
@@ -589,9 +545,7 @@ def suite_poincare(ctx: SuiteContext) -> list[CheckResult]:
     )
     rng = np.random.default_rng(ctx.seed)
     center = int(rng.integers(0, cloud.n))
-    tele = pc.telescoping_bound(
-        cloud, f, center, R, d_w=ctx.d_w, kappa=ctx.kappa, window=ctx.window
-    )
+    tele = pc.telescoping_bound(cloud, f, center, R, d_w=ctx.d_w)
     results.append(
         CheckResult(
             name="telescoping",
@@ -664,8 +618,8 @@ def suite_graphform(ctx: SuiteContext) -> list[CheckResult]:
     )
 
     if ctx.kind in ("interval_grid", "square_grid"):
-        f = ScalarField.coordinate(cloud, 0)
-        rep = gf.gamma_vs_lip_check(form, cloud, f, kappa=ctx.kappa)
+        # f is the coordinate field of the calibration above.
+        rep = gf.gamma_vs_lip_check(form, cloud, f)
         if ctx.kind == "interval_grid" and ctx.d_w == 2.0:
             ok = abs(rep.c_best - 1.0) <= ctx.tol["gamma_lip_rel"]
         else:
@@ -679,8 +633,6 @@ def suite_graphform(ctx: SuiteContext) -> list[CheckResult]:
                 details={"n_active": rep.n_active},
             )
         )
-
-    if ctx.kind in ("interval_grid", "square_grid"):
         x, y = 0, cloud.n - 1
         metric = gf.intrinsic_metric(form, x, y)
         ratio = metric.upper / metric.lower if metric.lower > 0 else float("inf")
@@ -696,62 +648,54 @@ def suite_graphform(ctx: SuiteContext) -> list[CheckResult]:
             )
         )
 
-    if ctx.kind == "gasket":
-        # Coarser levels leave too few samples inside the decay window for
-        # the heat-kernel fit, and the eigenvalue ratio is still drifting
-        # toward its limit; both probes start being meaningful at level 5.
-        level = int(cloud.meta.get("level", 0))
-        if level >= 5:
-            if cloud.n > gf.DENSE_EIGEN_LIMIT:
-                # The truncated spectrum gives neither small-t kernels nor
-                # lambda_max for the time window.
-                results.append(
-                    CheckResult(
-                        name="subgaussian_fit_skipped",
-                        claim="sub-gaussian-heat-kernel",
-                        passed=True,
-                        constant=None,
-                        details={
-                            "reason": "heat-kernel fit needs the full spectrum; "
-                            f"{cloud.n} vertices exceed the dense eigensolve "
-                            f"limit {gf.DENSE_EIGEN_LIMIT}"
-                        },
-                    )
-                )
-            else:
-                fit = gf.fit_subgaussian(ctx.full_spectrum, cloud, seed=ctx.seed)
-                results.append(
-                    CheckResult(
-                        name="subgaussian_fit",
-                        claim="sub-gaussian-heat-kernel",
-                        passed=bool(fit.residual <= ctx.tol["subgaussian_residual"]),
-                        constant=fit.residual,
-                        details={
-                            "d_w_fit": fit.d_w_fit,
-                            "d_s_fit": fit.d_s_fit,
-                            "exponent_fit": fit.exponent_fit,
-                        },
-                    )
-                )
-            walk = gf.eigen_walk_dimension(ctx.coarse_form, form)
+    # Coarser gaskets leave too few samples inside the decay window for the
+    # heat-kernel fit, and the eigenvalue ratio is still drifting toward its
+    # limit; both probes start being meaningful at level 5.
+    dw_target = None
+    if ctx.kind == "gasket" and int(cloud.meta.get("level", 0)) >= 5:
+        dw_target = LOG5_LOG2
+        if cloud.n > gf.DENSE_EIGEN_LIMIT:
+            # The truncated spectrum gives neither small-t kernels nor
+            # lambda_max for the time window.
             results.append(
                 CheckResult(
-                    name="eigen_walk_dimension",
-                    claim="cross-level-eigenvalue-scaling",
-                    passed=bool(abs(walk.d_w_hat - LOG5_LOG2) <= ctx.tol["eigen_dw_abs"]),
-                    constant=walk.d_w_hat,
-                    details={"target": LOG5_LOG2, "residual": walk.residual},
+                    name="subgaussian_fit_skipped",
+                    claim="sub-gaussian-heat-kernel",
+                    passed=True,
+                    constant=None,
+                    details={
+                        "reason": "heat-kernel fit needs the full spectrum; "
+                        f"{cloud.n} vertices exceed the dense eigensolve "
+                        f"limit {gf.DENSE_EIGEN_LIMIT}"
+                    },
+                )
+            )
+        else:
+            fit = gf.fit_subgaussian(ctx.full_spectrum, cloud, seed=ctx.seed)
+            results.append(
+                CheckResult(
+                    name="subgaussian_fit",
+                    claim="sub-gaussian-heat-kernel",
+                    passed=bool(fit.residual <= ctx.tol["subgaussian_residual"]),
+                    constant=fit.residual,
+                    details={
+                        "d_w_fit": fit.d_w_fit,
+                        "d_s_fit": fit.d_s_fit,
+                        "exponent_fit": fit.exponent_fit,
+                    },
                 )
             )
     elif ctx.kind == "interval_grid" and ctx.coarse_form is not None:
+        dw_target = 2.0
+    if dw_target is not None:
         walk = gf.eigen_walk_dimension(ctx.coarse_form, form)
         results.append(
             CheckResult(
                 name="eigen_walk_dimension",
                 claim="cross-level-eigenvalue-scaling",
-                passed=bool(abs(walk.d_w_hat - 2.0) <= ctx.tol["eigen_dw_abs"]),
+                passed=bool(abs(walk.d_w_hat - dw_target) <= ctx.tol["eigen_dw_abs"]),
                 constant=walk.d_w_hat,
-                details={"target": 2.0, "residual": walk.residual},
+                details={"target": dw_target, "residual": walk.residual},
             )
         )
     return results
@@ -774,7 +718,7 @@ def suite_convergence(ctx: SuiteContext) -> list[CheckResult]:
         n_steps = 5
     # Coarse clouds may not carry the default ladder; rebuild it over the
     # widest admissible grid and clamp the step count to what exists.
-    wide = ctx.scale_grid(r_max=cloud.diameter / 2.0).scales
+    wide = make_scale_grid(cloud, r_max=cloud.diameter / 2.0).scales
     if wide.size < 3:
         return [
             CheckResult(
@@ -787,10 +731,8 @@ def suite_convergence(ctx: SuiteContext) -> list[CheckResult]:
         ]
     n_steps = min(n_steps, int(wide.size))
     eps_list = [float(s) for s in wide[-n_steps:]]
-    pairs = [(e, e * ctx.kappa / 2.0) for e in eps_list]
-    rec = cv.recovery_check(
-        cloud, target, d_w=ctx.d_w, pairs=pairs, oracle=form, kappa=ctx.kappa
-    )
+    pairs = [(e, e * DEFAULT_KAPPA / 2.0) for e in eps_list]
+    rec = cv.recovery_check(cloud, target, d_w=ctx.d_w, pairs=pairs, oracle=form)
     per = [row[3] / rec.oracle for row in rec.rows]
     spread = max(per) / min(per) if min(per) > 0 else float("inf")
     # Per-step margin stability is an asymptotic property; on shallow
@@ -811,10 +753,10 @@ def suite_convergence(ctx: SuiteContext) -> list[CheckResult]:
         probe_scales = [float(s) for s in wide[-3:]]
         lim = cv.weak_liminf_probe(
             cloud, target, spec, d_w=ctx.d_w, scales=probe_scales,
-            n_probes=3, offset=9, kappa=ctx.kappa,
+            n_probes=3, offset=9,
         )
     else:
-        lim = cv.weak_liminf_probe(cloud, target, spec, d_w=ctx.d_w, kappa=ctx.kappa)
+        lim = cv.weak_liminf_probe(cloud, target, spec, d_w=ctx.d_w)
     per = [row[2] / lim.oracle for row in lim.rows] if lim.oracle > 0 else []
     spread = max(per) / min(per) if per and min(per) > 0 else 1.0
     results.append(
@@ -841,7 +783,7 @@ def suite_convergence(ctx: SuiteContext) -> list[CheckResult]:
             fields.append(
                 ScalarField(cloud, v / math.sqrt(gf.form_energy(form, raw)))
             )
-        probe = cv.compactness_probe(fields, d_w=ctx.d_w, cap=1.0, delta=0.1, kappa=ctx.kappa)
+        probe = cv.compactness_probe(fields, d_w=ctx.d_w, cap=1.0, delta=0.1)
         results.append(
             CheckResult(
                 name="rellich_kondrachov_net",
@@ -852,11 +794,11 @@ def suite_convergence(ctx: SuiteContext) -> list[CheckResult]:
             )
         )
 
-    q_fit = _growth_exponent(ctx)
+    q_fit = float(ctx.doubling_profile().q_fit)
     fields = [f for _, f in ctx.standard_fields() if not f.is_constant()]
     if ctx.kind == "gasket":
         fields = [spec.field(k) for k in range(1, 6)]
-    rep = cv.sobolev_check(cloud, fields, d_w=ctx.d_w, Q=q_fit, kappa=ctx.kappa)
+    rep = cv.sobolev_check(cloud, fields, d_w=ctx.d_w, Q=q_fit)
     results.append(
         CheckResult(
             name="sobolev_embedding",
@@ -870,10 +812,6 @@ def suite_convergence(ctx: SuiteContext) -> list[CheckResult]:
         )
     )
     return results
-
-
-def _growth_exponent(ctx: SuiteContext) -> float:
-    return float(ctx.doubling_profile().q_fit)
 
 
 SUITES = {

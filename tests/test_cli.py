@@ -28,8 +28,6 @@ class TestLoadConfig:
     def test_normalizes_defaults(self, tmp_path):
         path = write_config(tmp_path)
         cfg = load_config(path)
-        assert cfg["scale_grid"]["count"] == 12
-        assert cfg["scale_grid"]["kappa"] == 3.0
         assert cfg["tolerances"] == {}
 
     @pytest.mark.parametrize(
@@ -42,8 +40,8 @@ class TestLoadConfig:
             ({"seed": True}, "nonnegative integer"),
             ({"d_w": 12.0}, "must lie in"),
             ({"suite": "everything"}, "unknown suite"),
-            ({"scale_grid": {"count": 1}}, "must be an integer in"),
-            ({"scale_grid": {"ratio": 1.5}}, "must lie in"),
+            ({"scale_grid": {"kappa": 3.0}}, "unknown config keys"),
+            ({"scale_grid": {}}, "unknown config keys"),
             ({"tolerances": {"bogus": 1.0}}, "unknown tolerance"),
             ({"tolerances": {"calibration_rel": -1.0}}, "positive"),
             ({"typo_key": 1}, "unknown config keys"),
@@ -101,6 +99,13 @@ class TestRun:
         assert main(["run", "--config", str(path)]) == 2
         assert not (tmp_path / "bundle").exists()
         assert "error:" in capsys.readouterr().err
+
+    def test_scale_grid_config_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "bundle"
+        path = write_config(tmp_path, scale_grid={"ratio": 0.6}, out=str(out))
+        assert main(["run", "--config", str(path)]) == 2
+        assert not out.exists()
+        assert "unknown config keys: ['scale_grid']" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command, space",

@@ -189,6 +189,44 @@ def test_scale_grid_drops_unresolved_scales():
         make_scale_grid(cloud, r_max=0.01)
 
 
+def _package_callables():
+    """Every function and hand-written method of the kslab modules, by name.
+
+    Covers everything ``kslab.__all__`` exports and the private helpers
+    around it; dataclass ``__init__`` methods only take record fields.
+    """
+    import dataclasses
+    import inspect
+
+    from kslab import cli, convergence, energy, graphform, poincare, smoothing, space, suites
+
+    for mod in (cli, convergence, energy, graphform, poincare, smoothing, space, suites):
+        for name, obj in vars(mod).items():
+            if getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{mod.__name__}.{name}", obj
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    generated = dataclasses.is_dataclass(obj) and attr == "__init__"
+                    if inspect.isfunction(member) and not generated:
+                        yield f"{mod.__name__}.{name}.{attr}", member
+
+
+def test_scale_geometry_takes_no_knobs():
+    import inspect
+
+    takers: dict[str, list[str]] = {}
+    for qualname, fn in _package_callables():
+        for param in inspect.signature(fn).parameters:
+            takers.setdefault(param, []).append(qualname)
+    assert "kslab.suites.SuiteContext.__init__" in takers["cloud"]
+    assert "kslab.space.MeasuredPointCloud.require_admissible" in takers["r"]
+    for knob in ("kappa", "ratio", "count", "window"):
+        assert takers.get(knob) is None, (knob, takers.get(knob))
+    assert takers["r_max"] == ["kslab.energy.make_scale_grid"]
+
+
 def test_sweep_identity_fitted_limit():
     cloud = interval_grid(2001)
     sweep = energy_sweep(cloud, ScalarField.coordinate(cloud), d_w=2.0)
@@ -287,7 +325,7 @@ def test_walk_dimension_needs_signal():
 
 def test_liminf_window_scales_ascending():
     cloud = interval_grid(501)
-    win = liminf_window_scales(cloud, window=3)
+    win = liminf_window_scales(cloud)
     assert win.size == 3
     assert np.all(np.diff(win) > 0)
     assert win[0] >= 3.0 * cloud.mesh

@@ -16,7 +16,7 @@ from kslab.poincare import (
     telescoping_bound,
     weak_l2_check,
 )
-from kslab.space import DEFAULT_KAPPA, carpet, gasket, interval_grid, segment_sums
+from kslab.space import carpet, gasket, interval_grid, segment_sums
 
 from oracles import chain_ball_average, dist_matrix
 
@@ -386,7 +386,7 @@ class TestTelescopingBound:
         assert pass_radii == [max(w_scales)]
         rows = np.stack([ks_energy_density(cloud, f, [r], d_w=d_w)[0] for r in w_scales])
         m_val = 0.0
-        for r in _maximal_rho_grid(cloud, lam * rho, DEFAULT_KAPPA):
+        for r in _maximal_rho_grid(cloud, lam * rho):
             ids = cloud.ball_ids(x, float(r))
             m_val = max(m_val, float(rows[:, ids].sum(axis=1).min()) / float(cloud.weights[ids].sum()))
         assert rep.rhs == rho ** (d_w / 2.0) * math.sqrt(m_val)

@@ -15,7 +15,7 @@ from kslab.smoothing import (
     mollify,
     partition_of_unity,
 )
-from kslab.space import MeasuredPointCloud, gasket, interval_grid
+from kslab.space import MeasuredPointCloud, gasket, interval_grid, segment_sums
 
 import oracles
 
@@ -118,6 +118,29 @@ def test_partition_slope_bounded_interval():
     eps = 0.1
     pou = partition_of_unity(build_net(cloud, eps))
     assert pou.slope_constant() <= 4.0 + 1e-12
+
+
+def _line_matrix_cloud(n):
+    """The interval grid as a distance-matrix cloud."""
+    x = np.linspace(0.0, 1.0, n)
+    return MeasuredPointCloud(np.full(n, 1.0 / n), dist_matrix=np.abs(np.subtract.outer(x, x)))
+
+
+@pytest.mark.parametrize(
+    "cloud, eps",
+    [(interval_grid(801), 0.1), (gasket(5), 0.125), (_line_matrix_cloud(60), 0.1)],
+)
+def test_partition_ball_masses_equal_an_epsilon_pass(cloud, eps):
+    # The masses come from the partition's 2 eps pass, not a pass of their
+    # own, and still equal a pass at eps bit for bit.
+    pou = partition_of_unity(build_net(cloud, eps))
+    masses = np.concatenate(
+        [
+            segment_sums(cloud.weights[flat], counts)
+            for _, flat, counts, _ in cloud.ball_chunks(eps, centers=pou.net.center_ids)
+        ]
+    )
+    assert np.array_equal(pou.ball_masses, masses)
 
 
 def test_partition_matches_brute_force():
@@ -389,9 +412,9 @@ def test_cutoff_reads_only_the_window(pass_radii):
     pou = partition_of_unity(build_net(cloud, 0.1))
     rep = check_controlled_cutoff(pou, d_w=2.0)
     grid = make_scale_grid(cloud)
-    # The net's 5 eps overlap pass and the partition's 2 eps pass, then one
-    # pass at the largest window scale, one at eps for the bump masses.
-    assert pass_radii == [5.0 * 0.1, 2.0 * 0.1, float(grid.window(3).max()), 0.1]
+    # The net's 5 eps overlap pass and the partition's 2 eps pass (which
+    # also sums the bump masses), then one pass at the largest window scale.
+    assert pass_radii == [5.0 * 0.1, 2.0 * 0.1, float(grid.window(3).max())]
     np.testing.assert_array_equal(rep.scales, grid.scales)
     np.testing.assert_array_equal(rep.per_center, _cutoff_reference(pou, 2.0))
 

@@ -56,6 +56,17 @@ class TestResolveWalkDimension:
         assert abs(info["fit_d_w"] - value) <= 0.15
         assert info["agreement"] is True
 
+    def test_fit_agreement_reads_the_context_tolerance(self):
+        # Gasket 4's regression and eigenvalue estimates differ by about
+        # 0.026: inside the default bound, outside an override of 1e-9.
+        cloud = gasket(4)
+        _, info = resolve_walk_dimension(cloud, "fit", ctx=_ctx(cloud))
+        assert info["agreement"] is True
+        strict = _ctx(cloud, tolerances={"walk_dim_agreement": 1e-9})
+        _, info = resolve_walk_dimension(cloud, "fit", ctx=strict)
+        assert abs(info["eigen_d_w"] - info["fit_d_w"]) > 1e-9
+        assert info["agreement"] is False
+
     def test_fit_on_gasket_solves_each_level_once(self, eigh_sizes):
         resolve_walk_dimension(gasket(5), "fit", seed=0)
         assert sorted(eigh_sizes) == [gasket(4).n, gasket(5).n]
