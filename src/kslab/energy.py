@@ -12,20 +12,30 @@ on a finite cloud the limit is unreachable, so sweeps over a geometric scale
 grid report window proxies (liminf / limsup over the smallest resolved
 scales) and a fitted endpoint value instead.
 
-Every reduction is exact per centre: a ball's sum reads only that ball's
-members, in ascending id order, and a total sums the per-centre vector once.
-Results therefore do not depend on how the ball engine splits centres into
-blocks, and several scales can share one ball pass at the largest of them.
+Every reduction is per centre: a ball's sums read only that ball's members,
+and a total sums the per-centre vector once.  Results therefore do not depend
+on how centres are split into blocks or on which other scales share a call.
+The increment sums take one of three routes (``_increment_table``): grid
+clouds sum offset by offset over shifted lattice arrays; first moments above
+the diameter, where every ball is the whole cloud, come from sorted prefix
+sums; every other cloud reads the ball engine, one pass at the largest
+radius, each ball's members in ascending id order.  All three agree with an
+exactly summed (``math.fsum``) reduction to about 1e-15 relative.
 """
 
 from __future__ import annotations
 
+import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
+from . import space
 from .export import Table, write_csv, write_json
 from .space import DEFAULT_KAPPA, MeasuredPointCloud, segment_sums
 
@@ -35,6 +45,11 @@ from .space import DEFAULT_KAPPA, MeasuredPointCloud, segment_sums
 DEFAULT_RATIO = 2.0**-0.5
 DEFAULT_COUNT = 12
 DEFAULT_WINDOW = 3
+
+# Lattice offsets within this relative distance of a radius are decided pair
+# by pair by the canonical distance; a radius counts as above the diameter
+# only beyond the same margin.
+TIE_BAND = 1e-9
 
 # Comparability quotients divide by max(liminf proxy, floor); the floor keeps
 # near-constant fields from turning roundoff into huge ratios.
@@ -134,10 +149,49 @@ def _increment_table(
 
         mu_x / mu(B(x, r_k)) * sum_{y in B(x, r_k)} mu_y |f(x) - f(y)|**p_k,
 
-    with ``p_k = powers[k]`` (1 or 2; default 2).  All radii share one ball
-    pass at the largest.
+    with ``p_k = powers[k]`` (1 or 2; default 2).  Each radius takes one of
+    three routes, and its entries do not depend on which other radii or
+    which other centres share the call:
+
+    * p = 1 above the diameter (every ball is the whole cloud): sorted
+      prefix sums, ``_whole_cloud_table``;
+    * grid clouds (``cloud.lattice``): offset by offset over shifted
+      arrays, ``_stencil_table``;
+    * every other cloud: one ball-engine pass at the largest radius,
+      ``_engine_table``.
     """
-    powers = [2] * len(radii) if powers is None else powers
+    powers = [2] * len(radii) if powers is None else list(powers)
+    radii = [float(r) for r in radii]
+    n_out = cloud.n if centers is None else len(centers)
+    table = np.zeros((len(radii), matrix.shape[0], n_out))
+    if n_out == 0:
+        return table
+    whole = [
+        k for k, r in enumerate(radii) if powers[k] == 1 and r > cloud.diameter * (1.0 + TIE_BAND)
+    ]
+    if whole:
+        table[whole] = _whole_cloud_table(cloud, matrix, centers)
+    rest = [k for k in range(len(radii)) if k not in whole]
+    if rest:
+        route = _engine_table if cloud.lattice is None else _stencil_table
+        table[rest] = route(
+            cloud, matrix, [radii[k] for k in rest], centers, [powers[k] for k in rest]
+        )
+    return table
+
+
+def _engine_table(
+    cloud: MeasuredPointCloud,
+    matrix: np.ndarray,
+    radii: list[float],
+    centers: np.ndarray | None,
+    powers: list[int],
+) -> np.ndarray:
+    """``_increment_table`` from one ball-engine pass at the largest radius.
+
+    A ball's sums read only its members, in ascending id order, through
+    ``segment_sums``.
+    """
     mu = cloud.weights
     n_out = cloud.n if centers is None else len(centers)
     table = np.zeros((len(radii), matrix.shape[0], n_out))
@@ -153,6 +207,234 @@ def _increment_table(
                 table[k, i, blk] = segment_sums(term, counts) * scale
         pos += sub.size
     return table
+
+
+def _stencil_table(
+    cloud: MeasuredPointCloud,
+    matrix: np.ndarray,
+    radii: list[float],
+    centers: np.ndarray | None,
+    powers: list[int],
+) -> np.ndarray:
+    """``_increment_table`` on a grid cloud, offset by offset.
+
+    Weights and fields are laid out on the padded lattice, where holes and
+    padding weigh zero.  For each row offset dy, a window view gives every
+    centre its row of candidate members, one offset dx per slab; each
+    radius sums its slabs by a balanced tree (``_pairwise_sum``), and a
+    centre's row sums are then summed the same way over dy.  Ball masses
+    come from exact running sums of the weight rows (``_prefix_sums``).
+    Offsets whose length lies within ``TIE_BAND`` of a radius are kept or
+    dropped pair by pair by the canonical distance, so the balls are exactly
+    those of the ball engine.  Centres are computed on their bounding box,
+    in blocks of rows whose temporaries stay under ``FLAT_BUDGET`` elements;
+    no sum depends on the block, on the other centres or on the other radii.
+    """
+    lat = cloud.lattice
+    n0, n1 = lat.shape
+    m, nk = matrix.shape[0], len(radii)
+    rho = np.asarray(radii) / lat.step
+    reach = int(np.floor(rho.max() * (1.0 + TIE_BAND)))
+    py, px = min(reach, n0 - 1), min(reach, n1 - 1)
+    length = np.hypot(*np.meshgrid(np.arange(py + 1), np.arange(px + 1), indexing="ij"))
+    # Per radius and row |dy|: the largest |dx| surely inside the ball (-1
+    # for none) and the offsets in its tie band; the largest |dy| it reads.
+    inside = [(length < r * (1.0 - TIE_BAND)).sum(axis=1) - 1 for r in rho]
+    band = [(length <= r * (1.0 + TIE_BAND)).sum(axis=1) - 1 for r in rho]
+    ties = [list(map(_tie_offsets, inside[k].tolist(), band[k].tolist())) for k in range(nk)]
+    depth = [int(np.count_nonzero(b >= 0)) - 1 for b in band]
+    # Per row |dy|, the half-width of the terms of each power (-1: none).
+    half = {
+        p: np.max([np.full(py + 1, -1)] + [band[k] for k in range(nk) if powers[k] == p], axis=0)
+        for p in (1, 2)
+    }
+    widest = np.maximum(half[1], half[2])
+    hmax = int(widest.max())
+
+    pr, pc = lat.index[:, 0] + py, lat.index[:, 1] + px
+    shape = (n0 + 2 * py, n1 + 2 * px)
+    weights = np.zeros(shape)
+    weights[pr, pc] = cloud.weights
+    fields = np.zeros((m,) + shape)
+    fields[:, pr, pc] = matrix
+    ids = np.full(shape, -1, dtype=np.intp)
+    ids[pr, pc] = np.arange(cloud.n)
+    high, low = _prefix_sums(weights)
+    # Offset-major window views: [j, ..., row, s] reads column s + j, so a
+    # centre in padded column c finds offset dx at [hmax + dx, ..., c - hmax].
+    weight_rows = np.moveaxis(sliding_window_view(weights, 2 * hmax + 1, axis=1), -1, 0)
+    field_rows = np.moveaxis(sliding_window_view(fields, 2 * hmax + 1, axis=2), -1, 0)
+
+    targets = np.arange(cloud.n) if centers is None else np.asarray(centers, dtype=np.intp)
+    ti, tj = lat.index[targets, 0], lat.index[targets, 1]
+    (t0, t1), (u0, u1) = (int(ti.min()), int(ti.max()) + 1), (int(tj.min()), int(tj.max()) + 1)
+    out = np.zeros((nk, m, t1 - t0, u1 - u0))
+
+    # Blocks of centre rows run on a few threads (numpy releases the GIL);
+    # all blocks in flight together stay under FLAT_BUDGET elements.
+    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = max(1, min(workers or 1, t1 - t0))
+    width = 2 * hmax + 1
+    per_cell = (m + 1) * sum(2 * d + 1 for d in depth) + (4 * m + 1) * width
+    cells = max(1, space.FLAT_BUDGET // (per_cell * workers))
+    bc = min(u1 - u0, cells)
+    br = max(1, cells // bc)
+
+    def fill(block: tuple[int, int, int, int]) -> None:
+        r0, r1, c0, c1 = block
+        blk = (r1 - r0, c1 - c0)
+        centre = (slice(r0 + py, r1 + py), slice(c0 + px, c1 + px))
+        here = ids[centre]
+        sums = [np.zeros((2 * d + 1, m, *blk)) for d in depth]
+        mass = [np.zeros((2 * d + 1, *blk)) for d in depth]
+        # Each centre value repeated on every slab, so that differences
+        # run on whole contiguous arrays.
+        at_centre = np.empty((width, m, *blk))
+        at_centre[...] = fields[(slice(None),) + centre]
+        w = np.empty((width, 1, *blk))
+        diff = np.empty((width, m, *blk))
+        term = np.empty((width, m, *blk))
+        for dy in range(-py, py + 1):
+            a, hw = abs(dy), int(widest[abs(dy)])
+            n_dx = 2 * hw + 1
+            rows = slice(r0 + py + dy, r1 + py + dy)
+            span = (slice(hmax - hw, hmax + hw + 1), rows, slice(c0 + px - hmax, c1 + px - hmax))
+            np.copyto(w[:n_dx, 0], weight_rows[span])
+            used = [k for k in range(nk) if depth[k] >= a]
+            keep = {}
+            for k in used:
+                reach_in = int(inside[k][a])
+                if reach_in >= 0:
+                    lo = slice(c0 + px - reach_in, c1 + px - reach_in)
+                    hi = slice(c0 + px + reach_in + 1, c1 + px + reach_in + 1)
+                    row_mass = (high[rows, hi] - high[rows, lo]) + (low[rows, hi] - low[rows, lo])
+                else:
+                    row_mass = np.zeros(blk)
+                for dx in ties[k][a]:
+                    cols = slice(c0 + px + dx, c1 + px + dx)
+                    there = ids[rows, cols]
+                    ok = (here >= 0) & (there >= 0)
+                    keep[k, dx] = np.zeros(blk, dtype=bool)
+                    keep[k, dx][ok] = cloud.pair_distances(here[ok], there[ok]) < radii[k]
+                    row_mass = row_mass + weights[rows, cols] * keep[k, dx]
+                mass[k][dy + depth[k]] = row_mass
+            np.copyto(diff[:n_dx], field_rows[span[:1] + (slice(None),) + span[1:]])
+            diff[:n_dx] -= at_centre[:n_dx]
+            # Squares first: the first powers take |diff| in place.
+            for p in (2, 1):
+                hp = int(half[p][a])
+                if hp < 0:
+                    continue
+                cols = slice(hw - hp, hw + hp + 1)
+                t = term[: 2 * hp + 1]
+                if p == 2:
+                    np.multiply(w[cols], diff[cols], out=t)
+                    t *= diff[cols]
+                else:
+                    np.abs(diff[cols], out=t)
+                    t *= w[cols]
+                for k in used:
+                    if powers[k] == p:
+                        row = _row_sum(t, hp, int(inside[k][a]), ties[k][a], keep, k)
+                        sums[k][dy + depth[k]] = row
+        box = (slice(None), slice(r0 - t0, r1 - t0), slice(c0 - u0, c1 - u0))
+        for k in range(nk):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                scale = weights[centre] / _pairwise_sum(mass[k])
+            out[k][box] = _pairwise_sum(sums[k]) * scale
+
+    blocks = [
+        (r0, min(r0 + br, t1), c0, min(c0 + bc, u1))
+        for r0 in range(t0, t1, br)
+        for c0 in range(u0, u1, bc)
+    ]
+    with ThreadPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
+        list(pool.map(fill, blocks))  # each block writes its own part of ``out``
+    return out[:, :, ti - t0, tj - u0]
+
+
+def _tie_offsets(inside: int, band: int) -> list[int]:
+    """Column offsets dx of a row that lie in a radius's tie band."""
+    outer = range(max(inside + 1, 0), band + 1)
+    return [-dx for dx in reversed(outer) if dx] + list(outer)
+
+
+def _row_sum(
+    terms: np.ndarray, hw: int, inside: int, ties: list[int], keep: dict, k: int
+) -> np.ndarray:
+    """One row's sum for radius k, offset dx in slab ``hw + dx``: a balanced
+    tree over the offsets surely inside, then the tie offsets it keeps."""
+    if inside >= 0:
+        total = _pairwise_sum(terms[hw - inside : hw + inside + 1])
+    else:
+        total = np.zeros(terms.shape[1:])
+    for dx in ties:
+        total = total + terms[hw + dx] * keep[k, dx]
+    return total
+
+
+def _pairwise_sum(parts: np.ndarray) -> np.ndarray:
+    """Sum over the first axis by a balanced tree, one level per step.
+
+    Part i meets part i + half (an odd last part joins the last pair), so
+    the rounding error grows with log2 of the count.
+    """
+    while parts.shape[0] > 1:
+        half = parts.shape[0] // 2
+        level = parts[:half] + parts[half : 2 * half]
+        if parts.shape[0] % 2:
+            level[-1] += parts[-1]
+        parts = level
+    return parts[0]
+
+
+def _whole_cloud_table(
+    cloud: MeasuredPointCloud, matrix: np.ndarray, centers: np.ndarray | None
+) -> np.ndarray:
+    """p = 1 rows of ``_increment_table`` when every ball is the whole cloud.
+
+    With the field shifted by its weighted median and sorted, a centre's sum
+    sum_y mu_y |g_x - g_y| is g_x (2 M - W) + (P_all - 2 P) for the mass M
+    and weighted sum P of the values below g_x.  The shift keeps every part
+    of that within a small multiple of the result, and the prefix sums are
+    exact up to one rounding (``_prefix_sums``), so the sums stay at the
+    accuracy of a per-ball reduction in O(n log n).
+    """
+    mu = cloud.weights
+    targets = slice(None) if centers is None else np.asarray(centers, dtype=np.intp)
+    out = np.empty((matrix.shape[0], mu[targets].size))
+    for i, row in enumerate(matrix):
+        order = np.argsort(row, kind="stable")
+        w = mu[order]
+        mass = np.add(*_prefix_sums(w))
+        total = mass[-1]
+        ranked = row[order]
+        median = ranked[np.searchsorted(mass[1:], 0.5 * total)]
+        moment = np.add(*_prefix_sums(w * (ranked - median)))
+        below = np.searchsorted(ranked, row[targets], side="left")
+        gx = row[targets] - median
+        sums = gx * (2.0 * mass[below] - total) + (moment[-1] - 2.0 * moment[below])
+        out[i] = sums * (mu[targets] / total)
+    return out
+
+
+def _prefix_sums(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exclusive running sums along the last axis, as a high and a low part.
+
+    Every value splits into a high part on the grid of 2**-52 times the
+    total magnitude, whose running sums (and their differences) are exact,
+    and a remainder below that grid, whose running sums carry negligible
+    error; ``high + low`` is within about one rounding of the exact sum.
+    """
+    shape = values.shape[:-1] + (values.shape[-1] + 1,)
+    high, low = np.zeros(shape), np.zeros(shape)
+    top = float(np.abs(values).sum())
+    if top > 0.0:
+        quantum = 2.0 ** (np.ceil(np.log2(top)) - 52)
+        rounded = np.round(values / quantum) * quantum
+        np.cumsum(rounded, axis=-1, out=high[..., 1:])
+        np.cumsum(values - rounded, axis=-1, out=low[..., 1:])
+    return high, low
 
 
 def _raw_sums(
@@ -242,9 +524,9 @@ class ScaleGrid:
     def r_min(self) -> float:
         return float(self.scales[-1])
 
-    def window(self, w: int) -> np.ndarray:
-        """The w smallest admissible scales, ascending."""
-        return self.scales[::-1][: min(w, self.scales.size)]
+    def window(self) -> np.ndarray:
+        """The ``DEFAULT_WINDOW`` smallest admissible scales, ascending."""
+        return self.scales[::-1][:DEFAULT_WINDOW]
 
 
 def snap_mid_mesh(raw: np.ndarray, h: float) -> np.ndarray:
@@ -349,7 +631,7 @@ def energy_sweep(
     grid = make_scale_grid(cloud)
     ids = _region_ids(cloud, region)
     values = ks_energies(cloud, [f], grid.scales, d_w=d_w, region=ids)[:, 0]
-    w_scales = grid.window(DEFAULT_WINDOW)
+    w_scales = grid.window()
     w_values = values[::-1][: w_scales.size]
     return EnergySweep(
         d_w=float(d_w),
@@ -454,4 +736,4 @@ def fit_walk_dimension(
 
 def liminf_window_scales(cloud: MeasuredPointCloud) -> np.ndarray:
     """The small-scale window used by liminf proxies, ascending."""
-    return make_scale_grid(cloud).window(DEFAULT_WINDOW)
+    return make_scale_grid(cloud).window()

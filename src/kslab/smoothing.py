@@ -18,7 +18,6 @@ from typing import Sequence
 import numpy as np
 
 from .energy import (
-    DEFAULT_WINDOW,
     ScalarField,
     _increment_table,
     _validated,
@@ -134,14 +133,14 @@ class PartitionOfUnity:
         return [ScalarField(self.cloud, row.copy()) for row in self.phi]
 
     def slope_constant(self, r_loc: float | None = None) -> float:
-        """Largest discrete slope among the bumps, in units of 1/epsilon."""
+        """Largest discrete slope among the bumps, in units of 1/epsilon.
+
+        All bumps share one ball pass at ``r_loc``.
+        """
         if r_loc is None:
             r_loc = self.epsilon
-        worst = 0.0
-        for row in self.phi:
-            lip = discrete_lip(self.cloud, ScalarField(self.cloud, row), r_loc)
-            worst = max(worst, float(lip.values.max()))
-        return worst * self.epsilon
+        lips = discrete_lip(self.cloud, self.fields(), r_loc)
+        return max(0.0, *(float(lip.values.max()) for lip in lips)) * self.epsilon
 
     def to_triplets(self, path: str | Path) -> None:
         """Sparse text export: one ``center_index,point_id,value`` line per
@@ -201,17 +200,22 @@ def mollify(f: ScalarField, pou: PartitionOfUnity) -> ScalarField:
 
 def discrete_lip(
     cloud: MeasuredPointCloud,
-    f: ScalarField,
+    f: ScalarField | Sequence[ScalarField],
     r_loc: float,
-) -> ScalarField:
+) -> ScalarField | list[ScalarField]:
     """Largest difference quotient against neighbours within ``r_loc``.
 
     (Lip_h f)(x) = max_{0 < d(x,y) < r_loc} |f(x) - f(y)| / d(x, y).
+
+    ``f`` is one field, or a sequence of fields whose slopes come back as a
+    list from one shared ball pass; each list entry equals the single-field
+    call bit for bit.
     """
-    if f.cloud is not cloud:
+    fields = [f] if isinstance(f, ScalarField) else list(f)
+    if any(g.cloud is not cloud for g in fields):
         raise ValueError("field does not live on the given cloud")
     cloud.require_admissible(r_loc)
-    out = np.zeros(cloud.n)
+    out = np.zeros((len(fields), cloud.n))
     for sub, flat, counts, d in cloud.ball_chunks(r_loc):
         if np.any(counts < 2):
             lonely = sub[counts < 2][0]
@@ -219,11 +223,13 @@ def discrete_lip(
                 f"ball at r_loc={r_loc:g} around point {int(lonely)} has no "
                 "neighbours; increase r_loc"
             )
-        rep = np.repeat(sub, counts)
         keep = d > 0.0  # drops exactly the center itself
-        quotients = np.abs(f.values[flat[keep]] - f.values[rep[keep]]) / d[keep]
-        out[sub] = segment_max(quotients, counts - 1)
-    return ScalarField(cloud, out)
+        members, centres = flat[keep], np.repeat(sub, counts)[keep]
+        for row, g in zip(out, fields):
+            quotients = np.abs(g.values[members] - g.values[centres]) / d[keep]
+            row[sub] = segment_max(quotients, counts - 1)
+    slopes = [ScalarField(cloud, row) for row in out]
+    return slopes[0] if isinstance(f, ScalarField) else slopes
 
 
 def ball_mean_deviation(
@@ -293,8 +299,9 @@ def mollifier_ladder(
     """``mollifier_estimates`` at every rung of a ladder of partitions.
 
     The increment sums at 2 eps and the first moments at 6 eps of every
-    rung come from one ball pass; each report equals the single-epsilon
-    call bit for bit.
+    rung come from one ``_increment_table`` call, and the slopes of every
+    smoothed field from one ball pass at kappa * h; each report equals the
+    single-epsilon call bit for bit.
     """
     epsilons = [pou.epsilon for pou in pous]
     if f.is_constant():
@@ -319,9 +326,9 @@ def mollifier_ladder(
     table = _increment_table(cloud, mat, radii, None, [2] * m + [1] * m)[:, 0]
 
     w = cloud.weights
+    lips = discrete_lip(cloud, smoothed, cloud.floor)
     reports = []
-    for k, (eps, f_eps) in enumerate(zip(epsilons, smoothed)):
-        lip = discrete_lip(cloud, f_eps, cloud.floor)
+    for k, (eps, f_eps, lip) in enumerate(zip(epsilons, smoothed, lips)):
         lip_num = float(np.sum(w * lip.values**2))
         # Raw increment sum at 2 eps: the energy times (2 eps)^{d_w}.
         lip_den = table[k].sum() / eps**2
@@ -369,7 +376,7 @@ def check_controlled_cutoff(pou: PartitionOfUnity, d_w: float = 2.0) -> CutoffRe
     eps = pou.epsilon
     grid = make_scale_grid(cloud)
     # Only the window is read, so only the window is evaluated.
-    energies = ks_energies(cloud, pou.fields(), grid.window(DEFAULT_WINDOW), d_w=d_w)
+    energies = ks_energies(cloud, pou.fields(), grid.window(), d_w=d_w)
     per_center = energies.max(axis=0) * eps**d_w / pou.ball_masses
     return CutoffReport(
         epsilon=float(eps),

@@ -22,6 +22,17 @@ the distances, and ``segment_sums`` reduces each ball on its own members, so
 no result depends on the block layout or on which radii share a pass.
 Single balls (``ball_ids``) keep a direct tree query.
 
+Lattices.  ``interval_grid``, ``square_grid`` and ``carpet`` also record
+where each point sits on an integer lattice (``MeasuredPointCloud.lattice``:
+the lattice step and each point's (row, column) index, ids in row-major
+order).  The increment sums of ``kslab.energy`` read that layout instead of
+the ball engine: a ball is then a fixed set of offsets, summed over shifted
+arrays, with carpet holes as zero weights, so those sums do not visit
+members in id order.  Offsets at a radius's own length are still kept or
+dropped by the canonical distance.  Gasket, file and distance-matrix clouds
+have no lattice, and every ``ball_chunks`` consumer reads the engine on
+every cloud.
+
 The module also carries the volume-doubling diagnostics: sampled ratios
 ``mu(B(x, 2r)) / mu(B(x, r))``, a fitted mass-growth exponent, and lower mass
 bounds ``mu(B(x, r)) >= c r^Q``.
@@ -123,6 +134,30 @@ def _budget_blocks(sizes: np.ndarray, budget: int) -> Iterator[slice]:
 
 
 @dataclass(frozen=True)
+class Lattice:
+    """Where the points of a grid cloud sit on an integer lattice.
+
+    Point ``i`` is the lattice cell ``index[i]`` = (row, column) of a
+    ``shape`` array, at about ``step`` times that index from the first cell;
+    one-dimensional grids use a single row.  Ids run in row-major cell
+    order, and cells that hold no point (carpet holes) carry zero weight.
+    """
+
+    step: float
+    shape: tuple[int, int]
+    index: np.ndarray  # (n, 2) int
+
+
+def _on_lattice(cloud: MeasuredPointCloud, index: np.ndarray, step: float) -> MeasuredPointCloud:
+    """Record the lattice layout of a cloud that a grid builder just made."""
+    index = np.asarray(index, dtype=np.intp).reshape(cloud.n, 2)
+    index.setflags(write=False)
+    shape = (int(index[:, 0].max()) + 1, int(index[:, 1].max()) + 1)
+    cloud._lattice = Lattice(step=float(step), shape=shape, index=index)
+    return cloud
+
+
+@dataclass(frozen=True)
 class Ball:
     """Open metric ball around a cloud point.
 
@@ -217,6 +252,7 @@ class MeasuredPointCloud:
             self._spot_check_triangles(triangle_budget, triangle_seed)
 
         self.meta = dict(meta or {})
+        self._lattice: Lattice | None = None
         self._tree: cKDTree | None = None
         self._diameter: float | None = None
 
@@ -261,6 +297,11 @@ class MeasuredPointCloud:
     def floor(self) -> float:
         """Admissibility floor kappa * h: the smallest resolved radius."""
         return DEFAULT_KAPPA * self._mesh
+
+    @property
+    def lattice(self) -> Lattice | None:
+        """Integer lattice layout of a built-in grid cloud, else ``None``."""
+        return self._lattice
 
     @property
     def total_mass(self) -> float:
@@ -518,12 +559,14 @@ def interval_grid(n: int) -> MeasuredPointCloud:
     if n < 2:
         raise ValueError("interval grid needs at least two points")
     coords = np.linspace(0.0, 1.0, n).reshape(-1, 1)
-    return MeasuredPointCloud(
+    cloud = MeasuredPointCloud(
         np.full(n, 1.0 / n),
         coords=coords,
         mesh=1.0 / (n - 1),
         meta={"kind": "interval_grid", "n": n},
     )
+    index = np.column_stack([np.zeros(n, dtype=np.intp), np.arange(n)])
+    return _on_lattice(cloud, index, 1.0 / (n - 1))
 
 
 def square_grid(n: int) -> MeasuredPointCloud:
@@ -533,12 +576,13 @@ def square_grid(n: int) -> MeasuredPointCloud:
     axis = np.linspace(0.0, 1.0, n)
     xx, yy = np.meshgrid(axis, axis, indexing="ij")
     coords = np.column_stack([xx.ravel(), yy.ravel()])
-    return MeasuredPointCloud(
+    cloud = MeasuredPointCloud(
         np.full(n * n, 1.0 / (n * n)),
         coords=coords,
         mesh=1.0 / (n - 1),
         meta={"kind": "square_grid", "n": n},
     )
+    return _on_lattice(cloud, np.column_stack(np.divmod(np.arange(n * n), n)), 1.0 / (n - 1))
 
 
 def _gasket_subdivision(
@@ -634,12 +678,13 @@ def carpet(level: int) -> MeasuredPointCloud:
     side = 3**level
     coords = (np.array(cells, dtype=float) + 0.5) / side
     n = coords.shape[0]
-    return MeasuredPointCloud(
+    cloud = MeasuredPointCloud(
         np.full(n, 1.0 / n),
         coords=coords,
         mesh=1.0 / side if level > 0 else None,
         meta={"kind": "carpet", "level": level},
     )
+    return _on_lattice(cloud, np.array(cells), 1.0 / side)
 
 
 def read_cloud_file(path: str | Path) -> MeasuredPointCloud:

@@ -28,15 +28,26 @@ def tiny_blocks(monkeypatch):
 
 @pytest.fixture
 def pass_radii(monkeypatch):
-    """Record the radius of every ball pass, in call order."""
+    """Record the radius of every ball pass, in call order.
+
+    A lattice stencil sweep counts as one pass at its largest radius, like
+    the ball-engine pass it stands in for.
+    """
+    import kslab.energy
     from kslab.space import MeasuredPointCloud
 
     radii = []
     real = MeasuredPointCloud.ball_chunks
+    real_stencil = kslab.energy._stencil_table
 
     def recording(self, r, *args, **kwargs):
         radii.append(float(r))
         return real(self, r, *args, **kwargs)
 
+    def recording_stencil(cloud, matrix, sweep, *args, **kwargs):
+        radii.append(max(map(float, sweep)))
+        return real_stencil(cloud, matrix, sweep, *args, **kwargs)
+
     monkeypatch.setattr(MeasuredPointCloud, "ball_chunks", recording)
+    monkeypatch.setattr(kslab.energy, "_stencil_table", recording_stencil)
     return radii

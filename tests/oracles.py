@@ -21,6 +21,30 @@ def brute_ball_ids(coords: np.ndarray, x: int, r: float) -> np.ndarray:
     return np.flatnonzero(d < r)
 
 
+def fsum_increment_rows(
+    coords: np.ndarray,
+    weights: np.ndarray,
+    values: np.ndarray,
+    r: float,
+    p: int,
+    centers,
+) -> np.ndarray:
+    """Per centre x, mu_x / mu(B(x, r)) * sum_{y in B(x, r)} mu_y |f_x - f_y|**p.
+
+    Balls come from ``brute_ball_ids`` and both sums from ``math.fsum``,
+    so each entry is the exactly summed value of the rounded terms.
+    """
+    import math
+
+    out = []
+    for x in centers:
+        ids = brute_ball_ids(coords, x, r)
+        w = weights[ids]
+        terms = w * np.abs(values[x] - values[ids]) ** p
+        out.append(weights[x] * math.fsum(terms) / math.fsum(w))
+    return np.array(out)
+
+
 def brute_ks_energy(
     dmat: np.ndarray,
     weights: np.ndarray,

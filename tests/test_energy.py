@@ -15,7 +15,7 @@ from kslab.energy import (
     make_scale_grid,
     raw_increment_sum,
 )
-from kslab.space import MeasuredPointCloud, interval_grid, square_grid, gasket
+from kslab.space import MeasuredPointCloud, carpet, gasket, interval_grid, square_grid
 
 import oracles
 
@@ -462,3 +462,80 @@ def test_fit_walk_dimension_makes_one_pass(pass_radii):
     fields = [ScalarField.coordinate(cloud), ScalarField.constant(cloud, 2.0)]
     fit = fit_walk_dimension(cloud, fields)
     assert pass_radii == [float(fit.scales.max())]
+
+
+# ----------------------------------------------------------------------
+# lattice stencil and whole-cloud routes of _increment_table
+# ----------------------------------------------------------------------
+
+
+def _lattice_case(kind):
+    """A grid cloud, radii that hit lattice distances, and two fields."""
+    cloud = {"interval": interval_grid(301), "square": square_grid(31), "carpet": carpet(3)}[kind]
+    h = cloud.lattice.step
+    c = cloud.coords
+    wave = np.sin(3.0 * c[:, 0]) + c[:, -1] ** 2
+    # 5 h = |(3, 4)| h and sqrt(50) h = |(5, 5)| h = |(1, 7)| h put whole
+    # rings of points on the sphere; 1.01 diam puts every point inside.
+    radii = [3.5 * h, 5.0 * h, np.sqrt(50.0) * h, 0.3, 1.01 * cloud.diameter]
+    return cloud, radii, [wave, wave + 1000.0]
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("kind", ["interval", "square", "carpet"])
+def test_lattice_routes_match_fsum_oracle_and_engine(kind, p):
+    from kslab.energy import _engine_table, _increment_table
+
+    cloud, radii, fields = _lattice_case(kind)
+    centers = np.arange(0, cloud.n, 5)
+    table = _increment_table(cloud, np.stack(fields), radii, centers, [p] * len(radii))
+    engine = _engine_table(cloud, np.stack(fields), radii, centers, [p] * len(radii))
+    for k, r in enumerate(radii):
+        for i, v in enumerate(fields):
+            want = oracles.fsum_increment_rows(cloud.coords, cloud.weights, v, r, p, centers)
+            assert _max_rel_error(table[k, i], want) <= 1e-15, (k, i)
+            assert _max_rel_error(table[k, i], engine[k, i]) <= 1e-13, (k, i)
+
+
+@pytest.mark.parametrize("kind", ["interval", "carpet"])
+def test_lattice_routes_ignore_other_radii_centres_and_blocks(kind, monkeypatch):
+    import kslab.space
+    from kslab.energy import _increment_table
+
+    cloud, radii, fields = _lattice_case(kind)
+    mat = np.stack(fields)
+    powers = [2, 1, 2, 1, 1]
+    full = _increment_table(cloud, mat, radii, None, powers)
+    centers = np.arange(cloud.n - 1, 0, -7)
+    subset = _increment_table(cloud, mat, radii, centers, powers)
+    np.testing.assert_array_equal(subset, full[:, :, centers])
+    for k, r in enumerate(radii):
+        alone = _increment_table(cloud, mat, [r], centers, [powers[k]])[0]
+        np.testing.assert_array_equal(alone, subset[k])
+    # Blocks of a few centres, several at a time on the worker threads.
+    monkeypatch.setattr(kslab.space, "FLAT_BUDGET", 5_000)
+    np.testing.assert_array_equal(_increment_table(cloud, mat, radii, None, powers), full)
+
+
+@pytest.mark.parametrize("abstract", [False, True])
+def test_whole_cloud_route_on_any_cloud(abstract, pass_radii):
+    from kslab.energy import _engine_table, _increment_table
+
+    rng = np.random.default_rng(21)
+    coords = rng.uniform(size=(150, 2))
+    weights = rng.uniform(0.5, 2.0, size=150)
+    if abstract:
+        cloud = MeasuredPointCloud(weights, dist_matrix=oracles.dist_matrix(coords))
+    else:
+        cloud = MeasuredPointCloud(weights, coords=coords)
+    r = 1.5 * cloud.diameter
+    wave = np.cos(4.0 * coords[:, 0]) * coords[:, 1]
+    mat = np.stack([wave, wave + 1000.0, np.zeros(150)])
+    table = _increment_table(cloud, mat, [r], None, [1])[0]
+    assert pass_radii == []  # no ball pass: every ball is the whole cloud
+    engine = _engine_table(cloud, mat, [r], None, [1])[0]
+    for i in range(2):
+        want = oracles.fsum_increment_rows(coords, weights, mat[i], 10.0, 1, range(150))
+        assert _max_rel_error(table[i], want) <= 1e-15
+        assert _max_rel_error(table[i], engine[i]) <= 1e-13
+    assert np.all(table[2] == 0.0)

@@ -274,6 +274,32 @@ def test_lip_quadratic_tracks_derivative():
     )
 
 
+@pytest.mark.parametrize("make", [lambda: interval_grid(301), lambda: gasket(4)])
+def test_lip_of_many_fields_shares_one_pass(make, pass_radii):
+    cloud = make()
+    fields = [
+        ScalarField.coordinate(cloud),
+        ScalarField.from_function(cloud, lambda c: np.sin(7.0 * c[:, 0])),
+        ScalarField.constant(cloud, 2.0),
+    ]
+    r = 2.0 * cloud.floor
+    slopes = discrete_lip(cloud, fields, r)
+    assert pass_radii == [r]
+    assert isinstance(slopes, list) and len(slopes) == len(fields)
+    for f, lip in zip(fields, slopes):
+        np.testing.assert_array_equal(lip.values, discrete_lip(cloud, f, r).values)
+
+
+def test_slope_constant_is_the_largest_bump_slope(pass_radii):
+    cloud = interval_grid(401)
+    pou = partition_of_unity(build_net(cloud, 0.1))
+    before = len(pass_radii)
+    got = pou.slope_constant()
+    assert pass_radii[before:] == [0.1]
+    worst = max(discrete_lip(cloud, f, 0.1).values.max() for f in pou.fields())
+    assert got == worst * 0.1
+
+
 def test_lip_refuses_lonely_balls():
     coords = np.array([[0.0], [1.0], [50.0]])
     cloud = MeasuredPointCloud(np.ones(3) / 3, coords=coords, mesh=0.5)
@@ -397,7 +423,7 @@ def _cutoff_reference(pou, d_w):
     energies = np.stack(
         [ks_energies(cloud, pou.fields(), [float(r)], d_w=d_w)[0] for r in grid.scales]
     )
-    limsups = energies[np.isin(grid.scales, grid.window(3))].max(axis=0)
+    limsups = energies[np.isin(grid.scales, grid.window())].max(axis=0)
     masses = np.concatenate(
         [
             segment_sums(cloud.weights[flat], counts)
@@ -414,7 +440,7 @@ def test_cutoff_reads_only_the_window(pass_radii):
     grid = make_scale_grid(cloud)
     # The net's 5 eps overlap pass and the partition's 2 eps pass (which
     # also sums the bump masses), then one pass at the largest window scale.
-    assert pass_radii == [5.0 * 0.1, 2.0 * 0.1, float(grid.window(3).max())]
+    assert pass_radii == [5.0 * 0.1, 2.0 * 0.1, float(grid.window().max())]
     np.testing.assert_array_equal(rep.scales, grid.scales)
     np.testing.assert_array_equal(rep.per_center, _cutoff_reference(pou, 2.0))
 
@@ -455,9 +481,11 @@ def test_mollifier_ladder_equals_single_epsilon_calls(pass_radii):
     reports = mollifier_ladder(cloud, f, pous)
     # The 5 eps overlap and 2 eps partition passes of every rung's net, one
     # mollify pass per rung, then 2 eps and 6 eps of every rung share a
-    # single pass at 6 * 0.2, then one slope pass per rung at kappa * h.
+    # single stencil sweep, except 6 * 0.2, which exceeds the diameter and
+    # takes the whole-cloud route; then one slope pass at kappa * h serves
+    # every rung.
     lip_r = 3.0 * cloud.mesh
     nets = [r for eps in ladder for r in (5.0 * eps, 2.0 * eps)]
-    assert pass_radii == nets + ladder + [6.0 * 0.2] + [lip_r] * len(ladder)
+    assert pass_radii == nets + ladder + [6.0 * 0.1] + [lip_r]
     for eps, rep in zip(ladder, reports):
         assert rep == mollifier_estimates(cloud, f, eps)

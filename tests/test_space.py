@@ -217,10 +217,16 @@ def test_ball_chunks_blocks_respect_budget(monkeypatch):
         assert sub.size == 1
 
 
-@pytest.mark.parametrize("k", [2, 3, 5])
+@pytest.mark.parametrize(
+    "k",
+    [2, 3, 5, pytest.param(np.sqrt(50.0), id="sqrt50"), pytest.param(np.sqrt(65.0), id="sqrt65")],
+)
 def test_ball_filter_is_canonical_on_lattice_distances(k, monkeypatch):
     # Radii equal to lattice distances put many points on the sphere, where
-    # only the canonical formula decides membership.
+    # only the canonical formula decides membership: in the ball engine and
+    # in the lattice stencil of the increment sums alike.
+    from kslab.energy import _increment_table
+
     cloud = square_grid(15)
     r = k * cloud.mesh
     want = {x: np.flatnonzero(cloud.distances_from(x) < r) for x in range(cloud.n)}
@@ -232,6 +238,29 @@ def test_ball_filter_is_canonical_on_lattice_distances(k, monkeypatch):
     for x, ids in want.items():
         np.testing.assert_array_equal(single[x], ids)
         np.testing.assert_array_equal(nested[x], ids)
+    v = np.sin(5.0 * cloud.coords[:, 0]) + cloud.coords[:, 1]
+    for p in (1, 2):
+        got = _increment_table(cloud, v[None, :], [r], None, [p])[0, 0]
+        oracle = oracles.fsum_increment_rows(cloud.coords, cloud.weights, v, r, p, range(cloud.n))
+        np.testing.assert_allclose(got, oracle, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("kind", ["interval_grid:41", "square_grid:9", "carpet:2"])
+def test_grid_builders_record_their_lattice(kind):
+    cloud = space.build_cloud(kind)
+    lat = cloud.lattice
+    assert lat.step == pytest.approx(cloud.mesh)
+    index = lat.index[:, -cloud.dim :]  # an interval uses row 0 only
+    offsets = (index - index[0]) * lat.step
+    np.testing.assert_allclose(cloud.coords - cloud.coords[0], offsets, atol=1e-15)
+    # Ids run in row-major lattice order.
+    assert np.all(np.diff(lat.index[:, 0] * lat.shape[1] + lat.index[:, 1]) > 0)
+
+
+def test_other_clouds_have_no_lattice():
+    assert space.gasket(3).lattice is None
+    coords = np.random.default_rng(0).uniform(size=(20, 2))
+    assert MeasuredPointCloud(np.ones(20), coords=coords).lattice is None
 
 
 def test_ball_chunks_repeated_and_unordered_centers(monkeypatch):
