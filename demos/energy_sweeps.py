@@ -15,13 +15,13 @@ import numpy as np
 
 from kslab import (
     ScalarField,
+    SuiteContext,
     comparability_ratio,
     energy_sweep,
     fit_walk_dimension,
     gasket,
     interval_grid,
     make_scale_grid,
-    resolve_walk_dimension,
 )
 
 cloud = interval_grid(1001)
@@ -52,7 +52,8 @@ probe_fields = [
     for k in (1, 2, 3)
 ]
 fit = fit_walk_dimension(g, probe_fields, grid=grid)
-d_w, info = resolve_walk_dimension(g, "fit", seed=0)
+ctx = SuiteContext(g, "fit", seed=0)
+d_w, info = ctx.d_w, ctx.dw_info
 print(f"gasket(4): increment-scaling fit d_w = {fit.d_w_hat:.4f}"
       f" (residual {fit.residual:.3f})")
 print(f"resolved d_w = {d_w:.4f} from {info['source']}, eigen estimate"

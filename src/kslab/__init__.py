@@ -22,7 +22,6 @@ CSV and JSON artifact goes through one writer, :mod:`kslab.export`.
 """
 
 from .space import (
-    Ball,
     DoublingProfile,
     MassBoundReport,
     MeasuredPointCloud,
@@ -114,7 +113,6 @@ from .suites import (
 )
 
 __all__ = [
-    "Ball",
     "DoublingProfile",
     "MassBoundReport",
     "MeasuredPointCloud",

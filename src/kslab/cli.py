@@ -23,7 +23,6 @@ from .suites import (
     SUITES,
     SuiteContext,
     applicable_suites,
-    resolve_walk_dimension,
     run_suite,
 )
 
@@ -152,13 +151,10 @@ def _merge_cli(cfg: dict, args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _build_context(cfg: dict):
-    cloud = build_cloud(cfg["space"])
-    # d_w is resolved on the run's own context (below), so a fit's forms and
-    # solves serve the suites as well.
-    ctx = SuiteContext(cloud, 2.0, {}, seed=cfg["seed"], tolerances=cfg["tolerances"])
-    d_w, info = resolve_walk_dimension(cloud, cfg["d_w"], ctx=ctx)
-    return cloud, ctx, d_w, info
+def _build_context(cfg: dict) -> SuiteContext:
+    # d_w is resolved on the run's own context, so a fit's forms and solves
+    # serve the suites as well.
+    return SuiteContext(build_cloud(cfg["space"]), cfg["d_w"], cfg["seed"], cfg["tolerances"])
 
 
 def _require_out(cfg: dict) -> None:
@@ -194,8 +190,8 @@ def _select_suites(cfg: dict, cloud) -> list[str]:
 
 def _run_bundle(cfg: dict) -> int:
     _require_out(cfg)
-    cloud, ctx, d_w, info = _build_context(cfg)
-    selected = _select_suites(cfg, cloud)
+    ctx = _build_context(cfg)
+    selected = _select_suites(cfg, ctx.cloud)
 
     checks = []
     failed = []
@@ -218,8 +214,8 @@ def _run_bundle(cfg: dict) -> int:
         "all_passed": not failed,
         "checks": checks,
         "config": {k: v for k, v in cfg.items() if k != "out"},
-        "d_w": d_w,
-        "d_w_provenance": info,
+        "d_w": ctx.d_w,
+        "d_w_provenance": ctx.dw_info,
         "failed": sorted(failed),
         "n_checks": len(checks),
         "suites": selected,
@@ -246,7 +242,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_space(args: argparse.Namespace) -> int:
     cfg = _merge_cli(load_config(args.config), args)
     _require_out(cfg)
-    cloud, ctx, d_w, info = _build_context(cfg)
+    ctx = _build_context(cfg)
+    cloud = ctx.cloud
     profile = ctx.doubling_profile()
     payload = {
         "cloud": {
@@ -258,8 +255,8 @@ def cmd_space(args: argparse.Namespace) -> int:
             "abstract": cloud.is_abstract,
         },
         "config": {k: v for k, v in cfg.items() if k != "out"},
-        "d_w": d_w,
-        "d_w_provenance": info,
+        "d_w": ctx.d_w,
+        "d_w_provenance": ctx.dw_info,
         "doubling": profile.summary(),
     }
     out = _write_bundle(cfg, {"doubling.csv": profile.table()}, {"space.json": payload})
@@ -271,7 +268,7 @@ def cmd_space(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _merge_cli(load_config(args.config), args)
     _require_out(cfg)
-    _, ctx, d_w, info = _build_context(cfg)
+    ctx = _build_context(cfg)
     tables = {}
     summaries = {}
     for label, sweep in ctx.standard_sweeps().items():
@@ -279,8 +276,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         summaries[label] = sweep.summary()
     payload = {
         "config": {k: v for k, v in cfg.items() if k != "out"},
-        "d_w": d_w,
-        "d_w_provenance": info,
+        "d_w": ctx.d_w,
+        "d_w_provenance": ctx.dw_info,
         "sweeps": summaries,
     }
     out = _write_bundle(cfg, tables, {"sweep.json": payload})

@@ -1,16 +1,18 @@
 """Multiscale ball-increment (Korevaar-Schoen type) energies.
 
 For a field f on a weighted cloud, a radius r, and a walk-dimension style
-exponent d_w, the energy over a region U is the double sum
+exponent d_w, the energy is the double sum
 
-    E(f, r) = sum_{x in U} mu_x * (1 / mu(B(x, r)))
+    E(f, r) = sum_{x} mu_x * (1 / mu(B(x, r)))
               * sum_{y in B(x, r)} mu_y * (f(x) - f(y))**2 / r**d_w,
 
 the discrete form of an integral of ball-averaged squared increments.  The
-classical small-scale limit of such energies recovers a Dirichlet integral;
-on a finite cloud the limit is unreachable, so sweeps over a geometric scale
-grid report window proxies (liminf / limsup over the smallest resolved
-scales) and a fitted endpoint value instead.
+energy over a region U keeps only the centres x in U in the outer sum: it is
+the sum of a row of ``ks_energy_density(..., centers=U)``.  The classical
+small-scale limit of such energies recovers a Dirichlet integral; on a
+finite cloud the limit is unreachable, so sweeps over a geometric scale grid
+report window proxies (liminf / limsup over the smallest resolved scales)
+and a fitted endpoint value instead.
 
 Every reduction is per centre: a ball's sums read only that ball's members,
 and a total sums the per-centre vector once.  Results therefore do not depend
@@ -92,19 +94,8 @@ class ScalarField:
         """Squared weighted L2 norm, sum of mu_i * f_i**2."""
         return float(np.dot(self.cloud.weights, self.values**2))
 
-    def l2_norm(self) -> float:
-        return float(np.sqrt(self.l2sq()))
-
-    def lq_norm(self, q: float) -> float:
-        if q <= 0:
-            raise ValueError("norm exponent must be positive")
-        return float(np.dot(self.cloud.weights, np.abs(self.values) ** q) ** (1.0 / q))
-
-    def sup_norm(self) -> float:
-        return float(np.abs(self.values).max())
-
-    def is_constant(self, tol: float = 0.0) -> bool:
-        return bool(np.ptp(self.values) <= tol)
+    def is_constant(self) -> bool:
+        return bool(np.ptp(self.values) == 0.0)
 
 
 def _validated(
@@ -124,17 +115,6 @@ def _validated(
     return np.stack([f.values for f in fields])
 
 
-def _region_ids(cloud: MeasuredPointCloud, region: np.ndarray | None) -> np.ndarray | None:
-    if region is None:
-        return None
-    ids = np.unique(np.asarray(region, dtype=np.intp))
-    if ids.size and (ids[0] < 0 or ids[-1] >= cloud.n):
-        raise ValueError("region ids out of range")
-    if ids.size == 0:
-        raise ValueError("region is empty")
-    return ids
-
-
 def _increment_table(
     cloud: MeasuredPointCloud,
     matrix: np.ndarray,
@@ -145,7 +125,8 @@ def _increment_table(
     """Per-centre normalized increment sums for one or more fields and radii.
 
     ``matrix`` holds one field per row.  Entry ``[k, i, j]`` is, for field
-    row i and centre x = ``centers[j]`` (default: every point, in id order),
+    row i and centre x = ``centers[j]`` (default: every point, in id order;
+    ids outside [0, n) are refused),
 
         mu_x / mu(B(x, r_k)) * sum_{y in B(x, r_k)} mu_y |f(x) - f(y)|**p_k,
 
@@ -160,6 +141,8 @@ def _increment_table(
     * every other cloud: one ball-engine pass at the largest radius,
       ``_engine_table``.
     """
+    if centers is not None:
+        centers = cloud._checked_ids(np.asarray(centers, dtype=np.intp))
     powers = [2] * len(radii) if powers is None else list(powers)
     radii = [float(r) for r in radii]
     n_out = cloud.n if centers is None else len(centers)
@@ -442,11 +425,10 @@ def _raw_sums(
     fields: Sequence[ScalarField],
     radii: Sequence[float],
     d_w: float | None = None,
-    region: np.ndarray | None = None,
 ) -> np.ndarray:
     """Validated raw increment sums, shape (len(radii), len(fields))."""
     mat = _validated(cloud, fields, radii, d_w)
-    return _increment_table(cloud, mat, radii, _region_ids(cloud, region)).sum(axis=-1)
+    return _increment_table(cloud, mat, radii, None).sum(axis=-1)
 
 
 def ks_energies(
@@ -454,14 +436,13 @@ def ks_energies(
     fields: Sequence[ScalarField],
     radii: Sequence[float],
     d_w: float = 2.0,
-    region: np.ndarray | None = None,
 ) -> np.ndarray:
     """Energies of several fields at several scales, sharing one ball pass.
 
     Returns shape (len(radii), len(fields)); each entry equals the
     corresponding ``ks_energy`` bit for bit.
     """
-    raw = _raw_sums(cloud, fields, radii, d_w, region)
+    raw = _raw_sums(cloud, fields, radii, d_w)
     return np.stack([raw[k] / float(r) ** d_w for k, r in enumerate(radii)])
 
 
@@ -470,15 +451,12 @@ def ks_energy(
     f: ScalarField,
     r: float,
     d_w: float = 2.0,
-    region: np.ndarray | None = None,
 ) -> float:
     """Ball-increment energy of one field at one scale.
 
-    ``region`` restricts the outer sum to the given centre ids; inner balls
-    still range over the whole cloud.  The radius must clear the
-    admissibility floor ``kappa * h``.
+    The radius must clear the admissibility floor ``kappa * h``.
     """
-    return float(ks_energies(cloud, [f], [r], d_w, region)[0, 0])
+    return float(ks_energies(cloud, [f], [r], d_w)[0, 0])
 
 
 def ks_energy_density(
@@ -491,13 +469,13 @@ def ks_energy_density(
     """Per-centre contributions to the energy at several scales, one pass.
 
     Returns shape (len(radii), len(centers)), centres defaulting to every
-    point in id order.  Summing row k over any centre set equals the energy
-    at ``radii[k]`` restricted to that region, which is what localized
-    functionals (maximal fields, ball-restricted sweeps) build on.
+    point in id order.  The sum of row k over a centre set U is the energy
+    at ``radii[k]`` restricted to the region U: the outer sum runs over U,
+    the inner balls over the whole cloud.  Localized functionals (maximal
+    fields, Poincaré right-hand sides) build on these rows.
     """
     mat = _validated(cloud, [f], radii, d_w)
-    ids = None if centers is None else np.asarray(centers, dtype=np.intp)
-    table = _increment_table(cloud, mat, radii, ids)[:, 0]
+    table = _increment_table(cloud, mat, radii, centers)[:, 0]
     return np.stack([table[k] / float(r) ** d_w for k, r in enumerate(radii)])
 
 
@@ -508,16 +486,15 @@ class ScaleGrid:
     The scales are r_max * 2^{-k/2}, k = 0..11 (``DEFAULT_RATIO``,
     ``DEFAULT_COUNT``), with r_max = diam/4 unless the caller widens it;
     those under the admissibility floor kappa h (``cloud.floor``) are
-    dropped, and ``count`` is how many remain.  Each scale is moved to the
-    nearest (j + 1/2) * h before use.  On near-regular clouds, ball
-    membership jumps wherever a radius crosses a lattice distance, and radii
-    that sit close to such a crossing carry an O(h/r) bias in the increment
-    sums.  Mid-mesh radii reduce that to O((h/r)^2), which is what keeps the
-    small-scale window usable for limit fits.
+    dropped.  Each scale is moved to the nearest (j + 1/2) * h before use.
+    On near-regular clouds, ball membership jumps wherever a radius crosses
+    a lattice distance, and radii that sit close to such a crossing carry an
+    O(h/r) bias in the increment sums.  Mid-mesh radii reduce that to
+    O((h/r)^2), which is what keeps the small-scale window usable for limit
+    fits.
     """
 
     r_max: float
-    count: int
     scales: np.ndarray  # descending, admissible only
 
     @property
@@ -550,7 +527,7 @@ def make_scale_grid(cloud: MeasuredPointCloud, r_max: float | None = None) -> Sc
     scales = np.unique(snapped[snapped >= floor])[::-1]
     if scales.size == 0:
         raise ValueError(f"empty admissible grid: r_max={r_max:g}, floor={floor:g}")
-    return ScaleGrid(r_max=float(r_max), count=int(scales.size), scales=scales)
+    return ScaleGrid(r_max=float(r_max), scales=scales)
 
 
 @dataclass(frozen=True)
@@ -575,8 +552,6 @@ class EnergySweep:
     fitted_limit: float
     field_l2sq: float
     grid: ScaleGrid
-    region_size: int | None = None
-    seed: int | None = None
     label: str = ""
 
     def table(self) -> Table:
@@ -600,8 +575,6 @@ class EnergySweep:
             "sup_all": self.sup_all,
             "fitted_limit": self.fitted_limit,
             "field_l2sq": self.field_l2sq,
-            "region_size": self.region_size,
-            "seed": self.seed,
         }
 
     def to_json(self, path: str | Path) -> None:
@@ -624,13 +597,11 @@ def energy_sweep(
     cloud: MeasuredPointCloud,
     f: ScalarField,
     d_w: float = 2.0,
-    region: np.ndarray | None = None,
     label: str = "",
 ) -> EnergySweep:
     """Evaluate the energy of ``f`` across the fixed scale grid."""
     grid = make_scale_grid(cloud)
-    ids = _region_ids(cloud, region)
-    values = ks_energies(cloud, [f], grid.scales, d_w=d_w, region=ids)[:, 0]
+    values = ks_energies(cloud, [f], grid.scales, d_w=d_w)[:, 0]
     w_scales = grid.window()
     w_values = values[::-1][: w_scales.size]
     return EnergySweep(
@@ -645,7 +616,6 @@ def energy_sweep(
         fitted_limit=_fit_window_endpoint(w_scales, w_values),
         field_l2sq=f.l2sq(),
         grid=grid,
-        region_size=None if ids is None else int(ids.size),
         label=label,
     )
 
@@ -686,14 +656,13 @@ def raw_increment_sum(
     cloud: MeasuredPointCloud,
     f: ScalarField,
     r: float,
-    region: np.ndarray | None = None,
 ) -> float:
     """Unnormalized double sum of ball-averaged squared increments.
 
     Equals ``r**d_w * ks_energy(...)`` for any d_w; its log-log slope in r is
     the scaling exponent the walk-dimension fit extracts.
     """
-    return float(_raw_sums(cloud, [f], [r], region=region)[0, 0])
+    return float(_raw_sums(cloud, [f], [r])[0, 0])
 
 
 def fit_walk_dimension(

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -492,15 +491,14 @@ def fit_subgaussian(
     spec: Spectrum,
     cloud: MeasuredPointCloud,
     t_window: tuple[float, float] | None = None,
-    pairs: Sequence[tuple[int, int]] | None = None,
-    n_times: int = 12,
     seed: int = 0,
 ) -> HeatKernelFit:
     """Fit the sub-Gaussian off-diagonal model over (time, pair) samples.
 
-    The time window defaults to [3/lambda_max, 0.3/lambda_1]: early enough
-    that the kernel is not saturated at the constant mode, late enough that
-    single-vertex discreteness has smoothed out.  Distances in the decay
+    Twelve geometric times span the window, which defaults to
+    [3/lambda_max, 0.3/lambda_1]: early enough that the kernel is not
+    saturated at the constant mode, late enough that single-vertex
+    discreteness has smoothed out.  Distances in the decay
     variable are network geodesics (shortest paths over the form's edges):
     the kernel propagates through edges, and on ramified geometries the
     straight-line distance understates the travel cost by an uneven factor.
@@ -527,34 +525,27 @@ def fit_subgaussian(
     t_lo, t_hi = map(float, t_window)
     if not (0.0 < t_lo < t_hi):
         raise ValueError(f"degenerate time window {t_window!r}")
-    times = np.geomspace(t_lo, t_hi, n_times)
+    times = np.geomspace(t_lo, t_hi, 12)
 
     rng = np.random.default_rng(seed)
     n = cloud.n
-    if pairs is None:
-        centers = np.sort(rng.choice(n, size=min(8, n), replace=False))
-    else:
-        pairs = [(int(x), int(y)) for x, y in pairs if x != y]
-        if not pairs:
-            raise ValueError("no usable off-diagonal pairs")
-        centers = np.unique([x for x, _ in pairs])
+    centers = np.sort(rng.choice(n, size=min(8, n), replace=False))
     center_row = {int(x): k for k, x in enumerate(centers)}
     edge_len = cloud.pair_distances(form.edge_i, form.edge_j)
     geo = dijkstra(
         _length_graph(form, edge_len), indices=centers, directed=False
     )
-    if pairs is None:
-        d_lo = 12.0 * cloud.mesh
-        d_hi = 0.5 * float(geo[np.isfinite(geo)].max())
-        if d_hi <= d_lo:
-            d_hi = float(geo[np.isfinite(geo)].max())
-        pairs = []
-        for row, x in enumerate(centers):
-            for target in np.geomspace(d_lo, d_hi, 5):
-                y = int(np.argmin(np.abs(geo[row] - target)))
-                if y != x:
-                    pairs.append((int(x), y))
-        pairs = sorted(set(pairs))
+    d_lo = 12.0 * cloud.mesh
+    d_hi = 0.5 * float(geo[np.isfinite(geo)].max())
+    if d_hi <= d_lo:
+        d_hi = float(geo[np.isfinite(geo)].max())
+    pairs = []
+    for row, x in enumerate(centers):
+        for target in np.geomspace(d_lo, d_hi, 5):
+            y = int(np.argmin(np.abs(geo[row] - target)))
+            if y != x:
+                pairs.append((int(x), y))
+    pairs = sorted(set(pairs))
 
     rows = []
     for t in times:
@@ -842,7 +833,6 @@ class GammaLipReport:
     """Best constant in Gamma/mu <= C (Lip_h f)^2 over active vertices."""
 
     c_best: float
-    r_loc: float
     n_active: int
 
 
@@ -850,9 +840,10 @@ def gamma_vs_lip_check(
     form: GraphDirichletForm,
     cloud: MeasuredPointCloud,
     f: ScalarField,
-    r_loc: float | None = None,
 ) -> GammaLipReport:
     """Compare the energy-measure density with the squared discrete slope.
+
+    The slope reads neighbours closer than the admissibility floor kappa h.
 
     Grid forms only: the comparison is a d_w = 2 statement and has no
     analogue for the resistance-scaled gasket form.
@@ -862,17 +853,13 @@ def gamma_vs_lip_check(
     if cloud is not form.cloud:
         raise ValueError("cloud does not match the form")
     _check_form_field(form, f)
-    if r_loc is None:
-        r_loc = cloud.floor
     ratio_gamma = energy_measure(form, f).per_mass()
-    lip = discrete_lip(cloud, f, r_loc).values
+    lip = discrete_lip(cloud, f, cloud.floor).values
     active = lip > 0
     if not np.any(active):
-        return GammaLipReport(c_best=0.0, r_loc=float(r_loc), n_active=0)
+        return GammaLipReport(c_best=0.0, n_active=0)
     c_best = float(np.max(ratio_gamma[active] / lip[active] ** 2))
-    return GammaLipReport(
-        c_best=c_best, r_loc=float(r_loc), n_active=int(active.sum())
-    )
+    return GammaLipReport(c_best=c_best, n_active=int(active.sum()))
 
 
 # ----------------------------------------------------------------------

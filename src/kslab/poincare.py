@@ -108,13 +108,9 @@ class PoincareReport:
         write_json(path, self.summary())
 
 
-def _default_samples(
-    cloud: MeasuredPointCloud,
-    lam: float,
-    seed: int,
-    n_centers: int,
-    radii_per_decade: int,
-) -> list[tuple[int, float]]:
+def _default_samples(cloud: MeasuredPointCloud, lam: float, seed: int) -> list[tuple[int, float]]:
+    """``DEFAULT_CENTERS`` seeded centres crossed with ``RADII_PER_DECADE``
+    geometric radii per decade from the floor to diam / (2 lam)."""
     r_lo = cloud.floor
     r_hi = cloud.diameter / (2.0 * lam)
     if r_hi <= r_lo:
@@ -122,10 +118,10 @@ def _default_samples(
             f"no admissible radii: floor {r_lo:g} exceeds diam/(2*lambda) = {r_hi:g}"
         )
     decades = math.log10(r_hi / r_lo)
-    n_radii = max(2, math.ceil(radii_per_decade * decades))
+    n_radii = max(2, math.ceil(RADII_PER_DECADE * decades))
     radii = np.geomspace(r_lo, r_hi, n_radii)
     rng = np.random.default_rng(seed)
-    centers = np.sort(rng.choice(cloud.n, size=min(n_centers, cloud.n), replace=False))
+    centers = np.sort(rng.choice(cloud.n, size=min(DEFAULT_CENTERS, cloud.n), replace=False))
     return [(int(c), float(r)) for c in centers for r in radii]
 
 
@@ -138,8 +134,6 @@ def poincare_check(
     samples: Sequence[tuple[int, float]] | None = None,
     form: GraphDirichletForm | None = None,
     seed: int = 0,
-    n_centers: int = DEFAULT_CENTERS,
-    radii_per_decade: int = RADII_PER_DECADE,
 ) -> PoincareReport:
     """Sample the 2-Poincaré inequality in the requested rhs flavor.
 
@@ -166,7 +160,7 @@ def poincare_check(
 
     used_seed: int | None = seed
     if samples is None:
-        pairs = _default_samples(cloud, lam, seed, n_centers, radii_per_decade)
+        pairs = _default_samples(cloud, lam, seed)
     else:
         pairs = [(int(c), float(r)) for c, r in samples]
         used_seed = None
@@ -265,7 +259,6 @@ def maximal_function(
     f: ScalarField,
     R: float,
     d_w: float = 2.0,
-    rho_grid: Sequence[float] | np.ndarray | None = None,
 ) -> MaximalField:
     """M_R f: sup over rho < R of the normalized local energy, rooted.
 
@@ -276,17 +269,7 @@ def maximal_function(
     """
     if f.cloud is not cloud:
         raise ValueError("field does not live on the given cloud")
-    if rho_grid is None:
-        grid = _maximal_rho_grid(cloud, R)
-    else:
-        grid = np.unique(np.asarray(rho_grid, dtype=float))[::-1]
-        if grid.size == 0:
-            raise ValueError("empty radius ladder")
-        floor = cloud.floor
-        if grid[-1] < floor or grid[0] >= R:
-            raise ValueError(
-                f"radius ladder must sit inside [{floor:g}, {R:g})"
-            )
+    grid = _maximal_rho_grid(cloud, R)
     w_scales = liminf_window_scales(cloud)
     rows = ks_energy_density(cloud, f, w_scales, d_w=d_w)
     mu = cloud.weights

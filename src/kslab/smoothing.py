@@ -132,14 +132,12 @@ class PartitionOfUnity:
     def fields(self) -> list[ScalarField]:
         return [ScalarField(self.cloud, row.copy()) for row in self.phi]
 
-    def slope_constant(self, r_loc: float | None = None) -> float:
+    def slope_constant(self) -> float:
         """Largest discrete slope among the bumps, in units of 1/epsilon.
 
-        All bumps share one ball pass at ``r_loc``.
+        All bumps share one ball pass at epsilon.
         """
-        if r_loc is None:
-            r_loc = self.epsilon
-        lips = discrete_lip(self.cloud, self.fields(), r_loc)
+        lips = discrete_lip(self.cloud, self.fields(), self.epsilon)
         return max(0.0, *(float(lip.values.max()) for lip in lips)) * self.epsilon
 
     def to_triplets(self, path: str | Path) -> None:

@@ -157,28 +157,6 @@ def _on_lattice(cloud: MeasuredPointCloud, index: np.ndarray, step: float) -> Me
     return cloud
 
 
-@dataclass(frozen=True)
-class Ball:
-    """Open metric ball around a cloud point.
-
-    Attributes
-    ----------
-    center : int
-        Id of the centre point.
-    radius : float
-        Ball radius.
-    member_ids : np.ndarray
-        Sorted ids of the points with ``d(center, y) < radius``.
-    mass : float
-        Total weight of the members.
-    """
-
-    center: int
-    radius: float
-    member_ids: np.ndarray
-    mass: float
-
-
 class MeasuredPointCloud:
     """Finite weighted metric space.
 
@@ -208,8 +186,6 @@ class MeasuredPointCloud:
         dist_matrix: np.ndarray | None = None,
         mesh: float | None = None,
         meta: dict | None = None,
-        triangle_budget: int = TRIANGLE_BUDGET,
-        triangle_seed: int = 0,
     ):
         w = np.asarray(weights, dtype=float).reshape(-1)
         if w.size == 0:
@@ -249,7 +225,7 @@ class MeasuredPointCloud:
             self._coords = None
             self._dist = d
             self._dist.setflags(write=False)
-            self._spot_check_triangles(triangle_budget, triangle_seed)
+            self._spot_check_triangles()
 
         self.meta = dict(meta or {})
         self._lattice: Lattice | None = None
@@ -331,13 +307,14 @@ class MeasuredPointCloud:
         hull = c[ConvexHull(c).vertices]
         return float(pdist(hull).max())
 
-    def _spot_check_triangles(self, budget: int, seed: int) -> None:
+    def _spot_check_triangles(self) -> None:
+        """Test the triangle inequality on ``TRIANGLE_BUDGET`` seeded triples."""
         d = self._dist
         assert d is not None
-        if self.n < 3 or budget <= 0:
+        if self.n < 3:
             return
-        rng = np.random.default_rng(seed)
-        idx = rng.integers(0, self.n, size=(budget, 3))
+        rng = np.random.default_rng(0)
+        idx = rng.integers(0, self.n, size=(TRIANGLE_BUDGET, 3))
         i, j, k = idx[:, 0], idx[:, 1], idx[:, 2]
         slack = 1e-12 * max(1.0, float(d.max()))
         if np.any(d[i, k] > d[i, j] + d[j, k] + slack):
@@ -368,6 +345,13 @@ class MeasuredPointCloud:
             raise ValueError(f"center id {np.extract(bad, ids)[0]} out of range")
         return ids
 
+    @staticmethod
+    def _checked_radius(r: float) -> float:
+        """``r``, refusing a radius that is not finite and positive."""
+        if not 0.0 < r < np.inf:
+            raise ValueError(f"radius must be positive and finite, got {r!r}")
+        return r
+
     def distances_from(self, x: int) -> np.ndarray:
         """Distances from point ``x`` to every point, in id order."""
         x = self._checked_ids(x)
@@ -391,9 +375,7 @@ class MeasuredPointCloud:
 
     def require_admissible(self, r: float) -> None:
         """Refuse radii the mesh cannot resolve (r < kappa * h)."""
-        if not np.isfinite(r) or r <= 0.0:
-            raise ValueError(f"radius must be positive, got {r!r}")
-        if r < self.floor:
+        if self._checked_radius(r) < self.floor:
             raise ValueError(
                 f"radius {r:g} below admissibility floor {DEFAULT_KAPPA:g} * h = "
                 f"{self.floor:g}"
@@ -406,6 +388,7 @@ class MeasuredPointCloud:
         the canonical distance formula, so an O(n) scan gives the same set.
         """
         x = self._checked_ids(x)
+        r = self._checked_radius(r)
         if self._dist is not None:
             return np.flatnonzero(self._dist[x] < r)
         cand = np.asarray(
@@ -416,13 +399,6 @@ class MeasuredPointCloud:
         )
         d = _point_distances(self._coords[cand], self._coords[x])
         return cand[d < r]
-
-    def ball(self, x: int, r: float) -> Ball:
-        """Open ball around point ``x`` with its members and mass."""
-        if not np.isfinite(r) or r <= 0.0:
-            raise ValueError(f"radius must be positive, got {r!r}")
-        ids = self.ball_ids(x, r)
-        return Ball(int(x), float(r), ids, float(self._weights[ids].sum()))
 
     def ball_chunks(
         self, r: float, centers: np.ndarray | None = None
@@ -440,6 +416,7 @@ class MeasuredPointCloud:
         ``r * (1 + 1e-12)`` and keep those whose canonical distance is below
         ``r``; distance-matrix clouds read the matrix rows directly.
         """
+        r = self._checked_radius(r)
         if centers is None:
             centers = np.arange(self.n, dtype=np.intp)
         else:
@@ -496,7 +473,7 @@ class MeasuredPointCloud:
         would yield.  Radii are peeled off largest first, each from the
         previous (smaller) selection.
         """
-        radii = [float(r) for r in radii]
+        radii = [self._checked_radius(float(r)) for r in radii]
         if not radii:
             return
         order = sorted(range(len(radii)), key=lambda k: -radii[k])
@@ -542,11 +519,11 @@ class MeasuredPointCloud:
 
 def ball_average(cloud: MeasuredPointCloud, values: np.ndarray, x: int, r: float) -> float:
     """Weighted mean of ``values`` over the open ball B(x, r)."""
-    b = cloud.ball(x, r)
-    if b.member_ids.size == 0:
+    ids = cloud.ball_ids(x, r)
+    if ids.size == 0:
         raise ValueError(f"ball B({x}, {r:g}) is empty")
-    w = cloud.weights[b.member_ids]
-    return float(np.dot(w, values[b.member_ids]) / b.mass)
+    w = cloud.weights[ids]
+    return float(np.dot(w, values[ids]) / w.sum())
 
 
 # ----------------------------------------------------------------------

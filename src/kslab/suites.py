@@ -107,27 +107,27 @@ class CheckResult:
 class SuiteContext:
     """Shared state for one suite run: cloud, resolved d_w, lazy form/spectrum.
 
-    ``resolve_walk_dimension`` may set ``d_w`` after construction, on the
-    same context whose forms the fit builds, so nothing cached on the
-    context may depend on ``d_w``.
+    ``d_w`` is a number or ``"fit"``; the constructor resolves it with
+    ``resolve_walk_dimension`` into ``self.d_w`` and its provenance
+    ``self.dw_info``.  A fit reads this context's forms and solves, which
+    the suites then reuse, so nothing cached on the context may depend on
+    ``d_w``.
     """
 
     def __init__(
         self,
         cloud: MeasuredPointCloud,
-        d_w: float,
-        dw_info: dict,
+        d_w: float | str,
         seed: int,
         tolerances: dict[str, float] | None = None,
     ):
         self.cloud = cloud
-        self.d_w = float(d_w)
-        self.dw_info = dw_info
         self.seed = int(seed)
         self.tol = dict(DEFAULT_TOLERANCES)
         if tolerances:
             self.tol.update(tolerances)
         self._doubling: dict[bool, DoublingProfile] = {}
+        self.d_w, self.dw_info = resolve_walk_dimension(self, d_w)
 
     def doubling_scales(self) -> list[float]:
         # Shrink off the mid-mesh ladder: doubling evaluates mass at 2r as well,
@@ -220,31 +220,16 @@ class SuiteContext:
         return [("dist_from_0", ScalarField(cloud, cloud.distances_from(0)))]
 
 
-def resolve_walk_dimension(
-    cloud: MeasuredPointCloud,
-    requested: float | str,
-    seed: int = 0,
-    ctx: SuiteContext | None = None,
-) -> tuple[float, dict]:
-    """Resolve an explicit d_w or fit one from the cloud itself.
+def resolve_walk_dimension(ctx: SuiteContext, requested: float | str) -> tuple[float, dict]:
+    """Resolve an explicit d_w or fit one on the context's cloud.
 
     Fitting runs the increment-scaling regression on standard fields and,
     when the cloud belongs to a mesh hierarchy, the cross-level eigenvalue
     estimate; the latter wins when both exist, and the report carries both
-    values plus an agreement flag.
-
-    Passing the run's ``ctx`` resolves on that context: its cloud, seed and
-    tolerances are used, the result is stored as ``ctx.d_w`` / ``ctx.dw_info``,
-    and the suites reuse the forms (and their solves) that the fit builds.
+    values plus an agreement flag judged by the context's tolerances.
+    ``SuiteContext`` calls this while it is being built; it returns the
+    value and its provenance.
     """
-    if ctx is None:
-        ctx = SuiteContext(cloud, 2.0, {}, seed)
-    d_w, info = _resolve_on(ctx, requested)
-    ctx.d_w, ctx.dw_info = d_w, info
-    return d_w, info
-
-
-def _resolve_on(ctx: SuiteContext, requested: float | str) -> tuple[float, dict]:
     if requested != "fit":
         value = float(requested)
         return value, {"source": "explicit", "value": value}

@@ -32,7 +32,7 @@ from kslab.space import (
     interval_grid,
     square_grid,
 )
-from kslab.suites import resolve_walk_dimension
+from kslab.suites import SuiteContext
 
 import oracles
 
@@ -121,7 +121,8 @@ def spec6(form6):
 @pytest.fixture(scope="module")
 def gasket5_fit():
     """Fitted walk dimension of the level-5 gasket, with provenance."""
-    return resolve_walk_dimension(gasket(5), "fit", seed=0)
+    ctx = SuiteContext(gasket(5), "fit", seed=0)
+    return ctx.d_w, ctx.dw_info
 
 
 @pytest.fixture(scope="module")

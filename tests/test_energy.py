@@ -52,7 +52,7 @@ def test_ks_energy_region_matches_brute_force():
     vals = np.sin(3 * cloud.coords[:, 0])
     f = ScalarField(cloud, vals)
     region = np.arange(20, 70)
-    got = ks_energy(cloud, f, 0.4, d_w=2.0, region=region)
+    got = ks_energy_density(cloud, f, [0.4], d_w=2.0, centers=region)[0].sum()
     want = oracles.brute_ks_energy(dmat, cloud.weights, vals, 0.4, 2.0, region=region)
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -74,8 +74,11 @@ def test_density_sums_to_regional_energy():
     dens = ks_energy_density(cloud, f, [r], d_w=2.0)[0]
     assert dens.sum() == pytest.approx(ks_energy(cloud, f, r, d_w=2.0), rel=1e-12)
     region = np.arange(10, 55)
-    assert dens[region].sum() == pytest.approx(
-        ks_energy(cloud, f, r, d_w=2.0, region=region), rel=1e-12
+    regional = ks_energy_density(cloud, f, [r], d_w=2.0, centers=region)[0].sum()
+    assert dens[region].sum() == pytest.approx(regional, rel=1e-12)
+    dmat = oracles.dist_matrix(cloud.coords)
+    assert regional == pytest.approx(
+        oracles.brute_ks_energy(dmat, cloud.weights, f.values, r, 2.0, region=region), rel=1e-12
     )
 
 
@@ -177,13 +180,13 @@ def test_scale_grid_geometry():
     frac = grid.scales / h - np.floor(grid.scales / h)
     np.testing.assert_allclose(frac, 0.5, atol=1e-9)
     assert grid.scales[-1] >= 3.0 * h
-    assert grid.count == 12  # all twelve admissible on this mesh
+    assert grid.scales.size == 12  # all twelve admissible on this mesh
 
 
 def test_scale_grid_drops_unresolved_scales():
     cloud = interval_grid(101)  # floor 0.03
     grid = make_scale_grid(cloud)
-    assert grid.count < 12
+    assert grid.scales.size < 12
     assert grid.scales.min() >= 0.03
     with pytest.raises(ValueError, match="empty admissible"):
         make_scale_grid(cloud, r_max=0.01)
@@ -214,7 +217,11 @@ def _package_callables():
 
 
 def test_scale_geometry_takes_no_knobs():
+    import dataclasses
     import inspect
+
+    import kslab
+    from kslab.energy import EnergySweep, ScaleGrid
 
     takers: dict[str, list[str]] = {}
     for qualname, fn in _package_callables():
@@ -222,9 +229,54 @@ def test_scale_geometry_takes_no_knobs():
             takers.setdefault(param, []).append(qualname)
     assert "kslab.suites.SuiteContext.__init__" in takers["cloud"]
     assert "kslab.space.MeasuredPointCloud.require_admissible" in takers["r"]
-    for knob in ("kappa", "ratio", "count", "window"):
+    knobs = (
+        "kappa", "ratio", "count", "window", "region", "n_centers", "radii_per_decade",
+        "n_times", "tol", "triangle_budget", "triangle_seed", "rho_grid", "dw_info",
+    )
+    for knob in knobs:
         assert takers.get(knob) is None, (knob, takers.get(knob))
     assert takers["r_max"] == ["kslab.energy.make_scale_grid"]
+    assert takers["pairs"] == ["kslab.convergence.recovery_check"]
+    assert takers["r_loc"] == ["kslab.smoothing.discrete_lip"]
+    # ks_energy_density(centers=) is the one way to restrict an energy.
+    assert "centers" in takers and "kslab.energy.ks_energy_density" in takers["centers"]
+    assert not hasattr(kslab, "Ball") and "Ball" not in kslab.__all__
+    assert not hasattr(kslab.MeasuredPointCloud, "ball")
+    for gone in ("l2_norm", "lq_norm", "sup_norm"):
+        assert not hasattr(ScalarField, gone), gone
+    assert [f.name for f in dataclasses.fields(ScaleGrid)] == ["r_max", "scales"]
+    sweep_fields = {f.name for f in dataclasses.fields(EnergySweep)}
+    assert not sweep_fields & {"region_size", "seed"}
+
+
+def _matrix_cloud(grid):
+    return MeasuredPointCloud(grid.weights, dist_matrix=oracles.dist_matrix(grid.coords))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: interval_grid(101),
+        lambda: carpet(2),
+        lambda: gasket(4),
+        lambda: _matrix_cloud(interval_grid(21)),
+    ],
+    ids=["interval", "carpet", "gasket", "matrix"],
+)
+def test_increment_sums_refuse_out_of_range_centres(make):
+    from kslab.energy import _increment_table
+
+    cloud = make()
+    f = ScalarField(cloud, np.arange(cloud.n, dtype=float))
+    r = 2.0 * cloud.floor
+    above = 2.0 * cloud.diameter
+    for bad in (-1, cloud.n):
+        centers = np.array([0, bad])
+        with pytest.raises(ValueError, match=f"center id {bad} out of range"):
+            ks_energy_density(cloud, f, [r], centers=centers)
+        # p = 1 above the diameter: the whole-cloud route.
+        with pytest.raises(ValueError, match=f"center id {bad} out of range"):
+            _increment_table(cloud, f.values[None, :], [above], centers, [1])
 
 
 def test_sweep_identity_fitted_limit():
@@ -286,9 +338,8 @@ def test_region_restriction_additive():
     left = np.arange(0, 150)
     right = np.arange(150, 301)
     total = ks_energy(cloud, f, r)
-    assert ks_energy(cloud, f, r, region=left) + ks_energy(
-        cloud, f, r, region=right
-    ) == pytest.approx(total, rel=1e-12)
+    parts = [ks_energy_density(cloud, f, [r], centers=half)[0].sum() for half in (left, right)]
+    assert parts[0] + parts[1] == pytest.approx(total, rel=1e-12)
 
 
 # ----------------------------------------------------------------------
@@ -390,7 +441,7 @@ def _engine_results(cloud, fields):
     region = np.arange(0, cloud.n, 7)
     return {
         "energy": ks_energy(cloud, f, float(grid.scales[2])),
-        "region": ks_energy(cloud, f, float(grid.scales[0]), region=region),
+        "region": ks_energy_density(cloud, f, grid.scales[:1], centers=region)[0].sum(),
         "many": ks_energies(cloud, fields, [float(grid.scales[-1])])[0],
         "density": ks_energy_density(cloud, f, grid.scales[1:3]),
         "density_centers": ks_energy_density(

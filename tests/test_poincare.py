@@ -239,13 +239,6 @@ class TestMaximalFunction:
         with pytest.raises(ValueError, match="radius ladder"):
             maximal_function(cloud, f, R=0.001)
 
-    def test_custom_grid_validated(self, grid401):
-        cloud, f = grid401
-        with pytest.raises(ValueError, match="radius ladder"):
-            maximal_function(cloud, f, R=0.1, rho_grid=[0.2])
-        with pytest.raises(ValueError, match="radius ladder"):
-            maximal_function(cloud, f, R=0.1, rho_grid=[])
-
     def test_field_cloud_mismatch(self, grid401):
         cloud, _ = grid401
         other = interval_grid(101)

@@ -206,7 +206,7 @@ def test_mollify_flattens_spike():
     # The spike carries mass 1/101; any ball average dilutes it by the ball
     # mass, so the smoothed sup-norm cannot exceed the worst mass fraction.
     masses = np.array(
-        [cloud.ball(int(c), eps).mass for c in net.center_ids]
+        [cloud.weights[cloud.ball_ids(int(c), eps)].sum() for c in net.center_ids]
     )
     assert out.values.max() <= (1.0 / 101.0) / masses.min() + 1e-15
     assert out.values.max() < 1.0

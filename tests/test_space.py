@@ -119,9 +119,9 @@ def test_triangle_inequality_spot_check():
 
 def test_ball_membership_frozen_interval():
     cloud = interval_grid(5)
-    b = cloud.ball(2, 0.3)
-    np.testing.assert_array_equal(b.member_ids, [1, 2, 3])
-    assert b.mass == pytest.approx(0.6)
+    ids = cloud.ball_ids(2, 0.3)
+    np.testing.assert_array_equal(ids, [1, 2, 3])
+    assert cloud.weights[ids].sum() == pytest.approx(0.6)
 
 
 def test_ball_average_frozen_value():
@@ -134,8 +134,8 @@ def test_ball_average_frozen_value():
 
 def test_ball_is_open():
     cloud = interval_grid(5)
-    b = cloud.ball(0, 0.25)  # point at exactly r is excluded
-    np.testing.assert_array_equal(b.member_ids, [0])
+    ids = cloud.ball_ids(0, 0.25)  # point at exactly r is excluded
+    np.testing.assert_array_equal(ids, [0])
 
 
 @pytest.mark.parametrize("abstract", [False, True])
@@ -148,13 +148,30 @@ def test_out_of_range_centre_ids_are_refused(abstract, bad):
         cloud = grid
     queries = [
         lambda: cloud.ball_ids(bad, 0.3),
-        lambda: cloud.ball(bad, 0.3),
         lambda: cloud.distances_from(bad),
         lambda: next(cloud.ball_chunks(0.3, centers=[0, bad])),
         lambda: next(cloud.nested_ball_chunks([0.3, 0.2], centers=[bad])),
     ]
     for query in queries:
         with pytest.raises(ValueError, match=f"center id {bad} out of range"):
+            query()
+
+
+@pytest.mark.parametrize("abstract", [False, True])
+@pytest.mark.parametrize("bad", [-1.0, 0.0, float("nan"), float("inf")])
+def test_radii_that_are_not_finite_and_positive_are_refused(abstract, bad):
+    grid = interval_grid(11)
+    if abstract:
+        cloud = MeasuredPointCloud(grid.weights, dist_matrix=oracles.dist_matrix(grid.coords))
+    else:
+        cloud = grid
+    queries = [
+        lambda: cloud.ball_ids(3, bad),
+        lambda: next(cloud.ball_chunks(bad)),
+        lambda: next(cloud.nested_ball_chunks([0.3, bad])),
+    ]
+    for query in queries:
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
             query()
 
 

@@ -13,7 +13,6 @@ from kslab.suites import (
     CheckResult,
     SuiteContext,
     applicable_suites,
-    resolve_walk_dimension,
     run_suite,
 )
 
@@ -30,8 +29,8 @@ def gasket5():
     return gasket(5)
 
 
-def _ctx(cloud, d_w=2.0, info=None, **kw):
-    return SuiteContext(cloud, d_w, info or {"source": "explicit", "value": d_w}, seed=0, **kw)
+def _ctx(cloud, d_w=2.0, **kw):
+    return SuiteContext(cloud, d_w, seed=0, **kw)
 
 
 def abstract_cloud(n=40, seed=3):
@@ -44,12 +43,26 @@ def abstract_cloud(n=40, seed=3):
 
 class TestResolveWalkDimension:
     def test_explicit_passthrough(self, grid401):
-        value, info = resolve_walk_dimension(grid401, 2.5)
+        ctx = _ctx(grid401, 2.5)
+        value, info = ctx.d_w, ctx.dw_info
         assert value == 2.5
         assert info == {"source": "explicit", "value": 2.5}
 
+    def test_context_resolves_through_the_module_name(self, grid401, monkeypatch):
+        # Tracers rebind the module attribute; the constructor must see it.
+        from kslab import suites
+
+        seen = []
+        resolve = suites.resolve_walk_dimension
+        monkeypatch.setattr(
+            suites, "resolve_walk_dimension", lambda ctx, d_w: seen.append(d_w) or resolve(ctx, d_w)
+        )
+        assert _ctx(grid401, 2.5).d_w == 2.5
+        assert seen == [2.5]
+
     def test_fit_on_gasket_prefers_eigen(self, gasket5):
-        value, info = resolve_walk_dimension(gasket5, "fit", seed=0)
+        ctx = _ctx(gasket5, "fit")
+        value, info = ctx.d_w, ctx.dw_info
         assert info["source"] == "fit"
         assert value == info["eigen_d_w"]
         assert abs(value - LOG5_LOG2) <= 0.05
@@ -60,19 +73,19 @@ class TestResolveWalkDimension:
         # Gasket 4's regression and eigenvalue estimates differ by about
         # 0.026: inside the default bound, outside an override of 1e-9.
         cloud = gasket(4)
-        _, info = resolve_walk_dimension(cloud, "fit", ctx=_ctx(cloud))
+        info = _ctx(cloud, "fit").dw_info
         assert info["agreement"] is True
-        strict = _ctx(cloud, tolerances={"walk_dim_agreement": 1e-9})
-        _, info = resolve_walk_dimension(cloud, "fit", ctx=strict)
+        info = _ctx(cloud, "fit", tolerances={"walk_dim_agreement": 1e-9}).dw_info
         assert abs(info["eigen_d_w"] - info["fit_d_w"]) > 1e-9
         assert info["agreement"] is False
 
     def test_fit_on_gasket_solves_each_level_once(self, eigh_sizes):
-        resolve_walk_dimension(gasket(5), "fit", seed=0)
+        _ctx(gasket(5), "fit")
         assert sorted(eigh_sizes) == [gasket(4).n, gasket(5).n]
 
     def test_fit_on_interval_agrees_with_two(self, grid401):
-        value, info = resolve_walk_dimension(grid401, "fit", seed=0)
+        ctx = _ctx(grid401, "fit")
+        value, info = ctx.d_w, ctx.dw_info
         assert abs(value - 2.0) <= 0.05
         assert info["eigen_d_w"] is not None
         assert info["agreement"] is True
@@ -80,7 +93,8 @@ class TestResolveWalkDimension:
     def test_fit_without_hierarchy_uses_regression(self):
         # Dense enough that the admissibility floor leaves a usable ladder.
         cloud = abstract_cloud(n=400)
-        value, info = resolve_walk_dimension(cloud, "fit", seed=0)
+        ctx = _ctx(cloud, "fit")
+        value, info = ctx.d_w, ctx.dw_info
         assert info["eigen_d_w"] is None
         assert value == info["fit_d_w"]
         assert math.isfinite(value)
@@ -149,9 +163,7 @@ class TestSuiteVerdicts:
         assert DEFAULT_TOLERANCES["calibration_rel"] == 0.05
 
     def test_gasket_convergence_rows(self, gasket5):
-        value, info = resolve_walk_dimension(gasket5, "fit", seed=0)
-        ctx = _ctx(gasket5, d_w=value, info=info)
-        results = run_suite("convergence", ctx)
+        results = run_suite("convergence", _ctx(gasket5, "fit"))
         by_name = {r.name: r for r in results}
         assert by_name["mosco_recovery"].passed
         assert by_name["mosco_liminf"].passed
