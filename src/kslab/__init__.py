@@ -17,8 +17,9 @@ clouds and implements, side by side:
   (:mod:`kslab.convergence`).
 
 A small CLI (``kslab``) batch-runs the diagnostic suites on configured
-spaces and writes machine-readable reports; see :mod:`kslab.cli`.  Every
-CSV and JSON artifact goes through one writer, :mod:`kslab.export`.
+spaces and writes machine-readable reports; see :mod:`kslab.cli`.  It is
+the only code that writes files, and every CSV and JSON artifact goes
+through one writer, :mod:`kslab.export`.
 """
 
 from .space import (

@@ -2,29 +2,23 @@
 
 The single JSON config file is the audit trail: every run echoes it into the
 summary, and identical config plus identical seed gives a byte-identical
-summary.  Exit codes: 0 all selected checks pass, 1 at least one check fails,
-2 the config or invocation is invalid or a computation rejects it.  Every
-artifact is computed before the output directory is created, so exit 2
-writes nothing.
+summary.  This is the only module that writes files: reports hand it their
+rows through ``table()``.  Exit codes: 0 all selected checks pass, 1 at
+least one check fails, 2 the config or invocation is invalid or a
+computation rejects it.  Every artifact is computed before the output
+directory is created, so exit 2 writes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
 from .export import write_csv, write_json
 from .space import build_cloud
-from .suites import (
-    DEFAULT_TOLERANCES,
-    SUITES,
-    SuiteContext,
-    applicable_suites,
-    run_suite,
-)
+from .suites import SUITES, SuiteContext, applicable_suites, run_suite
 
 __all__ = ["main", "ConfigError", "load_config"]
 
@@ -85,7 +79,7 @@ def load_config(path: str | Path) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     _require(isinstance(raw, dict), "config root must be a JSON object")
 
-    known = {"space", "d_w", "seed", "suite", "tolerances", "out"}
+    known = {"space", "d_w", "seed", "suite", "out"}
     extra = set(raw) - known
     _require(not extra, f"unknown config keys: {sorted(extra)}")
     _require("space" in raw, "config needs a 'space' object")
@@ -114,19 +108,6 @@ def load_config(path: str | Path) -> dict:
     _require(suite in SUITE_NAMES, f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
     cfg["suite"] = suite
 
-    tol = raw.get("tolerances", {})
-    _require(isinstance(tol, dict), "config key 'tolerances' must be an object")
-    for key, value in tol.items():
-        _require(key in DEFAULT_TOLERANCES, f"unknown tolerance {key!r}")
-        _require(
-            isinstance(value, (int, float))
-            and not isinstance(value, bool)
-            and math.isfinite(float(value))
-            and value > 0,
-            f"tolerance {key!r} must be a positive number",
-        )
-    cfg["tolerances"] = {k: float(v) for k, v in sorted(tol.items())}
-
     if "out" in raw:
         _require(
             isinstance(raw["out"], str) and raw["out"], "config key 'out' must be a nonempty string"
@@ -154,7 +135,7 @@ def _merge_cli(cfg: dict, args: argparse.Namespace) -> dict:
 def _build_context(cfg: dict) -> SuiteContext:
     # d_w is resolved on the run's own context, so a fit's forms and solves
     # serve the suites as well.
-    return SuiteContext(build_cloud(cfg["space"]), cfg["d_w"], cfg["seed"], cfg["tolerances"])
+    return SuiteContext(build_cloud(cfg["space"]), cfg["d_w"], cfg["seed"])
 
 
 def _require_out(cfg: dict) -> None:
@@ -188,7 +169,8 @@ def _select_suites(cfg: dict, cloud) -> list[str]:
     return [cfg["suite"]]
 
 
-def _run_bundle(cfg: dict) -> int:
+def cmd_run(args: argparse.Namespace) -> int:
+    cfg = _merge_cli(load_config(args.config), args)
     _require_out(cfg)
     ctx = _build_context(cfg)
     selected = _select_suites(cfg, ctx.cloud)
@@ -225,20 +207,6 @@ def _run_bundle(cfg: dict) -> int:
     return 1 if failed else 0
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    cfg = _merge_cli(load_config(args.config), args)
-    return _run_bundle(cfg)
-
-
-def cmd_check(args: argparse.Namespace) -> int:
-    cfg = _merge_cli(load_config(args.config), args)
-    _require(
-        cfg["suite"] != "all",
-        "check runs a single suite: pass --suite or set 'suite' in the config",
-    )
-    return _run_bundle(cfg)
-
-
 def cmd_space(args: argparse.Namespace) -> int:
     cfg = _merge_cli(load_config(args.config), args)
     _require_out(cfg)
@@ -259,8 +227,8 @@ def cmd_space(args: argparse.Namespace) -> int:
         "d_w_provenance": ctx.dw_info,
         "doubling": profile.summary(),
     }
-    out = _write_bundle(cfg, {"doubling.csv": profile.table()}, {"space.json": payload})
-    cloud.to_csv(out / "cloud.csv")
+    tables = {"doubling.csv": profile.table(), "cloud.csv": cloud.table()}
+    out = _write_bundle(cfg, tables, {"space.json": payload})
     print(f"cloud with {cloud.n} points -> {out / 'space.json'}")
     return 0
 
@@ -297,16 +265,21 @@ def cmd_report(args: argparse.Namespace) -> int:
         print(f"error: corrupt summary.json: {exc}", file=sys.stderr)
         return 2
 
-    checks = summary.get("checks", [])
-    name_w = max([len(c["name"]) for c in checks] + [5])
-    claim_w = max([len(c["claim"]) for c in checks] + [5])
-    for c in checks:
-        flag = "PASS" if c["passed"] else "FAIL"
-        constant = c.get("constant")
+    try:
+        rows = [
+            ("PASS" if c["passed"] else "FAIL", str(c["name"]), str(c["claim"]), c.get("constant"))
+            for c in summary.get("checks", [])
+        ]
+    except (AttributeError, KeyError, TypeError) as exc:
+        print(f"error: corrupt summary.json: no check table ({exc!r})", file=sys.stderr)
+        return 2
+    name_w = max([len(r[1]) for r in rows] + [5])
+    claim_w = max([len(r[2]) for r in rows] + [5])
+    for flag, name, claim, constant in rows:
         shown = f"{constant:.6g}" if isinstance(constant, (int, float)) else "-"
-        print(f"{flag}  {c['name']:<{name_w}}  {c['claim']:<{claim_w}}  {shown}")
+        print(f"{flag}  {name:<{name_w}}  {claim:<{claim_w}}  {shown}")
     verdict = "all passed" if summary.get("all_passed") else "FAILURES PRESENT"
-    print(f"{len(checks)} checks: {verdict} (d_w = {summary.get('d_w')})")
+    print(f"{len(rows)} checks: {verdict} (d_w = {summary.get('d_w')})")
     return 0
 
 
@@ -329,11 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="multiscale energy sweeps for the standard fields")
     with_common(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
-
-    p_check = sub.add_parser("check", help="run one named check suite")
-    with_common(p_check)
-    p_check.add_argument("--suite", default=None, help="suite to run")
-    p_check.set_defaults(func=cmd_check)
 
     p_run = sub.add_parser("run", help="run the configured suites and write a bundle")
     with_common(p_run)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -24,7 +23,7 @@ from .energy import (
     liminf_window_scales,
     make_scale_grid,
 )
-from .export import Table, json_ready, write_csv, write_json
+from .export import Table
 from .graphform import GraphDirichletForm, Spectrum, form_energy
 from .smoothing import build_net, mollify, partition_of_unity
 from .space import DEFAULT_KAPPA, MeasuredPointCloud
@@ -57,8 +56,8 @@ class MoscoReport:
 
     ``recovery_margin`` is max_n E(f_eps_n, r_n) / oracle; ``liminf_margin``
     is min_n E(f + a u_{k_n}, r_n) / oracle.  Either half may be absent when
-    only the other was run.  Margins are None-exported when the oracle
-    vanishes (vacuous case).
+    only the other was run.  When the oracle vanishes (vacuous case) the
+    liminf margin is infinite, and the recovery margin is 0 or infinite.
     """
 
     scales: np.ndarray
@@ -72,28 +71,8 @@ class MoscoReport:
     row_header: tuple[str, ...]
     nullity: float | None = None
 
-    def summary(self) -> dict:
-        return json_ready(
-            {
-                "oracle": self.oracle,
-                "d_w": self.d_w,
-                "recovery_margin": self.recovery_margin,
-                "liminf_margin": self.liminf_margin,
-                "recovery_ok": self.recovery_ok,
-                "liminf_ok": self.liminf_ok,
-                "nullity": self.nullity,
-                "n_steps": len(self.rows),
-            }
-        )
-
-    def to_json(self, path: str | Path) -> None:
-        write_json(path, self.summary())
-
     def table(self) -> Table:
         return self.row_header, self.rows
-
-    def to_csv(self, path: str | Path) -> None:
-        write_csv(path, *self.table())
 
 
 def _oracle_energy(
@@ -317,18 +296,6 @@ class CompactnessProbe:
     net_ids: tuple[int, ...]
     max_gap: float
 
-    def summary(self) -> dict:
-        return {
-            "n_fields": self.n_fields,
-            "cap": self.cap,
-            "delta": self.delta,
-            "net_size": self.net_size,
-            "max_gap": self.max_gap,
-        }
-
-    def to_json(self, path: str | Path) -> None:
-        write_json(path, self.summary())
-
 
 def liminf_proxy(
     cloud: MeasuredPointCloud,
@@ -421,19 +388,6 @@ class SobolevReport:
     @property
     def max_quotient(self) -> float:
         return float(self.quotients.max())
-
-    def summary(self) -> dict:
-        return {
-            "Q": self.Q,
-            "d_w": self.d_w,
-            "branch": self.branch,
-            "exponent": self.exponent,
-            "quotients": [float(q) for q in self.quotients],
-            "max_quotient": self.max_quotient,
-        }
-
-    def to_json(self, path: str | Path) -> None:
-        write_json(path, self.summary())
 
 
 def sobolev_check(

@@ -31,14 +31,13 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import space
-from .export import Table, write_csv, write_json
+from .export import Table
 from .space import DEFAULT_KAPPA, MeasuredPointCloud, segment_sums
 
 # The one sweep geometry: r_k = r_max * DEFAULT_RATIO**k, k = 0..11, with
@@ -557,9 +556,6 @@ class EnergySweep:
     def table(self) -> Table:
         return ("r", "energy"), tuple(zip(self.scales.tolist(), self.values.tolist()))
 
-    def to_csv(self, path: str | Path) -> None:
-        write_csv(path, *self.table())
-
     def summary(self) -> dict:
         return {
             "label": self.label,
@@ -577,9 +573,6 @@ class EnergySweep:
             "field_l2sq": self.field_l2sq,
         }
 
-    def to_json(self, path: str | Path) -> None:
-        write_json(path, self.summary())
-
 
 def _fit_window_endpoint(window_scales: np.ndarray, window_values: np.ndarray) -> float:
     """Log-log affine fit over the window, evaluated at its smallest scale."""
@@ -595,29 +588,45 @@ def _fit_window_endpoint(window_scales: np.ndarray, window_values: np.ndarray) -
 
 def energy_sweep(
     cloud: MeasuredPointCloud,
-    f: ScalarField,
+    f: ScalarField | Sequence[ScalarField],
     d_w: float = 2.0,
-    label: str = "",
-) -> EnergySweep:
-    """Evaluate the energy of ``f`` across the fixed scale grid."""
+    label: str | Sequence[str] = "",
+) -> EnergySweep | list[EnergySweep]:
+    """Evaluate the energy of ``f`` across the fixed scale grid.
+
+    ``f`` is one field with one ``label``, or a sequence of fields with a
+    sequence of labels; their sweeps then come back as a list from one
+    shared pass over the grid, each entry equal to the single-field call
+    bit for bit.
+    """
+    single = isinstance(f, ScalarField)
+    fields = [f] if single else list(f)
+    labels = [label] if single else list(label)
+    if isinstance(label, str) != single or len(labels) != len(fields):
+        raise ValueError("energy_sweep needs one label per field")
     grid = make_scale_grid(cloud)
-    values = ks_energies(cloud, [f], grid.scales, d_w=d_w)[:, 0]
+    table = ks_energies(cloud, fields, grid.scales, d_w=d_w)
     w_scales = grid.window()
-    w_values = values[::-1][: w_scales.size]
-    return EnergySweep(
-        d_w=float(d_w),
-        scales=grid.scales,
-        values=values,
-        window_scales=w_scales,
-        window_values=w_values,
-        liminf_proxy=float(w_values.min()),
-        limsup_proxy=float(w_values.max()),
-        sup_all=float(values.max()),
-        fitted_limit=_fit_window_endpoint(w_scales, w_values),
-        field_l2sq=f.l2sq(),
-        grid=grid,
-        label=label,
-    )
+    sweeps = []
+    for values, g, name in zip(table.T, fields, labels):
+        w_values = values[::-1][: w_scales.size]
+        sweeps.append(
+            EnergySweep(
+                d_w=float(d_w),
+                scales=grid.scales,
+                values=values,
+                window_scales=w_scales,
+                window_values=w_values,
+                liminf_proxy=float(w_values.min()),
+                limsup_proxy=float(w_values.max()),
+                sup_all=float(values.max()),
+                fitted_limit=_fit_window_endpoint(w_scales, w_values),
+                field_l2sq=g.l2sq(),
+                grid=grid,
+                label=name,
+            )
+        )
+    return sweeps[0] if single else sweeps
 
 
 def comparability_ratio(sweep: EnergySweep) -> float:

@@ -11,11 +11,9 @@ metric, and the energy-measure versus Lipschitz comparison.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -23,7 +21,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .energy import ScalarField, WalkDimFit
-from .export import Table, write_csv, write_json
+from .export import Table
 from .smoothing import discrete_lip
 from .space import MeasuredPointCloud, _gasket_subdivision, gasket_graph
 
@@ -158,10 +156,6 @@ class GraphDirichletForm:
     def generator_apply(self, values: np.ndarray) -> np.ndarray:
         """L f = (1/mu) C f, the mu-symmetric generator."""
         return self.laplacian_apply(values) / self.cloud.weights
-
-    def to_csv(self, path: str | Path) -> None:
-        rows = zip(self.edge_i.tolist(), self.edge_j.tolist(), self.conductances.tolist())
-        write_csv(path, ("x", "y", "c"), rows)
 
 
 def _grid1d_edges(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -315,9 +309,6 @@ class Spectrum:
     def table(self) -> Table:
         return ("k", "lambda"), tuple(enumerate(self.eigenvalues.tolist()))
 
-    def to_csv(self, path: str | Path) -> None:
-        write_csv(path, *self.table())
-
 
 def _mu_normalize(vecs: np.ndarray, inv_sqrt: np.ndarray) -> np.ndarray:
     """Turn v = M^{1/2} u back into mu-orthonormal eigenfields, in place."""
@@ -415,6 +406,7 @@ def _require_positive_time(t: float) -> None:
 def heat_kernel(spec: Spectrum, t: float, x: int, y: int) -> float:
     """p_t(x, y) = sum_k exp(-lambda_k t) u_k(x) u_k(y)."""
     _require_positive_time(t)
+    x, y = spec.form.cloud._checked_ids(x), spec.form.cloud._checked_ids(y)
     decay = np.exp(-spec.eigenvalues * t)
     return float(np.sum(decay * spec.eigenfields[x] * spec.eigenfields[y]))
 
@@ -422,6 +414,7 @@ def heat_kernel(spec: Spectrum, t: float, x: int, y: int) -> float:
 def heat_kernel_row(spec: Spectrum, t: float, x: int) -> np.ndarray:
     """All of p_t(x, .) in one pass."""
     _require_positive_time(t)
+    x = spec.form.cloud._checked_ids(x)
     decay = np.exp(-spec.eigenvalues * t)
     return spec.eigenfields @ (decay * spec.eigenfields[x])
 
@@ -452,9 +445,6 @@ class HeatKernelFit:
     residual: float
     t_window: tuple[float, float]
     n_samples: int
-
-    def to_json(self, path: str | Path) -> None:
-        write_json(path, dataclasses.asdict(self))
 
 
 def _subgaussian_sse(

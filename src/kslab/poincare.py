@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -25,7 +24,7 @@ from .energy import (
     liminf_window_scales,
     snap_mid_mesh,
 )
-from .export import Table, write_csv, write_json
+from .export import Table
 from .graphform import GraphDirichletForm
 from .graphform import energy_measure as graph_energy_measure
 from .smoothing import discrete_lip
@@ -89,23 +88,6 @@ class PoincareReport:
     def table(self) -> Table:
         header = ("center", "R", "lhs", "rhs", "ratio")
         return header, tuple((s.center, s.radius, s.lhs, s.rhs, s.ratio) for s in self.samples)
-
-    def to_csv(self, path: str | Path) -> None:
-        write_csv(path, *self.table())
-
-    def summary(self) -> dict:
-        return {
-            "mode": self.mode,
-            "lambda": self.lam,
-            "d_w": self.d_w,
-            "c_best": self.c_best,
-            "seed": self.seed,
-            "n_samples": len(self.samples),
-            "n_used": self.n_used,
-        }
-
-    def to_json(self, path: str | Path) -> None:
-        write_json(path, self.summary())
 
 
 def _default_samples(cloud: MeasuredPointCloud, lam: float, seed: int) -> list[tuple[int, float]]:
@@ -235,9 +217,6 @@ class MaximalField:
     window_scales: np.ndarray
     window_rows: np.ndarray
     values: np.ndarray
-
-    def to_csv(self, path: str | Path) -> None:
-        write_csv(path, ("id", "maximal"), enumerate(self.values.tolist()))
 
 
 def _maximal_rho_grid(cloud: MeasuredPointCloud, R: float) -> np.ndarray:

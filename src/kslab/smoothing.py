@@ -12,7 +12,6 @@ functionals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -24,7 +23,6 @@ from .energy import (
     ks_energies,
     make_scale_grid,
 )
-from .export import write_csv
 from .space import MeasuredPointCloud, _keep_below, segment_max, segment_sums
 
 __all__ = [
@@ -61,10 +59,6 @@ class CoveringNet:
     @property
     def n_centers(self) -> int:
         return int(self.center_ids.size)
-
-    def to_csv(self, path: str | Path) -> None:
-        rows = ((c, self.epsilon) for c in self.center_ids.tolist())
-        write_csv(path, ("center_id", "epsilon"), rows)
 
 
 def build_net(cloud: MeasuredPointCloud, epsilon: float) -> CoveringNet:
@@ -139,12 +133,6 @@ class PartitionOfUnity:
         """
         lips = discrete_lip(self.cloud, self.fields(), self.epsilon)
         return max(0.0, *(float(lip.values.max()) for lip in lips)) * self.epsilon
-
-    def to_triplets(self, path: str | Path) -> None:
-        """Sparse text export: one ``center_index,point_id,value`` line per
-        strictly positive entry."""
-        i, j = np.nonzero(self.phi > 0.0)
-        write_csv(path, ("i", "j", "phi"), zip(i.tolist(), j.tolist(), self.phi[i, j].tolist()))
 
 
 def partition_of_unity(net: CoveringNet) -> PartitionOfUnity:

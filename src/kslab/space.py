@@ -59,7 +59,7 @@ from typing import Iterator, Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .export import Table, write_csv
+from .export import Table
 
 # The one admissibility factor: radii below DEFAULT_KAPPA * mesh are refused.
 DEFAULT_KAPPA = 3.0
@@ -360,6 +360,7 @@ class MeasuredPointCloud:
         return _point_distances(self._coords, self._coords[x])
 
     def distance(self, i: int, j: int) -> float:
+        i, j = self._checked_ids(i), self._checked_ids(j)
         if self._dist is not None:
             return float(self._dist[i, j])
         return float(_point_distances(self._coords[j : j + 1], self._coords[i])[0])
@@ -500,14 +501,13 @@ class MeasuredPointCloud:
     # export
     # ------------------------------------------------------------------
 
-    def to_csv(self, path: str | Path) -> None:
-        """Write the cloud as CSV with columns id, x0..x{d-1}, weight."""
+    def table(self) -> Table:
+        """The cloud as a table with columns id, x0..x{d-1}, weight."""
         if self._coords is None:
-            write_csv(path, ["id", "weight"], enumerate(self._weights.tolist()))
-        else:
-            header = ["id"] + [f"x{k}" for k in range(self.dim)] + ["weight"]
-            rows = np.column_stack([self._coords, self._weights]).tolist()
-            write_csv(path, header, ([i, *row] for i, row in enumerate(rows)))
+            return ("id", "weight"), tuple(enumerate(self._weights.tolist()))
+        header = ("id", *(f"x{k}" for k in range(self.dim)), "weight")
+        rows = np.column_stack([self._coords, self._weights]).tolist()
+        return header, tuple((i, *row) for i, row in enumerate(rows))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = self.meta.get("kind", "custom")
@@ -783,9 +783,6 @@ class DoublingProfile:
         header = ("center", "r", "mass_r", "mass_2r", "ratio")
         cols = (self.centers, self.radii, self.mass_r, self.mass_2r, self.ratios)
         return header, tuple(zip(*(c.tolist() for c in cols)))
-
-    def to_csv(self, path: str | Path) -> None:
-        write_csv(path, *self.table())
 
     def summary(self) -> dict:
         return {

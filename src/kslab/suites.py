@@ -2,8 +2,9 @@
 
 Each suite turns a capability of the library into a short list of pass/fail
 rows with a headline constant, so the command line can bundle them into a
-machine-readable report.  Thresholds mirror the package defaults and every
-one of them can be overridden through the ``tolerances`` mapping.
+machine-readable report.  Every pass/fail bound is a fixed entry of
+``DEFAULT_TOLERANCES``: a check that fails is a finding, not a bound to
+loosen per config.
 """
 
 from __future__ import annotations
@@ -119,13 +120,9 @@ class SuiteContext:
         cloud: MeasuredPointCloud,
         d_w: float | str,
         seed: int,
-        tolerances: dict[str, float] | None = None,
     ):
         self.cloud = cloud
         self.seed = int(seed)
-        self.tol = dict(DEFAULT_TOLERANCES)
-        if tolerances:
-            self.tol.update(tolerances)
         self._doubling: dict[bool, DoublingProfile] = {}
         self.d_w, self.dw_info = resolve_walk_dimension(self, d_w)
 
@@ -149,11 +146,10 @@ class SuiteContext:
         return self._doubling[interior_only]
 
     def standard_sweeps(self) -> dict[str, EnergySweep]:
-        """Energy sweep of each standard field over the fixed scale grid."""
-        return {
-            label: energy_sweep(self.cloud, f, d_w=self.d_w, label=label)
-            for label, f in self.standard_fields()
-        }
+        """Energy sweep of each standard field over the fixed scale grid, one pass."""
+        labels, fields = zip(*self.standard_fields())
+        sweeps = energy_sweep(self.cloud, fields, d_w=self.d_w, label=labels)
+        return {s.label: s for s in sweeps}
 
     @property
     def kind(self) -> str:
@@ -226,7 +222,7 @@ def resolve_walk_dimension(ctx: SuiteContext, requested: float | str) -> tuple[f
     Fitting runs the increment-scaling regression on standard fields and,
     when the cloud belongs to a mesh hierarchy, the cross-level eigenvalue
     estimate; the latter wins when both exist, and the report carries both
-    values plus an agreement flag judged by the context's tolerances.
+    values plus an agreement flag judged against ``DEFAULT_TOLERANCES``.
     ``SuiteContext`` calls this while it is being built; it returns the
     value and its provenance.
     """
@@ -260,7 +256,7 @@ def resolve_walk_dimension(ctx: SuiteContext, requested: float | str) -> tuple[f
     }
     if eigen_value is not None:
         info["agreement"] = bool(
-            abs(eigen_value - fit.d_w_hat) <= ctx.tol["walk_dim_agreement"]
+            abs(eigen_value - fit.d_w_hat) <= DEFAULT_TOLERANCES["walk_dim_agreement"]
         )
     return float(chosen), info
 
@@ -274,11 +270,11 @@ def suite_doubling(ctx: SuiteContext) -> list[CheckResult]:
     interior = ctx.kind == "square_grid"
     profile = ctx.doubling_profile(interior)
     if ctx.kind == "interval_grid":
-        bound = ctx.tol["doubling_c_d_interval"]
+        bound = DEFAULT_TOLERANCES["doubling_c_d_interval"]
     elif ctx.kind == "square_grid":
-        bound = ctx.tol["doubling_c_d_square"]
+        bound = DEFAULT_TOLERANCES["doubling_c_d_square"]
     else:
-        bound = ctx.tol["doubling_c_d_other"]
+        bound = DEFAULT_TOLERANCES["doubling_c_d_other"]
     results = [
         CheckResult(
             name="doubling",
@@ -316,7 +312,7 @@ def suite_energy(ctx: SuiteContext) -> list[CheckResult]:
             CheckResult(
                 name="ks_limit_calibration",
                 claim="small-scale-energy-limit",
-                passed=bool(worst <= ctx.tol["calibration_rel"]),
+                passed=bool(worst <= DEFAULT_TOLERANCES["calibration_rel"]),
                 constant=worst,
                 details={k: sweeps[k].fitted_limit for k in targets},
             )
@@ -329,7 +325,7 @@ def suite_energy(ctx: SuiteContext) -> list[CheckResult]:
             CheckResult(
                 name="energy_calibration_2d",
                 claim="planar-increment-calibration",
-                passed=bool(rel <= ctx.tol["calibration_2d_rel"]),
+                passed=bool(rel <= DEFAULT_TOLERANCES["calibration_2d_rel"]),
                 constant=value,
                 details={"target": 0.25, "rel_error": rel},
             )
@@ -348,11 +344,11 @@ def suite_energy(ctx: SuiteContext) -> list[CheckResult]:
 
     ratios = {k: comparability_ratio(s) for k, s in sweeps.items()}
     worst_ratio = max(ratios.values())
-    bound = ctx.tol["comparability_max"]
+    bound = DEFAULT_TOLERANCES["comparability_max"]
     if ctx.kind == "interval_grid" and ctx.d_w == 2.0:
         # The tight constant is a statement about the identity field only.
         worst_ratio = ratios["x"]
-        bound = ctx.tol["comparability_identity"]
+        bound = DEFAULT_TOLERANCES["comparability_identity"]
     results.append(
         CheckResult(
             name="comparability",
@@ -430,8 +426,8 @@ def suite_smoothing(ctx: SuiteContext) -> list[CheckResult]:
         # saturated as eps shrinks), so it gets a cap, not a spread test.
         decreasing = all(b < a for a, b in zip(errs, errs[1:]))
         passed = (
-            lip_spread <= ctx.tol["mollifier_spread"]
-            and max(l2s) <= ctx.tol["mollifier_l2_cap"]
+            lip_spread <= DEFAULT_TOLERANCES["mollifier_spread"]
+            and max(l2s) <= DEFAULT_TOLERANCES["mollifier_l2_cap"]
             and decreasing
         )
         rows = tuple(
@@ -459,7 +455,7 @@ def suite_smoothing(ctx: SuiteContext) -> list[CheckResult]:
         CheckResult(
             name="controlled_cutoff",
             claim="cutoff-energy-scaling",
-            passed=bool(spread <= ctx.tol["cutoff_spread"]),
+            passed=bool(spread <= DEFAULT_TOLERANCES["cutoff_spread"]),
             constant=spread,
             details={"epsilons": ladder[:2], "worst_quotients": worsts},
         )
@@ -482,7 +478,8 @@ def suite_poincare(ctx: SuiteContext) -> list[CheckResult]:
                 name=f"poincare_{mode}",
                 claim=f"ball-variance-bound-{mode.replace('_', '-')}",
                 passed=bool(
-                    math.isfinite(rep.c_best) and 0.0 < rep.c_best <= ctx.tol["poincare_c_best_max"]
+                    math.isfinite(rep.c_best)
+                    and 0.0 < rep.c_best <= DEFAULT_TOLERANCES["poincare_c_best_max"]
                 ),
                 constant=rep.c_best,
                 details={"field": label, "n_used": rep.n_used},
@@ -503,7 +500,7 @@ def suite_poincare(ctx: SuiteContext) -> list[CheckResult]:
             CheckResult(
                 name="poincare_identity_third",
                 claim="interval-identity-ratio-one-third",
-                passed=bool(worst <= 3.0 * ctx.tol["poincare_identity_rel"]),
+                passed=bool(worst <= 3.0 * DEFAULT_TOLERANCES["poincare_identity_rel"]),
                 constant=rep.c_best,
                 details={"worst_rel": worst},
             )
@@ -518,7 +515,8 @@ def suite_poincare(ctx: SuiteContext) -> list[CheckResult]:
             name="weak_l2_maximal",
             claim="maximal-function-weak-l2",
             passed=bool(
-                math.isfinite(weak.max_quotient) and weak.max_quotient <= ctx.tol["weak_l2_max"]
+                math.isfinite(weak.max_quotient)
+                and weak.max_quotient <= DEFAULT_TOLERANCES["weak_l2_max"]
             ),
             constant=weak.max_quotient,
             details={"R": R, "field": label},
@@ -535,7 +533,7 @@ def suite_poincare(ctx: SuiteContext) -> list[CheckResult]:
         CheckResult(
             name="telescoping",
             claim="dyadic-chain-average-bound",
-            passed=bool(tele.ok and tele.c_report <= ctx.tol["telescoping_c_max"]),
+            passed=bool(tele.ok and tele.c_report <= DEFAULT_TOLERANCES["telescoping_c_max"]),
             constant=tele.c_report,
             details={"x": tele.x, "rho": tele.rho, "lhs": tele.lhs, "rhs": tele.rhs},
         )
@@ -566,7 +564,7 @@ def suite_graphform(ctx: SuiteContext) -> list[CheckResult]:
         CheckResult(
             name="energy_calibration",
             claim="reference-form-energy",
-            passed=bool(dev <= ctx.tol["energy_calibration_abs"] * max(1.0, target)),
+            passed=bool(dev <= DEFAULT_TOLERANCES["energy_calibration_abs"] * max(1.0, target)),
             constant=energy,
             details={"target": target},
         )
@@ -577,7 +575,7 @@ def suite_graphform(ctx: SuiteContext) -> list[CheckResult]:
         CheckResult(
             name="spectrum_residual",
             claim="eigenpair-residual",
-            passed=bool(spec.residual <= ctx.tol["spectrum_residual"]),
+            passed=bool(spec.residual <= DEFAULT_TOLERANCES["spectrum_residual"]),
             constant=spec.residual,
             details={"k_max": spec.k_max},
             table=spec.table(),
@@ -596,7 +594,7 @@ def suite_graphform(ctx: SuiteContext) -> list[CheckResult]:
         CheckResult(
             name="heat_kernel_mass",
             claim="heat-kernel-stochastic-completeness",
-            passed=bool(worst <= ctx.tol["heat_mass_abs"]),
+            passed=bool(worst <= DEFAULT_TOLERANCES["heat_mass_abs"]),
             constant=worst,
             details={"t": t, "n_centers": 5},
         )
@@ -606,9 +604,10 @@ def suite_graphform(ctx: SuiteContext) -> list[CheckResult]:
         # f is the coordinate field of the calibration above.
         rep = gf.gamma_vs_lip_check(form, cloud, f)
         if ctx.kind == "interval_grid" and ctx.d_w == 2.0:
-            ok = abs(rep.c_best - 1.0) <= ctx.tol["gamma_lip_rel"]
+            ok = abs(rep.c_best - 1.0) <= DEFAULT_TOLERANCES["gamma_lip_rel"]
         else:
-            ok = 1.0 / ctx.tol["gamma_lip_factor"] <= rep.c_best <= ctx.tol["gamma_lip_factor"]
+            factor = DEFAULT_TOLERANCES["gamma_lip_factor"]
+            ok = 1.0 / factor <= rep.c_best <= factor
         results.append(
             CheckResult(
                 name="gamma_vs_lip",
@@ -626,7 +625,7 @@ def suite_graphform(ctx: SuiteContext) -> list[CheckResult]:
                 name="intrinsic_metric",
                 claim="intrinsic-metric-bilipschitz",
                 passed=bool(
-                    metric.lower > 0.0 and ratio <= 2.0 * ctx.tol["intrinsic_factor"]
+                    metric.lower > 0.0 and ratio <= 2.0 * DEFAULT_TOLERANCES["intrinsic_factor"]
                 ),
                 constant=metric.lower,
                 details={"upper": metric.upper, "ratio": ratio, "x": x, "y": y},
@@ -661,7 +660,7 @@ def suite_graphform(ctx: SuiteContext) -> list[CheckResult]:
                 CheckResult(
                     name="subgaussian_fit",
                     claim="sub-gaussian-heat-kernel",
-                    passed=bool(fit.residual <= ctx.tol["subgaussian_residual"]),
+                    passed=bool(fit.residual <= DEFAULT_TOLERANCES["subgaussian_residual"]),
                     constant=fit.residual,
                     details={
                         "d_w_fit": fit.d_w_fit,
@@ -678,7 +677,7 @@ def suite_graphform(ctx: SuiteContext) -> list[CheckResult]:
             CheckResult(
                 name="eigen_walk_dimension",
                 claim="cross-level-eigenvalue-scaling",
-                passed=bool(abs(walk.d_w_hat - dw_target) <= ctx.tol["eigen_dw_abs"]),
+                passed=bool(abs(walk.d_w_hat - dw_target) <= DEFAULT_TOLERANCES["eigen_dw_abs"]),
                 constant=walk.d_w_hat,
                 details={"target": dw_target, "residual": walk.residual},
             )
@@ -773,7 +772,7 @@ def suite_convergence(ctx: SuiteContext) -> list[CheckResult]:
             CheckResult(
                 name="rellich_kondrachov_net",
                 claim="energy-bounded-family-total-boundedness",
-                passed=bool(probe.net_size <= ctx.tol["net_fraction"] * probe.n_fields),
+                passed=bool(probe.net_size <= DEFAULT_TOLERANCES["net_fraction"] * probe.n_fields),
                 constant=float(probe.net_size),
                 details={"n_fields": probe.n_fields, "delta": probe.delta, "max_gap": probe.max_gap},
             )
@@ -790,7 +789,7 @@ def suite_convergence(ctx: SuiteContext) -> list[CheckResult]:
             claim="embedding-quotient-bound",
             passed=bool(
                 math.isfinite(rep.max_quotient)
-                and 0.0 < rep.max_quotient <= ctx.tol["sobolev_factor"]
+                and 0.0 < rep.max_quotient <= DEFAULT_TOLERANCES["sobolev_factor"]
             ),
             constant=rep.max_quotient,
             details={"Q": q_fit, "branch": rep.branch, "exponent": rep.exponent},

@@ -1,11 +1,14 @@
 """Driver contract: exit codes, bundle layout, determinism, validation."""
 
+import inspect
 import json
 
 import pytest
 
+import kslab
 import kslab.cli as cli
 import kslab.convergence as cv
+import kslab.export as export
 import kslab.poincare as pc
 import kslab.suites as suites
 from kslab.cli import ConfigError, load_config, main
@@ -28,7 +31,12 @@ class TestLoadConfig:
     def test_normalizes_defaults(self, tmp_path):
         path = write_config(tmp_path)
         cfg = load_config(path)
-        assert cfg["tolerances"] == {}
+        assert cfg == {
+            "space": {"kind": "interval_grid", "n": 401},
+            "d_w": 2.0,
+            "seed": 0,
+            "suite": "doubling",
+        }
 
     @pytest.mark.parametrize(
         "overrides, message",
@@ -42,8 +50,8 @@ class TestLoadConfig:
             ({"suite": "everything"}, "unknown suite"),
             ({"scale_grid": {"kappa": 3.0}}, "unknown config keys"),
             ({"scale_grid": {}}, "unknown config keys"),
-            ({"tolerances": {"bogus": 1.0}}, "unknown tolerance"),
-            ({"tolerances": {"calibration_rel": -1.0}}, "positive"),
+            ({"tolerances": {"calibration_rel": 1.0}}, "unknown config keys"),
+            ({"tolerances": {}}, "unknown config keys"),
             ({"typo_key": 1}, "unknown config keys"),
         ],
     )
@@ -83,12 +91,9 @@ class TestRun:
         b = (tmp_path / "b" / "summary.json").read_bytes()
         assert a == b
 
-    def test_tolerance_override_fails_run(self, tmp_path):
-        path = write_config(
-            tmp_path,
-            out=str(tmp_path / "bundle"),
-            tolerances={"doubling_c_d_interval": 1.0},
-        )
+    def test_tolerance_override_fails_run(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(suites.DEFAULT_TOLERANCES, "doubling_c_d_interval", 1.0)
+        path = write_config(tmp_path, out=str(tmp_path / "bundle"))
         assert main(["run", "--config", str(path)]) == 1
         summary = json.loads((tmp_path / "bundle" / "summary.json").read_text())
         assert summary["all_passed"] is False
@@ -199,7 +204,7 @@ def _record_results(monkeypatch, module, name):
 
 
 def test_bundle_tables_are_the_reports_csv(tmp_path, monkeypatch):
-    """Each table `run` writes is byte-equal to its report's own to_csv."""
+    """Each table `run` writes is byte-equal to its report's own table."""
     profiles = _record_results(monkeypatch, suites, "estimate_doubling")
     sweeps = _record_results(monkeypatch, suites, "energy_sweep")
     poincare = _record_results(monkeypatch, pc, "poincare_check")
@@ -221,16 +226,16 @@ def test_bundle_tables_are_the_reports_csv(tmp_path, monkeypatch):
 
     reports = {
         "doubling": profiles[0],
-        **{f"sweep_{s.label}": s for s in sweeps},
+        **{f"sweep_{s.label}": s for batch in sweeps for s in batch},
         "poincare_ks": next(r for r in poincare if r.mode == "ks"),
         "spectrum_residual": contexts[0].spectrum,
         "mosco_recovery": recovery[0],
         "mosco_liminf": liminf[0],
     }
-    assert len(reports) == 8
+    assert len(sweeps) == 1 and len(reports) == 8
     for name, report in reports.items():
         mine = tmp_path / f"{name}.csv"
-        report.to_csv(mine)
+        export.write_csv(mine, *report.table())
         assert (out / f"{name}.csv").read_bytes() == mine.read_bytes(), name
 
 
@@ -247,14 +252,34 @@ def test_all_run_estimates_doubling_once(tmp_path, monkeypatch):
 class TestCheck:
     def test_single_suite_runs(self, tmp_path):
         path = write_config(tmp_path, suite="all", out=str(tmp_path / "bundle"))
-        rc = main(["check", "--config", str(path), "--suite", "energy"])
-        assert rc == 0
+        assert main(["run", "--config", str(path), "--suite", "energy"]) == 0
         summary = json.loads((tmp_path / "bundle" / "summary.json").read_text())
         assert summary["suites"] == ["energy"]
 
-    def test_all_is_rejected(self, tmp_path):
-        path = write_config(tmp_path, suite="all", out=str(tmp_path / "bundle"))
-        assert main(["check", "--config", str(path)]) == 2
+
+def test_one_way_out_and_fixed_bounds(tmp_path, capsys):
+    """Only the driver writes files, and no config or caller moves a bound."""
+    modules = [m for m in vars(kslab).values() if inspect.ismodule(m)]
+    assert cli in modules and export in modules
+    for mod in modules:
+        for name, obj in vars(mod).items():
+            if inspect.isclass(obj) and obj.__module__ == mod.__name__:
+                for writer in ("to_csv", "to_json", "to_triplets"):
+                    assert not hasattr(obj, writer), (name, writer)
+        if mod not in (cli, export):
+            source = inspect.getsource(mod)
+            assert "write_csv" not in source and "write_json" not in source, mod.__name__
+    assert "tolerances" not in inspect.signature(suites.SuiteContext).parameters
+
+    out = tmp_path / "bundle"
+    path = write_config(tmp_path, suite="energy", out=str(out))
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--config", str(path)])
+    assert exc.value.code == 2
+    path = write_config(tmp_path, tolerances={"doubling_c_d_interval": 1.0}, out=str(out))
+    assert main(["run", "--config", str(path)]) == 2
+    assert not out.exists()
+    assert "unknown config keys: ['tolerances']" in capsys.readouterr().err
 
 
 class TestSpaceAndSweep:
@@ -291,6 +316,12 @@ class TestReport:
     def test_missing_bundle_exits_two(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nothing")]) == 2
         assert "no summary.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload", ["{not json", "[]", '{"checks": [{"name": "x"}]}'])
+    def test_corrupt_summary_exits_two(self, tmp_path, capsys, payload):
+        (tmp_path / "summary.json").write_text(payload)
+        assert main(["report", str(tmp_path)]) == 2
+        assert "error: corrupt summary.json" in capsys.readouterr().err
 
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:

@@ -289,21 +289,42 @@ def test_sweep_identity_fitted_limit():
     assert sweep.window_scales[0] == sweep.scales.min()
 
 
-def test_sweep_csv_and_json(tmp_path):
+def test_sweep_csv_and_json():
     cloud = interval_grid(501)
     sweep = energy_sweep(cloud, ScalarField.coordinate(cloud), label="identity")
-    csv_path = tmp_path / "sweep.csv"
-    json_path = tmp_path / "sweep.json"
-    sweep.to_csv(csv_path)
-    sweep.to_json(json_path)
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "r,energy"
-    assert len(lines) == sweep.scales.size + 1
-    import json
+    header, rows = sweep.table()
+    assert header == ("r", "energy")
+    assert len(rows) == sweep.scales.size
+    summary = sweep.summary()
+    assert summary["label"] == "identity"
+    assert summary["liminf_proxy"] == sweep.liminf_proxy
 
-    data = json.loads(json_path.read_text())
-    assert data["label"] == "identity"
-    assert data["liminf_proxy"] == pytest.approx(sweep.liminf_proxy)
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: interval_grid(201), lambda: square_grid(21), lambda: gasket(4)],
+    ids=["interval", "square", "gasket"],
+)
+def test_sweeps_of_many_fields_share_one_pass(make, pass_radii):
+    cloud = make()
+    fields = [
+        ScalarField.coordinate(cloud, 0),
+        ScalarField.from_function(cloud, lambda c: np.cos(5.0 * c[:, -1])),
+        ScalarField.constant(cloud, 2.0),
+    ]
+    labels = ("x", "cos", "flat")
+    sweeps = energy_sweep(cloud, fields, d_w=2.3, label=labels)
+    assert len(pass_radii) == 1
+    assert [s.label for s in sweeps] == list(labels)
+    for sweep, f, label in zip(sweeps, fields, labels):
+        single = energy_sweep(cloud, f, d_w=2.3, label=label)
+        for name in ("values", "window_values"):
+            np.testing.assert_array_equal(getattr(sweep, name), getattr(single, name))
+        assert sweep.summary() == single.summary()
+    with pytest.raises(ValueError, match="one label per field"):
+        energy_sweep(cloud, fields, label="x")
+    with pytest.raises(ValueError, match="one label per field"):
+        energy_sweep(cloud, fields, label=labels[:2])
 
 
 def test_comparability_ratio_smooth_field_near_one():

@@ -153,30 +153,22 @@ class TestPoincareCheck:
         with pytest.raises(ValueError, match="out of range"):
             poincare_check(cloud, f, "ks", samples=[(4000, 0.05)])
 
-    def test_csv_roundtrip(self, grid401, tmp_path):
+    def test_csv_roundtrip(self, grid401):
         cloud, f = grid401
         rep = poincare_check(cloud, f, "ks", samples=interior_samples())
-        path = tmp_path / "poincare.csv"
-        rep.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "center,R,lhs,rhs,ratio"
-        assert len(lines) == 1 + len(rep.samples)
-        first = lines[1].split(",")
-        assert int(first[0]) == rep.samples[0].center
-        assert float(first[4]) == pytest.approx(rep.samples[0].ratio)
+        header, rows = rep.table()
+        assert header == ("center", "R", "lhs", "rhs", "ratio")
+        assert len(rows) == len(rep.samples)
+        assert rows[0][0] == rep.samples[0].center
+        assert rows[0][4] == rep.samples[0].ratio
 
-    def test_json_summary(self, grid401, tmp_path):
-        import json
-
+    def test_json_summary(self, grid401):
         cloud, f = grid401
         rep = poincare_check(cloud, f, "lip", samples=interior_samples())
-        path = tmp_path / "poincare.json"
-        rep.to_json(path)
-        data = json.loads(path.read_text())
-        assert data["mode"] == "lip"
-        assert data["lambda"] == 2.0
-        assert data["c_best"] == pytest.approx(rep.c_best)
-        assert data["seed"] is None
+        assert rep.mode == "lip"
+        assert rep.lam == 2.0
+        assert rep.c_best > 0.0
+        assert rep.seed is None
 
 
 class TestMaximalFunction:
@@ -306,14 +298,11 @@ class TestWeakL2:
         with pytest.raises(ValueError, match="positive"):
             weak_l2_check(m, thresholds=[0.0, 1.0])
 
-    def test_csv_export(self, grid401, tmp_path):
+    def test_csv_export(self, grid401):
         cloud, f = grid401
         m = maximal_function(cloud, f, R=0.1)
-        path = tmp_path / "maximal.csv"
-        m.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "id,maximal"
-        assert len(lines) == 1 + cloud.n
+        assert m.values.shape == (cloud.n,)
+        assert np.all(m.values >= 0.0)
 
 
 class TestTelescopingBound:

@@ -149,6 +149,8 @@ def test_out_of_range_centre_ids_are_refused(abstract, bad):
     queries = [
         lambda: cloud.ball_ids(bad, 0.3),
         lambda: cloud.distances_from(bad),
+        lambda: cloud.distance(bad, 0),
+        lambda: cloud.distance(0, bad),
         lambda: next(cloud.ball_chunks(0.3, centers=[0, bad])),
         lambda: next(cloud.nested_ball_chunks([0.3, 0.2], centers=[bad])),
     ]
@@ -496,16 +498,15 @@ def test_cloud_file_rejects_bad_header(tmp_path):
         read_cloud_file(tmp_path / "missing.txt")
 
 
-def test_cloud_csv_export(tmp_path):
+def test_cloud_csv_export():
     cloud = interval_grid(3)
-    out = tmp_path / "cloud.csv"
-    cloud.to_csv(out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "id,x0,weight"
-    assert len(lines) == 4
-    first = lines[1].split(",")
-    assert int(first[0]) == 0
-    assert float(first[2]) == pytest.approx(1 / 3)
+    header, rows = cloud.table()
+    assert header == ("id", "x0", "weight")
+    assert len(rows) == 3
+    assert rows[0][0] == 0
+    assert rows[0][2] == pytest.approx(1 / 3)
+    abstract = MeasuredPointCloud(cloud.weights, dist_matrix=oracles.dist_matrix(cloud.coords))
+    assert abstract.table() == (("id", "weight"), tuple(enumerate(cloud.weights.tolist())))
 
 
 def test_build_cloud_descriptors():

@@ -29,8 +29,8 @@ def gasket5():
     return gasket(5)
 
 
-def _ctx(cloud, d_w=2.0, **kw):
-    return SuiteContext(cloud, d_w, seed=0, **kw)
+def _ctx(cloud, d_w=2.0):
+    return SuiteContext(cloud, d_w, seed=0)
 
 
 def abstract_cloud(n=40, seed=3):
@@ -69,13 +69,14 @@ class TestResolveWalkDimension:
         assert abs(info["fit_d_w"] - value) <= 0.15
         assert info["agreement"] is True
 
-    def test_fit_agreement_reads_the_context_tolerance(self):
+    def test_fit_agreement_reads_the_context_tolerance(self, monkeypatch):
         # Gasket 4's regression and eigenvalue estimates differ by about
-        # 0.026: inside the default bound, outside an override of 1e-9.
+        # 0.026: inside the default bound, outside a bound of 1e-9.
         cloud = gasket(4)
         info = _ctx(cloud, "fit").dw_info
         assert info["agreement"] is True
-        info = _ctx(cloud, "fit", tolerances={"walk_dim_agreement": 1e-9}).dw_info
+        monkeypatch.setitem(DEFAULT_TOLERANCES, "walk_dim_agreement", 1e-9)
+        info = _ctx(cloud, "fit").dw_info
         assert abs(info["eigen_d_w"] - info["fit_d_w"]) > 1e-9
         assert info["agreement"] is False
 
@@ -150,17 +151,11 @@ class TestSuiteVerdicts:
         assert by_name["comparability"].passed
         assert by_name["comparability"].constant <= 1.05
 
-    def test_tolerance_override_can_fail_a_check(self, grid401):
-        ctx = _ctx(grid401, tolerances={"doubling_c_d_interval": 1.0})
-        results = run_suite("doubling", ctx)
+    def test_tolerance_override_can_fail_a_check(self, grid401, monkeypatch):
+        monkeypatch.setitem(DEFAULT_TOLERANCES, "doubling_c_d_interval", 1.0)
+        results = run_suite("doubling", _ctx(grid401))
         doubling = next(r for r in results if r.name == "doubling")
         assert not doubling.passed
-
-    def test_defaults_copied_per_context(self, grid401):
-        ctx = _ctx(grid401)
-        assert ctx.tol == DEFAULT_TOLERANCES
-        ctx.tol["calibration_rel"] = 99.0
-        assert DEFAULT_TOLERANCES["calibration_rel"] == 0.05
 
     def test_gasket_convergence_rows(self, gasket5):
         results = run_suite("convergence", _ctx(gasket5, "fit"))
