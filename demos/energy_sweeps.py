@@ -48,7 +48,7 @@ grid = make_scale_grid(g, r_max=g.diameter / 2)
 from kslab import spectrum, build_form  # noqa: E402
 
 probe_fields = [
-    ScalarField(g, spectrum(build_form(g, "gasket"), k_max=4).field(k).values)
+    ScalarField(g, spectrum(build_form(g), k_max=4).field(k).values)
     for k in (1, 2, 3)
 ]
 fit = fit_walk_dimension(g, probe_fields, grid=grid)

@@ -33,7 +33,7 @@ from kslab import (
 # Interval grid: conductances 1/(h^2 n) make the energy of f(x)=x equal
 # (n-1)/n, the Riemann sum of integral f'^2 = 1.
 cloud = interval_grid(201)
-form = build_form(cloud, "grid1d")
+form = build_form(cloud)
 fx = ScalarField.coordinate(cloud, 0)
 print(f"grid1d(201): energy of x = {form_energy(form, fx):.6f}"
       f" (expected {(cloud.n - 1) / cloud.n:.6f})")
@@ -42,7 +42,7 @@ print(f"grid1d(201): energy of x = {form_energy(form, fx):.6f}"
 # renormalization; the harmonic extension of boundary values (1,0,0) has
 # energy exactly 2 at every level.
 g = gasket(4)
-gform = build_form(g, "gasket")
+gform = build_form(g)
 harm = gasket_harmonic_field(g)
 print(f"gasket(4): harmonic extension energy = {form_energy(gform, harm):.12f}")
 
@@ -59,11 +59,11 @@ print(f"heat kernel mass at t={t:.4f}: {float(g.weights @ row):.12f}")
 # Walk dimension two ways: eigenvalue ratios between consecutive levels,
 # and a sub-Gaussian decay fit to the kernel itself.  The decay fit needs
 # the full spectrum and a resolved decay window, so it runs at level 5.
-walk = eigen_walk_dimension(build_form(gasket(3), "gasket"), gform)
+walk = eigen_walk_dimension(build_form(gasket(3)), gform)
 print(f"eigen walk dimension (levels 3->4): {walk.d_w_hat:.4f}"
       f" vs log5/log2 = {math.log(5) / math.log(2):.4f}")
 g5 = gasket(5)
-fit = fit_subgaussian(spectrum(build_form(g5, "gasket")), g5, seed=0)
+fit = fit_subgaussian(spectrum(build_form(g5)), seed=0)
 print(f"sub-Gaussian fit at level 5: d_w={fit.d_w_fit:.3f}"
       f" d_s={fit.d_s_fit:.3f} residual={fit.residual:.3f}")
 
@@ -86,5 +86,5 @@ print(f"\npath graph with {n_edges} edges: intrinsic distance in"
 
 # On grid forms the energy-measure density and the squared discrete slope
 # describe the same object; for the identity field the best constant is 1.
-rep = gamma_vs_lip_check(form, cloud, fx)
+rep = gamma_vs_lip_check(form, fx)
 print(f"energy density vs squared slope for x on grid1d: c_best = {rep.c_best:.6f}")

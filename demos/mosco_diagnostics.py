@@ -31,15 +31,14 @@ from kslab import (
 LOG5_LOG2 = math.log(5) / math.log(2)
 
 g = gasket(5)
-form = build_form(g, "gasket")
+form = build_form(g)
 spec = spectrum(form, k_max=25)
 target = spec.field(1)
 
-# Recovery: f_eps from ball averages on an eps-net, energy measured at the
-# paired scale r = 1.5 eps, compared against the form energy oracle.
-wide = make_scale_grid(g, r_max=g.diameter / 2).scales
-pairs = [(float(e), float(e) * 1.5) for e in wide[-4:]]
-rec = recovery_check(g, target, d_w=LOG5_LOG2, pairs=pairs, oracle=form)
+# Recovery: f_eps from ball averages on an eps-net over the four smallest
+# scales, energy measured at the paired scale r = 1.5 eps, compared against
+# the form energy oracle.
+rec = recovery_check(target, form, d_w=LOG5_LOG2, n_steps=4)
 print("recovery ladder (eps, r, l2 error, scaled energy / oracle):")
 for eps, r, l2, e in rec.rows:
     print(f"  {eps:.4f}  {r:.4f}  {l2:.5f}  {e / rec.oracle:.4f}")
@@ -47,7 +46,8 @@ print(f"margin {rec.recovery_margin:.4f}, ok={rec.recovery_ok}")
 
 # Liminf: add high eigenfields (weakly null test directions) and check the
 # measured energies stay above a fixed fraction of the oracle.
-lim = weak_liminf_probe(g, target, spec, d_w=LOG5_LOG2,
+wide = make_scale_grid(g, r_max=g.diameter / 2).scales
+lim = weak_liminf_probe(target, spec, d_w=LOG5_LOG2,
                         scales=[float(s) for s in wide[-3:]],
                         n_probes=3, offset=9)
 print(f"\nweak liminf probe: margin {lim.liminf_margin:.3f},"
@@ -62,7 +62,7 @@ for _ in range(50):
     v = sum(c * spec.field(k + 1).values for k, c in enumerate(coef))
     raw = ScalarField(g, v)
     family.append(ScalarField(g, v / math.sqrt(form_energy(form, raw))))
-probe = compactness_probe(family, d_w=LOG5_LOG2, cap=1.0, delta=0.1)
+probe = compactness_probe(family, d_w=LOG5_LOG2, delta=0.1)
 print(f"\ncompactness: {probe.n_fields} fields, 0.1-net of size"
       f" {probe.net_size}, max gap {probe.max_gap:.4f}")
 

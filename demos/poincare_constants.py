@@ -25,7 +25,7 @@ cloud = interval_grid(401)
 f = ScalarField.from_function(cloud, lambda c: np.sin(np.pi * c[:, 0]))
 
 print("sampled Poincare constants for sin(pi x) on interval(401)")
-form = build_form(cloud, "grid1d")
+form = build_form(cloud)
 for mode, extra in (("lip", {}), ("ks", {}), ("energy_measure", {"form": form})):
     rep = poincare_check(cloud, f, mode, d_w=2.0, seed=0, **extra)
     print(f"  mode={mode:<15} c_best={rep.c_best:.4f} over {rep.n_used} balls")

@@ -24,12 +24,10 @@ through one writer, :mod:`kslab.export`.
 
 from .space import (
     DoublingProfile,
-    MassBoundReport,
     MeasuredPointCloud,
     ball_average,
     build_cloud,
     carpet,
-    check_mass_bounds,
     estimate_doubling,
     gasket,
     interval_grid,
@@ -115,12 +113,10 @@ from .suites import (
 
 __all__ = [
     "DoublingProfile",
-    "MassBoundReport",
     "MeasuredPointCloud",
     "ball_average",
     "build_cloud",
     "carpet",
-    "check_mass_bounds",
     "estimate_doubling",
     "gasket",
     "interval_grid",

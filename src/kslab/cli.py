@@ -92,7 +92,7 @@ def load_config(path: str | Path) -> dict:
             isinstance(d_w, (int, float)) and not isinstance(d_w, bool),
             "config key 'd_w' must be a number or the string \"fit\"",
         )
-        _require(0.5 < float(d_w) < 6.0, "config key 'd_w' must lie in (0.5, 6)")
+        _require(2.0 <= float(d_w) < 6.0, "config key 'd_w' must lie in [2, 6)")
         d_w = float(d_w)
     cfg["d_w"] = d_w
 

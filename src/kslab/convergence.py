@@ -4,8 +4,9 @@ Four finite-resolution probes of the limit theory: recovery sequences built
 from the ball-average mollifier, weak perturbations by high-index
 eigenfields for the liminf half, greedy-net compactness of energy-bounded
 families, and the Sobolev / sup-norm embedding quotients.  None of these
-construct the limit object; they report margins against a graph-form or
-fitted-limit stand-in and assert stability.
+construct the limit object: the recovery and liminf halves report margins
+against the energy of the cloud's reference graph form (the oracle), which
+also carries the cloud, and every probe asserts stability.
 """
 
 from __future__ import annotations
@@ -54,10 +55,12 @@ TREND_SLACK = 1.05
 class MoscoReport:
     """Margins for the two halves of the variational convergence check.
 
-    ``recovery_margin`` is max_n E(f_eps_n, r_n) / oracle; ``liminf_margin``
-    is min_n E(f + a u_{k_n}, r_n) / oracle.  Either half may be absent when
-    only the other was run.  When the oracle vanishes (vacuous case) the
-    liminf margin is infinite, and the recovery margin is 0 or infinite.
+    ``oracle`` is the form energy of the target f.  ``recovery_margin`` is
+    max_n E(f_eps_n, r_n) / oracle; ``liminf_margin`` is
+    min_n E(f + u_{k_n}, r_n) / oracle.  Either half may be absent when
+    only the other was run.  The oracle vanishes only for a constant f
+    (the form is connected); then the liminf margin is infinite and the
+    recovery margin is 0 or infinite.
     """
 
     scales: np.ndarray
@@ -75,59 +78,30 @@ class MoscoReport:
         return self.row_header, self.rows
 
 
-def _oracle_energy(
-    oracle: GraphDirichletForm | float, f: ScalarField
-) -> float:
-    if isinstance(oracle, GraphDirichletForm):
-        return form_energy(oracle, f)
-    value = float(oracle)
-    if value < 0.0:
-        raise ValueError("oracle energy must be nonnegative")
-    return value
-
-
-def _default_recovery_pairs(cloud: MeasuredPointCloud, n_steps: int) -> list[tuple[float, float]]:
-    # The smallest admissible scales: the limit statements live at eps -> 0.
-    scales = make_scale_grid(cloud).scales
-    eps = [float(s) for s in scales[-n_steps:]]
-    return [(e, e * DEFAULT_KAPPA / 2.0) for e in eps]
-
-
 def recovery_check(
-    cloud: MeasuredPointCloud,
     f: ScalarField,
+    form: GraphDirichletForm,
     d_w: float = 2.0,
-    pairs: Sequence[tuple[float, float]] | None = None,
-    oracle: GraphDirichletForm | float | None = None,
     n_steps: int = DEFAULT_PROBES,
 ) -> MoscoReport:
     """Drive the mollifier along a shrinking scale ladder and compare.
 
-    Each step builds f_eps from ball averages on an eps-net and measures
-    its increment energy at the paired scale r.  The report records the
-    L2 distance to f (which must not grow along the ladder, 5% slack) and
-    the worst energy-to-oracle margin.
+    The ladder pairs each eps with r = eps kappa / 2, for eps over the last
+    ``n_steps`` scales of the grid that reaches diam/2 (fewer when the grid
+    is shorter; fewer than 3 pairs cannot judge a trend and raise).  Each
+    step builds f_eps from ball averages on an eps-net and measures its
+    increment energy at r.  The report records the L2 distance to f (which
+    must not grow along the ladder, 5% slack) and the worst margin against
+    the form energy of f.
     """
-    if f.cloud is not cloud:
-        raise ValueError("field does not live on the given cloud")
-    if oracle is None:
-        raise ValueError("recovery check needs an oracle energy (form or float)")
-    oracle_value = _oracle_energy(oracle, f)
-    if oracle_value == 0.0 and not f.is_constant():
-        raise ValueError("oracle energy is zero for a nonconstant field")
-
-    if pairs is None:
-        pairs = _default_recovery_pairs(cloud, n_steps)
-    pairs = [(float(e), float(r)) for e, r in pairs]
+    cloud = f.cloud
+    oracle_value = form_energy(form, f)  # refuses a field off the form's cloud
+    # The smallest admissible scales: the limit statements live at eps -> 0.
+    wide = make_scale_grid(cloud, r_max=cloud.diameter / 2.0).scales
+    eps = [float(e) for e in wide[max(wide.size - n_steps, 0) :]]
+    pairs = [(e, e * DEFAULT_KAPPA / 2.0) for e in eps]
     if len(pairs) < 3:
         raise ValueError("need at least 3 scale pairs to judge the trend")
-    floor = cloud.floor
-    for (e0, r0), (e1, r1) in zip(pairs, pairs[1:]):
-        if not (e1 < e0 and r1 < r0):
-            raise ValueError("scale pairs must be strictly decreasing")
-    for e, r in pairs:
-        if e < floor or r < floor:
-            raise ValueError(f"scale pair ({e:g}, {r:g}) under the floor {floor:g}")
 
     mu = cloud.weights
     rows = []
@@ -191,26 +165,23 @@ def _test_fields(cloud: MeasuredPointCloud, spec: Spectrum) -> list[np.ndarray]:
 
 
 def weak_liminf_probe(
-    cloud: MeasuredPointCloud,
     f: ScalarField,
     spec: Spectrum,
     d_w: float = 2.0,
     scales: Sequence[float] | None = None,
     n_probes: int = DEFAULT_PROBES,
-    amplitude: float = 1.0,
     offset: int | None = None,
 ) -> MoscoReport:
     """Perturb f by high-index eigenfields and bound the energy from below.
 
-    The perturbations are weakly null (their inner products against five
-    fixed test fields stay under ``NULLITY_TOL`` times the amplitude), so
-    the probe sequence converges weakly to f while the measured energies
-    must not drop below a fixed fraction of the oracle.
+    The perturbations are unit-norm and weakly null (their inner products
+    against five fixed test fields stay under ``NULLITY_TOL``), so the probe
+    sequence converges weakly to f while the measured energies must not
+    drop below a fixed fraction of the form energy of f.
     """
-    if f.cloud is not cloud:
-        raise ValueError("field does not live on the given cloud")
+    cloud = f.cloud
     if spec.form.cloud is not cloud:
-        raise ValueError("spectrum does not live on the given cloud")
+        raise ValueError("spectrum does not live on the field's cloud")
     if n_probes < 1:
         raise ValueError("need at least one probe")
     if spec.k_max < n_probes + 10:
@@ -246,19 +217,15 @@ def weak_liminf_probe(
     worst_nullity = 0.0
     for i, r in enumerate(ladder):
         k = i + 1 + offset
-        if amplitude != 0.0:
-            u = spec.field(k).values
-            nullity = max(abs(float(mu @ (u * g))) for g in tests)
-            worst_nullity = max(worst_nullity, nullity)
-            probe = ScalarField(cloud, f.values + amplitude * u)
-        else:
-            nullity = 0.0
-            probe = f
+        u = spec.field(k).values
+        nullity = max(abs(float(mu @ (u * g))) for g in tests)
+        worst_nullity = max(worst_nullity, nullity)
+        probe = ScalarField(cloud, f.values + u)
         en = ks_energy(cloud, probe, r, d_w=d_w)
         energies.append(en)
         rows.append((k, r, en, nullity))
 
-    nullity_ok = worst_nullity <= NULLITY_TOL * abs(amplitude) or amplitude == 0.0
+    nullity_ok = worst_nullity <= NULLITY_TOL
     if oracle_value > 0.0:
         margin = min(energies) / oracle_value
         ok = nullity_ok and margin > 0.0 and math.isfinite(margin)
@@ -290,7 +257,6 @@ class CompactnessProbe:
     """Greedy-net summary of an energy-bounded family in L2(mu)."""
 
     n_fields: int
-    cap: float
     delta: float
     net_size: int
     net_ids: tuple[int, ...]
@@ -312,12 +278,11 @@ def liminf_proxy(
 def compactness_probe(
     fields: Sequence[ScalarField],
     d_w: float = 2.0,
-    cap: float = 1.0,
     delta: float = 0.1,
 ) -> CompactnessProbe:
-    """Totally-bounded-in-L2 check for a family under an energy cap.
+    """Totally-bounded-in-L2 check for a family under the unit energy cap.
 
-    Every field must satisfy ||f||^2 + liminf-proxy <= cap; the probe then
+    Every field must satisfy ||f||^2 + liminf-proxy <= 1; the probe then
     covers the family greedily with delta-balls in L2(mu) and reports how
     many centers that takes.  Small nets certify the compactness the
     embedding theorems predict.
@@ -333,10 +298,8 @@ def compactness_probe(
     proxies = liminf_proxy(cloud, fields, d_w=d_w)
     for i, (f, proxy) in enumerate(zip(fields, proxies)):
         score = f.l2sq() + float(proxy)
-        if score > cap * (1.0 + 1e-9):
-            raise ValueError(
-                f"field {i} violates the energy cap: {score:g} > {cap:g}"
-            )
+        if score > 1.0 + 1e-9:
+            raise ValueError(f"field {i} violates the energy cap: {score:g} > 1")
 
     mu = cloud.weights
     vals = np.stack([f.values for f in fields])
@@ -357,7 +320,6 @@ def compactness_probe(
         np.minimum(gaps, dist[far], out=gaps)
     return CompactnessProbe(
         n_fields=len(fields),
-        cap=float(cap),
         delta=float(delta),
         net_size=len(net),
         net_ids=tuple(net),

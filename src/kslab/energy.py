@@ -27,7 +27,6 @@ exactly summed (``math.fsum``) reduction to about 1e-15 relative.
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field

@@ -28,8 +28,8 @@ from .space import MeasuredPointCloud, _gasket_subdivision, gasket_graph
 __all__ = [
     "DENSE_EIGEN_LIMIT",
     "PARTIAL_EIGEN_COUNT",
+    "FORM_KINDS",
     "GraphDirichletForm",
-    "EnergyMeasure",
     "Spectrum",
     "HeatKernelFit",
     "IntrinsicMetricResult",
@@ -55,6 +55,9 @@ __all__ = [
 # is too few for the heat-kernel fit.
 DENSE_EIGEN_LIMIT = 5000
 PARTIAL_EIGEN_COUNT = 200
+
+# The reference form of each cloud kind that carries one.
+FORM_KINDS = {"interval_grid": "grid1d", "square_grid": "grid2d", "gasket": "gasket"}
 
 
 @dataclass(frozen=True)
@@ -173,25 +176,24 @@ def _grid2d_edges(side: int) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def build_form(cloud: MeasuredPointCloud, kind: str) -> GraphDirichletForm:
-    """Construct the reference form of the given kind on its natural cloud.
+def build_form(cloud: MeasuredPointCloud) -> GraphDirichletForm:
+    """Construct the reference form of the cloud's kind (``FORM_KINDS``).
 
     grid1d / grid2d use nearest-neighbour edges with conductance
     1/(h^2 n), so smooth-field energies approach Dirichlet integrals;
     gasket uses the level graph with uniform conductance (5/3)^m.
     """
     meta_kind = cloud.meta.get("kind")
+    if meta_kind not in FORM_KINDS:
+        raise ValueError(f"no reference form for cloud kind {meta_kind!r}")
+    kind = FORM_KINDS[meta_kind]
     n = cloud.n
     if kind == "grid1d":
-        if meta_kind != "interval_grid":
-            raise ValueError(f"grid1d form needs an interval grid, got {meta_kind}")
         i, j = _grid1d_edges(n)
         c = np.full(i.size, 1.0 / (cloud.mesh**2 * n))
         renorm = 1.0 / cloud.mesh**2
         level = None
     elif kind == "grid2d":
-        if meta_kind != "square_grid":
-            raise ValueError(f"grid2d form needs a square grid, got {meta_kind}")
         side = int(round(np.sqrt(n)))
         if side * side != n:
             raise ValueError("square grid cloud has a non-square point count")
@@ -199,16 +201,12 @@ def build_form(cloud: MeasuredPointCloud, kind: str) -> GraphDirichletForm:
         c = np.full(i.size, 1.0 / (cloud.mesh**2 * n))
         renorm = 1.0 / cloud.mesh**2
         level = None
-    elif kind == "gasket":
-        if meta_kind != "gasket":
-            raise ValueError(f"gasket form needs a gasket cloud, got {meta_kind}")
+    else:
         level = int(cloud.meta["level"])
         _, _, edges = gasket_graph(level)
         i, j = edges[:, 0].copy(), edges[:, 1].copy()
         c = np.full(i.size, (5.0 / 3.0) ** level)
         renorm = float(c[0] * n)
-    else:
-        raise ValueError(f"unknown form kind {kind!r}")
     return GraphDirichletForm(
         cloud=cloud,
         edge_i=np.asarray(i, dtype=np.intp),
@@ -240,22 +238,6 @@ def form_bilinear(form: GraphDirichletForm, f: ScalarField, g: ScalarField) -> f
     return float(np.sum(form.conductances * df * dg))
 
 
-@dataclass(frozen=True)
-class EnergyMeasure:
-    """Per-vertex energy density; densities sum to the form energy."""
-
-    form: GraphDirichletForm
-    density: np.ndarray
-
-    @property
-    def total(self) -> float:
-        return float(self.density.sum())
-
-    def per_mass(self) -> np.ndarray:
-        """Radon-Nikodym surrogate dGamma/dmu."""
-        return self.density / self.form.cloud.weights
-
-
 def _gamma_density(form: GraphDirichletForm, values: np.ndarray) -> np.ndarray:
     diff = values[form.edge_i] - values[form.edge_j]
     half = 0.5 * form.conductances * diff**2
@@ -265,10 +247,14 @@ def _gamma_density(form: GraphDirichletForm, values: np.ndarray) -> np.ndarray:
     return density
 
 
-def energy_measure(form: GraphDirichletForm, f: ScalarField) -> EnergyMeasure:
-    """Gamma(f,f)(x) = 1/2 sum_y c_xy (f_x - f_y)^2."""
+def energy_measure(form: GraphDirichletForm, f: ScalarField) -> np.ndarray:
+    """Per-vertex density Gamma(f,f)(x) = 1/2 sum_y c_xy (f_x - f_y)^2.
+
+    The densities sum to the form energy; divided by the weights they give
+    the Radon-Nikodym surrogate dGamma/dmu.
+    """
     _check_form_field(form, f)
-    return EnergyMeasure(form=form, density=_gamma_density(form, f.values))
+    return _gamma_density(form, f.values)
 
 
 # ----------------------------------------------------------------------
@@ -477,18 +463,13 @@ def _subgaussian_sse(
     )
 
 
-def fit_subgaussian(
-    spec: Spectrum,
-    cloud: MeasuredPointCloud,
-    t_window: tuple[float, float] | None = None,
-    seed: int = 0,
-) -> HeatKernelFit:
+def fit_subgaussian(spec: Spectrum, seed: int = 0) -> HeatKernelFit:
     """Fit the sub-Gaussian off-diagonal model over (time, pair) samples.
 
-    Twelve geometric times span the window, which defaults to
-    [3/lambda_max, 0.3/lambda_1]: early enough that the kernel is not
-    saturated at the constant mode, late enough that single-vertex
-    discreteness has smoothed out.  Distances in the decay
+    Twelve geometric times span the window [3/lambda_max, 0.3/lambda_1]:
+    early enough that the kernel is not saturated at the constant mode,
+    late enough that single-vertex discreteness has smoothed out.  A
+    spectrum too narrow for that window is refused.  Distances in the decay
     variable are network geodesics (shortest paths over the form's edges):
     the kernel propagates through edges, and on ramified geometries the
     straight-line distance understates the travel cost by an uneven factor.
@@ -496,8 +477,6 @@ def fit_subgaussian(
     the fit: closer in there is no decay signal, farther out the lattice
     tail leaves the sub-Gaussian regime.
     """
-    if cloud is not spec.form.cloud:
-        raise ValueError("cloud does not match the spectrum's form")
     if spec.k_max < spec.n:
         # Small-t kernels need every mode, and lambda_max sets the window.
         raise ValueError(
@@ -505,16 +484,15 @@ def fit_subgaussian(
             f"to {spec.k_max} of {spec.n} modes"
         )
     form = spec.form
+    cloud = form.cloud
     lam = spec.eigenvalues
     positive = lam[lam > 0]
     if positive.size == 0:
         raise ValueError("spectrum has no positive eigenvalues")
     lam1, lam_max = float(positive.min()), float(positive.max())
-    if t_window is None:
-        t_window = (3.0 / lam_max, 0.3 / lam1)
-    t_lo, t_hi = map(float, t_window)
+    t_lo, t_hi = 3.0 / lam_max, 0.3 / lam1
     if not (0.0 < t_lo < t_hi):
-        raise ValueError(f"degenerate time window {t_window!r}")
+        raise ValueError(f"degenerate time window ({t_lo:g}, {t_hi:g})")
     times = np.geomspace(t_lo, t_hi, 12)
 
     rng = np.random.default_rng(seed)
@@ -736,8 +714,7 @@ def intrinsic_metric(
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     n = form.n
-    if not (0 <= x < n and 0 <= y < n):
-        raise ValueError("vertex id out of range")
+    x, y = form.cloud._checked_ids(x), form.cloud._checked_ids(y)
     if x == y:
         return IntrinsicMetricResult(0.0, 0.0, 0, np.zeros(n))
 
@@ -826,11 +803,7 @@ class GammaLipReport:
     n_active: int
 
 
-def gamma_vs_lip_check(
-    form: GraphDirichletForm,
-    cloud: MeasuredPointCloud,
-    f: ScalarField,
-) -> GammaLipReport:
+def gamma_vs_lip_check(form: GraphDirichletForm, f: ScalarField) -> GammaLipReport:
     """Compare the energy-measure density with the squared discrete slope.
 
     The slope reads neighbours closer than the admissibility floor kappa h.
@@ -840,10 +813,8 @@ def gamma_vs_lip_check(
     """
     if form.kind not in ("grid1d", "grid2d"):
         raise ValueError(f"gamma/Lip comparison is limited to grids, got {form.kind}")
-    if cloud is not form.cloud:
-        raise ValueError("cloud does not match the form")
-    _check_form_field(form, f)
-    ratio_gamma = energy_measure(form, f).per_mass()
+    cloud = form.cloud
+    ratio_gamma = energy_measure(form, f) / cloud.weights
     lip = discrete_lip(cloud, f, cloud.floor).values
     active = lip > 0
     if not np.any(active):

@@ -149,8 +149,7 @@ def poincare_check(
     r_lo = cloud.floor
     r_hi = cloud.diameter / (2.0 * lam)
     for c, r in pairs:
-        if not (0 <= c < cloud.n):
-            raise ValueError(f"center {c} out of range")
+        cloud._checked_ids(c)
         if not (r_lo <= r <= r_hi * (1.0 + 1e-12)):
             raise ValueError(
                 f"radius {r:g} outside the admissible range [{r_lo:g}, {r_hi:g}]"
@@ -167,7 +166,7 @@ def poincare_check(
         rhs_rows = ks_energy_density(cloud, f, liminf_window_scales(cloud), d_w=d_w)
         rhs_power = d_w
     else:
-        rhs_rows = graph_energy_measure(form, f).density[None, :]
+        rhs_rows = graph_energy_measure(form, f)[None, :]
         rhs_power = d_w
 
     floor = RHS_FLOOR_FACTOR * f.l2sq()
@@ -379,8 +378,7 @@ def telescoping_bound(
     """
     if f.cloud is not cloud:
         raise ValueError("field does not live on the given cloud")
-    if not (0 <= x < cloud.n):
-        raise ValueError(f"center {x} out of range")
+    x = cloud._checked_ids(x)
     floor = cloud.floor
     if rho < 4.0 * floor:
         raise ValueError(

@@ -34,8 +34,9 @@ have no lattice, and every ``ball_chunks`` consumer reads the engine on
 every cloud.
 
 The module also carries the volume-doubling diagnostics: sampled ratios
-``mu(B(x, 2r)) / mu(B(x, r))``, a fitted mass-growth exponent, and lower mass
-bounds ``mu(B(x, r)) >= c r^Q``.
+``mu(B(x, 2r)) / mu(B(x, r))``, a fitted mass-growth exponent ``q_fit``, and
+the lower mass bound ``mu(B(x, r)) >= c_low r^q_fit`` on the same samples
+(``DoublingProfile.c_low``).
 
 Built-in model spaces:
 
@@ -342,7 +343,7 @@ class MeasuredPointCloud:
         """``ids`` (one id or an array of them), refusing any outside [0, n)."""
         bad = (ids < 0) | (ids >= self.n)
         if bad.any() if isinstance(bad, np.ndarray) else bad:
-            raise ValueError(f"center id {np.extract(bad, ids)[0]} out of range")
+            raise ValueError(f"id {np.extract(bad, ids)[0]} out of range")
         return ids
 
     @staticmethod
@@ -715,26 +716,8 @@ def read_cloud_file(path: str | Path) -> MeasuredPointCloud:
     return MeasuredPointCloud(weights, dist_matrix=body, meta=meta)
 
 
-def build_cloud(spec: str | dict) -> MeasuredPointCloud:
-    """Build a cloud from a descriptor.
-
-    Accepts either a dict (``{"kind": "gasket", "level": 5}``) or the compact
-    string form ``"gasket:5"`` / ``"interval_grid:2001"`` / ``"file:PATH"``.
-    """
-    if isinstance(spec, str):
-        kind, _, arg = spec.partition(":")
-        kind = kind.strip()
-        if kind == "file":
-            spec = {"kind": "file", "path": arg}
-        else:
-            if not arg:
-                raise ValueError(f"descriptor {spec!r} is missing its size argument")
-            try:
-                num = int(arg)
-            except ValueError as exc:
-                raise ValueError(f"bad size in descriptor {spec!r}") from exc
-            key = "level" if kind in ("gasket", "carpet") else "n"
-            spec = {"kind": kind, key: num}
+def build_cloud(spec: dict) -> MeasuredPointCloud:
+    """Build a cloud from a descriptor such as ``{"kind": "gasket", "level": 5}``."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError(f"cannot interpret cloud descriptor {spec!r}")
     kind = spec["kind"]
@@ -880,29 +863,4 @@ def estimate_doubling(
         scales=adm,
         seed=seed,
         meta=dict(cloud.meta),
-    )
-
-
-@dataclass(frozen=True)
-class MassBoundReport:
-    """Outcome of a lower mass-bound check ``mu(B(x, r)) >= c r^Q``."""
-
-    q: float
-    worst_c: float
-    holds: bool
-    n_samples: int
-
-
-def check_mass_bounds(profile: DoublingProfile, q: float, c_min: float = 0.0) -> MassBoundReport:
-    """Largest feasible ``c`` for the bound ``mu(B(x, r)) >= c r^q``.
-
-    Evaluated on the sampled (centre, r) pairs of ``profile``; ``holds`` is
-    the comparison against ``c_min`` (default: mere positivity).
-    """
-    if not np.isfinite(q):
-        raise ValueError("exponent q must be finite")
-    ratios = profile.mass_r / profile.radii**q
-    worst = float(ratios.min())
-    return MassBoundReport(
-        q=float(q), worst_c=worst, holds=bool(worst > c_min), n_samples=int(ratios.size)
     )

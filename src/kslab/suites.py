@@ -33,7 +33,6 @@ from .space import (
     DEFAULT_KAPPA,
     DoublingProfile,
     MeasuredPointCloud,
-    check_mass_bounds,
     estimate_doubling,
     gasket,
     interval_grid,
@@ -48,8 +47,6 @@ __all__ = [
     "resolve_walk_dimension",
     "run_suite",
 ]
-
-FORM_KINDS = {"interval_grid": "grid1d", "square_grid": "grid2d", "gasket": "gasket"}
 
 LOG5_LOG2 = math.log(5.0) / math.log(2.0)
 
@@ -157,21 +154,21 @@ class SuiteContext:
 
     @property
     def has_form(self) -> bool:
-        return self.kind in FORM_KINDS
+        return self.kind in gf.FORM_KINDS
 
     @cached_property
     def form(self) -> gf.GraphDirichletForm:
-        return gf.build_form(self.cloud, FORM_KINDS[self.kind])
+        return gf.build_form(self.cloud)
 
     @cached_property
     def coarse_form(self) -> gf.GraphDirichletForm | None:
         """Form of the next coarser level of the cloud's mesh hierarchy, if any."""
         if self.kind == "gasket" and int(self.cloud.meta.get("level", 0)) >= 2:
-            return gf.build_form(gasket(int(self.cloud.meta["level"]) - 1), "gasket")
+            return gf.build_form(gasket(int(self.cloud.meta["level"]) - 1))
         if self.kind == "interval_grid":
             n = int(self.cloud.meta.get("n", 0))
             if n >= 5 and (n - 1) % 2 == 0:
-                return gf.build_form(interval_grid((n + 1) // 2), "grid1d")
+                return gf.build_form(interval_grid((n + 1) // 2))
         return None
 
     @cached_property
@@ -221,8 +218,9 @@ def resolve_walk_dimension(ctx: SuiteContext, requested: float | str) -> tuple[f
 
     Fitting runs the increment-scaling regression on standard fields and,
     when the cloud belongs to a mesh hierarchy, the cross-level eigenvalue
-    estimate; the latter wins when both exist, and the report carries both
-    values plus an agreement flag judged against ``DEFAULT_TOLERANCES``.
+    estimate; the latter wins when both exist.  The value is the chosen
+    estimate raised to the lower bound 2; the report carries both raw
+    estimates plus an agreement flag judged against ``DEFAULT_TOLERANCES``.
     ``SuiteContext`` calls this while it is being built; it returns the
     value and its provenance.
     """
@@ -246,7 +244,9 @@ def resolve_walk_dimension(ctx: SuiteContext, requested: float | str) -> tuple[f
         # ctx.form already holds the solve that standard_fields made on gaskets.
         eigen_value = gf.eigen_walk_dimension(ctx.coarse_form, ctx.form).d_w_hat
 
-    chosen = eigen_value if eigen_value is not None else fit.d_w_hat
+    # Walks are at least diffusive (d_w >= 2); the energies refuse anything
+    # smaller, so an estimate that approaches 2 from below resolves to 2.
+    chosen = max(2.0, eigen_value if eigen_value is not None else fit.d_w_hat)
     info: dict = {
         "source": "fit",
         "value": float(chosen),
@@ -285,14 +285,13 @@ def suite_doubling(ctx: SuiteContext) -> list[CheckResult]:
             table=profile.table(),
         )
     ]
-    mass = check_mass_bounds(profile, q=profile.q_fit)
     results.append(
         CheckResult(
             name="lower_mass_bound",
             claim="lower-ahlfors-mass-bound",
-            passed=mass.holds,
-            constant=mass.worst_c,
-            details={"q": mass.q, "n_samples": mass.n_samples},
+            passed=bool(profile.c_low > 0.0),
+            constant=profile.c_low,
+            details={"q": profile.q_fit, "n_samples": int(profile.centers.size)},
         )
     )
     return results
@@ -602,7 +601,7 @@ def suite_graphform(ctx: SuiteContext) -> list[CheckResult]:
 
     if ctx.kind in ("interval_grid", "square_grid"):
         # f is the coordinate field of the calibration above.
-        rep = gf.gamma_vs_lip_check(form, cloud, f)
+        rep = gf.gamma_vs_lip_check(form, f)
         if ctx.kind == "interval_grid" and ctx.d_w == 2.0:
             ok = abs(rep.c_best - 1.0) <= DEFAULT_TOLERANCES["gamma_lip_rel"]
         else:
@@ -655,7 +654,7 @@ def suite_graphform(ctx: SuiteContext) -> list[CheckResult]:
                 )
             )
         else:
-            fit = gf.fit_subgaussian(ctx.full_spectrum, cloud, seed=ctx.seed)
+            fit = gf.fit_subgaussian(ctx.full_spectrum, seed=ctx.seed)
             results.append(
                 CheckResult(
                     name="subgaussian_fit",
@@ -700,8 +699,9 @@ def suite_convergence(ctx: SuiteContext) -> list[CheckResult]:
         label_fields = dict(ctx.standard_fields())
         target = label_fields.get("sin_pi_x") or label_fields.get("sin_pi_xy") or spec.field(1)
         n_steps = 5
-    # Coarse clouds may not carry the default ladder; rebuild it over the
-    # widest admissible grid and clamp the step count to what exists.
+    # recovery_check takes its ladder from the grid that reaches diam/2; a
+    # grid too short for it skips the suite, and the gasket's liminf probes
+    # read its last scales.
     wide = make_scale_grid(cloud, r_max=cloud.diameter / 2.0).scales
     if wide.size < 3:
         return [
@@ -713,10 +713,7 @@ def suite_convergence(ctx: SuiteContext) -> list[CheckResult]:
                 details={"reason": "fewer than three admissible scales on this cloud"},
             )
         ]
-    n_steps = min(n_steps, int(wide.size))
-    eps_list = [float(s) for s in wide[-n_steps:]]
-    pairs = [(e, e * DEFAULT_KAPPA / 2.0) for e in eps_list]
-    rec = cv.recovery_check(cloud, target, d_w=ctx.d_w, pairs=pairs, oracle=form)
+    rec = cv.recovery_check(target, form, d_w=ctx.d_w, n_steps=n_steps)
     per = [row[3] / rec.oracle for row in rec.rows]
     spread = max(per) / min(per) if min(per) > 0 else float("inf")
     # Per-step margin stability is an asymptotic property; on shallow
@@ -736,11 +733,10 @@ def suite_convergence(ctx: SuiteContext) -> list[CheckResult]:
     if ctx.kind == "gasket":
         probe_scales = [float(s) for s in wide[-3:]]
         lim = cv.weak_liminf_probe(
-            cloud, target, spec, d_w=ctx.d_w, scales=probe_scales,
-            n_probes=3, offset=9,
+            target, spec, d_w=ctx.d_w, scales=probe_scales, n_probes=3, offset=9
         )
     else:
-        lim = cv.weak_liminf_probe(cloud, target, spec, d_w=ctx.d_w)
+        lim = cv.weak_liminf_probe(target, spec, d_w=ctx.d_w)
     per = [row[2] / lim.oracle for row in lim.rows] if lim.oracle > 0 else []
     spread = max(per) / min(per) if per and min(per) > 0 else 1.0
     results.append(
@@ -767,7 +763,7 @@ def suite_convergence(ctx: SuiteContext) -> list[CheckResult]:
             fields.append(
                 ScalarField(cloud, v / math.sqrt(gf.form_energy(form, raw)))
             )
-        probe = cv.compactness_probe(fields, d_w=ctx.d_w, cap=1.0, delta=0.1)
+        probe = cv.compactness_probe(fields, d_w=ctx.d_w, delta=0.1)
         results.append(
             CheckResult(
                 name="rellich_kondrachov_net",
@@ -812,7 +808,7 @@ def applicable_suites(cloud: MeasuredPointCloud) -> list[str]:
     """Suite names that can run on this cloud kind."""
     kind = str(cloud.meta.get("kind", "unknown"))
     names = ["doubling", "energy", "smoothing", "poincare"]
-    if kind in FORM_KINDS:
+    if kind in gf.FORM_KINDS:
         names += ["graphform", "convergence"]
     return names
 

@@ -53,6 +53,7 @@ class TestLoadConfig:
             ({"tolerances": {"calibration_rel": 1.0}}, "unknown config keys"),
             ({"tolerances": {}}, "unknown config keys"),
             ({"typo_key": 1}, "unknown config keys"),
+            ({"d_w": 1.5}, "must lie in"),
         ],
     )
     def test_rejects_bad_values(self, tmp_path, overrides, message):
@@ -176,6 +177,20 @@ class TestRun:
         assert prov["eigen_d_w"] is not None
         assert isinstance(prov["agreement"], bool)
         assert summary["d_w"] == prov["value"]
+
+    def test_fit_below_two_resolves_to_two(self, tmp_path):
+        # The interval's estimates approach 2 from below; the run uses the
+        # lower bound 2 and keeps the raw estimates in the provenance.
+        out = tmp_path / "bundle"
+        path = write_config(
+            tmp_path, space={"kind": "interval_grid", "n": 257}, d_w="fit", suite="all",
+            out=str(out),
+        )
+        assert main(["run", "--config", str(path)]) in (0, 1)
+        summary = json.loads((out / "summary.json").read_text())
+        prov = summary["d_w_provenance"]
+        assert summary["d_w"] == prov["value"] == 2.0
+        assert prov["fit_d_w"] < 2.0
 
     def test_fit_run_solves_each_level_once(self, tmp_path, eigh_sizes):
         path = write_config(

@@ -28,14 +28,14 @@ D_W_GASKET = math.log(5.0) / math.log(2.0)
 @pytest.fixture(scope="module")
 def grid401():
     cloud = interval_grid(401)
-    form = build_form(cloud, "grid1d")
+    form = build_form(cloud)
     return cloud, form
 
 
 @pytest.fixture(scope="module")
 def gasket6():
     cloud = gasket(6)
-    form = build_form(cloud, "gasket")
+    form = build_form(cloud)
     return cloud, form, spectrum(form)
 
 
@@ -43,7 +43,7 @@ def gasket6():
 def gasket5_family():
     """Fifty random unit-energy mixtures of the first twenty eigenfields."""
     cloud = gasket(5)
-    form = build_form(cloud, "gasket")
+    form = build_form(cloud)
     spec = spectrum(form, k_max=25)
     rng = np.random.default_rng(0)
     fields = []
@@ -59,14 +59,14 @@ class TestRecoveryCheck:
     def test_constant_trivial(self, grid401):
         cloud, form = grid401
         c = ScalarField.constant(cloud, 2.0)
-        rep = recovery_check(cloud, c, oracle=form)
+        rep = recovery_check(c, form)
         assert rep.recovery_margin == 0.0
         assert rep.recovery_ok
 
     def test_sine_margin_bounded(self, grid401):
         cloud, form = grid401
         f = ScalarField.from_function(cloud, lambda c: np.sin(np.pi * c[:, 0]))
-        rep = recovery_check(cloud, f, oracle=form)
+        rep = recovery_check(f, form)
         assert rep.recovery_ok
         assert 0.0 < rep.recovery_margin <= 3.0
         errors = [row[2] for row in rep.rows]
@@ -79,7 +79,7 @@ class TestRecoveryCheck:
 
         cloud, form = grid401
         f = ScalarField.from_function(cloud, lambda c: np.sin(np.pi * c[:, 0]))
-        rep = recovery_check(cloud, f, oracle=form)
+        rep = recovery_check(f, form)
         dmat = dist_matrix(cloud.coords)
         for eps, r, _, energy in rep.rows[:3]:
             f_eps = mollify(f, partition_of_unity(build_net(cloud, eps)))
@@ -89,7 +89,7 @@ class TestRecoveryCheck:
     def test_gasket_margins_stable(self, gasket6):
         cloud, form, spec = gasket6
         u1 = spec.field(1)
-        rep = recovery_check(cloud, u1, d_w=D_W_GASKET, oracle=form, n_steps=4)
+        rep = recovery_check(u1, form, d_w=D_W_GASKET, n_steps=4)
         assert rep.recovery_ok
         margins = [row[3] / rep.oracle for row in rep.rows]
         assert all(math.isfinite(m) for m in margins)
@@ -99,48 +99,38 @@ class TestRecoveryCheck:
         cloud, form = grid401
         f = ScalarField.from_function(cloud, lambda c: np.sin(np.pi * c[:, 0]))
         g = ScalarField(cloud, 2.0 * f.values)
-        m1 = recovery_check(cloud, f, oracle=form).recovery_margin
-        m2 = recovery_check(cloud, g, oracle=form).recovery_margin
+        m1 = recovery_check(f, form).recovery_margin
+        m2 = recovery_check(g, form).recovery_margin
         assert m2 == pytest.approx(m1, rel=1e-12)
 
-    def test_float_oracle(self, grid401):
-        cloud, _ = grid401
+    def test_ladder_is_the_wide_grid_tail(self, grid401):
+        # eps runs over the smallest scales of the grid that reaches diam/2,
+        # each paired with r = eps kappa / 2.
+        cloud, form = grid401
         f = ScalarField.from_function(cloud, lambda c: np.sin(np.pi * c[:, 0]))
-        rep = recovery_check(cloud, f, oracle=math.pi**2 / 6.0)
-        assert rep.recovery_ok
-        assert rep.recovery_margin <= 3.0
+        wide = make_scale_grid(cloud, r_max=cloud.diameter / 2.0).scales
+        rep = recovery_check(f, form, n_steps=4)
+        assert [row[0] for row in rep.rows] == [float(e) for e in wide[-4:]]
+        assert [row[1] for row in rep.rows] == [float(e) * 1.5 for e in wide[-4:]]
+        assert rep.scales.tolist() == [row[1] for row in rep.rows]
 
-    def test_zero_oracle_rejected(self, grid401):
-        cloud, _ = grid401
-        f = ScalarField.coordinate(cloud, 0)
-        with pytest.raises(ValueError, match="oracle energy is zero"):
-            recovery_check(cloud, f, oracle=0.0)
-
-    def test_missing_oracle_rejected(self, grid401):
-        cloud, _ = grid401
-        f = ScalarField.coordinate(cloud, 0)
-        with pytest.raises(ValueError, match="needs an oracle"):
-            recovery_check(cloud, f)
-
-    def test_pair_validation(self, grid401):
+    def test_short_ladder_rejected(self, grid401):
         cloud, form = grid401
         f = ScalarField.coordinate(cloud, 0)
-        with pytest.raises(ValueError, match="strictly decreasing"):
-            recovery_check(
-                cloud, f, oracle=form, pairs=[(0.05, 0.075), (0.08, 0.12), (0.02, 0.03)]
-            )
-        with pytest.raises(ValueError, match="under the floor"):
-            recovery_check(
-                cloud, f, oracle=form,
-                pairs=[(0.08, 0.12), (0.05, 0.075), (0.002, 0.003)],
-            )
-        with pytest.raises(ValueError, match="at least 3"):
-            recovery_check(cloud, f, oracle=form, pairs=[(0.08, 0.12), (0.05, 0.075)])
+        for n_steps in (2, 0):
+            with pytest.raises(ValueError, match="at least 3"):
+                recovery_check(f, form, n_steps=n_steps)
+
+    def test_field_off_the_form_rejected(self, grid401):
+        _, form = grid401
+        f = ScalarField.coordinate(interval_grid(401), 0)
+        with pytest.raises(ValueError, match="form's cloud"):
+            recovery_check(f, form)
 
     def test_report_exports(self, grid401):
         cloud, form = grid401
         f = ScalarField.from_function(cloud, lambda c: np.sin(np.pi * c[:, 0]))
-        rep = recovery_check(cloud, f, oracle=form)
+        rep = recovery_check(f, form)
         header, rows = rep.table()
         assert header == ("eps", "r", "l2_error", "energy")
         assert rows == rep.rows and len(rows) == 5
@@ -150,16 +140,17 @@ class TestRecoveryCheck:
 
 
 class TestWeakLiminfProbe:
-    def test_zero_amplitude_reduces_to_sweep(self, grid401):
-        # With no perturbation the margin must equal the plain energy
-        # ratio at the probe scales, tying this module to the sweep code.
+    def test_margin_equals_perturbed_energies(self, grid401):
+        # The margin is the plain energy ratio of f + u_k at the probe
+        # scales, tying this module to the sweep code.
         cloud, form = grid401
         spec = spectrum(form, k_max=60)
         u1 = spec.field(1)
-        rep = weak_liminf_probe(cloud, u1, spec, amplitude=0.0)
+        rep = weak_liminf_probe(u1, spec)
         grid = make_scale_grid(cloud).scales
         direct = min(
-            ks_energy(cloud, u1, float(r)) for r in grid[-5:]
+            ks_energy(cloud, ScalarField(cloud, u1.values + spec.field(k).values), float(r))
+            for k, r in zip(range(21, 26), grid[-5:])
         ) / form_energy(form, u1)
         assert rep.liminf_margin == pytest.approx(direct, rel=1e-12)
 
@@ -167,7 +158,7 @@ class TestWeakLiminfProbe:
         cloud, form = grid401
         spec = spectrum(form, k_max=60)
         u1 = spec.field(1)
-        rep = weak_liminf_probe(cloud, u1, spec)
+        rep = weak_liminf_probe(u1, spec)
         assert rep.liminf_ok
         assert rep.liminf_margin >= 0.5
         assert rep.nullity <= 0.05
@@ -176,7 +167,7 @@ class TestWeakLiminfProbe:
         cloud, form = grid401
         spec = spectrum(form, k_max=60)
         u1 = spec.field(1)
-        rep = weak_liminf_probe(cloud, u1, spec)
+        rep = weak_liminf_probe(u1, spec)
         ks = [row[0] for row in rep.rows]
         assert ks == [21, 22, 23, 24, 25]
 
@@ -184,14 +175,14 @@ class TestWeakLiminfProbe:
         cloud, form = grid401
         spec = spectrum(form, k_max=60)
         c = ScalarField.constant(cloud, 1.0)
-        rep = weak_liminf_probe(cloud, c, spec)
+        rep = weak_liminf_probe(c, spec)
         assert rep.liminf_ok
         assert math.isinf(rep.liminf_margin)
 
     def test_gasket_margins_stable(self, gasket6):
         cloud, form, spec = gasket6
         u1 = spec.field(1)
-        rep = weak_liminf_probe(cloud, u1, spec, d_w=D_W_GASKET, n_probes=3, offset=9)
+        rep = weak_liminf_probe(u1, spec, d_w=D_W_GASKET, n_probes=3, offset=9)
         assert rep.liminf_ok
         assert rep.liminf_margin >= 1.0
         assert rep.nullity <= 0.05
@@ -203,36 +194,36 @@ class TestWeakLiminfProbe:
         spec = spectrum(form, k_max=12)
         u1 = spec.field(1)
         with pytest.raises(ValueError, match="spectrum too small"):
-            weak_liminf_probe(cloud, u1, spec, n_probes=5)
+            weak_liminf_probe(u1, spec, n_probes=5)
 
     def test_offset_validated(self, grid401):
         cloud, form = grid401
         spec = spectrum(form, k_max=30)
         u1 = spec.field(1)
         with pytest.raises(ValueError, match="offset"):
-            weak_liminf_probe(cloud, u1, spec, offset=0)
+            weak_liminf_probe(u1, spec, offset=0)
         with pytest.raises(ValueError, match="offset"):
-            weak_liminf_probe(cloud, u1, spec, offset=28)
+            weak_liminf_probe(u1, spec, offset=28)
 
     def test_scales_validated(self, grid401):
         cloud, form = grid401
         spec = spectrum(form, k_max=60)
         u1 = spec.field(1)
         with pytest.raises(ValueError, match="one scale per probe"):
-            weak_liminf_probe(cloud, u1, spec, scales=[0.1, 0.05])
+            weak_liminf_probe(u1, spec, scales=[0.1, 0.05])
         with pytest.raises(ValueError, match="strictly decreasing"):
             weak_liminf_probe(
-                cloud, u1, spec, scales=[0.05, 0.1, 0.04, 0.03, 0.02]
+                u1, spec, scales=[0.05, 0.1, 0.04, 0.03, 0.02]
             )
         with pytest.raises(ValueError, match="admissibility floor"):
             weak_liminf_probe(
-                cloud, u1, spec, scales=[0.1, 0.05, 0.03, 0.02, 0.001]
+                u1, spec, scales=[0.1, 0.05, 0.03, 0.02, 0.001]
             )
 
     def test_csv_export(self, grid401):
         cloud, form = grid401
         spec = spectrum(form, k_max=60)
-        rep = weak_liminf_probe(cloud, spec.field(1), spec)
+        rep = weak_liminf_probe(spec.field(1), spec)
         header, rows = rep.table()
         assert header == ("k", "r", "energy", "nullity")
         assert len(rows) == 5
@@ -256,20 +247,20 @@ def test_liminf_proxy_equals_per_field_window_minimum(pass_radii):
 class TestCompactnessProbe:
     def test_one_ball_pass_for_the_family(self, gasket5_family, pass_radii):
         cloud, fields = gasket5_family
-        compactness_probe(fields, d_w=D_W_GASKET, cap=1.0, delta=0.1)
+        compactness_probe(fields, d_w=D_W_GASKET, delta=0.1)
         assert pass_radii == [max(liminf_window_scales(cloud))]
 
     def test_copies_collapse_to_one(self, grid401):
         cloud, _ = grid401
         f = ScalarField.coordinate(cloud, 0)
         unit = ScalarField(cloud, f.values / math.sqrt(f.l2sq() + liminf_proxy(cloud, [f])[0]))
-        probe = compactness_probe([unit] * 10, cap=1.0, delta=0.1)
+        probe = compactness_probe([unit] * 10, delta=0.1)
         assert probe.net_size == 1
         assert probe.n_fields == 10
 
     def test_gasket_family_small_net(self, gasket5_family):
         cloud, fields = gasket5_family
-        probe = compactness_probe(fields, d_w=D_W_GASKET, cap=1.0, delta=0.1)
+        probe = compactness_probe(fields, d_w=D_W_GASKET, delta=0.1)
         assert probe.net_size <= 25
         assert probe.max_gap <= 0.1
 
@@ -278,7 +269,7 @@ class TestCompactnessProbe:
         # distances computed from scratch.
         cloud, fields = gasket5_family
         delta = 0.05
-        probe = compactness_probe(fields, d_w=D_W_GASKET, cap=1.0, delta=delta)
+        probe = compactness_probe(fields, d_w=D_W_GASKET, delta=delta)
         mu = cloud.weights
         for f in fields:
             best = min(
@@ -290,7 +281,7 @@ class TestCompactnessProbe:
     def test_net_size_monotone_in_delta(self, gasket5_family):
         cloud, fields = gasket5_family
         sizes = [
-            compactness_probe(fields, d_w=D_W_GASKET, cap=1.0, delta=d).net_size
+            compactness_probe(fields, d_w=D_W_GASKET, delta=d).net_size
             for d in (0.02, 0.05, 0.1, 0.2)
         ]
         assert sizes == sorted(sizes, reverse=True)
@@ -299,7 +290,7 @@ class TestCompactnessProbe:
         cloud, fields = gasket5_family
         spike = ScalarField(cloud, 1000.0 * fields[0].values)
         with pytest.raises(ValueError, match="violates the energy cap"):
-            compactness_probe([fields[0], spike], d_w=D_W_GASKET, cap=1.0, delta=0.1)
+            compactness_probe([fields[0], spike], d_w=D_W_GASKET, delta=0.1)
 
     def test_mixed_clouds_rejected(self, gasket5_family, grid401):
         cloud, fields = gasket5_family
@@ -316,12 +307,12 @@ class TestCompactnessProbe:
     def test_bad_delta_rejected(self, gasket5_family):
         cloud, fields = gasket5_family
         with pytest.raises(ValueError, match="delta"):
-            compactness_probe(fields[:2], d_w=D_W_GASKET, cap=1.0, delta=0.0)
+            compactness_probe(fields[:2], d_w=D_W_GASKET, delta=0.0)
 
     def test_json_deterministic(self, gasket5_family):
         cloud, fields = gasket5_family
-        p1 = compactness_probe(fields, d_w=D_W_GASKET, cap=1.0, delta=0.1)
-        p2 = compactness_probe(fields, d_w=D_W_GASKET, cap=1.0, delta=0.1)
+        p1 = compactness_probe(fields, d_w=D_W_GASKET, delta=0.1)
+        p2 = compactness_probe(fields, d_w=D_W_GASKET, delta=0.1)
         assert p1 == p2
         assert p1.net_size == len(p1.net_ids)
 
@@ -351,7 +342,7 @@ class TestSobolevCheck:
         quots = []
         for level in (4, 5):
             cloud = gasket(level)
-            form = build_form(cloud, "gasket")
+            form = build_form(cloud)
             spec = spectrum(form, k_max=10)
             fields = [spec.field(k) for k in range(1, 6)]
             rep = sobolev_check(

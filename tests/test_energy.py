@@ -236,7 +236,28 @@ def test_scale_geometry_takes_no_knobs():
     for knob in knobs:
         assert takers.get(knob) is None, (knob, takers.get(knob))
     assert takers["r_max"] == ["kslab.energy.make_scale_grid"]
-    assert takers["pairs"] == ["kslab.convergence.recovery_check"]
+    # Values with one legal setting, or one the code reads off another
+    # argument, are not parameters.
+    for gone in ("pairs", "oracle", "amplitude", "cap", "t_window", "c_min"):
+        assert takers.get(gone) is None, (gone, takers.get(gone))
+    from kslab import convergence, graphform
+
+    assert list(inspect.signature(graphform.build_form).parameters) == ["cloud"]
+    for fn in (
+        graphform.fit_subgaussian,
+        graphform.gamma_vs_lip_check,
+        convergence.weak_liminf_probe,
+        convergence.recovery_check,
+    ):
+        assert "cloud" not in inspect.signature(fn).parameters, fn.__name__
+    for gone in ("check_mass_bounds", "MassBoundReport", "EnergyMeasure"):
+        assert not hasattr(kslab, gone) and gone not in kslab.__all__, gone
+        assert not hasattr(kslab.space, gone) and not hasattr(graphform, gone), gone
+    for gone in ("_oracle_energy", "_default_recovery_pairs"):
+        assert not hasattr(convergence, gone), gone
+    assert not hasattr(kslab.suites, "FORM_KINDS")
+    with pytest.raises(ValueError, match="cannot interpret"):
+        kslab.build_cloud("gasket:5")
     assert takers["r_loc"] == ["kslab.smoothing.discrete_lip"]
     # ks_energy_density(centers=) is the one way to restrict an energy.
     assert "centers" in takers and "kslab.energy.ks_energy_density" in takers["centers"]
@@ -272,10 +293,10 @@ def test_increment_sums_refuse_out_of_range_centres(make):
     above = 2.0 * cloud.diameter
     for bad in (-1, cloud.n):
         centers = np.array([0, bad])
-        with pytest.raises(ValueError, match=f"center id {bad} out of range"):
+        with pytest.raises(ValueError, match=f"id {bad} out of range"):
             ks_energy_density(cloud, f, [r], centers=centers)
         # p = 1 above the diameter: the whole-cloud route.
-        with pytest.raises(ValueError, match=f"center id {bad} out of range"):
+        with pytest.raises(ValueError, match=f"id {bad} out of range"):
             _increment_table(cloud, f.values[None, :], [above], centers, [1])
 
 

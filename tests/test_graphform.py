@@ -26,7 +26,7 @@ from kslab.graphform import (
     intrinsic_metric,
     spectrum,
 )
-from kslab.space import MeasuredPointCloud, gasket, interval_grid, square_grid
+from kslab.space import MeasuredPointCloud, carpet, gasket, interval_grid, square_grid
 
 from oracles import convex_intrinsic_metric
 
@@ -37,7 +37,7 @@ LOG3_LOG5 = np.log(3.0) / np.log(5.0)
 @pytest.fixture(scope="module")
 def gasket6():
     cloud = gasket(6)
-    form = build_form(cloud, "gasket")
+    form = build_form(cloud)
     return cloud, form, spectrum(form)
 
 
@@ -65,12 +65,15 @@ def unit_pair_form(weights=(1.0, 1.0)):
 
 
 def test_build_form_rejects_mismatched_cloud():
-    with pytest.raises(ValueError, match="interval grid"):
-        build_form(gasket(2), "grid1d")
-    with pytest.raises(ValueError, match="gasket"):
-        build_form(interval_grid(10), "gasket")
-    with pytest.raises(ValueError, match="unknown"):
-        build_form(interval_grid(10), "triangulation")
+    # The form kind is read off the cloud; a cloud kind without a reference
+    # form is refused.
+    assert build_form(interval_grid(10)).kind == "grid1d"
+    assert build_form(square_grid(4)).kind == "grid2d"
+    assert build_form(gasket(2)).kind == "gasket"
+    with pytest.raises(ValueError, match="no reference form for cloud kind 'carpet'"):
+        build_form(carpet(2))
+    with pytest.raises(ValueError, match="no reference form"):
+        build_form(unit_pair_cloud())
 
 
 def test_form_validation():
@@ -107,7 +110,7 @@ def test_form_validation():
 
 def test_grid1d_energy_of_identity():
     cloud = interval_grid(101)
-    form = build_form(cloud, "grid1d")
+    form = build_form(cloud)
     f = ScalarField.coordinate(cloud)
     n = cloud.n
     assert form_energy(form, f) == pytest.approx((n - 1) / n, rel=1e-12)
@@ -116,14 +119,14 @@ def test_grid1d_energy_of_identity():
 
 def test_grid1d_energy_of_sine():
     cloud = interval_grid(201)
-    form = build_form(cloud, "grid1d")
+    form = build_form(cloud)
     f = ScalarField.from_function(cloud, lambda c: np.sin(np.pi * c[:, 0]))
     assert form_energy(form, f) == pytest.approx(np.pi**2 / 2.0, rel=0.02)
 
 
 def test_grid2d_energy_of_identity():
     cloud = square_grid(21)
-    form = build_form(cloud, "grid2d")
+    form = build_form(cloud)
     f = ScalarField.coordinate(cloud, axis=0)
     side = 21
     assert form_energy(form, f) == pytest.approx((side - 1) / side, rel=1e-12)
@@ -135,7 +138,7 @@ def test_gasket_harmonic_energy_level_invariant():
     energies = []
     for level in range(1, 6):
         cloud = gasket(level)
-        form = build_form(cloud, "gasket")
+        form = build_form(cloud)
         f = gasket_harmonic_field(cloud)
         energies.append(form_energy(form, f))
     assert energies[0] == pytest.approx(2.0, abs=1e-10)
@@ -183,24 +186,24 @@ def test_gasket_harmonic_needs_gasket_cloud():
 
 def test_constant_field_zero_energy_and_density():
     cloud = interval_grid(31)
-    form = build_form(cloud, "grid1d")
+    form = build_form(cloud)
     f = ScalarField.constant(cloud, 3.7)
     assert form_energy(form, f) == 0.0
-    assert np.all(energy_measure(form, f).density == 0.0)
+    assert np.all(energy_measure(form, f) == 0.0)
 
 
 def test_two_vertex_energy_and_density():
     _, form = unit_pair_form()
     f = ScalarField(form.cloud, np.array([0.0, 1.0]))
     assert form_energy(form, f) == pytest.approx(1.0, abs=1e-15)
-    dens = energy_measure(form, f).density
+    dens = energy_measure(form, f)
     assert dens == pytest.approx([0.5, 0.5], abs=1e-15)
 
 
 def test_identity_density_matches_measure_in_interior():
     cloud = interval_grid(101)
-    form = build_form(cloud, "grid1d")
-    ratio = energy_measure(form, ScalarField.coordinate(cloud)).per_mass()
+    form = build_form(cloud)
+    ratio = energy_measure(form, ScalarField.coordinate(cloud)) / cloud.weights
     assert np.allclose(ratio[1:-1], 1.0, rtol=0.05)
     assert ratio[0] == pytest.approx(0.5, rel=1e-9)
 
@@ -210,15 +213,15 @@ def test_identity_density_matches_measure_in_interior():
 def test_density_sums_to_energy(seed):
     rng = np.random.default_rng(seed)
     cloud = interval_grid(40)
-    form = build_form(cloud, "grid1d")
+    form = build_form(cloud)
     f = ScalarField(cloud, rng.normal(size=40))
-    em = energy_measure(form, f)
-    assert em.total == pytest.approx(form_energy(form, f), rel=1e-12, abs=1e-15)
+    density = energy_measure(form, f)
+    assert density.sum() == pytest.approx(form_energy(form, f), rel=1e-12, abs=1e-15)
 
 
 def test_markov_contraction_seeded():
     cloud = interval_grid(60)
-    form = build_form(cloud, "grid1d")
+    form = build_form(cloud)
     rng = np.random.default_rng(7)
     for _ in range(30):
         v = rng.normal(scale=2.0, size=60)
@@ -229,7 +232,7 @@ def test_markov_contraction_seeded():
 
 def test_strong_locality_seeded():
     cloud = interval_grid(80)
-    form = build_form(cloud, "grid1d")
+    form = build_form(cloud)
     rng = np.random.default_rng(11)
     for _ in range(20):
         g_vals = np.zeros(80)
@@ -251,7 +254,7 @@ def test_strong_locality_seeded():
 
 def test_spectrum_ground_state():
     cloud = interval_grid(25)
-    spec = spectrum(build_form(cloud, "grid1d"))
+    spec = spectrum(build_form(cloud))
     assert spec.eigenvalues[0] == 0.0
     u0 = spec.eigenfields[:, 0]
     assert np.ptp(u0) < 1e-9
@@ -261,7 +264,7 @@ def test_spectrum_ground_state():
 def test_path_spectrum_closed_form():
     # Discrete Neumann line: lambda_k = 4 sin^2(k pi / 2n) / h^2.
     cloud = interval_grid(101)
-    spec = spectrum(build_form(cloud, "grid1d"))
+    spec = spectrum(build_form(cloud))
     n, h = cloud.n, cloud.mesh
     k = np.arange(n)
     exact = 4.0 * np.sin(k * np.pi / (2 * n)) ** 2 / h**2
@@ -270,7 +273,7 @@ def test_path_spectrum_closed_form():
 
 def test_path_spectrum_by_hand_n4():
     cloud = interval_grid(4)
-    spec = spectrum(build_form(cloud, "grid1d"))
+    spec = spectrum(build_form(cloud))
     h = cloud.mesh
     exact = 4.0 * np.sin(np.arange(4) * np.pi / 8.0) ** 2 / h**2
     assert spec.eigenvalues == pytest.approx(exact, abs=1e-8)
@@ -278,14 +281,14 @@ def test_path_spectrum_by_hand_n4():
 
 def test_spectrum_mu_orthonormal():
     cloud = interval_grid(40)
-    spec = spectrum(build_form(cloud, "grid1d"))
+    spec = spectrum(build_form(cloud))
     gram = spec.eigenfields.T @ (cloud.weights[:, None] * spec.eigenfields)
     assert np.max(np.abs(gram - np.eye(cloud.n))) < 1e-9
 
 
 def test_parseval():
     cloud = interval_grid(101)
-    spec = spectrum(build_form(cloud, "grid1d"))
+    spec = spectrum(build_form(cloud))
     rng = np.random.default_rng(3)
     f = rng.normal(size=cloud.n)
     coeffs = spec.eigenfields.T @ (cloud.weights * f)
@@ -294,15 +297,15 @@ def test_parseval():
 
 
 def test_spectrum_k_max_validation():
-    form = build_form(interval_grid(10), "grid1d")
+    form = build_form(interval_grid(10))
     with pytest.raises(ValueError, match="k_max"):
         spectrum(form, k_max=11)
     assert spectrum(form, k_max=3).eigenvalues.size == 3
 
 
 def test_dense_form_is_solved_once(eigh_sizes):
-    form = build_form(gasket(5), "gasket")
-    coarse = build_form(gasket(4), "gasket")
+    form = build_form(gasket(5))
+    coarse = build_form(gasket(4))
     spectrum(form, 25)
     spectrum(form)
     spectrum(form, 4)
@@ -318,11 +321,12 @@ def test_cached_spectrum_matches_fresh_solve(kind, make_cloud, size):
     # k_max = 1 keeps only the null mode, whose eigenvalue is clamped to zero
     # and whose residual must then be taken against zero.
     cloud = make_cloud(size)
-    shared = build_form(cloud, kind)
+    shared = build_form(cloud)
+    assert shared.kind == kind
     spectrum(shared)
     for k_max in (25, None, 4, 1):
         cached = spectrum(shared, k_max)
-        fresh = spectrum(build_form(cloud, kind), k_max)
+        fresh = spectrum(build_form(cloud), k_max)
         assert np.array_equal(cached.eigenvalues, fresh.eigenvalues)
         assert np.array_equal(cached.eigenfields, fresh.eigenfields)
         assert cached.residual == fresh.residual
@@ -348,7 +352,8 @@ def test_dense_solve_matches_independent_solve(kind, make_cloud, size):
     # eigenvalues closer than 1e-6 lambda_max count as one cluster (gasket 5
     # has a simple and a double eigenvalue 1.5e-8 lambda_max apart).
     cloud = make_cloud(size)
-    form = build_form(cloud, kind)
+    form = build_form(cloud)
+    assert form.kind == kind
     sym = form._symmetric_generator()
     assert np.array_equal(sym, sym.T)
     ref_vals, ref_vecs = scipy.linalg.eigh(sym, driver="evr")
@@ -370,7 +375,7 @@ def test_dense_solve_matches_independent_solve(kind, make_cloud, size):
 
 def test_column_residuals_match_per_column_formula():
     # Gasket 5 has 366 columns, so the residuals span two column blocks.
-    form = build_form(gasket(5), "gasket")
+    form = build_form(gasket(5))
     vals, fields, res = form._dense_eigen
     w = form.cloud.weights
     scale = max(1.0, 2.0 * float(np.max(form.degrees / w)))
@@ -382,15 +387,15 @@ def test_column_residuals_match_per_column_formula():
 
 
 def test_spectrum_eigenfields_are_read_only():
-    spec = spectrum(build_form(interval_grid(25), "grid1d"), 5)
+    spec = spectrum(build_form(interval_grid(25)), 5)
     with pytest.raises(ValueError):
         spec.eigenfields[0, 0] = 1.0
 
 
 def test_gasket_relaxation_ratio_near_five(gasket6):
     # Renorm-adjusted lambda_1 ratios approach the resistance factor 5.
-    f4 = build_form(gasket(4), "gasket")
-    f5 = build_form(gasket(5), "gasket")
+    f4 = build_form(gasket(4))
+    f5 = build_form(gasket(5))
     fit = eigen_walk_dimension(f4, f5)
     assert 2.0**fit.d_w_hat == pytest.approx(5.0, abs=0.1)
 
@@ -412,7 +417,7 @@ def test_two_vertex_heat_kernel_closed_form():
 
 def test_heat_kernel_symmetry_and_row():
     cloud = interval_grid(40)
-    spec = spectrum(build_form(cloud, "grid1d"))
+    spec = spectrum(build_form(cloud))
     t = 0.01
     assert heat_kernel(spec, t, 3, 17) == pytest.approx(
         heat_kernel(spec, t, 17, 3), rel=1e-12
@@ -426,20 +431,20 @@ def test_heat_kernel_symmetry_and_row():
 
 @pytest.mark.parametrize("bad", [-1, 11])
 def test_heat_kernel_refuses_out_of_range_ids(bad):
-    spec = spectrum(build_form(interval_grid(11), "grid1d"))
+    spec = spectrum(build_form(interval_grid(11)))
     queries = [
         lambda: heat_kernel(spec, 0.1, bad, 0),
         lambda: heat_kernel(spec, 0.1, 0, bad),
         lambda: heat_kernel_row(spec, 0.1, bad),
     ]
     for query in queries:
-        with pytest.raises(ValueError, match=f"center id {bad} out of range"):
+        with pytest.raises(ValueError, match=f"id {bad} out of range"):
             query()
 
 
 def test_heat_kernel_stochastic_completeness_and_semigroup():
     cloud = interval_grid(60)
-    spec = spectrum(build_form(cloud, "grid1d"))
+    spec = spectrum(build_form(cloud))
     w = cloud.weights
     for t in (2e-4, 1e-3, 1e-2):
         row = heat_kernel_row(spec, t, 10)
@@ -454,7 +459,7 @@ def test_heat_kernel_stochastic_completeness_and_semigroup():
 
 def test_heat_kernel_long_time_limit():
     cloud = interval_grid(30)
-    spec = spectrum(build_form(cloud, "grid1d"))
+    spec = spectrum(build_form(cloud))
     limit = 1.0 / cloud.total_mass
     assert heat_kernel_row(spec, 50.0, 7) == pytest.approx(
         np.full(30, limit), abs=1e-10
@@ -462,8 +467,8 @@ def test_heat_kernel_long_time_limit():
 
 
 def test_heat_kernel_positivity_sampled():
-    for cloud, kind in [(interval_grid(101), "grid1d"), (gasket(4), "gasket")]:
-        spec = spectrum(build_form(cloud, kind))
+    for cloud in [interval_grid(101), gasket(4)]:
+        spec = spectrum(build_form(cloud))
         lam = spec.eigenvalues
         pos = lam[lam > 0]
         for t in np.geomspace(1.0 / pos.max(), 10.0 / pos.min(), 10):
@@ -475,7 +480,7 @@ def test_heat_kernel_positivity_sampled():
 
 
 def test_heat_kernel_rejects_bad_time():
-    spec = spectrum(build_form(interval_grid(10), "grid1d"))
+    spec = spectrum(build_form(interval_grid(10)))
     with pytest.raises(ValueError, match="positive"):
         heat_kernel(spec, 0.0, 0, 1)
     with pytest.raises(ValueError, match="positive"):
@@ -489,8 +494,8 @@ def test_heat_kernel_rejects_bad_time():
 
 def test_subgaussian_fit_grid1d():
     cloud = interval_grid(201)
-    spec = spectrum(build_form(cloud, "grid1d"))
-    fit = fit_subgaussian(spec, cloud)
+    spec = spectrum(build_form(cloud))
+    fit = fit_subgaussian(spec)
     assert 1.85 <= fit.d_w_fit <= 2.15
     assert 0.9 <= fit.d_s_fit <= 1.1
     assert fit.c1 > 0 and fit.c2 > 0
@@ -499,7 +504,7 @@ def test_subgaussian_fit_grid1d():
 
 def test_subgaussian_fit_gasket(gasket6):
     cloud, _, spec = gasket6
-    fit = fit_subgaussian(spec, cloud)
+    fit = fit_subgaussian(spec)
     assert fit.d_w_fit == pytest.approx(LOG5_LOG2, abs=0.15)
     assert fit.d_s_fit / 2.0 == pytest.approx(LOG3_LOG5, abs=0.05)
     assert fit.residual <= 1.0
@@ -509,7 +514,7 @@ def test_subgaussian_fit_gasket(gasket6):
 
 def test_subgaussian_fit_queries_each_radius_vector_once(monkeypatch):
     cloud = gasket(5)
-    spec = spectrum(build_form(cloud, "gasket"))
+    spec = spectrum(build_form(cloud))
     calls = []
     real_ball_ids = cloud.ball_ids
 
@@ -518,7 +523,7 @@ def test_subgaussian_fit_queries_each_radius_vector_once(monkeypatch):
         return real_ball_ids(x, r)
 
     monkeypatch.setattr(cloud, "ball_ids", counting_ball_ids)
-    fit = fit_subgaussian(spec, cloud)
+    fit = fit_subgaussian(spec)
     # The tied search tries 57 + 21 values of d_w; the free-exponent refit
     # reuses the radii of d_w_fit instead of querying them 101 more times.
     assert len(calls) % fit.n_samples == 0
@@ -528,25 +533,25 @@ def test_subgaussian_fit_queries_each_radius_vector_once(monkeypatch):
 def test_subgaussian_fit_refuses_truncated_spectrum(monkeypatch):
     cloud = gasket(5)
     monkeypatch.setattr(gf, "DENSE_EIGEN_LIMIT", cloud.n - 1)
-    spec = spectrum(build_form(cloud, "gasket"))
+    spec = spectrum(build_form(cloud))
     assert spec.k_max == gf.PARTIAL_EIGEN_COUNT < cloud.n
     with pytest.raises(ValueError, match="truncated to 200 of 366 modes"):
-        fit_subgaussian(spec, cloud)
+        fit_subgaussian(spec)
 
 
 def test_subgaussian_fit_rejects_bad_window():
-    cloud = interval_grid(51)
-    spec = spectrum(build_form(cloud, "grid1d"))
-    with pytest.raises(ValueError, match="window"):
-        fit_subgaussian(spec, cloud, t_window=(0.1, 0.1))
+    # One positive eigenvalue: 3/lambda_max lies above 0.3/lambda_1.
+    _, form = unit_pair_form()
+    with pytest.raises(ValueError, match="degenerate time window"):
+        fit_subgaussian(spectrum(form))
 
 
 def test_subgaussian_json_roundtrip():
     import dataclasses
 
     cloud = interval_grid(201)
-    spec = spectrum(build_form(cloud, "grid1d"))
-    fit = fit_subgaussian(spec, cloud)
+    spec = spectrum(build_form(cloud))
+    fit = fit_subgaussian(spec)
     payload = json.loads(json.dumps(dataclasses.asdict(fit), allow_nan=False))
     assert payload["d_w_fit"] == fit.d_w_fit
     assert payload["n_samples"] == fit.n_samples
@@ -559,8 +564,8 @@ def test_subgaussian_json_roundtrip():
 
 def test_eigen_walk_dimension_grid():
     fit = eigen_walk_dimension(
-        build_form(interval_grid(101), "grid1d"),
-        build_form(interval_grid(201), "grid1d"),
+        build_form(interval_grid(101)),
+        build_form(interval_grid(201)),
     )
     assert 1.95 <= fit.d_w_hat <= 2.05
     assert fit.method == "eigen_ratio"
@@ -569,19 +574,19 @@ def test_eigen_walk_dimension_grid():
 
 def test_eigen_walk_dimension_gasket():
     fit = eigen_walk_dimension(
-        build_form(gasket(4), "gasket"), build_form(gasket(5), "gasket")
+        build_form(gasket(4)), build_form(gasket(5))
     )
     assert fit.d_w_hat == pytest.approx(LOG5_LOG2, abs=0.05)
 
 
 def test_eigen_walk_dimension_rejects_identical_and_skips():
-    f4 = build_form(gasket(4), "gasket")
+    f4 = build_form(gasket(4))
     with pytest.raises(ValueError, match="consecutive"):
         eigen_walk_dimension(f4, f4)
     with pytest.raises(ValueError, match="consecutive"):
-        eigen_walk_dimension(build_form(gasket(3), "gasket"), build_form(gasket(5), "gasket"))
+        eigen_walk_dimension(build_form(gasket(3)), build_form(gasket(5)))
     with pytest.raises(ValueError, match="hierarchies"):
-        eigen_walk_dimension(f4, build_form(interval_grid(101), "grid1d"))
+        eigen_walk_dimension(f4, build_form(interval_grid(101)))
 
 
 # ----------------------------------------------------------------------
@@ -635,7 +640,7 @@ def test_intrinsic_metric_matches_convex_oracle():
 
 def test_intrinsic_metric_grid1d_unit_interval():
     cloud = interval_grid(101)
-    form = build_form(cloud, "grid1d")
+    form = build_form(cloud)
     res = intrinsic_metric(form, 100, 0, iterations=20)
     assert res.lower == pytest.approx(1.0, rel=1e-9)
     assert res.upper == pytest.approx(np.sqrt(2.0), rel=1e-9)
@@ -645,7 +650,7 @@ def test_intrinsic_metric_bilipschitz_across_resolutions():
     ratios = []
     for n in (101, 201):
         cloud = interval_grid(n)
-        form = build_form(cloud, "grid1d")
+        form = build_form(cloud)
         res = intrinsic_metric(form, n - 1, 0, iterations=20)
         ratios.append(res.lower / cloud.distance(n - 1, 0))
     assert all(0.5 <= r <= 2.0 for r in ratios)
@@ -654,7 +659,7 @@ def test_intrinsic_metric_bilipschitz_across_resolutions():
 
 def test_intrinsic_metric_witness_feasible():
     cloud = interval_grid(60)
-    form = build_form(cloud, "grid1d")
+    form = build_form(cloud)
     res = intrinsic_metric(form, 59, 0, iterations=30)
     diff = np.diff(res.witness)
     c = form.conductances
@@ -716,7 +721,8 @@ def numpy_sweep_metric(form, x, y, iterations=60):
     "kind, cloud", [("grid1d", interval_grid(201)), ("grid2d", square_grid(21))]
 )
 def test_intrinsic_metric_matches_array_sweep(kind, cloud):
-    form = build_form(cloud, kind)
+    form = build_form(cloud)
+    assert form.kind == kind
     x, y = 0, cloud.n - 1
     res = intrinsic_metric(form, x, y)
     lower, upper, witness = numpy_sweep_metric(form, x, y)
@@ -738,15 +744,15 @@ def test_intrinsic_metric_matches_array_sweep(kind, cloud):
 
 def test_gamma_vs_lip_constant_vacuous():
     cloud = interval_grid(50)
-    form = build_form(cloud, "grid1d")
-    rep = gamma_vs_lip_check(form, cloud, ScalarField.constant(cloud, 2.0))
+    form = build_form(cloud)
+    rep = gamma_vs_lip_check(form, ScalarField.constant(cloud, 2.0))
     assert rep.c_best == 0.0 and rep.n_active == 0
 
 
 def test_gamma_vs_lip_identity_near_one():
     cloud = interval_grid(401)
-    form = build_form(cloud, "grid1d")
-    rep = gamma_vs_lip_check(form, cloud, ScalarField.coordinate(cloud))
+    form = build_form(cloud)
+    rep = gamma_vs_lip_check(form, ScalarField.coordinate(cloud))
     assert rep.c_best == pytest.approx(1.0, rel=0.10)
 
 
@@ -754,17 +760,17 @@ def test_gamma_vs_lip_sine_stable_across_resolutions():
     values = []
     for n in (401, 801):
         cloud = interval_grid(n)
-        form = build_form(cloud, "grid1d")
+        form = build_form(cloud)
         f = ScalarField.from_function(cloud, lambda c: np.sin(np.pi * c[:, 0]))
-        values.append(gamma_vs_lip_check(form, cloud, f).c_best)
+        values.append(gamma_vs_lip_check(form, f).c_best)
     assert max(values) / min(values) <= 2.0
 
 
 def test_gamma_vs_lip_refuses_gasket():
     cloud = gasket(3)
-    form = build_form(cloud, "gasket")
+    form = build_form(cloud)
     with pytest.raises(ValueError, match="grid"):
-        gamma_vs_lip_check(form, cloud, ScalarField.constant(cloud, 0.0))
+        gamma_vs_lip_check(form, ScalarField.constant(cloud, 0.0))
 
 
 # ----------------------------------------------------------------------
@@ -773,14 +779,14 @@ def test_gamma_vs_lip_refuses_gasket():
 
 
 def test_edges_csv_export():
-    form = build_form(interval_grid(5), "grid1d")
+    form = build_form(interval_grid(5))
     assert form.edge_i.tolist() == [0, 1, 2, 3]
     assert form.edge_j.tolist() == [1, 2, 3, 4]
     assert form.conductances.shape == (4,)
 
 
 def test_spectrum_csv_export():
-    spec = spectrum(build_form(interval_grid(6), "grid1d"))
+    spec = spectrum(build_form(interval_grid(6)))
     header, rows = spec.table()
     assert header == ("k", "lambda")
     assert [k for k, _ in rows] == list(range(6))

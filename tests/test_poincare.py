@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from kslab.energy import ScalarField, ks_energy_density, liminf_window_scales
-from kslab.graphform import build_form, spectrum
+from kslab.graphform import build_form, intrinsic_metric, spectrum
 from kslab.poincare import (
     _maximal_rho_grid,
     maximal_function,
@@ -97,7 +97,7 @@ class TestPoincareCheck:
 
     def test_energy_measure_on_gasket(self):
         cloud = gasket(4)
-        form = build_form(cloud, "gasket")
+        form = build_form(cloud)
         u = spectrum(form).field(2)
         rep = poincare_check(cloud, u, "energy_measure", d_w=LOG5_LOG2, form=form)
         assert rep.n_used == len(rep.samples)
@@ -130,7 +130,7 @@ class TestPoincareCheck:
     def test_form_cloud_mismatch(self, grid401):
         cloud, f = grid401
         other = interval_grid(101)
-        form = build_form(other, "grid1d")
+        form = build_form(other)
         with pytest.raises(ValueError, match="form does not live"):
             poincare_check(cloud, f, "energy_measure", form=form)
 
@@ -377,3 +377,21 @@ class TestTelescopingBound:
         cloud, f = grid2001
         with pytest.raises(ValueError, match="out of range"):
             telescoping_bound(cloud, f, 5000, 0.2)
+
+
+@pytest.mark.parametrize("end", ["low", "high"])
+def test_one_id_check_for_samples_chains_and_endpoints(grid401, end):
+    # Poincare samples, the telescoping centre and the intrinsic metric's
+    # endpoints go through the cloud's one id check.
+    cloud, f = grid401
+    bad = -1 if end == "low" else cloud.n
+    form = build_form(cloud)
+    queries = [
+        lambda: poincare_check(cloud, f, "ks", samples=[(bad, 0.05)]),
+        lambda: telescoping_bound(cloud, f, bad, 0.2),
+        lambda: intrinsic_metric(form, bad, 0),
+        lambda: intrinsic_metric(form, 0, bad),
+    ]
+    for query in queries:
+        with pytest.raises(ValueError, match=f"^id {bad} out of range$"):
+            query()

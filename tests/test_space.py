@@ -9,7 +9,6 @@ from kslab.space import (
     ball_average,
     build_cloud,
     carpet,
-    check_mass_bounds,
     estimate_doubling,
     gasket,
     interval_grid,
@@ -155,7 +154,7 @@ def test_out_of_range_centre_ids_are_refused(abstract, bad):
         lambda: next(cloud.nested_ball_chunks([0.3, 0.2], centers=[bad])),
     ]
     for query in queries:
-        with pytest.raises(ValueError, match=f"center id {bad} out of range"):
+        with pytest.raises(ValueError, match=f"id {bad} out of range"):
             query()
 
 
@@ -264,9 +263,17 @@ def test_ball_filter_is_canonical_on_lattice_distances(k, monkeypatch):
         np.testing.assert_allclose(got, oracle, rtol=1e-15, atol=0.0)
 
 
-@pytest.mark.parametrize("kind", ["interval_grid:41", "square_grid:9", "carpet:2"])
-def test_grid_builders_record_their_lattice(kind):
-    cloud = space.build_cloud(kind)
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "interval_grid", "n": 41},
+        {"kind": "square_grid", "n": 9},
+        {"kind": "carpet", "level": 2},
+    ],
+    ids=["interval_grid:41", "square_grid:9", "carpet:2"],
+)
+def test_grid_builders_record_their_lattice(spec):
+    cloud = space.build_cloud(spec)
     lat = cloud.lattice
     assert lat.step == pytest.approx(cloud.mesh)
     index = lat.index[:, -cloud.dim :]  # an interval uses row 0 only
@@ -429,12 +436,11 @@ def test_scales_beyond_half_diameter_dropped():
 def test_mass_bounds_report():
     cloud = interval_grid(501)
     prof = estimate_doubling(cloud, n_samples=30, scales=[0.05, 0.1, 0.2], seed=5)
-    rep = check_mass_bounds(prof, q=1.0)
-    assert rep.holds
-    # mu(B(x, r)) is roughly 2r in the interior, at least r at the edges.
-    assert 0.9 <= rep.worst_c <= 2.2
-    rep_strict = check_mass_bounds(prof, q=1.0, c_min=10.0)
-    assert not rep_strict.holds
+    # c_low is the largest constant with mu(B(x, r)) >= c_low r^q_fit on
+    # the samples.
+    assert prof.c_low > 0.0
+    assert prof.c_low == float(np.min(prof.mass_r / prof.radii**prof.q_fit))
+    assert np.all(prof.mass_r >= prof.c_low * prof.radii**prof.q_fit)
 
 
 def test_doubling_deterministic_under_seed():
@@ -510,9 +516,7 @@ def test_cloud_csv_export():
 
 
 def test_build_cloud_descriptors():
-    assert build_cloud("interval_grid:11").n == 11
+    assert build_cloud({"kind": "interval_grid", "n": 11}).n == 11
     assert build_cloud({"kind": "gasket", "level": 2}).n == 15
     with pytest.raises(ValueError, match="kind"):
         build_cloud({"kind": "klein_bottle"})
-    with pytest.raises(ValueError, match="size"):
-        build_cloud("gasket")

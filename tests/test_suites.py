@@ -97,7 +97,8 @@ class TestResolveWalkDimension:
         ctx = _ctx(cloud, "fit")
         value, info = ctx.d_w, ctx.dw_info
         assert info["eigen_d_w"] is None
-        assert value == info["fit_d_w"]
+        # The raw regression lies below 2 here; the value is raised to 2.
+        assert value == max(2.0, info["fit_d_w"])
         assert math.isfinite(value)
 
 
