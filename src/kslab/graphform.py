@@ -11,7 +11,6 @@ metric, and the energy-measure versus Lipschitz comparison.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -103,11 +102,7 @@ class GraphDirichletForm:
     @cached_property
     def adjacency(self) -> sp.csr_matrix:
         """Symmetric conductance matrix (zero diagonal)."""
-        n = self.cloud.n
-        i = np.concatenate([self.edge_i, self.edge_j])
-        j = np.concatenate([self.edge_j, self.edge_i])
-        c = np.concatenate([self.conductances, self.conductances])
-        return sp.csr_matrix((c, (i, j)), shape=(n, n))
+        return _edge_matrix(self, self.conductances)
 
     @cached_property
     def degrees(self) -> np.ndarray:
@@ -501,7 +496,7 @@ def fit_subgaussian(spec: Spectrum, seed: int = 0) -> HeatKernelFit:
     center_row = {int(x): k for k, x in enumerate(centers)}
     edge_len = cloud.pair_distances(form.edge_i, form.edge_j)
     geo = dijkstra(
-        _length_graph(form, edge_len), indices=centers, directed=False
+        _edge_matrix(form, edge_len), indices=centers, directed=False
     )
     d_lo = 12.0 * cloud.mesh
     d_hi = 0.5 * float(geo[np.isfinite(geo)].max())
@@ -653,7 +648,7 @@ class IntrinsicMetricResult:
     """Certified bracket around the intrinsic distance.
 
     ``lower`` is attained by an explicitly feasible field (the constraint
-    Gamma(f,f) <= mu is re-verified before returning); ``upper`` comes from
+    Gamma(f,f) <= mu holds exactly in floating point); ``upper`` comes from
     the per-edge increment cap along shortest paths.
     """
 
@@ -672,9 +667,7 @@ def _edge_lengths_feasible(form: GraphDirichletForm) -> np.ndarray:
     Bounding |df| on each edge by min over its endpoints z of
     sqrt(2 mu_z / (deg_z c_e)) gives Gamma(z) <= mu_z vertex by vertex.
     """
-    deg_count = np.zeros(form.n)
-    np.add.at(deg_count, form.edge_i, 1.0)
-    np.add.at(deg_count, form.edge_j, 1.0)
+    deg_count = np.bincount(np.concatenate([form.edge_i, form.edge_j]), minlength=form.n)
     mu = form.cloud.weights
     cap_i = 2.0 * mu[form.edge_i] / (deg_count[form.edge_i] * form.conductances)
     cap_j = 2.0 * mu[form.edge_j] / (deg_count[form.edge_j] * form.conductances)
@@ -689,12 +682,41 @@ def _edge_lengths_upper(form: GraphDirichletForm) -> np.ndarray:
     )
 
 
-def _length_graph(form: GraphDirichletForm, lengths: np.ndarray) -> sp.csr_matrix:
+def _edge_matrix(form: GraphDirichletForm, values: np.ndarray) -> sp.csr_matrix:
+    """Symmetric n x n matrix holding ``values[e]`` at both orientations of edge e."""
     n = form.n
     i = np.concatenate([form.edge_i, form.edge_j])
     j = np.concatenate([form.edge_j, form.edge_i])
-    d = np.concatenate([lengths, lengths])
+    d = np.concatenate([values, values])
     return sp.csr_matrix((d, (i, j)), shape=(n, n))
+
+
+def _certify(form: GraphDirichletForm, values: np.ndarray, x: int, y: int) -> tuple[float, np.ndarray]:
+    """Scale ``values`` into the feasible set: the certified gap and a fresh field.
+
+    The divisor starts at max(1, sqrt(max Gamma/mu)) and grows by 1, 2, 4, ...
+    ulps until Gamma <= mu holds exactly in floating point.
+    """
+    mu = form.cloud.weights
+    scale = max(1.0, np.sqrt(np.max(_gamma_density(form, values) / mu)))
+    scaled = values / scale
+    grow = np.finfo(float).eps
+    while np.any(_gamma_density(form, scaled) > mu):
+        scale *= 1.0 + grow
+        grow *= 2.0
+        scaled = values / scale
+    return float(scaled[x] - scaled[y]), scaled
+
+
+def _colour_classes(adj: sp.csr_matrix) -> list[np.ndarray]:
+    """Greedy colouring in id order: no class holds both ends of an edge."""
+    indptr, indices = adj.indptr.tolist(), adj.indices.tolist()
+    colour = [0] * adj.shape[0]
+    for z in range(adj.shape[0]):
+        taken = {colour[k] for k in indices[indptr[z] : indptr[z + 1]] if k < z}
+        colour[z] = min(set(range(len(taken) + 1)) - taken)
+    colour = np.array(colour)
+    return [np.flatnonzero(colour == c) for c in range(colour.max() + 1)]
 
 
 def intrinsic_metric(
@@ -708,82 +730,57 @@ def intrinsic_metric(
     Starts from the distance field of a provably feasible edge metric, then
     alternates push steps on the endpoints with per-vertex quadratic
     projections and a global rescale, keeping the best certified value
-    seen.  The projections are scalar Gauss-Seidel sweeps in id order over
-    per-vertex neighbour lists built once per call.
+    seen.  The projections are Gauss-Seidel sweeps in colour-class order:
+    no two vertices of a class share an edge, so each class is updated at
+    once from its rows of the adjacency.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    n = form.n
     x, y = form.cloud._checked_ids(x), form.cloud._checked_ids(y)
     if x == y:
-        return IntrinsicMetricResult(0.0, 0.0, 0, np.zeros(n))
+        return IntrinsicMetricResult(0.0, 0.0, 0, np.zeros(form.n))
 
-    mu = form.cloud.weights
     dist_feasible = dijkstra(
-        _length_graph(form, _edge_lengths_feasible(form)), indices=y, directed=False
+        _edge_matrix(form, _edge_lengths_feasible(form)), indices=y, directed=False
     )
     if not np.all(np.isfinite(dist_feasible)):
         raise ValueError("vertices are not connected in the form")
     upper = float(
         dijkstra(
-            _length_graph(form, _edge_lengths_upper(form)), indices=y, directed=False
+            _edge_matrix(form, _edge_lengths_upper(form)), indices=y, directed=False
         )[x]
     )
 
-    def certify(values: np.ndarray) -> tuple[float, np.ndarray]:
-        """Scale into the feasible set and return the certified gap.
+    # Per class, built once: its rows of the adjacency, the start of each
+    # row, the row of every stored entry, total conductances and weights.
+    classes = []
+    for ids in _colour_classes(form.adjacency):
+        rows = form.adjacency[ids]
+        starts, counts = rows.indptr[:-1], np.diff(rows.indptr)
+        row_of = np.repeat(np.arange(ids.size), counts)
+        a = np.add.reduceat(rows.data, starts)
+        classes.append((ids, rows, starts, row_of, a, form.cloud.weights[ids]))
 
-        Always hands back a fresh array so the stored witness cannot be
-        mutated by later ascent steps.
-        """
-        gamma = _gamma_density(form, values)
-        worst = np.sqrt(np.max(gamma / mu))
-        values = values / worst if worst > 1.0 else values.copy()
-        return float(values[x] - values[y]), values
+    best, witness = _certify(form, dist_feasible, x, y)
+    vals = dist_feasible.copy()
 
-    # Per vertex: (neighbour ids, conductances, total conductance, mu) as
-    # plain Python numbers, so a sweep costs no array calls.
-    adj = form.adjacency
-    bounds = adj.indptr.tolist()
-    stars = [
-        (
-            adj.indices[lo:hi].tolist(),
-            adj.data[lo:hi].tolist(),
-            float(adj.data[lo:hi].sum()),
-            mu_z,
-        )
-        for lo, hi, mu_z in zip(bounds[:-1], bounds[1:], mu.tolist())
-    ]
-
-    best, witness = certify(dist_feasible)
-    vals = dist_feasible.tolist()
-
-    for it in range(iterations):
+    for _ in range(iterations):
         step = 0.25 * max(upper - best, 1e-3 * max(upper, 1.0))
         vals[x] += step
         # Three projection sweeps: move each violating vertex toward the
         # conductance-weighted mean of its neighbours, as far as its own
         # quadratic constraint allows.
         for _ in range(3):
-            for z, (nbr, c, a, mu_z) in enumerate(stars):
-                m = 0.0
-                for k, c_k in zip(nbr, c):
-                    m += c_k * vals[k]
-                m /= a
-                q = 0.0
-                for k, c_k in zip(nbr, c):
-                    d = vals[k] - m
-                    q += c_k * (d * d)
-                cap = math.sqrt(max(0.0, 2.0 * (mu_z - 0.5 * q)) / a)
-                dev = vals[z] - m
-                if dev > cap:
-                    vals[z] = m + cap
-                elif dev < -cap:
-                    vals[z] = m - cap
-        value, scaled = certify(np.array(vals))
+            for ids, rows, starts, row_of, a, mu_c in classes:
+                m = (rows @ vals) / a
+                d = vals[rows.indices] - m[row_of]
+                q = np.add.reduceat(rows.data * (d * d), starts)
+                cap = np.sqrt(np.maximum(0.0, 2.0 * (mu_c - 0.5 * q)) / a)
+                vals[ids] = np.clip(vals[ids], m - cap, m + cap)
+        value, scaled = _certify(form, vals, x, y)
         if value > best:
             best, witness = value, scaled
-        vals = scaled.tolist()
+        vals = scaled.copy()
 
     return IntrinsicMetricResult(
         lower=best, upper=upper, iterations=iterations, witness=witness

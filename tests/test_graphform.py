@@ -26,7 +26,14 @@ from kslab.graphform import (
     intrinsic_metric,
     spectrum,
 )
-from kslab.space import MeasuredPointCloud, carpet, gasket, interval_grid, square_grid
+from kslab.space import (
+    MeasuredPointCloud,
+    build_cloud,
+    carpet,
+    gasket,
+    interval_grid,
+    square_grid,
+)
 
 from oracles import convex_intrinsic_metric
 
@@ -670,6 +677,61 @@ def test_intrinsic_metric_witness_feasible():
     assert np.all(gamma <= cloud.weights * (1.0 + 1e-9))
 
 
+@pytest.mark.parametrize(
+    "spec, most",
+    [
+        ({"kind": "interval_grid", "n": 2001}, 2),
+        ({"kind": "square_grid", "n": 41}, 2),
+        ({"kind": "gasket", "level": 5}, 4),
+        ({"kind": "gasket", "level": 6}, 4),
+        ({"kind": "gasket", "level": 7}, 4),
+    ],
+    ids=["interval", "square", "gasket5", "gasket6", "gasket7"],
+)
+def test_colour_classes_partition_without_inner_edges(spec, most):
+    form = build_form(build_cloud(spec))
+    classes = gf._colour_classes(form.adjacency)
+    colour = np.full(form.n, -1)
+    for c, ids in enumerate(classes):
+        assert np.all(colour[ids] == -1)
+        colour[ids] = c
+    assert np.all(colour >= 0)
+    assert np.all(colour[form.edge_i] != colour[form.edge_j])
+    assert len(classes) <= most
+    if spec["kind"] != "gasket":
+        assert len(classes) == 2
+
+
+@pytest.mark.parametrize(
+    "make, x",
+    [
+        (lambda: build_form(interval_grid(2001)), 0),
+        (lambda: build_form(square_grid(41)), 0),
+        (lambda: build_form(gasket(6)), 0),
+        (lambda: path_form(7), 7),
+    ],
+    ids=["interval", "square", "gasket6", "path7"],
+)
+def test_intrinsic_metric_witness_strictly_feasible(make, x):
+    from scipy.sparse.csgraph import dijkstra
+
+    form = make()
+    y = form.n - 1 if x == 0 else 0
+    res = intrinsic_metric(form, x, y)
+    mu = form.cloud.weights
+    # No slack: the witness passes the floating-point constraint as is.
+    assert np.all(gf._gamma_density(form, res.witness) <= mu)
+    assert res.witness[x] - res.witness[y] == res.lower
+    assert res.lower <= res.upper
+    start = dijkstra(
+        gf._edge_matrix(form, gf._edge_lengths_feasible(form)), indices=y, directed=False
+    )
+    value, certified = gf._certify(form, start, x, y)
+    assert np.all(gf._gamma_density(form, certified) <= mu)
+    assert value == certified[x] - certified[y]
+    assert res.lower >= value
+
+
 def numpy_sweep_metric(form, x, y, iterations=60):
     """The intrinsic-metric ascent with array-valued Gauss-Seidel updates."""
     from scipy.sparse.csgraph import dijkstra
@@ -679,11 +741,11 @@ def numpy_sweep_metric(form, x, y, iterations=60):
     adj = form.adjacency
     indptr, indices, data = adj.indptr, adj.indices, adj.data
     dist_feasible = dijkstra(
-        gf._length_graph(form, gf._edge_lengths_feasible(form)), indices=y, directed=False
+        gf._edge_matrix(form, gf._edge_lengths_feasible(form)), indices=y, directed=False
     )
     upper = float(
         dijkstra(
-            gf._length_graph(form, gf._edge_lengths_upper(form)), indices=y, directed=False
+            gf._edge_matrix(form, gf._edge_lengths_upper(form)), indices=y, directed=False
         )[x]
     )
 
@@ -718,7 +780,8 @@ def numpy_sweep_metric(form, x, y, iterations=60):
 
 
 @pytest.mark.parametrize(
-    "kind, cloud", [("grid1d", interval_grid(201)), ("grid2d", square_grid(21))]
+    "kind, cloud",
+    [("grid1d", interval_grid(201)), ("grid2d", square_grid(21)), ("gasket", gasket(5))],
 )
 def test_intrinsic_metric_matches_array_sweep(kind, cloud):
     form = build_form(cloud)

@@ -102,6 +102,33 @@ class TestResolveWalkDimension:
         assert math.isfinite(value)
 
 
+class TestWalkDimensionFitRow:
+    @staticmethod
+    def _row(ctx):
+        (row,) = [r for r in run_suite("energy", ctx) if r.name == "walk_dimension_fit"]
+        return row
+
+    def test_judges_the_raw_estimate(self):
+        # Interval 257's eigenvalue estimate lies just below 2; d_w is
+        # raised to 2, the row reports and judges the estimate itself.
+        ctx = _ctx(interval_grid(257), "fit")
+        row = self._row(ctx)
+        assert ctx.d_w == 2.0
+        assert row.constant == ctx.dw_info["eigen_d_w"] < 2.0
+        assert row.passed
+
+    @pytest.mark.parametrize(
+        "eigen, fit, constant",
+        [(0.9, 2.0, 0.9), (None, 0.5, 0.5), (None, 2.5, 2.5), (4.5, 2.0, 4.5)],
+    )
+    def test_eigen_estimate_first_then_regression(self, eigen, fit, constant):
+        ctx = _ctx(interval_grid(257), "fit")
+        ctx.dw_info = {**ctx.dw_info, "eigen_d_w": eigen, "fit_d_w": fit}
+        row = self._row(ctx)
+        assert row.constant == constant
+        assert row.passed is (1.0 <= constant <= 4.0)
+
+
 class TestRegistry:
     def test_applicable_suites_by_kind(self, grid401):
         assert applicable_suites(grid401) == [
