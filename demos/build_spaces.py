@@ -14,10 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from kslab import (
-    estimate_doubling,
+    SuiteContext,
     gasket,
     interval_grid,
-    make_scale_grid,
     read_cloud_file,
     square_grid,
 )
@@ -34,14 +33,13 @@ for name, cloud in clouds.items():
     print(f"{name}: n={cloud.n} mesh={cloud.mesh:.5f} diameter={cloud.diameter:.4f}"
           f" total_mass={cloud.total_mass:.4f}")
 
-# Doubling: sample centers, measure mu(B(x,2r)) / mu(B(x,r)) across a
-# geometric ladder of radii.  The radii are pulled slightly off the lattice
-# mid-points so that the doubled radius never lands exactly on a sphere.
+# Doubling: sample centers, measure mu(B(x,2r)) / mu(B(x,r)) across the
+# suites' geometric ladder of radii.  The radii are pulled slightly off the
+# lattice mid-points so that the doubled radius never lands exactly on a
+# sphere.
 print("\nempirical doubling constants")
 for name, cloud in clouds.items():
-    grid = make_scale_grid(cloud)
-    scales = [float(r) * (1 - 1 / 32) for r in grid.scales if r <= cloud.diameter / 2]
-    profile = estimate_doubling(cloud, n_samples=40, scales=scales, seed=0)
+    profile = SuiteContext(cloud, 2.0, seed=0).doubling_profile()
     # The lower mass bound mu(B(x,r)) >= c_low r^Q on the same samples.
     print(f"  {name}: C_D={profile.c_d:.3f}  growth exponent Q={profile.q_fit:.3f}"
           f"  lower mass bound holds={profile.c_low > 0} (c={profile.c_low:.3f})")

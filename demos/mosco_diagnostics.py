@@ -16,12 +16,11 @@ import numpy as np
 
 from kslab import (
     ScalarField,
+    SuiteContext,
     build_form,
     compactness_probe,
-    estimate_doubling,
     form_energy,
     gasket,
-    make_scale_grid,
     recovery_check,
     sobolev_check,
     spectrum,
@@ -46,10 +45,7 @@ print(f"margin {rec.recovery_margin:.4f}, ok={rec.recovery_ok}")
 
 # Liminf: add high eigenfields (weakly null test directions) and check the
 # measured energies stay above a fixed fraction of the oracle.
-wide = make_scale_grid(g, r_max=g.diameter / 2).scales
-lim = weak_liminf_probe(target, spec, d_w=LOG5_LOG2,
-                        scales=[float(s) for s in wide[-3:]],
-                        n_probes=3, offset=9)
+lim = weak_liminf_probe(target, spec, d_w=LOG5_LOG2, n_probes=3, offset=9)
 print(f"\nweak liminf probe: margin {lim.liminf_margin:.3f},"
       f" ok={lim.liminf_ok}, worst nullity {lim.nullity:.2e}")
 
@@ -68,9 +64,7 @@ print(f"\ncompactness: {probe.n_fields} fields, 0.1-net of size"
 
 # Sobolev embedding quotient with the growth exponent taken from the
 # cloud's own doubling profile.
-grid = make_scale_grid(g)
-scales = [float(r) * (1 - 1 / 32) for r in grid.scales if r <= g.diameter / 2]
-q_fit = estimate_doubling(g, n_samples=40, scales=scales, seed=0).q_fit
+q_fit = SuiteContext(g, LOG5_LOG2, seed=0).doubling_profile().q_fit
 rep = sobolev_check(g, [spec.field(k) for k in range(1, 6)],
                     d_w=LOG5_LOG2, Q=q_fit)
 print(f"\nSobolev quotient (Q={q_fit:.3f}, branch {rep.branch},"

@@ -168,7 +168,6 @@ def weak_liminf_probe(
     f: ScalarField,
     spec: Spectrum,
     d_w: float = 2.0,
-    scales: Sequence[float] | None = None,
     n_probes: int = DEFAULT_PROBES,
     offset: int | None = None,
 ) -> MoscoReport:
@@ -177,7 +176,11 @@ def weak_liminf_probe(
     The perturbations are unit-norm and weakly null (their inner products
     against five fixed test fields stay under ``NULLITY_TOL``), so the probe
     sequence converges weakly to f while the measured energies must not
-    drop below a fixed fraction of the form energy of f.
+    drop below a fixed fraction of the form energy of f.  Probe i is
+    measured at the i-th of the last ``n_probes`` scales of the default
+    grid, or of the grid that reaches diam/2 when the default grid is
+    shorter.  The probe raises when both are too short, or when the default
+    grid is empty.
     """
     cloud = f.cloud
     if spec.form.cloud is not cloud:
@@ -193,20 +196,12 @@ def weak_liminf_probe(
         offset = min(PROBE_OFFSET, spec.k_max - 1 - n_probes)
     elif offset < 1 or n_probes + offset > spec.k_max - 1:
         raise ValueError("probe offset leaves the available spectrum")
-    if scales is None:
-        grid = make_scale_grid(cloud).scales
-        if grid.size < n_probes:
-            raise ValueError("scale grid too short for the probe count")
-        ladder = [float(r) for r in grid[-n_probes:]]
-    else:
-        ladder = [float(r) for r in scales]
-        if len(ladder) != n_probes:
-            raise ValueError("need exactly one scale per probe")
-        for a, b in zip(ladder, ladder[1:]):
-            if not (b < a):
-                raise ValueError("probe scales must be strictly decreasing")
-        if ladder[-1] < cloud.floor:
-            raise ValueError("probe scales must respect the admissibility floor")
+    grid = make_scale_grid(cloud).scales
+    if grid.size < n_probes:
+        grid = make_scale_grid(cloud, r_max=cloud.diameter / 2.0).scales
+    if grid.size < n_probes:
+        raise ValueError("scale grid too short for the probe count")
+    ladder = [float(r) for r in grid[-n_probes:]]
 
     oracle_value = form_energy(spec.form, f)
     mu = cloud.weights

@@ -654,11 +654,7 @@ class IntrinsicMetricResult:
 
     lower: float
     upper: float
-    iterations: int
     witness: np.ndarray
-
-    def __float__(self) -> float:
-        return self.lower
 
 
 def _edge_lengths_feasible(form: GraphDirichletForm) -> np.ndarray:
@@ -719,72 +715,60 @@ def _colour_classes(adj: sp.csr_matrix) -> list[np.ndarray]:
     return [np.flatnonzero(colour == c) for c in range(colour.max() + 1)]
 
 
-def intrinsic_metric(
-    form: GraphDirichletForm,
-    x: int,
-    y: int,
-    iterations: int = 60,
-) -> IntrinsicMetricResult:
+def intrinsic_metric(form: GraphDirichletForm, x: int, y: int) -> IntrinsicMetricResult:
     """Certified bounds on sup{f(x) - f(y) : Gamma(f,f) <= mu pointwise}.
 
     Starts from the distance field of a provably feasible edge metric, then
-    alternates push steps on the endpoints with per-vertex quadratic
-    projections and a global rescale, keeping the best certified value
-    seen.  The projections are Gauss-Seidel sweeps in colour-class order:
-    no two vertices of a class share an edge, so each class is updated at
-    once from its rows of the adjacency.
+    takes one ascent step: a push on ``x`` by a quarter of the gap to
+    ``upper``, three projection sweeps and a certifying rescale.  The better
+    of the certified start and the step is returned.  The sweeps move each
+    violating vertex toward the conductance-weighted mean of its neighbours,
+    as far as its own quadratic constraint allows, one colour class at a
+    time: no two vertices of a class share an edge, so each class is
+    updated at once from its rows of the adjacency.
+
+    One step is a measured choice: on interval, square and gasket clouds,
+    further rounds of the same rule moved ``lower`` by at most 2 ulps and
+    closed none of its gap to the optimum, which the tests bound with a
+    Lagrangian dual.
     """
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
     x, y = form.cloud._checked_ids(x), form.cloud._checked_ids(y)
     if x == y:
-        return IntrinsicMetricResult(0.0, 0.0, 0, np.zeros(form.n))
+        return IntrinsicMetricResult(0.0, 0.0, np.zeros(form.n))
 
-    dist_feasible = dijkstra(
+    vals = dijkstra(
         _edge_matrix(form, _edge_lengths_feasible(form)), indices=y, directed=False
     )
-    if not np.all(np.isfinite(dist_feasible)):
+    if not np.all(np.isfinite(vals)):
         raise ValueError("vertices are not connected in the form")
     upper = float(
         dijkstra(
             _edge_matrix(form, _edge_lengths_upper(form)), indices=y, directed=False
         )[x]
     )
+    best, witness = _certify(form, vals, x, y)
 
-    # Per class, built once: its rows of the adjacency, the start of each
-    # row, the row of every stored entry, total conductances and weights.
+    # Per class: its rows of the adjacency, the start of each row, the row
+    # of every stored entry and the total conductances.
     classes = []
     for ids in _colour_classes(form.adjacency):
         rows = form.adjacency[ids]
-        starts, counts = rows.indptr[:-1], np.diff(rows.indptr)
-        row_of = np.repeat(np.arange(ids.size), counts)
-        a = np.add.reduceat(rows.data, starts)
-        classes.append((ids, rows, starts, row_of, a, form.cloud.weights[ids]))
-
-    best, witness = _certify(form, dist_feasible, x, y)
-    vals = dist_feasible.copy()
-
-    for _ in range(iterations):
-        step = 0.25 * max(upper - best, 1e-3 * max(upper, 1.0))
-        vals[x] += step
-        # Three projection sweeps: move each violating vertex toward the
-        # conductance-weighted mean of its neighbours, as far as its own
-        # quadratic constraint allows.
-        for _ in range(3):
-            for ids, rows, starts, row_of, a, mu_c in classes:
-                m = (rows @ vals) / a
-                d = vals[rows.indices] - m[row_of]
-                q = np.add.reduceat(rows.data * (d * d), starts)
-                cap = np.sqrt(np.maximum(0.0, 2.0 * (mu_c - 0.5 * q)) / a)
-                vals[ids] = np.clip(vals[ids], m - cap, m + cap)
-        value, scaled = _certify(form, vals, x, y)
-        if value > best:
-            best, witness = value, scaled
-        vals = scaled.copy()
-
-    return IntrinsicMetricResult(
-        lower=best, upper=upper, iterations=iterations, witness=witness
-    )
+        starts = rows.indptr[:-1]
+        row_of = np.repeat(np.arange(ids.size), np.diff(rows.indptr))
+        classes.append((ids, rows, starts, row_of, np.add.reduceat(rows.data, starts)))
+    mu = form.cloud.weights
+    vals[x] += 0.25 * max(upper - best, 1e-3 * max(upper, 1.0))
+    for _ in range(3):
+        for ids, rows, starts, row_of, a in classes:
+            m = (rows @ vals) / a
+            d = vals[rows.indices] - m[row_of]
+            q = np.add.reduceat(rows.data * (d * d), starts)
+            cap = np.sqrt(np.maximum(0.0, 2.0 * (mu[ids] - 0.5 * q)) / a)
+            vals[ids] = np.clip(vals[ids], m - cap, m + cap)
+    value, scaled = _certify(form, vals, x, y)
+    if value > best:
+        best, witness = value, scaled
+    return IntrinsicMetricResult(lower=best, upper=upper, witness=witness)
 
 
 # ----------------------------------------------------------------------

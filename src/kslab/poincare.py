@@ -358,7 +358,6 @@ class TelescopeReport:
     c_report: float
     ok: bool
     d_w: float
-    lam: float
 
 
 def telescoping_bound(
@@ -367,14 +366,14 @@ def telescoping_bound(
     x: int,
     rho: float,
     d_w: float = 2.0,
-    lam: float = DEFAULT_LAMBDA,
 ) -> TelescopeReport:
     """|f_{B(x,rho)} - f_{B(x,rho_min)}| against rho^{d_w/2} M f(x).
 
     The chain halves the radius until the admissibility floor; the smallest
     ball average stands in for the pointwise value, which has no Lebesgue
-    points at finite resolution.  The maximal value already carries its
-    square root, so the right-hand side applies no further root.
+    points at finite resolution.  M f(x) is taken over radii up to
+    ``DEFAULT_LAMBDA`` rho; the maximal value already carries its square
+    root, so the right-hand side applies no further root.
     """
     if f.cloud is not cloud:
         raise ValueError("field does not live on the given cloud")
@@ -393,13 +392,13 @@ def telescoping_bound(
     fv = f.values
     lhs = abs(ball_average(cloud, fv, x, rho) - ball_average(cloud, fv, x, rho_min))
 
-    # Every ladder ball sits inside B(x, lam rho), so the densities are
-    # needed at its members only.
-    region = cloud.ball_ids(x, lam * rho)
+    # Every ladder ball sits inside B(x, DEFAULT_LAMBDA rho), so the
+    # densities are needed at its members only.
+    region = cloud.ball_ids(x, DEFAULT_LAMBDA * rho)
     rows = ks_energy_density(cloud, f, liminf_window_scales(cloud), d_w=d_w, centers=region)
     mu = cloud.weights
     m_val = 0.0
-    for r in _maximal_rho_grid(cloud, lam * rho):
+    for r in _maximal_rho_grid(cloud, DEFAULT_LAMBDA * rho):
         ids = cloud.ball_ids(x, float(r))
         mass = float(mu[ids].sum())
         val = float(rows[:, np.searchsorted(region, ids)].sum(axis=1).min()) / mass
@@ -424,5 +423,4 @@ def telescoping_bound(
         c_report=float(c_report),
         ok=bool(np.isfinite(c_report)),
         d_w=float(d_w),
-        lam=float(lam),
     )

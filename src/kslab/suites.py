@@ -127,11 +127,7 @@ class SuiteContext:
         # Shrink off the mid-mesh ladder: doubling evaluates mass at 2r as well,
         # and doubled mid-mesh radii land exactly on lattice distances, where
         # float rounding decides sphere membership point by point.
-        return [
-            float(r) * (1.0 - 1.0 / 32.0)
-            for r in make_scale_grid(self.cloud).scales
-            if r <= self.cloud.diameter / 2.0
-        ]
+        return [float(r) * (1.0 - 1.0 / 32.0) for r in make_scale_grid(self.cloud).scales]
 
     def doubling_profile(self, interior_only: bool = False) -> DoublingProfile:
         """The sampled doubling profile over ``doubling_scales``, made once."""
@@ -703,8 +699,7 @@ def suite_convergence(ctx: SuiteContext) -> list[CheckResult]:
         target = label_fields.get("sin_pi_x") or label_fields.get("sin_pi_xy") or spec.field(1)
         n_steps = 5
     # recovery_check takes its ladder from the grid that reaches diam/2; a
-    # grid too short for it skips the suite, and the gasket's liminf probes
-    # read its last scales.
+    # grid too short for it skips the suite.
     wide = make_scale_grid(cloud, r_max=cloud.diameter / 2.0).scales
     if wide.size < 3:
         return [
@@ -734,10 +729,7 @@ def suite_convergence(ctx: SuiteContext) -> list[CheckResult]:
     )
 
     if ctx.kind == "gasket":
-        probe_scales = [float(s) for s in wide[-3:]]
-        lim = cv.weak_liminf_probe(
-            target, spec, d_w=ctx.d_w, scales=probe_scales, n_probes=3, offset=9
-        )
+        lim = cv.weak_liminf_probe(target, spec, d_w=ctx.d_w, n_probes=3, offset=9)
     else:
         lim = cv.weak_liminf_probe(target, spec, d_w=ctx.d_w)
     per = [row[2] / lim.oracle for row in lim.rows] if lim.oracle > 0 else []

@@ -166,3 +166,53 @@ def convex_intrinsic_metric(
     if not res.success:
         raise RuntimeError(f"oracle solver failed: {res.message}")
     return float(res.x[x] - res.x[y])
+
+
+def dual_intrinsic_metric(
+    edge_i: np.ndarray,
+    edge_j: np.ndarray,
+    conduct: np.ndarray,
+    mu: np.ndarray,
+    x: int,
+    y: int,
+) -> float:
+    """Lagrangian dual bound on sup f(x) - f(y) s.t. Gamma(f) <= mu.
+
+    For multipliers lam > 0, D(lam) = sum_z lam_z mu_z + R_lam(x, y) / 4,
+    where R_lam is the effective resistance between x and y of the network
+    with conductances c_e (lam_i + lam_j) / 2.  Weak duality gives
+    D(lam) >= the intrinsic distance for every lam > 0.  D is minimised over
+    s = log lam with L-BFGS-B from s = 0; resistances come from a dense
+    solve grounded at y, so this is for graphs of a few hundred vertices.
+    """
+    from scipy.optimize import minimize
+
+    n = mu.size
+    keep = np.arange(n) != y
+
+    def value_and_grad(s: np.ndarray) -> tuple[float, np.ndarray]:
+        lam = np.exp(s)
+        c_hat = conduct * 0.5 * (lam[edge_i] + lam[edge_j])
+        lap = np.zeros((n, n))
+        np.add.at(lap, (edge_i, edge_j), -c_hat)
+        np.add.at(lap, (edge_j, edge_i), -c_hat)
+        np.add.at(lap, (edge_i, edge_i), c_hat)
+        np.add.at(lap, (edge_j, edge_j), c_hat)
+        rhs = np.zeros(n)
+        rhs[x] = 1.0
+        v = np.zeros(n)
+        v[keep] = np.linalg.solve(lap[np.ix_(keep, keep)], rhs[keep])
+        half = 0.5 * conduct * (v[edge_i] - v[edge_j]) ** 2
+        load = np.zeros(n)
+        np.add.at(load, edge_i, half)
+        np.add.at(load, edge_j, half)
+        return float(lam @ mu + 0.25 * v[x]), lam * (mu - 0.25 * load)
+
+    res = minimize(
+        value_and_grad,
+        x0=np.zeros(n),
+        jac=True,
+        method="L-BFGS-B",
+        options={"maxiter": 20000, "maxfun": 40000, "ftol": 1e-16, "gtol": 1e-14},
+    )
+    return float(res.fun)

@@ -23,11 +23,9 @@ from kslab.energy import (
     comparability_ratio,
     energy_sweep,
     ks_energy,
-    make_scale_grid,
 )
 from kslab.space import (
     MeasuredPointCloud,
-    estimate_doubling,
     gasket,
     interval_grid,
     square_grid,
@@ -38,11 +36,6 @@ import oracles
 
 LOG5_LOG2 = math.log(5.0) / math.log(2.0)
 LOG3_LOG5 = math.log(3.0) / math.log(5.0)
-
-# Doubling radii are shrunk off the lattice mid-points: doubling a
-# mesh-snapped radius lands exactly on lattice distances, where float
-# rounding decides sphere membership.
-SHRINK = 1.0 - 1.0 / 32.0
 
 
 def _verdict(num: int, slug: str, ok: bool, detail: str, elapsed: float, budget: float):
@@ -164,11 +157,7 @@ def test_02_planar_calibration(square201):
 
 
 def _doubling_constant(cloud, interior_only=False):
-    grid = make_scale_grid(cloud)
-    scales = [float(r) * SHRINK for r in grid.scales if r <= cloud.diameter / 2.0]
-    return estimate_doubling(
-        cloud, n_samples=40, scales=scales, seed=0, interior_only=interior_only
-    ).c_d
+    return SuiteContext(cloud, 2.0, seed=0).doubling_profile(interior_only).c_d
 
 
 def test_03_volume_doubling(grid2001, square201, gasket5, gasket6):
@@ -420,9 +409,6 @@ def test_14_mosco_margins(grid2001, grid_fields, form2001, gasket6, form6, spec6
     worst_spread = 0.0
     all_ok = True
 
-    # The gasket's liminf probes read the last three scales of the wide grid.
-    wide_k = make_scale_grid(gasket6, r_max=gasket6.diameter / 2.0).scales
-
     for f in grid_fields.values():
         rec = cv.recovery_check(f, form2001, d_w=2.0)
         per = [row[3] / rec.oracle for row in rec.rows]
@@ -438,10 +424,7 @@ def test_14_mosco_margins(grid2001, grid_fields, form2001, gasket6, form6, spec6
         per = [row[3] / rec.oracle for row in rec.rows]
         all_ok &= bool(rec.recovery_ok) and math.isfinite(rec.recovery_margin)
         worst_spread = max(worst_spread, _spread(per))
-        lim = cv.weak_liminf_probe(
-            f, spec6, d_w=LOG5_LOG2,
-            scales=[float(s) for s in wide_k[-3:]], n_probes=3, offset=9,
-        )
+        lim = cv.weak_liminf_probe(f, spec6, d_w=LOG5_LOG2, n_probes=3, offset=9)
         per = [row[2] / lim.oracle for row in lim.rows]
         all_ok &= bool(lim.liminf_ok) and math.isfinite(lim.liminf_margin)
         worst_spread = max(worst_spread, _spread(per))

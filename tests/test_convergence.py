@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from kslab import graphform
 from kslab.convergence import (
     SobolevReport,
     compactness_probe,
@@ -205,20 +206,25 @@ class TestWeakLiminfProbe:
         with pytest.raises(ValueError, match="offset"):
             weak_liminf_probe(u1, spec, offset=28)
 
-    def test_scales_validated(self, grid401):
-        cloud, form = grid401
-        spec = spectrum(form, k_max=60)
-        u1 = spec.field(1)
-        with pytest.raises(ValueError, match="one scale per probe"):
-            weak_liminf_probe(u1, spec, scales=[0.1, 0.05])
-        with pytest.raises(ValueError, match="strictly decreasing"):
-            weak_liminf_probe(
-                u1, spec, scales=[0.05, 0.1, 0.04, 0.03, 0.02]
-            )
-        with pytest.raises(ValueError, match="admissibility floor"):
-            weak_liminf_probe(
-                u1, spec, scales=[0.1, 0.05, 0.03, 0.02, 0.001]
-            )
+    def test_gasket_ladder_is_wide_grid_tail(self, monkeypatch):
+        # The gasket probes read the last three scales of the grid that
+        # reaches diam/2; on gasket 4 the default grid is too short and the
+        # probe falls back to that grid.  The ladder does not depend on the
+        # solver, so the sparse one keeps gasket 7 cheap.
+        monkeypatch.setattr(graphform, "DENSE_EIGEN_LIMIT", 0)
+        for level in (4, 5, 6, 7):
+            cloud = gasket(level)
+            spec = spectrum(build_form(cloud), k_max=13)
+            rep = weak_liminf_probe(spec.field(1), spec, n_probes=3, offset=9)
+            wide = make_scale_grid(cloud, r_max=cloud.diameter / 2.0).scales
+            assert rep.scales.tolist() == wide[-3:].tolist()
+        assert make_scale_grid(gasket(4)).scales.size < 3
+
+    def test_short_grid_rejected(self):
+        cloud = interval_grid(17)
+        spec = spectrum(build_form(cloud), k_max=15)
+        with pytest.raises(ValueError, match="too short"):
+            weak_liminf_probe(spec.field(1), spec)
 
     def test_csv_export(self, grid401):
         cloud, form = grid401

@@ -10,6 +10,7 @@ import pytest
 from kslab.energy import ScalarField, ks_energy_density, liminf_window_scales
 from kslab.graphform import build_form, intrinsic_metric, spectrum
 from kslab.poincare import (
+    DEFAULT_LAMBDA,
     _maximal_rho_grid,
     maximal_function,
     poincare_check,
@@ -361,8 +362,8 @@ class TestTelescopingBound:
     def test_rhs_equals_full_cloud_formula(self, grid2001, x, pass_radii):
         cloud, _ = grid2001
         f = ScalarField.from_function(cloud, lambda c: c[:, 0] ** 2)
-        rho, lam, d_w = 0.2, 2.0, 2.0
-        rep = telescoping_bound(cloud, f, x, rho, d_w=d_w, lam=lam)
+        rho, lam, d_w = 0.2, DEFAULT_LAMBDA, 2.0
+        rep = telescoping_bound(cloud, f, x, rho, d_w=d_w)
         w_scales = liminf_window_scales(cloud)
         # The densities are made at the members of B(x, lam rho) only.
         assert pass_radii == [max(w_scales)]
