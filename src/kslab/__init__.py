@@ -87,7 +87,6 @@ from .graphform import (
     gamma_vs_lip_check,
     gasket_harmonic_field,
     heat_kernel,
-    heat_kernel_diag,
     heat_kernel_row,
     intrinsic_metric,
     spectrum,
@@ -168,7 +167,6 @@ __all__ = [
     "gamma_vs_lip_check",
     "gasket_harmonic_field",
     "heat_kernel",
-    "heat_kernel_diag",
     "heat_kernel_row",
     "intrinsic_metric",
     "spectrum",

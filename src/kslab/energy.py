@@ -8,7 +8,7 @@ exponent d_w, the energy is the double sum
 
 the discrete form of an integral of ball-averaged squared increments.  The
 energy over a region U keeps only the centres x in U in the outer sum: it is
-the sum of a row of ``ks_energy_density(..., centers=U)``.  The classical
+the sum of a row of ``ks_energy_density`` over the entries at U.  The classical
 small-scale limit of such energies recovers a Dirichlet integral; on a
 finite cloud the limit is unreachable, so sweeps over a geometric scale grid
 report window proxies (liminf / limsup over the smallest resolved scales)
@@ -117,20 +117,18 @@ def _increment_table(
     cloud: MeasuredPointCloud,
     matrix: np.ndarray,
     radii: Sequence[float],
-    centers: np.ndarray | None,
     powers: Sequence[int] | None = None,
 ) -> np.ndarray:
     """Per-centre normalized increment sums for one or more fields and radii.
 
-    ``matrix`` holds one field per row.  Entry ``[k, i, j]`` is, for field
-    row i and centre x = ``centers[j]`` (default: every point, in id order;
-    ids outside [0, n) are refused),
+    ``matrix`` holds one field per row.  Entry ``[k, i, x]`` is, for field
+    row i and centre x,
 
         mu_x / mu(B(x, r_k)) * sum_{y in B(x, r_k)} mu_y |f(x) - f(y)|**p_k,
 
     with ``p_k = powers[k]`` (1 or 2; default 2).  Each radius takes one of
-    three routes, and its entries do not depend on which other radii or
-    which other centres share the call:
+    three routes, and its entries do not depend on which other radii share
+    the call:
 
     * p = 1 above the diameter (every ball is the whole cloud): sorted
       prefix sums, ``_whole_cloud_table``;
@@ -139,25 +137,18 @@ def _increment_table(
     * every other cloud: one ball-engine pass at the largest radius,
       ``_engine_table``.
     """
-    if centers is not None:
-        centers = cloud._checked_ids(np.asarray(centers, dtype=np.intp))
     powers = [2] * len(radii) if powers is None else list(powers)
     radii = [float(r) for r in radii]
-    n_out = cloud.n if centers is None else len(centers)
-    table = np.zeros((len(radii), matrix.shape[0], n_out))
-    if n_out == 0:
-        return table
+    table = np.zeros((len(radii), matrix.shape[0], cloud.n))
     whole = [
         k for k, r in enumerate(radii) if powers[k] == 1 and r > cloud.diameter * (1.0 + TIE_BAND)
     ]
     if whole:
-        table[whole] = _whole_cloud_table(cloud, matrix, centers)
+        table[whole] = _whole_cloud_table(cloud, matrix)
     rest = [k for k in range(len(radii)) if k not in whole]
     if rest:
         route = _engine_table if cloud.lattice is None else _stencil_table
-        table[rest] = route(
-            cloud, matrix, [radii[k] for k in rest], centers, [powers[k] for k in rest]
-        )
+        table[rest] = route(cloud, matrix, [radii[k] for k in rest], [powers[k] for k in rest])
     return table
 
 
@@ -165,7 +156,6 @@ def _engine_table(
     cloud: MeasuredPointCloud,
     matrix: np.ndarray,
     radii: list[float],
-    centers: np.ndarray | None,
     powers: list[int],
 ) -> np.ndarray:
     """``_increment_table`` from one ball-engine pass at the largest radius.
@@ -174,10 +164,9 @@ def _engine_table(
     ``segment_sums``.
     """
     mu = cloud.weights
-    n_out = cloud.n if centers is None else len(centers)
-    table = np.zeros((len(radii), matrix.shape[0], n_out))
+    table = np.zeros((len(radii), matrix.shape[0], cloud.n))
     pos = 0
-    for sub, members in cloud.nested_ball_chunks(radii, centers):
+    for sub, members in cloud.nested_ball_chunks(radii):
         blk = slice(pos, pos + sub.size)
         for k, (flat, counts) in enumerate(members):
             w_flat = mu[flat]
@@ -194,7 +183,6 @@ def _stencil_table(
     cloud: MeasuredPointCloud,
     matrix: np.ndarray,
     radii: list[float],
-    centers: np.ndarray | None,
     powers: list[int],
 ) -> np.ndarray:
     """``_increment_table`` on a grid cloud, offset by offset.
@@ -207,9 +195,9 @@ def _stencil_table(
     come from exact running sums of the weight rows (``_prefix_sums``).
     Offsets whose length lies within ``TIE_BAND`` of a radius are kept or
     dropped pair by pair by the canonical distance, so the balls are exactly
-    those of the ball engine.  Centres are computed on their bounding box,
+    those of the ball engine.  Centres are computed on the whole lattice,
     in blocks of rows whose temporaries stay under ``FLAT_BUDGET`` elements;
-    no sum depends on the block, on the other centres or on the other radii.
+    no sum depends on the block or on the other radii.
     """
     lat = cloud.lattice
     n0, n1 = lat.shape
@@ -246,19 +234,16 @@ def _stencil_table(
     weight_rows = np.moveaxis(sliding_window_view(weights, 2 * hmax + 1, axis=1), -1, 0)
     field_rows = np.moveaxis(sliding_window_view(fields, 2 * hmax + 1, axis=2), -1, 0)
 
-    targets = np.arange(cloud.n) if centers is None else np.asarray(centers, dtype=np.intp)
-    ti, tj = lat.index[targets, 0], lat.index[targets, 1]
-    (t0, t1), (u0, u1) = (int(ti.min()), int(ti.max()) + 1), (int(tj.min()), int(tj.max()) + 1)
-    out = np.zeros((nk, m, t1 - t0, u1 - u0))
+    out = np.zeros((nk, m, n0, n1))
 
     # Blocks of centre rows run on a few threads (numpy releases the GIL);
     # all blocks in flight together stay under FLAT_BUDGET elements.
     workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = max(1, min(workers or 1, t1 - t0))
+    workers = max(1, min(workers or 1, n0))
     width = 2 * hmax + 1
     per_cell = (m + 1) * sum(2 * d + 1 for d in depth) + (4 * m + 1) * width
     cells = max(1, space.FLAT_BUDGET // (per_cell * workers))
-    bc = min(u1 - u0, cells)
+    bc = min(n1, cells)
     br = max(1, cells // bc)
 
     def fill(block: tuple[int, int, int, int]) -> None:
@@ -318,20 +303,20 @@ def _stencil_table(
                     if powers[k] == p:
                         row = _row_sum(t, hp, int(inside[k][a]), ties[k][a], keep, k)
                         sums[k][dy + depth[k]] = row
-        box = (slice(None), slice(r0 - t0, r1 - t0), slice(c0 - u0, c1 - u0))
+        box = (slice(None), slice(r0, r1), slice(c0, c1))
         for k in range(nk):
             with np.errstate(divide="ignore", invalid="ignore"):
                 scale = weights[centre] / _pairwise_sum(mass[k])
             out[k][box] = _pairwise_sum(sums[k]) * scale
 
     blocks = [
-        (r0, min(r0 + br, t1), c0, min(c0 + bc, u1))
-        for r0 in range(t0, t1, br)
-        for c0 in range(u0, u1, bc)
+        (r0, min(r0 + br, n0), c0, min(c0 + bc, n1))
+        for r0 in range(0, n0, br)
+        for c0 in range(0, n1, bc)
     ]
     with ThreadPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
         list(pool.map(fill, blocks))  # each block writes its own part of ``out``
-    return out[:, :, ti - t0, tj - u0]
+    return out[:, :, lat.index[:, 0], lat.index[:, 1]]
 
 
 def _tie_offsets(inside: int, band: int) -> list[int]:
@@ -369,9 +354,7 @@ def _pairwise_sum(parts: np.ndarray) -> np.ndarray:
     return parts[0]
 
 
-def _whole_cloud_table(
-    cloud: MeasuredPointCloud, matrix: np.ndarray, centers: np.ndarray | None
-) -> np.ndarray:
+def _whole_cloud_table(cloud: MeasuredPointCloud, matrix: np.ndarray) -> np.ndarray:
     """p = 1 rows of ``_increment_table`` when every ball is the whole cloud.
 
     With the field shifted by its weighted median and sorted, a centre's sum
@@ -382,8 +365,7 @@ def _whole_cloud_table(
     accuracy of a per-ball reduction in O(n log n).
     """
     mu = cloud.weights
-    targets = slice(None) if centers is None else np.asarray(centers, dtype=np.intp)
-    out = np.empty((matrix.shape[0], mu[targets].size))
+    out = np.empty(matrix.shape)
     for i, row in enumerate(matrix):
         order = np.argsort(row, kind="stable")
         w = mu[order]
@@ -392,10 +374,10 @@ def _whole_cloud_table(
         ranked = row[order]
         median = ranked[np.searchsorted(mass[1:], 0.5 * total)]
         moment = np.add(*_prefix_sums(w * (ranked - median)))
-        below = np.searchsorted(ranked, row[targets], side="left")
-        gx = row[targets] - median
+        below = np.searchsorted(ranked, row, side="left")
+        gx = row - median
         sums = gx * (2.0 * mass[below] - total) + (moment[-1] - 2.0 * moment[below])
-        out[i] = sums * (mu[targets] / total)
+        out[i] = sums * (mu / total)
     return out
 
 
@@ -426,7 +408,7 @@ def _raw_sums(
 ) -> np.ndarray:
     """Validated raw increment sums, shape (len(radii), len(fields))."""
     mat = _validated(cloud, fields, radii, d_w)
-    return _increment_table(cloud, mat, radii, None).sum(axis=-1)
+    return _increment_table(cloud, mat, radii).sum(axis=-1)
 
 
 def ks_energies(
@@ -462,18 +444,17 @@ def ks_energy_density(
     f: ScalarField,
     radii: Sequence[float],
     d_w: float = 2.0,
-    centers: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-centre contributions to the energy at several scales, one pass.
 
-    Returns shape (len(radii), len(centers)), centres defaulting to every
-    point in id order.  The sum of row k over a centre set U is the energy
-    at ``radii[k]`` restricted to the region U: the outer sum runs over U,
-    the inner balls over the whole cloud.  Localized functionals (maximal
-    fields, Poincaré right-hand sides) build on these rows.
+    Returns shape (len(radii), n), one entry per centre in id order.  The
+    sum of row k's entries at a centre set U is the energy at ``radii[k]``
+    restricted to the region U: the outer sum runs over U, the inner balls
+    over the whole cloud.  Localized functionals (maximal fields, Poincaré
+    right-hand sides) build on these rows.
     """
     mat = _validated(cloud, [f], radii, d_w)
-    table = _increment_table(cloud, mat, radii, centers)[:, 0]
+    table = _increment_table(cloud, mat, radii)[:, 0]
     return np.stack([table[k] / float(r) ** d_w for k, r in enumerate(radii)])
 
 

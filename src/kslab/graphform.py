@@ -40,7 +40,6 @@ __all__ = [
     "spectrum",
     "heat_kernel",
     "heat_kernel_row",
-    "heat_kernel_diag",
     "fit_subgaussian",
     "eigen_walk_dimension",
     "intrinsic_metric",
@@ -384,12 +383,18 @@ def _require_positive_time(t: float) -> None:
         raise ValueError(f"heat kernel time must be positive, got {t!r}")
 
 
-def heat_kernel(spec: Spectrum, t: float, x: int, y: int) -> float:
-    """p_t(x, y) = sum_k exp(-lambda_k t) u_k(x) u_k(y)."""
+def heat_kernel(spec: Spectrum, t: float, x: int | np.ndarray, y: int | np.ndarray) -> float | np.ndarray:
+    """p_t(x, y) = sum_k exp(-lambda_k t) u_k(x) u_k(y).
+
+    ``x`` and ``y`` are ids or equal-shape id arrays; arrays give the
+    kernel pair by pair, each entry equal to the call on that one pair.
+    """
     _require_positive_time(t)
-    x, y = spec.form.cloud._checked_ids(x), spec.form.cloud._checked_ids(y)
+    check = spec.form.cloud._checked_ids
+    x, y = check(np.asarray(x, dtype=np.intp)), check(np.asarray(y, dtype=np.intp))
     decay = np.exp(-spec.eigenvalues * t)
-    return float(np.sum(decay * spec.eigenfields[x] * spec.eigenfields[y]))
+    p = np.sum(decay * spec.eigenfields[x] * spec.eigenfields[y], axis=-1)
+    return float(p) if p.ndim == 0 else p
 
 
 def heat_kernel_row(spec: Spectrum, t: float, x: int) -> np.ndarray:
@@ -398,13 +403,6 @@ def heat_kernel_row(spec: Spectrum, t: float, x: int) -> np.ndarray:
     x = spec.form.cloud._checked_ids(x)
     decay = np.exp(-spec.eigenvalues * t)
     return spec.eigenfields @ (decay * spec.eigenfields[x])
-
-
-def heat_kernel_diag(spec: Spectrum, t: float) -> np.ndarray:
-    """On-diagonal values p_t(x, x) for every vertex."""
-    _require_positive_time(t)
-    decay = np.exp(-spec.eigenvalues * t)
-    return np.einsum("nk,k,nk->n", spec.eigenfields, decay, spec.eigenfields)
 
 
 @dataclass(frozen=True)
@@ -510,16 +508,17 @@ def fit_subgaussian(spec: Spectrum, seed: int = 0) -> HeatKernelFit:
                 pairs.append((int(x), y))
     pairs = sorted(set(pairs))
 
+    xs, ys = np.array(pairs, dtype=np.intp).T
+    # Per time, the kernel at every pair and on the diagonal at every centre.
+    kernel = [heat_kernel(spec, float(t), xs, ys) for t in times]
+    on_diag = np.array([heat_kernel(spec, float(t), centers, centers) for t in times])
     rows = []
-    for t in times:
-        diag_cache: dict[int, float] = {}
-        for x, y in pairs:
-            if x not in diag_cache:
-                diag_cache[x] = heat_kernel(spec, float(t), x, x)
-            p = heat_kernel(spec, float(t), x, y)
-            if p <= 0.0 or diag_cache[x] <= 0.0:
+    for t, p_t, diag_t in zip(times, kernel, on_diag):
+        for x, y, p in zip(xs.tolist(), ys.tolist(), p_t.tolist()):
+            d = float(diag_t[center_row[x]])
+            if p <= 0.0 or d <= 0.0:
                 continue
-            gap = np.log(diag_cache[x] / p)
+            gap = np.log(d / p)
             if 2.0 <= gap <= 12.0:
                 rows.append((np.log(p), geo[center_row[x], y], float(t), x))
     if len(rows) < 8:
@@ -573,8 +572,7 @@ def fit_subgaussian(spec: Spectrum, seed: int = 0) -> HeatKernelFit:
 
     # On-diagonal decay over the same window gives the spectral dimension.
     slopes = []
-    for x in centers[:8]:
-        pd = np.array([heat_kernel(spec, float(t), int(x), int(x)) for t in times])
+    for pd in on_diag.T:
         keep = pd > 0
         if keep.sum() >= 3:
             slopes.append(np.polyfit(np.log(times[keep]), np.log(pd[keep]), 1)[0])

@@ -2,11 +2,12 @@
 
 The checks quantify over sampled balls instead of all balls: a seeded set of
 centers crossed with a geometric radius ladder stands in for the sup.  Three
-right-hand sides are supported (squared local slope, small-scale
-ball-increment energies, graph energy measure), sharing the same left-hand
-ball variance.  On top of the same per-point energy densities sit the
-maximal function, its weak-L² level-set bound, and the telescoping estimate
-that controls ball averages along a dyadic chain of radii.
+right-hand sides (squared local slope, small-scale ball-increment energies,
+graph energy measure) share each sample's left-hand ball variance and rhs
+ball, computed once per call.  On top of the same per-point energy
+densities sit the maximal function, its weak-L² level-set bound, and the
+telescoping estimate that controls ball averages along a dyadic chain of
+radii, read off the maximal field.
 """
 
 from __future__ import annotations
@@ -110,17 +111,19 @@ def _default_samples(cloud: MeasuredPointCloud, lam: float, seed: int) -> list[t
 def poincare_check(
     cloud: MeasuredPointCloud,
     f: ScalarField,
-    mode: str,
     d_w: float = 2.0,
     lam: float = DEFAULT_LAMBDA,
     samples: Sequence[tuple[int, float]] | None = None,
     form: GraphDirichletForm | None = None,
     seed: int = 0,
-) -> PoincareReport:
-    """Sample the 2-Poincaré inequality in the requested rhs flavor.
+) -> dict[str, PoincareReport]:
+    """Sample the 2-Poincaré inequality in every rhs flavor at once.
 
-    lhs is always the ball variance sum over B(x, R) of mu |f - f_B|^2.
-    rhs by mode:
+    Returns ``{mode: PoincareReport}`` in ``POINCARE_MODES`` order:
+    ``lip`` and ``ks``, and ``energy_measure`` when ``form`` is given.  Each
+    sample's lhs and ball B(x, lam R) are computed once and every rhs reads
+    them.  lhs is the ball variance sum over B(x, R) of mu |f - f_B|^2; rhs
+    by mode:
 
     - ``lip``: R^2 times the summed squared local slope over B(x, lam R);
     - ``ks``: R^d_w times the small-scale window minimum of the
@@ -128,17 +131,12 @@ def poincare_check(
     - ``energy_measure``: R^d_w times the graph energy measure of
       B(x, lam R), taken from ``form``.
     """
-    if mode not in POINCARE_MODES:
-        raise ValueError(f"unknown mode {mode!r}, expected one of {POINCARE_MODES}")
     if lam < 1.0:
         raise ValueError("inflation factor must be at least 1")
     if f.cloud is not cloud:
         raise ValueError("field does not live on the given cloud")
-    if mode == "energy_measure":
-        if form is None:
-            raise ValueError("energy_measure mode needs a graph form")
-        if form.cloud is not cloud:
-            raise ValueError("form does not live on the given cloud")
+    if form is not None and form.cloud is not cloud:
+        raise ValueError("form does not live on the given cloud")
 
     used_seed: int | None = seed
     if samples is None:
@@ -157,41 +155,43 @@ def poincare_check(
 
     mu = cloud.weights
     fv = f.values
-    if mode == "lip":
-        slope = discrete_lip(cloud, f, cloud.floor).values
-        rhs_density = mu * slope**2
-        rhs_rows = rhs_density[None, :]
-        rhs_power = 2.0
-    elif mode == "ks":
-        rhs_rows = ks_energy_density(cloud, f, liminf_window_scales(cloud), d_w=d_w)
-        rhs_power = d_w
-    else:
-        rhs_rows = graph_energy_measure(form, f)[None, :]
-        rhs_power = d_w
+    # Per mode: the rhs density rows (the window minimum is taken over
+    # rows) and the power of R in front of them.
+    slope = discrete_lip(cloud, f, cloud.floor).values
+    rhs = {
+        "lip": ((mu * slope**2)[None, :], 2.0),
+        "ks": (ks_energy_density(cloud, f, liminf_window_scales(cloud), d_w=d_w), d_w),
+    }
+    if form is not None:
+        rhs["energy_measure"] = (graph_energy_measure(form, f)[None, :], d_w)
 
     floor = RHS_FLOOR_FACTOR * f.l2sq()
-    out: list[PoincareSample] = []
+    out: dict[str, list[PoincareSample]] = {mode: [] for mode in rhs}
     for c, r in pairs:
         ids = cloud.ball_ids(c, r)
         w_ball = mu[ids]
         mean = float(np.dot(w_ball, fv[ids]) / w_ball.sum())
         lhs = float(np.dot(w_ball, (fv[ids] - mean) ** 2))
         region = ids if lam == 1.0 else cloud.ball_ids(c, lam * r)
-        rhs = float(r**rhs_power * rhs_rows[:, region].sum(axis=1).min())
-        ratio = lhs / rhs if rhs > floor else float("nan")
-        out.append(PoincareSample(center=c, radius=r, lhs=lhs, rhs=rhs, ratio=ratio))
+        for mode, (rows, power) in rhs.items():
+            value = float(r**power * rows[:, region].sum(axis=1).min())
+            ratio = lhs / value if value > floor else float("nan")
+            out[mode].append(PoincareSample(center=c, radius=r, lhs=lhs, rhs=value, ratio=ratio))
 
-    finite = [s.ratio for s in out if np.isfinite(s.ratio)]
-    return PoincareReport(
-        mode=mode,
-        d_w=float(d_w),
-        lam=float(lam),
-        seed=used_seed,
-        samples=tuple(out),
-        c_best=float(max(finite)) if finite else 0.0,
-        floor=float(floor),
-        n_used=len(finite),
-    )
+    reports = {}
+    for mode, found in out.items():
+        finite = [s.ratio for s in found if np.isfinite(s.ratio)]
+        reports[mode] = PoincareReport(
+            mode=mode,
+            d_w=float(d_w),
+            lam=float(lam),
+            seed=used_seed,
+            samples=tuple(found),
+            c_best=float(max(finite)) if finite else 0.0,
+            floor=float(floor),
+            n_used=len(finite),
+        )
+    return reports
 
 
 # ----------------------------------------------------------------------
@@ -205,17 +205,21 @@ class MaximalField:
 
     Per point, the value is the square root of the largest normalized
     small-scale energy over the radius ladder: values carry the ^{1/2}.
-    ``window_rows`` holds the per-point energy densities at the window
-    scales, one row per scale, that the values were built from.
+    ``window_rows`` holds the per-point energy densities of ``field`` at the
+    window scales, one row per scale, that the values were built from.
     """
 
-    cloud: MeasuredPointCloud
+    field: ScalarField
     R: float
     d_w: float
     rho_grid: np.ndarray  # descending radii in [kappa h, R)
     window_scales: np.ndarray
     window_rows: np.ndarray
     values: np.ndarray
+
+    @property
+    def cloud(self) -> MeasuredPointCloud:
+        return self.field.cloud
 
 
 def _maximal_rho_grid(cloud: MeasuredPointCloud, R: float) -> np.ndarray:
@@ -260,7 +264,7 @@ def maximal_function(
             np.maximum(out, sums.min(axis=0) / segment_sums(mu[flat], counts), out=out)
         pos += sub.size
     return MaximalField(
-        cloud=cloud,
+        field=f,
         R=float(R),
         d_w=float(d_w),
         rho_grid=grid,
@@ -360,23 +364,18 @@ class TelescopeReport:
     d_w: float
 
 
-def telescoping_bound(
-    cloud: MeasuredPointCloud,
-    f: ScalarField,
-    x: int,
-    rho: float,
-    d_w: float = 2.0,
-) -> TelescopeReport:
+def telescoping_bound(maximal: MaximalField, x: int) -> TelescopeReport:
     """|f_{B(x,rho)} - f_{B(x,rho_min)}| against rho^{d_w/2} M f(x).
 
-    The chain halves the radius until the admissibility floor; the smallest
+    The field, d_w and rho = ``maximal.R`` come from the maximal field.  The
+    chain halves the radius until the admissibility floor; the smallest
     ball average stands in for the pointwise value, which has no Lebesgue
     points at finite resolution.  M f(x) is taken over radii up to
-    ``DEFAULT_LAMBDA`` rho; the maximal value already carries its square
-    root, so the right-hand side applies no further root.
+    ``DEFAULT_LAMBDA`` rho, from the maximal field's window rows at each
+    ball's members; it already carries its square root, so the right-hand
+    side applies no further root.
     """
-    if f.cloud is not cloud:
-        raise ValueError("field does not live on the given cloud")
+    cloud, f, rho, d_w = maximal.cloud, maximal.field, maximal.R, maximal.d_w
     x = cloud._checked_ids(x)
     floor = cloud.floor
     if rho < 4.0 * floor:
@@ -392,16 +391,13 @@ def telescoping_bound(
     fv = f.values
     lhs = abs(ball_average(cloud, fv, x, rho) - ball_average(cloud, fv, x, rho_min))
 
-    # Every ladder ball sits inside B(x, DEFAULT_LAMBDA rho), so the
-    # densities are needed at its members only.
-    region = cloud.ball_ids(x, DEFAULT_LAMBDA * rho)
-    rows = ks_energy_density(cloud, f, liminf_window_scales(cloud), d_w=d_w, centers=region)
+    rows = maximal.window_rows
     mu = cloud.weights
     m_val = 0.0
     for r in _maximal_rho_grid(cloud, DEFAULT_LAMBDA * rho):
         ids = cloud.ball_ids(x, float(r))
         mass = float(mu[ids].sum())
-        val = float(rows[:, np.searchsorted(region, ids)].sum(axis=1).min()) / mass
+        val = float(rows[:, ids].sum(axis=1).min()) / mass
         m_val = max(m_val, val)
     m_val = math.sqrt(max(m_val, 0.0))
 

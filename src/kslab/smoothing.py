@@ -226,7 +226,7 @@ def ball_mean_deviation(
     """Per-point first absolute moment avg_{B(x,r)} |f(x) - f(y)| dmu(y)."""
     mat = _validated(cloud, [f], [r])
     # The table carries the centre weight mu_x; dividing it out leaves the average.
-    return _increment_table(cloud, mat, [r], None, [1])[0, 0] / cloud.weights
+    return _increment_table(cloud, mat, [r], [1])[0, 0] / cloud.weights
 
 
 @dataclass(frozen=True)
@@ -309,7 +309,7 @@ def mollifier_ladder(
     mat = _validated(cloud, [f], radii, d_w)
     m = len(epsilons)
     # Rows 0..m-1: squared increments at 2 eps; rows m..: first moments at 6 eps.
-    table = _increment_table(cloud, mat, radii, None, [2] * m + [1] * m)[:, 0]
+    table = _increment_table(cloud, mat, radii, [2] * m + [1] * m)[:, 0]
 
     w = cloud.weights
     lips = discrete_lip(cloud, smoothed, cloud.floor)

@@ -462,14 +462,13 @@ class MeasuredPointCloud:
             yield sub, flat, counts, d
 
     def nested_ball_chunks(
-        self,
-        radii: Sequence[float],
-        centers: np.ndarray | None = None,
+        self, radii: Sequence[float]
     ) -> Iterator[tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]]:
         """Ball memberships at several radii from one pass at the largest.
 
-        Yields ``(center_ids, members)`` with ``members[k] = (flat, counts)``
-        laid out as in ``ball_chunks`` for ``radii[k]``.  Each radius keeps
+        Yields ``(center_ids, members)`` over every centre in id order, with
+        ``members[k] = (flat, counts)`` laid out as in ``ball_chunks`` for
+        ``radii[k]``.  Each radius keeps
         the members of the pass whose canonical distance is below it, in the
         same order, so every radius sees exactly what a pass of its own
         would yield.  Radii are peeled off largest first, each from the
@@ -479,7 +478,7 @@ class MeasuredPointCloud:
         if not radii:
             return
         order = sorted(range(len(radii)), key=lambda k: -radii[k])
-        for sub, flat, counts, d in self.ball_chunks(radii[order[0]], centers):
+        for sub, flat, counts, d in self.ball_chunks(radii[order[0]]):
             members: list = [None] * len(radii)
             for k in order:
                 flat, counts, d = _keep_below(radii[k], flat, counts, d)

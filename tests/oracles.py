@@ -141,12 +141,21 @@ def convex_intrinsic_metric(
 ) -> float:
     """Solve sup f(x) - f(y) s.t. per-vertex energy density <= mu directly.
 
-    SLSQP on the raw nonlinear program; only trustworthy for tiny graphs,
-    which is exactly where it serves as a cross-check.
+    SLSQP on the raw nonlinear program; only trustworthy for small graphs,
+    which is exactly where it serves as a cross-check.  The start is the
+    strictly feasible f = t * (hop count from y), with t = min_z
+    sqrt(2 mu_z / (deg_z * max c)): every edge then carries |df| <= t, so
+    Gamma(f)_z <= deg_z max(c) t^2 / 2 <= mu_z.
     """
     from scipy.optimize import minimize
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import shortest_path
 
     n = mu.size
+    deg = np.bincount(edge_i, minlength=n) + np.bincount(edge_j, minlength=n)
+    t = float(np.min(np.sqrt(2.0 * mu / (np.maximum(deg, 1) * conduct.max()))))
+    adj = coo_matrix((np.ones(edge_i.size), (edge_i, edge_j)), shape=(n, n))
+    hops = shortest_path(adj, directed=False, unweighted=True, indices=y)
 
     def gamma(f: np.ndarray) -> np.ndarray:
         d2 = conduct * (f[edge_i] - f[edge_j]) ** 2
@@ -157,7 +166,7 @@ def convex_intrinsic_metric(
 
     res = minimize(
         lambda f: -(f[x] - f[y]),
-        x0=np.zeros(n),
+        x0=t * hops,
         jac=lambda f: -(np.eye(n)[x] - np.eye(n)[y]),
         constraints=[{"type": "ineq", "fun": lambda f: mu - gamma(f)}],
         method="SLSQP",

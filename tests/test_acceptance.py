@@ -248,27 +248,22 @@ def test_06_controlled_cutoff(grid2001, gasket5, gasket5_fit):
 def test_07_poincare_modes(grid2001, grid_fields, form2001, gasket5, gasket6, form5, form6):
     t0 = time.time()
     f = grid_fields["sin_pi_x"]
-    c_bests = {}
-    for mode, extra in (("lip", {}), ("ks", {}), ("energy_measure", {"form": form2001})):
-        c_bests[mode] = pc.poincare_check(
-            grid2001, f, mode, d_w=2.0, seed=0, **extra
-        ).c_best
-    all_finite = all(math.isfinite(c) and c > 0 for c in c_bests.values())
+    reports = pc.poincare_check(grid2001, f, d_w=2.0, seed=0, form=form2001)
+    c_bests = {mode: rep.c_best for mode, rep in reports.items()}
+    all_finite = len(c_bests) == 3 and all(math.isfinite(c) and c > 0 for c in c_bests.values())
 
     identity = pc.poincare_check(
-        grid2001, grid_fields["x"], "lip", d_w=2.0, lam=1.0,
+        grid2001, grid_fields["x"], d_w=2.0, lam=1.0,
         samples=[(grid2001.n // 2, 0.1)],
-    ).samples[0].ratio
+    )["lip"].samples[0].ratio
     identity_ok = abs(3.0 * identity - 1.0) <= 0.1
 
     c5 = pc.poincare_check(
-        gasket5, gf.gasket_harmonic_field(gasket5), "energy_measure",
-        d_w=LOG5_LOG2, form=form5, seed=0,
-    ).c_best
+        gasket5, gf.gasket_harmonic_field(gasket5), d_w=LOG5_LOG2, form=form5, seed=0,
+    )["energy_measure"].c_best
     c6 = pc.poincare_check(
-        gasket6, gf.gasket_harmonic_field(gasket6), "energy_measure",
-        d_w=LOG5_LOG2, form=form6, seed=0,
-    ).c_best
+        gasket6, gf.gasket_harmonic_field(gasket6), d_w=LOG5_LOG2, form=form6, seed=0,
+    )["energy_measure"].c_best
     level_spread = max(c5, c6) / min(c5, c6)
 
     ok = all_finite and identity_ok and level_spread <= 2.0

@@ -116,14 +116,14 @@ class TestRun:
     @pytest.mark.parametrize(
         "command, space",
         [
-            ("run", {"kind": "interval_grid", "n": 33}),
+            ("run", {"kind": "interval_grid", "n": 9}),
             ("space", {"kind": "gasket", "level": 3}),
         ],
     )
     def test_failure_after_validation_writes_nothing(self, tmp_path, capsys, command, space):
-        # Both configs validate, then a computation raises: interval 33 is
-        # too coarse for the identity-ratio radius 0.05, gasket 3 for the
-        # doubling scale grid.  A suite's error names the suite.
+        # Both configs validate, then a computation raises: interval 9 and
+        # gasket 3 are too coarse for the doubling scale grid.  A suite's
+        # error names the suite.
         out = tmp_path / "bundle"
         path = write_config(tmp_path, space=space, suite="all", out=str(out))
         assert main([command, "--config", str(path)]) == 2
@@ -131,7 +131,7 @@ class TestRun:
         err = capsys.readouterr().err
         assert "error:" in err
         if command == "run":
-            assert "error: suite 'poincare': radius 0.05" in err
+            assert "error: suite 'doubling': empty admissible grid" in err
 
     def test_missing_out_rejected(self, tmp_path):
         path = write_config(tmp_path)
@@ -242,7 +242,7 @@ def test_bundle_tables_are_the_reports_csv(tmp_path, monkeypatch):
     reports = {
         "doubling": profiles[0],
         **{f"sweep_{s.label}": s for batch in sweeps for s in batch},
-        "poincare_ks": next(r for r in poincare if r.mode == "ks"),
+        "poincare_ks": poincare[0]["ks"],
         "spectrum_residual": contexts[0].spectrum,
         "mosco_recovery": recovery[0],
         "mosco_liminf": liminf[0],

@@ -52,7 +52,7 @@ def test_ks_energy_region_matches_brute_force():
     vals = np.sin(3 * cloud.coords[:, 0])
     f = ScalarField(cloud, vals)
     region = np.arange(20, 70)
-    got = ks_energy_density(cloud, f, [0.4], d_w=2.0, centers=region)[0].sum()
+    got = ks_energy_density(cloud, f, [0.4], d_w=2.0)[0][region].sum()
     want = oracles.brute_ks_energy(dmat, cloud.weights, vals, 0.4, 2.0, region=region)
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -74,8 +74,7 @@ def test_density_sums_to_regional_energy():
     dens = ks_energy_density(cloud, f, [r], d_w=2.0)[0]
     assert dens.sum() == pytest.approx(ks_energy(cloud, f, r, d_w=2.0), rel=1e-12)
     region = np.arange(10, 55)
-    regional = ks_energy_density(cloud, f, [r], d_w=2.0, centers=region)[0].sum()
-    assert dens[region].sum() == pytest.approx(regional, rel=1e-12)
+    regional = dens[region].sum()
     dmat = oracles.dist_matrix(cloud.coords)
     assert regional == pytest.approx(
         oracles.brute_ks_energy(dmat, cloud.weights, f.values, r, 2.0, region=region), rel=1e-12
@@ -259,8 +258,9 @@ def test_scale_geometry_takes_no_knobs():
     with pytest.raises(ValueError, match="cannot interpret"):
         kslab.build_cloud("gasket:5")
     assert takers["r_loc"] == ["kslab.smoothing.discrete_lip"]
-    # ks_energy_density(centers=) is the one way to restrict an energy.
-    assert "centers" in takers and "kslab.energy.ks_energy_density" in takers["centers"]
+    # A restricted energy is the sum of a density row's entries at U; only
+    # the ball engine takes centres.
+    assert takers["centers"] == ["kslab.space.MeasuredPointCloud.ball_chunks"]
     assert not hasattr(kslab, "Ball") and "Ball" not in kslab.__all__
     assert not hasattr(kslab.MeasuredPointCloud, "ball")
     for gone in ("l2_norm", "lq_norm", "sup_norm"):
@@ -268,36 +268,6 @@ def test_scale_geometry_takes_no_knobs():
     assert [f.name for f in dataclasses.fields(ScaleGrid)] == ["r_max", "scales"]
     sweep_fields = {f.name for f in dataclasses.fields(EnergySweep)}
     assert not sweep_fields & {"region_size", "seed"}
-
-
-def _matrix_cloud(grid):
-    return MeasuredPointCloud(grid.weights, dist_matrix=oracles.dist_matrix(grid.coords))
-
-
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda: interval_grid(101),
-        lambda: carpet(2),
-        lambda: gasket(4),
-        lambda: _matrix_cloud(interval_grid(21)),
-    ],
-    ids=["interval", "carpet", "gasket", "matrix"],
-)
-def test_increment_sums_refuse_out_of_range_centres(make):
-    from kslab.energy import _increment_table
-
-    cloud = make()
-    f = ScalarField(cloud, np.arange(cloud.n, dtype=float))
-    r = 2.0 * cloud.floor
-    above = 2.0 * cloud.diameter
-    for bad in (-1, cloud.n):
-        centers = np.array([0, bad])
-        with pytest.raises(ValueError, match=f"id {bad} out of range"):
-            ks_energy_density(cloud, f, [r], centers=centers)
-        # p = 1 above the diameter: the whole-cloud route.
-        with pytest.raises(ValueError, match=f"id {bad} out of range"):
-            _increment_table(cloud, f.values[None, :], [above], centers, [1])
 
 
 def test_sweep_identity_fitted_limit():
@@ -380,7 +350,8 @@ def test_region_restriction_additive():
     left = np.arange(0, 150)
     right = np.arange(150, 301)
     total = ks_energy(cloud, f, r)
-    parts = [ks_energy_density(cloud, f, [r], centers=half)[0].sum() for half in (left, right)]
+    row = ks_energy_density(cloud, f, [r])[0]
+    parts = [row[half].sum() for half in (left, right)]
     assert parts[0] + parts[1] == pytest.approx(total, rel=1e-12)
 
 
@@ -483,12 +454,9 @@ def _engine_results(cloud, fields):
     region = np.arange(0, cloud.n, 7)
     return {
         "energy": ks_energy(cloud, f, float(grid.scales[2])),
-        "region": ks_energy_density(cloud, f, grid.scales[:1], centers=region)[0].sum(),
+        "region": ks_energy_density(cloud, f, grid.scales[:1])[0][region].sum(),
         "many": ks_energies(cloud, fields, [float(grid.scales[-1])])[0],
         "density": ks_energy_density(cloud, f, grid.scales[1:3]),
-        "density_centers": ks_energy_density(
-            cloud, f, grid.scales[1:3], centers=region[::-1]
-        ),
         "sweep": sweep.values,
         "raw": raw_increment_sum(cloud, f, float(grid.scales[3])),
     }
@@ -534,19 +502,18 @@ def test_ks_energies_one_pass_equals_separate_passes(pass_radii):
         np.testing.assert_array_equal(table[k], ks_energies(cloud, fields, [r], d_w=2.3)[0])
 
 
-@pytest.mark.parametrize("centers", [None, np.arange(200, 20, -3)])
-def test_energy_density_rows_equal_single_radius_rows(pass_radii, centers):
+def test_energy_density_rows_equal_single_radius_rows(pass_radii):
     from kslab.energy import _increment_table
 
     cloud = gasket(5)
     f = ScalarField.from_function(cloud, lambda c: np.cos(5.0 * c[:, 1]) + c[:, 0] ** 2)
     radii = [0.11, 0.3, 0.2]
-    rows = ks_energy_density(cloud, f, radii, d_w=2.3, centers=centers)
+    rows = ks_energy_density(cloud, f, radii, d_w=2.3)
     assert pass_radii == [0.3]
-    assert rows.shape == (3, cloud.n if centers is None else centers.size)
+    assert rows.shape == (3, cloud.n)
     for k, r in enumerate(radii):
         # The single-radius definition: one pass at r alone.
-        want = _increment_table(cloud, f.values[None, :], [r], centers)[0, 0] / r**2.3
+        want = _increment_table(cloud, f.values[None, :], [r])[0, 0] / r**2.3
         np.testing.assert_array_equal(rows[k], want)
 
 
@@ -581,12 +548,12 @@ def test_lattice_routes_match_fsum_oracle_and_engine(kind, p):
 
     cloud, radii, fields = _lattice_case(kind)
     centers = np.arange(0, cloud.n, 5)
-    table = _increment_table(cloud, np.stack(fields), radii, centers, [p] * len(radii))
-    engine = _engine_table(cloud, np.stack(fields), radii, centers, [p] * len(radii))
+    table = _increment_table(cloud, np.stack(fields), radii, [p] * len(radii))
+    engine = _engine_table(cloud, np.stack(fields), radii, [p] * len(radii))
     for k, r in enumerate(radii):
         for i, v in enumerate(fields):
             want = oracles.fsum_increment_rows(cloud.coords, cloud.weights, v, r, p, centers)
-            assert _max_rel_error(table[k, i], want) <= 1e-15, (k, i)
+            assert _max_rel_error(table[k, i, centers], want) <= 1e-15, (k, i)
             assert _max_rel_error(table[k, i], engine[k, i]) <= 1e-13, (k, i)
 
 
@@ -598,16 +565,13 @@ def test_lattice_routes_ignore_other_radii_centres_and_blocks(kind, monkeypatch)
     cloud, radii, fields = _lattice_case(kind)
     mat = np.stack(fields)
     powers = [2, 1, 2, 1, 1]
-    full = _increment_table(cloud, mat, radii, None, powers)
-    centers = np.arange(cloud.n - 1, 0, -7)
-    subset = _increment_table(cloud, mat, radii, centers, powers)
-    np.testing.assert_array_equal(subset, full[:, :, centers])
+    full = _increment_table(cloud, mat, radii, powers)
     for k, r in enumerate(radii):
-        alone = _increment_table(cloud, mat, [r], centers, [powers[k]])[0]
-        np.testing.assert_array_equal(alone, subset[k])
+        alone = _increment_table(cloud, mat, [r], [powers[k]])[0]
+        np.testing.assert_array_equal(alone, full[k])
     # Blocks of a few centres, several at a time on the worker threads.
     monkeypatch.setattr(kslab.space, "FLAT_BUDGET", 5_000)
-    np.testing.assert_array_equal(_increment_table(cloud, mat, radii, None, powers), full)
+    np.testing.assert_array_equal(_increment_table(cloud, mat, radii, powers), full)
 
 
 @pytest.mark.parametrize("abstract", [False, True])
@@ -624,9 +588,9 @@ def test_whole_cloud_route_on_any_cloud(abstract, pass_radii):
     r = 1.5 * cloud.diameter
     wave = np.cos(4.0 * coords[:, 0]) * coords[:, 1]
     mat = np.stack([wave, wave + 1000.0, np.zeros(150)])
-    table = _increment_table(cloud, mat, [r], None, [1])[0]
+    table = _increment_table(cloud, mat, [r], [1])[0]
     assert pass_radii == []  # no ball pass: every ball is the whole cloud
-    engine = _engine_table(cloud, mat, [r], None, [1])[0]
+    engine = _engine_table(cloud, mat, [r], [1])[0]
     for i in range(2):
         want = oracles.fsum_increment_rows(coords, weights, mat[i], 10.0, 1, range(150))
         assert _max_rel_error(table[i], want) <= 1e-15

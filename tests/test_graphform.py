@@ -21,7 +21,6 @@ from kslab.graphform import (
     gamma_vs_lip_check,
     gasket_harmonic_field,
     heat_kernel,
-    heat_kernel_diag,
     heat_kernel_row,
     intrinsic_metric,
     spectrum,
@@ -431,9 +430,16 @@ def test_heat_kernel_symmetry_and_row():
     )
     row = heat_kernel_row(spec, t, 3)
     assert row[17] == pytest.approx(heat_kernel(spec, t, 3, 17), rel=1e-12)
-    assert heat_kernel_diag(spec, t)[3] == pytest.approx(
-        heat_kernel(spec, t, 3, 3), rel=1e-12
-    )
+
+
+def test_heat_kernel_over_id_arrays_equals_scalar_calls():
+    spec = spectrum(build_form(gasket(4)))
+    xs = np.array([0, 5, 5, 40, 62])
+    ys = np.array([62, 5, 17, 3, 0])
+    for t in (1e-3, 0.05):
+        pairs = heat_kernel(spec, t, xs, ys)
+        assert pairs.shape == xs.shape
+        assert pairs.tolist() == [heat_kernel(spec, t, int(x), int(y)) for x, y in zip(xs, ys)]
 
 
 @pytest.mark.parametrize("bad", [-1, 11])
@@ -443,6 +449,8 @@ def test_heat_kernel_refuses_out_of_range_ids(bad):
         lambda: heat_kernel(spec, 0.1, bad, 0),
         lambda: heat_kernel(spec, 0.1, 0, bad),
         lambda: heat_kernel_row(spec, 0.1, bad),
+        lambda: heat_kernel(spec, 0.1, np.array([0, bad, 2]), np.array([1, 2, 3])),
+        lambda: heat_kernel(spec, 0.1, np.array([0, 1]), np.array([bad, 2])),
     ]
     for query in queries:
         with pytest.raises(ValueError, match=f"id {bad} out of range"):
@@ -535,6 +543,45 @@ def test_subgaussian_fit_queries_each_radius_vector_once(monkeypatch):
     # reuses the radii of d_w_fit instead of querying them 101 more times.
     assert len(calls) % fit.n_samples == 0
     assert len(calls) // fit.n_samples <= 57 + 21 + 1
+
+
+# fit_subgaussian as (c1, c2, d_w_fit, exponent_fit, d_s_fit, residual,
+# n_samples) from one scalar heat_kernel call per (pair, time) and per
+# (centre, time), which the id-array calls replace.
+PINNED_FITS = {
+    ("gasket5", 0): (
+        0.5226858376204099, 0.2779524312655161, 2.3699999999999997, 1.719999999999999,
+        1.4206286128324186, 0.8396098780252848, 212,
+    ),
+    ("gasket5", 1): (
+        0.3766103873043808, 0.21298538715341192, 2.3049999999999997, 1.6599999999999993,
+        1.4145940954748075, 1.0476905813830686, 205,
+    ),
+    ("interval65", 0): (
+        0.5974403817311829, 0.32951795556333896, 2.075, 1.835,
+        1.0079291188746244, 0.7028089038402565, 168,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_FITS), ids=lambda c: f"{c[0]}-seed{c[1]}")
+def test_subgaussian_fit_sums_each_kernel_once(case, monkeypatch):
+    name, seed = case
+    cloud = gasket(5) if name == "gasket5" else interval_grid(65)
+    spec = spectrum(build_form(cloud))
+    calls = []
+    real = gf.heat_kernel
+
+    def counting(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(gf, "heat_kernel", counting)
+    fit = fit_subgaussian(spec, seed=seed)
+    got = (fit.c1, fit.c2, fit.d_w_fit, fit.exponent_fit, fit.d_s_fit, fit.residual, fit.n_samples)
+    assert got == PINNED_FITS[case]
+    # Twelve times; per time one call for the pairs, one for the centres' diagonal.
+    assert len(calls) == 24 and len(set(calls)) == 12
 
 
 def test_subgaussian_fit_refuses_truncated_spectrum(monkeypatch):
@@ -879,6 +926,23 @@ def _dual_gap(form):
     assert res.lower <= dual * (1.0 + 1e-12)
     assert dual <= res.upper
     return (dual - res.lower) / dual
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: gasket(2), lambda: interval_grid(21), lambda: square_grid(5), lambda: square_grid(7)],
+    ids=["gasket2", "interval21", "square5", "square7"],
+)
+def test_primal_oracle_meets_dual_oracle(make):
+    # The primal program from its feasible start and the dual bound pin the
+    # same optimum; the certified lower bound stays under both.
+    form = build_form(make())
+    x, y = 0, form.n - 1
+    args = (form.edge_i, form.edge_j, form.conductances, form.cloud.weights, x, y)
+    primal = convex_intrinsic_metric(*args)
+    dual = dual_intrinsic_metric(*args)
+    assert abs(primal - dual) <= 1e-9 * dual
+    assert intrinsic_metric(form, x, y).lower <= primal * (1.0 + 1e-12)
 
 
 def test_intrinsic_metric_exact_on_paths():

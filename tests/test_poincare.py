@@ -11,6 +11,7 @@ from kslab.energy import ScalarField, ks_energy_density, liminf_window_scales
 from kslab.graphform import build_form, intrinsic_metric, spectrum
 from kslab.poincare import (
     DEFAULT_LAMBDA,
+    POINCARE_MODES,
     _maximal_rho_grid,
     maximal_function,
     poincare_check,
@@ -40,6 +41,11 @@ def interior_samples():
     return [(c, r) for c in (120, 200, 280) for r in (0.05, 0.1)]
 
 
+def chain(cloud, f, x, rho, d_w=2.0):
+    """The telescoping bound at x on the maximal field of f with R = rho."""
+    return telescoping_bound(maximal_function(cloud, f, rho, d_w=d_w), x)
+
+
 class TestPoincareCheck:
     def test_lip_identity_interior_third(self, grid2001):
         # For f = x on a ball B(x, R) well inside [0, 1], the variance is
@@ -47,7 +53,7 @@ class TestPoincareCheck:
         # so every interior ratio should sit at 1/3.
         cloud, f = grid2001
         samples = [(c, r) for c in (600, 1000, 1400) for r in (0.05, 0.1)]
-        rep = poincare_check(cloud, f, "lip", lam=1.0, samples=samples)
+        rep = poincare_check(cloud, f, lam=1.0, samples=samples)["lip"]
         for s in rep.samples:
             assert s.ratio == pytest.approx(1.0 / 3.0, rel=0.01)
         assert rep.c_best == pytest.approx(1.0 / 3.0, rel=0.01)
@@ -57,16 +63,15 @@ class TestPoincareCheck:
     def test_constant_field_vacuous(self, grid401):
         cloud, _ = grid401
         c = ScalarField.constant(cloud, 3.0)
-        for mode in ("lip", "ks"):
-            rep = poincare_check(cloud, c, mode, samples=interior_samples())
+        for rep in poincare_check(cloud, c, samples=interior_samples()).values():
             assert rep.c_best == 0.0
             assert rep.n_used == 0
             assert all(math.isnan(s.ratio) for s in rep.samples)
 
     def test_ks_close_to_lip(self, grid401):
         cloud, f = grid401
-        rl = poincare_check(cloud, f, "lip", lam=1.0, samples=interior_samples())
-        rk = poincare_check(cloud, f, "ks", d_w=2.0, lam=1.0, samples=interior_samples())
+        reps = poincare_check(cloud, f, d_w=2.0, lam=1.0, samples=interior_samples())
+        rl, rk = reps["lip"], reps["ks"]
         assert rl.c_best > 0.0
         assert rk.c_best / rl.c_best < 4.0
         assert rl.c_best / rk.c_best < 4.0
@@ -74,16 +79,16 @@ class TestPoincareCheck:
     def test_lhs_shift_invariant(self, grid401):
         cloud, f = grid401
         g = ScalarField(cloud, f.values + 5.0)
-        r1 = poincare_check(cloud, f, "ks", samples=interior_samples())
-        r2 = poincare_check(cloud, g, "ks", samples=interior_samples())
+        r1 = poincare_check(cloud, f, samples=interior_samples())["ks"]
+        r2 = poincare_check(cloud, g, samples=interior_samples())["ks"]
         for a, b in zip(r1.samples, r2.samples):
             assert b.lhs == pytest.approx(a.lhs, abs=1e-15)
 
     def test_ratio_scale_invariant(self, grid401):
         cloud, f = grid401
         g = ScalarField(cloud, 2.0 * f.values)
-        r1 = poincare_check(cloud, f, "ks", samples=interior_samples())
-        r2 = poincare_check(cloud, g, "ks", samples=interior_samples())
+        r1 = poincare_check(cloud, f, samples=interior_samples())["ks"]
+        r2 = poincare_check(cloud, g, samples=interior_samples())["ks"]
         for a, b in zip(r1.samples, r2.samples):
             assert b.ratio == pytest.approx(a.ratio, rel=1e-12)
 
@@ -91,8 +96,8 @@ class TestPoincareCheck:
         # Enlarging the rhs ball can only grow the rhs, so each sampled
         # ratio at lam = 2 is at most its lam = 1 counterpart.
         cloud, f = grid401
-        ra = poincare_check(cloud, f, "ks", lam=1.0, samples=interior_samples())
-        rb = poincare_check(cloud, f, "ks", lam=2.0, samples=interior_samples())
+        ra = poincare_check(cloud, f, lam=1.0, samples=interior_samples())["ks"]
+        rb = poincare_check(cloud, f, lam=2.0, samples=interior_samples())["ks"]
         for a, b in zip(ra.samples, rb.samples):
             assert b.ratio <= a.ratio + 1e-12
 
@@ -100,63 +105,61 @@ class TestPoincareCheck:
         cloud = gasket(4)
         form = build_form(cloud)
         u = spectrum(form).field(2)
-        rep = poincare_check(cloud, u, "energy_measure", d_w=LOG5_LOG2, form=form)
+        rep = poincare_check(cloud, u, d_w=LOG5_LOG2, form=form)["energy_measure"]
         assert rep.n_used == len(rep.samples)
         assert 0.0 < rep.c_best < 10.0
 
     def test_default_sampling_deterministic(self, grid401):
         cloud, f = grid401
-        r1 = poincare_check(cloud, f, "lip", seed=7)
-        r2 = poincare_check(cloud, f, "lip", seed=7)
+        r1 = poincare_check(cloud, f, seed=7)["lip"]
+        r2 = poincare_check(cloud, f, seed=7)["lip"]
         assert r1.seed == 7
         assert [s.center for s in r1.samples] == [s.center for s in r2.samples]
         assert r1.c_best == r2.c_best
         assert len({s.center for s in r1.samples}) == 50
 
-    def test_mode_rejected(self, grid401):
-        cloud, f = grid401
-        with pytest.raises(ValueError, match="unknown mode"):
-            poincare_check(cloud, f, "sobolev")
-
     def test_lambda_rejected(self, grid401):
         cloud, f = grid401
         with pytest.raises(ValueError, match="at least 1"):
-            poincare_check(cloud, f, "ks", lam=0.5)
+            poincare_check(cloud, f, lam=0.5)
 
     def test_energy_measure_needs_form(self, grid401):
         cloud, f = grid401
-        with pytest.raises(ValueError, match="needs a graph form"):
-            poincare_check(cloud, f, "energy_measure")
+        samples = interior_samples()
+        assert list(poincare_check(cloud, f, samples=samples)) == ["lip", "ks"]
+        reps = poincare_check(cloud, f, samples=samples, form=build_form(cloud))
+        assert list(reps) == list(POINCARE_MODES)
+        assert [rep.mode for rep in reps.values()] == list(POINCARE_MODES)
 
     def test_form_cloud_mismatch(self, grid401):
         cloud, f = grid401
         other = interval_grid(101)
         form = build_form(other)
         with pytest.raises(ValueError, match="form does not live"):
-            poincare_check(cloud, f, "energy_measure", form=form)
+            poincare_check(cloud, f, form=form)
 
     def test_field_cloud_mismatch(self, grid401):
         cloud, _ = grid401
         other = interval_grid(101)
         g = ScalarField.coordinate(other, 0)
         with pytest.raises(ValueError, match="does not live"):
-            poincare_check(cloud, g, "lip")
+            poincare_check(cloud, g)
 
     def test_radius_bounds_enforced(self, grid401):
         cloud, f = grid401
         with pytest.raises(ValueError, match="outside the admissible range"):
-            poincare_check(cloud, f, "ks", samples=[(10, 0.001)])
+            poincare_check(cloud, f, samples=[(10, 0.001)])
         with pytest.raises(ValueError, match="outside the admissible range"):
-            poincare_check(cloud, f, "ks", samples=[(10, 0.6)])
+            poincare_check(cloud, f, samples=[(10, 0.6)])
 
     def test_center_bounds_enforced(self, grid401):
         cloud, f = grid401
         with pytest.raises(ValueError, match="out of range"):
-            poincare_check(cloud, f, "ks", samples=[(4000, 0.05)])
+            poincare_check(cloud, f, samples=[(4000, 0.05)])
 
     def test_csv_roundtrip(self, grid401):
         cloud, f = grid401
-        rep = poincare_check(cloud, f, "ks", samples=interior_samples())
+        rep = poincare_check(cloud, f, samples=interior_samples())["ks"]
         header, rows = rep.table()
         assert header == ("center", "R", "lhs", "rhs", "ratio")
         assert len(rows) == len(rep.samples)
@@ -165,7 +168,7 @@ class TestPoincareCheck:
 
     def test_json_summary(self, grid401):
         cloud, f = grid401
-        rep = poincare_check(cloud, f, "lip", samples=interior_samples())
+        rep = poincare_check(cloud, f, samples=interior_samples())["lip"]
         assert rep.mode == "lip"
         assert rep.lam == 2.0
         assert rep.c_best > 0.0
@@ -310,7 +313,7 @@ class TestTelescopingBound:
     def test_constant_trivial(self, grid2001):
         cloud, _ = grid2001
         c = ScalarField.constant(cloud, 4.0)
-        rep = telescoping_bound(cloud, c, 1000, 0.2)
+        rep = chain(cloud, c, 1000, 0.2)
         assert rep.lhs <= 1e-12
         assert rep.c_report == 0.0
         assert rep.ok
@@ -319,14 +322,14 @@ class TestTelescopingBound:
         # Interior balls around the same center share their mean for
         # f = x, so the whole dyadic chain telescopes to zero.
         cloud, f = grid2001
-        rep = telescoping_bound(cloud, f, 1000, 0.2)
+        rep = chain(cloud, f, 1000, 0.2)
         assert rep.lhs <= 1e-12
         assert rep.ok
 
     def test_quadratic_matches_brute_chain(self, grid2001):
         cloud, f0 = grid2001
         f = ScalarField.from_function(cloud, lambda c: c[:, 0] ** 2)
-        rep = telescoping_bound(cloud, f, 500, 0.2)
+        rep = chain(cloud, f, 500, 0.2)
         dmat = dist_matrix(cloud.coords)
         brute = abs(
             chain_ball_average(dmat, cloud.weights, f.values, 500, 0.2)
@@ -338,7 +341,7 @@ class TestTelescopingBound:
 
     def test_chain_levels_halve_to_floor(self, grid2001):
         cloud, f = grid2001
-        rep = telescoping_bound(cloud, f, 500, 0.2)
+        rep = chain(cloud, f, 500, 0.2)
         floor = 3.0 * cloud.mesh
         assert rep.levels[0] == pytest.approx(0.2)
         assert np.allclose(rep.levels[:-1] / rep.levels[1:], 2.0)
@@ -349,24 +352,26 @@ class TestTelescopingBound:
         cloud, _ = grid2001
         f = ScalarField.from_function(cloud, lambda c: c[:, 0] ** 2)
         for rho in (0.1, 0.2):
-            rep = telescoping_bound(cloud, f, 500, rho)
+            rep = chain(cloud, f, 500, rho)
             assert rep.ok
             assert rep.c_report <= 4.0
 
     def test_small_rho_rejected(self, grid2001):
         cloud, f = grid2001
         with pytest.raises(ValueError, match="dyadic chain"):
-            telescoping_bound(cloud, f, 500, 0.005)
+            chain(cloud, f, 500, 0.005)
 
     @pytest.mark.parametrize("x", [0, 500, 1000])
     def test_rhs_equals_full_cloud_formula(self, grid2001, x, pass_radii):
         cloud, _ = grid2001
         f = ScalarField.from_function(cloud, lambda c: c[:, 0] ** 2)
         rho, lam, d_w = 0.2, DEFAULT_LAMBDA, 2.0
-        rep = telescoping_bound(cloud, f, x, rho, d_w=d_w)
+        maximal = maximal_function(cloud, f, rho, d_w=d_w)
+        pass_radii.clear()
+        rep = telescoping_bound(maximal, x)
+        # The chain reads the maximal field's window rows: no pass of its own.
+        assert pass_radii == []
         w_scales = liminf_window_scales(cloud)
-        # The densities are made at the members of B(x, lam rho) only.
-        assert pass_radii == [max(w_scales)]
         rows = np.stack([ks_energy_density(cloud, f, [r], d_w=d_w)[0] for r in w_scales])
         m_val = 0.0
         for r in _maximal_rho_grid(cloud, lam * rho):
@@ -377,7 +382,7 @@ class TestTelescopingBound:
     def test_center_validated(self, grid2001):
         cloud, f = grid2001
         with pytest.raises(ValueError, match="out of range"):
-            telescoping_bound(cloud, f, 5000, 0.2)
+            chain(cloud, f, 5000, 0.2)
 
 
 @pytest.mark.parametrize("end", ["low", "high"])
@@ -388,11 +393,77 @@ def test_one_id_check_for_samples_chains_and_endpoints(grid401, end):
     bad = -1 if end == "low" else cloud.n
     form = build_form(cloud)
     queries = [
-        lambda: poincare_check(cloud, f, "ks", samples=[(bad, 0.05)]),
-        lambda: telescoping_bound(cloud, f, bad, 0.2),
+        lambda: poincare_check(cloud, f, samples=[(bad, 0.05)]),
+        lambda: chain(cloud, f, bad, 0.2),
         lambda: intrinsic_metric(form, bad, 0),
         lambda: intrinsic_metric(form, 0, bad),
     ]
     for query in queries:
         with pytest.raises(ValueError, match=f"^id {bad} out of range$"):
             query()
+
+
+# Values of the one-mode-per-call Poincaré checks and of the chain with its
+# own region-restricted densities, which the shared computations replace:
+# per mode (c_best, n_used), and the chain's (x, lhs, rhs, c_report) at the
+# suite's R.
+PINNED = {
+    "interval401": (
+        {
+            "lip": (0.3180730832411158, 350),
+            "ks": (0.9859554213529281, 350),
+            "energy_measure": (0.32176601409981065, 350),
+        },
+        (341, 0.007437768618967278, 0.05695646299716463, 0.1305869119600622),
+    ),
+    "gasket5": (
+        {
+            "lip": (0.14564617519352968, 100),
+            "ks": (1.2388713338975292, 100),
+            "energy_measure": (0.07170976362314702, 100),
+        },
+        (311, 0.07249842842702447, 0.31354774449185174, 0.23121974149269797),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_shared_samples_and_chain_keep_their_values(name):
+    from kslab.space import DEFAULT_KAPPA
+
+    cloud, d_w = {"interval401": (interval_grid(401), 2.0), "gasket5": (gasket(5), LOG5_LOG2)}[name]
+    f = ScalarField.from_function(cloud, lambda c: np.sin(3.0 * c[:, 0]) + c[:, -1] ** 2)
+    modes, (x, lhs, rhs, c_report) = PINNED[name]
+    reps = poincare_check(cloud, f, d_w=d_w, seed=0, form=build_form(cloud))
+    assert {mode: (rep.c_best, rep.n_used) for mode, rep in reps.items()} == modes
+    R = max(4.0 * DEFAULT_KAPPA * cloud.mesh, cloud.diameter / 8.0)
+    maximal = maximal_function(cloud, f, R, d_w=d_w)
+    assert maximal.field is f and maximal.cloud is cloud
+    assert int(np.random.default_rng(0).integers(0, cloud.n)) == x
+    tele = telescoping_bound(maximal, x)
+    assert (tele.rho, tele.d_w) == (R, d_w)
+    assert (tele.lhs, tele.rhs, tele.c_report) == (lhs, rhs, c_report)
+
+
+@pytest.mark.parametrize("lam", [1.0, DEFAULT_LAMBDA])
+@pytest.mark.parametrize("with_form", [False, True])
+def test_one_ball_query_per_sample_and_radius_whatever_the_modes(grid401, monkeypatch, lam, with_form):
+    from kslab.space import MeasuredPointCloud
+
+    cloud, f = grid401
+    form = build_form(cloud) if with_form else None
+    calls = []
+    real = MeasuredPointCloud.ball_ids
+
+    def counting(self, x, r):
+        calls.append((x, r))
+        return real(self, x, r)
+
+    monkeypatch.setattr(MeasuredPointCloud, "ball_ids", counting)
+    samples = interior_samples()
+    reps = poincare_check(cloud, f, lam=lam, samples=samples, form=form)
+    assert len(reps) == (3 if with_form else 2)
+    assert len(calls) == (1 if lam == 1.0 else 2) * len(samples)
+    # Every mode reads the same lhs on the same balls.
+    lhs = [[s.lhs for s in rep.samples] for rep in reps.values()]
+    assert all(row == lhs[0] for row in lhs)

@@ -151,7 +151,6 @@ def test_out_of_range_centre_ids_are_refused(abstract, bad):
         lambda: cloud.distance(bad, 0),
         lambda: cloud.distance(0, bad),
         lambda: next(cloud.ball_chunks(0.3, centers=[0, bad])),
-        lambda: next(cloud.nested_ball_chunks([0.3, 0.2], centers=[bad])),
     ]
     for query in queries:
         with pytest.raises(ValueError, match=f"id {bad} out of range"):
@@ -258,7 +257,7 @@ def test_ball_filter_is_canonical_on_lattice_distances(k, monkeypatch):
         np.testing.assert_array_equal(nested[x], ids)
     v = np.sin(5.0 * cloud.coords[:, 0]) + cloud.coords[:, 1]
     for p in (1, 2):
-        got = _increment_table(cloud, v[None, :], [r], None, [p])[0, 0]
+        got = _increment_table(cloud, v[None, :], [r], [p])[0, 0]
         oracle = oracles.fsum_increment_rows(cloud.coords, cloud.weights, v, r, p, range(cloud.n))
         np.testing.assert_allclose(got, oracle, rtol=1e-15, atol=0.0)
 
@@ -311,13 +310,12 @@ def test_nested_pass_equals_separate_passes(abstract, tiny_blocks):
     else:
         cloud = MeasuredPointCloud(np.ones(160), coords=coords)
     radii = [0.2, 0.45, 0.1, 0.45]
-    centers = np.arange(0, 160, 3)
     nested = {}
-    for sub, members in cloud.nested_ball_chunks(radii, centers=centers):
+    for sub, members in cloud.nested_ball_chunks(radii):
         for k, (flat, counts) in enumerate(members):
             nested.setdefault(k, []).append((sub, flat, counts))
     for k, r in enumerate(radii):
-        single = _balls_by_center(cloud.ball_chunks(r, centers=centers))
+        single = _balls_by_center(cloud.ball_chunks(r))
         multi = _balls_by_center(nested[k])
         assert multi.keys() == single.keys()
         for c in single:

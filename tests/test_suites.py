@@ -222,9 +222,21 @@ class TestSuiteVerdicts:
         assert by_name["poincare_identity_third"].passed
         assert by_name["poincare_identity_third"].details["worst_rel"] <= 0.3
 
+    @pytest.mark.parametrize("n, floor", [(33, "0.09375"), (41, "0.075")])
+    def test_poincare_identity_skipped_under_the_floor(self, n, floor):
+        # The identity check's fixed radius 0.05 lies under kappa h when
+        # n <= 60; the row says so instead of the suite raising.
+        results = run_suite("poincare", _ctx(interval_grid(n)))
+        by_name = {r.name: r for r in results}
+        assert "poincare_identity_third" not in by_name
+        skipped = by_name["poincare_identity_third_skipped"]
+        assert skipped.passed and skipped.constant is None
+        assert skipped.details["reason"] == f"radius 0.05 lies under the floor kappa h = {floor}"
+
     def test_poincare_suite_makes_six_ball_passes(self, grid401, pass_radii):
-        # lip slopes, the ks window rows, the maximal window rows and ladder,
-        # the telescoping rows, and the interval identity check's slopes.
+        # lip slopes and ks window rows, once for the sampled check and once
+        # for the interval identity check; the maximal window rows and
+        # ladder.  The telescoping chain reads the maximal field's rows.
         run_suite("poincare", _ctx(grid401))
         assert len(pass_radii) == 6
 
