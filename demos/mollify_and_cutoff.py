@@ -15,6 +15,7 @@ from kslab import (
     ScalarField,
     build_net,
     check_controlled_cutoff,
+    discrete_lip,
     interval_grid,
     mollifier_estimates,
     mollify,
@@ -30,8 +31,9 @@ net = build_net(cloud, eps)
 pou = partition_of_unity(net)
 print(f"eps={eps}: net of {net.n_centers} centers covers all"
       f" {cloud.n} points (greedy, deterministic), cover_ok={net.cover_ok}")
-print(f"partition of unity: worst bump slope is C/eps with"
-      f" C = {pou.slope_constant():.3f}")
+# Every bump's slope comes from one ball pass at eps.
+C = max(float(lip.values.max()) for lip in discrete_lip(cloud, pou.fields(), eps)) * eps
+print(f"partition of unity: worst bump slope is C/eps with C = {C:.3f}")
 
 smooth = mollify(f, pou)
 err = float(np.sqrt(cloud.weights @ (smooth.values - f.values) ** 2))

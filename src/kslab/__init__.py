@@ -24,6 +24,7 @@ through one writer, :mod:`kslab.export`.
 
 from .space import (
     DoublingProfile,
+    Inapplicable,
     MeasuredPointCloud,
     ball_average,
     build_cloud,
@@ -112,6 +113,7 @@ from .suites import (
 
 __all__ = [
     "DoublingProfile",
+    "Inapplicable",
     "MeasuredPointCloud",
     "ball_average",
     "build_cloud",

@@ -5,8 +5,12 @@ summary, and identical config plus identical seed gives a byte-identical
 summary.  This is the only module that writes files: reports hand it their
 rows through ``table()``.  Exit codes: 0 all selected checks pass, 1 at
 least one check fails, 2 the config or invocation is invalid or a
-computation rejects it.  Every artifact is computed before the output
-directory is created, so exit 2 writes nothing.
+computation rejects it.  With a numeric d_w, ``run`` turns what a cloud is
+too coarse for into skipped rows (``suites.run_suite``), so only a fitted
+d_w on a cloud with fewer than three scales, and ``space`` or ``sweep`` on
+a cloud too coarse for their scale grids, reject an accepted config.  Every
+artifact is computed before the output directory is created, so exit 2
+writes nothing.
 """
 
 from __future__ import annotations

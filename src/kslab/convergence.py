@@ -27,7 +27,7 @@ from .energy import (
 from .export import Table
 from .graphform import GraphDirichletForm, Spectrum, form_energy
 from .smoothing import build_net, mollify, partition_of_unity
-from .space import DEFAULT_KAPPA, MeasuredPointCloud
+from .space import DEFAULT_KAPPA, Inapplicable, MeasuredPointCloud
 
 __all__ = [
     "DEFAULT_PROBES",
@@ -88,7 +88,8 @@ def recovery_check(
 
     The ladder pairs each eps with r = eps kappa / 2, for eps over the last
     ``n_steps`` scales of the grid that reaches diam/2 (fewer when the grid
-    is shorter; fewer than 3 pairs cannot judge a trend and raise).  Each
+    is shorter).  Fewer than 3 pairs cannot judge a trend: ``n_steps < 3``
+    is a ``ValueError``, a grid shorter than 3 scales ``Inapplicable``.  Each
     step builds f_eps from ball averages on an eps-net and measures its
     increment energy at r.  The report records the L2 distance to f (which
     must not grow along the ladder, 5% slack) and the worst margin against
@@ -96,12 +97,13 @@ def recovery_check(
     """
     cloud = f.cloud
     oracle_value = form_energy(form, f)  # refuses a field off the form's cloud
+    if n_steps < 3:
+        raise ValueError("need at least 3 scale pairs to judge the trend")
     # The smallest admissible scales: the limit statements live at eps -> 0.
     wide = make_scale_grid(cloud, r_max=cloud.diameter / 2.0).scales
-    eps = [float(e) for e in wide[max(wide.size - n_steps, 0) :]]
-    pairs = [(e, e * DEFAULT_KAPPA / 2.0) for e in eps]
-    if len(pairs) < 3:
-        raise ValueError("need at least 3 scale pairs to judge the trend")
+    if wide.size < 3:
+        raise Inapplicable("fewer than three admissible scales on this cloud")
+    pairs = [(float(e), float(e) * DEFAULT_KAPPA / 2.0) for e in wide[-n_steps:]]
 
     mu = cloud.weights
     rows = []
@@ -179,8 +181,9 @@ def weak_liminf_probe(
     drop below a fixed fraction of the form energy of f.  Probe i is
     measured at the i-th of the last ``n_probes`` scales of the default
     grid, or of the grid that reaches diam/2 when the default grid is
-    shorter.  The probe raises when both are too short, or when the default
-    grid is empty.
+    shorter.  The probe raises ``Inapplicable`` when both are too short, when
+    the default grid is empty, or when the spectrum has fewer than
+    ``n_probes + 10`` modes.
     """
     cloud = f.cloud
     if spec.form.cloud is not cloud:
@@ -188,7 +191,7 @@ def weak_liminf_probe(
     if n_probes < 1:
         raise ValueError("need at least one probe")
     if spec.k_max < n_probes + 10:
-        raise ValueError(
+        raise Inapplicable(
             f"spectrum too small: k_max = {spec.k_max} < {n_probes + 10}"
         )
     # The highest stored mode is k_max - 1 (index 0 is the constant).
@@ -200,7 +203,7 @@ def weak_liminf_probe(
     if grid.size < n_probes:
         grid = make_scale_grid(cloud, r_max=cloud.diameter / 2.0).scales
     if grid.size < n_probes:
-        raise ValueError("scale grid too short for the probe count")
+        raise Inapplicable("scale grid too short for the probe count")
     ladder = [float(r) for r in grid[-n_probes:]]
 
     oracle_value = form_energy(spec.form, f)

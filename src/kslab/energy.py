@@ -37,7 +37,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import space
 from .export import Table
-from .space import DEFAULT_KAPPA, MeasuredPointCloud, segment_sums
+from .space import DEFAULT_KAPPA, Inapplicable, MeasuredPointCloud, segment_sums
 
 # The one sweep geometry: r_k = r_max * DEFAULT_RATIO**k, k = 0..11, with
 # r_max = diam/4 unless a caller widens it, scales under the floor kappa h
@@ -493,8 +493,8 @@ def snap_mid_mesh(raw: np.ndarray, h: float) -> np.ndarray:
 def make_scale_grid(cloud: MeasuredPointCloud, r_max: float | None = None) -> ScaleGrid:
     """Build the sweep grid for a cloud, from r_max (default diam/4) down.
 
-    Scales below ``kappa * h`` are dropped; an entirely inadmissible grid is
-    an error.
+    Scales below ``kappa * h`` are dropped; an entirely inadmissible grid
+    raises ``Inapplicable``.
     """
     if r_max is None:
         r_max = cloud.diameter / 4.0
@@ -505,7 +505,7 @@ def make_scale_grid(cloud: MeasuredPointCloud, r_max: float | None = None) -> Sc
     floor = cloud.floor
     scales = np.unique(snapped[snapped >= floor])[::-1]
     if scales.size == 0:
-        raise ValueError(f"empty admissible grid: r_max={r_max:g}, floor={floor:g}")
+        raise Inapplicable(f"empty admissible grid: r_max={r_max:g}, floor={floor:g}")
     return ScaleGrid(r_max=float(r_max), scales=scales)
 
 
@@ -641,19 +641,6 @@ class WalkDimFit:
     details: dict = field(default_factory=dict)
 
 
-def raw_increment_sum(
-    cloud: MeasuredPointCloud,
-    f: ScalarField,
-    r: float,
-) -> float:
-    """Unnormalized double sum of ball-averaged squared increments.
-
-    Equals ``r**d_w * ks_energy(...)`` for any d_w; its log-log slope in r is
-    the scaling exponent the walk-dimension fit extracts.
-    """
-    return float(_raw_sums(cloud, [f], [r])[0, 0])
-
-
 def fit_walk_dimension(
     cloud: MeasuredPointCloud,
     fields: Sequence[ScalarField],
@@ -663,13 +650,14 @@ def fit_walk_dimension(
 
     Per field, regress log S(f, r) on log r over the admissible grid; report
     the median slope.  Constant fields carry no signal and are skipped; all
-    fields constant is an error, as is a grid with fewer than three scales.
+    fields constant is an error, and a grid with fewer than three scales
+    raises ``Inapplicable``.
     All fields and scales share one ball pass.
     """
     if grid is None:
         grid = make_scale_grid(cloud)
     if grid.scales.size < 3:
-        raise ValueError("walk-dimension fit needs at least three scales")
+        raise Inapplicable("walk-dimension fit needs at least three scales")
     varying = [f for f in fields if not f.is_constant()]
     slopes = []
     if varying:

@@ -94,10 +94,6 @@ class GraphDirichletForm:
     def n(self) -> int:
         return self.cloud.n
 
-    @property
-    def n_edges(self) -> int:
-        return int(self.edge_i.size)
-
     @cached_property
     def adjacency(self) -> sp.csr_matrix:
         """Symmetric conductance matrix (zero diagonal)."""
@@ -149,10 +145,6 @@ class GraphDirichletForm:
     def laplacian_apply(self, values: np.ndarray) -> np.ndarray:
         """(C f)(x) = sum_y c_xy (f_x - f_y), the conductance Laplacian."""
         return self.degrees * values - self.adjacency @ values
-
-    def generator_apply(self, values: np.ndarray) -> np.ndarray:
-        """L f = (1/mu) C f, the mu-symmetric generator."""
-        return self.laplacian_apply(values) / self.cloud.weights
 
 
 def _grid1d_edges(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -29,7 +29,7 @@ from .export import Table
 from .graphform import GraphDirichletForm
 from .graphform import energy_measure as graph_energy_measure
 from .smoothing import discrete_lip
-from .space import MeasuredPointCloud, ball_average, segment_sums
+from .space import Inapplicable, MeasuredPointCloud, ball_average, segment_sums
 
 __all__ = [
     "DEFAULT_LAMBDA",
@@ -97,7 +97,7 @@ def _default_samples(cloud: MeasuredPointCloud, lam: float, seed: int) -> list[t
     r_lo = cloud.floor
     r_hi = cloud.diameter / (2.0 * lam)
     if r_hi <= r_lo:
-        raise ValueError(
+        raise Inapplicable(
             f"no admissible radii: floor {r_lo:g} exceeds diam/(2*lambda) = {r_hi:g}"
         )
     decades = math.log10(r_hi / r_lo)
@@ -226,13 +226,13 @@ def _maximal_rho_grid(cloud: MeasuredPointCloud, R: float) -> np.ndarray:
     """Mid-mesh snapped geometric ladder spanning [kappa h, R)."""
     floor = cloud.floor
     if R <= floor:
-        raise ValueError(f"empty radius ladder: R = {R:g} is at or under the floor {floor:g}")
+        raise Inapplicable(f"empty radius ladder: R = {R:g} is at or under the floor {floor:g}")
     count = max(1, math.ceil(math.log(R / floor) / math.log(1.0 / DEFAULT_RATIO)) + 2)
     snapped = snap_mid_mesh(R * DEFAULT_RATIO ** np.arange(count), cloud.mesh)
     keep = (snapped >= floor) & (snapped < R)
     grid = np.unique(snapped[keep])[::-1]
     if grid.size == 0:
-        raise ValueError(f"empty radius ladder below R = {R:g}")
+        raise Inapplicable(f"empty radius ladder below R = {R:g}")
     return grid
 
 

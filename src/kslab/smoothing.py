@@ -126,14 +126,6 @@ class PartitionOfUnity:
     def fields(self) -> list[ScalarField]:
         return [ScalarField(self.cloud, row.copy()) for row in self.phi]
 
-    def slope_constant(self) -> float:
-        """Largest discrete slope among the bumps, in units of 1/epsilon.
-
-        All bumps share one ball pass at epsilon.
-        """
-        lips = discrete_lip(self.cloud, self.fields(), self.epsilon)
-        return max(0.0, *(float(lip.values.max()) for lip in lips)) * self.epsilon
-
 
 def partition_of_unity(net: CoveringNet) -> PartitionOfUnity:
     """Normalize tent kernels psi(d/eps) = clamp(2 - d/eps, 0, 1) over the net.

@@ -72,6 +72,14 @@ TRIANGLE_BUDGET = 10_000
 FLAT_BUDGET = 4_000_000
 
 
+class Inapplicable(ValueError):
+    """The cloud is too coarse for the computation (not a bad argument).
+
+    Raised where the precondition is computed, with the reason as message;
+    the suites turn it into a skipped row instead of an error.
+    """
+
+
 def _point_distances(coords: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Canonical Euclidean distance from one point to many.
 
@@ -792,7 +800,8 @@ def estimate_doubling(
     clears the coordinate bounding box, which removes boundary clipping from
     the ratios.
 
-    Raises ``ValueError`` when no scale is admissible.
+    Raises ``Inapplicable`` when no scale is admissible or ``interior_only``
+    leaves no sample.
     """
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
@@ -802,7 +811,7 @@ def estimate_doubling(
     lo, hi = cloud.floor, cloud.diameter / 2.0
     adm = req[(req >= lo) & (req <= hi)]
     if adm.size == 0:
-        raise ValueError(
+        raise Inapplicable(
             f"no admissible scale in [{lo:g}, {hi:g}] among {req.tolist()}"
         )
 
@@ -823,7 +832,7 @@ def estimate_doubling(
             cols_m.append(float(cloud.weights[d < r].sum()))
             cols_m2.append(float(cloud.weights[d < 2.0 * r].sum()))
     if not cols_c:
-        raise ValueError("interior restriction removed every sample")
+        raise Inapplicable("interior restriction removed every sample")
 
     mass_r = np.array(cols_m)
     mass_2r = np.array(cols_m2)

@@ -4,7 +4,9 @@ Each suite turns a capability of the library into a short list of pass/fail
 rows with a headline constant, so the command line can bundle them into a
 machine-readable report.  Every pass/fail bound is a fixed entry of
 ``DEFAULT_TOLERANCES``: a check that fails is a finding, not a bound to
-loosen per config.
+loosen per config.  What a cloud is too coarse for is a passing
+``<name>_skipped`` row with a reason (``skipped``), never an error: the
+library raises ``Inapplicable`` where it computes the precondition.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .export import Table
 from .space import (
     DEFAULT_KAPPA,
     DoublingProfile,
+    Inapplicable,
     MeasuredPointCloud,
     estimate_doubling,
     gasket,
@@ -100,6 +103,11 @@ class CheckResult:
             "constant": float(c) if c is not None and math.isfinite(c) else None,
             "details": self.details,
         }
+
+
+def skipped(name: str, claim: str, reason: str) -> CheckResult:
+    """The passing, constant-free row of a check the cloud cannot support."""
+    return CheckResult(f"{name}_skipped", claim, True, None, {"reason": reason})
 
 
 class SuiteContext:
@@ -227,11 +235,8 @@ def resolve_walk_dimension(ctx: SuiteContext, requested: float | str) -> tuple[f
     cloud = ctx.cloud
     fields = [f for _, f in ctx.standard_fields() if not f.is_constant()]
     try:
-        grid = make_scale_grid(cloud)
-        if grid.scales.size < 3:
-            raise ValueError("short grid")
-        fit = fit_walk_dimension(cloud, fields, grid=grid)
-    except ValueError:
+        fit = fit_walk_dimension(cloud, fields)
+    except Inapplicable:
         grid = make_scale_grid(cloud, r_max=cloud.diameter / 2.0)
         fit = fit_walk_dimension(cloud, fields, grid=grid)
 
@@ -388,6 +393,8 @@ def _mollifier_ladder(ctx: SuiteContext) -> list[float]:
     while eps >= floor and len(ladder) < 3:
         ladder.append(eps)
         eps /= 2.0
+    if len(ladder) < 2:
+        raise Inapplicable("no admissible epsilon ladder on this cloud")
     return ladder
 
 
@@ -398,16 +405,6 @@ def suite_smoothing(ctx: SuiteContext) -> list[CheckResult]:
         (None, None),
     )
     ladder = _mollifier_ladder(ctx)
-    if len(ladder) < 2:
-        return [
-            CheckResult(
-                name="smoothing_skipped",
-                claim="mollifier-slope-and-l2-control",
-                passed=True,
-                constant=None,
-                details={"reason": "no admissible epsilon ladder on this cloud"},
-            )
-        ]
     # Each rung's net and partition are built once: the mollifier ladder
     # reads every rung, the cutoff check the first two.
     rungs = ladder if f is not None else ladder[:2]
@@ -488,19 +485,10 @@ def suite_poincare(ctx: SuiteContext) -> list[CheckResult]:
         radii = [0.05, 0.1]
         # The radii are fixed; on grids with n <= 60 one lies under kappa h.
         low = [r for r in radii if r < cloud.floor]
+        claim = "interval-identity-ratio-one-third"
         if low:
-            results.append(
-                CheckResult(
-                    name="poincare_identity_third_skipped",
-                    claim="interval-identity-ratio-one-third",
-                    passed=True,
-                    constant=None,
-                    details={
-                        "reason": f"radius {low[0]:g} lies under the floor "
-                        f"kappa h = {cloud.floor:g}"
-                    },
-                )
-            )
+            reason = f"radius {low[0]:g} lies under the floor kappa h = {cloud.floor:g}"
+            results.append(skipped("poincare_identity_third", claim, reason))
         else:
             fx = ScalarField.coordinate(cloud, 0)
             rep = pc.poincare_check(
@@ -510,7 +498,7 @@ def suite_poincare(ctx: SuiteContext) -> list[CheckResult]:
             results.append(
                 CheckResult(
                     name="poincare_identity_third",
-                    claim="interval-identity-ratio-one-third",
+                    claim=claim,
                     passed=bool(worst <= 3.0 * DEFAULT_TOLERANCES["poincare_identity_rel"]),
                     constant=rep.c_best,
                     details={"worst_rel": worst},
@@ -553,8 +541,6 @@ def suite_poincare(ctx: SuiteContext) -> list[CheckResult]:
 
 
 def suite_graphform(ctx: SuiteContext) -> list[CheckResult]:
-    if not ctx.has_form:
-        raise ValueError(f"graphform suite needs a grid or gasket cloud, not {ctx.kind!r}")
     cloud = ctx.cloud
     form = ctx.form
     results = []
@@ -652,19 +638,11 @@ def suite_graphform(ctx: SuiteContext) -> list[CheckResult]:
         if cloud.n > gf.DENSE_EIGEN_LIMIT:
             # The truncated spectrum gives neither small-t kernels nor
             # lambda_max for the time window.
-            results.append(
-                CheckResult(
-                    name="subgaussian_fit_skipped",
-                    claim="sub-gaussian-heat-kernel",
-                    passed=True,
-                    constant=None,
-                    details={
-                        "reason": "heat-kernel fit needs the full spectrum; "
-                        f"{cloud.n} vertices exceed the dense eigensolve "
-                        f"limit {gf.DENSE_EIGEN_LIMIT}"
-                    },
-                )
+            reason = (
+                f"heat-kernel fit needs the full spectrum; {cloud.n} vertices exceed "
+                f"the dense eigensolve limit {gf.DENSE_EIGEN_LIMIT}"
             )
+            results.append(skipped("subgaussian_fit", "sub-gaussian-heat-kernel", reason))
         else:
             fit = gf.fit_subgaussian(ctx.full_spectrum, seed=ctx.seed)
             results.append(
@@ -697,8 +675,6 @@ def suite_graphform(ctx: SuiteContext) -> list[CheckResult]:
 
 
 def suite_convergence(ctx: SuiteContext) -> list[CheckResult]:
-    if not ctx.has_form:
-        raise ValueError(f"convergence suite needs a grid or gasket cloud, not {ctx.kind!r}")
     cloud = ctx.cloud
     form = ctx.form
     spec = ctx.spectrum
@@ -711,19 +687,6 @@ def suite_convergence(ctx: SuiteContext) -> list[CheckResult]:
         label_fields = dict(ctx.standard_fields())
         target = label_fields.get("sin_pi_x") or label_fields.get("sin_pi_xy") or spec.field(1)
         n_steps = 5
-    # recovery_check takes its ladder from the grid that reaches diam/2; a
-    # grid too short for it skips the suite.
-    wide = make_scale_grid(cloud, r_max=cloud.diameter / 2.0).scales
-    if wide.size < 3:
-        return [
-            CheckResult(
-                name="convergence_skipped",
-                claim="mollifier-recovery-margin",
-                passed=True,
-                constant=None,
-                details={"reason": "fewer than three admissible scales on this cloud"},
-            )
-        ]
     rec = cv.recovery_check(target, form, d_w=ctx.d_w, n_steps=n_steps)
     per = [row[3] / rec.oracle for row in rec.rows]
     spread = max(per) / min(per) if min(per) > 0 else float("inf")
@@ -741,22 +704,24 @@ def suite_convergence(ctx: SuiteContext) -> list[CheckResult]:
         )
     )
 
-    if ctx.kind == "gasket":
-        lim = cv.weak_liminf_probe(target, spec, d_w=ctx.d_w, n_probes=3, offset=9)
+    probe = {"n_probes": 3, "offset": 9} if ctx.kind == "gasket" else {}
+    try:
+        lim = cv.weak_liminf_probe(target, spec, d_w=ctx.d_w, **probe)
+    except Inapplicable as exc:
+        results.append(skipped("mosco_liminf", "weak-perturbation-liminf-margin", str(exc)))
     else:
-        lim = cv.weak_liminf_probe(target, spec, d_w=ctx.d_w)
-    per = [row[2] / lim.oracle for row in lim.rows] if lim.oracle > 0 else []
-    spread = max(per) / min(per) if per and min(per) > 0 else 1.0
-    results.append(
-        CheckResult(
-            name="mosco_liminf",
-            claim="weak-perturbation-liminf-margin",
-            passed=bool(lim.liminf_ok),
-            constant=lim.liminf_margin if math.isfinite(lim.liminf_margin) else None,
-            details={"per_step_spread": spread, "nullity": lim.nullity},
-            table=lim.table(),
+        per = [row[2] / lim.oracle for row in lim.rows] if lim.oracle > 0 else []
+        spread = max(per) / min(per) if per and min(per) > 0 else 1.0
+        results.append(
+            CheckResult(
+                name="mosco_liminf",
+                claim="weak-perturbation-liminf-margin",
+                passed=bool(lim.liminf_ok),
+                constant=lim.liminf_margin if math.isfinite(lim.liminf_margin) else None,
+                details={"per_step_spread": spread, "nullity": lim.nullity},
+                table=lim.table(),
+            )
         )
-    )
 
     # Net size at a fixed delta is a statement about the gasket spectrum
     # (lambda_1 = 27 squeezes the unit-energy ball); grids get compactness
@@ -802,13 +767,14 @@ def suite_convergence(ctx: SuiteContext) -> list[CheckResult]:
     return results
 
 
+# Each suite with the claim its row carries when the cloud cannot support it.
 SUITES = {
-    "doubling": suite_doubling,
-    "energy": suite_energy,
-    "smoothing": suite_smoothing,
-    "poincare": suite_poincare,
-    "graphform": suite_graphform,
-    "convergence": suite_convergence,
+    "doubling": (suite_doubling, "volume-doubling-bound"),
+    "energy": (suite_energy, "small-scale-energy-limit"),
+    "smoothing": (suite_smoothing, "mollifier-slope-and-l2-control"),
+    "poincare": (suite_poincare, "ball-variance-bound-lip"),
+    "graphform": (suite_graphform, "reference-form-energy"),
+    "convergence": (suite_convergence, "mollifier-recovery-margin"),
 }
 
 
@@ -822,6 +788,15 @@ def applicable_suites(cloud: MeasuredPointCloud) -> list[str]:
 
 
 def run_suite(name: str, ctx: SuiteContext) -> list[CheckResult]:
+    """The suite's rows, or one ``<name>_skipped`` row when it raises ``Inapplicable``.
+
+    A suite may only let ``Inapplicable`` escape before its first row; a
+    later check the cloud cannot support gets its own skipped row.
+    """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    return SUITES[name](ctx)
+    suite, claim = SUITES[name]
+    try:
+        return suite(ctx)
+    except Inapplicable as exc:
+        return [skipped(name, claim, str(exc))]

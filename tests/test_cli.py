@@ -121,17 +121,40 @@ class TestRun:
         ],
     )
     def test_failure_after_validation_writes_nothing(self, tmp_path, capsys, command, space):
-        # Both configs validate, then a computation raises: interval 9 and
-        # gasket 3 are too coarse for the doubling scale grid.  A suite's
-        # error names the suite.
+        # Both configs validate, then a computation raises: a fitted d_w
+        # needs three scales, which interval 9 lacks even on the diam/2 grid,
+        # and gasket 3 is too coarse for the doubling scale grid.  Suites
+        # skip what a cloud cannot support, but these values have no row.
         out = tmp_path / "bundle"
-        path = write_config(tmp_path, space=space, suite="all", out=str(out))
+        d_w = "fit" if command == "run" else 2.0
+        path = write_config(tmp_path, space=space, d_w=d_w, suite="all", out=str(out))
         assert main([command, "--config", str(path)]) == 2
         assert not out.exists()
         err = capsys.readouterr().err
         assert "error:" in err
         if command == "run":
-            assert "error: suite 'doubling': empty admissible grid" in err
+            assert "error: walk-dimension fit needs at least three scales" in err
+
+    @pytest.mark.parametrize(
+        "space",
+        [{"kind": "interval_grid", "n": n} for n in (9, 13, 17)]
+        + [{"kind": "square_grid", "n": n} for n in (9, 13, 17)]
+        + [{"kind": "gasket", "level": level} for level in (1, 2, 3)]
+        + [{"kind": "carpet", "level": level} for level in (1, 2)],
+        ids=lambda space: f"{space['kind']}{space.get('n', space.get('level'))}",
+    )
+    def test_coarse_cloud_writes_a_bundle(self, tmp_path, space):
+        # The coarsest accepted sizes are the first rungs of a refinement
+        # ladder: what they cannot support is a skipped row, not an exit 2.
+        out = tmp_path / "bundle"
+        path = write_config(tmp_path, space=space, suite="all", out=str(out))
+        assert main(["run", "--config", str(path)]) in (0, 1)
+        summary = json.loads((out / "summary.json").read_text())
+        assert {c["suite"] for c in summary["checks"]} == set(summary["suites"])
+        for check in summary["checks"]:
+            if check["name"].endswith("_skipped"):
+                assert check["passed"] is True and check["constant"] is None
+                assert check["details"]["reason"]
 
     def test_missing_out_rejected(self, tmp_path):
         path = write_config(tmp_path)

@@ -19,7 +19,7 @@ from kslab.convergence import (
 from kslab.energy import ScalarField, ks_energy, liminf_window_scales, make_scale_grid
 from kslab.export import write_json
 from kslab.graphform import build_form, form_energy, spectrum
-from kslab.space import gasket, interval_grid, square_grid
+from kslab.space import Inapplicable, gasket, interval_grid, square_grid
 
 from oracles import brute_ks_energy, dist_matrix
 
@@ -119,8 +119,10 @@ class TestRecoveryCheck:
         cloud, form = grid401
         f = ScalarField.coordinate(cloud, 0)
         for n_steps in (2, 0):
-            with pytest.raises(ValueError, match="at least 3"):
+            # A bad argument, not a cloud too coarse for the check.
+            with pytest.raises(ValueError, match="at least 3") as info:
                 recovery_check(f, form, n_steps=n_steps)
+            assert not isinstance(info.value, Inapplicable)
 
     def test_field_off_the_form_rejected(self, grid401):
         _, form = grid401

@@ -13,8 +13,8 @@ from kslab.energy import (
     ks_energy_density,
     liminf_window_scales,
     make_scale_grid,
-    raw_increment_sum,
 )
+from kslab.energy import _raw_sums
 from kslab.space import MeasuredPointCloud, carpet, gasket, interval_grid, square_grid
 
 import oracles
@@ -364,7 +364,7 @@ def test_raw_sum_is_energy_times_power():
     cloud = interval_grid(401)
     f = ScalarField.coordinate(cloud)
     r = 0.1
-    assert raw_increment_sum(cloud, f, r) == pytest.approx(
+    assert _raw_sums(cloud, [f], [r])[0, 0] == pytest.approx(
         ks_energy(cloud, f, r, d_w=2.0) * r**2, rel=1e-12
     )
 
@@ -458,7 +458,7 @@ def _engine_results(cloud, fields):
         "many": ks_energies(cloud, fields, [float(grid.scales[-1])])[0],
         "density": ks_energy_density(cloud, f, grid.scales[1:3]),
         "sweep": sweep.values,
-        "raw": raw_increment_sum(cloud, f, float(grid.scales[3])),
+        "raw": _raw_sums(cloud, [f], [float(grid.scales[3])])[0, 0],
     }
 
 

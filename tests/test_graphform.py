@@ -386,7 +386,7 @@ def test_column_residuals_match_per_column_formula():
     w = form.cloud.weights
     scale = max(1.0, 2.0 * float(np.max(form.degrees / w)))
     per_column = [
-        float(np.sqrt(np.sum(w * (form.generator_apply(u) - lam * u) ** 2))) / scale
+        float(np.sqrt(np.sum(w * (form.laplacian_apply(u) / w - lam * u) ** 2))) / scale
         for lam, u in zip(vals, fields.T)
     ]
     assert np.array_equal(res, per_column)

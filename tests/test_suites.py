@@ -1,12 +1,22 @@
-"""Suite registry behaviour: applicability, thresholds, d_w resolution."""
+"""Suite registry behaviour: applicability, skipped rows, thresholds, d_w resolution."""
 
 import math
 
 import numpy as np
 import pytest
 
+from kslab import convergence as cv
 from kslab import graphform as gf
-from kslab.space import MeasuredPointCloud, gasket, interval_grid, square_grid
+from kslab import poincare as pc
+from kslab.energy import ScalarField, fit_walk_dimension, make_scale_grid
+from kslab.space import (
+    Inapplicable,
+    MeasuredPointCloud,
+    estimate_doubling,
+    gasket,
+    interval_grid,
+    square_grid,
+)
 from kslab.suites import (
     DEFAULT_TOLERANCES,
     SUITES,
@@ -143,7 +153,7 @@ class TestRegistry:
             run_suite("nope", _ctx(grid401))
 
     def test_graphform_needs_graph_cloud(self):
-        with pytest.raises(ValueError, match="grid or gasket"):
+        with pytest.raises(ValueError, match="no reference form for cloud kind"):
             run_suite("graphform", _ctx(abstract_cloud()))
 
     def test_every_registered_suite_runs_on_interval(self, grid401):
@@ -247,3 +257,80 @@ class TestSuiteVerdicts:
         header, rows = moll.table
         assert header[0] == "eps"
         assert len(rows) == len(moll.details["epsilons"])
+
+
+def _coordinate(cloud):
+    return ScalarField.coordinate(cloud, 0)
+
+
+def _recovery(cloud):
+    return cv.recovery_check(_coordinate(cloud), gf.build_form(cloud), n_steps=4)
+
+
+def _liminf(cloud, k_max):
+    spec = gf.spectrum(gf.build_form(cloud), k_max=k_max)
+    return cv.weak_liminf_probe(_coordinate(cloud), spec)
+
+
+class TestInapplicable:
+    @pytest.mark.parametrize(
+        "compute, match",
+        [
+            (lambda: estimate_doubling(interval_grid(401), 5, [10.0], 0), "no admissible scale"),
+            (
+                lambda: estimate_doubling(square_grid(13), 5, [0.4], 0, interior_only=True),
+                "interior restriction removed every sample",
+            ),
+            (lambda: make_scale_grid(interval_grid(9)), "empty admissible grid"),
+            (
+                lambda: fit_walk_dimension(interval_grid(17), [_coordinate(interval_grid(17))]),
+                "at least three scales",
+            ),
+            (lambda: pc._default_samples(interval_grid(9), 2.0, 0), "no admissible radii"),
+            (
+                lambda: pc._maximal_rho_grid(interval_grid(401), interval_grid(401).floor),
+                "at or under the floor",
+            ),
+            (
+                lambda: pc._maximal_rho_grid(interval_grid(401), 3.2 * interval_grid(401).mesh),
+                "empty radius ladder below",
+            ),
+            (lambda: _liminf(interval_grid(401), 5), "spectrum too small"),
+            (lambda: _liminf(interval_grid(17), 16), "scale grid too short"),
+            (lambda: _recovery(gasket(3)), "fewer than three admissible scales on this cloud"),
+        ],
+        ids=[
+            "doubling-scale",
+            "doubling-interior",
+            "scale-grid",
+            "walk-fit",
+            "poincare-radii",
+            "rho-floor",
+            "rho-ladder",
+            "liminf-spectrum",
+            "liminf-grid",
+            "recovery-grid",
+        ],
+    )
+    def test_too_coarse_raises_inapplicable(self, compute, match):
+        with pytest.raises(Inapplicable, match=match):
+            compute()
+
+    def test_suite_skip_is_one_row_with_the_reason(self):
+        results = run_suite("doubling", _ctx(interval_grid(9)))
+        assert [r.row() for r in results] == [
+            {
+                "name": "doubling_skipped",
+                "claim": "volume-doubling-bound",
+                "passed": True,
+                "constant": None,
+                "details": {"reason": "empty admissible grid: r_max=0.25, floor=0.375"},
+            }
+        ]
+
+    def test_liminf_skip_keeps_the_recovery_row(self):
+        by_name = {r.name: r for r in run_suite("convergence", _ctx(interval_grid(17)))}
+        assert "mosco_recovery" in by_name and "sobolev_embedding" in by_name
+        skipped = by_name["mosco_liminf_skipped"]
+        assert skipped.passed and skipped.constant is None
+        assert skipped.details == {"reason": "scale grid too short for the probe count"}
