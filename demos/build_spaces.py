@@ -58,4 +58,4 @@ with tempfile.TemporaryDirectory() as tmp:
     path.write_text("\n".join(lines) + "\n")
     loaded = read_cloud_file(path)
     print(f"\nfile round trip: n={loaded.n} diameter={loaded.diameter:.4f}"
-          f" kind={loaded.meta['kind']}")
+          f" kind={loaded.kind}")

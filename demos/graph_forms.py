@@ -35,7 +35,7 @@ from kslab import (
 cloud = interval_grid(201)
 form = build_form(cloud)
 fx = ScalarField.coordinate(cloud, 0)
-print(f"grid1d(201): energy of x = {form_energy(form, fx):.6f}"
+print(f"interval_grid(201): energy of x = {form_energy(form, fx):.6f}"
       f" (expected {(cloud.n - 1) / cloud.n:.6f})")
 
 # Gasket: uniform conductances (5/3)^level implement the resistance
@@ -77,7 +77,6 @@ path_form = GraphDirichletForm(
     edge_i=np.arange(n_edges, dtype=np.intp),
     edge_j=np.arange(1, n_edges + 1, dtype=np.intp),
     conductances=np.ones(n_edges),
-    kind="path",
     renorm=1.0,
 )
 met = intrinsic_metric(path_form, 0, n_edges)
@@ -87,4 +86,4 @@ print(f"\npath graph with {n_edges} edges: intrinsic distance in"
 # On grid forms the energy-measure density and the squared discrete slope
 # describe the same object; for the identity field the best constant is 1.
 rep = gamma_vs_lip_check(form, fx)
-print(f"energy density vs squared slope for x on grid1d: c_best = {rep.c_best:.6f}")
+print(f"energy density vs squared slope for x on interval_grid(201): c_best = {rep.c_best:.6f}")

@@ -21,20 +21,12 @@ import sys
 from pathlib import Path
 
 from .export import write_csv, write_json
-from .space import build_cloud
+from .space import CLOUD_KINDS, build_cloud
 from .suites import SUITES, SuiteContext, applicable_suites, run_suite
 
 __all__ = ["main", "ConfigError", "load_config"]
 
 SUITE_NAMES = tuple(SUITES) + ("all",)
-
-CLOUD_KINDS = {
-    "interval_grid": {"n": (int, 9, 100_000)},
-    "square_grid": {"n": (int, 9, 1_000)},
-    "gasket": {"level": (int, 1, 8)},
-    "carpet": {"level": (int, 1, 6)},
-    "file": {"path": (str, None, None)},
-}
 
 
 class ConfigError(Exception):
@@ -50,7 +42,7 @@ def _check_space(space) -> dict:
     _require(isinstance(space, dict), "config key 'space' must be an object")
     kind = space.get("kind")
     _require(kind in CLOUD_KINDS, f"unknown cloud kind {kind!r}")
-    schema = CLOUD_KINDS[kind]
+    _, schema = CLOUD_KINDS[kind]
     out = {"kind": kind}
     for key, (typ, lo, hi) in schema.items():
         _require(key in space, f"space kind {kind!r} needs key {key!r}")
@@ -168,7 +160,7 @@ def _select_suites(cfg: dict, cloud) -> list[str]:
     _require(
         cfg["suite"] in names,
         f"suite {cfg['suite']!r} does not apply to cloud kind "
-        f"{cloud.meta.get('kind')!r} (applicable: {names})",
+        f"{cloud.kind!r} (applicable: {names})",
     )
     return [cfg["suite"]]
 
@@ -219,7 +211,7 @@ def cmd_space(args: argparse.Namespace) -> int:
     profile = ctx.doubling_profile()
     payload = {
         "cloud": {
-            "kind": cloud.meta.get("kind"),
+            "kind": cloud.kind,
             "n": cloud.n,
             "mesh": cloud.mesh,
             "diameter": cloud.diameter,

@@ -22,7 +22,7 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 from .energy import ScalarField, WalkDimFit
 from .export import Table
 from .smoothing import discrete_lip
-from .space import MeasuredPointCloud, _gasket_subdivision, gasket_graph
+from .space import Lattice, MeasuredPointCloud, _gasket_subdivision, gasket_graph
 
 __all__ = [
     "DENSE_EIGEN_LIMIT",
@@ -54,8 +54,8 @@ __all__ = [
 DENSE_EIGEN_LIMIT = 5000
 PARTIAL_EIGEN_COUNT = 200
 
-# The reference form of each cloud kind that carries one.
-FORM_KINDS = {"interval_grid": "grid1d", "square_grid": "grid2d", "gasket": "gasket"}
+# The cloud kinds (``space.CLOUD_KINDS``) that carry a reference form.
+FORM_KINDS = ("interval_grid", "square_grid", "gasket")
 
 
 @dataclass(frozen=True)
@@ -72,9 +72,7 @@ class GraphDirichletForm:
     edge_i: np.ndarray
     edge_j: np.ndarray
     conductances: np.ndarray
-    kind: str
     renorm: float
-    level: int | None = None
 
     def __post_init__(self) -> None:
         i, j, c = self.edge_i, self.edge_j, self.conductances
@@ -93,6 +91,10 @@ class GraphDirichletForm:
     @property
     def n(self) -> int:
         return self.cloud.n
+
+    @property
+    def kind(self) -> str | None:
+        return self.cloud.kind
 
     @cached_property
     def adjacency(self) -> sp.csr_matrix:
@@ -142,65 +144,48 @@ class GraphDirichletForm:
         fields.flags.writeable = False
         return vals, fields, _column_residuals(self, vals, fields)
 
-    def laplacian_apply(self, values: np.ndarray) -> np.ndarray:
-        """(C f)(x) = sum_y c_xy (f_x - f_y), the conductance Laplacian."""
-        return self.degrees * values - self.adjacency @ values
 
+def _lattice_edges(lattice: Lattice) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs of neighbouring occupied lattice cells: along rows, then columns.
 
-def _grid1d_edges(n: int) -> tuple[np.ndarray, np.ndarray]:
-    idx = np.arange(n - 1, dtype=np.intp)
-    return idx, idx + 1
-
-
-def _grid2d_edges(side: int) -> tuple[np.ndarray, np.ndarray]:
-    ids = np.arange(side * side, dtype=np.intp).reshape(side, side)
-    horiz = (ids[:, :-1].ravel(), ids[:, 1:].ravel())
-    vert = (ids[:-1, :].ravel(), ids[1:, :].ravel())
-    return (
-        np.concatenate([horiz[0], vert[0]]),
-        np.concatenate([horiz[1], vert[1]]),
-    )
+    Ids run in row-major cell order, so each pair comes low id first.
+    """
+    ids = np.full(lattice.shape, -1, dtype=np.intp)
+    ids[lattice.index[:, 0], lattice.index[:, 1]] = np.arange(lattice.index.shape[0])
+    i, j = [], []
+    for a, b in ((ids[:, :-1], ids[:, 1:]), (ids[:-1, :], ids[1:, :])):
+        both = (a >= 0) & (b >= 0)
+        i.append(a[both])
+        j.append(b[both])
+    return np.concatenate(i), np.concatenate(j)
 
 
 def build_form(cloud: MeasuredPointCloud) -> GraphDirichletForm:
     """Construct the reference form of the cloud's kind (``FORM_KINDS``).
 
-    grid1d / grid2d use nearest-neighbour edges with conductance
-    1/(h^2 n), so smooth-field energies approach Dirichlet integrals;
-    gasket uses the level graph with uniform conductance (5/3)^m.
+    Grids use the edges of their lattice with conductance 1/(h^2 n), so
+    smooth-field energies approach Dirichlet integrals; the gasket uses the
+    level graph with uniform conductance (5/3)^m.
     """
-    meta_kind = cloud.meta.get("kind")
-    if meta_kind not in FORM_KINDS:
-        raise ValueError(f"no reference form for cloud kind {meta_kind!r}")
-    kind = FORM_KINDS[meta_kind]
+    if cloud.kind not in FORM_KINDS:
+        raise ValueError(f"no reference form for cloud kind {cloud.kind!r}")
     n = cloud.n
-    if kind == "grid1d":
-        i, j = _grid1d_edges(n)
-        c = np.full(i.size, 1.0 / (cloud.mesh**2 * n))
-        renorm = 1.0 / cloud.mesh**2
-        level = None
-    elif kind == "grid2d":
-        side = int(round(np.sqrt(n)))
-        if side * side != n:
-            raise ValueError("square grid cloud has a non-square point count")
-        i, j = _grid2d_edges(side)
-        c = np.full(i.size, 1.0 / (cloud.mesh**2 * n))
-        renorm = 1.0 / cloud.mesh**2
-        level = None
-    else:
+    if cloud.kind == "gasket":
         level = int(cloud.meta["level"])
         _, _, edges = gasket_graph(level)
         i, j = edges[:, 0].copy(), edges[:, 1].copy()
         c = np.full(i.size, (5.0 / 3.0) ** level)
         renorm = float(c[0] * n)
+    else:
+        i, j = _lattice_edges(cloud.lattice)
+        c = np.full(i.size, 1.0 / (cloud.mesh**2 * n))
+        renorm = 1.0 / cloud.mesh**2
     return GraphDirichletForm(
         cloud=cloud,
         edge_i=np.asarray(i, dtype=np.intp),
         edge_j=np.asarray(j, dtype=np.intp),
         conductances=c,
-        kind=kind,
         renorm=float(renorm),
-        level=level,
     )
 
 
@@ -782,7 +767,7 @@ def gamma_vs_lip_check(form: GraphDirichletForm, f: ScalarField) -> GammaLipRepo
     Grid forms only: the comparison is a d_w = 2 statement and has no
     analogue for the resistance-scaled gasket form.
     """
-    if form.kind not in ("grid1d", "grid2d"):
+    if form.kind not in ("interval_grid", "square_grid"):
         raise ValueError(f"gamma/Lip comparison is limited to grids, got {form.kind}")
     cloud = form.cloud
     ratio_gamma = energy_measure(form, f) / cloud.weights
@@ -808,7 +793,7 @@ def gasket_harmonic_field(
     plus 1/5 of the opposite corner; with the (5/3)^m conductances this
     keeps the energy of the extension level-independent.
     """
-    if cloud.meta.get("kind") != "gasket":
+    if cloud.kind != "gasket":
         raise ValueError("harmonic extension needs a gasket cloud")
     _, verts, values = _gasket_subdivision(int(cloud.meta["level"]), boundary)
     return ScalarField(cloud, np.array([values[v] for v in verts]))

@@ -98,7 +98,7 @@ def _default_samples(cloud: MeasuredPointCloud, lam: float, seed: int) -> list[t
     r_hi = cloud.diameter / (2.0 * lam)
     if r_hi <= r_lo:
         raise Inapplicable(
-            f"no admissible radii: floor {r_lo:g} exceeds diam/(2*lambda) = {r_hi:g}"
+            f"no admissible radii: floor {r_lo:g} is not below diam/(2*lambda) = {r_hi:g}"
         )
     decades = math.log10(r_hi / r_lo)
     n_radii = max(2, math.ceil(RADII_PER_DECADE * decades))

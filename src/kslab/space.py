@@ -284,6 +284,11 @@ class MeasuredPointCloud:
         return DEFAULT_KAPPA * self._mesh
 
     @property
+    def kind(self) -> str | None:
+        """The ``CLOUD_KINDS`` entry the cloud was built as, else ``None``."""
+        return self.meta.get("kind")
+
+    @property
     def lattice(self) -> Lattice | None:
         """Integer lattice layout of a built-in grid cloud, else ``None``."""
         return self._lattice
@@ -518,9 +523,8 @@ class MeasuredPointCloud:
         return header, tuple((i, *row) for i, row in enumerate(rows))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        kind = self.meta.get("kind", "custom")
         return (
-            f"MeasuredPointCloud(n={self.n}, kind={kind!r}, h={self._mesh:.3g}, "
+            f"MeasuredPointCloud(n={self.n}, kind={self.kind!r}, h={self._mesh:.3g}, "
             f"abstract={self.is_abstract})"
         )
 
@@ -723,22 +727,31 @@ def read_cloud_file(path: str | Path) -> MeasuredPointCloud:
     return MeasuredPointCloud(weights, dist_matrix=body, meta=meta)
 
 
+# The one table of cloud kinds: each kind's builder and its descriptor
+# keys, each with its type and the range a config may give it (strings have
+# no range).  ``build_cloud`` dispatches through it, and the command line
+# validates configs against it.
+CLOUD_KINDS = {
+    "interval_grid": (interval_grid, {"n": (int, 9, 100_000)}),
+    "square_grid": (square_grid, {"n": (int, 9, 1_000)}),
+    "gasket": (gasket, {"level": (int, 1, 8)}),
+    "carpet": (carpet, {"level": (int, 1, 6)}),
+    "file": (read_cloud_file, {"path": (str, None, None)}),
+}
+
+
 def build_cloud(spec: dict) -> MeasuredPointCloud:
     """Build a cloud from a descriptor such as ``{"kind": "gasket", "level": 5}``."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError(f"cannot interpret cloud descriptor {spec!r}")
     kind = spec["kind"]
-    if kind == "interval_grid":
-        return interval_grid(int(spec["n"]))
-    if kind == "square_grid":
-        return square_grid(int(spec["n"]))
-    if kind == "gasket":
-        return gasket(int(spec["level"]))
-    if kind == "carpet":
-        return carpet(int(spec["level"]))
-    if kind == "file":
-        return read_cloud_file(spec["path"])
-    raise ValueError(f"unknown cloud kind {kind!r}")
+    if kind not in CLOUD_KINDS:
+        raise ValueError(f"unknown cloud kind {kind!r}")
+    builder, keys = CLOUD_KINDS[kind]
+    for key in keys:
+        if key not in spec:
+            raise ValueError(f"space kind {kind!r} needs key {key!r}")
+    return builder(*(typ(spec[key]) for key, (typ, _, _) in keys.items()))
 
 
 # ----------------------------------------------------------------------

@@ -153,8 +153,8 @@ class SuiteContext:
         return {s.label: s for s in sweeps}
 
     @property
-    def kind(self) -> str:
-        return str(self.cloud.meta.get("kind", "unknown"))
+    def kind(self) -> str | None:
+        return self.cloud.kind
 
     @property
     def has_form(self) -> bool:
@@ -545,16 +545,13 @@ def suite_graphform(ctx: SuiteContext) -> list[CheckResult]:
     form = ctx.form
     results = []
 
-    if ctx.kind == "interval_grid":
-        f = ScalarField.coordinate(cloud, 0)
-        target = (cloud.n - 1) / cloud.n
-    elif ctx.kind == "square_grid":
-        f = ScalarField.coordinate(cloud, 0)
-        side = int(round(math.sqrt(cloud.n)))
-        target = (side - 1) / side
-    else:
+    if ctx.kind == "gasket":
         f = gf.gasket_harmonic_field(cloud)
         target = 2.0
+    else:
+        f = ScalarField.coordinate(cloud, 0)
+        side = cloud.lattice.shape[1]
+        target = (side - 1) / side
     energy = gf.form_energy(form, f)
     dev = abs(energy - target)
     results.append(
@@ -780,9 +777,8 @@ SUITES = {
 
 def applicable_suites(cloud: MeasuredPointCloud) -> list[str]:
     """Suite names that can run on this cloud kind."""
-    kind = str(cloud.meta.get("kind", "unknown"))
     names = ["doubling", "energy", "smoothing", "poincare"]
-    if kind in gf.FORM_KINDS:
+    if cloud.kind in gf.FORM_KINDS:
         names += ["graphform", "convergence"]
     return names
 

@@ -337,7 +337,6 @@ def test_11_intrinsic_metric():
         edge_i=np.arange(n_edges, dtype=np.intp),
         edge_j=np.arange(1, n_edges + 1, dtype=np.intp),
         conductances=np.ones(n_edges),
-        kind="path",
         renorm=1.0,
     )
     path_rel = abs(gf.intrinsic_metric(path_form, 0, n_edges).lower - n_edges) / n_edges

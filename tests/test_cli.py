@@ -61,6 +61,11 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=message):
             load_config(path)
 
+    def test_kinds_come_from_the_space_table(self):
+        # One table of cloud kinds: the validator keeps no copy of its own.
+        tables = [v for v in vars(cli).values() if isinstance(v, dict) and "gasket" in v]
+        assert tables and all(t is kslab.space.CLOUD_KINDS for t in tables)
+
     def test_rejects_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "absent.json")
@@ -327,7 +332,7 @@ class TestSpaceAndSweep:
         for name in ("cloud.csv", "doubling.csv", "space.json"):
             assert (tmp_path / "s" / name).is_file()
         payload = json.loads((tmp_path / "s" / "space.json").read_text())
-        assert payload["cloud"]["n"] == 401
+        assert payload["cloud"]["kind"] == "interval_grid" and payload["cloud"]["n"] == 401
         assert payload["doubling"]["c_d"] <= 2.1
 
     def test_sweep_bundle(self, tmp_path):

@@ -1,6 +1,8 @@
 """Dirichlet form module: calibrations, spectra, kernels, metrics."""
 
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from kslab.graphform import (
     spectrum,
 )
 from kslab.space import (
+    CLOUD_KINDS,
     MeasuredPointCloud,
     build_cloud,
     carpet,
@@ -60,7 +63,6 @@ def unit_pair_form(weights=(1.0, 1.0)):
         edge_i=np.array([0], dtype=np.intp),
         edge_j=np.array([1], dtype=np.intp),
         conductances=np.array([1.0]),
-        kind="grid1d",
         renorm=1.0,
     )
 
@@ -71,15 +73,54 @@ def unit_pair_form(weights=(1.0, 1.0)):
 
 
 def test_build_form_rejects_mismatched_cloud():
-    # The form kind is read off the cloud; a cloud kind without a reference
+    # The form kind is the cloud kind; a cloud kind without a reference
     # form is refused.
-    assert build_form(interval_grid(10)).kind == "grid1d"
-    assert build_form(square_grid(4)).kind == "grid2d"
+    assert build_form(interval_grid(10)).kind == "interval_grid"
+    assert build_form(square_grid(4)).kind == "square_grid"
     assert build_form(gasket(2)).kind == "gasket"
     with pytest.raises(ValueError, match="no reference form for cloud kind 'carpet'"):
         build_form(carpet(2))
     with pytest.raises(ValueError, match="no reference form"):
         build_form(unit_pair_cloud())
+
+
+def test_form_kinds_are_cloud_kinds():
+    # One vocabulary: a form's kind is its cloud's, and nothing under src
+    # or demos spells the old grid names.
+    assert set(gf.FORM_KINDS) <= set(CLOUD_KINDS)
+    names = [f.name for f in dataclasses.fields(GraphDirichletForm)]
+    assert names == ["cloud", "edge_i", "edge_j", "conductances", "renorm"]
+    root = Path(__file__).resolve().parents[1]
+    for path in [*(root / "src" / "kslab").glob("*.py"), *(root / "demos").glob("*.py")]:
+        text = path.read_text()
+        assert "grid1d" not in text and "grid2d" not in text, path.name
+
+
+@pytest.mark.parametrize("n", [2, 9, 2001])
+def test_lattice_edges_on_an_interval(n):
+    i, j = gf._lattice_edges(interval_grid(n).lattice)
+    assert np.array_equal(i, np.arange(n - 1))
+    assert np.array_equal(j, np.arange(1, n))
+
+
+@pytest.mark.parametrize("side", [2, 13, 101])
+def test_lattice_edges_on_a_square(side):
+    # Horizontal pairs (along rows), then vertical pairs.
+    ids = np.arange(side * side).reshape(side, side)
+    i, j = gf._lattice_edges(square_grid(side).lattice)
+    assert np.array_equal(i, np.concatenate([ids[:, :-1].ravel(), ids[:-1, :].ravel()]))
+    assert np.array_equal(j, np.concatenate([ids[:, 1:].ravel(), ids[1:, :].ravel()]))
+
+
+def test_lattice_edges_on_a_carpet():
+    # The holes break no pair of neighbouring cells: the edges are exactly
+    # the pairs of cell centres one lattice step apart.
+    cloud = carpet(2)
+    i, j = gf._lattice_edges(cloud.lattice)
+    d = np.abs(cloud.coords[:, None, :] - cloud.coords[None, :, :]).sum(axis=2)
+    near = np.argwhere(np.triu(np.isclose(d, cloud.lattice.step)))
+    assert np.all(i < j)
+    assert sorted(zip(i.tolist(), j.tolist())) == sorted(map(tuple, near.tolist()))
 
 
 def test_form_validation():
@@ -90,7 +131,6 @@ def test_form_validation():
             edge_i=np.array([0], dtype=np.intp),
             edge_j=np.array([0], dtype=np.intp),
             conductances=np.array([1.0]),
-            kind="grid1d",
             renorm=1.0,
         )
     with pytest.raises(ValueError, match="positive"):
@@ -99,7 +139,6 @@ def test_form_validation():
             edge_i=np.array([0], dtype=np.intp),
             edge_j=np.array([1], dtype=np.intp),
             conductances=np.array([-1.0]),
-            kind="grid1d",
             renorm=1.0,
         )
     three = MeasuredPointCloud(np.ones(3), coords=np.arange(3.0).reshape(-1, 1))
@@ -109,7 +148,6 @@ def test_form_validation():
             edge_i=np.array([0], dtype=np.intp),
             edge_j=np.array([1], dtype=np.intp),
             conductances=np.array([1.0]),
-            kind="grid1d",
             renorm=1.0,
         )
 
@@ -321,7 +359,7 @@ def test_dense_form_is_solved_once(eigh_sizes):
 
 
 @pytest.mark.parametrize(
-    "kind, make_cloud, size", [("gasket", gasket, 5), ("grid1d", interval_grid, 201)]
+    "kind, make_cloud, size", [("gasket", gasket, 5), ("interval_grid", interval_grid, 201)]
 )
 def test_cached_spectrum_matches_fresh_solve(kind, make_cloud, size):
     # k_max = 1 keeps only the null mode, whose eigenvalue is clamped to zero
@@ -348,7 +386,7 @@ def _mu_projectors(vals, fields, weights, tol):
 
 
 @pytest.mark.parametrize(
-    "kind, make_cloud, size", [("gasket", gasket, 5), ("grid1d", interval_grid, 201)]
+    "kind, make_cloud, size", [("gasket", gasket, 5), ("interval_grid", interval_grid, 201)]
 )
 def test_dense_solve_matches_independent_solve(kind, make_cloud, size):
     # Gasket 5 has a doubly degenerate lambda_1: inside a degenerate
@@ -385,10 +423,10 @@ def test_column_residuals_match_per_column_formula():
     vals, fields, res = form._dense_eigen
     w = form.cloud.weights
     scale = max(1.0, 2.0 * float(np.max(form.degrees / w)))
-    per_column = [
-        float(np.sqrt(np.sum(w * (form.laplacian_apply(u) / w - lam * u) ** 2))) / scale
-        for lam, u in zip(vals, fields.T)
-    ]
+    per_column = []
+    for lam, u in zip(vals, fields.T):
+        lu = (form.degrees * u - form.adjacency @ u) / w
+        per_column.append(float(np.sqrt(np.sum(w * (lu - lam * u) ** 2))) / scale)
     assert np.array_equal(res, per_column)
 
 
@@ -658,7 +696,6 @@ def path_form(n_edges: int) -> GraphDirichletForm:
         edge_i=idx,
         edge_j=idx + 1,
         conductances=np.ones(n_edges),
-        kind="grid1d",
         renorm=1.0,
     )
 
@@ -825,7 +862,11 @@ def numpy_sweep_metric(form, x, y):
 
 @pytest.mark.parametrize(
     "kind, cloud",
-    [("grid1d", interval_grid(201)), ("grid2d", square_grid(21)), ("gasket", gasket(5))],
+    [
+        ("interval_grid", interval_grid(201)),
+        ("square_grid", square_grid(21)),
+        ("gasket", gasket(5)),
+    ],
 )
 def test_intrinsic_metric_matches_array_sweep(kind, cloud):
     form = build_form(cloud)

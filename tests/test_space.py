@@ -518,3 +518,5 @@ def test_build_cloud_descriptors():
     assert build_cloud({"kind": "gasket", "level": 2}).n == 15
     with pytest.raises(ValueError, match="kind"):
         build_cloud({"kind": "klein_bottle"})
+    with pytest.raises(ValueError, match="space kind 'gasket' needs key 'level'"):
+        build_cloud({"kind": "gasket"})

@@ -328,6 +328,14 @@ class TestInapplicable:
             }
         ]
 
+    def test_poincare_skip_says_the_floor_is_not_below_the_top(self):
+        # On interval 13 the floor and diam / (2 lambda) are both 0.25.
+        (row,) = [r.row() for r in run_suite("poincare", _ctx(interval_grid(13)))]
+        assert row["name"] == "poincare_skipped"
+        assert row["details"] == {
+            "reason": "no admissible radii: floor 0.25 is not below diam/(2*lambda) = 0.25"
+        }
+
     def test_liminf_skip_keeps_the_recovery_row(self):
         by_name = {r.name: r for r in run_suite("convergence", _ctx(interval_grid(17)))}
         assert "mosco_recovery" in by_name and "sobolev_embedding" in by_name
