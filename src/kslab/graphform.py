@@ -47,10 +47,11 @@ __all__ = [
     "gasket_harmonic_field",
 ]
 
-# Full dense eigensolves (LAPACK divide and conquer on a matrix that is
-# symmetric by construction) stay cheap up to a few thousand vertices;
-# beyond that only the lowest PARTIAL_EIGEN_COUNT modes are computed, which
-# is too few for the heat-kernel fit.
+# Forms up to DENSE_EIGEN_LIMIT vertices are solved exactly: a path in id
+# order (interval grids) by MRRR on its tridiagonal generator, any other
+# form by one cached dense divide-and-conquer solve.  Above the limit only
+# the lowest PARTIAL_EIGEN_COUNT modes are computed by shift-invert Lanczos,
+# which is too few for the heat-kernel fit.
 DENSE_EIGEN_LIMIT = 5000
 PARTIAL_EIGEN_COUNT = 200
 
@@ -238,16 +239,15 @@ class Spectrum:
     """mu-orthonormal eigenpairs of the generator L = (1/mu) C.
 
     Solved as the generalized symmetric problem C u = lambda M u through the
-    substitution v = M^{1/2} u, which keeps everything in one deterministic
-    dense divide-and-conquer solve of M^{-1/2} C M^{-1/2}, a matrix that is
-    symmetric bit for bit by construction.  Inside a degenerate eigenspace
-    the eigenfields are one orthonormal basis chosen by the solver; sums
-    over the eigenspace do not depend on that choice.  ``residual`` is the
-    worst mu-norm of L u - lambda u, relative to the generator's Gershgorin
-    scale so the 1e-8 gate means the same thing on unit-scale graphs and
-    fine lattices.  On a dense form every Spectrum shares the form's one
-    cached decomposition: ``eigenfields`` is a read-only view of its first
-    ``k_max`` columns.
+    substitution v = M^{1/2} u, an eigenproblem of M^{-1/2} C M^{-1/2}, a
+    matrix that is symmetric bit for bit by construction.  ``spectrum``
+    picks one of three deterministic routes by the form's shape (see
+    there).  Inside a degenerate eigenspace the eigenfields are one
+    orthonormal basis chosen by the solver; sums over the eigenspace do not
+    depend on that choice.  ``residual`` is the worst mu-norm of
+    L u - lambda u, relative to the generator's Gershgorin scale so the
+    1e-8 gate means the same thing on unit-scale graphs and fine lattices.
+    ``eigenfields`` is read-only.
     """
 
     form: GraphDirichletForm
@@ -302,19 +302,28 @@ def _column_residuals(
 
 
 def spectrum(form: GraphDirichletForm, k_max: int | None = None) -> Spectrum:
-    """Low eigenpairs of the generator, dense below DENSE_EIGEN_LIMIT.
+    """The k_max lowest eigenpairs of the generator, by one of three routes.
 
-    A dense form is solved once, on first use, and the decomposition is
-    cached on the form: every k_max then picks a read-only view of its
-    leading eigenfields.  Larger forms go through a shift-invert Lanczos
-    solve for the k_max lowest pairs on each call.
+    - A path in id order (edges (i, i + 1), as on interval grids) at or
+      below DENSE_EIGEN_LIMIT vertices: MRRR (LAPACK stemr) on the
+      tridiagonal generator for the k_max lowest pairs, solved afresh on
+      each call.  Different k_max agree on their common prefix to about
+      1 ulp, not bit for bit.
+    - Any other form at or below the limit: one full dense
+      divide-and-conquer solve, cached on the form on first use; every
+      k_max is a read-only view of its leading columns, so prefixes agree
+      bit for bit.
+    - Above the limit: shift-invert Lanczos for the k_max lowest pairs
+      (at most PARTIAL_EIGEN_COUNT by default), solved on each call.
     """
     n = form.n
     if k_max is None:
         k_max = n if n <= DENSE_EIGEN_LIMIT else PARTIAL_EIGEN_COUNT
     if not (1 <= k_max <= n):
         raise ValueError(f"k_max must lie in [1, {n}], got {k_max}")
-    if n <= DENSE_EIGEN_LIMIT:
+    i, j = form.edge_i, form.edge_j
+    path = n <= DENSE_EIGEN_LIMIT and i.size == n - 1 and bool(np.all(j - i == 1))
+    if n <= DENSE_EIGEN_LIMIT and not path:
         all_vals, all_fields, all_res = form._dense_eigen
         vals = all_vals[:k_max].copy()
         fields = all_fields[:, :k_max]
@@ -322,17 +331,27 @@ def spectrum(form: GraphDirichletForm, k_max: int | None = None) -> Spectrum:
     else:
         w = form.cloud.weights
         inv_sqrt = 1.0 / np.sqrt(w)
-        lap = sp.diags(form.degrees) - form.adjacency
-        sym = sp.diags(inv_sqrt) @ lap @ sp.diags(inv_sqrt)
-        v0 = np.full(n, 1.0 / np.sqrt(n))  # fixed start for reproducible runs
-        # Shift slightly below zero: at sigma = 0 the factorization would
-        # hit the Laplacian's own null mode.
-        scale = float(np.max(form.degrees / w))
-        vals, vecs = sp.linalg.eigsh(
-            sym.tocsc(), k=k_max, sigma=-1e-3 * scale, v0=v0
-        )
-        order = np.argsort(vals, kind="stable")
-        vals, fields = vals[order], _mu_normalize(vecs[:, order], inv_sqrt)
+        if path:
+            off = np.empty(n - 1)
+            off[i] = -form.conductances * (inv_sqrt[i] * inv_sqrt[j])
+            vals, vecs = scipy.linalg.eigh_tridiagonal(
+                form.degrees / w, off, select="i", select_range=(0, k_max - 1),
+                lapack_driver="stemr",
+            )
+        else:
+            lap = sp.diags(form.degrees) - form.adjacency
+            sym = sp.diags(inv_sqrt) @ lap @ sp.diags(inv_sqrt)
+            v0 = np.full(n, 1.0 / np.sqrt(n))  # fixed start for reproducible runs
+            # Shift slightly below zero: at sigma = 0 the factorization would
+            # hit the Laplacian's own null mode.
+            scale = float(np.max(form.degrees / w))
+            vals, vecs = sp.linalg.eigsh(
+                sym.tocsc(), k=k_max, sigma=-1e-3 * scale, v0=v0
+            )
+            order = np.argsort(vals, kind="stable")
+            vals, vecs = vals[order], vecs[:, order]
+        fields = _mu_normalize(vecs, inv_sqrt)
+        fields.flags.writeable = False
         res = _column_residuals(form, vals, fields)
 
     clamp = np.abs(vals) < 1e-11 * max(1.0, float(np.abs(vals).max()))

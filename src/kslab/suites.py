@@ -183,8 +183,8 @@ class SuiteContext:
     @cached_property
     def full_spectrum(self) -> gf.Spectrum:
         # Heat-kernel decay fits need the whole spectrum, not the low band.
-        # A dense form is solved once: this and ``spectrum`` are read-only
-        # views of the same cached decomposition.
+        # On a dense-route form this and ``spectrum`` are read-only views of
+        # one cached decomposition; a path form is solved for each.
         return gf.spectrum(self.form)
 
     def standard_fields(self) -> list[tuple[str, ScalarField]]:

@@ -315,6 +315,18 @@ def test_path_spectrum_closed_form():
     assert np.max(np.abs(spec.eigenvalues - exact)) < 1e-8 * exact.max()
 
 
+def test_path_low_band_closed_form():
+    # The tridiagonal solve keeps lambda_1 ... lambda_24 of a fine line to
+    # near machine precision relative to each eigenvalue, not only to
+    # lambda_max.
+    cloud = interval_grid(2001)
+    spec = spectrum(build_form(cloud), 25)
+    n, h = cloud.n, cloud.mesh
+    k = np.arange(1, 25)
+    exact = 4.0 * np.sin(k * np.pi / (2 * n)) ** 2 / h**2
+    assert np.max(np.abs(spec.eigenvalues[1:] / exact - 1.0)) < 1e-12
+
+
 def test_path_spectrum_by_hand_n4():
     cloud = interval_grid(4)
     spec = spectrum(build_form(cloud))
@@ -356,6 +368,18 @@ def test_dense_form_is_solved_once(eigh_sizes):
     eigen_walk_dimension(coarse, form)
     assert eigh_sizes.count(form.n) == 1
     assert eigh_sizes.count(coarse.n) == 1
+
+
+def test_path_form_takes_no_dense_solve(eigh_sizes):
+    form = build_form(interval_grid(201))
+    coarse = build_form(interval_grid(101))
+    band = spectrum(form, 25)
+    low = spectrum(form, 4)
+    spectrum(form)
+    eigen_walk_dimension(coarse, form)
+    assert eigh_sizes == []
+    # Each k_max is its own solve: the prefixes agree to rounding, not bit for bit.
+    np.testing.assert_allclose(low.eigenvalues, band.eigenvalues[:4], rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize(
@@ -596,8 +620,8 @@ PINNED_FITS = {
         1.4145940954748075, 1.0476905813830686, 205,
     ),
     ("interval65", 0): (
-        0.5974403817311829, 0.32951795556333896, 2.075, 1.835,
-        1.0079291188746244, 0.7028089038402565, 168,
+        0.5974403817320825, 0.3295179555634759, 2.075, 1.835,
+        1.0079291188746193, 0.7028089038399532, 168,
     ),
 }
 
