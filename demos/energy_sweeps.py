@@ -32,7 +32,7 @@ fields = {
 targets = {"x": 1 / 3, "sin(pi x)": math.pi**2 / 6}
 
 for name, f in fields.items():
-    sweep = energy_sweep(cloud, f, d_w=2.0)
+    sweep = energy_sweep(f, d_w=2.0)
     print(f"field {name}: sweep over {len(sweep.scales)} scales")
     for r, v in zip(sweep.scales, sweep.values):
         print(f"    r={r:.5f}  E={v:.6f}")
@@ -51,7 +51,7 @@ probe_fields = [
     ScalarField(g, spectrum(build_form(g), k_max=4).field(k).values)
     for k in (1, 2, 3)
 ]
-fit = fit_walk_dimension(g, probe_fields, grid=grid)
+fit = fit_walk_dimension(probe_fields, grid=grid)
 ctx = SuiteContext(g, "fit", seed=0)
 d_w, info = ctx.d_w, ctx.dw_info
 print(f"gasket(4): increment-scaling fit d_w = {fit.d_w_hat:.4f}"

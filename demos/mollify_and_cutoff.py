@@ -32,7 +32,7 @@ pou = partition_of_unity(net)
 print(f"eps={eps}: net of {net.n_centers} centers covers all"
       f" {cloud.n} points (greedy, deterministic), cover_ok={net.cover_ok}")
 # Every bump's slope comes from one ball pass at eps.
-C = max(float(lip.values.max()) for lip in discrete_lip(cloud, pou.fields(), eps)) * eps
+C = max(float(lip.values.max()) for lip in discrete_lip(pou.fields(), eps)) * eps
 print(f"partition of unity: worst bump slope is C/eps with C = {C:.3f}")
 
 smooth = mollify(f, pou)
@@ -45,7 +45,7 @@ print(f"||f_eps - f||_L2 = {err:.5f}\n")
 # scale 6 eps.  Both stay bounded as eps shrinks.
 print("eps      lip_ratio  l2_ratio   ||f_eps-f||^2")
 for eps in (0.1, 0.05, 0.025):
-    rep = mollifier_estimates(cloud, f, eps, d_w=2.0)
+    rep = mollifier_estimates(f, eps, d_w=2.0)
     print(f"{eps:<8} {rep.lip_bound_ratio:<10.4f} {rep.l2_bound_ratio:<10.4f}"
           f" {rep.l2_numerator:.6f}")
 

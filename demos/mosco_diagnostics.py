@@ -65,7 +65,7 @@ print(f"\ncompactness: {probe.n_fields} fields, 0.1-net of size"
 # Sobolev embedding quotient with the growth exponent taken from the
 # cloud's own doubling profile.
 q_fit = SuiteContext(g, LOG5_LOG2, seed=0).doubling_profile().q_fit
-rep = sobolev_check(g, [spec.field(k) for k in range(1, 6)],
+rep = sobolev_check([spec.field(k) for k in range(1, 6)],
                     d_w=LOG5_LOG2, Q=q_fit)
 print(f"\nSobolev quotient (Q={q_fit:.3f}, branch {rep.branch},"
       f" exponent {rep.exponent:.3f}): {rep.max_quotient:.4f}")

@@ -25,12 +25,12 @@ cloud = interval_grid(401)
 f = ScalarField.from_function(cloud, lambda c: np.sin(np.pi * c[:, 0]))
 
 print("sampled Poincare constants for sin(pi x) on interval(401)")
-for mode, rep in poincare_check(cloud, f, d_w=2.0, seed=0, form=build_form(cloud)).items():
+for mode, rep in poincare_check(f, d_w=2.0, seed=0, form=build_form(cloud)).items():
     print(f"  mode={mode:<15} c_best={rep.c_best:.4f} over {rep.n_used} balls")
 
 # A case where the constant is known: f(x) = x on an interior ball of the
 # line, with no ball inflation, has variance / (R^2 slope mass) = 1/3.
-rep = poincare_check(cloud, ScalarField.coordinate(cloud, 0),
+rep = poincare_check(ScalarField.coordinate(cloud, 0),
                      d_w=2.0, lam=1.0, samples=[(cloud.n // 2, 0.1)])
 s = rep["lip"].samples[0]
 print(f"\ninterior identity ball: ratio = {s.ratio:.5f} (exact value 1/3)")
@@ -39,7 +39,7 @@ print(f"\ninterior identity ball: ratio = {s.ratio:.5f} (exact value 1/3)")
 # to radius R; the weak L2 bound controls how much mass can sit above any
 # threshold.
 R = cloud.diameter / 8
-maximal = maximal_function(cloud, f, R, d_w=2.0)
+maximal = maximal_function(f, R, d_w=2.0)
 weak = weak_l2_check(maximal)
 print(f"\nmaximal function up to R={R:.4f}")
 for lam, q in zip(weak.thresholds, weak.quotients):

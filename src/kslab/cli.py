@@ -61,12 +61,8 @@ def _check_space(space) -> dict:
     return out
 
 
-def load_config(path: str | Path) -> dict:
-    """Read, validate, and normalize an experiment config.
-
-    Raises ConfigError for anything out of contract: unknown keys, missing
-    seed, parameters outside their documented ranges.
-    """
+def _read_config(path: str | Path) -> dict:
+    """The config file's JSON object, not yet validated."""
     p = Path(path)
     _require(p.is_file(), f"config file not found: {p}")
     try:
@@ -74,7 +70,20 @@ def load_config(path: str | Path) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     _require(isinstance(raw, dict), "config root must be a JSON object")
+    return raw
 
+
+def load_config(path: str | Path) -> dict:
+    """Read, validate, and normalize an experiment config.
+
+    Raises ConfigError for anything out of contract: unknown keys, missing
+    seed, parameters outside their documented ranges.
+    """
+    return _checked_config(_read_config(path))
+
+
+def _checked_config(raw: dict) -> dict:
+    """Validate and normalize a config object."""
     known = {"space", "d_w", "seed", "suite", "out"}
     extra = set(raw) - known
     _require(not extra, f"unknown config keys: {sorted(extra)}")
@@ -112,19 +121,16 @@ def load_config(path: str | Path) -> dict:
     return cfg
 
 
-def _merge_cli(cfg: dict, args: argparse.Namespace) -> dict:
-    if getattr(args, "seed", None) is not None:
-        _require(args.seed >= 0, "--seed must be nonnegative")
-        cfg["seed"] = args.seed
+def _command_config(args: argparse.Namespace) -> dict:
+    """The config file with the ``--seed``, ``--suite`` and ``--out``
+    overrides applied, validated as one config; seed and out are required."""
+    raw = _read_config(args.config)
+    for key in ("seed", "suite", "out"):
+        if getattr(args, key, None) is not None:
+            raw[key] = getattr(args, key)
+    cfg = _checked_config(raw)
     _require("seed" in cfg, "seed is mandatory: set it in the config or pass --seed")
-    if getattr(args, "suite", None) is not None:
-        _require(
-            args.suite in SUITE_NAMES,
-            f"unknown suite {args.suite!r}; choose from {SUITE_NAMES}",
-        )
-        cfg["suite"] = args.suite
-    if getattr(args, "out", None) is not None:
-        cfg["out"] = args.out
+    _require("out" in cfg, "output directory is mandatory: set 'out' in the config or pass --out")
     return cfg
 
 
@@ -132,10 +138,6 @@ def _build_context(cfg: dict) -> SuiteContext:
     # d_w is resolved on the run's own context, so a fit's forms and solves
     # serve the suites as well.
     return SuiteContext(build_cloud(cfg["space"]), cfg["d_w"], cfg["seed"])
-
-
-def _require_out(cfg: dict) -> None:
-    _require("out" in cfg, "output directory is mandatory: set 'out' in the config or pass --out")
 
 
 def _write_bundle(cfg: dict, tables: dict, payloads: dict) -> Path:
@@ -166,8 +168,7 @@ def _select_suites(cfg: dict, cloud) -> list[str]:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    cfg = _merge_cli(load_config(args.config), args)
-    _require_out(cfg)
+    cfg = _command_config(args)
     ctx = _build_context(cfg)
     selected = _select_suites(cfg, ctx.cloud)
 
@@ -204,8 +205,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_space(args: argparse.Namespace) -> int:
-    cfg = _merge_cli(load_config(args.config), args)
-    _require_out(cfg)
+    cfg = _command_config(args)
     ctx = _build_context(cfg)
     cloud = ctx.cloud
     profile = ctx.doubling_profile()
@@ -230,8 +230,7 @@ def cmd_space(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _merge_cli(load_config(args.config), args)
-    _require_out(cfg)
+    cfg = _command_config(args)
     ctx = _build_context(cfg)
     tables = {}
     summaries = {}

@@ -19,6 +19,7 @@ import numpy as np
 
 from .energy import (
     ScalarField,
+    _common_cloud,
     ks_energies,
     ks_energy,
     liminf_window_scales,
@@ -113,7 +114,7 @@ def recovery_check(
         pou = partition_of_unity(build_net(cloud, e))
         f_eps = mollify(f, pou)
         err = math.sqrt(float(mu @ (f_eps.values - f.values) ** 2))
-        en = ks_energy(cloud, f_eps, r, d_w=d_w)
+        en = ks_energy(f_eps, r, d_w=d_w)
         errors.append(err)
         energies.append(en)
         rows.append((e, r, err, en))
@@ -219,7 +220,7 @@ def weak_liminf_probe(
         nullity = max(abs(float(mu @ (u * g))) for g in tests)
         worst_nullity = max(worst_nullity, nullity)
         probe = ScalarField(cloud, f.values + u)
-        en = ks_energy(cloud, probe, r, d_w=d_w)
+        en = ks_energy(probe, r, d_w=d_w)
         energies.append(en)
         rows.append((k, r, en, nullity))
 
@@ -261,16 +262,14 @@ class CompactnessProbe:
     max_gap: float
 
 
-def liminf_proxy(
-    cloud: MeasuredPointCloud,
-    fields: Sequence[ScalarField],
-    d_w: float = 2.0,
-) -> np.ndarray:
+def liminf_proxy(fields: Sequence[ScalarField], d_w: float = 2.0) -> np.ndarray:
     """Small-scale window minimum of the global increment energy, per field.
 
-    All fields and window scales share one ball pass.
+    The fields share one cloud, and all fields and window scales share one
+    ball pass.
     """
-    return ks_energies(cloud, fields, liminf_window_scales(cloud), d_w=d_w).min(axis=0)
+    window = liminf_window_scales(_common_cloud(fields))
+    return ks_energies(fields, window, d_w=d_w).min(axis=0)
 
 
 def compactness_probe(
@@ -285,15 +284,10 @@ def compactness_probe(
     many centers that takes.  Small nets certify the compactness the
     embedding theorems predict.
     """
-    if not fields:
-        raise ValueError("empty family")
-    cloud = fields[0].cloud
-    for i, f in enumerate(fields):
-        if f.cloud is not cloud:
-            raise ValueError(f"field {i} lives on a different cloud")
+    cloud = _common_cloud(fields)
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    proxies = liminf_proxy(cloud, fields, d_w=d_w)
+    proxies = liminf_proxy(fields, d_w=d_w)
     for i, (f, proxy) in enumerate(zip(fields, proxies)):
         score = f.l2sq() + float(proxy)
         if score > 1.0 + 1e-9:
@@ -351,7 +345,6 @@ class SobolevReport:
 
 
 def sobolev_check(
-    cloud: MeasuredPointCloud,
     fields: Sequence[ScalarField],
     d_w: float,
     Q: float,
@@ -359,16 +352,13 @@ def sobolev_check(
     """Embedding quotients for nonconstant fields at volume growth Q."""
     if Q <= 0.0:
         raise ValueError("volume growth exponent must be positive")
-    if not fields:
-        raise ValueError("empty family")
+    cloud = _common_cloud(fields)
     for i, f in enumerate(fields):
-        if f.cloud is not cloud:
-            raise ValueError(f"field {i} lives on a different cloud")
         if f.is_constant():
             raise ValueError(f"field {i} is constant; the quotient is vacuous")
     mu = cloud.weights
     quotients = []
-    for f, proxy in zip(fields, liminf_proxy(cloud, fields, d_w=d_w)):
+    for f, proxy in zip(fields, liminf_proxy(fields, d_w=d_w)):
         l2 = math.sqrt(f.l2sq())
         denom_core = l2 + math.sqrt(proxy)
         if Q > d_w:

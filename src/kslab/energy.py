@@ -6,7 +6,9 @@ exponent d_w, the energy is the double sum
     E(f, r) = sum_{x} mu_x * (1 / mu(B(x, r)))
               * sum_{y in B(x, r)} mu_y * (f(x) - f(y))**2 / r**d_w,
 
-the discrete form of an integral of ball-averaged squared increments.  The
+the discrete form of an integral of ball-averaged squared increments.  A
+``ScalarField`` carries its cloud, so the entry points take fields alone and
+read the cloud off them; a family of fields must share one cloud.  The
 energy over a region U keeps only the centres x in U in the outer sum: it is
 the sum of a row of ``ks_energy_density`` over the entries at U.  The classical
 small-scale limit of such energies recovers a Dirichlet integral; on a
@@ -58,7 +60,11 @@ COMPARABILITY_FLOOR = 1e-14
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Real-valued field sampled on a cloud, one value per point."""
+    """Real-valued field sampled on a cloud, one value per point.
+
+    The field is the one source of its cloud: functions that take fields
+    read the cloud from them and take no cloud of their own.
+    """
 
     cloud: MeasuredPointCloud
     values: np.ndarray
@@ -96,21 +102,29 @@ class ScalarField:
         return bool(np.ptp(self.values) == 0.0)
 
 
+def _common_cloud(fields: Sequence[ScalarField]) -> MeasuredPointCloud:
+    """The one cloud a family of fields lives on; empty or mixed families are refused."""
+    if not fields:
+        raise ValueError("empty family")
+    cloud = fields[0].cloud
+    for i, f in enumerate(fields):
+        if f.cloud is not cloud:
+            raise ValueError(f"field {i} lives on a different cloud")
+    return cloud
+
+
 def _validated(
-    cloud: MeasuredPointCloud,
     fields: Sequence[ScalarField],
     radii: Sequence[float],
     d_w: float | None = None,
-) -> np.ndarray:
-    """Checks shared by the energy entry points; returns the field matrix."""
+) -> tuple[MeasuredPointCloud, np.ndarray]:
+    """Checks shared by the energy entry points; returns the fields' cloud and matrix."""
     if d_w is not None and d_w < 2.0:
         raise ValueError("d_w must be at least 2")
+    cloud = _common_cloud(fields)
     for r in radii:
         cloud.require_admissible(float(r))
-    for f in fields:
-        if f.cloud is not cloud:
-            raise ValueError("field does not live on the given cloud")
-    return np.stack([f.values for f in fields])
+    return cloud, np.stack([f.values for f in fields])
 
 
 def _increment_table(
@@ -401,33 +415,30 @@ def _prefix_sums(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _raw_sums(
-    cloud: MeasuredPointCloud,
     fields: Sequence[ScalarField],
     radii: Sequence[float],
     d_w: float | None = None,
 ) -> np.ndarray:
     """Validated raw increment sums, shape (len(radii), len(fields))."""
-    mat = _validated(cloud, fields, radii, d_w)
+    cloud, mat = _validated(fields, radii, d_w)
     return _increment_table(cloud, mat, radii).sum(axis=-1)
 
 
 def ks_energies(
-    cloud: MeasuredPointCloud,
     fields: Sequence[ScalarField],
     radii: Sequence[float],
     d_w: float = 2.0,
 ) -> np.ndarray:
-    """Energies of several fields at several scales, sharing one ball pass.
+    """Energies of several fields on one cloud at several scales, sharing one ball pass.
 
     Returns shape (len(radii), len(fields)); each entry equals the
     corresponding ``ks_energy`` bit for bit.
     """
-    raw = _raw_sums(cloud, fields, radii, d_w)
+    raw = _raw_sums(fields, radii, d_w)
     return np.stack([raw[k] / float(r) ** d_w for k, r in enumerate(radii)])
 
 
 def ks_energy(
-    cloud: MeasuredPointCloud,
     f: ScalarField,
     r: float,
     d_w: float = 2.0,
@@ -436,11 +447,10 @@ def ks_energy(
 
     The radius must clear the admissibility floor ``kappa * h``.
     """
-    return float(ks_energies(cloud, [f], [r], d_w)[0, 0])
+    return float(ks_energies([f], [r], d_w)[0, 0])
 
 
 def ks_energy_density(
-    cloud: MeasuredPointCloud,
     f: ScalarField,
     radii: Sequence[float],
     d_w: float = 2.0,
@@ -453,7 +463,7 @@ def ks_energy_density(
     over the whole cloud.  Localized functionals (maximal fields, Poincaré
     right-hand sides) build on these rows.
     """
-    mat = _validated(cloud, [f], radii, d_w)
+    cloud, mat = _validated([f], radii, d_w)
     table = _increment_table(cloud, mat, radii)[:, 0]
     return np.stack([table[k] / float(r) ** d_w for k, r in enumerate(radii)])
 
@@ -567,25 +577,24 @@ def _fit_window_endpoint(window_scales: np.ndarray, window_values: np.ndarray) -
 
 
 def energy_sweep(
-    cloud: MeasuredPointCloud,
     f: ScalarField | Sequence[ScalarField],
     d_w: float = 2.0,
     label: str | Sequence[str] = "",
 ) -> EnergySweep | list[EnergySweep]:
     """Evaluate the energy of ``f`` across the fixed scale grid.
 
-    ``f`` is one field with one ``label``, or a sequence of fields with a
-    sequence of labels; their sweeps then come back as a list from one
-    shared pass over the grid, each entry equal to the single-field call
-    bit for bit.
+    ``f`` is one field with one ``label``, or a sequence of fields on one
+    cloud with a sequence of labels; their sweeps then come back as a list
+    from one shared pass over the grid, each entry equal to the
+    single-field call bit for bit.
     """
     single = isinstance(f, ScalarField)
     fields = [f] if single else list(f)
     labels = [label] if single else list(label)
     if isinstance(label, str) != single or len(labels) != len(fields):
         raise ValueError("energy_sweep needs one label per field")
-    grid = make_scale_grid(cloud)
-    table = ks_energies(cloud, fields, grid.scales, d_w=d_w)
+    grid = make_scale_grid(_common_cloud(fields))
+    table = ks_energies(fields, grid.scales, d_w=d_w)
     w_scales = grid.window()
     sweeps = []
     for values, g, name in zip(table.T, fields, labels):
@@ -642,7 +651,6 @@ class WalkDimFit:
 
 
 def fit_walk_dimension(
-    cloud: MeasuredPointCloud,
     fields: Sequence[ScalarField],
     grid: ScaleGrid | None = None,
 ) -> WalkDimFit:
@@ -654,6 +662,7 @@ def fit_walk_dimension(
     raises ``Inapplicable``.
     All fields and scales share one ball pass.
     """
+    cloud = _common_cloud(fields)
     if grid is None:
         grid = make_scale_grid(cloud)
     if grid.scales.size < 3:
@@ -661,7 +670,7 @@ def fit_walk_dimension(
     varying = [f for f in fields if not f.is_constant()]
     slopes = []
     if varying:
-        for s_vals in _raw_sums(cloud, varying, grid.scales).T:
+        for s_vals in _raw_sums(varying, grid.scales).T:
             if np.any(s_vals <= 0.0):
                 continue
             slope, _ = np.polyfit(np.log(grid.scales), np.log(s_vals), 1)

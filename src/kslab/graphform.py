@@ -790,7 +790,7 @@ def gamma_vs_lip_check(form: GraphDirichletForm, f: ScalarField) -> GammaLipRepo
         raise ValueError(f"gamma/Lip comparison is limited to grids, got {form.kind}")
     cloud = form.cloud
     ratio_gamma = energy_measure(form, f) / cloud.weights
-    lip = discrete_lip(cloud, f, cloud.floor).values
+    lip = discrete_lip(f, cloud.floor).values
     active = lip > 0
     if not np.any(active):
         return GammaLipReport(c_best=0.0, n_active=0)

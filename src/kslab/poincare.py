@@ -109,7 +109,6 @@ def _default_samples(cloud: MeasuredPointCloud, lam: float, seed: int) -> list[t
 
 
 def poincare_check(
-    cloud: MeasuredPointCloud,
     f: ScalarField,
     d_w: float = 2.0,
     lam: float = DEFAULT_LAMBDA,
@@ -133,10 +132,9 @@ def poincare_check(
     """
     if lam < 1.0:
         raise ValueError("inflation factor must be at least 1")
-    if f.cloud is not cloud:
-        raise ValueError("field does not live on the given cloud")
+    cloud = f.cloud
     if form is not None and form.cloud is not cloud:
-        raise ValueError("form does not live on the given cloud")
+        raise ValueError("form does not live on the field's cloud")
 
     used_seed: int | None = seed
     if samples is None:
@@ -157,10 +155,10 @@ def poincare_check(
     fv = f.values
     # Per mode: the rhs density rows (the window minimum is taken over
     # rows) and the power of R in front of them.
-    slope = discrete_lip(cloud, f, cloud.floor).values
+    slope = discrete_lip(f, cloud.floor).values
     rhs = {
         "lip": ((mu * slope**2)[None, :], 2.0),
-        "ks": (ks_energy_density(cloud, f, liminf_window_scales(cloud), d_w=d_w), d_w),
+        "ks": (ks_energy_density(f, liminf_window_scales(cloud), d_w=d_w), d_w),
     }
     if form is not None:
         rhs["energy_measure"] = (graph_energy_measure(form, f)[None, :], d_w)
@@ -237,7 +235,6 @@ def _maximal_rho_grid(cloud: MeasuredPointCloud, R: float) -> np.ndarray:
 
 
 def maximal_function(
-    cloud: MeasuredPointCloud,
     f: ScalarField,
     R: float,
     d_w: float = 2.0,
@@ -249,11 +246,10 @@ def maximal_function(
     value is its square root, so the field scales like the local slope.
     The whole ladder is served by one ball pass at its largest radius.
     """
-    if f.cloud is not cloud:
-        raise ValueError("field does not live on the given cloud")
+    cloud = f.cloud
     grid = _maximal_rho_grid(cloud, R)
     w_scales = liminf_window_scales(cloud)
-    rows = ks_energy_density(cloud, f, w_scales, d_w=d_w)
+    rows = ks_energy_density(f, w_scales, d_w=d_w)
     mu = cloud.weights
     best = np.zeros(cloud.n)
     pos = 0

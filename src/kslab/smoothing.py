@@ -18,6 +18,7 @@ import numpy as np
 
 from .energy import (
     ScalarField,
+    _common_cloud,
     _increment_table,
     _validated,
     ks_energies,
@@ -162,7 +163,7 @@ def mollify(f: ScalarField, pou: PartitionOfUnity) -> ScalarField:
     """
     cloud = pou.cloud
     if f.cloud is not cloud:
-        raise ValueError("field does not live on the given cloud")
+        raise ValueError("field does not live on the partition's cloud")
     eps = pou.epsilon
     w = cloud.weights
     averages = np.zeros(pou.n_centers)
@@ -177,7 +178,6 @@ def mollify(f: ScalarField, pou: PartitionOfUnity) -> ScalarField:
 
 
 def discrete_lip(
-    cloud: MeasuredPointCloud,
     f: ScalarField | Sequence[ScalarField],
     r_loc: float,
 ) -> ScalarField | list[ScalarField]:
@@ -185,13 +185,12 @@ def discrete_lip(
 
     (Lip_h f)(x) = max_{0 < d(x,y) < r_loc} |f(x) - f(y)| / d(x, y).
 
-    ``f`` is one field, or a sequence of fields whose slopes come back as a
-    list from one shared ball pass; each list entry equals the single-field
-    call bit for bit.
+    ``f`` is one field, or a sequence of fields on one cloud whose slopes
+    come back as a list from one shared ball pass; each list entry equals
+    the single-field call bit for bit.
     """
     fields = [f] if isinstance(f, ScalarField) else list(f)
-    if any(g.cloud is not cloud for g in fields):
-        raise ValueError("field does not live on the given cloud")
+    cloud = _common_cloud(fields)
     cloud.require_admissible(r_loc)
     out = np.zeros((len(fields), cloud.n))
     for sub, flat, counts, d in cloud.ball_chunks(r_loc):
@@ -210,13 +209,9 @@ def discrete_lip(
     return slopes[0] if isinstance(f, ScalarField) else slopes
 
 
-def ball_mean_deviation(
-    cloud: MeasuredPointCloud,
-    f: ScalarField,
-    r: float,
-) -> np.ndarray:
+def ball_mean_deviation(f: ScalarField, r: float) -> np.ndarray:
     """Per-point first absolute moment avg_{B(x,r)} |f(x) - f(y)| dmu(y)."""
-    mat = _validated(cloud, [f], [r])
+    cloud, mat = _validated([f], [r])
     # The table carries the centre weight mu_x; dividing it out leaves the average.
     return _increment_table(cloud, mat, [r], [1])[0, 0] / cloud.weights
 
@@ -228,7 +223,8 @@ class MollifierReport:
     ``lip_bound_ratio`` compares the squared L2 norm of the discrete slope
     of f_eps against the averaged squared increments of f at scale 2 eps
     divided by eps^2; ``l2_bound_ratio`` compares ||f_eps - f||^2 against the
-    integrated squared first moment over 6 eps balls.  Constants are not
+    integrated squared first moment over 6 eps balls, and ``l2_numerator``
+    keeps ||f_eps - f||^2 itself.  Constants are not
     pinned anywhere, so consumers assert stability across epsilon instead of
     absolute size.
     """
@@ -236,10 +232,7 @@ class MollifierReport:
     epsilon: float
     lip_bound_ratio: float
     l2_bound_ratio: float
-    lip_numerator: float
-    lip_denominator: float
     l2_numerator: float
-    l2_denominator: float
 
 
 def _guarded_ratio(num: float, den: float) -> float:
@@ -251,7 +244,6 @@ def _guarded_ratio(num: float, den: float) -> float:
 
 
 def mollifier_estimates(
-    cloud: MeasuredPointCloud,
     f: ScalarField,
     epsilon: float,
     d_w: float = 2.0,
@@ -264,12 +256,11 @@ def mollifier_estimates(
     epsilon for smooth fields; d_w would cancel out of the ratio, so it is
     only validated.
     """
-    pou = partition_of_unity(build_net(cloud, epsilon))
-    return mollifier_ladder(cloud, f, [pou], d_w=d_w)[0]
+    pou = partition_of_unity(build_net(f.cloud, epsilon))
+    return mollifier_ladder(f, [pou], d_w=d_w)[0]
 
 
 def mollifier_ladder(
-    cloud: MeasuredPointCloud,
     f: ScalarField,
     pous: Sequence[PartitionOfUnity],
     d_w: float = 2.0,
@@ -285,26 +276,18 @@ def mollifier_ladder(
     if f.is_constant():
         # Both numerators vanish identically; skip the 0/0 float noise.
         return [
-            MollifierReport(
-                epsilon=eps,
-                lip_bound_ratio=0.0,
-                l2_bound_ratio=0.0,
-                lip_numerator=0.0,
-                lip_denominator=0.0,
-                l2_numerator=0.0,
-                l2_denominator=0.0,
-            )
+            MollifierReport(epsilon=eps, lip_bound_ratio=0.0, l2_bound_ratio=0.0, l2_numerator=0.0)
             for eps in epsilons
         ]
     smoothed = [mollify(f, pou) for pou in pous]
     radii = [2.0 * eps for eps in epsilons] + [6.0 * eps for eps in epsilons]
-    mat = _validated(cloud, [f], radii, d_w)
+    cloud, mat = _validated([f], radii, d_w)
     m = len(epsilons)
     # Rows 0..m-1: squared increments at 2 eps; rows m..: first moments at 6 eps.
     table = _increment_table(cloud, mat, radii, [2] * m + [1] * m)[:, 0]
 
     w = cloud.weights
-    lips = discrete_lip(cloud, smoothed, cloud.floor)
+    lips = discrete_lip(smoothed, cloud.floor)
     reports = []
     for k, (eps, f_eps, lip) in enumerate(zip(epsilons, smoothed, lips)):
         lip_num = float(np.sum(w * lip.values**2))
@@ -320,10 +303,7 @@ def mollifier_ladder(
                 epsilon=eps,
                 lip_bound_ratio=_guarded_ratio(lip_num, lip_den),
                 l2_bound_ratio=_guarded_ratio(l2_num, l2_den),
-                lip_numerator=lip_num,
-                lip_denominator=float(lip_den),
                 l2_numerator=l2_num,
-                l2_denominator=l2_den,
             )
         )
     return reports
@@ -354,7 +334,7 @@ def check_controlled_cutoff(pou: PartitionOfUnity, d_w: float = 2.0) -> CutoffRe
     eps = pou.epsilon
     grid = make_scale_grid(cloud)
     # Only the window is read, so only the window is evaluated.
-    energies = ks_energies(cloud, pou.fields(), grid.window(), d_w=d_w)
+    energies = ks_energies(pou.fields(), grid.window(), d_w=d_w)
     per_center = energies.max(axis=0) * eps**d_w / pou.ball_masses
     return CutoffReport(
         epsilon=float(eps),

@@ -149,7 +149,7 @@ class SuiteContext:
     def standard_sweeps(self) -> dict[str, EnergySweep]:
         """Energy sweep of each standard field over the fixed scale grid, one pass."""
         labels, fields = zip(*self.standard_fields())
-        sweeps = energy_sweep(self.cloud, fields, d_w=self.d_w, label=labels)
+        sweeps = energy_sweep(fields, d_w=self.d_w, label=labels)
         return {s.label: s for s in sweeps}
 
     @property
@@ -235,10 +235,10 @@ def resolve_walk_dimension(ctx: SuiteContext, requested: float | str) -> tuple[f
     cloud = ctx.cloud
     fields = [f for _, f in ctx.standard_fields() if not f.is_constant()]
     try:
-        fit = fit_walk_dimension(cloud, fields)
+        fit = fit_walk_dimension(fields)
     except Inapplicable:
         grid = make_scale_grid(cloud, r_max=cloud.diameter / 2.0)
-        fit = fit_walk_dimension(cloud, fields, grid=grid)
+        fit = fit_walk_dimension(fields, grid=grid)
 
     eigen_value = None
     if ctx.coarse_form is not None:
@@ -319,7 +319,7 @@ def suite_energy(ctx: SuiteContext) -> list[CheckResult]:
         )
     elif ctx.kind == "square_grid" and ctx.d_w == 2.0 and 0.05 >= cloud.floor:
         f = dict(ctx.standard_fields())["x"]
-        value = ks_energy(cloud, f, 0.05, d_w=2.0)
+        value = ks_energy(f, 0.05, d_w=2.0)
         rel = abs(value - 0.25) / 0.25
         results.append(
             CheckResult(
@@ -411,7 +411,7 @@ def suite_smoothing(ctx: SuiteContext) -> list[CheckResult]:
     pous = [sm.partition_of_unity(sm.build_net(cloud, eps)) for eps in rungs]
     results = []
     if f is not None:
-        reports = sm.mollifier_ladder(cloud, f, pous, d_w=ctx.d_w)
+        reports = sm.mollifier_ladder(f, pous, d_w=ctx.d_w)
         lips = [r.lip_bound_ratio for r in reports]
         l2s = [r.l2_bound_ratio for r in reports]
         errs = [r.l2_numerator for r in reports]
@@ -463,7 +463,7 @@ def suite_poincare(ctx: SuiteContext) -> list[CheckResult]:
     label, f = next(lf for lf in ctx.standard_fields() if not lf[1].is_constant())
     results = []
     reports = pc.poincare_check(
-        cloud, f, d_w=ctx.d_w, seed=ctx.seed, form=ctx.form if ctx.has_form else None
+        f, d_w=ctx.d_w, seed=ctx.seed, form=ctx.form if ctx.has_form else None
     )
     for mode, rep in reports.items():
         results.append(
@@ -492,7 +492,7 @@ def suite_poincare(ctx: SuiteContext) -> list[CheckResult]:
         else:
             fx = ScalarField.coordinate(cloud, 0)
             rep = pc.poincare_check(
-                cloud, fx, d_w=2.0, lam=1.0, samples=[(c, r) for c in centers for r in radii]
+                fx, d_w=2.0, lam=1.0, samples=[(c, r) for c in centers for r in radii]
             )["lip"]
             worst = max(abs(s.ratio * 3.0 - 1.0) for s in rep.samples)
             results.append(
@@ -507,7 +507,7 @@ def suite_poincare(ctx: SuiteContext) -> list[CheckResult]:
 
     # One radius serves as the maximal function's R and the chain's rho.
     R = max(4.0 * DEFAULT_KAPPA * cloud.mesh, cloud.diameter / 8.0)
-    maximal = pc.maximal_function(cloud, f, R, d_w=ctx.d_w)
+    maximal = pc.maximal_function(f, R, d_w=ctx.d_w)
     weak = pc.weak_l2_check(maximal)
     results.append(
         CheckResult(
@@ -748,7 +748,7 @@ def suite_convergence(ctx: SuiteContext) -> list[CheckResult]:
     fields = [f for _, f in ctx.standard_fields() if not f.is_constant()]
     if ctx.kind == "gasket":
         fields = [spec.field(k) for k in range(1, 6)]
-    rep = cv.sobolev_check(cloud, fields, d_w=ctx.d_w, Q=q_fit)
+    rep = cv.sobolev_check(fields, d_w=ctx.d_w, Q=q_fit)
     results.append(
         CheckResult(
             name="sobolev_embedding",

@@ -135,7 +135,7 @@ def test_01_small_scale_limit_calibration(grid2001, grid_fields):
     targets = {"x": 1.0 / 3.0, "x_squared": 4.0 / 9.0, "sin_pi_x": math.pi**2 / 6.0}
     rels = {}
     for name, target in targets.items():
-        sweep = energy_sweep(grid2001, grid_fields[name], d_w=2.0)
+        sweep = energy_sweep(grid_fields[name], d_w=2.0)
         rels[name] = abs(sweep.fitted_limit - target) / target
     worst = max(rels.values())
     _verdict(
@@ -147,7 +147,7 @@ def test_01_small_scale_limit_calibration(grid2001, grid_fields):
 
 def test_02_planar_calibration(square201):
     t0 = time.time()
-    value = ks_energy(square201, ScalarField.coordinate(square201, 0), 0.05, d_w=2.0)
+    value = ks_energy(ScalarField.coordinate(square201, 0), 0.05, d_w=2.0)
     rel = abs(value - 0.25) / 0.25
     _verdict(
         2, "planar-increment-calibration", rel <= 0.10,
@@ -178,11 +178,11 @@ def test_03_volume_doubling(grid2001, square201, gasket5, gasket6):
 
 def test_04_comparability(grid2001, grid_fields, gasket5, gasket6, spec5, spec6):
     t0 = time.time()
-    identity = comparability_ratio(energy_sweep(grid2001, grid_fields["x"], d_w=2.0))
+    identity = comparability_ratio(energy_sweep(grid_fields["x"], d_w=2.0))
     spreads = {}
     for k in (1, 2):
-        r5 = comparability_ratio(energy_sweep(gasket5, spec5.field(k), d_w=LOG5_LOG2))
-        r6 = comparability_ratio(energy_sweep(gasket6, spec6.field(k), d_w=LOG5_LOG2))
+        r5 = comparability_ratio(energy_sweep(spec5.field(k), d_w=LOG5_LOG2))
+        r6 = comparability_ratio(energy_sweep(spec6.field(k), d_w=LOG5_LOG2))
         if not (math.isfinite(r5) and math.isfinite(r6)):
             spreads[k] = float("inf")
         else:
@@ -207,7 +207,7 @@ def test_05_mollifier_two_sided(grid2001):
     values -= values.mean()
     rough = ScalarField(grid2001, values)
     reports = [
-        sm.mollifier_estimates(grid2001, rough, eps, d_w=2.0)
+        sm.mollifier_estimates(rough, eps, d_w=2.0)
         for eps in (0.1, 0.05, 0.025)
     ]
     lip_spread = _spread([r.lip_bound_ratio for r in reports])
@@ -248,21 +248,21 @@ def test_06_controlled_cutoff(grid2001, gasket5, gasket5_fit):
 def test_07_poincare_modes(grid2001, grid_fields, form2001, gasket5, gasket6, form5, form6):
     t0 = time.time()
     f = grid_fields["sin_pi_x"]
-    reports = pc.poincare_check(grid2001, f, d_w=2.0, seed=0, form=form2001)
+    reports = pc.poincare_check(f, d_w=2.0, seed=0, form=form2001)
     c_bests = {mode: rep.c_best for mode, rep in reports.items()}
     all_finite = len(c_bests) == 3 and all(math.isfinite(c) and c > 0 for c in c_bests.values())
 
     identity = pc.poincare_check(
-        grid2001, grid_fields["x"], d_w=2.0, lam=1.0,
+        grid_fields["x"], d_w=2.0, lam=1.0,
         samples=[(grid2001.n // 2, 0.1)],
     )["lip"].samples[0].ratio
     identity_ok = abs(3.0 * identity - 1.0) <= 0.1
 
     c5 = pc.poincare_check(
-        gasket5, gf.gasket_harmonic_field(gasket5), d_w=LOG5_LOG2, form=form5, seed=0,
+        gf.gasket_harmonic_field(gasket5), d_w=LOG5_LOG2, form=form5, seed=0,
     )["energy_measure"].c_best
     c6 = pc.poincare_check(
-        gasket6, gf.gasket_harmonic_field(gasket6), d_w=LOG5_LOG2, form=form6, seed=0,
+        gf.gasket_harmonic_field(gasket6), d_w=LOG5_LOG2, form=form6, seed=0,
     )["energy_measure"].c_best
     level_spread = max(c5, c6) / min(c5, c6)
 
@@ -283,7 +283,7 @@ def test_08_maximal_function_weak_l2():
         cloud = interval_grid(n)
         f = ScalarField.coordinate(cloud, 0)
         radius = max(12.0 * cloud.mesh, cloud.diameter / 8.0)
-        maximal = pc.maximal_function(cloud, f, radius, d_w=2.0)
+        maximal = pc.maximal_function(f, radius, d_w=2.0)
         quotients[n] = pc.weak_l2_check(maximal).max_quotient
     spread = _spread(list(quotients.values()))
     _verdict(
@@ -468,7 +468,7 @@ def test_15_oracle_equivalence_and_seed_properties():
             fields.append(cloud.coords[:, 0].copy())
         for values in fields:
             for r in scales:
-                fast = ks_energy(cloud, ScalarField(cloud, values), r, d_w=2.0)
+                fast = ks_energy(ScalarField(cloud, values), r, d_w=2.0)
                 brute = oracles.brute_ks_energy(dmat, cloud.weights, values, r, 2.0)
                 worst_gap = max(worst_gap, abs(fast - brute) / max(1.0, abs(brute)))
     brute_ok = worst_gap <= 1e-12
@@ -480,8 +480,8 @@ def test_15_oracle_equivalence_and_seed_properties():
         r = float(rng.uniform(3.0 * cloud.mesh, cloud.diameter / 2.0))
         f = ScalarField(cloud, values)
         truncated = ScalarField(cloud, np.clip(values, 0.0, 1.0))
-        e_f = ks_energy(cloud, f, r, d_w=2.0)
-        e_v = ks_energy(cloud, truncated, r, d_w=2.0)
+        e_f = ks_energy(f, r, d_w=2.0)
+        e_v = ks_energy(truncated, r, d_w=2.0)
         markov_ok &= e_v <= e_f * (1.0 + 1e-12) + 1e-15
 
     forms = [

@@ -165,6 +165,25 @@ class TestRun:
         path = write_config(tmp_path)
         assert main(["run", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--out", ""], "config key 'out' must be a nonempty string"),
+            (["--seed", "-1"], "config key 'seed' must be a nonnegative integer"),
+            (["--suite", "everything"], "unknown suite"),
+        ],
+    )
+    def test_flags_are_validated_as_config_keys(
+        self, tmp_path, monkeypatch, capsys, flags, message
+    ):
+        # An override goes through the validator of the key it replaces:
+        # `--out ""` is refused like `"out": ""`, not written into the cwd.
+        path = write_config(tmp_path, out=str(tmp_path / "bundle"))
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", str(path), *flags]) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+        assert message in capsys.readouterr().err
+
     def test_missing_seed_can_come_from_flag(self, tmp_path):
         cfg = {"space": {"kind": "interval_grid", "n": 401}, "suite": "doubling"}
         path = tmp_path / "cfg.json"

@@ -152,7 +152,7 @@ class TestWeakLiminfProbe:
         rep = weak_liminf_probe(u1, spec)
         grid = make_scale_grid(cloud).scales
         direct = min(
-            ks_energy(cloud, ScalarField(cloud, u1.values + spec.field(k).values), float(r))
+            ks_energy(ScalarField(cloud, u1.values + spec.field(k).values), float(r))
             for k, r in zip(range(21, 26), grid[-5:])
         ) / form_energy(form, u1)
         assert rep.liminf_margin == pytest.approx(direct, rel=1e-12)
@@ -244,11 +244,11 @@ def test_liminf_proxy_equals_per_field_window_minimum(pass_radii):
         ScalarField.from_function(cloud, lambda c: np.cos(4.0 * c[:, 1])),
         ScalarField.constant(cloud, 3.0),
     ]
-    proxies = liminf_proxy(cloud, fields, d_w=D_W_GASKET)
+    proxies = liminf_proxy(fields, d_w=D_W_GASKET)
     scales = liminf_window_scales(cloud)
     assert pass_radii == [max(scales)]
     for f, got in zip(fields, proxies):
-        want = min(ks_energy(cloud, f, float(r), d_w=D_W_GASKET) for r in scales)
+        want = min(ks_energy(f, float(r), d_w=D_W_GASKET) for r in scales)
         assert got == want
 
 
@@ -261,7 +261,7 @@ class TestCompactnessProbe:
     def test_copies_collapse_to_one(self, grid401):
         cloud, _ = grid401
         f = ScalarField.coordinate(cloud, 0)
-        unit = ScalarField(cloud, f.values / math.sqrt(f.l2sq() + liminf_proxy(cloud, [f])[0]))
+        unit = ScalarField(cloud, f.values / math.sqrt(f.l2sq() + liminf_proxy([f])[0]))
         probe = compactness_probe([unit] * 10, delta=0.1)
         assert probe.net_size == 1
         assert probe.n_fields == 10
@@ -329,7 +329,7 @@ class TestSobolevCheck:
     def test_lq_branch_exponent(self):
         cloud = interval_grid(101)
         f = ScalarField.coordinate(cloud, 0)
-        rep = sobolev_check(cloud, [f], d_w=2.0, Q=3.0)
+        rep = sobolev_check([f], d_w=2.0, Q=3.0)
         assert rep.branch == "lq"
         assert rep.exponent == pytest.approx(6.0)
         assert 0.0 < rep.max_quotient < 10.0
@@ -339,7 +339,7 @@ class TestSobolevCheck:
         for n in (101, 201):
             cloud = square_grid(n)
             f = ScalarField.coordinate(cloud, 0)
-            rep = sobolev_check(cloud, [f], d_w=2.0, Q=2.0)
+            rep = sobolev_check([f], d_w=2.0, Q=2.0)
             assert rep.branch == "sup"
             assert rep.exponent == pytest.approx(1.0)
             quots.append(rep.max_quotient)
@@ -354,7 +354,7 @@ class TestSobolevCheck:
             spec = spectrum(form, k_max=10)
             fields = [spec.field(k) for k in range(1, 6)]
             rep = sobolev_check(
-                cloud, fields, d_w=D_W_GASKET, Q=math.log(3.0) / math.log(2.0)
+                fields, d_w=D_W_GASKET, Q=math.log(3.0) / math.log(2.0)
             )
             assert rep.branch == "sup"
             assert rep.exponent == pytest.approx(math.log(3.0) / math.log(5.0), abs=1e-12)
@@ -365,30 +365,30 @@ class TestSobolevCheck:
     def test_one_ball_pass_for_the_family(self, pass_radii):
         cloud = interval_grid(101)
         fields = [ScalarField.coordinate(cloud, 0), ScalarField.from_function(cloud, np.exp)]
-        sobolev_check(cloud, fields, d_w=2.0, Q=3.0)
+        sobolev_check(fields, d_w=2.0, Q=3.0)
         assert pass_radii == [max(liminf_window_scales(cloud))]
 
     def test_bad_growth_exponent(self):
         cloud = interval_grid(101)
         f = ScalarField.coordinate(cloud, 0)
         with pytest.raises(ValueError, match="must be positive"):
-            sobolev_check(cloud, [f], d_w=2.0, Q=0.0)
+            sobolev_check([f], d_w=2.0, Q=0.0)
 
     def test_constant_field_rejected(self):
         cloud = interval_grid(101)
         c = ScalarField.constant(cloud, 1.0)
         with pytest.raises(ValueError, match="constant"):
-            sobolev_check(cloud, [c], d_w=2.0, Q=3.0)
+            sobolev_check([c], d_w=2.0, Q=3.0)
 
     def test_empty_family_rejected(self):
         cloud = interval_grid(101)
         with pytest.raises(ValueError, match="empty family"):
-            sobolev_check(cloud, [], d_w=2.0, Q=3.0)
+            sobolev_check([], d_w=2.0, Q=3.0)
 
     def test_json_export(self):
         cloud = interval_grid(101)
         fields = [ScalarField.coordinate(cloud, 0), ScalarField.from_function(cloud, np.exp)]
-        rep = sobolev_check(cloud, fields, d_w=2.0, Q=3.0)
+        rep = sobolev_check(fields, d_w=2.0, Q=3.0)
         assert rep.quotients.shape == (2,)
         assert rep.max_quotient == rep.quotients.max()
 

@@ -41,7 +41,7 @@ def test_ks_energy_matches_brute_force():
         f = ScalarField(cloud, vals)
         # Sparse random clouds have a coarse mesh; stay above the floor.
         for r in [3.1 * cloud.mesh, 5.7 * cloud.mesh]:
-            got = ks_energy(cloud, f, r, d_w=2.0)
+            got = ks_energy(f, r, d_w=2.0)
             want = oracles.brute_ks_energy(dmat, cloud.weights, vals, r, 2.0)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
@@ -52,7 +52,7 @@ def test_ks_energy_region_matches_brute_force():
     vals = np.sin(3 * cloud.coords[:, 0])
     f = ScalarField(cloud, vals)
     region = np.arange(20, 70)
-    got = ks_energy_density(cloud, f, [0.4], d_w=2.0)[0][region].sum()
+    got = ks_energy_density(f, [0.4], d_w=2.0)[0][region].sum()
     want = oracles.brute_ks_energy(dmat, cloud.weights, vals, 0.4, 2.0, region=region)
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -62,8 +62,8 @@ def test_ks_energies_consistent_with_single():
     rng = np.random.default_rng(42)
     fields = [ScalarField(cloud, rng.normal(size=cloud.n)) for _ in range(4)]
     r = 3.2 * cloud.mesh
-    batch = ks_energies(cloud, fields, [r], d_w=2.0)[0]
-    singles = [ks_energy(cloud, f, r, d_w=2.0) for f in fields]
+    batch = ks_energies(fields, [r], d_w=2.0)[0]
+    singles = [ks_energy(f, r, d_w=2.0) for f in fields]
     np.testing.assert_allclose(batch, singles, rtol=1e-13)
 
 
@@ -71,8 +71,8 @@ def test_density_sums_to_regional_energy():
     cloud = random_cloud(100, 2, 5)
     f = ScalarField(cloud, np.cos(4 * cloud.coords[:, 1]))
     r = 3.2 * cloud.mesh
-    dens = ks_energy_density(cloud, f, [r], d_w=2.0)[0]
-    assert dens.sum() == pytest.approx(ks_energy(cloud, f, r, d_w=2.0), rel=1e-12)
+    dens = ks_energy_density(f, [r], d_w=2.0)[0]
+    assert dens.sum() == pytest.approx(ks_energy(f, r, d_w=2.0), rel=1e-12)
     region = np.arange(10, 55)
     regional = dens[region].sum()
     dmat = oracles.dist_matrix(cloud.coords)
@@ -92,7 +92,7 @@ def test_identity_energy_matches_continuum_1d():
     cloud = interval_grid(2001)
     f = ScalarField.coordinate(cloud)
     for r in [0.05, 0.1]:
-        got = ks_energy(cloud, f, r, d_w=2.0)
+        got = ks_energy(f, r, d_w=2.0)
         assert got == pytest.approx(oracles.interval_identity_energy(r), rel=0.01)
 
 
@@ -101,17 +101,17 @@ def test_identity_energy_matches_continuum_2d():
     # r^2/4, with or without boundary clipping.
     cloud = square_grid(201)
     f = ScalarField.coordinate(cloud, axis=0)
-    got = ks_energy(cloud, f, 0.05, d_w=2.0)
+    got = ks_energy(f, 0.05, d_w=2.0)
     assert got == pytest.approx(0.25, rel=0.1)
 
 
 def test_energy_zero_iff_locally_constant():
     cloud = interval_grid(101)
     const = ScalarField.constant(cloud, 3.7)
-    assert ks_energy(cloud, const, 0.1) == 0.0
+    assert ks_energy(const, 0.1) == 0.0
     bump = np.zeros(cloud.n)
     bump[50] = 1.0
-    assert ks_energy(cloud, ScalarField(cloud, bump), 0.1) > 0.0
+    assert ks_energy(ScalarField(cloud, bump), 0.1) > 0.0
 
 
 def test_energy_scaling_quadratic_in_field():
@@ -120,15 +120,15 @@ def test_energy_scaling_quadratic_in_field():
     f = ScalarField(cloud, vals)
     g = ScalarField(cloud, 2.5 * vals)
     r = 0.4
-    assert ks_energy(cloud, g, r) == pytest.approx(6.25 * ks_energy(cloud, f, r), rel=1e-12)
+    assert ks_energy(g, r) == pytest.approx(6.25 * ks_energy(f, r), rel=1e-12)
 
 
 def test_energy_translation_invariant():
     cloud = random_cloud(80, 2, 9)
     vals = np.random.default_rng(1).normal(size=cloud.n)
     r = 0.45
-    a = ks_energy(cloud, ScalarField(cloud, vals), r)
-    b = ks_energy(cloud, ScalarField(cloud, vals + 11.0), r)
+    a = ks_energy(ScalarField(cloud, vals), r)
+    b = ks_energy(ScalarField(cloud, vals + 11.0), r)
     assert b == pytest.approx(a, rel=1e-9, abs=1e-12)
 
 
@@ -140,28 +140,71 @@ def test_markov_contraction():
         f = ScalarField(cloud, vals)
         clipped = ScalarField(cloud, np.clip(vals, 0.0, 1.0))
         r = 3.3 * cloud.mesh
-        assert ks_energy(cloud, clipped, r) <= ks_energy(cloud, f, r) * (1 + 1e-12)
+        assert ks_energy(clipped, r) <= ks_energy(f, r) * (1 + 1e-12)
 
 
 def test_inadmissible_radius_refused():
     cloud = interval_grid(101)
     f = ScalarField.coordinate(cloud)
     with pytest.raises(ValueError, match="admissibility"):
-        ks_energy(cloud, f, 0.02)
+        ks_energy(f, 0.02)
     with pytest.raises(ValueError, match="d_w"):
-        ks_energy(cloud, f, 0.1, d_w=1.5)
+        ks_energy(f, 0.1, d_w=1.5)
 
 
 def test_field_validation():
     cloud = interval_grid(11)
     other = interval_grid(21)
     f = ScalarField.coordinate(other)
-    with pytest.raises(ValueError, match="cloud"):
-        ks_energy(cloud, f, 0.4)
+    with pytest.raises(ValueError, match="different cloud"):
+        ks_energies([ScalarField.coordinate(cloud), f], [0.4])
     with pytest.raises(ValueError, match="finite"):
         ScalarField(cloud, np.full(11, np.nan))
     with pytest.raises(ValueError, match="length"):
         ScalarField(cloud, np.zeros(5))
+
+
+def test_no_function_takes_a_cloud_beside_its_fields():
+    # A field carries its cloud, so every function that takes fields reads
+    # the cloud off them; a second cloud argument could only disagree.
+    import inspect
+
+    both = [
+        qualname
+        for qualname, fn in _package_callables()
+        if "cloud" in (params := inspect.signature(fn).parameters)
+        and {"f", "fields"} & set(params)
+    ]
+    assert both == []
+
+
+def _family_calls():
+    from kslab.convergence import compactness_probe, liminf_proxy, sobolev_check
+    from kslab.smoothing import discrete_lip
+
+    return {
+        "ks_energies": lambda fields: ks_energies(fields, [0.1]),
+        "energy_sweep": lambda fields: energy_sweep(fields, label=[""] * len(fields)),
+        "discrete_lip": lambda fields: discrete_lip(fields, 0.1),
+        "fit_walk_dimension": fit_walk_dimension,
+        "liminf_proxy": liminf_proxy,
+        "sobolev_check": lambda fields: sobolev_check(fields, d_w=2.0, Q=3.0),
+        "compactness_probe": compactness_probe,
+    }
+
+
+@pytest.mark.parametrize("family", ["empty", "mixed"])
+@pytest.mark.parametrize("call", list(_family_calls()))
+def test_field_families_live_on_one_cloud(call, family):
+    # The cloud comes from the fields: an empty family has none, and a
+    # mixed one has two.  Both are a ValueError, never an IndexError.
+    if family == "empty":
+        fields, message = [], "empty family"
+    else:
+        fields = [ScalarField.coordinate(c) for c in (interval_grid(101), interval_grid(81))]
+        message = "field 1 lives on a different cloud"
+    with pytest.raises(ValueError, match=message):
+        _family_calls()[call](fields)
 
 
 # ----------------------------------------------------------------------
@@ -272,7 +315,7 @@ def test_scale_geometry_takes_no_knobs():
 
 def test_sweep_identity_fitted_limit():
     cloud = interval_grid(2001)
-    sweep = energy_sweep(cloud, ScalarField.coordinate(cloud), d_w=2.0)
+    sweep = energy_sweep(ScalarField.coordinate(cloud), d_w=2.0)
     # Window values follow 1/3 - r/9, so the fitted endpoint sits within a
     # fraction of a percent of 1/3.
     assert sweep.fitted_limit == pytest.approx(1 / 3, rel=0.02)
@@ -282,7 +325,7 @@ def test_sweep_identity_fitted_limit():
 
 def test_sweep_csv_and_json():
     cloud = interval_grid(501)
-    sweep = energy_sweep(cloud, ScalarField.coordinate(cloud), label="identity")
+    sweep = energy_sweep(ScalarField.coordinate(cloud), label="identity")
     header, rows = sweep.table()
     assert header == ("r", "energy")
     assert len(rows) == sweep.scales.size
@@ -304,30 +347,30 @@ def test_sweeps_of_many_fields_share_one_pass(make, pass_radii):
         ScalarField.constant(cloud, 2.0),
     ]
     labels = ("x", "cos", "flat")
-    sweeps = energy_sweep(cloud, fields, d_w=2.3, label=labels)
+    sweeps = energy_sweep(fields, d_w=2.3, label=labels)
     assert len(pass_radii) == 1
     assert [s.label for s in sweeps] == list(labels)
     for sweep, f, label in zip(sweeps, fields, labels):
-        single = energy_sweep(cloud, f, d_w=2.3, label=label)
+        single = energy_sweep(f, d_w=2.3, label=label)
         for name in ("values", "window_values"):
             np.testing.assert_array_equal(getattr(sweep, name), getattr(single, name))
         assert sweep.summary() == single.summary()
     with pytest.raises(ValueError, match="one label per field"):
-        energy_sweep(cloud, fields, label="x")
+        energy_sweep(fields, label="x")
     with pytest.raises(ValueError, match="one label per field"):
-        energy_sweep(cloud, fields, label=labels[:2])
+        energy_sweep(fields, label=labels[:2])
 
 
 def test_comparability_ratio_smooth_field_near_one():
     cloud = interval_grid(2001)
-    sweep = energy_sweep(cloud, ScalarField.coordinate(cloud))
+    sweep = energy_sweep(ScalarField.coordinate(cloud))
     ratio = comparability_ratio(sweep)
     assert 1.0 <= ratio <= 1.05
 
 
 def test_comparability_ratio_constant_convention():
     cloud = interval_grid(101)
-    sweep = energy_sweep(cloud, ScalarField.constant(cloud, 4.0))
+    sweep = energy_sweep(ScalarField.constant(cloud, 4.0))
     assert comparability_ratio(sweep) == 1.0
 
 
@@ -338,7 +381,7 @@ def test_comparability_detects_spike():
     cloud = interval_grid(101)
     vals = np.zeros(cloud.n)
     vals[50] = 1.0
-    sweep = energy_sweep(cloud, ScalarField(cloud, vals))
+    sweep = energy_sweep(ScalarField(cloud, vals))
     assert sweep.limsup_proxy > 10.0 * sweep.values[0]
     assert comparability_ratio(sweep) > 1.0
 
@@ -349,8 +392,8 @@ def test_region_restriction_additive():
     r = 0.05
     left = np.arange(0, 150)
     right = np.arange(150, 301)
-    total = ks_energy(cloud, f, r)
-    row = ks_energy_density(cloud, f, [r])[0]
+    total = ks_energy(f, r)
+    row = ks_energy_density(f, [r])[0]
     parts = [row[half].sum() for half in (left, right)]
     assert parts[0] + parts[1] == pytest.approx(total, rel=1e-12)
 
@@ -364,8 +407,8 @@ def test_raw_sum_is_energy_times_power():
     cloud = interval_grid(401)
     f = ScalarField.coordinate(cloud)
     r = 0.1
-    assert _raw_sums(cloud, [f], [r])[0, 0] == pytest.approx(
-        ks_energy(cloud, f, r, d_w=2.0) * r**2, rel=1e-12
+    assert _raw_sums([f], [r])[0, 0] == pytest.approx(
+        ks_energy(f, r, d_w=2.0) * r**2, rel=1e-12
     )
 
 
@@ -376,7 +419,7 @@ def test_walk_dimension_euclidean_grid():
         ScalarField.from_function(cloud, lambda c: np.sin(np.pi * c[:, 0])),
         ScalarField.from_function(cloud, lambda c: c[:, 0] ** 2),
     ]
-    fit = fit_walk_dimension(cloud, fields)
+    fit = fit_walk_dimension(fields)
     assert fit.d_w_hat == pytest.approx(2.0, abs=0.1)
     assert fit.method == "ks_scaling"
 
@@ -384,7 +427,7 @@ def test_walk_dimension_euclidean_grid():
 def test_walk_dimension_needs_signal():
     cloud = interval_grid(201)
     with pytest.raises(ValueError, match="constant"):
-        fit_walk_dimension(cloud, [ScalarField.constant(cloud, 1.0)])
+        fit_walk_dimension([ScalarField.constant(cloud, 1.0)])
 
 
 def test_liminf_window_scales_ascending():
@@ -427,7 +470,7 @@ def test_energy_density_matches_fsum_oracle():
     for x, ids, w, mass in _fsum_balls(cloud, r):
         inner = math.fsum(w * (v[x] - v[ids]) ** 2)
         want[x] = cloud.weights[x] * inner / mass / r**2
-    got = ks_energy_density(cloud, f, [r], d_w=2.0)[0]
+    got = ks_energy_density(f, [r], d_w=2.0)[0]
     assert _max_rel_error(got, want) <= 1e-13
 
 
@@ -443,22 +486,22 @@ def test_ball_mean_deviation_matches_fsum_oracle():
     v = f.values
     for x, ids, w, mass in _fsum_balls(cloud, r):
         want[x] = math.fsum(w * np.abs(v[x] - v[ids])) / mass
-    got = ball_mean_deviation(cloud, f, r)
+    got = ball_mean_deviation(f, r)
     assert _max_rel_error(got, want) <= 1e-13
 
 
 def _engine_results(cloud, fields):
     f = fields[0]
     grid = make_scale_grid(cloud)
-    sweep = energy_sweep(cloud, f, d_w=2.0)
+    sweep = energy_sweep(f, d_w=2.0)
     region = np.arange(0, cloud.n, 7)
     return {
-        "energy": ks_energy(cloud, f, float(grid.scales[2])),
-        "region": ks_energy_density(cloud, f, grid.scales[:1])[0][region].sum(),
-        "many": ks_energies(cloud, fields, [float(grid.scales[-1])])[0],
-        "density": ks_energy_density(cloud, f, grid.scales[1:3]),
+        "energy": ks_energy(f, float(grid.scales[2])),
+        "region": ks_energy_density(f, grid.scales[:1])[0][region].sum(),
+        "many": ks_energies(fields, [float(grid.scales[-1])])[0],
+        "density": ks_energy_density(f, grid.scales[1:3]),
         "sweep": sweep.values,
-        "raw": _raw_sums(cloud, [f], [float(grid.scales[3])])[0, 0],
+        "raw": _raw_sums([f], [float(grid.scales[3])])[0, 0],
     }
 
 
@@ -485,7 +528,7 @@ def test_energy_sweep_matches_single_scale_passes(engine_cloud):
     cloud, fields, default = engine_cloud
     f = fields[0]
     grid = make_scale_grid(cloud)
-    singles = [ks_energy(cloud, f, float(r), d_w=2.0) for r in grid.scales]
+    singles = [ks_energy(f, float(r), d_w=2.0) for r in grid.scales]
     np.testing.assert_array_equal(default["sweep"], singles)
 
 
@@ -496,10 +539,10 @@ def test_ks_energies_one_pass_equals_separate_passes(pass_radii):
         ScalarField.from_function(cloud, lambda c: np.cos(5.0 * c[:, 1])),
     ]
     radii = [0.3, 0.11, 0.2]
-    table = ks_energies(cloud, fields, radii, d_w=2.3)
+    table = ks_energies(fields, radii, d_w=2.3)
     assert pass_radii == [0.3]
     for k, r in enumerate(radii):
-        np.testing.assert_array_equal(table[k], ks_energies(cloud, fields, [r], d_w=2.3)[0])
+        np.testing.assert_array_equal(table[k], ks_energies(fields, [r], d_w=2.3)[0])
 
 
 def test_energy_density_rows_equal_single_radius_rows(pass_radii):
@@ -508,7 +551,7 @@ def test_energy_density_rows_equal_single_radius_rows(pass_radii):
     cloud = gasket(5)
     f = ScalarField.from_function(cloud, lambda c: np.cos(5.0 * c[:, 1]) + c[:, 0] ** 2)
     radii = [0.11, 0.3, 0.2]
-    rows = ks_energy_density(cloud, f, radii, d_w=2.3)
+    rows = ks_energy_density(f, radii, d_w=2.3)
     assert pass_radii == [0.3]
     assert rows.shape == (3, cloud.n)
     for k, r in enumerate(radii):
@@ -520,7 +563,7 @@ def test_energy_density_rows_equal_single_radius_rows(pass_radii):
 def test_fit_walk_dimension_makes_one_pass(pass_radii):
     cloud = interval_grid(401)
     fields = [ScalarField.coordinate(cloud), ScalarField.constant(cloud, 2.0)]
-    fit = fit_walk_dimension(cloud, fields)
+    fit = fit_walk_dimension(fields)
     assert pass_radii == [float(fit.scales.max())]
 
 

@@ -43,7 +43,7 @@ def interior_samples():
 
 def chain(cloud, f, x, rho, d_w=2.0):
     """The telescoping bound at x on the maximal field of f with R = rho."""
-    return telescoping_bound(maximal_function(cloud, f, rho, d_w=d_w), x)
+    return telescoping_bound(maximal_function(f, rho, d_w=d_w), x)
 
 
 class TestPoincareCheck:
@@ -53,7 +53,7 @@ class TestPoincareCheck:
         # so every interior ratio should sit at 1/3.
         cloud, f = grid2001
         samples = [(c, r) for c in (600, 1000, 1400) for r in (0.05, 0.1)]
-        rep = poincare_check(cloud, f, lam=1.0, samples=samples)["lip"]
+        rep = poincare_check(f, lam=1.0, samples=samples)["lip"]
         for s in rep.samples:
             assert s.ratio == pytest.approx(1.0 / 3.0, rel=0.01)
         assert rep.c_best == pytest.approx(1.0 / 3.0, rel=0.01)
@@ -63,14 +63,14 @@ class TestPoincareCheck:
     def test_constant_field_vacuous(self, grid401):
         cloud, _ = grid401
         c = ScalarField.constant(cloud, 3.0)
-        for rep in poincare_check(cloud, c, samples=interior_samples()).values():
+        for rep in poincare_check(c, samples=interior_samples()).values():
             assert rep.c_best == 0.0
             assert rep.n_used == 0
             assert all(math.isnan(s.ratio) for s in rep.samples)
 
     def test_ks_close_to_lip(self, grid401):
         cloud, f = grid401
-        reps = poincare_check(cloud, f, d_w=2.0, lam=1.0, samples=interior_samples())
+        reps = poincare_check(f, d_w=2.0, lam=1.0, samples=interior_samples())
         rl, rk = reps["lip"], reps["ks"]
         assert rl.c_best > 0.0
         assert rk.c_best / rl.c_best < 4.0
@@ -79,16 +79,16 @@ class TestPoincareCheck:
     def test_lhs_shift_invariant(self, grid401):
         cloud, f = grid401
         g = ScalarField(cloud, f.values + 5.0)
-        r1 = poincare_check(cloud, f, samples=interior_samples())["ks"]
-        r2 = poincare_check(cloud, g, samples=interior_samples())["ks"]
+        r1 = poincare_check(f, samples=interior_samples())["ks"]
+        r2 = poincare_check(g, samples=interior_samples())["ks"]
         for a, b in zip(r1.samples, r2.samples):
             assert b.lhs == pytest.approx(a.lhs, abs=1e-15)
 
     def test_ratio_scale_invariant(self, grid401):
         cloud, f = grid401
         g = ScalarField(cloud, 2.0 * f.values)
-        r1 = poincare_check(cloud, f, samples=interior_samples())["ks"]
-        r2 = poincare_check(cloud, g, samples=interior_samples())["ks"]
+        r1 = poincare_check(f, samples=interior_samples())["ks"]
+        r2 = poincare_check(g, samples=interior_samples())["ks"]
         for a, b in zip(r1.samples, r2.samples):
             assert b.ratio == pytest.approx(a.ratio, rel=1e-12)
 
@@ -96,8 +96,8 @@ class TestPoincareCheck:
         # Enlarging the rhs ball can only grow the rhs, so each sampled
         # ratio at lam = 2 is at most its lam = 1 counterpart.
         cloud, f = grid401
-        ra = poincare_check(cloud, f, lam=1.0, samples=interior_samples())["ks"]
-        rb = poincare_check(cloud, f, lam=2.0, samples=interior_samples())["ks"]
+        ra = poincare_check(f, lam=1.0, samples=interior_samples())["ks"]
+        rb = poincare_check(f, lam=2.0, samples=interior_samples())["ks"]
         for a, b in zip(ra.samples, rb.samples):
             assert b.ratio <= a.ratio + 1e-12
 
@@ -105,14 +105,14 @@ class TestPoincareCheck:
         cloud = gasket(4)
         form = build_form(cloud)
         u = spectrum(form).field(2)
-        rep = poincare_check(cloud, u, d_w=LOG5_LOG2, form=form)["energy_measure"]
+        rep = poincare_check(u, d_w=LOG5_LOG2, form=form)["energy_measure"]
         assert rep.n_used == len(rep.samples)
         assert 0.0 < rep.c_best < 10.0
 
     def test_default_sampling_deterministic(self, grid401):
         cloud, f = grid401
-        r1 = poincare_check(cloud, f, seed=7)["lip"]
-        r2 = poincare_check(cloud, f, seed=7)["lip"]
+        r1 = poincare_check(f, seed=7)["lip"]
+        r2 = poincare_check(f, seed=7)["lip"]
         assert r1.seed == 7
         assert [s.center for s in r1.samples] == [s.center for s in r2.samples]
         assert r1.c_best == r2.c_best
@@ -121,13 +121,13 @@ class TestPoincareCheck:
     def test_lambda_rejected(self, grid401):
         cloud, f = grid401
         with pytest.raises(ValueError, match="at least 1"):
-            poincare_check(cloud, f, lam=0.5)
+            poincare_check(f, lam=0.5)
 
     def test_energy_measure_needs_form(self, grid401):
         cloud, f = grid401
         samples = interior_samples()
-        assert list(poincare_check(cloud, f, samples=samples)) == ["lip", "ks"]
-        reps = poincare_check(cloud, f, samples=samples, form=build_form(cloud))
+        assert list(poincare_check(f, samples=samples)) == ["lip", "ks"]
+        reps = poincare_check(f, samples=samples, form=build_form(cloud))
         assert list(reps) == list(POINCARE_MODES)
         assert [rep.mode for rep in reps.values()] == list(POINCARE_MODES)
 
@@ -136,30 +136,23 @@ class TestPoincareCheck:
         other = interval_grid(101)
         form = build_form(other)
         with pytest.raises(ValueError, match="form does not live"):
-            poincare_check(cloud, f, form=form)
-
-    def test_field_cloud_mismatch(self, grid401):
-        cloud, _ = grid401
-        other = interval_grid(101)
-        g = ScalarField.coordinate(other, 0)
-        with pytest.raises(ValueError, match="does not live"):
-            poincare_check(cloud, g)
+            poincare_check(f, form=form)
 
     def test_radius_bounds_enforced(self, grid401):
         cloud, f = grid401
         with pytest.raises(ValueError, match="outside the admissible range"):
-            poincare_check(cloud, f, samples=[(10, 0.001)])
+            poincare_check(f, samples=[(10, 0.001)])
         with pytest.raises(ValueError, match="outside the admissible range"):
-            poincare_check(cloud, f, samples=[(10, 0.6)])
+            poincare_check(f, samples=[(10, 0.6)])
 
     def test_center_bounds_enforced(self, grid401):
         cloud, f = grid401
         with pytest.raises(ValueError, match="out of range"):
-            poincare_check(cloud, f, samples=[(4000, 0.05)])
+            poincare_check(f, samples=[(4000, 0.05)])
 
     def test_csv_roundtrip(self, grid401):
         cloud, f = grid401
-        rep = poincare_check(cloud, f, samples=interior_samples())["ks"]
+        rep = poincare_check(f, samples=interior_samples())["ks"]
         header, rows = rep.table()
         assert header == ("center", "R", "lhs", "rhs", "ratio")
         assert len(rows) == len(rep.samples)
@@ -168,7 +161,7 @@ class TestPoincareCheck:
 
     def test_json_summary(self, grid401):
         cloud, f = grid401
-        rep = poincare_check(cloud, f, samples=interior_samples())["lip"]
+        rep = poincare_check(f, samples=interior_samples())["lip"]
         assert rep.mode == "lip"
         assert rep.lam == 2.0
         assert rep.c_best > 0.0
@@ -179,27 +172,27 @@ class TestMaximalFunction:
     def test_constant_is_zero(self, grid401):
         cloud, _ = grid401
         c = ScalarField.constant(cloud, 2.0)
-        m = maximal_function(cloud, c, R=0.1)
+        m = maximal_function(c, R=0.1)
         assert np.all(m.values == 0.0)
 
     def test_identity_interior_level(self, grid401):
         # The normalized energy of f = x over any interior ball tends to
         # 1/3, so the maximal field should sit near sqrt(1/3) there.
         cloud, f = grid401
-        m = maximal_function(cloud, f, R=0.1)
+        m = maximal_function(f, R=0.1)
         interior = m.values[120:281]
         target = math.sqrt(1.0 / 3.0)
         assert np.all(np.abs(interior - target) < 0.2 * target)
 
     def test_monotone_in_radius(self, grid401):
         cloud, f = grid401
-        m_small = maximal_function(cloud, f, R=0.05)
-        m_big = maximal_function(cloud, f, R=0.1)
+        m_small = maximal_function(f, R=0.05)
+        m_big = maximal_function(f, R=0.1)
         assert np.all(m_small.values <= m_big.values + 1e-15)
 
     def test_dominates_top_scale(self, grid401):
         cloud, f = grid401
-        m = maximal_function(cloud, f, R=0.1)
+        m = maximal_function(f, R=0.1)
         rho = float(m.rho_grid[0])
         for x in range(cloud.n):
             ids = cloud.ball_ids(x, rho)
@@ -214,9 +207,9 @@ class TestMaximalFunction:
         cloud = make()
         f = ScalarField.from_function(cloud, lambda c: np.sin(3.0 * c[:, 0]) + c[:, -1] ** 2)
         R = cloud.diameter / 8.0
-        m = maximal_function(cloud, f, R)
+        m = maximal_function(f, R)
         assert pass_radii == [max(m.window_scales), m.rho_grid[0]]
-        rows = np.stack([ks_energy_density(cloud, f, [r])[0] for r in m.window_scales])
+        rows = np.stack([ks_energy_density(f, [r])[0] for r in m.window_scales])
         np.testing.assert_array_equal(m.window_rows, rows)
         best = np.zeros(cloud.n)
         for rho in m.rho_grid:
@@ -233,34 +226,27 @@ class TestMaximalFunction:
     def test_radius_under_floor_rejected(self, grid401):
         cloud, f = grid401
         with pytest.raises(ValueError, match="radius ladder"):
-            maximal_function(cloud, f, R=0.001)
-
-    def test_field_cloud_mismatch(self, grid401):
-        cloud, _ = grid401
-        other = interval_grid(101)
-        g = ScalarField.coordinate(other, 0)
-        with pytest.raises(ValueError, match="does not live"):
-            maximal_function(cloud, g, R=0.1)
+            maximal_function(f, R=0.001)
 
 
 class TestWeakL2:
     def test_constant_gives_zero_quotients(self, grid401):
         cloud, _ = grid401
         c = ScalarField.constant(cloud, 1.0)
-        m = maximal_function(cloud, c, R=0.1)
+        m = maximal_function(c, R=0.1)
         rep = weak_l2_check(m, thresholds=[0.1, 1.0])
         assert rep.e_proxy == 0.0
         assert np.all(rep.quotients == 0.0)
 
     def test_large_threshold_vanishes(self, grid401):
         cloud, f = grid401
-        m = maximal_function(cloud, f, R=0.1)
+        m = maximal_function(f, R=0.1)
         rep = weak_l2_check(m, thresholds=[1e6])
         assert rep.quotients[0] == 0.0
 
     def test_quotients_bounded(self, grid401):
         cloud, f = grid401
-        m = maximal_function(cloud, f, R=0.1)
+        m = maximal_function(f, R=0.1)
         rep = weak_l2_check(m)
         assert rep.max_quotient < 10.0
         assert np.all(rep.quotients >= 0.0)
@@ -273,7 +259,7 @@ class TestWeakL2:
         for n in (401, 801):
             cloud = interval_grid(n)
             f = ScalarField.coordinate(cloud, 0)
-            m = maximal_function(cloud, f, R=0.1)
+            m = maximal_function(f, R=0.1)
             quots.append(weak_l2_check(m, thresholds=thresholds).quotients)
         for a, b in zip(*quots):
             assert a > 0.0 and b > 0.0
@@ -284,27 +270,27 @@ class TestWeakL2:
         # a constant field.
         cloud, f = grid401
         c = ScalarField.constant(cloud, 1.0)
-        m = maximal_function(cloud, f, R=0.1)
-        flat_rows = maximal_function(cloud, c, R=0.1).window_rows
+        m = maximal_function(f, R=0.1)
+        flat_rows = maximal_function(c, R=0.1).window_rows
         fake = dataclasses.replace(m, window_rows=flat_rows)
         with pytest.raises(RuntimeError, match="zero global energy"):
             weak_l2_check(fake)
 
     def test_energy_proxy_is_window_minimum(self, grid401):
         cloud, f = grid401
-        m = maximal_function(cloud, f, R=0.1)
-        rows = [ks_energy_density(cloud, f, [r])[0] for r in m.window_scales]
+        m = maximal_function(f, R=0.1)
+        rows = [ks_energy_density(f, [r])[0] for r in m.window_scales]
         assert weak_l2_check(m).e_proxy == min(float(row.sum()) for row in rows)
 
     def test_positive_thresholds_required(self, grid401):
         cloud, f = grid401
-        m = maximal_function(cloud, f, R=0.1)
+        m = maximal_function(f, R=0.1)
         with pytest.raises(ValueError, match="positive"):
             weak_l2_check(m, thresholds=[0.0, 1.0])
 
     def test_csv_export(self, grid401):
         cloud, f = grid401
-        m = maximal_function(cloud, f, R=0.1)
+        m = maximal_function(f, R=0.1)
         assert m.values.shape == (cloud.n,)
         assert np.all(m.values >= 0.0)
 
@@ -366,13 +352,13 @@ class TestTelescopingBound:
         cloud, _ = grid2001
         f = ScalarField.from_function(cloud, lambda c: c[:, 0] ** 2)
         rho, lam, d_w = 0.2, DEFAULT_LAMBDA, 2.0
-        maximal = maximal_function(cloud, f, rho, d_w=d_w)
+        maximal = maximal_function(f, rho, d_w=d_w)
         pass_radii.clear()
         rep = telescoping_bound(maximal, x)
         # The chain reads the maximal field's window rows: no pass of its own.
         assert pass_radii == []
         w_scales = liminf_window_scales(cloud)
-        rows = np.stack([ks_energy_density(cloud, f, [r], d_w=d_w)[0] for r in w_scales])
+        rows = np.stack([ks_energy_density(f, [r], d_w=d_w)[0] for r in w_scales])
         m_val = 0.0
         for r in _maximal_rho_grid(cloud, lam * rho):
             ids = cloud.ball_ids(x, float(r))
@@ -393,7 +379,7 @@ def test_one_id_check_for_samples_chains_and_endpoints(grid401, end):
     bad = -1 if end == "low" else cloud.n
     form = build_form(cloud)
     queries = [
-        lambda: poincare_check(cloud, f, samples=[(bad, 0.05)]),
+        lambda: poincare_check(f, samples=[(bad, 0.05)]),
         lambda: chain(cloud, f, bad, 0.2),
         lambda: intrinsic_metric(form, bad, 0),
         lambda: intrinsic_metric(form, 0, bad),
@@ -434,10 +420,10 @@ def test_shared_samples_and_chain_keep_their_values(name):
     cloud, d_w = {"interval401": (interval_grid(401), 2.0), "gasket5": (gasket(5), LOG5_LOG2)}[name]
     f = ScalarField.from_function(cloud, lambda c: np.sin(3.0 * c[:, 0]) + c[:, -1] ** 2)
     modes, (x, lhs, rhs, c_report) = PINNED[name]
-    reps = poincare_check(cloud, f, d_w=d_w, seed=0, form=build_form(cloud))
+    reps = poincare_check(f, d_w=d_w, seed=0, form=build_form(cloud))
     assert {mode: (rep.c_best, rep.n_used) for mode, rep in reps.items()} == modes
     R = max(4.0 * DEFAULT_KAPPA * cloud.mesh, cloud.diameter / 8.0)
-    maximal = maximal_function(cloud, f, R, d_w=d_w)
+    maximal = maximal_function(f, R, d_w=d_w)
     assert maximal.field is f and maximal.cloud is cloud
     assert int(np.random.default_rng(0).integers(0, cloud.n)) == x
     tele = telescoping_bound(maximal, x)
@@ -461,7 +447,7 @@ def test_one_ball_query_per_sample_and_radius_whatever_the_modes(grid401, monkey
 
     monkeypatch.setattr(MeasuredPointCloud, "ball_ids", counting)
     samples = interior_samples()
-    reps = poincare_check(cloud, f, lam=lam, samples=samples, form=form)
+    reps = poincare_check(f, lam=lam, samples=samples, form=form)
     assert len(reps) == (3 if with_form else 2)
     assert len(calls) == (1 if lam == 1.0 else 2) * len(samples)
     # Every mode reads the same lhs on the same balls.

@@ -117,7 +117,7 @@ def test_partition_slope_bounded_interval():
     cloud = interval_grid(101)
     eps = 0.1
     pou = partition_of_unity(build_net(cloud, eps))
-    worst = max(lip.values.max() for lip in discrete_lip(cloud, pou.fields(), eps))
+    worst = max(lip.values.max() for lip in discrete_lip(pou.fields(), eps))
     assert worst * eps <= 4.0 + 1e-12
 
 
@@ -253,20 +253,20 @@ def test_mollify_error_decreases_with_epsilon():
 
 def test_lip_constant_vanishes():
     cloud = interval_grid(101)
-    lip = discrete_lip(cloud, ScalarField.constant(cloud, 5.0), 0.05)
+    lip = discrete_lip(ScalarField.constant(cloud, 5.0), 0.05)
     assert np.all(lip.values == 0.0)
 
 
 def test_lip_identity_is_one():
     cloud = interval_grid(101)
-    lip = discrete_lip(cloud, ScalarField.coordinate(cloud), 0.05)
+    lip = discrete_lip(ScalarField.coordinate(cloud), 0.05)
     np.testing.assert_allclose(lip.values, 1.0, atol=1e-12)
 
 
 def test_lip_quadratic_tracks_derivative():
     cloud = interval_grid(2001)
     f = ScalarField.from_function(cloud, lambda c: c[:, 0] ** 2)
-    lip = discrete_lip(cloud, f, 0.01)
+    lip = discrete_lip(f, 0.01)
     x = cloud.coords[:, 0]
     interior = (x > 0.05) & (x < 0.95)
     # max_y |x^2-y^2|/|x-y| = max |x+y| <= 2x + r_loc on the interior.
@@ -284,11 +284,11 @@ def test_lip_of_many_fields_shares_one_pass(make, pass_radii):
         ScalarField.constant(cloud, 2.0),
     ]
     r = 2.0 * cloud.floor
-    slopes = discrete_lip(cloud, fields, r)
+    slopes = discrete_lip(fields, r)
     assert pass_radii == [r]
     assert isinstance(slopes, list) and len(slopes) == len(fields)
     for f, lip in zip(fields, slopes):
-        np.testing.assert_array_equal(lip.values, discrete_lip(cloud, f, r).values)
+        np.testing.assert_array_equal(lip.values, discrete_lip(f, r).values)
 
 
 def test_slope_constant_is_the_largest_bump_slope(pass_radii):
@@ -297,9 +297,9 @@ def test_slope_constant_is_the_largest_bump_slope(pass_radii):
     cloud = interval_grid(401)
     pou = partition_of_unity(build_net(cloud, 0.1))
     before = len(pass_radii)
-    got = max(lip.values.max() for lip in discrete_lip(cloud, pou.fields(), 0.1))
+    got = max(lip.values.max() for lip in discrete_lip(pou.fields(), 0.1))
     assert pass_radii[before:] == [0.1]
-    worst = max(discrete_lip(cloud, f, 0.1).values.max() for f in pou.fields())
+    worst = max(discrete_lip(f, 0.1).values.max() for f in pou.fields())
     assert got == worst
 
 
@@ -307,7 +307,7 @@ def test_lip_refuses_lonely_balls():
     coords = np.array([[0.0], [1.0], [50.0]])
     cloud = MeasuredPointCloud(np.ones(3) / 3, coords=coords, mesh=0.5)
     with pytest.raises(ValueError, match="no neighbours"):
-        discrete_lip(cloud, ScalarField.coordinate(cloud), 2.0)
+        discrete_lip(ScalarField.coordinate(cloud), 2.0)
 
 
 # ----------------------------------------------------------------------
@@ -317,7 +317,7 @@ def test_lip_refuses_lonely_balls():
 
 def test_estimates_zero_for_constants():
     cloud = interval_grid(501)
-    rep = mollifier_estimates(cloud, ScalarField.constant(cloud, 1.0), 0.05)
+    rep = mollifier_estimates(ScalarField.constant(cloud, 1.0), 0.05)
     assert rep.lip_bound_ratio == 0.0
     assert rep.l2_bound_ratio == 0.0
 
@@ -325,8 +325,8 @@ def test_estimates_zero_for_constants():
 def test_estimates_identity_stable_across_epsilon():
     cloud = interval_grid(2001)
     f = ScalarField.coordinate(cloud)
-    r1 = mollifier_estimates(cloud, f, 0.05)
-    r2 = mollifier_estimates(cloud, f, 0.025)
+    r1 = mollifier_estimates(f, 0.05)
+    r2 = mollifier_estimates(f, 0.025)
     assert r1.lip_bound_ratio > 0.0
     ratio = r1.lip_bound_ratio / r2.lip_bound_ratio
     assert 0.5 <= ratio <= 2.0
@@ -336,7 +336,7 @@ def test_estimates_sine_l2_bounded():
     cloud = interval_grid(2001)
     f = ScalarField.from_function(cloud, lambda c: np.sin(np.pi * c[:, 0]))
     for eps in [0.05, 0.025]:
-        rep = mollifier_estimates(cloud, f, eps)
+        rep = mollifier_estimates(f, eps)
         assert 0.0 < rep.l2_bound_ratio <= 10.0
 
 
@@ -344,7 +344,7 @@ def test_ball_mean_deviation_matches_direct():
     cloud = interval_grid(101)
     f = ScalarField.from_function(cloud, lambda c: np.cos(3 * c[:, 0]))
     r = 0.1
-    dev = ball_mean_deviation(cloud, f, r)
+    dev = ball_mean_deviation(f, r)
     dmat = oracles.dist_matrix(cloud.coords)
     x = 47
     members = np.flatnonzero(dmat[x] < r)
@@ -415,7 +415,7 @@ def _cutoff_reference(pou, d_w):
     eps = pou.epsilon
     grid = make_scale_grid(cloud)
     energies = np.stack(
-        [ks_energies(cloud, pou.fields(), [float(r)], d_w=d_w)[0] for r in grid.scales]
+        [ks_energies(pou.fields(), [float(r)], d_w=d_w)[0] for r in grid.scales]
     )
     limsups = energies[np.isin(grid.scales, grid.window())].max(axis=0)
     masses = np.concatenate(
@@ -446,8 +446,8 @@ def _smoothing_results():
     f = ScalarField.from_function(cloud, lambda c: np.sin(3.0 * c[:, 0]) + c[:, 1])
     return (
         check_controlled_cutoff(pou, d_w=d_w).per_center,
-        mollifier_estimates(cloud, f, 0.125, d_w=d_w),
-        ball_mean_deviation(cloud, f, 0.2),
+        mollifier_estimates(f, 0.125, d_w=d_w),
+        ball_mean_deviation(f, 0.2),
         mollify(f, pou).values,
     )
 
@@ -472,7 +472,7 @@ def test_mollifier_ladder_equals_single_epsilon_calls(pass_radii):
     f = ScalarField.from_function(cloud, lambda c: np.sin(np.pi * c[:, 0]))
     ladder = [0.2, 0.1, 0.05]
     pous = [partition_of_unity(build_net(cloud, eps)) for eps in ladder]
-    reports = mollifier_ladder(cloud, f, pous)
+    reports = mollifier_ladder(f, pous)
     # The 5 eps overlap and 2 eps partition passes of every rung's net, one
     # mollify pass per rung, then 2 eps and 6 eps of every rung share a
     # single stencil sweep, except 6 * 0.2, which exceeds the diameter and
@@ -482,4 +482,4 @@ def test_mollifier_ladder_equals_single_epsilon_calls(pass_radii):
     nets = [r for eps in ladder for r in (5.0 * eps, 2.0 * eps)]
     assert pass_radii == nets + ladder + [6.0 * 0.1] + [lip_r]
     for eps, rep in zip(ladder, reports):
-        assert rep == mollifier_estimates(cloud, f, eps)
+        assert rep == mollifier_estimates(f, eps)

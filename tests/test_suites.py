@@ -283,7 +283,7 @@ class TestInapplicable:
             ),
             (lambda: make_scale_grid(interval_grid(9)), "empty admissible grid"),
             (
-                lambda: fit_walk_dimension(interval_grid(17), [_coordinate(interval_grid(17))]),
+                lambda: fit_walk_dimension([_coordinate(interval_grid(17))]),
                 "at least three scales",
             ),
             (lambda: pc._default_samples(interval_grid(9), 2.0, 0), "no admissible radii"),
