@@ -480,9 +480,11 @@ class ScaleGrid:
     a lattice distance, and radii that sit close to such a crossing carry an
     O(h/r) bias in the increment sums.  Mid-mesh radii reduce that to
     O((h/r)^2), which is what keeps the small-scale window usable for limit
-    fits.
+    fits.  ``cloud`` is the cloud the grid was built for; consumers refuse
+    fields on any other.
     """
 
+    cloud: MeasuredPointCloud = field(repr=False, compare=False)
     r_max: float
     scales: np.ndarray  # descending, admissible only
 
@@ -516,7 +518,7 @@ def make_scale_grid(cloud: MeasuredPointCloud, r_max: float | None = None) -> Sc
     scales = np.unique(snapped[snapped >= floor])[::-1]
     if scales.size == 0:
         raise Inapplicable(f"empty admissible grid: r_max={r_max:g}, floor={floor:g}")
-    return ScaleGrid(r_max=float(r_max), scales=scales)
+    return ScaleGrid(cloud=cloud, r_max=float(r_max), scales=scales)
 
 
 @dataclass(frozen=True)
@@ -665,6 +667,8 @@ def fit_walk_dimension(
     cloud = _common_cloud(fields)
     if grid is None:
         grid = make_scale_grid(cloud)
+    elif grid.cloud is not cloud:
+        raise ValueError("scale grid was built for another cloud")
     if grid.scales.size < 3:
         raise Inapplicable("walk-dimension fit needs at least three scales")
     varying = [f for f in fields if not f.is_constant()]

@@ -17,6 +17,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.special
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .energy import ScalarField, WalkDimFit
@@ -47,13 +48,21 @@ __all__ = [
     "gasket_harmonic_field",
 ]
 
-# Forms up to DENSE_EIGEN_LIMIT vertices are solved exactly: a path in id
-# order (interval grids) by MRRR on its tridiagonal generator, any other
-# form by one cached dense divide-and-conquer solve.  Above the limit only
-# the lowest PARTIAL_EIGEN_COUNT modes are computed by shift-invert Lanczos,
-# which is too few for the heat-kernel fit.
-DENSE_EIGEN_LIMIT = 5000
+# Three solve routes (see ``spectrum``).  A path in id order (interval
+# grids) is solved by MRRR on its tridiagonal generator at any size.  Any
+# other form up to DENSE_EIGEN_LIMIT vertices takes one cached dense
+# divide-and-conquer solve, the only route that returns every mode of a
+# non-path form; above the limit shift-invert Lanczos computes the low band
+# (PARTIAL_EIGEN_COUNT modes unless asked for fewer).  Lanczos is faster
+# even below the limit (square 31: 0.03 s against 0.13 s dense); the limit
+# keeps the full spectra that the tests use as reference.  Heat kernels are
+# exact on any band (``heat_kernel``), so no consumer needs every mode.
+DENSE_EIGEN_LIMIT = 1000
 PARTIAL_EIGEN_COUNT = 200
+
+# A band spectrum sums the heat kernel once t lambda_{k_max-1} reaches this
+# many e-folds; below it a Chebyshev-Bessel recurrence on the generator runs.
+DAMPED_EFOLDS = 40.0
 
 # The cloud kinds (``space.CLOUD_KINDS``) that carry a reference form.
 FORM_KINDS = ("interval_grid", "square_grid", "gasket")
@@ -107,23 +116,34 @@ class GraphDirichletForm:
         """Per-vertex sum of incident conductances."""
         return np.asarray(self.adjacency.sum(axis=1)).ravel()
 
-    def _symmetric_generator(self) -> np.ndarray:
-        """M^{-1/2} C M^{-1/2} as a dense Fortran-ordered array.
+    @cached_property
+    def generator(self) -> sp.csr_matrix:
+        """S = M^{-1/2} C M^{-1/2}, sparse, with the spectrum of L = (1/mu) C.
 
-        Each edge's value is computed once and written to both triangles, so
-        the matrix equals its transpose bit for bit by construction; the
-        diagonal is deg / mu.
+        Each edge's value is computed once and stored in both triangles, so
+        S equals its transpose bit for bit; the diagonal is deg / mu.  The
+        dense, Lanczos and Chebyshev routes all read this one matrix.
         """
         n = self.n
         w = self.cloud.weights
         inv_sqrt = 1.0 / np.sqrt(w)
-        i, j = self.edge_i, self.edge_j
-        off = -self.conductances * (inv_sqrt[i] * inv_sqrt[j])
-        sym = np.zeros((n, n), order="F")
-        np.add.at(sym, (i, j), off)
-        np.add.at(sym, (j, i), off)
-        sym[np.diag_indices(n)] = self.degrees / w
-        return sym
+        off = -self.conductances * (inv_sqrt[self.edge_i] * inv_sqrt[self.edge_j])
+        diag = np.arange(n)
+        rows = np.concatenate([self.edge_i, self.edge_j, diag])
+        cols = np.concatenate([self.edge_j, self.edge_i, diag])
+        vals = np.concatenate([off, off, self.degrees / w])
+        return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+    @cached_property
+    def lambda_max(self) -> float:
+        """The top eigenvalue of the generator, by one Lanczos solve.
+
+        The start is seeded noise: a constant start is the null mode itself
+        on uniform weights, an invariant subspace that stops Lanczos.
+        """
+        v0 = np.random.default_rng(0).standard_normal(self.n)
+        top = sp.linalg.eigsh(self.generator, k=1, which="LA", v0=v0, return_eigenvectors=False)
+        return float(top[0])
 
     @cached_property
     def _dense_eigen(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -139,7 +159,7 @@ class GraphDirichletForm:
         # default MRRR solver is several times slower on the gasket's
         # clustered, highly degenerate spectrum.
         vals, vecs = scipy.linalg.eigh(
-            self._symmetric_generator(), overwrite_a=True, driver="evd"
+            self.generator.toarray(order="F"), overwrite_a=True, driver="evd"
         )
         fields = _mu_normalize(vecs, 1.0 / np.sqrt(self.cloud.weights))
         fields.flags.writeable = False
@@ -240,14 +260,16 @@ class Spectrum:
 
     Solved as the generalized symmetric problem C u = lambda M u through the
     substitution v = M^{1/2} u, an eigenproblem of M^{-1/2} C M^{-1/2}, a
-    matrix that is symmetric bit for bit by construction.  ``spectrum``
-    picks one of three deterministic routes by the form's shape (see
-    there).  Inside a degenerate eigenspace the eigenfields are one
-    orthonormal basis chosen by the solver; sums over the eigenspace do not
-    depend on that choice.  ``residual`` is the worst mu-norm of
-    L u - lambda u, relative to the generator's Gershgorin scale so the
-    1e-8 gate means the same thing on unit-scale graphs and fine lattices.
-    ``eigenfields`` is read-only.
+    matrix that is symmetric bit for bit by construction (the form's
+    ``generator``).  ``spectrum`` picks one of three deterministic routes by
+    the form's shape and size (see there).  The pairs are complete when
+    ``k_max == n`` and a low band otherwise; heat kernels are exact on
+    either (``heat_kernel``).  Inside a degenerate eigenspace the
+    eigenfields are one orthonormal basis chosen by the solver; sums over
+    the eigenspace do not depend on that choice.  ``residual`` is the worst
+    mu-norm of L u - lambda u, relative to the generator's Gershgorin scale
+    so the 1e-8 gate means the same thing on unit-scale graphs and fine
+    lattices.  ``eigenfields`` is read-only.
     """
 
     form: GraphDirichletForm
@@ -259,6 +281,15 @@ class Spectrum:
     @property
     def n(self) -> int:
         return self.form.n
+
+    @property
+    def complete(self) -> bool:
+        return self.k_max == self.n
+
+    @property
+    def lambda_max(self) -> float:
+        """The top eigenvalue: the last one of a complete spectrum, else the form's."""
+        return float(self.eigenvalues[-1]) if self.complete else self.form.lambda_max
 
     def field(self, k: int) -> ScalarField:
         return ScalarField(self.form.cloud, self.eigenfields[:, k].copy())
@@ -304,17 +335,19 @@ def _column_residuals(
 def spectrum(form: GraphDirichletForm, k_max: int | None = None) -> Spectrum:
     """The k_max lowest eigenpairs of the generator, by one of three routes.
 
-    - A path in id order (edges (i, i + 1), as on interval grids) at or
-      below DENSE_EIGEN_LIMIT vertices: MRRR (LAPACK stemr) on the
-      tridiagonal generator for the k_max lowest pairs, solved afresh on
-      each call.  Different k_max agree on their common prefix to about
-      1 ulp, not bit for bit.
-    - Any other form at or below the limit: one full dense
+    - A path in id order (edges (i, i + 1), as on interval grids), at any
+      size: MRRR (LAPACK stemr) on the tridiagonal generator for the k_max
+      lowest pairs, solved afresh on each call.  Different k_max agree on
+      their common prefix to about 1 ulp, not bit for bit.
+    - Any other form at or below DENSE_EIGEN_LIMIT vertices: one full dense
       divide-and-conquer solve, cached on the form on first use; every
       k_max is a read-only view of its leading columns, so prefixes agree
       bit for bit.
-    - Above the limit: shift-invert Lanczos for the k_max lowest pairs
-      (at most PARTIAL_EIGEN_COUNT by default), solved on each call.
+    - Any other form above the limit: shift-invert Lanczos on the sparse
+      generator for the k_max lowest pairs, solved on each call.
+
+    ``k_max`` defaults to every mode at or below the limit and to
+    PARTIAL_EIGEN_COUNT above it.
     """
     n = form.n
     if k_max is None:
@@ -322,7 +355,7 @@ def spectrum(form: GraphDirichletForm, k_max: int | None = None) -> Spectrum:
     if not (1 <= k_max <= n):
         raise ValueError(f"k_max must lie in [1, {n}], got {k_max}")
     i, j = form.edge_i, form.edge_j
-    path = n <= DENSE_EIGEN_LIMIT and i.size == n - 1 and bool(np.all(j - i == 1))
+    path = i.size == n - 1 and bool(np.all(j - i == 1))
     if n <= DENSE_EIGEN_LIMIT and not path:
         all_vals, all_fields, all_res = form._dense_eigen
         vals = all_vals[:k_max].copy()
@@ -339,14 +372,12 @@ def spectrum(form: GraphDirichletForm, k_max: int | None = None) -> Spectrum:
                 lapack_driver="stemr",
             )
         else:
-            lap = sp.diags(form.degrees) - form.adjacency
-            sym = sp.diags(inv_sqrt) @ lap @ sp.diags(inv_sqrt)
             v0 = np.full(n, 1.0 / np.sqrt(n))  # fixed start for reproducible runs
             # Shift slightly below zero: at sigma = 0 the factorization would
             # hit the Laplacian's own null mode.
             scale = float(np.max(form.degrees / w))
             vals, vecs = sp.linalg.eigsh(
-                sym.tocsc(), k=k_max, sigma=-1e-3 * scale, v0=v0
+                form.generator.tocsc(), k=k_max, sigma=-1e-3 * scale, v0=v0
             )
             order = np.argsort(vals, kind="stable")
             vals, vecs = vals[order], vecs[:, order]
@@ -374,31 +405,100 @@ def spectrum(form: GraphDirichletForm, k_max: int | None = None) -> Spectrum:
     )
 
 
-def _require_positive_time(t: float) -> None:
-    if not np.isfinite(t) or t <= 0.0:
+def _heat_times(t: float | np.ndarray) -> np.ndarray:
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1 or times.size == 0 or not np.all((times > 0.0) & np.isfinite(times)):
         raise ValueError(f"heat kernel time must be positive, got {t!r}")
+    return times
 
 
-def heat_kernel(spec: Spectrum, t: float, x: int | np.ndarray, y: int | np.ndarray) -> float | np.ndarray:
-    """p_t(x, y) = sum_k exp(-lambda_k t) u_k(x) u_k(y).
+def _band_exact(spec: Spectrum, times: np.ndarray) -> np.ndarray:
+    """Per time, whether the spectrum's own modes give the kernel (see ``heat_kernel``)."""
+    if spec.complete:
+        return np.ones(times.shape, dtype=bool)
+    return times * spec.eigenvalues[-1] >= DAMPED_EFOLDS
+
+
+def _chebyshev_heat(spec: Spectrum, times: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """exp(-tS)_{ys, xs} at each time, S the generator, pair by pair.
+
+    With B = I - (2 / lambda_max) S, whose spectrum lies in [-1, 1],
+    exp(-tS) = sum_k c_k T_k(B), c_0 = ive(0, a), c_k = 2 ive(k, a) and
+    a = t lambda_max / 2.  The c_k are positive, sum to 1 and fall off like
+    exp(-k^2 / 2a), so sqrt(2 a ln 1e20) + 20 terms leave a tail below
+    1e-20.  One three-term recurrence T_{k+1} = 2 B T_k - T_{k-1} on the
+    distinct columns of ``xs`` serves every time; each time's sum stops at
+    its own degree, so it does not depend on the other times asked for.
+    """
+    lam_max = spec.lambda_max
+    a = times * (0.5 * lam_max)
+    degrees = (np.sqrt(2.0 * a * np.log(1e20)) + 20).astype(int)
+    terms = np.arange(degrees.max() + 1)
+    coef = np.where(terms <= degrees[:, None], scipy.special.ive(terms, a[:, None]), 0.0)
+    coef[:, 1:] *= 2.0
+    gen, step = spec.form.generator, 2.0 / lam_max
+    cols, col_of = np.unique(xs, return_inverse=True)
+    prev = np.zeros((spec.n, cols.size))
+    prev[cols, np.arange(cols.size)] = 1.0
+    cur = prev - step * (gen @ prev)
+    out = np.multiply.outer(coef[:, 0], prev[ys, col_of])
+    out += np.multiply.outer(coef[:, 1], cur[ys, col_of])
+    for k in terms[2:]:
+        prev, cur = cur, 2.0 * (cur - step * (gen @ cur)) - prev
+        out += np.multiply.outer(coef[:, k], cur[ys, col_of])
+    return out
+
+
+def heat_kernel(
+    spec: Spectrum, t: float | np.ndarray, x: int | np.ndarray, y: int | np.ndarray
+) -> float | np.ndarray:
+    """p_t(x, y) = sum_k exp(-lambda_k t) u_k(x) u_k(y) over every mode of the form.
 
     ``x`` and ``y`` are ids or equal-shape id arrays; arrays give the
     kernel pair by pair, each entry equal to the call on that one pair.
+    ``t`` is a time or a 1-D array of times, which adds a leading axis.
+
+    The spectrum's modes are summed when they are complete, or when the
+    first omitted one is damped, t lambda_{k_max-1} >= DAMPED_EFOLDS: the
+    omitted modes then add at most exp(-t lambda_{k_max-1}) / sqrt(mu_x mu_y)
+    (Cauchy-Schwarz, with sum_k u_k(x)^2 = 1 / mu_x).  At earlier times the
+    kernel is exp(-tS)_{yx} / sqrt(mu_x mu_y), read from one Chebyshev-Bessel
+    recurrence on the sparse generator over the distinct ids of ``x``.
     """
-    _require_positive_time(t)
+    times = _heat_times(t)
     check = spec.form.cloud._checked_ids
-    x, y = check(np.asarray(x, dtype=np.intp)), check(np.asarray(y, dtype=np.intp))
-    decay = np.exp(-spec.eigenvalues * t)
-    p = np.sum(decay * spec.eigenfields[x] * spec.eigenfields[y], axis=-1)
+    x, y = np.broadcast_arrays(
+        check(np.asarray(x, dtype=np.intp)), check(np.asarray(y, dtype=np.intp))
+    )
+    flat = times.reshape(-1)
+    out = np.empty(flat.shape + x.shape)
+    summed = _band_exact(spec, flat)
+    if summed.any():
+        decay = np.exp(-spec.eigenvalues * flat[summed, None])
+        decay = decay.reshape(decay.shape[:1] + (1,) * x.ndim + decay.shape[1:])
+        out[summed] = np.sum(decay * spec.eigenfields[x] * spec.eigenfields[y], axis=-1)
+    if not summed.all():
+        xs, ys = x.ravel(), y.ravel()
+        heat = _chebyshev_heat(spec, flat[~summed], xs, ys)
+        w = spec.form.cloud.weights
+        out[~summed] = (heat / np.sqrt(w[xs] * w[ys])).reshape((-1,) + x.shape)
+    p = out.reshape(times.shape + x.shape)
     return float(p) if p.ndim == 0 else p
 
 
-def heat_kernel_row(spec: Spectrum, t: float, x: int) -> np.ndarray:
-    """All of p_t(x, .) in one pass."""
-    _require_positive_time(t)
+def heat_kernel_row(spec: Spectrum, t: float | np.ndarray, x: int) -> np.ndarray:
+    """All of p_t(x, .) in one pass, one row per time (see ``heat_kernel``)."""
+    times = _heat_times(t)
     x = spec.form.cloud._checked_ids(x)
-    decay = np.exp(-spec.eigenvalues * t)
-    return spec.eigenfields @ (decay * spec.eigenfields[x])
+    flat = times.reshape(-1)
+    out = np.empty((flat.size, spec.n))
+    summed = _band_exact(spec, flat)
+    for k in np.flatnonzero(summed):
+        decay = np.exp(-spec.eigenvalues * flat[k])
+        out[k] = spec.eigenfields @ (decay * spec.eigenfields[x])
+    if not summed.all():
+        out[~summed] = heat_kernel(spec, flat[~summed], np.full(spec.n, x), np.arange(spec.n))
+    return out.reshape(times.shape + (spec.n,))
 
 
 @dataclass(frozen=True)
@@ -457,8 +557,10 @@ def fit_subgaussian(spec: Spectrum, seed: int = 0) -> HeatKernelFit:
 
     Twelve geometric times span the window [3/lambda_max, 0.3/lambda_1]:
     early enough that the kernel is not saturated at the constant mode,
-    late enough that single-vertex discreteness has smoothed out.  A
-    spectrum too narrow for that window is refused.  Distances in the decay
+    late enough that single-vertex discreteness has smoothed out.  Any
+    spectrum will do, a low band too: ``heat_kernel`` is exact on it, and
+    lambda_max comes from the spectrum when it is complete and from one
+    Lanczos solve otherwise.  Distances in the decay
     variable are network geodesics (shortest paths over the form's edges):
     the kernel propagates through edges, and on ramified geometries the
     straight-line distance understates the travel cost by an uneven factor.
@@ -466,19 +568,13 @@ def fit_subgaussian(spec: Spectrum, seed: int = 0) -> HeatKernelFit:
     the fit: closer in there is no decay signal, farther out the lattice
     tail leaves the sub-Gaussian regime.
     """
-    if spec.k_max < spec.n:
-        # Small-t kernels need every mode, and lambda_max sets the window.
-        raise ValueError(
-            f"heat-kernel fit needs the full spectrum; this one is truncated "
-            f"to {spec.k_max} of {spec.n} modes"
-        )
     form = spec.form
     cloud = form.cloud
     lam = spec.eigenvalues
     positive = lam[lam > 0]
     if positive.size == 0:
         raise ValueError("spectrum has no positive eigenvalues")
-    lam1, lam_max = float(positive.min()), float(positive.max())
+    lam1, lam_max = float(positive.min()), spec.lambda_max
     t_lo, t_hi = 3.0 / lam_max, 0.3 / lam1
     if not (0.0 < t_lo < t_hi):
         raise ValueError(f"degenerate time window ({t_lo:g}, {t_hi:g})")
@@ -505,9 +601,10 @@ def fit_subgaussian(spec: Spectrum, seed: int = 0) -> HeatKernelFit:
     pairs = sorted(set(pairs))
 
     xs, ys = np.array(pairs, dtype=np.intp).T
-    # Per time, the kernel at every pair and on the diagonal at every centre.
-    kernel = [heat_kernel(spec, float(t), xs, ys) for t in times]
-    on_diag = np.array([heat_kernel(spec, float(t), centers, centers) for t in times])
+    # One call: per time, the kernel at every pair and on the diagonal at
+    # every centre.
+    table = heat_kernel(spec, times, np.concatenate([xs, centers]), np.concatenate([ys, centers]))
+    kernel, on_diag = table[:, : xs.size], table[:, xs.size :]
     rows = []
     for t, p_t, diag_t in zip(times, kernel, on_diag):
         for x, y, p in zip(xs.tolist(), ys.tolist(), p_t.tolist()):

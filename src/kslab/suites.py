@@ -180,13 +180,6 @@ class SuiteContext:
         k_max = min(25, self.cloud.n - 1)
         return gf.spectrum(self.form, k_max=k_max)
 
-    @cached_property
-    def full_spectrum(self) -> gf.Spectrum:
-        # Heat-kernel decay fits need the whole spectrum, not the low band.
-        # On a dense-route form this and ``spectrum`` are read-only views of
-        # one cached decomposition; a path form is solved for each.
-        return gf.spectrum(self.form)
-
     def standard_fields(self) -> list[tuple[str, ScalarField]]:
         """Nonconstant reference fields appropriate for the cloud kind."""
         cloud = self.cloud
@@ -632,29 +625,20 @@ def suite_graphform(ctx: SuiteContext) -> list[CheckResult]:
     dw_target = None
     if ctx.kind == "gasket" and int(cloud.meta.get("level", 0)) >= 5:
         dw_target = LOG5_LOG2
-        if cloud.n > gf.DENSE_EIGEN_LIMIT:
-            # The truncated spectrum gives neither small-t kernels nor
-            # lambda_max for the time window.
-            reason = (
-                f"heat-kernel fit needs the full spectrum; {cloud.n} vertices exceed "
-                f"the dense eigensolve limit {gf.DENSE_EIGEN_LIMIT}"
+        fit = gf.fit_subgaussian(ctx.spectrum, seed=ctx.seed)
+        results.append(
+            CheckResult(
+                name="subgaussian_fit",
+                claim="sub-gaussian-heat-kernel",
+                passed=bool(fit.residual <= DEFAULT_TOLERANCES["subgaussian_residual"]),
+                constant=fit.residual,
+                details={
+                    "d_w_fit": fit.d_w_fit,
+                    "d_s_fit": fit.d_s_fit,
+                    "exponent_fit": fit.exponent_fit,
+                },
             )
-            results.append(skipped("subgaussian_fit", "sub-gaussian-heat-kernel", reason))
-        else:
-            fit = gf.fit_subgaussian(ctx.full_spectrum, seed=ctx.seed)
-            results.append(
-                CheckResult(
-                    name="subgaussian_fit",
-                    claim="sub-gaussian-heat-kernel",
-                    passed=bool(fit.residual <= DEFAULT_TOLERANCES["subgaussian_residual"]),
-                    constant=fit.residual,
-                    details={
-                        "d_w_fit": fit.d_w_fit,
-                        "d_s_fit": fit.d_s_fit,
-                        "exponent_fit": fit.exponent_fit,
-                    },
-                )
-            )
+        )
     elif ctx.kind == "interval_grid" and ctx.coarse_form is not None:
         dw_target = 2.0
     if dw_target is not None:

@@ -120,9 +120,8 @@ def gasket5_fit():
 
 @pytest.fixture(scope="module")
 def gasket6_heat_fit(gasket6, form6):
-    """Sub-Gaussian decay fit over the full level-6 spectrum."""
-    full = gf.spectrum(form6)
-    return gf.fit_subgaussian(full, seed=0)
+    """Sub-Gaussian decay fit over the level-6 default spectrum (a Lanczos band)."""
+    return gf.fit_subgaussian(gf.spectrum(form6), seed=0)
 
 
 # ----------------------------------------------------------------------

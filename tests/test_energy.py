@@ -308,7 +308,7 @@ def test_scale_geometry_takes_no_knobs():
     assert not hasattr(kslab.MeasuredPointCloud, "ball")
     for gone in ("l2_norm", "lq_norm", "sup_norm"):
         assert not hasattr(ScalarField, gone), gone
-    assert [f.name for f in dataclasses.fields(ScaleGrid)] == ["r_max", "scales"]
+    assert [f.name for f in dataclasses.fields(ScaleGrid)] == ["cloud", "r_max", "scales"]
     sweep_fields = {f.name for f in dataclasses.fields(EnergySweep)}
     assert not sweep_fields & {"region_size", "seed"}
 
@@ -565,6 +565,17 @@ def test_fit_walk_dimension_makes_one_pass(pass_radii):
     fields = [ScalarField.coordinate(cloud), ScalarField.constant(cloud, 2.0)]
     fit = fit_walk_dimension(fields)
     assert pass_radii == [float(fit.scales.max())]
+
+
+def test_fit_walk_dimension_refuses_foreign_grid():
+    # Interval 201's scales on interval 401 fields once gave d_w 1.948
+    # instead of 1.975.
+    fine = interval_grid(401)
+    fields = [ScalarField.coordinate(fine)]
+    with pytest.raises(ValueError, match="another cloud"):
+        fit_walk_dimension(fields, grid=make_scale_grid(interval_grid(201)))
+    assert make_scale_grid(fine).cloud is fine
+    fit_walk_dimension(fields, grid=make_scale_grid(fine))
 
 
 # ----------------------------------------------------------------------

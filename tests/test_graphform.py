@@ -37,7 +37,7 @@ from kslab.space import (
     square_grid,
 )
 
-from oracles import convex_intrinsic_metric, dual_intrinsic_metric
+from oracles import convex_intrinsic_metric, dual_intrinsic_metric, uniformized_heat_kernel
 
 LOG5_LOG2 = np.log(5.0) / np.log(2.0)
 LOG3_LOG5 = np.log(3.0) / np.log(5.0)
@@ -422,7 +422,7 @@ def test_dense_solve_matches_independent_solve(kind, make_cloud, size):
     cloud = make_cloud(size)
     form = build_form(cloud)
     assert form.kind == kind
-    sym = form._symmetric_generator()
+    sym = form.generator.toarray()
     assert np.array_equal(sym, sym.T)
     ref_vals, ref_vecs = scipy.linalg.eigh(sym, driver="evr")
     ref_fields = ref_vecs / np.sqrt(cloud.weights)[:, None]
@@ -556,6 +556,57 @@ def test_heat_kernel_positivity_sampled():
             assert heat_kernel_row(spec, float(t), 0).min() > 0.0
 
 
+@pytest.mark.parametrize("make", [lambda: gasket(5), lambda: square_grid(21)], ids=["gasket5", "square21"])
+def test_band_heat_kernel_is_exact(make):
+    # A 25-mode band once summed only its own modes: on gasket 5, p_t(0, 0)
+    # at t = 3/lambda_max read 40.16 against 166.23.  Pairs, diagonal and
+    # rows from the band now match an entrywise-accurate oracle wherever the
+    # kernel is within 12 e-folds of its diagonal, at the fit's twelve times
+    # (Chebyshev) and at two times past the band's damping threshold (sums).
+    cloud = make()
+    form = build_form(cloud)
+    full, band = spectrum(form), spectrum(form, 25)
+    damped = np.array([50.0, 100.0]) / band.eigenvalues[-1]
+    times = np.append(np.geomspace(3.0 / full.lambda_max, 0.3 / full.eigenvalues[1], 12), damped)
+    assert band.k_max < cloud.n
+    assert gf._band_exact(band, times).tolist() == [False] * 12 + [True] * 2
+    rows = np.sort(np.random.default_rng(0).choice(cloud.n, size=24, replace=False))
+    exact = uniformized_heat_kernel(
+        form.edge_i, form.edge_j, form.conductances, cloud.weights, times, rows
+    )
+    diag = exact[:, np.arange(rows.size), rows]
+
+    def check(got, want, at):
+        resolved = want >= np.exp(-12.0) * diag[:, at]
+        return np.max(np.abs(got / want - 1.0)[resolved])
+
+    assert check(heat_kernel(band, times, rows, rows), diag, slice(None)) <= 1e-9
+    at, ys = np.repeat(np.arange(rows.size), cloud.n), np.tile(np.arange(cloud.n), rows.size)
+    pairs = exact[:, at, ys]
+    assert check(heat_kernel(band, times, rows[at], ys), pairs, at) <= 1e-9
+    for k in range(3):
+        own = np.full(cloud.n, k)
+        assert check(heat_kernel_row(band, times, rows[k]), exact[:, k], own) <= 1e-9
+        # The full spectrum's own sum carries rounding of order eps / mu: up
+        # to 4.3e-9 relative at 12 e-folds on gasket 5.
+        assert check(heat_kernel_row(full, times, rows[k]), exact[:, k], own) <= 1e-8
+
+
+def test_heat_kernel_over_times_equals_calls_per_time():
+    # The two early times run the Chebyshev recurrence, the last one sums
+    # the band; each time's kernel is the same bits alone or with others.
+    spec = spectrum(build_form(gasket(4)), 10)
+    times = np.array([1e-4, 1e-2, 1.0])
+    assert gf._band_exact(spec, times).tolist() == [False, False, True]
+    xs, ys = np.array([0, 3, 7]), np.array([5, 3, 1])
+    table = heat_kernel(spec, times, xs, ys)
+    rows = heat_kernel_row(spec, times, 3)
+    assert table.shape == (3, 3) and rows.shape == (3, spec.n)
+    for k, t in enumerate(times):
+        assert table[k].tolist() == heat_kernel(spec, float(t), xs, ys).tolist()
+        assert rows[k].tolist() == heat_kernel_row(spec, float(t), 3).tolist()
+
+
 def test_heat_kernel_rejects_bad_time():
     spec = spectrum(build_form(interval_grid(10)))
     with pytest.raises(ValueError, match="positive"):
@@ -642,17 +693,20 @@ def test_subgaussian_fit_sums_each_kernel_once(case, monkeypatch):
     fit = fit_subgaussian(spec, seed=seed)
     got = (fit.c1, fit.c2, fit.d_w_fit, fit.exponent_fit, fit.d_s_fit, fit.residual, fit.n_samples)
     assert got == PINNED_FITS[case]
-    # Twelve times; per time one call for the pairs, one for the centres' diagonal.
-    assert len(calls) == 24 and len(set(calls)) == 12
+    # One call: all twelve times, the pairs and the centres' diagonal together.
+    assert len(calls) == 1 and np.asarray(calls[0]).shape == (12,)
 
 
-def test_subgaussian_fit_refuses_truncated_spectrum(monkeypatch):
-    cloud = gasket(5)
-    monkeypatch.setattr(gf, "DENSE_EIGEN_LIMIT", cloud.n - 1)
-    spec = spectrum(build_form(cloud))
-    assert spec.k_max == gf.PARTIAL_EIGEN_COUNT < cloud.n
-    with pytest.raises(ValueError, match="truncated to 200 of 366 modes"):
-        fit_subgaussian(spec)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_subgaussian_fit_on_band_matches_full_spectrum(seed):
+    # The 25-mode band takes lambda_max from a Lanczos solve and its small-t
+    # kernels from the Chebyshev recurrence; the full spectrum sums every mode.
+    form = build_form(gasket(5))
+    full = fit_subgaussian(spectrum(form), seed=seed)
+    band = fit_subgaussian(spectrum(form, 25), seed=seed)
+    assert band.d_w_fit == full.d_w_fit
+    assert band.n_samples == full.n_samples
+    assert band.residual == pytest.approx(full.residual, rel=1e-9)
 
 
 def test_subgaussian_fit_rejects_bad_window():

@@ -213,16 +213,17 @@ class TestSuiteVerdicts:
         assert abs(by_name["eigen_walk_dimension"].constant - LOG5_LOG2) <= 0.05
         assert "intrinsic_metric" not in by_name
 
-    def test_gasket_graphform_skips_fit_on_truncated_spectrum(self, gasket5, monkeypatch):
-        # Above the dense limit the spectrum keeps only its low end; the fit
-        # row becomes an explicit skip and the other rows still run.
+    def test_gasket_graphform_fits_above_dense_limit(self, gasket5, monkeypatch):
+        # Above the dense limit the spectrum is a Lanczos band; the fit row
+        # is real and agrees with the fit over the full dense spectrum.
+        full = gf.fit_subgaussian(gf.spectrum(gf.build_form(gasket5)), seed=0)
         monkeypatch.setattr(gf, "DENSE_EIGEN_LIMIT", gasket5.n - 1)
         results = run_suite("graphform", _ctx(gasket5, d_w=LOG5_LOG2))
         by_name = {r.name: r for r in results}
-        assert "subgaussian_fit" not in by_name
-        skipped = by_name["subgaussian_fit_skipped"]
-        assert skipped.passed and skipped.constant is None
-        assert "full spectrum" in skipped.details["reason"]
+        assert "subgaussian_fit_skipped" not in by_name
+        fit = by_name["subgaussian_fit"]
+        assert fit.passed and fit.details["d_w_fit"] == full.d_w_fit
+        assert fit.constant == pytest.approx(full.residual, rel=1e-9)
         assert by_name["spectrum_residual"].passed
         assert abs(by_name["eigen_walk_dimension"].constant - LOG5_LOG2) <= 0.05
 
