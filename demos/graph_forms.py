@@ -24,7 +24,7 @@ from kslab import (
     gamma_vs_lip_check,
     gasket,
     gasket_harmonic_field,
-    heat_kernel_row,
+    heat_kernel,
     interval_grid,
     intrinsic_metric,
     spectrum,
@@ -51,16 +51,19 @@ spec = spectrum(gform, k_max=6)
 print(f"lowest eigenvalues: {[round(float(v), 4) for v in spec.eigenvalues]}")
 
 # Heat kernel rows integrate to one against the weights: the semigroup
-# conserves mass.
+# conserves mass.  Ids broadcast, so the row p_t(0, .) is one call over
+# every id.
 t = 1.0 / float(spec.eigenvalues[1])
-row = heat_kernel_row(spec, t, 0)
+row = heat_kernel(spec, t, 0, np.arange(g.n))
 print(f"heat kernel mass at t={t:.4f}: {float(g.weights @ row):.12f}")
 
 # Walk dimension two ways: eigenvalue ratios between consecutive levels,
 # and a sub-Gaussian decay fit to the kernel itself.  The decay fit needs a
 # resolved decay window, so it runs at level 5; a low band serves, because
 # its heat kernels are exact.
-walk = eigen_walk_dimension(build_form(gasket(3)), gform)
+# The ratios read the spectra already solved; the coarse level needs only
+# its lowest four modes.
+walk = eigen_walk_dimension(spectrum(build_form(gasket(3)), k_max=4), spec)
 print(f"eigen walk dimension (levels 3->4): {walk.d_w_hat:.4f}"
       f" vs log5/log2 = {math.log(5) / math.log(2):.4f}")
 g5 = gasket(5)

@@ -88,7 +88,6 @@ from .graphform import (
     gamma_vs_lip_check,
     gasket_harmonic_field,
     heat_kernel,
-    heat_kernel_row,
     intrinsic_metric,
     spectrum,
 )
@@ -169,7 +168,6 @@ __all__ = [
     "gamma_vs_lip_check",
     "gasket_harmonic_field",
     "heat_kernel",
-    "heat_kernel_row",
     "intrinsic_metric",
     "spectrum",
     "CompactnessProbe",

@@ -40,7 +40,6 @@ __all__ = [
     "energy_measure",
     "spectrum",
     "heat_kernel",
-    "heat_kernel_row",
     "fit_subgaussian",
     "eigen_walk_dimension",
     "intrinsic_metric",
@@ -56,7 +55,8 @@ __all__ = [
 # (PARTIAL_EIGEN_COUNT modes unless asked for fewer).  Lanczos is faster
 # even below the limit (square 31: 0.03 s against 0.13 s dense); the limit
 # keeps the full spectra that the tests use as reference.  Heat kernels are
-# exact on any band (``heat_kernel``), so no consumer needs every mode.
+# exact on any band (``heat_kernel``), so no consumer needs every mode; a
+# suite run solves each form once, and every consumer takes that spectrum.
 DENSE_EIGEN_LIMIT = 1000
 PARTIAL_EIGEN_COUNT = 200
 
@@ -454,8 +454,9 @@ def heat_kernel(
 ) -> float | np.ndarray:
     """p_t(x, y) = sum_k exp(-lambda_k t) u_k(x) u_k(y) over every mode of the form.
 
-    ``x`` and ``y`` are ids or equal-shape id arrays; arrays give the
-    kernel pair by pair, each entry equal to the call on that one pair.
+    ``x`` and ``y`` are ids or id arrays that broadcast; arrays give the
+    kernel pair by pair, each entry equal to the call on that one pair, so
+    ``heat_kernel(spec, t, x, np.arange(spec.n))`` is the row p_t(x, .).
     ``t`` is a time or a 1-D array of times, which adds a leading axis.
 
     The spectrum's modes are summed when they are complete, or when the
@@ -484,21 +485,6 @@ def heat_kernel(
         out[~summed] = (heat / np.sqrt(w[xs] * w[ys])).reshape((-1,) + x.shape)
     p = out.reshape(times.shape + x.shape)
     return float(p) if p.ndim == 0 else p
-
-
-def heat_kernel_row(spec: Spectrum, t: float | np.ndarray, x: int) -> np.ndarray:
-    """All of p_t(x, .) in one pass, one row per time (see ``heat_kernel``)."""
-    times = _heat_times(t)
-    x = spec.form.cloud._checked_ids(x)
-    flat = times.reshape(-1)
-    out = np.empty((flat.size, spec.n))
-    summed = _band_exact(spec, flat)
-    for k in np.flatnonzero(summed):
-        decay = np.exp(-spec.eigenvalues * flat[k])
-        out[k] = spec.eigenfields @ (decay * spec.eigenfields[x])
-    if not summed.all():
-        out[~summed] = heat_kernel(spec, flat[~summed], np.full(spec.n, x), np.arange(spec.n))
-    return out.reshape(times.shape + (spec.n,))
 
 
 @dataclass(frozen=True)
@@ -690,32 +676,33 @@ def fit_subgaussian(spec: Spectrum, seed: int = 0) -> HeatKernelFit:
 # ----------------------------------------------------------------------
 
 
-def eigen_walk_dimension(
-    coarse: GraphDirichletForm, fine: GraphDirichletForm
-) -> WalkDimFit:
+def eigen_walk_dimension(coarse: Spectrum, fine: Spectrum) -> WalkDimFit:
     """Walk exponent from relaxation times across one mesh halving.
 
     The generator eigenvalues carry the per-level calibration, so the
     comparison divides it back out: T = renorm / lambda_k is the relaxation
     time in walk units, and d_w_hat = log(T_fine/T_coarse) / log(h_c/h_f).
     lambda_2 and lambda_3 repeat the estimate as a consistency residual.
+    Reads lambda_1 .. lambda_{k-1} of both spectra, k = min(4, both k_max);
+    it solves nothing, so the caller's spectra are the only solves.
     """
-    if coarse.kind != fine.kind:
-        raise ValueError(f"forms from different hierarchies: {coarse.kind} vs {fine.kind}")
-    h_c, h_f = coarse.cloud.mesh, fine.cloud.mesh
+    c_form, f_form = coarse.form, fine.form
+    if c_form.kind != f_form.kind:
+        raise ValueError(f"forms from different hierarchies: {c_form.kind} vs {f_form.kind}")
+    h_c, h_f = c_form.cloud.mesh, f_form.cloud.mesh
     ratio = h_c / h_f
     if not (1.7 <= ratio <= 2.3):
         raise ValueError(
             f"forms are not consecutive levels: mesh ratio {ratio:.3g} "
             "is not a halving"
         )
-    k_need = min(4, coarse.n, fine.n)
-    spec_c = spectrum(coarse, k_max=k_need)
-    spec_f = spectrum(fine, k_max=k_need)
+    k_need = min(4, coarse.k_max, fine.k_max)
+    if k_need < 2:
+        raise ValueError(f"each spectrum needs lambda_1; k_max {coarse.k_max} and {fine.k_max}")
     estimates = []
     for k in range(1, k_need):
-        t_c = coarse.renorm / spec_c.eigenvalues[k]
-        t_f = fine.renorm / spec_f.eigenvalues[k]
+        t_c = c_form.renorm / coarse.eigenvalues[k]
+        t_f = f_form.renorm / fine.eigenvalues[k]
         estimates.append(np.log(t_f / t_c) / np.log(ratio))
     estimates = np.array(estimates)
     d_w_hat = float(estimates[0])
@@ -725,7 +712,7 @@ def eigen_walk_dimension(
         residual=float(np.max(np.abs(estimates - d_w_hat))),
         scales=np.array([h_c, h_f]),
         per_item=estimates,
-        details={"kind": coarse.kind, "mesh_ratio": float(ratio)},
+        details={"kind": c_form.kind, "mesh_ratio": float(ratio)},
     )
 
 

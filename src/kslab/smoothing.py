@@ -273,6 +273,10 @@ def mollifier_ladder(
     single-epsilon call bit for bit.
     """
     epsilons = [pou.epsilon for pou in pous]
+    if any(pou.cloud is not f.cloud for pou in pous):
+        raise ValueError("field does not live on the partition's cloud")
+    radii = [2.0 * eps for eps in epsilons] + [6.0 * eps for eps in epsilons]
+    cloud, mat = _validated([f], radii, d_w)
     if f.is_constant():
         # Both numerators vanish identically; skip the 0/0 float noise.
         return [
@@ -280,8 +284,6 @@ def mollifier_ladder(
             for eps in epsilons
         ]
     smoothed = [mollify(f, pou) for pou in pous]
-    radii = [2.0 * eps for eps in epsilons] + [6.0 * eps for eps in epsilons]
-    cloud, mat = _validated([f], radii, d_w)
     m = len(epsilons)
     # Rows 0..m-1: squared increments at 2 eps; rows m..: first moments at 6 eps.
     table = _increment_table(cloud, mat, radii, [2] * m + [1] * m)[:, 0]

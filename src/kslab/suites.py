@@ -115,9 +115,9 @@ class SuiteContext:
 
     ``d_w`` is a number or ``"fit"``; the constructor resolves it with
     ``resolve_walk_dimension`` into ``self.d_w`` and its provenance
-    ``self.dw_info``.  A fit reads this context's forms and solves, which
-    the suites then reuse, so nothing cached on the context may depend on
-    ``d_w``.
+    ``self.dw_info``.  A fit reads this context's spectra, which the suites
+    then reuse: each form is solved once per context.  So nothing cached on
+    the context may depend on ``d_w``.
     """
 
     def __init__(
@@ -165,15 +165,16 @@ class SuiteContext:
         return gf.build_form(self.cloud)
 
     @cached_property
-    def coarse_form(self) -> gf.GraphDirichletForm | None:
-        """Form of the next coarser level of the cloud's mesh hierarchy, if any."""
+    def coarse_spectrum(self) -> gf.Spectrum | None:
+        """Lowest 4 modes of the next coarser level of the cloud's mesh hierarchy, if any."""
+        n = int(self.cloud.meta.get("n", 0))
         if self.kind == "gasket" and int(self.cloud.meta.get("level", 0)) >= 2:
-            return gf.build_form(gasket(int(self.cloud.meta["level"]) - 1))
-        if self.kind == "interval_grid":
-            n = int(self.cloud.meta.get("n", 0))
-            if n >= 5 and (n - 1) % 2 == 0:
-                return gf.build_form(interval_grid((n + 1) // 2))
-        return None
+            coarse = gasket(int(self.cloud.meta["level"]) - 1)
+        elif self.kind == "interval_grid" and n >= 5 and (n - 1) % 2 == 0:
+            coarse = interval_grid((n + 1) // 2)
+        else:
+            return None
+        return gf.spectrum(gf.build_form(coarse), k_max=min(4, coarse.n))
 
     @cached_property
     def spectrum(self) -> gf.Spectrum:
@@ -234,9 +235,8 @@ def resolve_walk_dimension(ctx: SuiteContext, requested: float | str) -> tuple[f
         fit = fit_walk_dimension(fields, grid=grid)
 
     eigen_value = None
-    if ctx.coarse_form is not None:
-        # ctx.form already holds the solve that standard_fields made on gaskets.
-        eigen_value = gf.eigen_walk_dimension(ctx.coarse_form, ctx.form).d_w_hat
+    if ctx.coarse_spectrum is not None:
+        eigen_value = gf.eigen_walk_dimension(ctx.coarse_spectrum, ctx.spectrum).d_w_hat
 
     # Walks are at least diffusive (d_w >= 2); the energies refuse anything
     # smaller, so an estimate that approaches 2 from below resolves to 2.
@@ -574,8 +574,10 @@ def suite_graphform(ctx: SuiteContext) -> list[CheckResult]:
     rng = np.random.default_rng(ctx.seed)
     centers = rng.integers(0, cloud.n, size=5)
     worst = 0.0
+    # One kernel call per centre: a call over all five rows at once raised
+    # the peak memory of gasket 7 by about 5 MiB.
     for x in centers:
-        row = gf.heat_kernel_row(spec, float(t), int(x))
+        row = gf.heat_kernel(spec, float(t), int(x), np.arange(cloud.n))
         worst = max(worst, abs(float(cloud.weights @ row) - 1.0))
     results.append(
         CheckResult(
@@ -639,10 +641,10 @@ def suite_graphform(ctx: SuiteContext) -> list[CheckResult]:
                 },
             )
         )
-    elif ctx.kind == "interval_grid" and ctx.coarse_form is not None:
+    elif ctx.kind == "interval_grid" and ctx.coarse_spectrum is not None:
         dw_target = 2.0
     if dw_target is not None:
-        walk = gf.eigen_walk_dimension(ctx.coarse_form, form)
+        walk = gf.eigen_walk_dimension(ctx.coarse_spectrum, spec)
         results.append(
             CheckResult(
                 name="eigen_walk_dimension",

@@ -23,7 +23,6 @@ from kslab.graphform import (
     gamma_vs_lip_check,
     gasket_harmonic_field,
     heat_kernel,
-    heat_kernel_row,
     intrinsic_metric,
     spectrum,
 )
@@ -364,8 +363,7 @@ def test_dense_form_is_solved_once(eigh_sizes):
     coarse = build_form(gasket(4))
     spectrum(form, 25)
     spectrum(form)
-    spectrum(form, 4)
-    eigen_walk_dimension(coarse, form)
+    eigen_walk_dimension(spectrum(coarse, 4), spectrum(form, 4))
     assert eigh_sizes.count(form.n) == 1
     assert eigh_sizes.count(coarse.n) == 1
 
@@ -376,7 +374,7 @@ def test_path_form_takes_no_dense_solve(eigh_sizes):
     band = spectrum(form, 25)
     low = spectrum(form, 4)
     spectrum(form)
-    eigen_walk_dimension(coarse, form)
+    eigen_walk_dimension(spectrum(coarse, 4), band)
     assert eigh_sizes == []
     # Each k_max is its own solve: the prefixes agree to rounding, not bit for bit.
     np.testing.assert_allclose(low.eigenvalues, band.eigenvalues[:4], rtol=1e-13, atol=0.0)
@@ -462,9 +460,7 @@ def test_spectrum_eigenfields_are_read_only():
 
 def test_gasket_relaxation_ratio_near_five(gasket6):
     # Renorm-adjusted lambda_1 ratios approach the resistance factor 5.
-    f4 = build_form(gasket(4))
-    f5 = build_form(gasket(5))
-    fit = eigen_walk_dimension(f4, f5)
+    fit = eigen_walk_dimension(spectrum(build_form(gasket(4)), 4), spectrum(build_form(gasket(5)), 4))
     assert 2.0**fit.d_w_hat == pytest.approx(5.0, abs=0.1)
 
 
@@ -490,7 +486,7 @@ def test_heat_kernel_symmetry_and_row():
     assert heat_kernel(spec, t, 3, 17) == pytest.approx(
         heat_kernel(spec, t, 17, 3), rel=1e-12
     )
-    row = heat_kernel_row(spec, t, 3)
+    row = heat_kernel(spec, t, 3, np.arange(cloud.n))
     assert row[17] == pytest.approx(heat_kernel(spec, t, 3, 17), rel=1e-12)
 
 
@@ -510,7 +506,7 @@ def test_heat_kernel_refuses_out_of_range_ids(bad):
     queries = [
         lambda: heat_kernel(spec, 0.1, bad, 0),
         lambda: heat_kernel(spec, 0.1, 0, bad),
-        lambda: heat_kernel_row(spec, 0.1, bad),
+        lambda: heat_kernel(spec, 0.1, bad, np.arange(11)),
         lambda: heat_kernel(spec, 0.1, np.array([0, bad, 2]), np.array([1, 2, 3])),
         lambda: heat_kernel(spec, 0.1, np.array([0, 1]), np.array([bad, 2])),
     ]
@@ -524,12 +520,12 @@ def test_heat_kernel_stochastic_completeness_and_semigroup():
     spec = spectrum(build_form(cloud))
     w = cloud.weights
     for t in (2e-4, 1e-3, 1e-2):
-        row = heat_kernel_row(spec, t, 10)
+        row = heat_kernel(spec, t, 10, np.arange(cloud.n))
         assert np.dot(w, row) == pytest.approx(1.0, abs=1e-8)
     # semigroup: integrate p_t(x,.) against p_s(.,y)
     t, s = 3e-4, 7e-4
-    pt = heat_kernel_row(spec, t, 10)
-    ps = heat_kernel_row(spec, s, 44)
+    pt = heat_kernel(spec, t, 10, np.arange(cloud.n))
+    ps = heat_kernel(spec, s, 44, np.arange(cloud.n))
     lhs = float(np.dot(w, pt * ps))
     assert lhs == pytest.approx(heat_kernel(spec, t + s, 10, 44), abs=1e-8)
 
@@ -538,7 +534,7 @@ def test_heat_kernel_long_time_limit():
     cloud = interval_grid(30)
     spec = spectrum(build_form(cloud))
     limit = 1.0 / cloud.total_mass
-    assert heat_kernel_row(spec, 50.0, 7) == pytest.approx(
+    assert heat_kernel(spec, 50.0, 7, np.arange(30)) == pytest.approx(
         np.full(30, limit), abs=1e-10
     )
 
@@ -549,11 +545,11 @@ def test_heat_kernel_positivity_sampled():
         lam = spec.eigenvalues
         pos = lam[lam > 0]
         for t in np.geomspace(1.0 / pos.max(), 10.0 / pos.min(), 10):
-            row = heat_kernel_row(spec, float(t), 0)
+            row = heat_kernel(spec, float(t), 0, np.arange(cloud.n))
             # tiny negatives are spectral cancellation noise, not mass
             assert row.min() > -1e-12
         for t in np.geomspace(1.0 / pos.min(), 10.0 / pos.min(), 4):
-            assert heat_kernel_row(spec, float(t), 0).min() > 0.0
+            assert heat_kernel(spec, float(t), 0, np.arange(cloud.n)).min() > 0.0
 
 
 @pytest.mark.parametrize("make", [lambda: gasket(5), lambda: square_grid(21)], ids=["gasket5", "square21"])
@@ -586,10 +582,10 @@ def test_band_heat_kernel_is_exact(make):
     assert check(heat_kernel(band, times, rows[at], ys), pairs, at) <= 1e-9
     for k in range(3):
         own = np.full(cloud.n, k)
-        assert check(heat_kernel_row(band, times, rows[k]), exact[:, k], own) <= 1e-9
+        assert check(heat_kernel(band, times, rows[k], np.arange(cloud.n)), exact[:, k], own) <= 1e-9
         # The full spectrum's own sum carries rounding of order eps / mu: up
         # to 4.3e-9 relative at 12 e-folds on gasket 5.
-        assert check(heat_kernel_row(full, times, rows[k]), exact[:, k], own) <= 1e-8
+        assert check(heat_kernel(full, times, rows[k], np.arange(cloud.n)), exact[:, k], own) <= 1e-8
 
 
 def test_heat_kernel_over_times_equals_calls_per_time():
@@ -600,11 +596,11 @@ def test_heat_kernel_over_times_equals_calls_per_time():
     assert gf._band_exact(spec, times).tolist() == [False, False, True]
     xs, ys = np.array([0, 3, 7]), np.array([5, 3, 1])
     table = heat_kernel(spec, times, xs, ys)
-    rows = heat_kernel_row(spec, times, 3)
+    rows = heat_kernel(spec, times, 3, np.arange(spec.n))
     assert table.shape == (3, 3) and rows.shape == (3, spec.n)
     for k, t in enumerate(times):
         assert table[k].tolist() == heat_kernel(spec, float(t), xs, ys).tolist()
-        assert rows[k].tolist() == heat_kernel_row(spec, float(t), 3).tolist()
+        assert rows[k].tolist() == heat_kernel(spec, float(t), 3, np.arange(spec.n)).tolist()
 
 
 def test_heat_kernel_rejects_bad_time():
@@ -612,7 +608,7 @@ def test_heat_kernel_rejects_bad_time():
     with pytest.raises(ValueError, match="positive"):
         heat_kernel(spec, 0.0, 0, 1)
     with pytest.raises(ValueError, match="positive"):
-        heat_kernel_row(spec, -1.0, 0)
+        heat_kernel(spec, -1.0, 0, np.arange(10))
 
 
 # ----------------------------------------------------------------------
@@ -734,8 +730,8 @@ def test_subgaussian_json_roundtrip():
 
 def test_eigen_walk_dimension_grid():
     fit = eigen_walk_dimension(
-        build_form(interval_grid(101)),
-        build_form(interval_grid(201)),
+        spectrum(build_form(interval_grid(101)), 4),
+        spectrum(build_form(interval_grid(201)), 4),
     )
     assert 1.95 <= fit.d_w_hat <= 2.05
     assert fit.method == "eigen_ratio"
@@ -744,19 +740,24 @@ def test_eigen_walk_dimension_grid():
 
 def test_eigen_walk_dimension_gasket():
     fit = eigen_walk_dimension(
-        build_form(gasket(4)), build_form(gasket(5))
+        spectrum(build_form(gasket(4)), 4), spectrum(build_form(gasket(5)), 4)
     )
     assert fit.d_w_hat == pytest.approx(LOG5_LOG2, abs=0.05)
 
 
 def test_eigen_walk_dimension_rejects_identical_and_skips():
-    f4 = build_form(gasket(4))
+    s4 = spectrum(build_form(gasket(4)), 4)
     with pytest.raises(ValueError, match="consecutive"):
-        eigen_walk_dimension(f4, f4)
+        eigen_walk_dimension(s4, s4)
     with pytest.raises(ValueError, match="consecutive"):
-        eigen_walk_dimension(build_form(gasket(3)), build_form(gasket(5)))
+        eigen_walk_dimension(spectrum(build_form(gasket(3)), 4), spectrum(build_form(gasket(5)), 4))
     with pytest.raises(ValueError, match="hierarchies"):
-        eigen_walk_dimension(f4, build_form(interval_grid(101)))
+        eigen_walk_dimension(s4, spectrum(build_form(interval_grid(101)), 4))
+    # A spectrum of the null mode alone has no lambda_1 to compare.
+    with pytest.raises(ValueError, match="lambda_1"):
+        eigen_walk_dimension(spectrum(build_form(gasket(3)), 1), s4)
+    with pytest.raises(ValueError, match="lambda_1"):
+        eigen_walk_dimension(spectrum(build_form(gasket(3)), 4), spectrum(build_form(gasket(4)), 1))
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,7 @@ from kslab.smoothing import (
     check_controlled_cutoff,
     discrete_lip,
     mollifier_estimates,
+    mollifier_ladder,
     mollify,
     partition_of_unity,
 )
@@ -322,6 +323,24 @@ def test_estimates_zero_for_constants():
     assert rep.l2_bound_ratio == 0.0
 
 
+@pytest.mark.parametrize(
+    "make_field", [lambda c: ScalarField.constant(c, 1.0), ScalarField.coordinate],
+    ids=["constant", "varying"],
+)
+@pytest.mark.parametrize(
+    "foreign, d_w, match",
+    [(True, 2.0, "partition's cloud"), (False, 1.0, "at least 2")],
+    ids=["foreign_partition", "d_w_1"],
+)
+def test_mollifier_ladder_checks_constant_fields_too(make_field, foreign, d_w, match):
+    # A constant field has all-zero reports, but only after the checks that
+    # a varying field meets.
+    cloud = interval_grid(401)
+    pou = partition_of_unity(build_net(interval_grid(201) if foreign else cloud, 0.05))
+    with pytest.raises(ValueError, match=match):
+        mollifier_ladder(make_field(cloud), [pou], d_w=d_w)
+
+
 def test_estimates_identity_stable_across_epsilon():
     cloud = interval_grid(2001)
     f = ScalarField.coordinate(cloud)
@@ -466,8 +485,6 @@ def test_cutoff_and_mollifier_do_not_depend_on_block_size(smoothing_defaults, ti
 
 
 def test_mollifier_ladder_equals_single_epsilon_calls(pass_radii):
-    from kslab.smoothing import mollifier_ladder
-
     cloud = interval_grid(1001)
     f = ScalarField.from_function(cloud, lambda c: np.sin(np.pi * c[:, 0]))
     ladder = [0.2, 0.1, 0.05]

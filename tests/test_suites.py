@@ -227,6 +227,21 @@ class TestSuiteVerdicts:
         assert by_name["spectrum_residual"].passed
         assert abs(by_name["eigen_walk_dimension"].constant - LOG5_LOG2) <= 0.05
 
+    def test_each_form_is_solved_once(self, monkeypatch):
+        # Gasket 6 (1095 vertices) takes the Lanczos route, which caches
+        # nothing, so a second solve of a form would be counted.  The fitted
+        # d_w and the graphform rows read the same two spectra.
+        solves = []
+        solve = gf.spectrum
+
+        def counted(form, k_max=None):
+            solves.append((form.kind, form.n))
+            return solve(form, k_max)
+
+        monkeypatch.setattr(gf, "spectrum", counted)
+        run_suite("graphform", _ctx(gasket(6), "fit"))
+        assert sorted(solves) == [("gasket", 366), ("gasket", 1095)]
+
     def test_poincare_identity_pinned_on_interval(self, grid401):
         results = run_suite("poincare", _ctx(grid401))
         by_name = {r.name: r for r in results}
