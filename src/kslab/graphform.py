@@ -607,19 +607,23 @@ def fit_subgaussian(spec: Spectrum, seed: int = 0) -> HeatKernelFit:
     tvals = np.array([r[2] for r in rows])
     x_ids = np.array([r[3] for r in rows], dtype=np.intp)
 
-    # Every free-exponent trial shares d_w_fit and so the same radii: query
-    # the balls once per distinct radius vector.
+    # Every free-exponent trial shares d_w_fit and so the same radii: per
+    # radius vector, one ball per centre at its largest radius; each smaller
+    # radius is a mask on the centre's distance row (ball_ids decides by the
+    # same canonical distance, in ascending ids: same arrays, same sums).
     masses: dict[bytes, np.ndarray] = {}
+    dist_rows = {x: cloud.distances_from(x) for x in np.unique(x_ids).tolist()}
 
     def mass_at(radii: np.ndarray) -> np.ndarray:
         key = radii.tobytes()
         if key not in masses:
             out = np.empty(radii.size)
-            for k in range(radii.size):
-                ids = cloud.ball_ids(int(x_ids[k]), float(radii[k]))
-                out[k] = cloud.weights[ids].sum() if ids.size else float(
-                    cloud.weights[x_ids[k]]
-                )
+            for x, row in dist_rows.items():
+                mine = np.flatnonzero(x_ids == x)
+                rs, inv = np.unique(radii[mine], return_inverse=True)
+                ids = cloud.ball_ids(x, float(rs[-1]))
+                d, w = row[ids], cloud.weights[ids]
+                out[mine] = np.array([w[d < r].sum() for r in rs])[inv]
             masses[key] = out
         return masses[key]
 

@@ -647,16 +647,20 @@ def test_subgaussian_fit_queries_each_radius_vector_once(monkeypatch):
         return real_ball_ids(x, r)
 
     monkeypatch.setattr(cloud, "ball_ids", counting_ball_ids)
-    fit = fit_subgaussian(spec)
+    fit_subgaussian(spec, seed=0)
     # The tied search tries 57 + 21 values of d_w; the free-exponent refit
     # reuses the radii of d_w_fit instead of querying them 101 more times.
-    assert len(calls) % fit.n_samples == 0
-    assert len(calls) // fit.n_samples <= 57 + 21 + 1
+    # Each radius vector costs one ball per centre, not one per sample.
+    assert len(calls) <= 8 * (57 + 21 + 1)
+    centers = np.random.default_rng(0).choice(cloud.n, size=8, replace=False)
+    queried = {x for x, _ in calls}
+    assert len(queried) <= 8 and queried <= set(centers.tolist())
 
 
 # fit_subgaussian as (c1, c2, d_w_fit, exponent_fit, d_s_fit, residual,
 # n_samples) from one scalar heat_kernel call per (pair, time) and per
-# (centre, time), which the id-array calls replace.
+# (centre, time), which the id-array calls replace.  Gasket 6 is fitted on
+# the suites' 25-mode band: the Lanczos solve and the Chebyshev kernels.
 PINNED_FITS = {
     ("gasket5", 0): (
         0.5226858376204099, 0.2779524312655161, 2.3699999999999997, 1.719999999999999,
@@ -666,18 +670,27 @@ PINNED_FITS = {
         0.3766103873043808, 0.21298538715341192, 2.3049999999999997, 1.6599999999999993,
         1.4145940954748075, 1.0476905813830686, 205,
     ),
+    ("gasket6", 0): (
+        0.6628471014797616, 0.3245641279345631, 2.4050000000000002, 1.7750000000000001,
+        1.403983360413386, 0.5667608553398225, 162,
+    ),
     ("interval65", 0): (
         0.5974403817320825, 0.3295179555634759, 2.075, 1.835,
         1.0079291188746193, 0.7028089038399532, 168,
     ),
+}
+PINNED_CLOUDS = {
+    "gasket5": (lambda: gasket(5), None),
+    "gasket6": (lambda: gasket(6), 25),
+    "interval65": (lambda: interval_grid(65), None),
 }
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_FITS), ids=lambda c: f"{c[0]}-seed{c[1]}")
 def test_subgaussian_fit_sums_each_kernel_once(case, monkeypatch):
     name, seed = case
-    cloud = gasket(5) if name == "gasket5" else interval_grid(65)
-    spec = spectrum(build_form(cloud))
+    make_cloud, k_max = PINNED_CLOUDS[name]
+    spec = spectrum(build_form(make_cloud()), k_max)
     calls = []
     real = gf.heat_kernel
 
