@@ -333,7 +333,6 @@ class SobolevReport:
     (||f||_{L^2} + proxy^{1/2})^theta ||f||_{L^2}^{1-theta}, theta = Q/d_w.
     """
 
-    Q: float
     d_w: float
     branch: str
     exponent: float
@@ -374,7 +373,6 @@ def sobolev_check(
     else:
         branch, exponent = "sup", Q / d_w
     return SobolevReport(
-        Q=float(Q),
         d_w=float(d_w),
         branch=branch,
         exponent=float(exponent),

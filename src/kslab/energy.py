@@ -536,7 +536,6 @@ class EnergySweep:
     scales: np.ndarray
     values: np.ndarray
     window_scales: np.ndarray
-    window_values: np.ndarray
     liminf_proxy: float
     limsup_proxy: float
     sup_all: float
@@ -607,7 +606,6 @@ def energy_sweep(
                 scales=grid.scales,
                 values=values,
                 window_scales=w_scales,
-                window_values=w_values,
                 liminf_proxy=float(w_values.min()),
                 limsup_proxy=float(w_values.max()),
                 sup_all=float(values.max()),
@@ -648,7 +646,6 @@ class WalkDimFit:
     method: str
     residual: float
     scales: np.ndarray
-    per_item: np.ndarray
     details: dict = field(default_factory=dict)
 
 
@@ -688,7 +685,6 @@ def fit_walk_dimension(
         method="ks_scaling",
         residual=float(np.abs(arr - med).max()),
         scales=grid.scales,
-        per_item=arr,
         details={"n_fields": len(slopes)},
     )
 

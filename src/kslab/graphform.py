@@ -504,7 +504,6 @@ class HeatKernelFit:
     exponent_fit: float
     d_s_fit: float
     residual: float
-    t_window: tuple[float, float]
     n_samples: int
 
 
@@ -670,7 +669,6 @@ def fit_subgaussian(spec: Spectrum, seed: int = 0) -> HeatKernelFit:
         exponent_fit=exponent_fit,
         d_s_fit=d_s_fit,
         residual=float(residual),
-        t_window=(t_lo, t_hi),
         n_samples=int(log_p.size),
     )
 
@@ -715,7 +713,6 @@ def eigen_walk_dimension(coarse: Spectrum, fine: Spectrum) -> WalkDimFit:
         method="eigen_ratio",
         residual=float(np.max(np.abs(estimates - d_w_hat))),
         scales=np.array([h_c, h_f]),
-        per_item=estimates,
         details={"kind": c_form.kind, "mesh_ratio": float(ratio)},
     )
 

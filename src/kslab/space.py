@@ -53,7 +53,7 @@ unresolved: operations that take a radius refuse them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -81,7 +81,7 @@ class Inapplicable(ValueError):
 
 
 def _point_distances(coords: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Canonical Euclidean distance from one point to many.
+    """Canonical Euclidean distance from one point ``x`` to many, or row by row.
 
     Every ball query funnels through this single formula so that brute-force
     scans and tree-accelerated scans agree bit for bit.
@@ -385,8 +385,7 @@ class MeasuredPointCloud:
         ids_b = np.asarray(ids_b, dtype=np.intp)
         if self._dist is not None:
             return self._dist[ids_a, ids_b]
-        diff = self._coords[ids_a] - self._coords[ids_b]
-        return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        return _point_distances(self._coords[ids_a], self._coords[ids_b])
 
     def require_admissible(self, r: float) -> None:
         """Refuse radii the mesh cannot resolve (r < kappa * h)."""
@@ -780,7 +779,6 @@ class DoublingProfile:
     c_low: float
     scales: np.ndarray
     seed: int
-    meta: dict = field(default_factory=dict)
 
     def table(self) -> Table:
         header = ("center", "r", "mass_r", "mass_2r", "ratio")
@@ -883,5 +881,4 @@ def estimate_doubling(
         c_low=c_low,
         scales=adm,
         seed=seed,
-        meta=dict(cloud.meta),
     )

@@ -7,6 +7,11 @@ machine-readable report.  Every pass/fail bound is a fixed entry of
 loosen per config.  What a cloud is too coarse for is a passing
 ``<name>_skipped`` row with a reason (``skipped``), never an error: the
 library raises ``Inapplicable`` where it computes the precondition.
+
+The suites read what they know of a cloud kind from its ``Kind`` row in
+``KINDS`` and never branch on its name: a new kind is a builder in
+``space.CLOUD_KINDS`` plus a row (plus a ``graphform`` form for the form
+suites).  A cloud built without a kind reads the ``file`` row, ``Kind()``.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -36,13 +42,14 @@ from .space import (
     DoublingProfile,
     Inapplicable,
     MeasuredPointCloud,
+    build_cloud,
     estimate_doubling,
-    gasket,
-    interval_grid,
 )
 
 __all__ = [
     "CheckResult",
+    "KINDS",
+    "Kind",
     "SuiteContext",
     "SUITES",
     "DEFAULT_TOLERANCES",
@@ -50,8 +57,6 @@ __all__ = [
     "resolve_walk_dimension",
     "run_suite",
 ]
-
-LOG5_LOG2 = math.log(5.0) / math.log(2.0)
 
 # Every acceptance-style threshold the suites consult, by name.
 DEFAULT_TOLERANCES: dict[str, float] = {
@@ -128,8 +133,12 @@ class SuiteContext:
     ):
         self.cloud = cloud
         self.seed = int(seed)
+        # The cloud's ``KINDS`` row; a cloud built without a kind has the defaults.
+        self.facts = KINDS.get(cloud.kind, Kind())
         self._doubling: dict[bool, DoublingProfile] = {}
         self.d_w, self.dw_info = resolve_walk_dimension(self, d_w)
+        # The identity field's constants are known in closed form at this d_w.
+        self.closed_form = self.facts.identity and self.d_w == self.facts.d_w
 
     def doubling_scales(self) -> list[float]:
         # Shrink off the mid-mesh ladder: doubling evaluates mass at 2r as well,
@@ -152,14 +161,6 @@ class SuiteContext:
         sweeps = energy_sweep(fields, d_w=self.d_w, label=labels)
         return {s.label: s for s in sweeps}
 
-    @property
-    def kind(self) -> str | None:
-        return self.cloud.kind
-
-    @property
-    def has_form(self) -> bool:
-        return self.kind in gf.FORM_KINDS
-
     @cached_property
     def form(self) -> gf.GraphDirichletForm:
         return gf.build_form(self.cloud)
@@ -167,48 +168,19 @@ class SuiteContext:
     @cached_property
     def coarse_spectrum(self) -> gf.Spectrum | None:
         """Lowest 4 modes of the next coarser level of the cloud's mesh hierarchy, if any."""
-        n = int(self.cloud.meta.get("n", 0))
-        if self.kind == "gasket" and int(self.cloud.meta.get("level", 0)) >= 2:
-            coarse = gasket(int(self.cloud.meta["level"]) - 1)
-        elif self.kind == "interval_grid" and n >= 5 and (n - 1) % 2 == 0:
-            coarse = interval_grid((n + 1) // 2)
-        else:
+        spec = self.facts.coarser(self.cloud.meta)
+        if spec is None:
             return None
+        coarse = build_cloud(spec)
         return gf.spectrum(gf.build_form(coarse), k_max=min(4, coarse.n))
 
     @cached_property
     def spectrum(self) -> gf.Spectrum:
-        k_max = min(25, self.cloud.n - 1)
-        return gf.spectrum(self.form, k_max=k_max)
+        return gf.spectrum(self.form, k_max=min(25, self.cloud.n - 1))
 
     def standard_fields(self) -> list[tuple[str, ScalarField]]:
-        """Nonconstant reference fields appropriate for the cloud kind."""
-        cloud = self.cloud
-        if self.kind == "interval_grid":
-            return [
-                ("x", ScalarField.coordinate(cloud, 0)),
-                ("x_squared", ScalarField.from_function(cloud, lambda c: c[:, 0] ** 2)),
-                ("sin_pi_x", ScalarField.from_function(cloud, lambda c: np.sin(np.pi * c[:, 0]))),
-            ]
-        if self.kind == "square_grid":
-            return [
-                ("x", ScalarField.coordinate(cloud, 0)),
-                ("y", ScalarField.coordinate(cloud, 1)),
-                (
-                    "sin_pi_xy",
-                    ScalarField.from_function(
-                        cloud, lambda c: np.sin(np.pi * c[:, 0]) * np.sin(np.pi * c[:, 1])
-                    ),
-                ),
-            ]
-        if self.kind == "gasket":
-            out = [("harmonic", gf.gasket_harmonic_field(cloud))]
-            for k in (1, 2):
-                out.append((f"eigen_{k}", self.spectrum.field(k)))
-            return out
-        if not cloud.is_abstract:
-            return [("x", ScalarField.coordinate(cloud, 0))]
-        return [("dist_from_0", ScalarField(cloud, cloud.distances_from(0)))]
+        """The kind's reference fields, each varying by construction."""
+        return self.facts.fields(self)
 
 
 def resolve_walk_dimension(ctx: SuiteContext, requested: float | str) -> tuple[float, dict]:
@@ -227,7 +199,7 @@ def resolve_walk_dimension(ctx: SuiteContext, requested: float | str) -> tuple[f
         return value, {"source": "explicit", "value": value}
 
     cloud = ctx.cloud
-    fields = [f for _, f in ctx.standard_fields() if not f.is_constant()]
+    fields = [f for _, f in ctx.standard_fields()]
     try:
         fit = fit_walk_dimension(fields)
     except Inapplicable:
@@ -261,15 +233,10 @@ def resolve_walk_dimension(ctx: SuiteContext, requested: float | str) -> tuple[f
 
 
 def suite_doubling(ctx: SuiteContext) -> list[CheckResult]:
-    interior = ctx.kind == "square_grid"
+    interior = ctx.facts.interior_only
     profile = ctx.doubling_profile(interior)
-    if ctx.kind == "interval_grid":
-        bound = DEFAULT_TOLERANCES["doubling_c_d_interval"]
-    elif ctx.kind == "square_grid":
-        bound = DEFAULT_TOLERANCES["doubling_c_d_square"]
-    else:
-        bound = DEFAULT_TOLERANCES["doubling_c_d_other"]
-    results = [
+    bound = DEFAULT_TOLERANCES[ctx.facts.doubling_bound]
+    return [
         CheckResult(
             name="doubling",
             claim="volume-doubling-bound",
@@ -277,68 +244,64 @@ def suite_doubling(ctx: SuiteContext) -> list[CheckResult]:
             constant=profile.c_d,
             details={"bound": bound, "q_fit": profile.q_fit, "interior_only": interior},
             table=profile.table(),
-        )
-    ]
-    results.append(
+        ),
         CheckResult(
             name="lower_mass_bound",
             claim="lower-ahlfors-mass-bound",
             passed=bool(profile.c_low > 0.0),
             constant=profile.c_low,
             details={"q": profile.q_fit, "n_samples": int(profile.centers.size)},
-        )
+        ),
+    ]
+
+
+def _sweep_finite(ctx: SuiteContext, sweeps: dict[str, EnergySweep]) -> CheckResult:
+    worst = max(s.fitted_limit for s in sweeps.values())
+    return CheckResult(
+        name="sweep_finite",
+        claim="small-scale-energy-limit",
+        passed=bool(math.isfinite(worst) and worst >= 0.0),
+        constant=worst,
+        details={k: s.fitted_limit for k, s in sweeps.items()},
     )
-    return results
+
+
+def _ks_limit_calibration(ctx: SuiteContext, sweeps: dict[str, EnergySweep]) -> CheckResult:
+    targets = {"x": 1.0 / 3.0, "x_squared": 4.0 / 9.0, "sin_pi_x": math.pi**2 / 6.0}
+    worst = max(abs(sweeps[k].fitted_limit - v) / v for k, v in targets.items())
+    return CheckResult(
+        name="ks_limit_calibration",
+        claim="small-scale-energy-limit",
+        passed=bool(worst <= DEFAULT_TOLERANCES["calibration_rel"]),
+        constant=worst,
+        details={k: sweeps[k].fitted_limit for k in targets},
+    )
+
+
+def _energy_calibration_2d(ctx: SuiteContext, sweeps: dict[str, EnergySweep]) -> CheckResult:
+    """The planar calibration at the fixed radius 0.05, if the mesh resolves it."""
+    if 0.05 < ctx.cloud.floor:
+        return _sweep_finite(ctx, sweeps)
+    value = ks_energy(dict(ctx.standard_fields())["x"], 0.05, d_w=2.0)
+    rel = abs(value - 0.25) / 0.25
+    return CheckResult(
+        name="energy_calibration_2d",
+        claim="planar-increment-calibration",
+        passed=bool(rel <= DEFAULT_TOLERANCES["calibration_2d_rel"]),
+        constant=value,
+        details={"target": 0.25, "rel_error": rel},
+    )
 
 
 def suite_energy(ctx: SuiteContext) -> list[CheckResult]:
-    cloud = ctx.cloud
-    results = []
     sweeps = ctx.standard_sweeps()
-
-    if ctx.kind == "interval_grid" and ctx.d_w == 2.0:
-        targets = {"x": 1.0 / 3.0, "x_squared": 4.0 / 9.0, "sin_pi_x": math.pi**2 / 6.0}
-        worst = max(
-            abs(sweeps[k].fitted_limit - v) / v for k, v in targets.items()
-        )
-        results.append(
-            CheckResult(
-                name="ks_limit_calibration",
-                claim="small-scale-energy-limit",
-                passed=bool(worst <= DEFAULT_TOLERANCES["calibration_rel"]),
-                constant=worst,
-                details={k: sweeps[k].fitted_limit for k in targets},
-            )
-        )
-    elif ctx.kind == "square_grid" and ctx.d_w == 2.0 and 0.05 >= cloud.floor:
-        f = dict(ctx.standard_fields())["x"]
-        value = ks_energy(f, 0.05, d_w=2.0)
-        rel = abs(value - 0.25) / 0.25
-        results.append(
-            CheckResult(
-                name="energy_calibration_2d",
-                claim="planar-increment-calibration",
-                passed=bool(rel <= DEFAULT_TOLERANCES["calibration_2d_rel"]),
-                constant=value,
-                details={"target": 0.25, "rel_error": rel},
-            )
-        )
-    else:
-        worst = max(s.fitted_limit for s in sweeps.values())
-        results.append(
-            CheckResult(
-                name="sweep_finite",
-                claim="small-scale-energy-limit",
-                passed=bool(math.isfinite(worst) and worst >= 0.0),
-                constant=worst,
-                details={k: s.fitted_limit for k, s in sweeps.items()},
-            )
-        )
+    calibrate = ctx.facts.calibration if ctx.d_w == ctx.facts.d_w else _sweep_finite
+    results = [calibrate(ctx, sweeps)]
 
     ratios = {k: comparability_ratio(s) for k, s in sweeps.items()}
     worst_ratio = max(ratios.values())
     bound = DEFAULT_TOLERANCES["comparability_max"]
-    if ctx.kind == "interval_grid" and ctx.d_w == 2.0:
+    if ctx.closed_form:
         # The tight constant is a statement about the identity field only.
         worst_ratio = ratios["x"]
         bound = DEFAULT_TOLERANCES["comparability_identity"]
@@ -393,71 +356,61 @@ def _mollifier_ladder(ctx: SuiteContext) -> list[float]:
 
 def suite_smoothing(ctx: SuiteContext) -> list[CheckResult]:
     cloud = ctx.cloud
-    label, f = next(
-        (lf for lf in ctx.standard_fields() if not lf[1].is_constant()),
-        (None, None),
-    )
+    label, f = ctx.standard_fields()[0]
     ladder = _mollifier_ladder(ctx)
     # Each rung's net and partition are built once: the mollifier ladder
     # reads every rung, the cutoff check the first two.
-    rungs = ladder if f is not None else ladder[:2]
-    pous = [sm.partition_of_unity(sm.build_net(cloud, eps)) for eps in rungs]
-    results = []
-    if f is not None:
-        reports = sm.mollifier_ladder(f, pous, d_w=ctx.d_w)
-        lips = [r.lip_bound_ratio for r in reports]
-        l2s = [r.l2_bound_ratio for r in reports]
-        errs = [r.l2_numerator for r in reports]
-        pos = [v for v in lips if v > 0.0]
-        lip_spread = max(pos) / min(pos) if pos else 1.0
-        # The l2 quotient is one-sided for smooth fields (the bound is not
-        # saturated as eps shrinks), so it gets a cap, not a spread test.
-        decreasing = all(b < a for a, b in zip(errs, errs[1:]))
-        passed = (
-            lip_spread <= DEFAULT_TOLERANCES["mollifier_spread"]
-            and max(l2s) <= DEFAULT_TOLERANCES["mollifier_l2_cap"]
-            and decreasing
-        )
-        rows = tuple(
-            (float(e), float(r.lip_bound_ratio), float(r.l2_bound_ratio), float(r.l2_numerator))
-            for e, r in zip(ladder, reports)
-        )
-        results.append(
-            CheckResult(
-                name="mollifier_estimates",
-                claim="mollifier-slope-and-l2-control",
-                passed=bool(passed),
-                constant=lip_spread,
-                details={
-                    "field": label,
-                    "epsilons": ladder,
-                    "l2_max": max(l2s),
-                    "l2_decreasing": decreasing,
-                },
-                table=(("eps", "lip_ratio", "l2_ratio", "l2_error_sq"), rows),
-            )
-        )
+    pous = [sm.partition_of_unity(sm.build_net(cloud, eps)) for eps in ladder]
+    reports = sm.mollifier_ladder(f, pous, d_w=ctx.d_w)
+    lips = [r.lip_bound_ratio for r in reports]
+    l2s = [r.l2_bound_ratio for r in reports]
+    errs = [r.l2_numerator for r in reports]
+    pos = [v for v in lips if v > 0.0]
+    lip_spread = max(pos) / min(pos) if pos else 1.0
+    # The l2 quotient is one-sided for smooth fields (the bound is not
+    # saturated as eps shrinks), so it gets a cap, not a spread test.
+    decreasing = all(b < a for a, b in zip(errs, errs[1:]))
+    passed = (
+        lip_spread <= DEFAULT_TOLERANCES["mollifier_spread"]
+        and max(l2s) <= DEFAULT_TOLERANCES["mollifier_l2_cap"]
+        and decreasing
+    )
+    rows = tuple(
+        (float(e), float(r.lip_bound_ratio), float(r.l2_bound_ratio), float(r.l2_numerator))
+        for e, r in zip(ladder, reports)
+    )
     worsts = [sm.check_controlled_cutoff(pou, d_w=ctx.d_w).worst for pou in pous[:2]]
     spread = max(worsts) / min(worsts) if min(worsts) > 0 else 1.0
-    results.append(
+    return [
+        CheckResult(
+            name="mollifier_estimates",
+            claim="mollifier-slope-and-l2-control",
+            passed=bool(passed),
+            constant=lip_spread,
+            details={
+                "field": label,
+                "epsilons": ladder,
+                "l2_max": max(l2s),
+                "l2_decreasing": decreasing,
+            },
+            table=(("eps", "lip_ratio", "l2_ratio", "l2_error_sq"), rows),
+        ),
         CheckResult(
             name="controlled_cutoff",
             claim="cutoff-energy-scaling",
             passed=bool(spread <= DEFAULT_TOLERANCES["cutoff_spread"]),
             constant=spread,
             details={"epsilons": ladder[:2], "worst_quotients": worsts},
-        )
-    )
-    return results
+        ),
+    ]
 
 
 def suite_poincare(ctx: SuiteContext) -> list[CheckResult]:
     cloud = ctx.cloud
-    label, f = next(lf for lf in ctx.standard_fields() if not lf[1].is_constant())
+    label, f = ctx.standard_fields()[0]
     results = []
-    reports = pc.poincare_check(
-        f, d_w=ctx.d_w, seed=ctx.seed, form=ctx.form if ctx.has_form else None
-    )
+    form = ctx.form if cloud.kind in gf.FORM_KINDS else None
+    reports = pc.poincare_check(f, d_w=ctx.d_w, seed=ctx.seed, form=form)
     for mode, rep in reports.items():
         results.append(
             CheckResult(
@@ -472,9 +425,8 @@ def suite_poincare(ctx: SuiteContext) -> list[CheckResult]:
                 table=rep.table() if mode == "ks" else None,
             )
         )
-    if ctx.kind == "interval_grid" and ctx.d_w == 2.0:
-        n = cloud.n
-        centers = [int(0.3 * n), int(0.5 * n), int(0.7 * n)]
+    if ctx.closed_form:
+        centers = [int(t * cloud.n) for t in (0.3, 0.5, 0.7)]
         radii = [0.05, 0.1]
         # The radii are fixed; on grids with n <= 60 one lies under kappa h.
         low = [r for r in radii if r < cloud.floor]
@@ -483,9 +435,9 @@ def suite_poincare(ctx: SuiteContext) -> list[CheckResult]:
             reason = f"radius {low[0]:g} lies under the floor kappa h = {cloud.floor:g}"
             results.append(skipped("poincare_identity_third", claim, reason))
         else:
-            fx = ScalarField.coordinate(cloud, 0)
+            # f is the identity field x.
             rep = pc.poincare_check(
-                fx, d_w=2.0, lam=1.0, samples=[(c, r) for c in centers for r in radii]
+                f, d_w=2.0, lam=1.0, samples=[(c, r) for c in centers for r in radii]
             )["lip"]
             worst = max(abs(s.ratio * 3.0 - 1.0) for s in rep.samples)
             results.append(
@@ -536,29 +488,26 @@ def suite_poincare(ctx: SuiteContext) -> list[CheckResult]:
 def suite_graphform(ctx: SuiteContext) -> list[CheckResult]:
     cloud = ctx.cloud
     form = ctx.form
-    results = []
+    spec = ctx.spectrum
 
-    if ctx.kind == "gasket":
-        f = gf.gasket_harmonic_field(cloud)
+    # The first standard field: a fractal's harmonic field, a grid's x.
+    f = ctx.standard_fields()[0][1]
+    facts = ctx.facts
+    if facts.fractal:
         target = 2.0
     else:
-        f = ScalarField.coordinate(cloud, 0)
         side = cloud.lattice.shape[1]
         target = (side - 1) / side
     energy = gf.form_energy(form, f)
     dev = abs(energy - target)
-    results.append(
+    results = [
         CheckResult(
             name="energy_calibration",
             claim="reference-form-energy",
             passed=bool(dev <= DEFAULT_TOLERANCES["energy_calibration_abs"] * max(1.0, target)),
             constant=energy,
             details={"target": target},
-        )
-    )
-
-    spec = ctx.spectrum
-    results.append(
+        ),
         CheckResult(
             name="spectrum_residual",
             claim="eigenpair-residual",
@@ -566,11 +515,10 @@ def suite_graphform(ctx: SuiteContext) -> list[CheckResult]:
             constant=spec.residual,
             details={"k_max": spec.k_max},
             table=spec.table(),
-        )
-    )
+        ),
+    ]
 
-    lam1 = float(spec.eigenvalues[1])
-    t = 1.0 / lam1
+    t = 1.0 / float(spec.eigenvalues[1])
     rng = np.random.default_rng(ctx.seed)
     centers = rng.integers(0, cloud.n, size=5)
     worst = 0.0
@@ -589,10 +537,10 @@ def suite_graphform(ctx: SuiteContext) -> list[CheckResult]:
         )
     )
 
-    if ctx.kind in ("interval_grid", "square_grid"):
+    if not facts.fractal:
         # f is the coordinate field of the calibration above.
         rep = gf.gamma_vs_lip_check(form, f)
-        if ctx.kind == "interval_grid" and ctx.d_w == 2.0:
+        if ctx.closed_form:
             ok = abs(rep.c_best - 1.0) <= DEFAULT_TOLERANCES["gamma_lip_rel"]
         else:
             factor = DEFAULT_TOLERANCES["gamma_lip_factor"]
@@ -621,12 +569,11 @@ def suite_graphform(ctx: SuiteContext) -> list[CheckResult]:
             )
         )
 
-    # Coarser gaskets leave too few samples inside the decay window for the
-    # heat-kernel fit, and the eigenvalue ratio is still drifting toward its
-    # limit; both probes start being meaningful at level 5.
-    dw_target = None
-    if ctx.kind == "gasket" and int(cloud.meta.get("level", 0)) >= 5:
-        dw_target = LOG5_LOG2
+    # Below its settled level a fractal leaves too few samples inside the
+    # decay window for the heat-kernel fit, and the eigenvalue ratio is still
+    # drifting toward its limit.
+    settled = int(cloud.meta.get("level", 0)) >= facts.settled_level
+    if facts.fractal and settled:
         fit = gf.fit_subgaussian(ctx.spectrum, seed=ctx.seed)
         results.append(
             CheckResult(
@@ -641,17 +588,15 @@ def suite_graphform(ctx: SuiteContext) -> list[CheckResult]:
                 },
             )
         )
-    elif ctx.kind == "interval_grid" and ctx.coarse_spectrum is not None:
-        dw_target = 2.0
-    if dw_target is not None:
+    if facts.d_w is not None and settled and ctx.coarse_spectrum is not None:
         walk = gf.eigen_walk_dimension(ctx.coarse_spectrum, spec)
         results.append(
             CheckResult(
                 name="eigen_walk_dimension",
                 claim="cross-level-eigenvalue-scaling",
-                passed=bool(abs(walk.d_w_hat - dw_target) <= DEFAULT_TOLERANCES["eigen_dw_abs"]),
+                passed=bool(abs(walk.d_w_hat - facts.d_w) <= DEFAULT_TOLERANCES["eigen_dw_abs"]),
                 constant=walk.d_w_hat,
-                details={"target": dw_target, "residual": walk.residual},
+                details={"target": facts.d_w, "residual": walk.residual},
             )
         )
     return results
@@ -661,22 +606,18 @@ def suite_convergence(ctx: SuiteContext) -> list[CheckResult]:
     cloud = ctx.cloud
     form = ctx.form
     spec = ctx.spectrum
-    results = []
 
-    if ctx.kind == "gasket":
-        target = spec.field(1)
-        n_steps = 4
-    else:
-        label_fields = dict(ctx.standard_fields())
-        target = label_fields.get("sin_pi_x") or label_fields.get("sin_pi_xy") or spec.field(1)
-        n_steps = 5
+    # A fractal recovers its first eigenfield, a grid its (last) sine field.
+    fractal = ctx.facts.fractal
+    target = spec.field(1) if fractal else ctx.standard_fields()[-1][1]
+    n_steps = 4 if fractal else 5
     rec = cv.recovery_check(target, form, d_w=ctx.d_w, n_steps=n_steps)
     per = [row[3] / rec.oracle for row in rec.rows]
     spread = max(per) / min(per) if min(per) > 0 else float("inf")
     # Per-step margin stability is an asymptotic property; on shallow
     # lattices the coarse rungs are preasymptotic, so the spread is
     # reported rather than gated.
-    results.append(
+    results = [
         CheckResult(
             name="mosco_recovery",
             claim="mollifier-recovery-margin",
@@ -685,9 +626,9 @@ def suite_convergence(ctx: SuiteContext) -> list[CheckResult]:
             details={"per_step_spread": spread, "oracle": rec.oracle},
             table=rec.table(),
         )
-    )
+    ]
 
-    probe = {"n_probes": 3, "offset": 9} if ctx.kind == "gasket" else {}
+    probe = {"n_probes": 3, "offset": 9} if fractal else {}
     try:
         lim = cv.weak_liminf_probe(target, spec, d_w=ctx.d_w, **probe)
     except Inapplicable as exc:
@@ -709,16 +650,14 @@ def suite_convergence(ctx: SuiteContext) -> list[CheckResult]:
     # Net size at a fixed delta is a statement about the gasket spectrum
     # (lambda_1 = 27 squeezes the unit-energy ball); grids get compactness
     # coverage through the cover-correctness tests instead.
-    if ctx.kind == "gasket" and spec.k_max >= 21:
+    if fractal and spec.k_max >= 21:
         rng = np.random.default_rng(ctx.seed)
         fields = []
         for _ in range(50):
             coef = rng.standard_normal(20)
             v = sum(c * spec.field(k + 1).values for k, c in enumerate(coef))
             raw = ScalarField(cloud, v)
-            fields.append(
-                ScalarField(cloud, v / math.sqrt(gf.form_energy(form, raw)))
-            )
+            fields.append(ScalarField(cloud, v / math.sqrt(gf.form_energy(form, raw))))
         probe = cv.compactness_probe(fields, d_w=ctx.d_w, delta=0.1)
         results.append(
             CheckResult(
@@ -731,9 +670,10 @@ def suite_convergence(ctx: SuiteContext) -> list[CheckResult]:
         )
 
     q_fit = float(ctx.doubling_profile().q_fit)
-    fields = [f for _, f in ctx.standard_fields() if not f.is_constant()]
-    if ctx.kind == "gasket":
+    if fractal:
         fields = [spec.field(k) for k in range(1, 6)]
+    else:
+        fields = [f for _, f in ctx.standard_fields()]
     rep = cv.sobolev_check(fields, d_w=ctx.d_w, Q=q_fit)
     results.append(
         CheckResult(
@@ -748,6 +688,78 @@ def suite_convergence(ctx: SuiteContext) -> list[CheckResult]:
         )
     )
     return results
+
+
+def _any_cloud_fields(ctx: SuiteContext) -> list[tuple[str, ScalarField]]:
+    """``x`` where the first coordinate varies, else the distance from point 0."""
+    cloud = ctx.cloud
+    if not cloud.is_abstract and np.ptp(cloud.coords[:, 0]) > 0:
+        return [("x", ScalarField.coordinate(cloud, 0))]
+    return [("dist_from_0", ScalarField(cloud, cloud.distances_from(0)))]
+
+
+@dataclass(frozen=True)
+class Kind:
+    """What the suites know of one cloud kind; the defaults hold for any cloud.
+
+    ``coarser`` maps the cloud's meta to its next coarser level, if any.  At
+    the known walk dimension ``d_w`` the ``calibration`` row holds, and
+    ``identity`` marks closed-form constants of the identity field.  A known
+    d_w above 2 makes the kind ``fractal``.
+    """
+
+    fields: Callable[[SuiteContext], list[tuple[str, ScalarField]]] = _any_cloud_fields
+    doubling_bound: str = "doubling_c_d_other"
+    interior_only: bool = False
+    coarser: Callable[[dict], dict | None] = lambda meta: None
+    d_w: float | None = None
+    calibration: Callable[[SuiteContext, dict], CheckResult] = _sweep_finite
+    identity: bool = False
+    settled_level: int = 0
+
+    @property
+    def fractal(self) -> bool:
+        return self.d_w is not None and self.d_w > 2.0
+
+
+KINDS: dict[str, Kind] = {
+    "interval_grid": Kind(
+        fields=lambda ctx: [
+            ("x", ScalarField.coordinate(ctx.cloud, 0)),
+            ("x_squared", ScalarField.from_function(ctx.cloud, lambda c: c[:, 0] ** 2)),
+            ("sin_pi_x", ScalarField.from_function(ctx.cloud, lambda c: np.sin(np.pi * c[:, 0]))),
+        ],
+        doubling_bound="doubling_c_d_interval",
+        coarser=lambda m: dict(m, n=(m["n"] + 1) // 2) if m["n"] >= 5 and m["n"] % 2 else None,
+        d_w=2.0,
+        calibration=_ks_limit_calibration,
+        identity=True,
+    ),
+    "square_grid": Kind(
+        fields=lambda ctx: [
+            ("x", ScalarField.coordinate(ctx.cloud, 0)),
+            ("y", ScalarField.coordinate(ctx.cloud, 1)),
+            ("sin_pi_xy", ScalarField.from_function(
+                ctx.cloud, lambda c: np.sin(np.pi * c[:, 0]) * np.sin(np.pi * c[:, 1]))),
+        ],
+        doubling_bound="doubling_c_d_square",
+        interior_only=True,
+        d_w=2.0,
+        calibration=_energy_calibration_2d,
+    ),
+    "gasket": Kind(
+        fields=lambda ctx: [
+            ("harmonic", gf.gasket_harmonic_field(ctx.cloud)),
+            ("eigen_1", ctx.spectrum.field(1)),
+            ("eigen_2", ctx.spectrum.field(2)),
+        ],
+        coarser=lambda m: dict(m, level=m["level"] - 1) if m["level"] >= 2 else None,
+        d_w=math.log(5.0) / math.log(2.0),
+        settled_level=5,
+    ),
+    "carpet": Kind(),
+    "file": Kind(),
+}
 
 
 # Each suite with the claim its row carries when the cloud cannot support it.

@@ -252,6 +252,22 @@ class TestRun:
         # coarse level (123) for the eigenvalue ratio; the suite reuses both.
         assert eigh_sizes == [366, 123]
 
+    @pytest.mark.parametrize("d_w", [2.0, "fit"])
+    def test_file_with_constant_first_coordinate_writes_a_bundle(self, tmp_path, d_w):
+        # On the line x = 0 the coordinate field is constant: the standard
+        # field is the distance from point 0, under every suite and a fit.
+        cloud_file = tmp_path / "line.cloud"
+        points = [f"0.0 {k / 19!r} {1 / 20!r}" for k in range(20)]
+        cloud_file.write_text("\n".join(["20 euclidean", *points]) + "\n")
+        out = tmp_path / "bundle"
+        path = write_config(
+            tmp_path, space={"kind": "file", "path": str(cloud_file)}, d_w=d_w, suite="all",
+            out=str(out),
+        )
+        assert main(["run", "--config", str(path)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert "sweep_dist_from_0" in {c["name"] for c in summary["checks"]}
+
 
 def _record_results(monkeypatch, module, name):
     made = []

@@ -393,9 +393,7 @@ class TestSobolevCheck:
         assert rep.max_quotient == rep.quotients.max()
 
     def test_non_finite_quotient_written_as_null(self, tmp_path):
-        rep = SobolevReport(
-            Q=3.0, d_w=2.0, branch="lq", exponent=6.0, quotients=np.array([0.5, np.inf])
-        )
+        rep = SobolevReport(d_w=2.0, branch="lq", exponent=6.0, quotients=np.array([0.5, np.inf]))
         path = tmp_path / "sobolev.json"
         write_json(path, {"quotients": rep.quotients, "max_quotient": rep.max_quotient})
 

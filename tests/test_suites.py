@@ -1,6 +1,9 @@
-"""Suite registry behaviour: applicability, skipped rows, thresholds, d_w resolution."""
+"""Suite registry behaviour: kind table, applicability, skipped rows, thresholds, d_w resolution."""
 
+import ast
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,10 +11,13 @@ import pytest
 from kslab import convergence as cv
 from kslab import graphform as gf
 from kslab import poincare as pc
+from kslab import suites
 from kslab.energy import ScalarField, fit_walk_dimension, make_scale_grid
 from kslab.space import (
+    CLOUD_KINDS,
     Inapplicable,
     MeasuredPointCloud,
+    build_cloud,
     estimate_doubling,
     gasket,
     interval_grid,
@@ -19,6 +25,7 @@ from kslab.space import (
 )
 from kslab.suites import (
     DEFAULT_TOLERANCES,
+    KINDS,
     SUITES,
     CheckResult,
     SuiteContext,
@@ -49,6 +56,40 @@ def abstract_cloud(n=40, seed=3):
     dmat = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(-1))
     mesh = float(np.sort(dmat + np.eye(n) * 10, axis=1)[:, 0].max())
     return MeasuredPointCloud(np.full(n, 1.0 / n), dist_matrix=dmat, mesh=mesh)
+
+
+class TestKinds:
+    def test_one_row_per_cloud_kind(self):
+        assert set(KINDS) == set(CLOUD_KINDS)
+
+    @pytest.mark.parametrize("kind", sorted(CLOUD_KINDS))
+    def test_standard_fields_vary_at_the_smallest_accepted_size(self, kind, tmp_path):
+        _, keys = CLOUD_KINDS[kind]
+        if kind == "file":
+            # Two points on the line x = 0: the first coordinate is constant.
+            path = tmp_path / "pair.cloud"
+            path.write_text("2 euclidean\n0.0 0.0 0.5\n0.0 1.0 0.5\n")
+            spec = {"kind": kind, "path": str(path)}
+        else:
+            spec = {"kind": kind, **{key: lo for key, (_, lo, _) in keys.items()}}
+        fields = _ctx(build_cloud(spec)).standard_fields()
+        assert fields and not any(f.is_constant() for _, f in fields)
+
+    def test_cloud_without_kind_reads_the_defaults(self):
+        assert [label for label, _ in _ctx(abstract_cloud()).standard_fields()] == ["dist_from_0"]
+
+    def test_suites_name_no_kind_outside_the_table(self):
+        source = Path(suites.__file__).read_text()
+        (table,) = [
+            node for node in ast.parse(source).body
+            if isinstance(node, ast.AnnAssign) and node.target.id == "KINDS"
+        ]
+        lines = source.splitlines()
+        rest = "\n".join(lines[: table.lineno - 1] + lines[table.end_lineno :])
+        strings = {n.value for n in ast.walk(ast.parse(rest)) if isinstance(n, ast.Constant)}
+        assert not strings & set(CLOUD_KINDS)
+        assert not re.search(r"\.kind ==|kind in \(", rest)
+        assert not hasattr(SuiteContext, "kind") and not hasattr(SuiteContext, "has_form")
 
 
 class TestResolveWalkDimension:
