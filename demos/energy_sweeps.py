@@ -45,10 +45,10 @@ for name, f in fields.items():
 # cross-checked against the eigenvalue ratio between consecutive levels.
 g = gasket(4)
 grid = make_scale_grid(g, r_max=g.diameter / 2)
-from kslab import spectrum, build_form  # noqa: E402
+from kslab import spectrum, gasket_form  # noqa: E402
 
 probe_fields = [
-    ScalarField(g, spectrum(build_form(g), k_max=4).field(k).values)
+    ScalarField(g, spectrum(gasket_form(g), k_max=4).field(k).values)
     for k in (1, 2, 3)
 ]
 fit = fit_walk_dimension(probe_fields, grid=grid)

@@ -17,13 +17,14 @@ from kslab import (
     GraphDirichletForm,
     MeasuredPointCloud,
     ScalarField,
-    build_form,
     eigen_walk_dimension,
     fit_subgaussian,
     form_energy,
     gamma_vs_lip_check,
     gasket,
+    gasket_form,
     gasket_harmonic_field,
+    grid_form,
     heat_kernel,
     interval_grid,
     intrinsic_metric,
@@ -33,7 +34,7 @@ from kslab import (
 # Interval grid: conductances 1/(h^2 n) make the energy of f(x)=x equal
 # (n-1)/n, the Riemann sum of integral f'^2 = 1.
 cloud = interval_grid(201)
-form = build_form(cloud)
+form = grid_form(cloud)
 fx = ScalarField.coordinate(cloud, 0)
 print(f"interval_grid(201): energy of x = {form_energy(form, fx):.6f}"
       f" (expected {(cloud.n - 1) / cloud.n:.6f})")
@@ -42,7 +43,7 @@ print(f"interval_grid(201): energy of x = {form_energy(form, fx):.6f}"
 # renormalization; the harmonic extension of boundary values (1,0,0) has
 # energy exactly 2 at every level.
 g = gasket(4)
-gform = build_form(g)
+gform = gasket_form(g)
 harm = gasket_harmonic_field(g)
 print(f"gasket(4): harmonic extension energy = {form_energy(gform, harm):.12f}")
 
@@ -63,11 +64,11 @@ print(f"heat kernel mass at t={t:.4f}: {float(g.weights @ row):.12f}")
 # its heat kernels are exact.
 # The ratios read the spectra already solved; the coarse level needs only
 # its lowest four modes.
-walk = eigen_walk_dimension(spectrum(build_form(gasket(3)), k_max=4), spec)
+walk = eigen_walk_dimension(spectrum(gasket_form(gasket(3)), k_max=4), spec)
 print(f"eigen walk dimension (levels 3->4): {walk.d_w_hat:.4f}"
       f" vs log5/log2 = {math.log(5) / math.log(2):.4f}")
 g5 = gasket(5)
-fit = fit_subgaussian(spectrum(build_form(g5), k_max=25), seed=0)
+fit = fit_subgaussian(spectrum(gasket_form(g5), k_max=25), seed=0)
 print(f"sub-Gaussian fit at level 5: d_w={fit.d_w_fit:.3f}"
       f" d_s={fit.d_s_fit:.3f} residual={fit.residual:.3f}")
 

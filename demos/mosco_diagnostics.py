@@ -17,10 +17,10 @@ import numpy as np
 from kslab import (
     ScalarField,
     SuiteContext,
-    build_form,
     compactness_probe,
     form_energy,
     gasket,
+    gasket_form,
     recovery_check,
     sobolev_check,
     spectrum,
@@ -30,7 +30,7 @@ from kslab import (
 LOG5_LOG2 = math.log(5) / math.log(2)
 
 g = gasket(5)
-form = build_form(g)
+form = gasket_form(g)
 spec = spectrum(form, k_max=25)
 target = spec.field(1)
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from kslab import (
     ScalarField,
-    build_form,
+    grid_form,
     interval_grid,
     maximal_function,
     poincare_check,
@@ -25,7 +25,7 @@ cloud = interval_grid(401)
 f = ScalarField.from_function(cloud, lambda c: np.sin(np.pi * c[:, 0]))
 
 print("sampled Poincare constants for sin(pi x) on interval(401)")
-for mode, rep in poincare_check(f, d_w=2.0, seed=0, form=build_form(cloud)).items():
+for mode, rep in poincare_check(f, d_w=2.0, seed=0, form=grid_form(cloud)).items():
     print(f"  mode={mode:<15} c_best={rep.c_best:.4f} over {rep.n_used} balls")
 
 # A case where the constant is known: f(x) = x on an interior ball of the

@@ -79,14 +79,15 @@ from .graphform import (
     HeatKernelFit,
     IntrinsicMetricResult,
     Spectrum,
-    build_form,
     eigen_walk_dimension,
     energy_measure,
     fit_subgaussian,
     form_bilinear,
     form_energy,
     gamma_vs_lip_check,
+    gasket_form,
     gasket_harmonic_field,
+    grid_form,
     heat_kernel,
     intrinsic_metric,
     spectrum,
@@ -159,14 +160,15 @@ __all__ = [
     "HeatKernelFit",
     "IntrinsicMetricResult",
     "Spectrum",
-    "build_form",
     "eigen_walk_dimension",
     "energy_measure",
     "fit_subgaussian",
     "form_bilinear",
     "form_energy",
     "gamma_vs_lip_check",
+    "gasket_form",
     "gasket_harmonic_field",
+    "grid_form",
     "heat_kernel",
     "intrinsic_metric",
     "spectrum",

@@ -4,13 +4,14 @@ The single JSON config file is the audit trail: every run echoes it into the
 summary, and identical config plus identical seed gives a byte-identical
 summary.  This is the only module that writes files: reports hand it their
 rows through ``table()``.  Exit codes: 0 all selected checks pass, 1 at
-least one check fails, 2 the config or invocation is invalid or a
-computation rejects it.  With a numeric d_w, ``run`` turns what a cloud is
-too coarse for into skipped rows (``suites.run_suite``), so only a fitted
-d_w on a cloud with fewer than three scales, and ``space`` or ``sweep`` on
-a cloud too coarse for their scale grids, reject an accepted config.  Every
-artifact is computed before the output directory is created, so exit 2
-writes nothing.
+least one check fails, 2 the input is refused, 3 any other error (named
+after the suite that raised it, if any).  Refused input is an invalid
+config or invocation, a cloud file the builder rejects, an OS error, or a
+cloud too coarse for the command (``Inapplicable``).  With a numeric d_w,
+``run`` turns the latter into skipped rows (``suites.run_suite``), so only
+a fitted d_w on a cloud with fewer than three scales, and ``space`` or
+``sweep`` on a cloud too coarse for their scale grids, refuse an accepted
+config.  Every artifact is computed first, so exits 2 and 3 write nothing.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import sys
 from pathlib import Path
 
 from .export import write_csv, write_json
-from .space import CLOUD_KINDS, build_cloud
+from .space import CLOUD_KINDS, Inapplicable, build_cloud
 from .suites import SUITES, SuiteContext, applicable_suites, run_suite
 
 __all__ = ["main", "ConfigError", "load_config"]
@@ -135,9 +136,13 @@ def _command_config(args: argparse.Namespace) -> dict:
 
 
 def _build_context(cfg: dict) -> SuiteContext:
+    try:
+        cloud = build_cloud(cfg["space"])
+    except ValueError as exc:  # the builders' word for a cloud file they refuse
+        raise ConfigError(str(exc)) from exc
     # d_w is resolved on the run's own context, so a fit's forms and solves
     # serve the suites as well.
-    return SuiteContext(build_cloud(cfg["space"]), cfg["d_w"], cfg["seed"])
+    return SuiteContext(cloud, cfg["d_w"], cfg["seed"])
 
 
 def _write_bundle(cfg: dict, tables: dict, payloads: dict) -> Path:
@@ -178,8 +183,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     for suite_name in selected:
         try:
             results = run_suite(suite_name, ctx)
-        except ValueError as exc:
-            raise ValueError(f"suite {suite_name!r}: {exc}") from exc
+        except Exception as exc:
+            raise RuntimeError(f"suite {suite_name!r}: {type(exc).__name__}: {exc}") from exc
         for result in results:
             row = result.row()
             row["suite"] = suite_name
@@ -314,14 +319,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except Exception as exc:  # not BaseException: interrupts and exits pass through
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
-        # Cloud builders and file IO signal contract violations with
-        # ValueError; surface them as config diagnostics, not tracebacks.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, (ConfigError, OSError, Inapplicable)) else 3
 
 
 if __name__ == "__main__":

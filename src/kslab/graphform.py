@@ -28,13 +28,13 @@ from .space import Lattice, MeasuredPointCloud, _gasket_subdivision, gasket_grap
 __all__ = [
     "DENSE_EIGEN_LIMIT",
     "PARTIAL_EIGEN_COUNT",
-    "FORM_KINDS",
     "GraphDirichletForm",
     "Spectrum",
     "HeatKernelFit",
     "IntrinsicMetricResult",
     "GammaLipReport",
-    "build_form",
+    "grid_form",
+    "gasket_form",
     "form_energy",
     "form_bilinear",
     "energy_measure",
@@ -63,9 +63,6 @@ PARTIAL_EIGEN_COUNT = 200
 # A band spectrum sums the heat kernel once t lambda_{k_max-1} reaches this
 # many e-folds; below it a Chebyshev-Bessel recurrence on the generator runs.
 DAMPED_EFOLDS = 40.0
-
-# The cloud kinds (``space.CLOUD_KINDS``) that carry a reference form.
-FORM_KINDS = ("interval_grid", "square_grid", "gasket")
 
 
 @dataclass(frozen=True)
@@ -181,33 +178,26 @@ def _lattice_edges(lattice: Lattice) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(i), np.concatenate(j)
 
 
-def build_form(cloud: MeasuredPointCloud) -> GraphDirichletForm:
-    """Construct the reference form of the cloud's kind (``FORM_KINDS``).
+def grid_form(cloud: MeasuredPointCloud) -> GraphDirichletForm:
+    """The edges of the cloud's lattice with conductance 1/(h^2 n).
 
-    Grids use the edges of their lattice with conductance 1/(h^2 n), so
-    smooth-field energies approach Dirichlet integrals; the gasket uses the
-    level graph with uniform conductance (5/3)^m.
+    So smooth-field energies approach Dirichlet integrals as the mesh refines.
     """
-    if cloud.kind not in FORM_KINDS:
-        raise ValueError(f"no reference form for cloud kind {cloud.kind!r}")
-    n = cloud.n
-    if cloud.kind == "gasket":
-        level = int(cloud.meta["level"])
-        _, _, edges = gasket_graph(level)
-        i, j = edges[:, 0].copy(), edges[:, 1].copy()
-        c = np.full(i.size, (5.0 / 3.0) ** level)
-        renorm = float(c[0] * n)
-    else:
-        i, j = _lattice_edges(cloud.lattice)
-        c = np.full(i.size, 1.0 / (cloud.mesh**2 * n))
-        renorm = 1.0 / cloud.mesh**2
-    return GraphDirichletForm(
-        cloud=cloud,
-        edge_i=np.asarray(i, dtype=np.intp),
-        edge_j=np.asarray(j, dtype=np.intp),
-        conductances=c,
-        renorm=float(renorm),
-    )
+    if cloud.lattice is None:
+        raise ValueError("a grid form needs a cloud with a lattice")
+    i, j = _lattice_edges(cloud.lattice)
+    c = np.full(i.size, 1.0 / (cloud.mesh**2 * cloud.n))
+    return GraphDirichletForm(cloud, i, j, c, renorm=1.0 / cloud.mesh**2)
+
+
+def gasket_form(cloud: MeasuredPointCloud) -> GraphDirichletForm:
+    """The level-m gasket graph with uniform conductance (5/3)^m."""
+    if cloud.kind != "gasket":
+        raise ValueError("a gasket form needs a gasket cloud")
+    level = int(cloud.meta["level"])
+    i, j = gasket_graph(level)[2].T.copy()
+    c = np.full(i.size, (5.0 / 3.0) ** level)
+    return GraphDirichletForm(cloud, i, j, c, renorm=float(c[0] * cloud.n))
 
 
 def _check_form_field(form: GraphDirichletForm, f: ScalarField) -> None:
@@ -868,10 +858,10 @@ def gamma_vs_lip_check(form: GraphDirichletForm, f: ScalarField) -> GammaLipRepo
 
     The slope reads neighbours closer than the admissibility floor kappa h.
 
-    Grid forms only: the comparison is a d_w = 2 statement and has no
-    analogue for the resistance-scaled gasket form.
+    Grid forms only (the cloud has a lattice): the comparison is a d_w = 2
+    statement and has no analogue for the resistance-scaled gasket form.
     """
-    if form.kind not in ("interval_grid", "square_grid"):
+    if form.cloud.lattice is None:
         raise ValueError(f"gamma/Lip comparison is limited to grids, got {form.kind}")
     cloud = form.cloud
     ratio_gamma = energy_measure(form, f) / cloud.weights

@@ -10,8 +10,9 @@ library raises ``Inapplicable`` where it computes the precondition.
 
 The suites read what they know of a cloud kind from its ``Kind`` row in
 ``KINDS`` and never branch on its name: a new kind is a builder in
-``space.CLOUD_KINDS`` plus a row (plus a ``graphform`` form for the form
-suites).  A cloud built without a kind reads the ``file`` row, ``Kind()``.
+``space.CLOUD_KINDS`` plus a row, whose ``form`` names the kind's form
+builder if it has one; the form suites run only then.  A cloud built
+without a kind reads the ``file`` row, ``Kind()``.
 """
 
 from __future__ import annotations
@@ -163,7 +164,9 @@ class SuiteContext:
 
     @cached_property
     def form(self) -> gf.GraphDirichletForm:
-        return gf.build_form(self.cloud)
+        if self.facts.form is None:
+            raise ValueError(f"no reference form for cloud kind {self.cloud.kind!r}")
+        return self.facts.form(self.cloud)
 
     @cached_property
     def coarse_spectrum(self) -> gf.Spectrum | None:
@@ -172,7 +175,7 @@ class SuiteContext:
         if spec is None:
             return None
         coarse = build_cloud(spec)
-        return gf.spectrum(gf.build_form(coarse), k_max=min(4, coarse.n))
+        return gf.spectrum(self.facts.form(coarse), k_max=min(4, coarse.n))
 
     @cached_property
     def spectrum(self) -> gf.Spectrum:
@@ -409,7 +412,7 @@ def suite_poincare(ctx: SuiteContext) -> list[CheckResult]:
     cloud = ctx.cloud
     label, f = ctx.standard_fields()[0]
     results = []
-    form = ctx.form if cloud.kind in gf.FORM_KINDS else None
+    form = ctx.form if ctx.facts.form else None
     reports = pc.poincare_check(f, d_w=ctx.d_w, seed=ctx.seed, form=form)
     for mode, rep in reports.items():
         results.append(
@@ -702,10 +705,11 @@ def _any_cloud_fields(ctx: SuiteContext) -> list[tuple[str, ScalarField]]:
 class Kind:
     """What the suites know of one cloud kind; the defaults hold for any cloud.
 
-    ``coarser`` maps the cloud's meta to its next coarser level, if any.  At
-    the known walk dimension ``d_w`` the ``calibration`` row holds, and
-    ``identity`` marks closed-form constants of the identity field.  A known
-    d_w above 2 makes the kind ``fractal``.
+    ``form`` builds the kind's reference form, if it has one, and ``coarser``
+    maps the cloud's meta to its next coarser level, if any.  At the known
+    walk dimension ``d_w`` the ``calibration`` row holds, and ``identity``
+    marks closed-form constants of the identity field.  A known d_w above 2
+    makes the kind ``fractal``.
     """
 
     fields: Callable[[SuiteContext], list[tuple[str, ScalarField]]] = _any_cloud_fields
@@ -716,6 +720,7 @@ class Kind:
     calibration: Callable[[SuiteContext, dict], CheckResult] = _sweep_finite
     identity: bool = False
     settled_level: int = 0
+    form: Callable[[MeasuredPointCloud], gf.GraphDirichletForm] | None = None
 
     @property
     def fractal(self) -> bool:
@@ -734,6 +739,7 @@ KINDS: dict[str, Kind] = {
         d_w=2.0,
         calibration=_ks_limit_calibration,
         identity=True,
+        form=gf.grid_form,
     ),
     "square_grid": Kind(
         fields=lambda ctx: [
@@ -746,6 +752,7 @@ KINDS: dict[str, Kind] = {
         interior_only=True,
         d_w=2.0,
         calibration=_energy_calibration_2d,
+        form=gf.grid_form,
     ),
     "gasket": Kind(
         fields=lambda ctx: [
@@ -756,6 +763,7 @@ KINDS: dict[str, Kind] = {
         coarser=lambda m: dict(m, level=m["level"] - 1) if m["level"] >= 2 else None,
         d_w=math.log(5.0) / math.log(2.0),
         settled_level=5,
+        form=gf.gasket_form,
     ),
     "carpet": Kind(),
     "file": Kind(),
@@ -774,9 +782,9 @@ SUITES = {
 
 
 def applicable_suites(cloud: MeasuredPointCloud) -> list[str]:
-    """Suite names that can run on this cloud kind."""
+    """Suite names that can run on this cloud kind: the form suites need a form."""
     names = ["doubling", "energy", "smoothing", "poincare"]
-    if cloud.kind in gf.FORM_KINDS:
+    if KINDS.get(cloud.kind, Kind()).form:
         names += ["graphform", "convergence"]
     return names
 

@@ -88,17 +88,17 @@ def gasket6():
 
 @pytest.fixture(scope="module")
 def form2001(grid2001):
-    return gf.build_form(grid2001)
+    return gf.grid_form(grid2001)
 
 
 @pytest.fixture(scope="module")
 def form5(gasket5):
-    return gf.build_form(gasket5)
+    return gf.gasket_form(gasket5)
 
 
 @pytest.fixture(scope="module")
 def form6(gasket6):
-    return gf.build_form(gasket6)
+    return gf.gasket_form(gasket6)
 
 
 @pytest.fixture(scope="module")
@@ -343,7 +343,7 @@ def test_11_intrinsic_metric():
     ratios = {}
     for n in (101, 201):
         cloud = interval_grid(n)
-        form = gf.build_form(cloud)
+        form = gf.grid_form(cloud)
         ratios[n] = gf.intrinsic_metric(form, 0, n - 1).lower / 1.0
     spread = _spread(list(ratios.values()))
     ok = path_rel <= 0.01 and spread <= 2.0
@@ -360,7 +360,7 @@ def test_12_energy_density_vs_slope():
     c_bests = {}
     for n in (101, 201):
         cloud = interval_grid(n)
-        form = gf.build_form(cloud)
+        form = gf.grid_form(cloud)
         f = ScalarField.coordinate(cloud, 0)
         c_bests[n] = gf.gamma_vs_lip_check(form, f).c_best
     dev = abs(c_bests[101] - 1.0)
@@ -484,9 +484,9 @@ def test_15_oracle_equivalence_and_seed_properties():
         markov_ok &= e_v <= e_f * (1.0 + 1e-12) + 1e-15
 
     forms = [
-        gf.build_form(interval_grid(40)),
-        gf.build_form(square_grid(8)),
-        gf.build_form(gasket(3)),
+        gf.grid_form(interval_grid(40)),
+        gf.grid_form(square_grid(8)),
+        gf.gasket_form(gasket(3)),
     ]
     locality_ok = True
     for case in range(100):

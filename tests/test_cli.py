@@ -123,13 +123,18 @@ class TestRun:
         [
             ("run", {"kind": "interval_grid", "n": 9}),
             ("space", {"kind": "gasket", "level": 3}),
+            ("run", {"kind": "square_grid", "n": 9}),
+            ("sweep", {"kind": "gasket", "level": 1}),
+            ("space", {"kind": "carpet", "level": 1}),
         ],
     )
     def test_failure_after_validation_writes_nothing(self, tmp_path, capsys, command, space):
-        # Both configs validate, then a computation raises: a fitted d_w
+        # The configs validate, then a computation raises: a fitted d_w
         # needs three scales, which interval 9 lacks even on the diam/2 grid,
         # and gasket 3 is too coarse for the doubling scale grid.  Suites
         # skip what a cloud cannot support, but these values have no row.
+        # The same holds for square 9, and for the scale grids of gasket 1
+        # and carpet 1.
         out = tmp_path / "bundle"
         d_w = "fit" if command == "run" else 2.0
         path = write_config(tmp_path, space=space, d_w=d_w, suite="all", out=str(out))
@@ -205,6 +210,44 @@ class TestRun:
         path.write_text(json.dumps(cfg))
         assert main(["run", "--config", str(path)]) == 2
         assert not (tmp_path / "bundle").exists()
+
+    @pytest.mark.parametrize("error", [ValueError, RuntimeError])
+    def test_library_error_exits_three(self, tmp_path, monkeypatch, capsys, error):
+        # An error a suite raises on an accepted config is not refused input.
+        def broken(ctx):
+            raise error("broken on purpose")
+
+        monkeypatch.setitem(suites.SUITES, "doubling", (broken, "volume-doubling-bound"))
+        out = tmp_path / "bundle"
+        path = write_config(tmp_path, out=str(out))
+        assert main(["run", "--config", str(path)]) == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: suite 'doubling':") and "broken on purpose" in err
+
+    def test_base_exceptions_pass_through(self, tmp_path, monkeypatch):
+        # Only Exception is mapped to an exit code; interrupts, exits and
+        # other BaseExceptions leave main as they were raised.
+        class Stop(BaseException):
+            pass
+
+        def stop(ctx):
+            raise Stop
+
+        monkeypatch.setitem(suites.SUITES, "doubling", (stop, "volume-doubling-bound"))
+        path = write_config(tmp_path, out=str(tmp_path / "bundle"))
+        with pytest.raises(Stop):
+            main(["run", "--config", str(path)])
+        assert not (tmp_path / "bundle").exists()
+
+    def test_unreadable_cloud_file_is_refused(self, tmp_path, capsys):
+        cloud_file = tmp_path / "dup.cloud"
+        cloud_file.write_text("2 euclidean\n0.0 0.0 0.5\n0.0 0.0 0.5\n")
+        out = tmp_path / "bundle"
+        path = write_config(tmp_path, space={"kind": "file", "path": str(cloud_file)}, out=str(out))
+        assert main(["run", "--config", str(path)]) == 2
+        assert not out.exists()
+        assert "error: duplicate points" in capsys.readouterr().err
 
     def test_fit_provenance_recorded(self, tmp_path):
         cfg = {

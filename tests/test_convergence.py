@@ -18,7 +18,7 @@ from kslab.convergence import (
 )
 from kslab.energy import ScalarField, ks_energy, liminf_window_scales, make_scale_grid
 from kslab.export import write_json
-from kslab.graphform import build_form, form_energy, spectrum
+from kslab.graphform import form_energy, gasket_form, grid_form, spectrum
 from kslab.space import Inapplicable, gasket, interval_grid, square_grid
 
 from oracles import brute_ks_energy, dist_matrix
@@ -29,14 +29,14 @@ D_W_GASKET = math.log(5.0) / math.log(2.0)
 @pytest.fixture(scope="module")
 def grid401():
     cloud = interval_grid(401)
-    form = build_form(cloud)
+    form = grid_form(cloud)
     return cloud, form
 
 
 @pytest.fixture(scope="module")
 def gasket6():
     cloud = gasket(6)
-    form = build_form(cloud)
+    form = gasket_form(cloud)
     return cloud, form, spectrum(form)
 
 
@@ -44,7 +44,7 @@ def gasket6():
 def gasket5_family():
     """Fifty random unit-energy mixtures of the first twenty eigenfields."""
     cloud = gasket(5)
-    form = build_form(cloud)
+    form = gasket_form(cloud)
     spec = spectrum(form, k_max=25)
     rng = np.random.default_rng(0)
     fields = []
@@ -216,7 +216,7 @@ class TestWeakLiminfProbe:
         monkeypatch.setattr(graphform, "DENSE_EIGEN_LIMIT", 0)
         for level in (4, 5, 6, 7):
             cloud = gasket(level)
-            spec = spectrum(build_form(cloud), k_max=13)
+            spec = spectrum(gasket_form(cloud), k_max=13)
             rep = weak_liminf_probe(spec.field(1), spec, n_probes=3, offset=9)
             wide = make_scale_grid(cloud, r_max=cloud.diameter / 2.0).scales
             assert rep.scales.tolist() == wide[-3:].tolist()
@@ -224,7 +224,7 @@ class TestWeakLiminfProbe:
 
     def test_short_grid_rejected(self):
         cloud = interval_grid(17)
-        spec = spectrum(build_form(cloud), k_max=15)
+        spec = spectrum(grid_form(cloud), k_max=15)
         with pytest.raises(ValueError, match="too short"):
             weak_liminf_probe(spec.field(1), spec)
 
@@ -350,7 +350,7 @@ class TestSobolevCheck:
         quots = []
         for level in (4, 5):
             cloud = gasket(level)
-            form = build_form(cloud)
+            form = gasket_form(cloud)
             spec = spectrum(form, k_max=10)
             fields = [spec.field(k) for k in range(1, 6)]
             rep = sobolev_check(

@@ -284,7 +284,8 @@ def test_scale_geometry_takes_no_knobs():
         assert takers.get(gone) is None, (gone, takers.get(gone))
     from kslab import convergence, graphform
 
-    assert list(inspect.signature(graphform.build_form).parameters) == ["cloud"]
+    for builder in (graphform.grid_form, graphform.gasket_form):
+        assert list(inspect.signature(builder).parameters) == ["cloud"], builder.__name__
     for fn in (
         graphform.fit_subgaussian,
         graphform.gamma_vs_lip_check,
@@ -298,6 +299,8 @@ def test_scale_geometry_takes_no_knobs():
     for gone in ("_oracle_energy", "_default_recovery_pairs"):
         assert not hasattr(convergence, gone), gone
     assert not hasattr(kslab.suites, "FORM_KINDS")
+    for gone in ("FORM_KINDS", "build_form"):
+        assert not hasattr(graphform, gone) and gone not in kslab.__all__, gone
     with pytest.raises(ValueError, match="cannot interpret"):
         kslab.build_cloud("gasket:5")
     assert takers["r_loc"] == ["kslab.smoothing.discrete_lip"]

@@ -14,20 +14,20 @@ from kslab import graphform as gf
 from kslab.energy import ScalarField
 from kslab.graphform import (
     GraphDirichletForm,
-    build_form,
     eigen_walk_dimension,
     energy_measure,
     fit_subgaussian,
     form_bilinear,
     form_energy,
     gamma_vs_lip_check,
+    gasket_form,
     gasket_harmonic_field,
+    grid_form,
     heat_kernel,
     intrinsic_metric,
     spectrum,
 )
 from kslab.space import (
-    CLOUD_KINDS,
     MeasuredPointCloud,
     build_cloud,
     carpet,
@@ -35,6 +35,7 @@ from kslab.space import (
     interval_grid,
     square_grid,
 )
+from kslab.suites import KINDS
 
 from oracles import convex_intrinsic_metric, dual_intrinsic_metric, uniformized_heat_kernel
 
@@ -45,7 +46,7 @@ LOG3_LOG5 = np.log(3.0) / np.log(5.0)
 @pytest.fixture(scope="module")
 def gasket6():
     cloud = gasket(6)
-    form = build_form(cloud)
+    form = gasket_form(cloud)
     return cloud, form, spectrum(form)
 
 
@@ -71,22 +72,25 @@ def unit_pair_form(weights=(1.0, 1.0)):
 # ----------------------------------------------------------------------
 
 
-def test_build_form_rejects_mismatched_cloud():
-    # The form kind is the cloud kind; a cloud kind without a reference
-    # form is refused.
-    assert build_form(interval_grid(10)).kind == "interval_grid"
-    assert build_form(square_grid(4)).kind == "square_grid"
-    assert build_form(gasket(2)).kind == "gasket"
-    with pytest.raises(ValueError, match="no reference form for cloud kind 'carpet'"):
-        build_form(carpet(2))
-    with pytest.raises(ValueError, match="no reference form"):
-        build_form(unit_pair_cloud())
+def test_form_builders_refuse_mismatched_clouds():
+    # The form kind is the cloud kind; each builder refuses a cloud it cannot
+    # serve, and a kind without a reference form names no builder.
+    assert grid_form(interval_grid(10)).kind == "interval_grid"
+    assert grid_form(square_grid(4)).kind == "square_grid"
+    assert gasket_form(gasket(2)).kind == "gasket"
+    for cloud in (gasket(2), unit_pair_cloud()):
+        with pytest.raises(ValueError, match="a grid form needs a cloud with a lattice"):
+            grid_form(cloud)
+    with pytest.raises(ValueError, match="a gasket form needs a gasket cloud"):
+        gasket_form(interval_grid(5))
+    assert KINDS["carpet"].form is None and KINDS["file"].form is None
 
 
 def test_form_kinds_are_cloud_kinds():
-    # One vocabulary: a form's kind is its cloud's, and nothing under src
-    # or demos spells the old grid names.
-    assert set(gf.FORM_KINDS) <= set(CLOUD_KINDS)
+    # One vocabulary: a form's kind is its cloud's, the kinds with a form are
+    # the rows of KINDS that name a builder, and nothing under src or demos
+    # spells the old grid names.
+    assert {k for k, row in KINDS.items() if row.form} == {"interval_grid", "square_grid", "gasket"}
     names = [f.name for f in dataclasses.fields(GraphDirichletForm)]
     assert names == ["cloud", "edge_i", "edge_j", "conductances", "renorm"]
     root = Path(__file__).resolve().parents[1]
@@ -153,7 +157,7 @@ def test_form_validation():
 
 def test_grid1d_energy_of_identity():
     cloud = interval_grid(101)
-    form = build_form(cloud)
+    form = grid_form(cloud)
     f = ScalarField.coordinate(cloud)
     n = cloud.n
     assert form_energy(form, f) == pytest.approx((n - 1) / n, rel=1e-12)
@@ -162,14 +166,14 @@ def test_grid1d_energy_of_identity():
 
 def test_grid1d_energy_of_sine():
     cloud = interval_grid(201)
-    form = build_form(cloud)
+    form = grid_form(cloud)
     f = ScalarField.from_function(cloud, lambda c: np.sin(np.pi * c[:, 0]))
     assert form_energy(form, f) == pytest.approx(np.pi**2 / 2.0, rel=0.02)
 
 
 def test_grid2d_energy_of_identity():
     cloud = square_grid(21)
-    form = build_form(cloud)
+    form = grid_form(cloud)
     f = ScalarField.coordinate(cloud, axis=0)
     side = 21
     assert form_energy(form, f) == pytest.approx((side - 1) / side, rel=1e-12)
@@ -181,7 +185,7 @@ def test_gasket_harmonic_energy_level_invariant():
     energies = []
     for level in range(1, 6):
         cloud = gasket(level)
-        form = build_form(cloud)
+        form = gasket_form(cloud)
         f = gasket_harmonic_field(cloud)
         energies.append(form_energy(form, f))
     assert energies[0] == pytest.approx(2.0, abs=1e-10)
@@ -229,7 +233,7 @@ def test_gasket_harmonic_needs_gasket_cloud():
 
 def test_constant_field_zero_energy_and_density():
     cloud = interval_grid(31)
-    form = build_form(cloud)
+    form = grid_form(cloud)
     f = ScalarField.constant(cloud, 3.7)
     assert form_energy(form, f) == 0.0
     assert np.all(energy_measure(form, f) == 0.0)
@@ -245,7 +249,7 @@ def test_two_vertex_energy_and_density():
 
 def test_identity_density_matches_measure_in_interior():
     cloud = interval_grid(101)
-    form = build_form(cloud)
+    form = grid_form(cloud)
     ratio = energy_measure(form, ScalarField.coordinate(cloud)) / cloud.weights
     assert np.allclose(ratio[1:-1], 1.0, rtol=0.05)
     assert ratio[0] == pytest.approx(0.5, rel=1e-9)
@@ -256,7 +260,7 @@ def test_identity_density_matches_measure_in_interior():
 def test_density_sums_to_energy(seed):
     rng = np.random.default_rng(seed)
     cloud = interval_grid(40)
-    form = build_form(cloud)
+    form = grid_form(cloud)
     f = ScalarField(cloud, rng.normal(size=40))
     density = energy_measure(form, f)
     assert density.sum() == pytest.approx(form_energy(form, f), rel=1e-12, abs=1e-15)
@@ -264,7 +268,7 @@ def test_density_sums_to_energy(seed):
 
 def test_markov_contraction_seeded():
     cloud = interval_grid(60)
-    form = build_form(cloud)
+    form = grid_form(cloud)
     rng = np.random.default_rng(7)
     for _ in range(30):
         v = rng.normal(scale=2.0, size=60)
@@ -275,7 +279,7 @@ def test_markov_contraction_seeded():
 
 def test_strong_locality_seeded():
     cloud = interval_grid(80)
-    form = build_form(cloud)
+    form = grid_form(cloud)
     rng = np.random.default_rng(11)
     for _ in range(20):
         g_vals = np.zeros(80)
@@ -297,7 +301,7 @@ def test_strong_locality_seeded():
 
 def test_spectrum_ground_state():
     cloud = interval_grid(25)
-    spec = spectrum(build_form(cloud))
+    spec = spectrum(grid_form(cloud))
     assert spec.eigenvalues[0] == 0.0
     u0 = spec.eigenfields[:, 0]
     assert np.ptp(u0) < 1e-9
@@ -307,7 +311,7 @@ def test_spectrum_ground_state():
 def test_path_spectrum_closed_form():
     # Discrete Neumann line: lambda_k = 4 sin^2(k pi / 2n) / h^2.
     cloud = interval_grid(101)
-    spec = spectrum(build_form(cloud))
+    spec = spectrum(grid_form(cloud))
     n, h = cloud.n, cloud.mesh
     k = np.arange(n)
     exact = 4.0 * np.sin(k * np.pi / (2 * n)) ** 2 / h**2
@@ -319,7 +323,7 @@ def test_path_low_band_closed_form():
     # near machine precision relative to each eigenvalue, not only to
     # lambda_max.
     cloud = interval_grid(2001)
-    spec = spectrum(build_form(cloud), 25)
+    spec = spectrum(grid_form(cloud), 25)
     n, h = cloud.n, cloud.mesh
     k = np.arange(1, 25)
     exact = 4.0 * np.sin(k * np.pi / (2 * n)) ** 2 / h**2
@@ -328,7 +332,7 @@ def test_path_low_band_closed_form():
 
 def test_path_spectrum_by_hand_n4():
     cloud = interval_grid(4)
-    spec = spectrum(build_form(cloud))
+    spec = spectrum(grid_form(cloud))
     h = cloud.mesh
     exact = 4.0 * np.sin(np.arange(4) * np.pi / 8.0) ** 2 / h**2
     assert spec.eigenvalues == pytest.approx(exact, abs=1e-8)
@@ -336,14 +340,14 @@ def test_path_spectrum_by_hand_n4():
 
 def test_spectrum_mu_orthonormal():
     cloud = interval_grid(40)
-    spec = spectrum(build_form(cloud))
+    spec = spectrum(grid_form(cloud))
     gram = spec.eigenfields.T @ (cloud.weights[:, None] * spec.eigenfields)
     assert np.max(np.abs(gram - np.eye(cloud.n))) < 1e-9
 
 
 def test_parseval():
     cloud = interval_grid(101)
-    spec = spectrum(build_form(cloud))
+    spec = spectrum(grid_form(cloud))
     rng = np.random.default_rng(3)
     f = rng.normal(size=cloud.n)
     coeffs = spec.eigenfields.T @ (cloud.weights * f)
@@ -352,15 +356,15 @@ def test_parseval():
 
 
 def test_spectrum_k_max_validation():
-    form = build_form(interval_grid(10))
+    form = grid_form(interval_grid(10))
     with pytest.raises(ValueError, match="k_max"):
         spectrum(form, k_max=11)
     assert spectrum(form, k_max=3).eigenvalues.size == 3
 
 
 def test_dense_form_is_solved_once(eigh_sizes):
-    form = build_form(gasket(5))
-    coarse = build_form(gasket(4))
+    form = gasket_form(gasket(5))
+    coarse = gasket_form(gasket(4))
     spectrum(form, 25)
     spectrum(form)
     eigen_walk_dimension(spectrum(coarse, 4), spectrum(form, 4))
@@ -369,8 +373,8 @@ def test_dense_form_is_solved_once(eigh_sizes):
 
 
 def test_path_form_takes_no_dense_solve(eigh_sizes):
-    form = build_form(interval_grid(201))
-    coarse = build_form(interval_grid(101))
+    form = grid_form(interval_grid(201))
+    coarse = grid_form(interval_grid(101))
     band = spectrum(form, 25)
     low = spectrum(form, 4)
     spectrum(form)
@@ -387,12 +391,12 @@ def test_cached_spectrum_matches_fresh_solve(kind, make_cloud, size):
     # k_max = 1 keeps only the null mode, whose eigenvalue is clamped to zero
     # and whose residual must then be taken against zero.
     cloud = make_cloud(size)
-    shared = build_form(cloud)
+    shared = KINDS[kind].form(cloud)
     assert shared.kind == kind
     spectrum(shared)
     for k_max in (25, None, 4, 1):
         cached = spectrum(shared, k_max)
-        fresh = spectrum(build_form(cloud), k_max)
+        fresh = spectrum(KINDS[kind].form(cloud), k_max)
         assert np.array_equal(cached.eigenvalues, fresh.eigenvalues)
         assert np.array_equal(cached.eigenfields, fresh.eigenfields)
         assert cached.residual == fresh.residual
@@ -418,7 +422,7 @@ def test_dense_solve_matches_independent_solve(kind, make_cloud, size):
     # eigenvalues closer than 1e-6 lambda_max count as one cluster (gasket 5
     # has a simple and a double eigenvalue 1.5e-8 lambda_max apart).
     cloud = make_cloud(size)
-    form = build_form(cloud)
+    form = KINDS[kind].form(cloud)
     assert form.kind == kind
     sym = form.generator.toarray()
     assert np.array_equal(sym, sym.T)
@@ -441,7 +445,7 @@ def test_dense_solve_matches_independent_solve(kind, make_cloud, size):
 
 def test_column_residuals_match_per_column_formula():
     # Gasket 5 has 366 columns, so the residuals span two column blocks.
-    form = build_form(gasket(5))
+    form = gasket_form(gasket(5))
     vals, fields, res = form._dense_eigen
     w = form.cloud.weights
     scale = max(1.0, 2.0 * float(np.max(form.degrees / w)))
@@ -453,14 +457,14 @@ def test_column_residuals_match_per_column_formula():
 
 
 def test_spectrum_eigenfields_are_read_only():
-    spec = spectrum(build_form(interval_grid(25)), 5)
+    spec = spectrum(grid_form(interval_grid(25)), 5)
     with pytest.raises(ValueError):
         spec.eigenfields[0, 0] = 1.0
 
 
 def test_gasket_relaxation_ratio_near_five(gasket6):
     # Renorm-adjusted lambda_1 ratios approach the resistance factor 5.
-    fit = eigen_walk_dimension(spectrum(build_form(gasket(4)), 4), spectrum(build_form(gasket(5)), 4))
+    fit = eigen_walk_dimension(spectrum(gasket_form(gasket(4)), 4), spectrum(gasket_form(gasket(5)), 4))
     assert 2.0**fit.d_w_hat == pytest.approx(5.0, abs=0.1)
 
 
@@ -481,7 +485,7 @@ def test_two_vertex_heat_kernel_closed_form():
 
 def test_heat_kernel_symmetry_and_row():
     cloud = interval_grid(40)
-    spec = spectrum(build_form(cloud))
+    spec = spectrum(grid_form(cloud))
     t = 0.01
     assert heat_kernel(spec, t, 3, 17) == pytest.approx(
         heat_kernel(spec, t, 17, 3), rel=1e-12
@@ -491,7 +495,7 @@ def test_heat_kernel_symmetry_and_row():
 
 
 def test_heat_kernel_over_id_arrays_equals_scalar_calls():
-    spec = spectrum(build_form(gasket(4)))
+    spec = spectrum(gasket_form(gasket(4)))
     xs = np.array([0, 5, 5, 40, 62])
     ys = np.array([62, 5, 17, 3, 0])
     for t in (1e-3, 0.05):
@@ -502,7 +506,7 @@ def test_heat_kernel_over_id_arrays_equals_scalar_calls():
 
 @pytest.mark.parametrize("bad", [-1, 11])
 def test_heat_kernel_refuses_out_of_range_ids(bad):
-    spec = spectrum(build_form(interval_grid(11)))
+    spec = spectrum(grid_form(interval_grid(11)))
     queries = [
         lambda: heat_kernel(spec, 0.1, bad, 0),
         lambda: heat_kernel(spec, 0.1, 0, bad),
@@ -517,7 +521,7 @@ def test_heat_kernel_refuses_out_of_range_ids(bad):
 
 def test_heat_kernel_stochastic_completeness_and_semigroup():
     cloud = interval_grid(60)
-    spec = spectrum(build_form(cloud))
+    spec = spectrum(grid_form(cloud))
     w = cloud.weights
     for t in (2e-4, 1e-3, 1e-2):
         row = heat_kernel(spec, t, 10, np.arange(cloud.n))
@@ -532,7 +536,7 @@ def test_heat_kernel_stochastic_completeness_and_semigroup():
 
 def test_heat_kernel_long_time_limit():
     cloud = interval_grid(30)
-    spec = spectrum(build_form(cloud))
+    spec = spectrum(grid_form(cloud))
     limit = 1.0 / cloud.total_mass
     assert heat_kernel(spec, 50.0, 7, np.arange(30)) == pytest.approx(
         np.full(30, limit), abs=1e-10
@@ -541,7 +545,7 @@ def test_heat_kernel_long_time_limit():
 
 def test_heat_kernel_positivity_sampled():
     for cloud in [interval_grid(101), gasket(4)]:
-        spec = spectrum(build_form(cloud))
+        spec = spectrum(KINDS[cloud.kind].form(cloud))
         lam = spec.eigenvalues
         pos = lam[lam > 0]
         for t in np.geomspace(1.0 / pos.max(), 10.0 / pos.min(), 10):
@@ -560,7 +564,7 @@ def test_band_heat_kernel_is_exact(make):
     # kernel is within 12 e-folds of its diagonal, at the fit's twelve times
     # (Chebyshev) and at two times past the band's damping threshold (sums).
     cloud = make()
-    form = build_form(cloud)
+    form = KINDS[cloud.kind].form(cloud)
     full, band = spectrum(form), spectrum(form, 25)
     damped = np.array([50.0, 100.0]) / band.eigenvalues[-1]
     times = np.append(np.geomspace(3.0 / full.lambda_max, 0.3 / full.eigenvalues[1], 12), damped)
@@ -591,7 +595,7 @@ def test_band_heat_kernel_is_exact(make):
 def test_heat_kernel_over_times_equals_calls_per_time():
     # The two early times run the Chebyshev recurrence, the last one sums
     # the band; each time's kernel is the same bits alone or with others.
-    spec = spectrum(build_form(gasket(4)), 10)
+    spec = spectrum(gasket_form(gasket(4)), 10)
     times = np.array([1e-4, 1e-2, 1.0])
     assert gf._band_exact(spec, times).tolist() == [False, False, True]
     xs, ys = np.array([0, 3, 7]), np.array([5, 3, 1])
@@ -604,7 +608,7 @@ def test_heat_kernel_over_times_equals_calls_per_time():
 
 
 def test_heat_kernel_rejects_bad_time():
-    spec = spectrum(build_form(interval_grid(10)))
+    spec = spectrum(grid_form(interval_grid(10)))
     with pytest.raises(ValueError, match="positive"):
         heat_kernel(spec, 0.0, 0, 1)
     with pytest.raises(ValueError, match="positive"):
@@ -618,7 +622,7 @@ def test_heat_kernel_rejects_bad_time():
 
 def test_subgaussian_fit_grid1d():
     cloud = interval_grid(201)
-    spec = spectrum(build_form(cloud))
+    spec = spectrum(grid_form(cloud))
     fit = fit_subgaussian(spec)
     assert 1.85 <= fit.d_w_fit <= 2.15
     assert 0.9 <= fit.d_s_fit <= 1.1
@@ -638,7 +642,7 @@ def test_subgaussian_fit_gasket(gasket6):
 
 def test_subgaussian_fit_queries_each_radius_vector_once(monkeypatch):
     cloud = gasket(5)
-    spec = spectrum(build_form(cloud))
+    spec = spectrum(gasket_form(cloud))
     calls = []
     real_ball_ids = cloud.ball_ids
 
@@ -690,7 +694,8 @@ PINNED_CLOUDS = {
 def test_subgaussian_fit_sums_each_kernel_once(case, monkeypatch):
     name, seed = case
     make_cloud, k_max = PINNED_CLOUDS[name]
-    spec = spectrum(build_form(make_cloud()), k_max)
+    cloud = make_cloud()
+    spec = spectrum(KINDS[cloud.kind].form(cloud), k_max)
     calls = []
     real = gf.heat_kernel
 
@@ -710,7 +715,7 @@ def test_subgaussian_fit_sums_each_kernel_once(case, monkeypatch):
 def test_subgaussian_fit_on_band_matches_full_spectrum(seed):
     # The 25-mode band takes lambda_max from a Lanczos solve and its small-t
     # kernels from the Chebyshev recurrence; the full spectrum sums every mode.
-    form = build_form(gasket(5))
+    form = gasket_form(gasket(5))
     full = fit_subgaussian(spectrum(form), seed=seed)
     band = fit_subgaussian(spectrum(form, 25), seed=seed)
     assert band.d_w_fit == full.d_w_fit
@@ -729,7 +734,7 @@ def test_subgaussian_json_roundtrip():
     import dataclasses
 
     cloud = interval_grid(201)
-    spec = spectrum(build_form(cloud))
+    spec = spectrum(grid_form(cloud))
     fit = fit_subgaussian(spec)
     payload = json.loads(json.dumps(dataclasses.asdict(fit), allow_nan=False))
     assert payload["d_w_fit"] == fit.d_w_fit
@@ -743,8 +748,8 @@ def test_subgaussian_json_roundtrip():
 
 def test_eigen_walk_dimension_grid():
     fit = eigen_walk_dimension(
-        spectrum(build_form(interval_grid(101)), 4),
-        spectrum(build_form(interval_grid(201)), 4),
+        spectrum(grid_form(interval_grid(101)), 4),
+        spectrum(grid_form(interval_grid(201)), 4),
     )
     assert 1.95 <= fit.d_w_hat <= 2.05
     assert fit.method == "eigen_ratio"
@@ -753,24 +758,24 @@ def test_eigen_walk_dimension_grid():
 
 def test_eigen_walk_dimension_gasket():
     fit = eigen_walk_dimension(
-        spectrum(build_form(gasket(4)), 4), spectrum(build_form(gasket(5)), 4)
+        spectrum(gasket_form(gasket(4)), 4), spectrum(gasket_form(gasket(5)), 4)
     )
     assert fit.d_w_hat == pytest.approx(LOG5_LOG2, abs=0.05)
 
 
 def test_eigen_walk_dimension_rejects_identical_and_skips():
-    s4 = spectrum(build_form(gasket(4)), 4)
+    s4 = spectrum(gasket_form(gasket(4)), 4)
     with pytest.raises(ValueError, match="consecutive"):
         eigen_walk_dimension(s4, s4)
     with pytest.raises(ValueError, match="consecutive"):
-        eigen_walk_dimension(spectrum(build_form(gasket(3)), 4), spectrum(build_form(gasket(5)), 4))
+        eigen_walk_dimension(spectrum(gasket_form(gasket(3)), 4), spectrum(gasket_form(gasket(5)), 4))
     with pytest.raises(ValueError, match="hierarchies"):
-        eigen_walk_dimension(s4, spectrum(build_form(interval_grid(101)), 4))
+        eigen_walk_dimension(s4, spectrum(grid_form(interval_grid(101)), 4))
     # A spectrum of the null mode alone has no lambda_1 to compare.
     with pytest.raises(ValueError, match="lambda_1"):
-        eigen_walk_dimension(spectrum(build_form(gasket(3)), 1), s4)
+        eigen_walk_dimension(spectrum(gasket_form(gasket(3)), 1), s4)
     with pytest.raises(ValueError, match="lambda_1"):
-        eigen_walk_dimension(spectrum(build_form(gasket(3)), 4), spectrum(build_form(gasket(4)), 1))
+        eigen_walk_dimension(spectrum(gasket_form(gasket(3)), 4), spectrum(gasket_form(gasket(4)), 1))
 
 
 # ----------------------------------------------------------------------
@@ -823,7 +828,7 @@ def test_intrinsic_metric_matches_convex_oracle():
 
 def test_intrinsic_metric_grid1d_unit_interval():
     cloud = interval_grid(101)
-    form = build_form(cloud)
+    form = grid_form(cloud)
     res = intrinsic_metric(form, 100, 0)
     assert res.lower == pytest.approx(1.0, rel=1e-9)
     assert res.upper == pytest.approx(np.sqrt(2.0), rel=1e-9)
@@ -833,7 +838,7 @@ def test_intrinsic_metric_bilipschitz_across_resolutions():
     ratios = []
     for n in (101, 201):
         cloud = interval_grid(n)
-        form = build_form(cloud)
+        form = grid_form(cloud)
         res = intrinsic_metric(form, n - 1, 0)
         ratios.append(res.lower / cloud.distance(n - 1, 0))
     assert all(0.5 <= r <= 2.0 for r in ratios)
@@ -842,7 +847,7 @@ def test_intrinsic_metric_bilipschitz_across_resolutions():
 
 def test_intrinsic_metric_witness_feasible():
     cloud = interval_grid(60)
-    form = build_form(cloud)
+    form = grid_form(cloud)
     res = intrinsic_metric(form, 59, 0)
     diff = np.diff(res.witness)
     c = form.conductances
@@ -865,7 +870,8 @@ def test_intrinsic_metric_witness_feasible():
     ids=["interval", "square", "gasket5", "gasket6", "gasket7"],
 )
 def test_colour_classes_partition_without_inner_edges(spec, most):
-    form = build_form(build_cloud(spec))
+    cloud = build_cloud(spec)
+    form = KINDS[cloud.kind].form(cloud)
     classes = gf._colour_classes(form.adjacency)
     colour = np.full(form.n, -1)
     for c, ids in enumerate(classes):
@@ -881,9 +887,9 @@ def test_colour_classes_partition_without_inner_edges(spec, most):
 @pytest.mark.parametrize(
     "make, x",
     [
-        (lambda: build_form(interval_grid(2001)), 0),
-        (lambda: build_form(square_grid(41)), 0),
-        (lambda: build_form(gasket(6)), 0),
+        (lambda: grid_form(interval_grid(2001)), 0),
+        (lambda: grid_form(square_grid(41)), 0),
+        (lambda: gasket_form(gasket(6)), 0),
         (lambda: path_form(7), 7),
     ],
     ids=["interval", "square", "gasket6", "path7"],
@@ -961,7 +967,7 @@ def numpy_sweep_metric(form, x, y):
     ],
 )
 def test_intrinsic_metric_matches_array_sweep(kind, cloud):
-    form = build_form(cloud)
+    form = KINDS[kind].form(cloud)
     assert form.kind == kind
     x, y = 0, cloud.n - 1
     res = intrinsic_metric(form, x, y)
@@ -983,14 +989,14 @@ def test_intrinsic_metric_matches_array_sweep(kind, cloud):
 
 def test_gamma_vs_lip_constant_vacuous():
     cloud = interval_grid(50)
-    form = build_form(cloud)
+    form = grid_form(cloud)
     rep = gamma_vs_lip_check(form, ScalarField.constant(cloud, 2.0))
     assert rep.c_best == 0.0 and rep.n_active == 0
 
 
 def test_gamma_vs_lip_identity_near_one():
     cloud = interval_grid(401)
-    form = build_form(cloud)
+    form = grid_form(cloud)
     rep = gamma_vs_lip_check(form, ScalarField.coordinate(cloud))
     assert rep.c_best == pytest.approx(1.0, rel=0.10)
 
@@ -999,7 +1005,7 @@ def test_gamma_vs_lip_sine_stable_across_resolutions():
     values = []
     for n in (401, 801):
         cloud = interval_grid(n)
-        form = build_form(cloud)
+        form = grid_form(cloud)
         f = ScalarField.from_function(cloud, lambda c: np.sin(np.pi * c[:, 0]))
         values.append(gamma_vs_lip_check(form, f).c_best)
     assert max(values) / min(values) <= 2.0
@@ -1007,7 +1013,7 @@ def test_gamma_vs_lip_sine_stable_across_resolutions():
 
 def test_gamma_vs_lip_refuses_gasket():
     cloud = gasket(3)
-    form = build_form(cloud)
+    form = gasket_form(cloud)
     with pytest.raises(ValueError, match="grid"):
         gamma_vs_lip_check(form, ScalarField.constant(cloud, 0.0))
 
@@ -1018,14 +1024,14 @@ def test_gamma_vs_lip_refuses_gasket():
 
 
 def test_edges_csv_export():
-    form = build_form(interval_grid(5))
+    form = grid_form(interval_grid(5))
     assert form.edge_i.tolist() == [0, 1, 2, 3]
     assert form.edge_j.tolist() == [1, 2, 3, 4]
     assert form.conductances.shape == (4,)
 
 
 def test_spectrum_csv_export():
-    spec = spectrum(build_form(interval_grid(6)))
+    spec = spectrum(grid_form(interval_grid(6)))
     header, rows = spec.table()
     assert header == ("k", "lambda")
     assert [k for k, _ in rows] == list(range(6))
@@ -1045,7 +1051,7 @@ def test_intrinsic_metric_pinned_values(spec, lower):
     # Values of the 60-round ascent that the single step replaced; one step
     # reproduces them bit for bit.
     cloud = build_cloud(spec)
-    res = intrinsic_metric(build_form(cloud), 0, cloud.n - 1)
+    res = intrinsic_metric(KINDS[cloud.kind].form(cloud), 0, cloud.n - 1)
     assert res.lower == lower
 
 
@@ -1069,7 +1075,8 @@ def _dual_gap(form):
 def test_primal_oracle_meets_dual_oracle(make):
     # The primal program from its feasible start and the dual bound pin the
     # same optimum; the certified lower bound stays under both.
-    form = build_form(make())
+    cloud = make()
+    form = KINDS[cloud.kind].form(cloud)
     x, y = 0, form.n - 1
     args = (form.edge_i, form.edge_j, form.conductances, form.cloud.weights, x, y)
     primal = convex_intrinsic_metric(*args)
@@ -1079,12 +1086,12 @@ def test_primal_oracle_meets_dual_oracle(make):
 
 
 def test_intrinsic_metric_exact_on_paths():
-    for form in (path_form(4), build_form(interval_grid(9))):
+    for form in (path_form(4), grid_form(interval_grid(9))):
         assert abs(_dual_gap(form)) <= 1e-9
 
 
 def test_intrinsic_metric_gap_to_dual_on_squares():
-    gaps = [_dual_gap(build_form(square_grid(n))) for n in (5, 9, 15)]
+    gaps = [_dual_gap(grid_form(square_grid(n))) for n in (5, 9, 15)]
     assert max(gaps) <= 0.03
     assert gaps[0] > gaps[1] > gaps[2]
 
@@ -1092,4 +1099,4 @@ def test_intrinsic_metric_gap_to_dual_on_squares():
 @pytest.mark.parametrize("level", [2, 3, 4])
 def test_intrinsic_metric_gap_to_dual_on_gaskets(level):
     # A pin of a known weakness (15-22 % short of the optimum), not a target.
-    assert _dual_gap(build_form(gasket(level))) <= 0.25
+    assert _dual_gap(gasket_form(gasket(level))) <= 0.25

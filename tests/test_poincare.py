@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from kslab.energy import ScalarField, ks_energy_density, liminf_window_scales
-from kslab.graphform import build_form, intrinsic_metric, spectrum
+from kslab.graphform import gasket_form, grid_form, intrinsic_metric, spectrum
 from kslab.poincare import (
     DEFAULT_LAMBDA,
     POINCARE_MODES,
@@ -19,6 +19,7 @@ from kslab.poincare import (
     weak_l2_check,
 )
 from kslab.space import carpet, gasket, interval_grid, segment_sums
+from kslab.suites import KINDS
 
 from oracles import chain_ball_average, dist_matrix
 
@@ -103,7 +104,7 @@ class TestPoincareCheck:
 
     def test_energy_measure_on_gasket(self):
         cloud = gasket(4)
-        form = build_form(cloud)
+        form = gasket_form(cloud)
         u = spectrum(form).field(2)
         rep = poincare_check(u, d_w=LOG5_LOG2, form=form)["energy_measure"]
         assert rep.n_used == len(rep.samples)
@@ -127,14 +128,14 @@ class TestPoincareCheck:
         cloud, f = grid401
         samples = interior_samples()
         assert list(poincare_check(f, samples=samples)) == ["lip", "ks"]
-        reps = poincare_check(f, samples=samples, form=build_form(cloud))
+        reps = poincare_check(f, samples=samples, form=grid_form(cloud))
         assert list(reps) == list(POINCARE_MODES)
         assert [rep.mode for rep in reps.values()] == list(POINCARE_MODES)
 
     def test_form_cloud_mismatch(self, grid401):
         cloud, f = grid401
         other = interval_grid(101)
-        form = build_form(other)
+        form = grid_form(other)
         with pytest.raises(ValueError, match="form does not live"):
             poincare_check(f, form=form)
 
@@ -377,7 +378,7 @@ def test_one_id_check_for_samples_chains_and_endpoints(grid401, end):
     # endpoints go through the cloud's one id check.
     cloud, f = grid401
     bad = -1 if end == "low" else cloud.n
-    form = build_form(cloud)
+    form = grid_form(cloud)
     queries = [
         lambda: poincare_check(f, samples=[(bad, 0.05)]),
         lambda: chain(cloud, f, bad, 0.2),
@@ -420,7 +421,7 @@ def test_shared_samples_and_chain_keep_their_values(name):
     cloud, d_w = {"interval401": (interval_grid(401), 2.0), "gasket5": (gasket(5), LOG5_LOG2)}[name]
     f = ScalarField.from_function(cloud, lambda c: np.sin(3.0 * c[:, 0]) + c[:, -1] ** 2)
     modes, (x, lhs, rhs, c_report) = PINNED[name]
-    reps = poincare_check(f, d_w=d_w, seed=0, form=build_form(cloud))
+    reps = poincare_check(f, d_w=d_w, seed=0, form=KINDS[cloud.kind].form(cloud))
     assert {mode: (rep.c_best, rep.n_used) for mode, rep in reps.items()} == modes
     R = max(4.0 * DEFAULT_KAPPA * cloud.mesh, cloud.diameter / 8.0)
     maximal = maximal_function(f, R, d_w=d_w)
@@ -437,7 +438,7 @@ def test_one_ball_query_per_sample_and_radius_whatever_the_modes(grid401, monkey
     from kslab.space import MeasuredPointCloud
 
     cloud, f = grid401
-    form = build_form(cloud) if with_form else None
+    form = grid_form(cloud) if with_form else None
     calls = []
     real = MeasuredPointCloud.ball_ids
 

@@ -28,6 +28,7 @@ from kslab.suites import (
     KINDS,
     SUITES,
     CheckResult,
+    Kind,
     SuiteContext,
     applicable_suites,
     run_suite,
@@ -90,6 +91,30 @@ class TestKinds:
         assert not strings & set(CLOUD_KINDS)
         assert not re.search(r"\.kind ==|kind in \(", rest)
         assert not hasattr(SuiteContext, "kind") and not hasattr(SuiteContext, "has_form")
+
+    def test_graphform_names_no_kind_outside_the_gasket_builders(self):
+        tree = ast.parse(Path(gf.__file__).read_text())
+        gasket_only = {"gasket_form", "gasket_harmonic_field"}
+        tree.body = [
+            node for node in tree.body
+            if not (isinstance(node, ast.FunctionDef) and node.name in gasket_only)
+        ]
+        strings = {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)}
+        assert not strings & set(CLOUD_KINDS)
+
+    def test_a_toy_kind_is_one_row_and_one_builder(self, monkeypatch):
+        # A lattice cloud of a kind no module names runs the form suites off
+        # its row alone.
+        monkeypatch.setitem(KINDS, "toy", Kind(form=gf.grid_form))
+        cloud = interval_grid(33)
+        cloud.meta["kind"] = "toy"
+        assert applicable_suites(cloud)[-2:] == ["graphform", "convergence"]
+        rows = run_suite("graphform", _ctx(cloud))
+        assert [r.name for r in rows] == [
+            "energy_calibration", "spectrum_residual", "heat_kernel_mass", "gamma_vs_lip",
+            "intrinsic_metric",
+        ]
+        assert all(r.passed for r in rows)
 
 
 class TestResolveWalkDimension:
@@ -257,7 +282,7 @@ class TestSuiteVerdicts:
     def test_gasket_graphform_fits_above_dense_limit(self, gasket5, monkeypatch):
         # Above the dense limit the spectrum is a Lanczos band; the fit row
         # is real and agrees with the fit over the full dense spectrum.
-        full = gf.fit_subgaussian(gf.spectrum(gf.build_form(gasket5)), seed=0)
+        full = gf.fit_subgaussian(gf.spectrum(gf.gasket_form(gasket5)), seed=0)
         monkeypatch.setattr(gf, "DENSE_EIGEN_LIMIT", gasket5.n - 1)
         results = run_suite("graphform", _ctx(gasket5, d_w=LOG5_LOG2))
         by_name = {r.name: r for r in results}
@@ -321,11 +346,11 @@ def _coordinate(cloud):
 
 
 def _recovery(cloud):
-    return cv.recovery_check(_coordinate(cloud), gf.build_form(cloud), n_steps=4)
+    return cv.recovery_check(_coordinate(cloud), KINDS[cloud.kind].form(cloud), n_steps=4)
 
 
 def _liminf(cloud, k_max):
-    spec = gf.spectrum(gf.build_form(cloud), k_max=k_max)
+    spec = gf.spectrum(KINDS[cloud.kind].form(cloud), k_max=k_max)
     return cv.weak_liminf_probe(_coordinate(cloud), spec)
 
 
