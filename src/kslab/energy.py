@@ -39,7 +39,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import space
 from .export import Table
-from .space import DEFAULT_KAPPA, Inapplicable, MeasuredPointCloud, segment_sums
+from .space import DEFAULT_KAPPA, TIE_BAND, Inapplicable, MeasuredPointCloud, segment_sums
 
 # The one sweep geometry: r_k = r_max * DEFAULT_RATIO**k, k = 0..11, with
 # r_max = diam/4 unless a caller widens it, scales under the floor kappa h
@@ -47,11 +47,6 @@ from .space import DEFAULT_KAPPA, Inapplicable, MeasuredPointCloud, segment_sums
 DEFAULT_RATIO = 2.0**-0.5
 DEFAULT_COUNT = 12
 DEFAULT_WINDOW = 3
-
-# Lattice offsets within this relative distance of a radius are decided pair
-# by pair by the canonical distance; a radius counts as above the diameter
-# only beyond the same margin.
-TIE_BAND = 1e-9
 
 # Comparability quotients divide by max(liminf proxy, floor); the floor keeps
 # near-constant fields from turning roundoff into huge ratios.
@@ -210,8 +205,10 @@ def _stencil_table(
     Offsets whose length lies within ``TIE_BAND`` of a radius are kept or
     dropped pair by pair by the canonical distance, so the balls are exactly
     those of the ball engine.  Centres are computed on the whole lattice,
-    in blocks of rows whose temporaries stay under ``FLAT_BUDGET`` elements;
-    no sum depends on the block or on the other radii.
+    in blocks of rows, each worker thread in one workspace it reuses; rows
+    wholly in the padding add exact zeros and are skipped.  Besides its
+    output the call holds at most ``FLAT_BUDGET`` elements unless one cell
+    needs more; no sum depends on the block or on the other radii.
     """
     lat = cloud.lattice
     n0, n1 = lat.shape
@@ -240,41 +237,42 @@ def _stencil_table(
     weights[pr, pc] = cloud.weights
     fields = np.zeros((m,) + shape)
     fields[:, pr, pc] = matrix
-    ids = np.full(shape, -1, dtype=np.intp)
-    ids[pr, pc] = np.arange(cloud.n)
+    ids = np.pad(lat.ids, ((py, py), (px, px)), constant_values=-1)
     high, low = _prefix_sums(weights)
     # Offset-major window views: [j, ..., row, s] reads column s + j, so a
     # centre in padded column c finds offset dx at [hmax + dx, ..., c - hmax].
     weight_rows = np.moveaxis(sliding_window_view(weights, 2 * hmax + 1, axis=1), -1, 0)
     field_rows = np.moveaxis(sliding_window_view(fields, 2 * hmax + 1, axis=2), -1, 0)
 
-    out = np.zeros((nk, m, n0, n1))
+    table = np.zeros((nk, m, cloud.n))
 
+    # Per cell, a workspace holds each radius's row sums and row masses, the
+    # weight, difference and term slabs, and the levels of the widest tree
+    # (at least one row for the tie terms); a block also copies out m results.
+    width = 2 * hmax + 1
+    layout = [(2 * d + 1, m) for d in depth] + [(2 * d + 1,) for d in depth]
+    layout += [(width, 1), (width, m), (width, m), (max(hmax, *depth, 1) * m,)]
+    per_cell = sum(int(np.prod(lead)) for lead in layout)
     # Blocks of centre rows run on a few threads (numpy releases the GIL);
-    # all blocks in flight together stay under FLAT_BUDGET elements.
+    # their workspaces share what the padded arrays leave of FLAT_BUDGET.
     workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = max(1, min(workers or 1, n0))
-    width = 2 * hmax + 1
-    per_cell = (m + 1) * sum(2 * d + 1 for d in depth) + (4 * m + 1) * width
-    cells = max(1, space.FLAT_BUDGET // (per_cell * workers))
+    free = space.FLAT_BUDGET - (m + 4) * weights.size
+    cells = max(1, free // ((per_cell + m) * workers))
     bc = min(n1, cells)
-    br = max(1, cells // bc)
+    br = min(n0, max(1, cells // bc))
 
-    def fill(block: tuple[int, int, int, int]) -> None:
-        r0, r1, c0, c1 = block
+    def fill(buffer: np.ndarray, r0: int, r1: int, c0: int, c1: int) -> None:
         blk = (r1 - r0, c1 - c0)
+        cuts = np.cumsum([int(np.prod(lead)) * blk[0] * blk[1] for lead in layout])
+        views = [v.reshape(*lead, *blk) for v, lead in zip(np.split(buffer, cuts), layout)]
+        sums, mass, (w, diff, term, scratch) = views[:nk], views[nk : 2 * nk], views[2 * nk :]
+        scratch = scratch.reshape(-1)
+        buffer[: cuts[2 * nk - 1]] = 0.0  # the row sums and masses
         centre = (slice(r0 + py, r1 + py), slice(c0 + px, c1 + px))
         here = ids[centre]
-        sums = [np.zeros((2 * d + 1, m, *blk)) for d in depth]
-        mass = [np.zeros((2 * d + 1, *blk)) for d in depth]
-        # Each centre value repeated on every slab, so that differences
-        # run on whole contiguous arrays.
-        at_centre = np.empty((width, m, *blk))
-        at_centre[...] = fields[(slice(None),) + centre]
-        w = np.empty((width, 1, *blk))
-        diff = np.empty((width, m, *blk))
-        term = np.empty((width, m, *blk))
-        for dy in range(-py, py + 1):
+        # Member rows wholly in the padding add exact zeros: their slots stay 0.
+        for dy in range(max(-py, 1 - r1), min(py, n0 - 1 - r0) + 1):
             a, hw = abs(dy), int(widest[abs(dy)])
             n_dx = 2 * hw + 1
             rows = slice(r0 + py + dy, r1 + py + dy)
@@ -283,23 +281,21 @@ def _stencil_table(
             used = [k for k in range(nk) if depth[k] >= a]
             keep = {}
             for k in used:
+                row_mass = mass[k][dy + depth[k]]
                 reach_in = int(inside[k][a])
                 if reach_in >= 0:
                     lo = slice(c0 + px - reach_in, c1 + px - reach_in)
                     hi = slice(c0 + px + reach_in + 1, c1 + px + reach_in + 1)
-                    row_mass = (high[rows, hi] - high[rows, lo]) + (low[rows, hi] - low[rows, lo])
-                else:
-                    row_mass = np.zeros(blk)
+                    row_mass += (high[rows, hi] - high[rows, lo]) + (low[rows, hi] - low[rows, lo])
                 for dx in ties[k][a]:
                     cols = slice(c0 + px + dx, c1 + px + dx)
                     there = ids[rows, cols]
                     ok = (here >= 0) & (there >= 0)
                     keep[k, dx] = np.zeros(blk, dtype=bool)
                     keep[k, dx][ok] = cloud.pair_distances(here[ok], there[ok]) < radii[k]
-                    row_mass = row_mass + weights[rows, cols] * keep[k, dx]
-                mass[k][dy + depth[k]] = row_mass
-            np.copyto(diff[:n_dx], field_rows[span[:1] + (slice(None),) + span[1:]])
-            diff[:n_dx] -= at_centre[:n_dx]
+                    row_mass += weights[rows, cols] * keep[k, dx]
+            span = span[:1] + (slice(None),) + span[1:]
+            np.subtract(field_rows[span], fields[(slice(None),) + centre], out=diff[:n_dx])
             # Squares first: the first powers take |diff| in place.
             for p in (2, 1):
                 hp = int(half[p][a])
@@ -313,24 +309,34 @@ def _stencil_table(
                 else:
                     np.abs(diff[cols], out=t)
                     t *= w[cols]
-                for k in used:
-                    if powers[k] == p:
-                        row = _row_sum(t, hp, int(inside[k][a]), ties[k][a], keep, k)
-                        sums[k][dy + depth[k]] = row
-        box = (slice(None), slice(r0, r1), slice(c0, c1))
+                # Each radius: a tree over the offsets surely inside, then its ties.
+                for k in (k for k in used if powers[k] == p):
+                    row, reach_in = sums[k][dy + depth[k]], int(inside[k][a])
+                    if reach_in >= 0:
+                        _pairwise_sum(t[hp - reach_in : hp + reach_in + 1], row, scratch)
+                    for dx in ties[k][a]:
+                        tie = scratch[: row.size].reshape(row.shape)
+                        row += np.multiply(t[hp + dx], keep[k, dx], out=tie)
+        at, ball_mass = here >= 0, w[0, 0]
         for k in range(nk):
+            _pairwise_sum(mass[k], ball_mass, scratch)
             with np.errstate(divide="ignore", invalid="ignore"):
-                scale = weights[centre] / _pairwise_sum(mass[k])
-            out[k][box] = _pairwise_sum(sums[k]) * scale
+                np.divide(weights[centre], ball_mass, out=ball_mass)
+            row = _pairwise_sum(sums[k], term[0], scratch)
+            row *= ball_mass
+            table[k][:, here[at]] = row[:, at]
 
-    blocks = [
-        (r0, min(r0 + br, n0), c0, min(c0 + bc, n1))
-        for r0 in range(0, n0, br)
-        for c0 in range(0, n1, bc)
-    ]
-    with ThreadPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
-        list(pool.map(fill, blocks))  # each block writes its own part of ``out``
-    return out[:, :, lat.index[:, 0], lat.index[:, 1]]
+    starts = [(r0, c0) for r0 in range(0, n0, br) for c0 in range(0, n1, bc)]
+    blocks = [(r0, min(r0 + br, n0), c0, min(c0 + bc, n1)) for r0, c0 in starts]
+    workers = min(workers, len(blocks))
+    # Pages that worker threads allocate stay resident, so every workspace
+    # is made here, and each worker reuses its own for all its blocks.
+    buffers = [np.empty(per_cell * br * bc) for _ in range(workers)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        # Each block writes its own centres.
+        mine = [blocks[i::workers] for i in range(workers)]
+        list(pool.map(lambda buffer, part: [fill(buffer, *b) for b in part], buffers, mine))
+    return table
 
 
 def _tie_offsets(inside: int, band: int) -> list[int]:
@@ -339,33 +345,24 @@ def _tie_offsets(inside: int, band: int) -> list[int]:
     return [-dx for dx in reversed(outer) if dx] + list(outer)
 
 
-def _row_sum(
-    terms: np.ndarray, hw: int, inside: int, ties: list[int], keep: dict, k: int
-) -> np.ndarray:
-    """One row's sum for radius k, offset dx in slab ``hw + dx``: a balanced
-    tree over the offsets surely inside, then the tie offsets it keeps."""
-    if inside >= 0:
-        total = _pairwise_sum(terms[hw - inside : hw + inside + 1])
-    else:
-        total = np.zeros(terms.shape[1:])
-    for dx in ties:
-        total = total + terms[hw + dx] * keep[k, dx]
-    return total
-
-
-def _pairwise_sum(parts: np.ndarray) -> np.ndarray:
-    """Sum over the first axis by a balanced tree, one level per step.
+def _pairwise_sum(parts: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Sum over the first axis into ``out`` by a balanced tree, one level per step.
 
     Part i meets part i + half (an odd last part joins the last pair), so
-    the rounding error grows with log2 of the count.
+    the rounding error grows with log2 of the count.  The levels run in
+    place in the flat buffer ``scratch``, the last one in ``out``.
     """
-    while parts.shape[0] > 1:
-        half = parts.shape[0] // 2
-        level = parts[:half] + parts[half : 2 * half]
-        if parts.shape[0] % 2:
+    n = parts.shape[0]
+    if n == 1:
+        np.copyto(out, parts[0])
+    while n > 1:
+        half = n // 2
+        level = out[None] if half == 1 else scratch[: half * out.size].reshape(half, *out.shape)
+        np.add(parts[:half], parts[half : 2 * half], out=level)
+        if n % 2:
             level[-1] += parts[-1]
-        parts = level
-    return parts[0]
+        parts, n = level, half
+    return out
 
 
 def _whole_cloud_table(cloud: MeasuredPointCloud, matrix: np.ndarray) -> np.ndarray:

@@ -168,8 +168,7 @@ def _lattice_edges(lattice: Lattice) -> tuple[np.ndarray, np.ndarray]:
 
     Ids run in row-major cell order, so each pair comes low id first.
     """
-    ids = np.full(lattice.shape, -1, dtype=np.intp)
-    ids[lattice.index[:, 0], lattice.index[:, 1]] = np.arange(lattice.index.shape[0])
+    ids = lattice.ids
     i, j = [], []
     for a, b in ((ids[:, :-1], ids[:, 1:]), (ids[:-1, :], ids[1:, :])):
         both = (a >= 0) & (b >= 0)

@@ -9,29 +9,29 @@ do not depend on the index used to accelerate the query.
 
 Ball engine.  ``MeasuredPointCloud.ball_chunks`` is the one engine every
 multi-centre consumer reads.  It streams the balls of many centres in blocks
-sized from the tree's per-centre counts, so no block holds more than
+sized from per-centre candidate counts, so no block holds more than
 ``FLAT_BUDGET`` candidate members unless one ball alone does, and it yields
-each member's canonical distance to its centre next to its id.  On coordinate
-clouds the tree only proposes candidate pairs (``sparse_distance_matrix``
-slightly beyond r); the canonical filter then recomputes every candidate's
+each member's canonical distance to its centre next to its id.  Grid clouds
+take their candidates from lattice offsets, other coordinate clouds from the
+tree (``sparse_distance_matrix`` slightly beyond r), and so do single balls
+(``ball_ids``); the canonical filter then recomputes every candidate's
 distance with the one formula of ``_point_distances`` and keeps ``d < r``.
 Distance-matrix clouds read matrix rows instead and give the same interface.
 Members come in ascending id order per centre.  ``nested_ball_chunks``
 serves several radii from one ``ball_chunks`` pass at the largest by masking
 the distances, and ``segment_sums`` reduces each ball on its own members, so
 no result depends on the block layout or on which radii share a pass.
-Single balls (``ball_ids``) keep a direct tree query.
 
 Lattices.  ``interval_grid``, ``square_grid`` and ``carpet`` also record
 where each point sits on an integer lattice (``MeasuredPointCloud.lattice``:
-the lattice step and each point's (row, column) index, ids in row-major
-order).  The increment sums of ``kslab.energy`` read that layout instead of
-the ball engine: a ball is then a fixed set of offsets, summed over shifted
-arrays, with carpet holes as zero weights, so those sums do not visit
-members in id order.  Offsets at a radius's own length are still kept or
-dropped by the canonical distance.  Gasket, file and distance-matrix clouds
-have no lattice, and every ``ball_chunks`` consumer reads the engine on
-every cloud.
+the lattice step, each point's (row, column) index and the grid of ids per
+cell, ids in row-major order).  So offsets taken in row-major order give a
+ball's members in ascending id order.  The increment sums of
+``kslab.energy`` read that layout too, with their own stencil: a ball is a
+fixed set of offsets, summed over shifted arrays, with carpet holes as zero
+weights, so those sums do not visit members in id order.  Offsets at a
+radius's own length are still kept or dropped by the canonical distance.
+Gasket, file and distance-matrix clouds have no lattice.
 
 The module also carries the volume-doubling diagnostics: sampled ratios
 ``mu(B(x, 2r)) / mu(B(x, r))``, a fitted mass-growth exponent ``q_fit``, and
@@ -54,6 +54,7 @@ unresolved: operations that take a radius refuse them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -70,6 +71,10 @@ TRIANGLE_BUDGET = 10_000
 
 # Default ball-engine block budget, in candidate members.
 FLAT_BUDGET = 4_000_000
+
+# Lattice offsets this close (relative) to a radius are decided pair by pair
+# by the canonical distance; a radius above the diameter must clear it too.
+TIE_BAND = 1e-9
 
 
 class Inapplicable(ValueError):
@@ -149,20 +154,59 @@ class Lattice:
     Point ``i`` is the lattice cell ``index[i]`` = (row, column) of a
     ``shape`` array, at about ``step`` times that index from the first cell;
     one-dimensional grids use a single row.  Ids run in row-major cell
-    order, and cells that hold no point (carpet holes) carry zero weight.
+    order, and ``ids`` maps each cell back to its point, with -1 for cells
+    that hold none (carpet holes, which weigh zero).
     """
 
     step: float
     shape: tuple[int, int]
     index: np.ndarray  # (n, 2) int
+    ids: np.ndarray  # ``shape`` int
+
+    def disk(self, r: float) -> np.ndarray:
+        """The offsets of length at most ``r / step`` (up to ``TIE_BAND``)
+        that fit in the lattice, as a mask centred on offset (0, 0)."""
+        rho = r / self.step * (1.0 + TIE_BAND)
+        return _disk(rho, *(min(int(rho), s - 1) for s in self.shape))
+
+    def window(self, x: int, disk: np.ndarray) -> np.ndarray:
+        """The ids at the offsets of ``disk`` from point x, in ascending order."""
+        ry, rx = disk.shape[0] // 2, disk.shape[1] // 2
+        i, j = self.index[x].tolist()
+        y0, x0 = max(i - ry, 0), max(j - rx, 0)
+        ids = self.ids[y0 : i + ry + 1, x0 : j + rx + 1]
+        near = disk[y0 - i + ry :, x0 - j + rx :][: ids.shape[0], : ids.shape[1]]
+        return ids[near & (ids >= 0)]
+
+    def candidates(self, points: np.ndarray, disk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The ``window`` of each of ``points``, concatenated, and their sizes."""
+        ids = np.pad(self.ids, [(s // 2, s // 2) for s in disk.shape], constant_values=-1)
+        # Mask entry (dy, dx) of a centre at (row, column) is padded cell (row + dy, column + dx).
+        dy, dx = np.nonzero(disk)
+        corner = self.index[points, 0] * ids.shape[1] + self.index[points, 1]
+        cand = ids.ravel()[corner[:, None] + (dy * ids.shape[1] + dx)]
+        hit = cand >= 0
+        return cand[hit], hit.sum(axis=1)
+
+
+@lru_cache(maxsize=64)
+def _disk(rho: float, ry: int, rx: int) -> np.ndarray:
+    """Offsets (dy, dx) with |dy| <= ry, |dx| <= rx and length at most rho."""
+    dy, dx = np.meshgrid(np.arange(-ry, ry + 1), np.arange(-rx, rx + 1), indexing="ij")
+    disk = np.hypot(dy, dx) <= rho
+    disk.setflags(write=False)
+    return disk
 
 
 def _on_lattice(cloud: MeasuredPointCloud, index: np.ndarray, step: float) -> MeasuredPointCloud:
     """Record the lattice layout of a cloud that a grid builder just made."""
     index = np.asarray(index, dtype=np.intp).reshape(cloud.n, 2)
-    index.setflags(write=False)
     shape = (int(index[:, 0].max()) + 1, int(index[:, 1].max()) + 1)
-    cloud._lattice = Lattice(step=float(step), shape=shape, index=index)
+    ids = np.full(shape, -1, dtype=np.intp)
+    ids[index[:, 0], index[:, 1]] = np.arange(cloud.n)
+    for a in (index, ids):
+        a.setflags(write=False)
+    cloud._lattice = Lattice(step=float(step), shape=shape, index=index, ids=ids)
     return cloud
 
 
@@ -398,19 +442,20 @@ class MeasuredPointCloud:
     def ball_ids(self, x: int, r: float) -> np.ndarray:
         """Sorted member ids of the open ball B(x, r).
 
-        The tree only proposes candidates; membership is always decided by
-        the canonical distance formula, so an O(n) scan gives the same set.
+        Lattice offsets or the tree only propose candidates; membership is
+        always decided by the canonical distance formula, so an O(n) scan
+        gives the same set.
         """
         x = self._checked_ids(x)
         r = self._checked_radius(r)
         if self._dist is not None:
             return np.flatnonzero(self._dist[x] < r)
-        cand = np.asarray(
-            self._kdtree().query_ball_point(
-                self._coords[x], r * (1.0 + 1e-12), return_sorted=True
-            ),
-            dtype=np.intp,
-        )
+        if self._lattice is not None:
+            cand = self._lattice.window(x, self._lattice.disk(r))
+        else:
+            tree = self._kdtree()
+            near = tree.query_ball_point(self._coords[x], r * (1.0 + 1e-12), return_sorted=True)
+            cand = np.asarray(near, dtype=np.intp)
         d = _point_distances(self._coords[cand], self._coords[x])
         return cand[d < r]
 
@@ -426,9 +471,10 @@ class MeasuredPointCloud:
         processed in the given order, in blocks of at most ``FLAT_BUDGET``
         candidate members (a single larger ball gets a block of its own).
 
-        Coordinate clouds ask the tree for candidate pairs within
-        ``r * (1 + 1e-12)`` and keep those whose canonical distance is below
-        ``r``; distance-matrix clouds read the matrix rows directly.
+        Grid clouds take the points at lattice offsets within ``r`` as
+        candidates, other coordinate clouds the tree's pairs within
+        ``r * (1 + 1e-12)``; the members are the candidates whose canonical
+        distance is below ``r``.  Distance-matrix clouds read matrix rows.
         """
         r = self._checked_radius(r)
         if centers is None:
@@ -446,32 +492,39 @@ class MeasuredPointCloud:
                 yield sub, np.flatnonzero(hits.ravel()) % self.n, hits.sum(axis=1), rows[hits]
             return
 
-        tree = self._kdtree()
-        r_query = r * (1.0 + 1e-12)
-        sizes = tree.query_ball_point(
-            self._coords[centers], r_query, return_length=True, workers=-1
-        )
+        lat = self._lattice
+        if lat is not None:
+            disk = lat.disk(r)
+            sizes = np.full(centers.size, np.count_nonzero(disk))
+        else:
+            tree = self._kdtree()
+            r_query = r * (1.0 + 1e-12)
+            sizes = tree.query_ball_point(
+                self._coords[centers], r_query, return_length=True, workers=-1
+            )
         for part in _budget_blocks(sizes, FLAT_BUDGET):
             sub = centers[part]
-            pairs = cKDTree(self._coords[sub]).sparse_distance_matrix(
-                tree, r_query, output_type="ndarray"
-            )
-            # Sorting (local centre, member) keys puts every centre's
-            # members in ascending id order, centre by centre.
-            keys = pairs["i"].astype(np.int64) * self.n + pairs["j"]
-            del pairs
-            keys.sort()
-            local, flat = np.divmod(keys, self.n)
-            del keys
-            counts = np.bincount(local, minlength=sub.size)
-            del local
-            # Exact filter: the tree may propose points at d in [r, r_query].
+            if lat is not None:
+                flat, counts = lat.candidates(sub, disk)
+            else:
+                pairs = cKDTree(self._coords[sub]).sparse_distance_matrix(
+                    tree, r_query, output_type="ndarray"
+                )
+                # Sorting (local centre, member) keys puts every centre's
+                # members in ascending id order, centre by centre.
+                keys = pairs["i"].astype(np.int64) * self.n + pairs["j"]
+                del pairs
+                keys.sort()
+                local, flat = np.divmod(keys, self.n)
+                del keys
+                counts = np.bincount(local, minlength=sub.size)
+                del local
+            # Exact filter: candidates may lie at d >= r.
             diff = self._coords.take(flat, axis=0)
             diff -= np.repeat(self._coords[sub], counts, axis=0)
             d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
             del diff
-            flat, counts, d = _keep_below(r, flat.astype(np.intp, copy=False), counts, d)
-            yield sub, flat, counts, d
+            yield sub, *_keep_below(r, flat.astype(np.intp, copy=False), counts, d)
 
     def nested_ball_chunks(
         self, radii: Sequence[float]

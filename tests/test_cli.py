@@ -451,25 +451,38 @@ class TestReport:
 
 
 @pytest.mark.parametrize(
-    "space", [{"kind": "carpet", "level": 3}, {"kind": "interval_grid", "n": 257}]
+    "space",
+    [
+        {"kind": "carpet", "level": 3},
+        {"kind": "interval_grid", "n": 257},
+        {"kind": "gasket", "level": 4},
+    ],
 )
 def test_every_pair_query_is_a_ball_chunks_pass(tmp_path, monkeypatch, space):
     # One ball engine: every tree pair query of a whole run is made by
     # MeasuredPointCloud.ball_chunks itself, not by a private side door.
+    # Grid clouds read their balls off the lattice and ask the tree nothing.
     import sys
 
     import kslab.space
 
     engine = kslab.space.MeasuredPointCloud.ball_chunks.__code__
-    callers = []
+    callers, ball_queries = [], []
 
     class RecordingTree(kslab.space.cKDTree):
         def sparse_distance_matrix(self, *args, **kwargs):
             callers.append(sys._getframe(1).f_code)
             return super().sparse_distance_matrix(*args, **kwargs)
 
+        def query_ball_point(self, *args, **kwargs):
+            ball_queries.append(sys._getframe(1).f_code)
+            return super().query_ball_point(*args, **kwargs)
+
     monkeypatch.setattr(kslab.space, "cKDTree", RecordingTree)
     path = write_config(tmp_path, space=space, suite="all", out=str(tmp_path / "bundle"))
     assert main(["run", "--config", str(path)]) in (0, 1)
-    assert callers
-    assert all(code is engine for code in callers), {code.co_name for code in callers}
+    if space["kind"] in ("carpet", "interval_grid"):
+        assert callers == [] and ball_queries == []
+    else:
+        assert callers
+        assert all(code is engine for code in callers), {code.co_name for code in callers}

@@ -652,3 +652,27 @@ def test_whole_cloud_route_on_any_cloud(abstract, pass_radii):
         assert _max_rel_error(table[i], want) <= 1e-15
         assert _max_rel_error(table[i], engine[i]) <= 1e-13
     assert np.all(table[2] == 0.0)
+
+
+def test_stencil_stays_within_its_memory_budget():
+    # The 50 partition bumps of the cutoff check on carpet 4: besides its
+    # output, the stencil holds at most FLAT_BUDGET float64 elements, so its
+    # per-worker workspaces are all the block memory it has.
+    import tracemalloc
+
+    import kslab.space
+    from kslab.energy import _stencil_table
+    from kslab.smoothing import build_net, partition_of_unity
+
+    cloud = carpet(4)
+    pou = partition_of_unity(build_net(cloud, cloud.diameter / 10.0))
+    mat = np.stack([f.values for f in pou.fields()])
+    assert mat.shape[0] == 50
+    radii = [float(r) for r in make_scale_grid(cloud).window()]
+    tracemalloc.start()
+    try:
+        table = _stencil_table(cloud, mat, radii, [2] * len(radii))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * kslab.space.FLAT_BUDGET + table.nbytes, peak

@@ -282,6 +282,36 @@ def test_grid_builders_record_their_lattice(spec):
     assert np.all(np.diff(lat.index[:, 0] * lat.shape[1] + lat.index[:, 1]) > 0)
 
 
+@pytest.mark.parametrize("kind", ["interval", "square", "carpet"])
+def test_lattice_balls_equal_a_canonical_scan(kind, tiny_blocks):
+    # Grid clouds take their ball candidates from lattice offsets, not from
+    # the tree: ids, counts and distances must still be those of a scan of
+    # every point by the canonical distance, byte for byte.
+    cloud = {"interval": interval_grid(301), "square": square_grid(31), "carpet": carpet(3)}[kind]
+    h = cloud.lattice.step
+    centers = np.random.default_rng(4).permutation(cloud.n)[:60]
+    centers = np.concatenate([centers, centers[:3]])  # repeats, out of order
+    # 5 h = |(3, 4)| h and sqrt(50) h = |(5, 5)| h = |(1, 7)| h put whole
+    # rings of points on the sphere.
+    for r in [3.5 * h, 5.0 * h, np.sqrt(50.0) * h, 0.3]:
+        rows = [cloud.distances_from(int(c)) for c in centers]
+        want_ids = [np.flatnonzero(d < r) for d in rows]
+        want = (
+            np.concatenate(want_ids),
+            np.array([ids.size for ids in want_ids]),
+            np.concatenate([d[ids] for d, ids in zip(rows, want_ids)]),
+        )
+        chunks = list(cloud.ball_chunks(r, centers))
+        assert len(chunks) > 1  # the tiny blocks split the centres
+        assert np.concatenate([sub for sub, *_ in chunks]).tolist() == centers.tolist()
+        for got, expected in zip(zip(*[rest for _, *rest in chunks]), want):
+            got = np.concatenate(got)
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), r
+        for c, ids in zip(centers, want_ids):
+            got = cloud.ball_ids(int(c), r)
+            assert got.dtype == ids.dtype and got.tobytes() == ids.tobytes(), (c, r)
+
+
 def test_other_clouds_have_no_lattice():
     assert space.gasket(3).lattice is None
     coords = np.random.default_rng(0).uniform(size=(20, 2))
