@@ -13,17 +13,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
-import scipy.special
-from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .energy import ScalarField, WalkDimFit
 from .export import Table
 from .smoothing import discrete_lip
 from .space import Lattice, MeasuredPointCloud, _gasket_subdivision, gasket_graph
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "DENSE_EIGEN_LIMIT",
@@ -91,7 +91,7 @@ class GraphDirichletForm:
             raise ValueError("conductances must be positive and finite")
         if np.any(i > j):
             raise ValueError("edges must be stored with edge_i < edge_j")
-        n_comp = connected_components(self.adjacency, directed=False)[0]
+        n_comp = _component_count(self.n, i, j)
         if n_comp != 1:
             raise ValueError(f"form must be connected, found {n_comp} components")
 
@@ -121,6 +121,8 @@ class GraphDirichletForm:
         S equals its transpose bit for bit; the diagonal is deg / mu.  The
         dense, Lanczos and Chebyshev routes all read this one matrix.
         """
+        import scipy.sparse as sp
+
         n = self.n
         w = self.cloud.weights
         inv_sqrt = 1.0 / np.sqrt(w)
@@ -138,8 +140,10 @@ class GraphDirichletForm:
         The start is seeded noise: a constant start is the null mode itself
         on uniform weights, an invariant subspace that stops Lanczos.
         """
+        from scipy.sparse.linalg import eigsh
+
         v0 = np.random.default_rng(0).standard_normal(self.n)
-        top = sp.linalg.eigsh(self.generator, k=1, which="LA", v0=v0, return_eigenvectors=False)
+        top = eigsh(self.generator, k=1, which="LA", v0=v0, return_eigenvectors=False)
         return float(top[0])
 
     @cached_property
@@ -155,12 +159,28 @@ class GraphDirichletForm:
         # matrix with its eigenvectors, so no copy of it is made; the
         # default MRRR solver is several times slower on the gasket's
         # clustered, highly degenerate spectrum.
+        import scipy.linalg
+
         vals, vecs = scipy.linalg.eigh(
             self.generator.toarray(order="F"), overwrite_a=True, driver="evd"
         )
         fields = _mu_normalize(vecs, 1.0 / np.sqrt(self.cloud.weights))
         fields.flags.writeable = False
         return vals, fields, _column_residuals(self, vals, fields)
+
+
+def _component_count(n: int, i: np.ndarray, j: np.ndarray) -> int:
+    """Connected components of the graph on n vertices with edges (i, j).
+
+    Each round hooks the larger root of every edge onto the smallest root it
+    meets and points every vertex at its root, until no edge joins two trees.
+    """
+    root = np.arange(n)
+    while not np.array_equal(a := root[i], b := root[j]):
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(up := root[root], root):
+            root = up
+    return int(np.count_nonzero(root == np.arange(n)))
 
 
 def _lattice_edges(lattice: Lattice) -> tuple[np.ndarray, np.ndarray]:
@@ -354,6 +374,8 @@ def spectrum(form: GraphDirichletForm, k_max: int | None = None) -> Spectrum:
         w = form.cloud.weights
         inv_sqrt = 1.0 / np.sqrt(w)
         if path:
+            import scipy.linalg
+
             off = np.empty(n - 1)
             off[i] = -form.conductances * (inv_sqrt[i] * inv_sqrt[j])
             vals, vecs = scipy.linalg.eigh_tridiagonal(
@@ -361,11 +383,13 @@ def spectrum(form: GraphDirichletForm, k_max: int | None = None) -> Spectrum:
                 lapack_driver="stemr",
             )
         else:
+            from scipy.sparse.linalg import eigsh
+
             v0 = np.full(n, 1.0 / np.sqrt(n))  # fixed start for reproducible runs
             # Shift slightly below zero: at sigma = 0 the factorization would
             # hit the Laplacian's own null mode.
             scale = float(np.max(form.degrees / w))
-            vals, vecs = sp.linalg.eigsh(
+            vals, vecs = eigsh(
                 form.generator.tocsc(), k=k_max, sigma=-1e-3 * scale, v0=v0
             )
             order = np.argsort(vals, kind="stable")
@@ -419,11 +443,13 @@ def _chebyshev_heat(spec: Spectrum, times: np.ndarray, xs: np.ndarray, ys: np.nd
     distinct columns of ``xs`` serves every time; each time's sum stops at
     its own degree, so it does not depend on the other times asked for.
     """
+    from scipy.special import ive
+
     lam_max = spec.lambda_max
     a = times * (0.5 * lam_max)
     degrees = (np.sqrt(2.0 * a * np.log(1e20)) + 20).astype(int)
     terms = np.arange(degrees.max() + 1)
-    coef = np.where(terms <= degrees[:, None], scipy.special.ive(terms, a[:, None]), 0.0)
+    coef = np.where(terms <= degrees[:, None], ive(terms, a[:, None]), 0.0)
     coef[:, 1:] *= 2.0
     gen, step = spec.form.generator, 2.0 / lam_max
     cols, col_of = np.unique(xs, return_inverse=True)
@@ -542,6 +568,8 @@ def fit_subgaussian(spec: Spectrum, seed: int = 0) -> HeatKernelFit:
     the fit: closer in there is no decay signal, farther out the lattice
     tail leaves the sub-Gaussian regime.
     """
+    from scipy.sparse.csgraph import dijkstra
+
     form = spec.form
     cloud = form.cloud
     lam = spec.eigenvalues
@@ -748,6 +776,8 @@ def _edge_lengths_upper(form: GraphDirichletForm) -> np.ndarray:
 
 def _edge_matrix(form: GraphDirichletForm, values: np.ndarray) -> sp.csr_matrix:
     """Symmetric n x n matrix holding ``values[e]`` at both orientations of edge e."""
+    import scipy.sparse as sp
+
     n = form.n
     i = np.concatenate([form.edge_i, form.edge_j])
     j = np.concatenate([form.edge_j, form.edge_i])
@@ -800,6 +830,8 @@ def intrinsic_metric(form: GraphDirichletForm, x: int, y: int) -> IntrinsicMetri
     closed none of its gap to the optimum, which the tests bound with a
     Lagrangian dual.
     """
+    from scipy.sparse.csgraph import dijkstra
+
     x, y = form.cloud._checked_ids(x), form.cloud._checked_ids(y)
     if x == y:
         return IntrinsicMetricResult(0.0, 0.0, np.zeros(form.n))

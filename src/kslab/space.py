@@ -22,11 +22,14 @@ serves several radii from one ``ball_chunks`` pass at the largest by masking
 the distances, and ``segment_sums`` reduces each ball on its own members, so
 no result depends on the block layout or on which radii share a pass.
 
-Lattices.  ``interval_grid``, ``square_grid`` and ``carpet`` also record
-where each point sits on an integer lattice (``MeasuredPointCloud.lattice``:
-the lattice step, each point's (row, column) index and the grid of ids per
-cell, ids in row-major order).  So offsets taken in row-major order give a
-ball's members in ascending id order.  The increment sums of
+Lattices.  ``interval_grid``, ``square_grid`` and ``carpet`` also give the
+constructor where each point sits on an integer lattice
+(``MeasuredPointCloud.lattice``: the lattice step, each point's (row,
+column) index and the grid of ids per cell, ids in row-major order).  So
+offsets taken in row-major order give a ball's members in ascending id
+order.  A lattice cloud builds no KD-tree and imports no scipy: its cells
+refuse duplicates, its builder gives the mesh, and its diameter is read
+off the cells that end their row and their column.  The increment sums of
 ``kslab.energy`` read that layout too, with their own stencil: a ball is a
 fixed set of offsets, summed over shifted arrays, with carpet holes as zero
 weights, so those sums do not visit members in id order.  Offsets at a
@@ -56,12 +59,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .export import Table
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 # The one admissibility factor: radii below DEFAULT_KAPPA * mesh are refused.
 DEFAULT_KAPPA = 3.0
@@ -188,6 +193,15 @@ class Lattice:
         hit = cand >= 0
         return cand[hit], hit.sum(axis=1)
 
+    def ends(self) -> np.ndarray:
+        """The ids of the cells that are first or last in both their row and their column."""
+        taken = self.ids >= 0
+        keep = taken
+        for axis in (0, 1):
+            count = np.cumsum(taken, axis=axis)
+            keep = keep & ((count == 1) | (count == count.max(axis=axis, keepdims=True)))
+        return self.ids[keep]
+
 
 @lru_cache(maxsize=64)
 def _disk(rho: float, ry: int, rx: int) -> np.ndarray:
@@ -196,18 +210,6 @@ def _disk(rho: float, ry: int, rx: int) -> np.ndarray:
     disk = np.hypot(dy, dx) <= rho
     disk.setflags(write=False)
     return disk
-
-
-def _on_lattice(cloud: MeasuredPointCloud, index: np.ndarray, step: float) -> MeasuredPointCloud:
-    """Record the lattice layout of a cloud that a grid builder just made."""
-    index = np.asarray(index, dtype=np.intp).reshape(cloud.n, 2)
-    shape = (int(index[:, 0].max()) + 1, int(index[:, 1].max()) + 1)
-    ids = np.full(shape, -1, dtype=np.intp)
-    ids[index[:, 0], index[:, 1]] = np.arange(cloud.n)
-    for a in (index, ids):
-        a.setflags(write=False)
-    cloud._lattice = Lattice(step=float(step), shape=shape, index=index, ids=ids)
-    return cloud
 
 
 class MeasuredPointCloud:
@@ -230,6 +232,12 @@ class MeasuredPointCloud:
         Constructors for exact model spaces pass the closed-form value.
     meta : dict, optional
         Provenance tags, e.g. ``{"kind": "gasket", "level": 5}``.
+    lattice : (index, step), optional
+        Coordinate clouds only: the (row, column) cell of each point on an
+        integer lattice of the given step, ids in row-major cell order (see
+        ``Lattice``).  The grid builders pass it.  Balls then come from
+        lattice offsets, two points in one cell are refused as duplicates,
+        and no KD-tree is built, so ``mesh`` must be given when n > 1.
     """
 
     def __init__(
@@ -239,6 +247,7 @@ class MeasuredPointCloud:
         dist_matrix: np.ndarray | None = None,
         mesh: float | None = None,
         meta: dict | None = None,
+        lattice: tuple[np.ndarray, float] | None = None,
     ):
         w = np.asarray(weights, dtype=float).reshape(-1)
         if w.size == 0:
@@ -251,6 +260,12 @@ class MeasuredPointCloud:
         if (coords is None) == (dist_matrix is None):
             raise ValueError("give exactly one of coords or dist_matrix")
 
+        self.meta = dict(meta or {})
+        self._lattice: Lattice | None = None
+        self._tree: cKDTree | None = None
+        self._diameter: float | None = None
+        # Nearest-neighbour distances, where the mesh is measured (n > 1).
+        nn = None
         if coords is not None:
             c = np.asarray(coords, dtype=float)
             if c.ndim == 1:
@@ -262,7 +277,20 @@ class MeasuredPointCloud:
             self._coords: np.ndarray | None = c
             self._coords.setflags(write=False)
             self._dist: np.ndarray | None = None
+            if lattice is not None:
+                index = np.asarray(lattice[0], dtype=np.intp).reshape(w.size, 2)
+                ids = np.full(tuple(index.max(axis=0) + 1), -1, dtype=np.intp)
+                ids[index[:, 0], index[:, 1]] = np.arange(w.size)
+                if np.count_nonzero(ids >= 0) < w.size:
+                    raise ValueError("duplicate points: two share a lattice cell")
+                for a in (index, ids):
+                    a.setflags(write=False)
+                self._lattice = Lattice(float(lattice[1]), ids.shape, index, ids)
+            elif w.size > 1:
+                nn = self._kdtree().query(c, k=2)[0][:, 1]
         else:
+            if lattice is not None:
+                raise ValueError("a lattice needs coordinates")
             d = np.asarray(dist_matrix, dtype=float)
             if d.shape != (w.size, w.size):
                 raise ValueError("distance matrix must be square, one row per point")
@@ -272,23 +300,21 @@ class MeasuredPointCloud:
                 raise ValueError("distance matrix must have a zero diagonal")
             if not np.array_equal(d, d.T):
                 raise ValueError("distance matrix must be symmetric")
-            off = d + np.diag(np.full(w.size, np.inf))
-            if w.size > 1 and np.any(off <= 0.0):
-                raise ValueError("off-diagonal distances must be positive")
+            if w.size > 1:
+                off = d.copy()
+                np.fill_diagonal(off, np.inf)
+                if np.any(off <= 0.0):
+                    raise ValueError("off-diagonal distances must be positive")
+                nn = off.min(axis=1)
+                del off
             self._coords = None
             self._dist = d
             self._dist.setflags(write=False)
             self._spot_check_triangles()
 
-        self.meta = dict(meta or {})
-        self._lattice: Lattice | None = None
-        self._tree: cKDTree | None = None
-        self._diameter: float | None = None
-
-        nn = self._nearest_neighbour_distances()
-        if self.n > 1 and np.any(nn == 0.0):
+        if nn is not None and np.any(nn == 0.0):
             raise ValueError("duplicate points: mesh would be zero")
-        computed_h = float(nn.max()) if self.n > 1 else 0.0
+        computed_h = 0.0 if nn is None else float(nn.max())
         self._mesh = computed_h if mesh is None else float(mesh)
         if self.n > 1 and self._mesh <= 0.0:
             raise ValueError("mesh must be positive")
@@ -354,16 +380,20 @@ class MeasuredPointCloud:
         assert c is not None
         if c.shape[1] == 1:
             return float(c.max() - c.min())
-        if c.shape[0] <= 2048:
-            from scipy.spatial.distance import pdist
-
-            return float(pdist(c).max()) if c.shape[0] > 1 else 0.0
-        # Large Euclidean clouds: the diameter is attained on the hull.
-        from scipy.spatial import ConvexHull
+        if self._lattice is not None:
+            # Every hull vertex ends its row and its column of the lattice;
+            # each pair's distance is summed as pdist sums it.
+            ends = c[self._lattice.ends()]
+            diff = ends[:, None] - ends
+            return float(np.sqrt((diff * diff).sum(axis=-1)).max())
         from scipy.spatial.distance import pdist
 
-        hull = c[ConvexHull(c).vertices]
-        return float(pdist(hull).max())
+        if c.shape[0] > 2048:
+            from scipy.spatial import ConvexHull
+
+            # Large Euclidean clouds: the diameter is attained on the hull.
+            c = c[ConvexHull(c).vertices]
+        return float(pdist(c).max()) if c.shape[0] > 1 else 0.0
 
     def _spot_check_triangles(self) -> None:
         """Test the triangle inequality on ``TRIANGLE_BUDGET`` seeded triples."""
@@ -378,17 +408,10 @@ class MeasuredPointCloud:
         if np.any(d[i, k] > d[i, j] + d[j, k] + slack):
             raise ValueError("triangle inequality fails on a sampled triple")
 
-    def _nearest_neighbour_distances(self) -> np.ndarray:
-        if self.n == 1:
-            return np.zeros(1)
-        if self._dist is not None:
-            off = self._dist + np.diag(np.full(self.n, np.inf))
-            return off.min(axis=1)
-        d, _ = self._kdtree().query(self._coords, k=2)
-        return d[:, 1]
-
     def _kdtree(self) -> cKDTree:
         if self._tree is None:
+            from scipy.spatial import cKDTree
+
             self._tree = cKDTree(self._coords)
         return self._tree
 
@@ -497,6 +520,8 @@ class MeasuredPointCloud:
             disk = lat.disk(r)
             sizes = np.full(centers.size, np.count_nonzero(disk))
         else:
+            from scipy.spatial import cKDTree
+
             tree = self._kdtree()
             r_query = r * (1.0 + 1e-12)
             sizes = tree.query_ball_point(
@@ -599,15 +624,13 @@ def interval_grid(n: int) -> MeasuredPointCloud:
     """n equispaced points on [0, 1] with uniform weights summing to one."""
     if n < 2:
         raise ValueError("interval grid needs at least two points")
-    coords = np.linspace(0.0, 1.0, n).reshape(-1, 1)
-    cloud = MeasuredPointCloud(
+    return MeasuredPointCloud(
         np.full(n, 1.0 / n),
-        coords=coords,
+        coords=np.linspace(0.0, 1.0, n).reshape(-1, 1),
         mesh=1.0 / (n - 1),
         meta={"kind": "interval_grid", "n": n},
+        lattice=(np.column_stack([np.zeros(n, dtype=np.intp), np.arange(n)]), 1.0 / (n - 1)),
     )
-    index = np.column_stack([np.zeros(n, dtype=np.intp), np.arange(n)])
-    return _on_lattice(cloud, index, 1.0 / (n - 1))
 
 
 def square_grid(n: int) -> MeasuredPointCloud:
@@ -617,13 +640,13 @@ def square_grid(n: int) -> MeasuredPointCloud:
     axis = np.linspace(0.0, 1.0, n)
     xx, yy = np.meshgrid(axis, axis, indexing="ij")
     coords = np.column_stack([xx.ravel(), yy.ravel()])
-    cloud = MeasuredPointCloud(
+    return MeasuredPointCloud(
         np.full(n * n, 1.0 / (n * n)),
         coords=coords,
         mesh=1.0 / (n - 1),
         meta={"kind": "square_grid", "n": n},
+        lattice=(np.column_stack(np.divmod(np.arange(n * n), n)), 1.0 / (n - 1)),
     )
-    return _on_lattice(cloud, np.column_stack(np.divmod(np.arange(n * n), n)), 1.0 / (n - 1))
 
 
 def _gasket_subdivision(
@@ -719,13 +742,13 @@ def carpet(level: int) -> MeasuredPointCloud:
     side = 3**level
     coords = (np.array(cells, dtype=float) + 0.5) / side
     n = coords.shape[0]
-    cloud = MeasuredPointCloud(
+    return MeasuredPointCloud(
         np.full(n, 1.0 / n),
         coords=coords,
         mesh=1.0 / side if level > 0 else None,
         meta={"kind": "carpet", "level": level},
+        lattice=(np.array(cells), 1.0 / side),
     )
-    return _on_lattice(cloud, np.array(cells), 1.0 / side)
 
 
 def read_cloud_file(path: str | Path) -> MeasuredPointCloud:

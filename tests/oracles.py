@@ -16,6 +16,14 @@ def dist_matrix(coords: np.ndarray) -> np.ndarray:
     return np.sqrt((diff**2).sum(axis=2))
 
 
+def hull_diameter(coords: np.ndarray) -> float:
+    """Largest pdist distance between the vertices of the convex hull (2-D)."""
+    from scipy.spatial import ConvexHull
+    from scipy.spatial.distance import pdist
+
+    return float(pdist(coords[ConvexHull(coords).vertices]).max())
+
+
 def brute_ball_ids(coords: np.ndarray, x: int, r: float) -> np.ndarray:
     d = np.sqrt(((coords - coords[x]) ** 2).sum(axis=1))
     return np.flatnonzero(d < r)

@@ -461,15 +461,23 @@ class TestReport:
 def test_every_pair_query_is_a_ball_chunks_pass(tmp_path, monkeypatch, space):
     # One ball engine: every tree pair query of a whole run is made by
     # MeasuredPointCloud.ball_chunks itself, not by a private side door.
-    # Grid clouds read their balls off the lattice and ask the tree nothing.
+    # Grid clouds read their balls off the lattice and build no tree at all.
+    # kslab imports the tree class where it builds one, so the recording
+    # class stands in for it on scipy.spatial.
     import sys
+
+    import scipy.spatial
 
     import kslab.space
 
     engine = kslab.space.MeasuredPointCloud.ball_chunks.__code__
-    callers, ball_queries = [], []
+    built, callers, ball_queries = [], [], []
 
-    class RecordingTree(kslab.space.cKDTree):
+    class RecordingTree(scipy.spatial.cKDTree):
+        def __init__(self, *args, **kwargs):
+            built.append(sys._getframe(1).f_code)
+            super().__init__(*args, **kwargs)
+
         def sparse_distance_matrix(self, *args, **kwargs):
             callers.append(sys._getframe(1).f_code)
             return super().sparse_distance_matrix(*args, **kwargs)
@@ -478,11 +486,59 @@ def test_every_pair_query_is_a_ball_chunks_pass(tmp_path, monkeypatch, space):
             ball_queries.append(sys._getframe(1).f_code)
             return super().query_ball_point(*args, **kwargs)
 
-    monkeypatch.setattr(kslab.space, "cKDTree", RecordingTree)
+    monkeypatch.setattr(scipy.spatial, "cKDTree", RecordingTree)
     path = write_config(tmp_path, space=space, suite="all", out=str(tmp_path / "bundle"))
     assert main(["run", "--config", str(path)]) in (0, 1)
     if space["kind"] in ("carpet", "interval_grid"):
-        assert callers == [] and ball_queries == []
+        assert built == [] and callers == [] and ball_queries == []
     else:
-        assert callers
+        assert built and callers
         assert all(code is engine for code in callers), {code.co_name for code in callers}
+
+
+def test_lattice_runs_load_no_scipy(tmp_path):
+    # scipy is imported only where a route calls it: the KD-tree, the hull
+    # and the graph forms.  A fresh process shows what a run loads; the
+    # gasket run at its end takes those routes and must still write the
+    # bundle this process writes.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    runs = [({"kind": "carpet", "level": 3}, "all")] + [
+        ({"kind": "interval_grid", "n": 257}, suite)
+        for suite in ("doubling", "energy", "smoothing", "poincare")
+    ]
+    gasket = write_config(tmp_path, "gasket.json", space={"kind": "gasket", "level": 4}, suite="all")
+    configs = [
+        str(write_config(tmp_path, f"lattice{k}.json", space=space, suite=suite))
+        for k, (space, suite) in enumerate(runs)
+    ]
+    script = """
+import json, sys
+from kslab.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+loaded = {"import": scipy_modules()}
+for k, path in enumerate(sys.argv[1:-2]):
+    assert main(["run", "--config", path, "--out", f"{sys.argv[-1]}/lattice{k}"]) in (0, 1)
+    loaded[path] = scipy_modules()
+assert main(["run", "--config", sys.argv[-2], "--out", f"{sys.argv[-1]}/gasket"]) in (0, 1)
+print(json.dumps(loaded))
+"""
+    src = str(Path(kslab.__file__).parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", script, *configs, str(gasket), str(tmp_path / "child")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    )
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    assert loaded == {"import": [], **{path: [] for path in configs}}
+    assert main(["run", "--config", str(gasket), "--out", str(tmp_path / "here")]) in (0, 1)
+    child, here = tmp_path / "child" / "gasket", tmp_path / "here"
+    names = sorted(p.name for p in here.iterdir())
+    assert names and sorted(p.name for p in child.iterdir()) == names
+    for name in names:
+        assert (child / name).read_bytes() == (here / name).read_bytes(), name

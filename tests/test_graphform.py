@@ -155,6 +155,22 @@ def test_form_validation():
         )
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    edges=st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=60),
+)
+def test_component_count_matches_scipy(n, edges):
+    # The form's connectivity check counts components without scipy.
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    pairs = np.array([(a, b) for a, b in edges if a < n and b < n], dtype=np.intp).reshape(-1, 2)
+    i, j = pairs.T
+    adj = coo_matrix((np.ones(i.size), (i, j)), shape=(n, n))
+    assert gf._component_count(n, i, j) == connected_components(adj, directed=False)[0]
+
+
 def test_grid1d_energy_of_identity():
     cloud = interval_grid(101)
     form = grid_form(cloud)

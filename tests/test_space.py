@@ -94,6 +94,67 @@ def test_duplicate_points_rejected():
         MeasuredPointCloud([1.0, 1.0], coords=[[0.5], [0.5]])
 
 
+def test_lattice_refuses_two_points_in_one_cell():
+    # The cells decide, not the coordinates: a lattice cloud builds no tree.
+    coords = [[0.0, 0.0], [0.0, 1.0], [0.0, 2.0]]
+    index = np.array([[0, 0], [0, 1], [0, 1]])
+    with pytest.raises(ValueError, match="duplicate points"):
+        MeasuredPointCloud(np.ones(3), coords=coords, mesh=1.0, lattice=(index, 1.0))
+
+
+@pytest.mark.parametrize("kind", ["gasket", "file"])
+def test_tree_refuses_duplicates(kind, tmp_path, monkeypatch):
+    import scipy.spatial
+
+    built = []
+
+    class RecordingTree(scipy.spatial.cKDTree):
+        def __init__(self, *args, **kwargs):
+            built.append(True)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.spatial, "cKDTree", RecordingTree)
+    coords = gasket(2).coords
+    coords = np.vstack([coords, coords[4:5]])
+    with pytest.raises(ValueError, match="duplicate points"):
+        if kind == "gasket":
+            MeasuredPointCloud(np.ones(len(coords)), coords=coords, meta={"kind": "gasket"})
+        else:
+            lines = [f"{len(coords)} euclidean"] + [f"{x!r} {y!r} 1.0" for x, y in coords.tolist()]
+            (tmp_path / "dup.txt").write_text("\n".join(lines) + "\n")
+            read_cloud_file(tmp_path / "dup.txt")
+    assert built
+
+
+@pytest.mark.parametrize(
+    "build, size", [*((carpet, k) for k in range(1, 6)), *((square_grid, n) for n in (9, 41, 101))],
+    ids=[*(f"carpet:{k}" for k in range(1, 6)), *(f"square_grid:{n}" for n in (9, 41, 101))],
+)
+def test_lattice_diameter_equals_the_hull_oracle(build, size):
+    # A lattice cloud measures its diameter on the ends of its rows and
+    # columns, without a hull; the value must be the hull's, bit for bit.
+    cloud = build(size)
+    assert cloud.diameter == oracles.hull_diameter(cloud.coords)
+
+
+def test_abstract_cloud_builds_one_off_diagonal_matrix():
+    # The constructor's checks and mesh share one copy of the matrix with
+    # an infinite diagonal: besides the input, the peak is one n x n matrix
+    # and some masks.
+    import tracemalloc
+
+    d = oracles.dist_matrix(np.random.default_rng(0).uniform(size=(400, 2)))
+    tracemalloc.start()
+    try:
+        cloud = MeasuredPointCloud(np.ones(400), dist_matrix=d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * d.nbytes, peak / d.nbytes
+    off = d + np.diag(np.full(400, np.inf))
+    assert cloud.mesh == off.min(axis=1).max()
+
+
 def test_distance_matrix_validation():
     good = np.array([[0.0, 1.0], [1.0, 0.0]])
     cloud = MeasuredPointCloud([1.0, 1.0], dist_matrix=good)
