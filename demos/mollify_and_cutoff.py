@@ -17,7 +17,7 @@ from kslab import (
     check_controlled_cutoff,
     discrete_lip,
     interval_grid,
-    mollifier_estimates,
+    mollifier_ladder,
     mollify,
     partition_of_unity,
 )
@@ -42,11 +42,12 @@ print(f"||f_eps - f||_L2 = {err:.5f}\n")
 # ------------------------------------------------- mollifier estimates
 # lip_bound_ratio: slope of f_eps against the increment energy at scale
 # 2 eps.  l2_bound_ratio: ||f_eps - f||^2 against mean ball deviations at
-# scale 6 eps.  Both stay bounded as eps shrinks.
+# scale 6 eps.  Both stay bounded as eps shrinks.  One call serves the
+# whole ladder of partitions.
 print("eps      lip_ratio  l2_ratio   ||f_eps-f||^2")
-for eps in (0.1, 0.05, 0.025):
-    rep = mollifier_estimates(f, eps, d_w=2.0)
-    print(f"{eps:<8} {rep.lip_bound_ratio:<10.4f} {rep.l2_bound_ratio:<10.4f}"
+pous = [partition_of_unity(build_net(cloud, eps)) for eps in (0.1, 0.05, 0.025)]
+for rep in mollifier_ladder(f, pous, d_w=2.0):
+    print(f"{rep.epsilon:<8} {rep.lip_bound_ratio:<10.4f} {rep.l2_bound_ratio:<10.4f}"
           f" {rep.l2_numerator:.6f}")
 
 # ----------------------------------------------------- cutoff functions

@@ -57,7 +57,6 @@ from .smoothing import (
     build_net,
     check_controlled_cutoff,
     discrete_lip,
-    mollifier_estimates,
     mollifier_ladder,
     mollify,
     partition_of_unity,
@@ -82,7 +81,6 @@ from .graphform import (
     eigen_walk_dimension,
     energy_measure,
     fit_subgaussian,
-    form_bilinear,
     form_energy,
     gamma_vs_lip_check,
     gasket_form,
@@ -142,7 +140,6 @@ __all__ = [
     "build_net",
     "check_controlled_cutoff",
     "discrete_lip",
-    "mollifier_estimates",
     "mollifier_ladder",
     "mollify",
     "partition_of_unity",
@@ -163,7 +160,6 @@ __all__ = [
     "eigen_walk_dimension",
     "energy_measure",
     "fit_subgaussian",
-    "form_bilinear",
     "form_energy",
     "gamma_vs_lip_check",
     "gasket_form",

@@ -25,7 +25,7 @@ from .export import write_csv, write_json
 from .space import CLOUD_KINDS, Inapplicable, build_cloud
 from .suites import SUITES, SuiteContext, applicable_suites, run_suite
 
-__all__ = ["main", "ConfigError", "load_config"]
+__all__ = ["main", "ConfigError"]
 
 SUITE_NAMES = tuple(SUITES) + ("all",)
 
@@ -74,17 +74,12 @@ def _read_config(path: str | Path) -> dict:
     return raw
 
 
-def load_config(path: str | Path) -> dict:
-    """Read, validate, and normalize an experiment config.
-
-    Raises ConfigError for anything out of contract: unknown keys, missing
-    seed, parameters outside their documented ranges.
-    """
-    return _checked_config(_read_config(path))
-
-
 def _checked_config(raw: dict) -> dict:
-    """Validate and normalize a config object."""
+    """Validate and normalize a config object.
+
+    Raises ConfigError for anything out of contract: unknown keys,
+    parameters outside their documented ranges.
+    """
     known = {"space", "d_w", "seed", "suite", "out"}
     extra = set(raw) - known
     _require(not extra, f"unknown config keys: {sorted(extra)}")

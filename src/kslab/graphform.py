@@ -36,7 +36,6 @@ __all__ = [
     "grid_form",
     "gasket_form",
     "form_energy",
-    "form_bilinear",
     "energy_measure",
     "spectrum",
     "heat_kernel",
@@ -228,15 +227,6 @@ def form_energy(form: GraphDirichletForm, f: ScalarField) -> float:
     _check_form_field(form, f)
     diff = f.values[form.edge_i] - f.values[form.edge_j]
     return float(np.sum(form.conductances * diff**2))
-
-
-def form_bilinear(form: GraphDirichletForm, f: ScalarField, g: ScalarField) -> float:
-    """𝓔(f, g) by polarization of the edge sums."""
-    _check_form_field(form, f)
-    _check_form_field(form, g)
-    df = f.values[form.edge_i] - f.values[form.edge_j]
-    dg = g.values[form.edge_i] - g.values[form.edge_j]
-    return float(np.sum(form.conductances * df * dg))
 
 
 def _gamma_density(form: GraphDirichletForm, values: np.ndarray) -> np.ndarray:
@@ -909,16 +899,15 @@ def gamma_vs_lip_check(form: GraphDirichletForm, f: ScalarField) -> GammaLipRepo
 # ----------------------------------------------------------------------
 
 
-def gasket_harmonic_field(
-    cloud: MeasuredPointCloud, boundary: tuple[float, float, float] = (1.0, 0.0, 0.0)
-) -> ScalarField:
-    """Harmonic extension of corner values through the 1/5-2/5 rule.
+def gasket_harmonic_field(cloud: MeasuredPointCloud) -> ScalarField:
+    """Harmonic extension of the corner values (1, 0, 0) through the 1/5-2/5 rule.
 
     Each subdivision assigns a side midpoint 2/5 of either endpoint value
     plus 1/5 of the opposite corner; with the (5/3)^m conductances this
-    keeps the energy of the extension level-independent.
+    keeps the energy of the extension level-independent.  Other corner
+    values go through ``space._gasket_subdivision``.
     """
     if cloud.kind != "gasket":
         raise ValueError("harmonic extension needs a gasket cloud")
-    _, verts, values = _gasket_subdivision(int(cloud.meta["level"]), boundary)
+    _, verts, values = _gasket_subdivision(int(cloud.meta["level"]), (1.0, 0.0, 0.0))
     return ScalarField(cloud, np.array([values[v] for v in verts]))

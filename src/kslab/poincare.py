@@ -290,16 +290,14 @@ class WeakL2Report:
         return float(self.quotients.max()) if self.quotients.size else 0.0
 
 
-def weak_l2_check(
-    maximal: MaximalField,
-    thresholds: Sequence[float] | np.ndarray | None = None,
-) -> WeakL2Report:
+def weak_l2_check(maximal: MaximalField) -> WeakL2Report:
     """Check mu{M_R f > t} <= C t^{-2} E against the global energy proxy.
 
     E is the window minimum of the global energy of the field ``maximal``
-    was built from, read off its window rows.  The reported quotient
-    mu{M > t} t^2 / E must stay bounded as thresholds and resolutions
-    vary; the theorem's C is its ceiling.
+    was built from, read off its window rows.  The thresholds t are eight
+    geometric steps from max M / 32 to 2 max M (the single t = 1 when E
+    vanishes).  The reported quotient mu{M > t} t^2 / E must stay bounded
+    as thresholds and resolutions vary; the theorem's C is its ceiling.
     """
     cloud = maximal.cloud
     d_w = maximal.d_w
@@ -311,22 +309,15 @@ def weak_l2_check(
                 "zero global energy with a nonzero maximal field; "
                 "inputs are inconsistent"
             )
-        ladder = np.asarray(thresholds if thresholds is not None else [1.0], dtype=float)
         return WeakL2Report(
             R=maximal.R,
             d_w=float(d_w),
             e_proxy=0.0,
-            thresholds=ladder,
-            quotients=np.zeros(ladder.size),
+            thresholds=np.ones(1),
+            quotients=np.zeros(1),
         )
-    if thresholds is None:
-        positive = mvals[mvals > 0.0]
-        top = float(positive.max())
-        ladder = np.geomspace(top / 32.0, top * 2.0, 8)
-    else:
-        ladder = np.asarray(thresholds, dtype=float)
-        if np.any(ladder <= 0.0):
-            raise ValueError("thresholds must be positive")
+    top = float(mvals.max())
+    ladder = np.geomspace(top / 32.0, top * 2.0, 8)
     mu = cloud.weights
     quotients = np.array(
         [float(mu[mvals > t].sum()) * t**2 / e_proxy for t in ladder]

@@ -35,8 +35,6 @@ __all__ = [
     "partition_of_unity",
     "mollify",
     "discrete_lip",
-    "ball_mean_deviation",
-    "mollifier_estimates",
     "mollifier_ladder",
     "check_controlled_cutoff",
 ]
@@ -44,18 +42,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CoveringNet:
-    """Maximal epsilon-separated centers whose epsilon-balls cover the cloud.
-
-    ``overlap_5eps`` is the largest number of dilated balls B(c, 5 eps) any
-    single point lands in; bounded overlap is what the downstream estimates
-    lean on, so the count is recorded rather than assumed.
-    """
+    """Maximal epsilon-separated centers whose epsilon-balls cover the cloud."""
 
     cloud: MeasuredPointCloud
     epsilon: float
     center_ids: np.ndarray
     cover_ok: bool
-    overlap_5eps: int
 
     @property
     def n_centers(self) -> int:
@@ -82,19 +74,12 @@ def build_net(cloud: MeasuredPointCloud, epsilon: float) -> CoveringNet:
             continue
         centers.append(p)
         covered[cloud.ball_ids(p, epsilon)] = True
-    center_ids = np.asarray(centers, dtype=np.intp)
-
-    counts5 = np.zeros(cloud.n, dtype=np.intp)
-    for _, flat, _, _ in cloud.ball_chunks(5.0 * epsilon, center_ids):
-        counts5 += np.bincount(flat, minlength=cloud.n)
-    # Every point sits strictly inside some epsilon-ball, hence also in the
-    # dilated one; covered.all() re-checks that instead of trusting the scan.
+    # covered.all() re-checks the cover instead of trusting the scan.
     return CoveringNet(
         cloud=cloud,
         epsilon=float(epsilon),
-        center_ids=center_ids,
+        center_ids=np.asarray(centers, dtype=np.intp),
         cover_ok=bool(covered.all()),
-        overlap_5eps=int(counts5.max()),
     )
 
 
@@ -209,13 +194,6 @@ def discrete_lip(
     return slopes[0] if isinstance(f, ScalarField) else slopes
 
 
-def ball_mean_deviation(f: ScalarField, r: float) -> np.ndarray:
-    """Per-point first absolute moment avg_{B(x,r)} |f(x) - f(y)| dmu(y)."""
-    cloud, mat = _validated([f], [r])
-    # The table carries the centre weight mu_x; dividing it out leaves the average.
-    return _increment_table(cloud, mat, [r], [1])[0, 0] / cloud.weights
-
-
 @dataclass(frozen=True)
 class MollifierReport:
     """Smoothing-error diagnostics at one epsilon.
@@ -243,34 +221,21 @@ def _guarded_ratio(num: float, den: float) -> float:
     return num / den
 
 
-def mollifier_estimates(
-    f: ScalarField,
-    epsilon: float,
-    d_w: float = 2.0,
-) -> MollifierReport:
-    """Evaluate both smoothing estimates for one field at one epsilon.
-
-    The slope of f_eps is measured with the discrete Lipschitz operator at
-    the finest admissible radius kappa * h.  The energy side is the raw
-    increment sum at 2 eps divided by eps^2, which is what stays flat in
-    epsilon for smooth fields; d_w would cancel out of the ratio, so it is
-    only validated.
-    """
-    pou = partition_of_unity(build_net(f.cloud, epsilon))
-    return mollifier_ladder(f, [pou], d_w=d_w)[0]
-
-
 def mollifier_ladder(
     f: ScalarField,
     pous: Sequence[PartitionOfUnity],
     d_w: float = 2.0,
 ) -> list[MollifierReport]:
-    """``mollifier_estimates`` at every rung of a ladder of partitions.
+    """Both smoothing estimates for one field at every rung of a ladder of partitions.
 
-    The increment sums at 2 eps and the first moments at 6 eps of every
-    rung come from one ``_increment_table`` call, and the slopes of every
-    smoothed field from one ball pass at kappa * h; each report equals the
-    single-epsilon call bit for bit.
+    The slope of f_eps is measured with the discrete Lipschitz operator at
+    the finest admissible radius kappa * h.  The energy side is the raw
+    increment sum at 2 eps divided by eps^2, which is what stays flat in
+    epsilon for smooth fields; d_w would cancel out of the ratio, so it is
+    only validated.  The increment sums at 2 eps and the first moments at
+    6 eps of every rung come from one ``_increment_table`` call, and the
+    slopes of every smoothed field from one ball pass at kappa * h; each
+    report equals a one-rung ladder's bit for bit.
     """
     epsilons = [pou.epsilon for pou in pous]
     if any(pou.cloud is not f.cloud for pou in pous):
@@ -297,7 +262,9 @@ def mollifier_ladder(
         lip_den = table[k].sum() / eps**2
 
         l2_num = float(np.sum(w * (f_eps.values - f.values) ** 2))
-        dev = table[m + k] / w  # as in ball_mean_deviation
+        # The table carries the centre weight mu_x: dividing it out leaves
+        # the per-point first moment avg_{B(x, 6 eps)} |f(x) - f(y)| dmu(y).
+        dev = table[m + k] / w
         l2_den = float(np.sum(w * dev**2))
 
         reports.append(

@@ -440,16 +440,12 @@ class MeasuredPointCloud:
             return self._dist[x]
         return _point_distances(self._coords, self._coords[x])
 
-    def distance(self, i: int, j: int) -> float:
-        i, j = self._checked_ids(i), self._checked_ids(j)
-        if self._dist is not None:
-            return float(self._dist[i, j])
-        return float(_point_distances(self._coords[j : j + 1], self._coords[i])[0])
-
     def pair_distances(self, ids_a: np.ndarray, ids_b: np.ndarray) -> np.ndarray:
         """Elementwise distances d(a_k, b_k) for two equal-length id arrays."""
-        ids_a = np.asarray(ids_a, dtype=np.intp)
-        ids_b = np.asarray(ids_b, dtype=np.intp)
+        ids_a = self._checked_ids(np.asarray(ids_a, dtype=np.intp))
+        ids_b = self._checked_ids(np.asarray(ids_b, dtype=np.intp))
+        if ids_a.shape != ids_b.shape:
+            raise ValueError(f"id arrays of unequal shapes {ids_a.shape} and {ids_b.shape}")
         if self._dist is not None:
             return self._dist[ids_a, ids_b]
         return _point_distances(self._coords[ids_a], self._coords[ids_b])
@@ -774,8 +770,8 @@ def read_cloud_file(path: str | Path) -> MeasuredPointCloud:
     except ValueError as exc:
         raise ValueError(f"bad point count {head[0]!r}") from exc
     mode = head[1].lower()
-    if n <= 0:
-        raise ValueError("point count must be positive")
+    if n < 2:
+        raise ValueError("a cloud file needs at least two points")
     if mode not in ("euclidean", "abstract"):
         raise ValueError(f"unknown mode {mode!r}")
     if len(lines) != n + 1:

@@ -24,6 +24,16 @@ def hull_diameter(coords: np.ndarray) -> float:
     return float(pdist(coords[ConvexHull(coords).vertices]).max())
 
 
+def edge_bilinear(form, f_values: np.ndarray, g_values: np.ndarray) -> float:
+    """E(f, g) = sum over edges of c_xy (f_x - f_y)(g_x - g_y), by ``math.fsum``."""
+    import math
+
+    return math.fsum(
+        c * (f_values[i] - f_values[j]) * (g_values[i] - g_values[j])
+        for i, j, c in zip(form.edge_i, form.edge_j, form.conductances)
+    )
+
+
 def brute_ball_ids(coords: np.ndarray, x: int, r: float) -> np.ndarray:
     d = np.sqrt(((coords - coords[x]) ** 2).sum(axis=1))
     return np.flatnonzero(d < r)

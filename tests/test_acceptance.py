@@ -205,10 +205,8 @@ def test_05_mollifier_two_sided(grid2001):
     values = np.cumsum(rng.standard_normal(grid2001.n)) * math.sqrt(grid2001.mesh)
     values -= values.mean()
     rough = ScalarField(grid2001, values)
-    reports = [
-        sm.mollifier_estimates(rough, eps, d_w=2.0)
-        for eps in (0.1, 0.05, 0.025)
-    ]
+    pous = [sm.partition_of_unity(sm.build_net(grid2001, eps)) for eps in (0.1, 0.05, 0.025)]
+    reports = sm.mollifier_ladder(rough, pous, d_w=2.0)
     lip_spread = _spread([r.lip_bound_ratio for r in reports])
     l2_spread = _spread([r.l2_bound_ratio for r in reports])
     errors = [r.l2_numerator for r in reports]
@@ -502,7 +500,8 @@ def test_15_oracle_equivalence_and_seed_properties():
         f = ScalarField(form.cloud, f_values)
         g = ScalarField(form.cloud, g_values)
         scale = math.sqrt(gf.form_energy(form, f) * gf.form_energy(form, g))
-        locality_ok &= abs(gf.form_bilinear(form, f, g)) <= 1e-12 * max(1.0, scale)
+        bilinear = oracles.edge_bilinear(form, f_values, g_values)
+        locality_ok &= abs(bilinear) <= 1e-12 * max(1.0, scale)
 
     ok = brute_ok and markov_ok and locality_ok
     _verdict(

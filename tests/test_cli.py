@@ -11,7 +11,7 @@ import kslab.convergence as cv
 import kslab.export as export
 import kslab.poincare as pc
 import kslab.suites as suites
-from kslab.cli import ConfigError, load_config, main
+from kslab.cli import main
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -27,11 +27,22 @@ def write_config(tmp_path, name="cfg.json", **overrides):
     return path
 
 
+def _refused(tmp_path, capsys, config_path, command="run"):
+    """The message of a command that exits 2 and writes nothing."""
+    out = tmp_path / "refused"
+    assert main([command, "--config", str(config_path), "--out", str(out)]) == 2
+    assert not out.exists()
+    return capsys.readouterr().err
+
+
 class TestLoadConfig:
+    """``main`` loads the config: it validates it, or refuses it with exit 2."""
+
     def test_normalizes_defaults(self, tmp_path):
-        path = write_config(tmp_path)
-        cfg = load_config(path)
-        assert cfg == {
+        path = write_config(tmp_path, out=str(tmp_path / "bundle"))
+        assert main(["run", "--config", str(path)]) == 0
+        summary = json.loads((tmp_path / "bundle" / "summary.json").read_text())
+        assert summary["config"] == {
             "space": {"kind": "interval_grid", "n": 401},
             "d_w": 2.0,
             "seed": 0,
@@ -56,25 +67,22 @@ class TestLoadConfig:
             ({"d_w": 1.5}, "must lie in"),
         ],
     )
-    def test_rejects_bad_values(self, tmp_path, overrides, message):
+    def test_rejects_bad_values(self, tmp_path, capsys, overrides, message):
         path = write_config(tmp_path, **overrides)
-        with pytest.raises(ConfigError, match=message):
-            load_config(path)
+        assert message in _refused(tmp_path, capsys, path)
 
     def test_kinds_come_from_the_space_table(self):
         # One table of cloud kinds: the validator keeps no copy of its own.
         tables = [v for v in vars(cli).values() if isinstance(v, dict) and "gasket" in v]
         assert tables and all(t is kslab.space.CLOUD_KINDS for t in tables)
 
-    def test_rejects_missing_file(self, tmp_path):
-        with pytest.raises(ConfigError, match="not found"):
-            load_config(tmp_path / "absent.json")
+    def test_rejects_missing_file(self, tmp_path, capsys):
+        assert "not found" in _refused(tmp_path, capsys, tmp_path / "absent.json")
 
-    def test_rejects_broken_json(self, tmp_path):
+    def test_rejects_broken_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
-        with pytest.raises(ConfigError, match="not valid JSON"):
-            load_config(path)
+        assert "not valid JSON" in _refused(tmp_path, capsys, path)
 
 
 class TestRun:
@@ -248,6 +256,19 @@ class TestRun:
         assert main(["run", "--config", str(path)]) == 2
         assert not out.exists()
         assert "error: duplicate points" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "space", "sweep"])
+    @pytest.mark.parametrize(
+        "mode, row", [("euclidean", "0.5 1.0"), ("abstract", "0.0 1.0")], ids=["euclidean", "abstract"]
+    )
+    def test_one_point_cloud_file_is_refused(self, tmp_path, capsys, command, mode, row):
+        # A single point has diameter 0, so no scale fits in it: refused
+        # input, not a library fault.
+        cloud_file = tmp_path / "one.cloud"
+        cloud_file.write_text(f"1 {mode}\n{row}\n")
+        path = write_config(tmp_path, space={"kind": "file", "path": str(cloud_file)})
+        err = _refused(tmp_path, capsys, path, command)
+        assert "error: a cloud file needs at least two points" in err
 
     def test_fit_provenance_recorded(self, tmp_path):
         cfg = {

@@ -477,9 +477,11 @@ def test_energy_density_matches_fsum_oracle():
 
 
 def test_ball_mean_deviation_matches_fsum_oracle():
+    # The p = 1 row of the increment table, which the mollifier ladder reads
+    # as the ball mean deviation avg_{B(x,r)} |f(x) - f(y)| dmu(y).
     import math
 
-    from kslab.smoothing import ball_mean_deviation
+    from kslab.energy import _increment_table
 
     cloud = square_grid(61)
     f = ScalarField.from_function(cloud, lambda c: np.exp(c[:, 0] - 2.0 * c[:, 1]))
@@ -488,7 +490,7 @@ def test_ball_mean_deviation_matches_fsum_oracle():
     v = f.values
     for x, ids, w, mass in _fsum_balls(cloud, r):
         want[x] = math.fsum(w * np.abs(v[x] - v[ids])) / mass
-    got = ball_mean_deviation(f, r)
+    got = _increment_table(cloud, f.values[None], [r], [1])[0, 0] / cloud.weights
     assert _max_rel_error(got, want) <= 1e-13
 
 

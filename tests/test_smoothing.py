@@ -5,13 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kslab.energy import ScalarField, make_scale_grid
+from kslab.energy import ScalarField, _increment_table, make_scale_grid
 from kslab.smoothing import (
-    ball_mean_deviation,
     build_net,
     check_controlled_cutoff,
     discrete_lip,
-    mollifier_estimates,
     mollifier_ladder,
     mollify,
     partition_of_unity,
@@ -32,7 +30,6 @@ def test_net_single_center_when_epsilon_exceeds_diameter():
     assert net.n_centers == 1
     assert net.center_ids[0] == 0
     assert net.cover_ok
-    assert net.overlap_5eps == 1
 
 
 def test_net_interval_hand_count():
@@ -42,7 +39,6 @@ def test_net_interval_hand_count():
     net = build_net(cloud, 0.1)
     assert 10 <= net.n_centers <= 11
     assert net.cover_ok
-    assert net.overlap_5eps <= 11
     # Centers march in steps of ~0.1; ties at exactly 0.1 fall either way
     # depending on float rounding, so only the spacing is pinned.
     gaps = np.diff(cloud.coords[net.center_ids, 0])
@@ -69,17 +65,6 @@ def test_net_refuses_unresolvable_epsilon():
     cloud = interval_grid(101)
     with pytest.raises(ValueError, match="covering floor"):
         build_net(cloud, 0.015)
-
-
-def test_net_overlap_stable_on_gasket():
-    # At eps = 1/8 the dilated balls swallow the whole gasket, so the count
-    # just equals the center count; the packing constant only shows up once
-    # 5 eps clears the diameter.  Frozen from this construction's id order.
-    cloud = gasket(6)
-    o = {e: build_net(cloud, e).overlap_5eps for e in (2.0**-3, 2.0**-4, 2.0**-5)}
-    assert o[2.0**-3] == 28  # saturated: every center is within 5/8 of any point
-    assert abs(o[2.0**-4] - o[2.0**-5]) <= 2
-    assert max(o.values()) <= 60
 
 
 # ----------------------------------------------------------------------
@@ -316,9 +301,19 @@ def test_lip_refuses_lonely_balls():
 # ----------------------------------------------------------------------
 
 
+def _one_rung(f, eps, d_w=2.0):
+    """The mollifier report of ``f`` on a one-rung ladder at ``eps``."""
+    return mollifier_ladder(f, [partition_of_unity(build_net(f.cloud, eps))], d_w=d_w)[0]
+
+
+def _first_moment(f, r):
+    """Per-point avg_{B(x,r)} |f(x) - f(y)| dmu(y): the p = 1 row the ladder reads."""
+    return _increment_table(f.cloud, f.values[None], [r], [1])[0, 0] / f.cloud.weights
+
+
 def test_estimates_zero_for_constants():
     cloud = interval_grid(501)
-    rep = mollifier_estimates(ScalarField.constant(cloud, 1.0), 0.05)
+    rep = _one_rung(ScalarField.constant(cloud, 1.0), 0.05)
     assert rep.lip_bound_ratio == 0.0
     assert rep.l2_bound_ratio == 0.0
 
@@ -344,8 +339,7 @@ def test_mollifier_ladder_checks_constant_fields_too(make_field, foreign, d_w, m
 def test_estimates_identity_stable_across_epsilon():
     cloud = interval_grid(2001)
     f = ScalarField.coordinate(cloud)
-    r1 = mollifier_estimates(f, 0.05)
-    r2 = mollifier_estimates(f, 0.025)
+    r1, r2 = mollifier_ladder(f, [partition_of_unity(build_net(cloud, e)) for e in (0.05, 0.025)])
     assert r1.lip_bound_ratio > 0.0
     ratio = r1.lip_bound_ratio / r2.lip_bound_ratio
     assert 0.5 <= ratio <= 2.0
@@ -354,8 +348,8 @@ def test_estimates_identity_stable_across_epsilon():
 def test_estimates_sine_l2_bounded():
     cloud = interval_grid(2001)
     f = ScalarField.from_function(cloud, lambda c: np.sin(np.pi * c[:, 0]))
-    for eps in [0.05, 0.025]:
-        rep = mollifier_estimates(f, eps)
+    pous = [partition_of_unity(build_net(cloud, eps)) for eps in [0.05, 0.025]]
+    for rep in mollifier_ladder(f, pous):
         assert 0.0 < rep.l2_bound_ratio <= 10.0
 
 
@@ -363,7 +357,7 @@ def test_ball_mean_deviation_matches_direct():
     cloud = interval_grid(101)
     f = ScalarField.from_function(cloud, lambda c: np.cos(3 * c[:, 0]))
     r = 0.1
-    dev = ball_mean_deviation(f, r)
+    dev = _first_moment(f, r)
     dmat = oracles.dist_matrix(cloud.coords)
     x = 47
     members = np.flatnonzero(dmat[x] < r)
@@ -451,9 +445,9 @@ def test_cutoff_reads_only_the_window(pass_radii):
     pou = partition_of_unity(build_net(cloud, 0.1))
     rep = check_controlled_cutoff(pou, d_w=2.0)
     grid = make_scale_grid(cloud)
-    # The net's 5 eps overlap pass and the partition's 2 eps pass (which
-    # also sums the bump masses), then one pass at the largest window scale.
-    assert pass_radii == [5.0 * 0.1, 2.0 * 0.1, float(grid.window().max())]
+    # The partition's 2 eps pass (which also sums the bump masses), then
+    # one pass at the largest window scale.
+    assert pass_radii == [2.0 * 0.1, float(grid.window().max())]
     np.testing.assert_array_equal(rep.scales, grid.scales)
     np.testing.assert_array_equal(rep.per_center, _cutoff_reference(pou, 2.0))
 
@@ -465,8 +459,8 @@ def _smoothing_results():
     f = ScalarField.from_function(cloud, lambda c: np.sin(3.0 * c[:, 0]) + c[:, 1])
     return (
         check_controlled_cutoff(pou, d_w=d_w).per_center,
-        mollifier_estimates(f, 0.125, d_w=d_w),
-        ball_mean_deviation(f, 0.2),
+        _one_rung(f, 0.125, d_w=d_w),
+        _first_moment(f, 0.2),
         mollify(f, pou).values,
     )
 
@@ -490,13 +484,12 @@ def test_mollifier_ladder_equals_single_epsilon_calls(pass_radii):
     ladder = [0.2, 0.1, 0.05]
     pous = [partition_of_unity(build_net(cloud, eps)) for eps in ladder]
     reports = mollifier_ladder(f, pous)
-    # The 5 eps overlap and 2 eps partition passes of every rung's net, one
-    # mollify pass per rung, then 2 eps and 6 eps of every rung share a
+    # The 2 eps partition pass of every rung, one mollify pass per rung, then 2 eps and 6 eps of every rung share a
     # single stencil sweep, except 6 * 0.2, which exceeds the diameter and
     # takes the whole-cloud route; then one slope pass at kappa * h serves
     # every rung.
     lip_r = 3.0 * cloud.mesh
-    nets = [r for eps in ladder for r in (5.0 * eps, 2.0 * eps)]
+    nets = [2.0 * eps for eps in ladder]
     assert pass_radii == nets + ladder + [6.0 * 0.1] + [lip_r]
     for eps, rep in zip(ladder, reports):
-        assert rep == mollifier_estimates(f, eps)
+        assert rep == _one_rung(f, eps)

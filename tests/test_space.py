@@ -209,13 +209,25 @@ def test_out_of_range_centre_ids_are_refused(abstract, bad):
     queries = [
         lambda: cloud.ball_ids(bad, 0.3),
         lambda: cloud.distances_from(bad),
-        lambda: cloud.distance(bad, 0),
-        lambda: cloud.distance(0, bad),
+        lambda: cloud.pair_distances([bad], [0]),
+        lambda: cloud.pair_distances([0], [bad]),
         lambda: next(cloud.ball_chunks(0.3, centers=[0, bad])),
     ]
     for query in queries:
         with pytest.raises(ValueError, match=f"id {bad} out of range"):
             query()
+
+
+@pytest.mark.parametrize("abstract", [False, True])
+def test_pair_distances_refuse_unequal_lengths(abstract):
+    grid = interval_grid(11)
+    if abstract:
+        cloud = MeasuredPointCloud(grid.weights, dist_matrix=oracles.dist_matrix(grid.coords))
+    else:
+        cloud = grid
+    with pytest.raises(ValueError, match="unequal shapes"):
+        cloud.pair_distances([0, 1], [2])
+    np.testing.assert_array_equal(cloud.pair_distances([0, 1], [2, 2]), [0.2, 0.1])
 
 
 @pytest.mark.parametrize("abstract", [False, True])
@@ -557,7 +569,7 @@ def test_cloud_file_roundtrip_euclidean(tmp_path):
     cloud = read_cloud_file(path)
     assert cloud.n == 3
     assert cloud.weights[2] == pytest.approx(2.0)
-    assert cloud.distance(0, 1) == pytest.approx(1.0)
+    assert cloud.pair_distances([0], [1])[0] == pytest.approx(1.0)
 
 
 def test_cloud_file_abstract(tmp_path):
@@ -570,7 +582,7 @@ def test_cloud_file_abstract(tmp_path):
     )
     cloud = read_cloud_file(path)
     assert cloud.is_abstract
-    assert cloud.distance(0, 2) == pytest.approx(2.0)
+    assert cloud.pair_distances([0], [2])[0] == pytest.approx(2.0)
 
 
 def test_cloud_file_rejects_asymmetry(tmp_path):
