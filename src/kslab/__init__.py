@@ -16,172 +16,31 @@ clouds and implements, side by side:
   liminf probes, compactness nets, Sobolev quotients
   (:mod:`kslab.convergence`).
 
+The package re-exports each layer's ``__all__``: :mod:`kslab.space`, the
+five layers above, then :mod:`kslab.suites`.  ``kslab.__all__`` is their
+concatenation in that order.  A layer's other attributes, its settings
+among them, stay on the layer, so a test that patches one reaches every
+reader.
+
 A small CLI (``kslab``) batch-runs the diagnostic suites on configured
 spaces and writes machine-readable reports; see :mod:`kslab.cli`.  It is
 the only code that writes files, and every CSV and JSON artifact goes
 through one writer, :mod:`kslab.export`.
 """
 
-from .space import (
-    DoublingProfile,
-    Inapplicable,
-    MeasuredPointCloud,
-    ball_average,
-    build_cloud,
-    carpet,
-    estimate_doubling,
-    gasket,
-    interval_grid,
-    read_cloud_file,
-    square_grid,
-    DEFAULT_KAPPA,
-)
-from .energy import (
-    EnergySweep,
-    ScalarField,
-    ScaleGrid,
-    WalkDimFit,
-    comparability_ratio,
-    energy_sweep,
-    fit_walk_dimension,
-    ks_energies,
-    ks_energy,
-    ks_energy_density,
-    make_scale_grid,
-)
-from .smoothing import (
-    CoveringNet,
-    CutoffReport,
-    MollifierReport,
-    PartitionOfUnity,
-    build_net,
-    check_controlled_cutoff,
-    discrete_lip,
-    mollifier_ladder,
-    mollify,
-    partition_of_unity,
-)
-from .poincare import (
-    MaximalField,
-    PoincareReport,
-    PoincareSample,
-    TelescopeReport,
-    WeakL2Report,
-    maximal_function,
-    poincare_check,
-    telescoping_bound,
-    weak_l2_check,
-)
-from .graphform import (
-    GammaLipReport,
-    GraphDirichletForm,
-    HeatKernelFit,
-    IntrinsicMetricResult,
-    Spectrum,
-    eigen_walk_dimension,
-    energy_measure,
-    fit_subgaussian,
-    form_energy,
-    gamma_vs_lip_check,
-    gasket_form,
-    gasket_harmonic_field,
-    grid_form,
-    heat_kernel,
-    intrinsic_metric,
-    spectrum,
-)
-from .convergence import (
-    CompactnessProbe,
-    MoscoReport,
-    SobolevReport,
-    compactness_probe,
-    recovery_check,
-    sobolev_check,
-    weak_liminf_probe,
-)
-from .suites import (
-    DEFAULT_TOLERANCES,
-    CheckResult,
-    SuiteContext,
-    SUITES,
-    applicable_suites,
-    resolve_walk_dimension,
-    run_suite,
-)
+from .space import *  # noqa: F403
+from .energy import *  # noqa: F403
+from .smoothing import *  # noqa: F403
+from .poincare import *  # noqa: F403
+from .graphform import *  # noqa: F403
+from .convergence import *  # noqa: F403
+from .suites import *  # noqa: F403
+from . import convergence, energy, graphform, poincare, smoothing, space, suites
 
 __all__ = [
-    "DoublingProfile",
-    "Inapplicable",
-    "MeasuredPointCloud",
-    "ball_average",
-    "build_cloud",
-    "carpet",
-    "estimate_doubling",
-    "gasket",
-    "interval_grid",
-    "read_cloud_file",
-    "square_grid",
-    "DEFAULT_KAPPA",
-    "EnergySweep",
-    "ScalarField",
-    "ScaleGrid",
-    "WalkDimFit",
-    "comparability_ratio",
-    "energy_sweep",
-    "fit_walk_dimension",
-    "ks_energies",
-    "ks_energy",
-    "ks_energy_density",
-    "make_scale_grid",
-    "CoveringNet",
-    "CutoffReport",
-    "MollifierReport",
-    "PartitionOfUnity",
-    "build_net",
-    "check_controlled_cutoff",
-    "discrete_lip",
-    "mollifier_ladder",
-    "mollify",
-    "partition_of_unity",
-    "MaximalField",
-    "PoincareReport",
-    "PoincareSample",
-    "TelescopeReport",
-    "WeakL2Report",
-    "maximal_function",
-    "poincare_check",
-    "telescoping_bound",
-    "weak_l2_check",
-    "GammaLipReport",
-    "GraphDirichletForm",
-    "HeatKernelFit",
-    "IntrinsicMetricResult",
-    "Spectrum",
-    "eigen_walk_dimension",
-    "energy_measure",
-    "fit_subgaussian",
-    "form_energy",
-    "gamma_vs_lip_check",
-    "gasket_form",
-    "gasket_harmonic_field",
-    "grid_form",
-    "heat_kernel",
-    "intrinsic_metric",
-    "spectrum",
-    "CompactnessProbe",
-    "MoscoReport",
-    "SobolevReport",
-    "compactness_probe",
-    "recovery_check",
-    "sobolev_check",
-    "weak_liminf_probe",
-    "DEFAULT_TOLERANCES",
-    "CheckResult",
-    "SuiteContext",
-    "SUITES",
-    "applicable_suites",
-    "resolve_walk_dimension",
-    "run_suite",
+    name
+    for layer in (space, energy, smoothing, poincare, graphform, convergence, suites)
+    for name in layer.__all__
 ]
 
 __version__ = "0.1.0"

@@ -6,9 +6,10 @@ summary.  This is the only module that writes files: reports hand it their
 rows through ``table()``.  Exit codes: 0 all selected checks pass, 1 at
 least one check fails, 2 the input is refused, 3 any other error (named
 after the suite that raised it, if any).  Refused input is an invalid
-config or invocation, a cloud file the builder rejects, an OS error, or a
-cloud too coarse for the command (``Inapplicable``).  With a numeric d_w,
-``run`` turns the latter into skipped rows (``suites.run_suite``), so only
+config or invocation, a cloud file the builder rejects, an OS error, a
+cloud too coarse for the command (``Inapplicable``), or a summary.json
+without a valid check table for ``report``.  With a numeric d_w, ``run``
+turns a too-coarse cloud into skipped rows (``suites.run_suite``), so only
 a fitted d_w on a cloud with fewer than three scales, and ``space`` or
 ``sweep`` on a cloud too coarse for their scale grids, refuse an accepted
 config.  Every artifact is computed first, so exits 2 and 3 write nothing.
@@ -130,6 +131,13 @@ def _command_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
+def _echo(cfg: dict, ctx: SuiteContext) -> dict:
+    """The keys every bundle's JSON shares: the config (without ``out``)
+    and the resolved d_w with its provenance."""
+    config = {k: v for k, v in cfg.items() if k != "out"}
+    return {"config": config, "d_w": ctx.d_w, "d_w_provenance": ctx.dw_info}
+
+
 def _build_context(cfg: dict) -> SuiteContext:
     try:
         cloud = build_cloud(cfg["space"])
@@ -190,11 +198,9 @@ def cmd_run(args: argparse.Namespace) -> int:
                 tables[f"{result.name}.csv"] = result.table
 
     summary = {
+        **_echo(cfg, ctx),
         "all_passed": not failed,
         "checks": checks,
-        "config": {k: v for k, v in cfg.items() if k != "out"},
-        "d_w": ctx.d_w,
-        "d_w_provenance": ctx.dw_info,
         "failed": sorted(failed),
         "n_checks": len(checks),
         "suites": selected,
@@ -210,6 +216,7 @@ def cmd_space(args: argparse.Namespace) -> int:
     cloud = ctx.cloud
     profile = ctx.doubling_profile()
     payload = {
+        **_echo(cfg, ctx),
         "cloud": {
             "kind": cloud.kind,
             "n": cloud.n,
@@ -218,9 +225,6 @@ def cmd_space(args: argparse.Namespace) -> int:
             "total_mass": cloud.total_mass,
             "abstract": cloud.is_abstract,
         },
-        "config": {k: v for k, v in cfg.items() if k != "out"},
-        "d_w": ctx.d_w,
-        "d_w_provenance": ctx.dw_info,
         "doubling": profile.summary(),
     }
     tables = {"doubling.csv": profile.table(), "cloud.csv": cloud.table()}
@@ -237,12 +241,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for label, sweep in ctx.standard_sweeps().items():
         tables[f"sweep_{label}.csv"] = sweep.table()
         summaries[label] = sweep.summary()
-    payload = {
-        "config": {k: v for k, v in cfg.items() if k != "out"},
-        "d_w": ctx.d_w,
-        "d_w_provenance": ctx.dw_info,
-        "sweeps": summaries,
-    }
+    payload = {**_echo(cfg, ctx), "sweeps": summaries}
     out = _write_bundle(cfg, tables, {"sweep.json": payload})
     print(f"{len(summaries)} field sweeps -> {out / 'sweep.json'}")
     return 0
@@ -251,29 +250,35 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     bundle = Path(args.bundle)
     summary_path = bundle / "summary.json"
-    if not summary_path.is_file():
-        print(f"error: no summary.json under {bundle}", file=sys.stderr)
-        return 2
+    _require(summary_path.is_file(), f"no summary.json under {bundle}")
     try:
         summary = json.loads(summary_path.read_text())
     except json.JSONDecodeError as exc:
-        print(f"error: corrupt summary.json: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        rows = [
-            ("PASS" if c["passed"] else "FAIL", str(c["name"]), str(c["claim"]), c.get("constant"))
-            for c in summary.get("checks", [])
-        ]
-    except (AttributeError, KeyError, TypeError) as exc:
-        print(f"error: corrupt summary.json: no check table ({exc!r})", file=sys.stderr)
-        return 2
+        raise ConfigError(f"corrupt summary.json: {exc}") from exc
+    checks = summary.get("checks") if isinstance(summary, dict) else None
+    _require(
+        isinstance(checks, list)
+        and isinstance(summary.get("all_passed"), bool)
+        and all(
+            isinstance(c, dict)
+            and isinstance(c.get("name"), str)
+            and isinstance(c.get("claim"), str)
+            and isinstance(c.get("passed"), bool)
+            for c in checks
+        ),
+        "corrupt summary.json: no check table of string names and claims,"
+        " boolean verdicts and a boolean all_passed",
+    )
+    rows = [
+        ("PASS" if c["passed"] else "FAIL", c["name"], c["claim"], c.get("constant"))
+        for c in checks
+    ]
     name_w = max([len(r[1]) for r in rows] + [5])
     claim_w = max([len(r[2]) for r in rows] + [5])
     for flag, name, claim, constant in rows:
         shown = f"{constant:.6g}" if isinstance(constant, (int, float)) else "-"
         print(f"{flag}  {name:<{name_w}}  {claim:<{claim_w}}  {shown}")
-    verdict = "all passed" if summary.get("all_passed") else "FAILURES PRESENT"
+    verdict = "all passed" if summary["all_passed"] else "FAILURES PRESENT"
     print(f"{len(rows)} checks: {verdict} (d_w = {summary.get('d_w')})")
     return 0
 

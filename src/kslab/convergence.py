@@ -31,10 +31,6 @@ from .smoothing import build_net, mollify, partition_of_unity
 from .space import DEFAULT_KAPPA, Inapplicable, MeasuredPointCloud
 
 __all__ = [
-    "DEFAULT_PROBES",
-    "PROBE_OFFSET",
-    "NULLITY_TOL",
-    "TREND_SLACK",
     "MoscoReport",
     "CompactnessProbe",
     "SobolevReport",

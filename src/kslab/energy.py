@@ -41,6 +41,22 @@ from . import space
 from .export import Table
 from .space import DEFAULT_KAPPA, TIE_BAND, Inapplicable, MeasuredPointCloud, segment_sums
 
+__all__ = [
+    "ScalarField",
+    "ks_energies",
+    "ks_energy",
+    "ks_energy_density",
+    "ScaleGrid",
+    "snap_mid_mesh",
+    "make_scale_grid",
+    "EnergySweep",
+    "energy_sweep",
+    "comparability_ratio",
+    "WalkDimFit",
+    "fit_walk_dimension",
+    "liminf_window_scales",
+]
+
 # The one sweep geometry: r_k = r_max * DEFAULT_RATIO**k, k = 0..11, with
 # r_max = diam/4 unless a caller widens it, scales under the floor kappa h
 # dropped, and proxies taken over the DEFAULT_WINDOW smallest that remain.
@@ -499,6 +515,13 @@ def snap_mid_mesh(raw: np.ndarray, h: float) -> np.ndarray:
     return (np.round(raw / h - 0.5) + 0.5) * h
 
 
+def _admissible_scales(cloud: MeasuredPointCloud, raw: np.ndarray) -> np.ndarray:
+    """A ladder of radii snapped to mid-mesh, those under the floor kappa h
+    dropped: the distinct radii, descending."""
+    snapped = snap_mid_mesh(raw, cloud.mesh)
+    return np.unique(snapped[snapped >= cloud.floor])[::-1]
+
+
 def make_scale_grid(cloud: MeasuredPointCloud, r_max: float | None = None) -> ScaleGrid:
     """Build the sweep grid for a cloud, from r_max (default diam/4) down.
 
@@ -509,12 +532,9 @@ def make_scale_grid(cloud: MeasuredPointCloud, r_max: float | None = None) -> Sc
         r_max = cloud.diameter / 4.0
     if r_max <= 0.0:
         raise ValueError("r_max must be positive")
-    raw = r_max * DEFAULT_RATIO ** np.arange(DEFAULT_COUNT)
-    snapped = snap_mid_mesh(raw, cloud.mesh)
-    floor = cloud.floor
-    scales = np.unique(snapped[snapped >= floor])[::-1]
+    scales = _admissible_scales(cloud, r_max * DEFAULT_RATIO ** np.arange(DEFAULT_COUNT))
     if scales.size == 0:
-        raise Inapplicable(f"empty admissible grid: r_max={r_max:g}, floor={floor:g}")
+        raise Inapplicable(f"empty admissible grid: r_max={r_max:g}, floor={cloud.floor:g}")
     return ScaleGrid(cloud=cloud, r_max=float(r_max), scales=scales)
 
 

@@ -26,8 +26,6 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 __all__ = [
-    "DENSE_EIGEN_LIMIT",
-    "PARTIAL_EIGEN_COUNT",
     "GraphDirichletForm",
     "Spectrum",
     "HeatKernelFit",

@@ -21,9 +21,9 @@ import numpy as np
 from .energy import (
     DEFAULT_RATIO,
     ScalarField,
+    _admissible_scales,
     ks_energy_density,
     liminf_window_scales,
-    snap_mid_mesh,
 )
 from .export import Table
 from .graphform import GraphDirichletForm
@@ -32,11 +32,6 @@ from .smoothing import discrete_lip
 from .space import Inapplicable, MeasuredPointCloud, ball_average, segment_sums
 
 __all__ = [
-    "DEFAULT_LAMBDA",
-    "DEFAULT_CENTERS",
-    "RADII_PER_DECADE",
-    "RHS_FLOOR_FACTOR",
-    "POINCARE_MODES",
     "PoincareSample",
     "PoincareReport",
     "MaximalField",
@@ -226,9 +221,8 @@ def _maximal_rho_grid(cloud: MeasuredPointCloud, R: float) -> np.ndarray:
     if R <= floor:
         raise Inapplicable(f"empty radius ladder: R = {R:g} is at or under the floor {floor:g}")
     count = max(1, math.ceil(math.log(R / floor) / math.log(1.0 / DEFAULT_RATIO)) + 2)
-    snapped = snap_mid_mesh(R * DEFAULT_RATIO ** np.arange(count), cloud.mesh)
-    keep = (snapped >= floor) & (snapped < R)
-    grid = np.unique(snapped[keep])[::-1]
+    grid = _admissible_scales(cloud, R * DEFAULT_RATIO ** np.arange(count))
+    grid = grid[grid < R]
     if grid.size == 0:
         raise Inapplicable(f"empty radius ladder below R = {R:g}")
     return grid

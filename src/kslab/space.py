@@ -68,6 +68,26 @@ from .export import Table
 if TYPE_CHECKING:
     from scipy.spatial import cKDTree
 
+__all__ = [
+    "DEFAULT_KAPPA",
+    "Inapplicable",
+    "segment_sums",
+    "segment_max",
+    "Lattice",
+    "MeasuredPointCloud",
+    "ball_average",
+    "interval_grid",
+    "square_grid",
+    "gasket_graph",
+    "gasket_coords",
+    "gasket",
+    "carpet",
+    "read_cloud_file",
+    "build_cloud",
+    "DoublingProfile",
+    "estimate_doubling",
+]
+
 # The one admissibility factor: radii below DEFAULT_KAPPA * mesh are refused.
 DEFAULT_KAPPA = 3.0
 

@@ -459,11 +459,25 @@ class TestReport:
         assert main(["report", str(tmp_path / "nothing")]) == 2
         assert "no summary.json" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("payload", ["{not json", "[]", '{"checks": [{"name": "x"}]}'])
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            "{not json",
+            "[]",
+            '{"checks": [{"name": "x"}]}',
+            "{}",
+            '{"checks": [{"name": "x", "claim": "y", "passed": "no"}], "all_passed": true}',
+            '{"checks": [{"name": "x", "claim": "y", "passed": true}]}',
+            '{"checks": [{"name": 1, "claim": "y", "passed": true}], "all_passed": true}',
+            '{"checks": {}, "all_passed": true}',
+        ],
+    )
     def test_corrupt_summary_exits_two(self, tmp_path, capsys, payload):
         (tmp_path / "summary.json").write_text(payload)
         assert main(["report", str(tmp_path)]) == 2
-        assert "error: corrupt summary.json" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "error: corrupt summary.json" in captured.err and captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["summary.json"]
 
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:

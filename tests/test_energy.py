@@ -258,6 +258,34 @@ def _package_callables():
                         yield f"{mod.__name__}.{name}.{attr}", member
 
 
+def test_package_reexports_each_layer_all():
+    import inspect
+
+    import kslab
+    from kslab import convergence, energy, graphform, poincare, smoothing, space, suites
+
+    layers = (space, energy, smoothing, poincare, graphform, convergence, suites)
+    names = [name for layer in layers for name in layer.__all__]
+    assert kslab.__all__ == names and len(set(names)) == len(names)
+    for layer in layers:
+        for name in layer.__all__:
+            assert getattr(kslab, name) is getattr(layer, name), (layer.__name__, name)
+    for layer in (space, energy):
+        defined = {
+            name
+            for name, obj in vars(layer).items()
+            if not name.startswith("_")
+            and (inspect.isfunction(obj) or inspect.isclass(obj))
+            and obj.__module__ == layer.__name__
+        }
+        assert defined <= set(layer.__all__), sorted(defined - set(layer.__all__))
+    constants = {name for name in names if not callable(getattr(kslab, name))}
+    assert constants == {"DEFAULT_KAPPA", "DEFAULT_TOLERANCES", "SUITES"}
+    # A setting a test patches lives on its layer alone.
+    for setting in ("FLAT_BUDGET", "TIE_BAND", "DENSE_EIGEN_LIMIT", "PARTIAL_EIGEN_COUNT", "KINDS"):
+        assert not hasattr(kslab, setting), setting
+
+
 def test_scale_geometry_takes_no_knobs():
     import dataclasses
     import inspect

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from kslab.energy import ScalarField, ks_energy_density, liminf_window_scales
+from kslab.energy import ScalarField, ks_energy_density, liminf_window_scales, make_scale_grid
 from kslab.graphform import gasket_form, grid_form, intrinsic_metric, spectrum
 from kslab.poincare import (
     DEFAULT_LAMBDA,
@@ -18,7 +18,7 @@ from kslab.poincare import (
     telescoping_bound,
     weak_l2_check,
 )
-from kslab.space import carpet, gasket, interval_grid, segment_sums
+from kslab.space import DEFAULT_KAPPA, carpet, gasket, interval_grid, segment_sums
 from kslab.suites import KINDS
 
 from oracles import chain_ball_average, dist_matrix
@@ -167,6 +167,30 @@ class TestPoincareCheck:
         assert rep.lam == 2.0
         assert rep.c_best > 0.0
         assert rep.seed is None
+
+
+def _written_out_ladder(cloud, top, count, below_top):
+    # The reference ladder written out in full: ratio 2^(-1/2) from the
+    # top, mid-mesh snapping, the kappa h floor, distinct radii, descending.
+    h = cloud.mesh
+    snapped = (np.round(top * (2.0**-0.5) ** np.arange(count) / h - 0.5) + 0.5) * h
+    keep = snapped >= cloud.floor
+    if below_top:
+        keep &= snapped < top
+    return np.unique(snapped[keep])[::-1]
+
+
+@pytest.mark.parametrize("build", [lambda: interval_grid(2001), lambda: carpet(4), lambda: gasket(6)])
+def test_radius_ladders_keep_their_written_out_radii(build):
+    cloud = build()
+    R = max(4.0 * DEFAULT_KAPPA * cloud.mesh, cloud.diameter / 8.0)
+    for top in (R, DEFAULT_LAMBDA * R):  # the maximal function's and the chain's
+        count = max(1, math.ceil(math.log(top / cloud.floor) / math.log(1.0 / 2.0**-0.5)) + 2)
+        expected = _written_out_ladder(cloud, top, count, below_top=True)
+        assert _maximal_rho_grid(cloud, top).tobytes() == expected.tobytes()
+    for r_max in (cloud.diameter / 4.0, cloud.diameter / 2.0):
+        expected = _written_out_ladder(cloud, r_max, 12, below_top=False)
+        assert make_scale_grid(cloud, r_max).scales.tobytes() == expected.tobytes()
 
 
 class TestMaximalFunction:

@@ -314,6 +314,34 @@ class TestSuiteVerdicts:
         assert by_name["poincare_identity_third"].passed
         assert by_name["poincare_identity_third"].details["worst_rel"] <= 0.3
 
+    @pytest.mark.parametrize("n, passed, worst", [(61, False, 1.0 / 3.0), (65, True, 0.1719)])
+    def test_poincare_identity_verdicts_by_size(self, n, passed, worst):
+        # worst_rel is |3 ratio - 1| against its table entry 0.30.  On
+        # interval 61 the radius 0.05 = 3h puts the ball's edge on lattice
+        # points.
+        results = run_suite("poincare", _ctx(interval_grid(n)))
+        (row,) = [r for r in results if r.name == "poincare_identity_third"]
+        assert row.passed is passed
+        assert row.details["worst_rel"] == pytest.approx(worst, abs=1e-4)
+
+    def test_no_literal_scales_a_tolerance(self):
+        # Every bound is its DEFAULT_TOLERANCES entry as written.
+        def lookup(node):
+            name = getattr(getattr(node, "value", None), "id", None)
+            return isinstance(node, ast.Subscript) and name == "DEFAULT_TOLERANCES"
+
+        def literal(node):
+            return isinstance(node, ast.Constant) and isinstance(node.value, (int, float))
+
+        scaled = [
+            node.lineno
+            for node in ast.walk(ast.parse(Path(suites.__file__).read_text()))
+            if isinstance(node, ast.BinOp)
+            and isinstance(node.op, (ast.Mult, ast.Div))
+            and (lookup(node.left) and literal(node.right) or literal(node.left) and lookup(node.right))
+        ]
+        assert scaled == []
+
     @pytest.mark.parametrize("n, floor", [(33, "0.09375"), (41, "0.075")])
     def test_poincare_identity_skipped_under_the_floor(self, n, floor):
         # The identity check's fixed radius 0.05 lies under kappa h when
