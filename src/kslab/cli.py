@@ -269,6 +269,10 @@ def cmd_report(args: argparse.Namespace) -> int:
         "corrupt summary.json: no check table of string names and claims,"
         " boolean verdicts and a boolean all_passed",
     )
+    _require(
+        summary["all_passed"] == all(c["passed"] for c in checks),
+        "corrupt summary.json: all_passed contradicts the check verdicts",
+    )
     rows = [
         ("PASS" if c["passed"] else "FAIL", c["name"], c["claim"], c.get("constant"))
         for c in checks

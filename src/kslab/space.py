@@ -249,7 +249,10 @@ class MeasuredPointCloud:
         (n, n) symmetric distance matrix with zero diagonal.
     mesh : float, optional
         Mesh scale h.  Computed (max nearest-neighbour distance) if omitted.
-        Constructors for exact model spaces pass the closed-form value.
+        Constructors for exact model spaces pass the closed-form value.  A
+        coordinate cloud given it builds no KD-tree at construction: sorted
+        coordinate rows refuse duplicate points, and the tree waits for the
+        first ball query.
     meta : dict, optional
         Provenance tags, e.g. ``{"kind": "gasket", "level": 5}``.
     lattice : (index, step), optional
@@ -306,8 +309,10 @@ class MeasuredPointCloud:
                 for a in (index, ids):
                     a.setflags(write=False)
                 self._lattice = Lattice(float(lattice[1]), ids.shape, index, ids)
-            elif w.size > 1:
+            elif w.size > 1 and mesh is None:
                 nn = self._kdtree().query(c, k=2)[0][:, 1]
+            elif np.unique(c, axis=0).shape[0] < w.size:
+                raise ValueError("duplicate points: two share their coordinates")
         else:
             if lattice is not None:
                 raise ValueError("a lattice needs coordinates")
@@ -699,6 +704,7 @@ def _gasket_subdivision(
     return cells, verts, values
 
 
+@lru_cache(maxsize=8)
 def gasket_graph(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vertices, cells, and edges of the level-m Sierpinski gasket graph.
 
@@ -706,7 +712,8 @@ def gasket_graph(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     is ``(a + b/2, b*sqrt(3)/2) / 2**level``.  Cells are the 3**level upward
     triangles as vertex-id triples, edges the distinct cell sides.  Vertex
     ids follow the lexicographic order of (b, a), which fixes every
-    downstream labelling.
+    downstream labelling.  Each level is built once; the arrays are shared
+    and read-only.
     """
     cells, verts, _ = _gasket_subdivision(level)
     index = {v: i for i, v in enumerate(verts)}
@@ -716,7 +723,10 @@ def gasket_graph(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         for u, v in ((a, b), (a, c), (b, c)):
             edge_set.add((min(u, v), max(u, v)))
     edges = np.array(sorted(edge_set), dtype=np.intp)
-    return np.array(verts, dtype=np.int64), tri, edges
+    graph = np.array(verts, dtype=np.int64), tri, edges
+    for a in graph:
+        a.setflags(write=False)
+    return graph
 
 
 def gasket_coords(int_coords: np.ndarray, level: int) -> np.ndarray:

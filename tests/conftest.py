@@ -51,3 +51,23 @@ def pass_radii(monkeypatch):
     monkeypatch.setattr(MeasuredPointCloud, "ball_chunks", recording)
     monkeypatch.setattr(kslab.energy, "_stencil_table", recording_stencil)
     return radii
+
+
+@pytest.fixture
+def built_trees(monkeypatch):
+    """Record every KD-tree built from here on, in build order.
+
+    kslab imports the tree class from scipy.spatial where it builds one, so
+    the recording class stands in for it there.
+    """
+    import scipy.spatial
+
+    built = []
+
+    class RecordingTree(scipy.spatial.cKDTree):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.spatial, "cKDTree", RecordingTree)
+    return built

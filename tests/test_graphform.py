@@ -734,6 +734,24 @@ def test_subgaussian_fit_sums_each_kernel_once(case, monkeypatch):
     assert len(calls) == 1 and np.asarray(calls[0]).shape == (12,)
 
 
+@pytest.mark.parametrize("name", ["gasket5", "gasket6"])
+def test_subgaussian_fit_masks_distance_rows(name, monkeypatch, built_trees):
+    # The fit reads its ball masses off the centres' distance rows: no ball
+    # query, so no tree, and the pinned fit bit for bit.
+    calls = []
+    real = MeasuredPointCloud.ball_ids
+
+    def counting(self, x, r):
+        calls.append((x, r))
+        return real(self, x, r)
+
+    monkeypatch.setattr(MeasuredPointCloud, "ball_ids", counting)
+    make_cloud, k_max = PINNED_CLOUDS[name]
+    fit = fit_subgaussian(spectrum(gasket_form(make_cloud()), k_max), seed=0)
+    assert calls == [] and built_trees == []
+    assert dataclasses.astuple(fit) == PINNED_FITS[(name, 0)]
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_subgaussian_fit_on_band_matches_full_spectrum(seed):
     # The 25-mode band takes lambda_max from a Lanczos solve and its small-t

@@ -103,17 +103,7 @@ def test_lattice_refuses_two_points_in_one_cell():
 
 
 @pytest.mark.parametrize("kind", ["gasket", "file"])
-def test_tree_refuses_duplicates(kind, tmp_path, monkeypatch):
-    import scipy.spatial
-
-    built = []
-
-    class RecordingTree(scipy.spatial.cKDTree):
-        def __init__(self, *args, **kwargs):
-            built.append(True)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.spatial, "cKDTree", RecordingTree)
+def test_tree_refuses_duplicates(kind, tmp_path, built_trees):
     coords = gasket(2).coords
     coords = np.vstack([coords, coords[4:5]])
     with pytest.raises(ValueError, match="duplicate points"):
@@ -123,7 +113,40 @@ def test_tree_refuses_duplicates(kind, tmp_path, monkeypatch):
             lines = [f"{len(coords)} euclidean"] + [f"{x!r} {y!r} 1.0" for x, y in coords.tolist()]
             (tmp_path / "dup.txt").write_text("\n".join(lines) + "\n")
             read_cloud_file(tmp_path / "dup.txt")
-    assert built
+    assert built_trees
+
+
+@pytest.mark.parametrize("repeat", ["plain", "signed_zero"])
+def test_meshed_cloud_refuses_duplicates_without_a_tree(repeat, built_trees):
+    # A cloud given its mesh finds equal coordinate rows by sorting; -0.0
+    # equals 0.0 there, as it does in the tree.
+    coords = gasket(2).coords
+    extra = coords[4:5] if repeat == "plain" else -coords[0:1]
+    assert repeat == "plain" or np.signbit(extra).all()
+    coords = np.vstack([coords, extra])
+    with pytest.raises(ValueError, match="duplicate points"):
+        MeasuredPointCloud(np.ones(len(coords)), coords=coords, mesh=0.25)
+    assert built_trees == []
+
+
+@pytest.mark.parametrize("level", [5, 7])
+def test_gasket_builds_its_tree_on_the_first_ball_query(level, built_trees):
+    cloud = gasket(level)
+    assert built_trees == []
+    x, r = cloud.n // 3, 5.5 * cloud.mesh
+    ids = cloud.ball_ids(x, r)
+    assert len(built_trees) == 1
+    np.testing.assert_array_equal(ids, np.flatnonzero(cloud.distances_from(x) < r))
+    cloud.ball_ids(x, 2.0 * r)
+    assert len(built_trees) == 1
+
+
+def test_gasket_graph_is_built_once_and_read_only():
+    graph = space.gasket_graph(7)
+    assert space.gasket_graph(7) is graph
+    for a in graph:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
 
 
 @pytest.mark.parametrize(
