@@ -612,10 +612,9 @@ def fit_subgaussian(spec: Spectrum, seed: int = 0) -> HeatKernelFit:
     x_ids = np.array([r[3] for r in rows], dtype=np.intp)
 
     # Every free-exponent trial shares d_w_fit and so the same radii: per
-    # radius vector, each centre's largest ball is a mask on its canonical
-    # distance row, and each smaller ball a mask on that one.  The members
-    # come in ascending ids, as from ball_ids, so the sums match a ball
-    # query's bit for bit without building a tree.
+    # radius vector, one ball per centre at its largest radius; each smaller
+    # radius is a mask on the centre's distance row (ball_ids decides by the
+    # same canonical distance, in ascending ids: same arrays, same sums).
     masses: dict[bytes, np.ndarray] = {}
     dist_rows = {x: cloud.distances_from(x) for x in np.unique(x_ids).tolist()}
 
@@ -626,7 +625,7 @@ def fit_subgaussian(spec: Spectrum, seed: int = 0) -> HeatKernelFit:
             for x, row in dist_rows.items():
                 mine = np.flatnonzero(x_ids == x)
                 rs, inv = np.unique(radii[mine], return_inverse=True)
-                ids = np.flatnonzero(row < rs[-1])
+                ids = cloud.ball_ids(x, float(rs[-1]))
                 d, w = row[ids], cloud.weights[ids]
                 out[mine] = np.array([w[d < r].sum() for r in rs])[inv]
             masses[key] = out

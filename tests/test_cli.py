@@ -560,10 +560,9 @@ def test_gasket_graphform_builds_each_graph_once(tmp_path, monkeypatch):
 
 def test_lattice_runs_load_no_scipy(tmp_path):
     # scipy is imported only where a route calls it: the KD-tree, the hull
-    # and the graph forms.  A fresh process shows what a run loads.  The
-    # gasket graphform run reads its fit's balls off distance rows, so it
-    # loads no scipy.spatial; the gasket run at the end takes the tree
-    # route.  Both must write the bundles this process writes.
+    # and the graph forms.  A fresh process shows what a run loads; the
+    # gasket run at its end takes those routes and must still write the
+    # bundle this process writes.
     import os
     import subprocess
     import sys
@@ -573,10 +572,6 @@ def test_lattice_runs_load_no_scipy(tmp_path):
         ({"kind": "interval_grid", "n": 257}, suite)
         for suite in ("doubling", "energy", "smoothing", "poincare")
     ]
-    graphform = write_config(
-        tmp_path, "graphform.json", space={"kind": "gasket", "level": 5}, d_w=GASKET_D_W,
-        suite="graphform",
-    )
     gasket = write_config(tmp_path, "gasket.json", space={"kind": "gasket", "level": 4}, suite="all")
     configs = [
         str(write_config(tmp_path, f"lattice{k}.json", space=space, suite=suite))
@@ -590,26 +585,22 @@ def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
 loaded = {"import": scipy_modules()}
-for k, path in enumerate(sys.argv[1:-3]):
+for k, path in enumerate(sys.argv[1:-2]):
     assert main(["run", "--config", path, "--out", f"{sys.argv[-1]}/lattice{k}"]) in (0, 1)
     loaded[path] = scipy_modules()
-assert main(["run", "--config", sys.argv[-3], "--out", f"{sys.argv[-1]}/graphform"]) in (0, 1)
-loaded["graphform"] = [m for m in scipy_modules() if m.startswith("scipy.spatial")]
 assert main(["run", "--config", sys.argv[-2], "--out", f"{sys.argv[-1]}/gasket"]) in (0, 1)
 print(json.dumps(loaded))
 """
     src = str(Path(kslab.__file__).parent.parent)
     done = subprocess.run(
-        [sys.executable, "-c", script, *configs, str(graphform), str(gasket), str(tmp_path / "child")],
+        [sys.executable, "-c", script, *configs, str(gasket), str(tmp_path / "child")],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
     )
     loaded = json.loads(done.stdout.splitlines()[-1])
-    assert loaded == {"import": [], **{path: [] for path in configs}, "graphform": []}
-    for run, path in (("graphform", graphform), ("gasket", gasket)):
-        here = tmp_path / "here" / run
-        assert main(["run", "--config", str(path), "--out", str(here)]) in (0, 1)
-        child = tmp_path / "child" / run
-        names = sorted(p.name for p in here.iterdir())
-        assert names and sorted(p.name for p in child.iterdir()) == names
-        for name in names:
-            assert (child / name).read_bytes() == (here / name).read_bytes(), (run, name)
+    assert loaded == {"import": [], **{path: [] for path in configs}}
+    assert main(["run", "--config", str(gasket), "--out", str(tmp_path / "here")]) in (0, 1)
+    child, here = tmp_path / "child" / "gasket", tmp_path / "here"
+    names = sorted(p.name for p in here.iterdir())
+    assert names and sorted(p.name for p in child.iterdir()) == names
+    for name in names:
+        assert (child / name).read_bytes() == (here / name).read_bytes(), name

@@ -678,7 +678,7 @@ def test_subgaussian_fit_queries_each_radius_vector_once(monkeypatch):
     # The tied search tries 57 + 21 values of d_w; the free-exponent refit
     # reuses the radii of d_w_fit instead of querying them 101 more times.
     # Each radius vector costs one ball per centre, not one per sample.
-    assert len(calls) <= 8 * (57 + 21 + 1)
+    assert 0 < len(calls) <= 8 * (57 + 21 + 1)
     centers = np.random.default_rng(0).choice(cloud.n, size=8, replace=False)
     queried = {x for x, _ in calls}
     assert len(queried) <= 8 and queried <= set(centers.tolist())
@@ -732,24 +732,6 @@ def test_subgaussian_fit_sums_each_kernel_once(case, monkeypatch):
     assert got == PINNED_FITS[case]
     # One call: all twelve times, the pairs and the centres' diagonal together.
     assert len(calls) == 1 and np.asarray(calls[0]).shape == (12,)
-
-
-@pytest.mark.parametrize("name", ["gasket5", "gasket6"])
-def test_subgaussian_fit_masks_distance_rows(name, monkeypatch, built_trees):
-    # The fit reads its ball masses off the centres' distance rows: no ball
-    # query, so no tree, and the pinned fit bit for bit.
-    calls = []
-    real = MeasuredPointCloud.ball_ids
-
-    def counting(self, x, r):
-        calls.append((x, r))
-        return real(self, x, r)
-
-    monkeypatch.setattr(MeasuredPointCloud, "ball_ids", counting)
-    make_cloud, k_max = PINNED_CLOUDS[name]
-    fit = fit_subgaussian(spectrum(gasket_form(make_cloud()), k_max), seed=0)
-    assert calls == [] and built_trees == []
-    assert dataclasses.astuple(fit) == PINNED_FITS[(name, 0)]
 
 
 @pytest.mark.parametrize("seed", [0, 1])
