@@ -2,9 +2,9 @@
 Covering nets, partitions of unity, and mollified fields
 ========================================================
 
-Smoothing on a point cloud: pick an epsilon-net, blend tent kernels into a
-partition of unity with controlled slopes, and replace f by ball averages
-recombined through the partition.  The two mollifier estimates say the
+Smoothing on a point cloud: a partition of unity picks its own epsilon-net
+and blends tent kernels on it into bumps with controlled slopes; mollifying
+replaces f by ball averages recombined through the partition.  The two mollifier estimates say the
 smoothed field's slope and its distance to f are both controlled by
 ball-increment quantities at comparable scales.
 """
@@ -13,7 +13,6 @@ import numpy as np
 
 from kslab import (
     ScalarField,
-    build_net,
     check_controlled_cutoff,
     discrete_lip,
     interval_grid,
@@ -27,10 +26,9 @@ f = ScalarField.from_function(cloud, lambda c: np.sin(np.pi * c[:, 0]))
 
 # ---------------------------------------------------------------- nets
 eps = 0.05
-net = build_net(cloud, eps)
-pou = partition_of_unity(net)
-print(f"eps={eps}: net of {net.n_centers} centers covers all"
-      f" {cloud.n} points (greedy, deterministic), cover_ok={net.cover_ok}")
+pou = partition_of_unity(cloud, eps)
+print(f"eps={eps}: net of {pou.n_centers} centers covers all"
+      f" {cloud.n} points (greedy, deterministic)")
 # Every bump's slope comes from one ball pass at eps.
 C = max(float(lip.values.max()) for lip in discrete_lip(pou.fields(), eps)) * eps
 print(f"partition of unity: worst bump slope is C/eps with C = {C:.3f}")
@@ -45,7 +43,7 @@ print(f"||f_eps - f||_L2 = {err:.5f}\n")
 # scale 6 eps.  Both stay bounded as eps shrinks.  One call serves the
 # whole ladder of partitions.
 print("eps      lip_ratio  l2_ratio   ||f_eps-f||^2")
-pous = [partition_of_unity(build_net(cloud, eps)) for eps in (0.1, 0.05, 0.025)]
+pous = [partition_of_unity(cloud, eps) for eps in (0.1, 0.05, 0.025)]
 for rep in mollifier_ladder(f, pous, d_w=2.0):
     print(f"{rep.epsilon:<8} {rep.lip_bound_ratio:<10.4f} {rep.l2_bound_ratio:<10.4f}"
           f" {rep.l2_numerator:.6f}")
@@ -56,6 +54,6 @@ for rep in mollifier_ladder(f, pous, d_w=2.0):
 # mass of the support annulus; the worst quotient is the reported constant.
 print("\ncontrolled cutoff quotients")
 for eps in (0.1, 0.05):
-    rep = check_controlled_cutoff(partition_of_unity(build_net(cloud, eps)), d_w=2.0)
+    rep = check_controlled_cutoff(partition_of_unity(cloud, eps), d_w=2.0)
     print(f"  eps={eps}: worst quotient {rep.worst:.4f}"
           f" over {rep.per_center.size} members")

@@ -5,8 +5,8 @@ clouds and implements, side by side:
 
 * multiscale ball-increment energies with scale sweeps and walk-dimension
   fits (:mod:`kslab.energy`);
-* covering nets, Lipschitz partitions of unity, and mollifiers with the
-  estimates that make them useful (:mod:`kslab.smoothing`);
+* Lipschitz partitions of unity, each on a covering net of its own, and
+  mollifiers with the estimates that make them useful (:mod:`kslab.smoothing`);
 * Poincare inequalities in three right-hand-side flavours, maximal
   functions, and telescoping ball-average bounds (:mod:`kslab.poincare`);
 * graph Dirichlet forms with energy measures, spectra, heat kernels, and

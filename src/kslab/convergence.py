@@ -27,7 +27,7 @@ from .energy import (
 )
 from .export import Table
 from .graphform import GraphDirichletForm, Spectrum, form_energy
-from .smoothing import build_net, mollify, partition_of_unity
+from .smoothing import mollify, partition_of_unity
 from .space import DEFAULT_KAPPA, Inapplicable, MeasuredPointCloud
 
 __all__ = [
@@ -107,7 +107,7 @@ def recovery_check(
     errors = []
     energies = []
     for e, r in pairs:
-        pou = partition_of_unity(build_net(cloud, e))
+        pou = partition_of_unity(cloud, e)
         f_eps = mollify(f, pou)
         err = math.sqrt(float(mu @ (f_eps.values - f.values) ** 2))
         en = ks_energy(f_eps, r, d_w=d_w)

@@ -1,8 +1,9 @@
-"""Covering nets, partitions of unity, and the ball-average mollifier.
+"""Partitions of unity over covering nets, and the ball-average mollifier.
 
 A maximal epsilon-separated subset of the cloud gives open balls that cover
 every point.  Tent kernels on those balls, normalized pointwise, form a
-Lipschitz partition of unity; recombining ball averages of a field against
+Lipschitz partition of unity, whose one ball pass at 2 epsilon also keeps
+the epsilon-balls; recombining a field's averages over those balls against
 the partition yields the smoothed field f_eps.  The module also houses the
 discrete Lipschitz-slope operator and the diagnostic reports that tie the
 smoothing error and the cutoff energies back to the ball-increment
@@ -27,11 +28,9 @@ from .energy import (
 from .space import MeasuredPointCloud, _keep_below, segment_max, segment_sums
 
 __all__ = [
-    "CoveringNet",
     "PartitionOfUnity",
     "MollifierReport",
     "CutoffReport",
-    "build_net",
     "partition_of_unity",
     "mollify",
     "discrete_lip",
@@ -41,125 +40,87 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class CoveringNet:
-    """Maximal epsilon-separated centers whose epsilon-balls cover the cloud."""
+class PartitionOfUnity:
+    """Tent-kernel partition subordinate to the 2-epsilon dilated balls of a net.
+
+    ``center_ids`` is a maximal epsilon-separated subset of the cloud; rows
+    of ``phi``, one per center, are nonnegative, vanish outside B(c, 2 eps)
+    and sum to one at every point.  ``ball_members`` and ``ball_counts``
+    hold each center's eps-ball laid out as in ``ball_chunks``, and
+    ``ball_masses`` its mass, all cut from the partition's own 2 eps pass.
+    """
 
     cloud: MeasuredPointCloud
     epsilon: float
     center_ids: np.ndarray
-    cover_ok: bool
+    phi: np.ndarray
+    ball_members: np.ndarray
+    ball_counts: np.ndarray
+    ball_masses: np.ndarray
 
     @property
     def n_centers(self) -> int:
         return int(self.center_ids.size)
 
+    def fields(self) -> list[ScalarField]:
+        return [ScalarField(self.cloud, row.copy()) for row in self.phi]
 
-def build_net(cloud: MeasuredPointCloud, epsilon: float) -> CoveringNet:
-    """Greedy maximal epsilon-separated net, scanned in id order.
 
-    A point becomes a center exactly when no earlier center lies within
-    epsilon of it, so the result is reproducible and maximality makes the
-    open epsilon-balls a cover.  Radii under twice the mesh are refused:
-    a net that fine cannot cover a discrete cloud with room to spare.
+def partition_of_unity(cloud: MeasuredPointCloud, epsilon: float) -> PartitionOfUnity:
+    """Normalized tent kernels psi(d/eps) = clamp(2 - d/eps, 0, 1) over a greedy net.
+
+    Scanned in id order, a point becomes a center exactly when no earlier
+    center lies within epsilon of it, so the net is reproducible and, being
+    maximal, its open epsilon-balls cover the cloud: every point sees a
+    kernel at full height and the normalization is safe.  Radii under twice
+    the mesh are refused: a net that fine cannot cover a discrete cloud
+    with room to spare.
     """
     if not np.isfinite(epsilon) or epsilon <= 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
     floor = 2.0 * cloud.mesh
     if epsilon < floor:
         raise ValueError(f"epsilon {epsilon:g} below covering floor 2h = {floor:g}")
+    eps = float(epsilon)
     covered = np.zeros(cloud.n, dtype=bool)
     centers: list[int] = []
     for p in range(cloud.n):
         if covered[p]:
             continue
         centers.append(p)
-        covered[cloud.ball_ids(p, epsilon)] = True
-    # covered.all() re-checks the cover instead of trusting the scan.
-    return CoveringNet(
-        cloud=cloud,
-        epsilon=float(epsilon),
-        center_ids=np.asarray(centers, dtype=np.intp),
-        cover_ok=bool(covered.all()),
-    )
-
-
-@dataclass(frozen=True)
-class PartitionOfUnity:
-    """Tent-kernel partition subordinate to the 2-epsilon dilated net balls.
-
-    ``phi`` holds one row per center; rows are nonnegative, vanish outside
-    B(c, 2 eps), and sum to one at every point.  ``ball_masses`` holds
-    mu(B(c, eps)) per center, summed on the members of the partition's own
-    2 eps pass that lie within eps.
-    """
-
-    net: CoveringNet
-    phi: np.ndarray
-    ball_masses: np.ndarray
-
-    @property
-    def cloud(self) -> MeasuredPointCloud:
-        return self.net.cloud
-
-    @property
-    def epsilon(self) -> float:
-        return self.net.epsilon
-
-    @property
-    def n_centers(self) -> int:
-        return self.net.n_centers
-
-    def fields(self) -> list[ScalarField]:
-        return [ScalarField(self.cloud, row.copy()) for row in self.phi]
-
-
-def partition_of_unity(net: CoveringNet) -> PartitionOfUnity:
-    """Normalize tent kernels psi(d/eps) = clamp(2 - d/eps, 0, 1) over the net.
-
-    Covering guarantees every point sees at least one kernel at full height,
-    so the pointwise sum stays >= 1 before normalization and the division is
-    safe.  A vanishing column would mean the net lied about covering.
-    """
-    if not net.cover_ok:
-        raise ValueError("partition of unity needs a covering net")
-    cloud = net.cloud
-    eps = net.epsilon
-    psi = np.zeros((net.n_centers, cloud.n))
-    masses = np.zeros(net.n_centers)
+        covered[cloud.ball_ids(p, eps)] = True
+    center_ids = np.asarray(centers, dtype=np.intp)
+    psi = np.zeros((center_ids.size, cloud.n))
+    balls = []
     pos = 0
-    for sub, flat, counts, d in cloud.ball_chunks(2.0 * eps, net.center_ids):
+    for sub, flat, counts, d in cloud.ball_chunks(2.0 * eps, center_ids):
         rows = np.repeat(np.arange(pos, pos + sub.size), counts)
         psi[rows, flat] = np.clip(2.0 - d / eps, 0.0, 1.0)
-        inner, inner_counts, _ = _keep_below(eps, flat, counts, d)
-        masses[pos : pos + sub.size] = segment_sums(cloud.weights[inner], inner_counts)
+        balls.append(_keep_below(eps, flat, counts, d)[:2])
         pos += sub.size
     total = psi.sum(axis=0)
-    if np.any(total <= 0.0):
-        raise RuntimeError("kernel sum vanished at a point despite cover_ok")
-    return PartitionOfUnity(net=net, phi=psi / total, ball_masses=masses)
+    # Re-check the cover instead of trusting the scan.
+    if not covered.all() or np.any(total <= 0.0):
+        raise RuntimeError("the net's epsilon-balls do not cover the cloud")
+    flat, counts = (np.concatenate(parts) for parts in zip(*balls))
+    masses = segment_sums(cloud.weights[flat], counts)
+    return PartitionOfUnity(cloud, eps, center_ids, psi / total, flat, counts, masses)
 
 
 def mollify(f: ScalarField, pou: PartitionOfUnity) -> ScalarField:
     """Recombine ball averages of ``f`` against the partition.
 
-    f_eps(x) = sum_i avg_{B(c_i, eps)}(f) * phi_i(x).  Constants are fixed
-    points and the output never leaves [min f, max f]: each value is a convex
-    combination of ball averages.
+    f_eps(x) = sum_i avg_{B(c_i, eps)}(f) * phi_i(x), with the eps-balls
+    the partition keeps.  Constants are fixed points and the output never
+    leaves [min f, max f]: each value is a convex combination of ball
+    averages.
     """
     cloud = pou.cloud
     if f.cloud is not cloud:
         raise ValueError("field does not live on the partition's cloud")
-    eps = pou.epsilon
-    w = cloud.weights
-    averages = np.zeros(pou.n_centers)
-    pos = 0
-    for sub, flat, counts, _ in cloud.ball_chunks(eps, centers=pou.net.center_ids):
-        mass = segment_sums(w[flat], counts)
-        averages[pos : pos + sub.size] = (
-            segment_sums(w[flat] * f.values[flat], counts) / mass
-        )
-        pos += sub.size
-    return ScalarField(cloud, averages @ pou.phi)
+    flat = pou.ball_members
+    sums = segment_sums(cloud.weights[flat] * f.values[flat], pou.ball_counts)
+    return ScalarField(cloud, (sums / pou.ball_masses) @ pou.phi)
 
 
 def discrete_lip(

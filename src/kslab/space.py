@@ -244,15 +244,15 @@ class MeasuredPointCloud:
     weights : array_like
         Strictly positive point weights (the measure).
     coords : array_like, optional
-        (n, d) coordinates; the metric is Euclidean.
+        (n, d) coordinates; the metric is Euclidean, and the bounding-box
+        diagonal must be finite (no distance overflows).
     dist_matrix : array_like, optional
         (n, n) symmetric distance matrix with zero diagonal.
     mesh : float, optional
-        Mesh scale h.  Computed (max nearest-neighbour distance) if omitted.
-        Constructors for exact model spaces pass the closed-form value.  A
-        coordinate cloud given it builds no KD-tree at construction: sorted
-        coordinate rows refuse duplicate points, and the tree waits for the
-        first ball query.
+        Mesh scale h.  Computed (max nearest-neighbour distance) if omitted,
+        the one use of a KD-tree at construction.  Constructors for exact
+        model spaces pass the closed-form value.  Every coordinate cloud
+        without a lattice refuses duplicate points by sorting its rows.
     meta : dict, optional
         Provenance tags, e.g. ``{"kind": "gasket", "level": 5}``.
     lattice : (index, step), optional
@@ -297,6 +297,9 @@ class MeasuredPointCloud:
                 raise ValueError("coords and weights disagree on point count")
             if not np.all(np.isfinite(c)):
                 raise ValueError("coordinates must be finite")
+            with np.errstate(over="ignore"):
+                if not np.isfinite(np.sum(np.ptp(c, axis=0) ** 2)):
+                    raise ValueError("coordinates too far apart: their distances overflow")
             self._coords: np.ndarray | None = c
             self._coords.setflags(write=False)
             self._dist: np.ndarray | None = None
@@ -309,10 +312,13 @@ class MeasuredPointCloud:
                 for a in (index, ids):
                     a.setflags(write=False)
                 self._lattice = Lattice(float(lattice[1]), ids.shape, index, ids)
-            elif w.size > 1 and mesh is None:
-                nn = self._kdtree().query(c, k=2)[0][:, 1]
             elif np.unique(c, axis=0).shape[0] < w.size:
                 raise ValueError("duplicate points: two share their coordinates")
+            elif w.size > 1 and mesh is None:
+                nn = self._kdtree().query(c, k=2)[0][:, 1]
+                if np.any(nn == 0.0):
+                    # Distinct rows whose squared difference underflows.
+                    raise ValueError("duplicate points: two lie at distance zero")
         else:
             if lattice is not None:
                 raise ValueError("a lattice needs coordinates")
@@ -337,8 +343,6 @@ class MeasuredPointCloud:
             self._dist.setflags(write=False)
             self._spot_check_triangles()
 
-        if nn is not None and np.any(nn == 0.0):
-            raise ValueError("duplicate points: mesh would be zero")
         computed_h = 0.0 if nn is None else float(nn.max())
         self._mesh = computed_h if mesh is None else float(mesh)
         if self.n > 1 and self._mesh <= 0.0:

@@ -360,9 +360,9 @@ def suite_smoothing(ctx: SuiteContext) -> list[CheckResult]:
     cloud = ctx.cloud
     label, f = ctx.standard_fields()[0]
     ladder = _mollifier_ladder(ctx)
-    # Each rung's net and partition are built once: the mollifier ladder
+    # Each rung's partition is built once: the mollifier ladder
     # reads every rung, the cutoff check the first two.
-    pous = [sm.partition_of_unity(sm.build_net(cloud, eps)) for eps in ladder]
+    pous = [sm.partition_of_unity(cloud, eps) for eps in ladder]
     reports = sm.mollifier_ladder(f, pous, d_w=ctx.d_w)
     lips = [r.lip_bound_ratio for r in reports]
     l2s = [r.l2_bound_ratio for r in reports]

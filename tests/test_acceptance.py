@@ -205,7 +205,7 @@ def test_05_mollifier_two_sided(grid2001):
     values = np.cumsum(rng.standard_normal(grid2001.n)) * math.sqrt(grid2001.mesh)
     values -= values.mean()
     rough = ScalarField(grid2001, values)
-    pous = [sm.partition_of_unity(sm.build_net(grid2001, eps)) for eps in (0.1, 0.05, 0.025)]
+    pous = [sm.partition_of_unity(grid2001, eps) for eps in (0.1, 0.05, 0.025)]
     reports = sm.mollifier_ladder(rough, pous, d_w=2.0)
     lip_spread = _spread([r.lip_bound_ratio for r in reports])
     l2_spread = _spread([r.l2_bound_ratio for r in reports])
@@ -223,7 +223,7 @@ def test_05_mollifier_two_sided(grid2001):
 def _cutoff_spread(cloud, d_w):
     worsts = []
     for eps in (0.2, 0.1):
-        pou = sm.partition_of_unity(sm.build_net(cloud, eps))
+        pou = sm.partition_of_unity(cloud, eps)
         worsts.append(sm.check_controlled_cutoff(pou, d_w=d_w).worst)
     return _spread(worsts)
 

@@ -261,6 +261,22 @@ class TestRun:
         assert not out.exists()
         assert "error: duplicate points" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spacing", [1e150, 1e200])
+    def test_cloud_file_whose_distances_overflow_is_refused(self, tmp_path, capsys, spacing):
+        # Finite coordinates whose squared differences overflow would give
+        # an infinite mesh and diameter; spacing 1e150 still fits.
+        rows = "".join(f"{i * spacing!r} {j * spacing!r} 1.0\n" for i in range(6) for j in range(6))
+        cloud_file = tmp_path / "far.cloud"
+        cloud_file.write_text("36 euclidean\n" + rows)
+        path = write_config(tmp_path, space={"kind": "file", "path": str(cloud_file)}, suite="all")
+        if spacing < 1e154:
+            out = tmp_path / "bundle"
+            assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+            assert (out / "summary.json").exists()
+        else:
+            err = _refused(tmp_path, capsys, path)
+            assert "error: coordinates too far apart: their distances overflow" in err
+
     @pytest.mark.parametrize("command", ["run", "space", "sweep"])
     @pytest.mark.parametrize(
         "mode, row", [("euclidean", "0.5 1.0"), ("abstract", "0.0 1.0")], ids=["euclidean", "abstract"]

@@ -76,14 +76,14 @@ class TestRecoveryCheck:
     def test_energies_match_brute_force(self, grid401):
         # The mollified-field energies feeding the margin must agree with
         # the O(n^2) double sum at the first three ladder steps.
-        from kslab.smoothing import build_net, mollify, partition_of_unity
+        from kslab.smoothing import mollify, partition_of_unity
 
         cloud, form = grid401
         f = ScalarField.from_function(cloud, lambda c: np.sin(np.pi * c[:, 0]))
         rep = recovery_check(f, form)
         dmat = dist_matrix(cloud.coords)
         for eps, r, _, energy in rep.rows[:3]:
-            f_eps = mollify(f, partition_of_unity(build_net(cloud, eps)))
+            f_eps = mollify(f, partition_of_unity(cloud, eps))
             brute = brute_ks_energy(dmat, cloud.weights, f_eps.values, r, 2.0)
             assert energy == pytest.approx(brute, rel=1e-12)
 

@@ -321,9 +321,10 @@ def test_scale_geometry_takes_no_knobs():
         convergence.recovery_check,
     ):
         assert "cloud" not in inspect.signature(fn).parameters, fn.__name__
-    for gone in ("check_mass_bounds", "MassBoundReport", "EnergyMeasure"):
+    for gone in ("check_mass_bounds", "MassBoundReport", "EnergyMeasure", "build_net", "CoveringNet"):
         assert not hasattr(kslab, gone) and gone not in kslab.__all__, gone
         assert not hasattr(kslab.space, gone) and not hasattr(graphform, gone), gone
+        assert not hasattr(kslab.smoothing, gone), gone
     for gone in ("_oracle_energy", "_default_recovery_pairs"):
         assert not hasattr(convergence, gone), gone
     assert not hasattr(kslab.suites, "FORM_KINDS")
@@ -692,10 +693,10 @@ def test_stencil_stays_within_its_memory_budget():
 
     import kslab.space
     from kslab.energy import _stencil_table
-    from kslab.smoothing import build_net, partition_of_unity
+    from kslab.smoothing import partition_of_unity
 
     cloud = carpet(4)
-    pou = partition_of_unity(build_net(cloud, cloud.diameter / 10.0))
+    pou = partition_of_unity(cloud, cloud.diameter / 10.0)
     mat = np.stack([f.values for f in pou.fields()])
     assert mat.shape[0] == 50
     radii = [float(r) for r in make_scale_grid(cloud).window()]

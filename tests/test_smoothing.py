@@ -1,4 +1,4 @@
-"""Nets, partitions of unity, mollifier bounds, cutoff energies."""
+"""Partitions of unity and their nets, mollifier bounds, cutoff energies."""
 
 import numpy as np
 import pytest
@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 
 from kslab.energy import ScalarField, _increment_table, make_scale_grid
 from kslab.smoothing import (
-    build_net,
     check_controlled_cutoff,
     discrete_lip,
     mollifier_ladder,
     mollify,
     partition_of_unity,
 )
-from kslab.space import MeasuredPointCloud, gasket, interval_grid, segment_sums
+from kslab.space import MeasuredPointCloud, gasket, interval_grid, segment_sums, square_grid
 
 import oracles
 
@@ -26,22 +25,20 @@ import oracles
 
 def test_net_single_center_when_epsilon_exceeds_diameter():
     cloud = interval_grid(51)
-    net = build_net(cloud, 1.5)
-    assert net.n_centers == 1
-    assert net.center_ids[0] == 0
-    assert net.cover_ok
+    pou = partition_of_unity(cloud, 1.5)
+    assert pou.n_centers == 1
+    assert pou.center_ids[0] == 0
 
 
 def test_net_interval_hand_count():
     # Greedy from id 0 on h=0.01 lands centers every 0.1 (open balls leave
     # the point at exactly 0.1 uncovered), giving 11 centers.
     cloud = interval_grid(101)
-    net = build_net(cloud, 0.1)
-    assert 10 <= net.n_centers <= 11
-    assert net.cover_ok
+    pou = partition_of_unity(cloud, 0.1)
+    assert 10 <= pou.n_centers <= 11
     # Centers march in steps of ~0.1; ties at exactly 0.1 fall either way
     # depending on float rounding, so only the spacing is pinned.
-    gaps = np.diff(cloud.coords[net.center_ids, 0])
+    gaps = np.diff(cloud.coords[pou.center_ids, 0])
     assert gaps.min() >= 0.1
     assert gaps.max() <= 0.11 + 1e-12
 
@@ -52,19 +49,31 @@ def test_net_matches_brute_force_greedy():
     cloud = MeasuredPointCloud(np.full(150, 1 / 150), coords=coords)
     dmat = oracles.dist_matrix(coords)
     eps = 0.25
-    net = build_net(cloud, eps)
-    assert net.center_ids.tolist() == oracles.brute_greedy_net(dmat, eps)
+    centers = partition_of_unity(cloud, eps).center_ids
+    assert centers.tolist() == oracles.brute_greedy_net(dmat, eps)
     # Pairwise separation and covering, from the raw distance matrix.
-    sub = dmat[np.ix_(net.center_ids, net.center_ids)]
-    off = sub[~np.eye(net.n_centers, dtype=bool)]
+    sub = dmat[np.ix_(centers, centers)]
+    off = sub[~np.eye(centers.size, dtype=bool)]
     assert off.min() >= eps
-    assert (dmat[net.center_ids] < eps).any(axis=0).all()
+    assert (dmat[centers] < eps).any(axis=0).all()
 
 
 def test_net_refuses_unresolvable_epsilon():
     cloud = interval_grid(101)
     with pytest.raises(ValueError, match="covering floor"):
-        build_net(cloud, 0.015)
+        partition_of_unity(cloud, 0.015)
+    for eps in (0.0, -0.1, np.inf, np.nan):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            partition_of_unity(cloud, eps)
+
+
+def test_partition_refuses_a_scan_that_does_not_cover(monkeypatch):
+    # The cover is re-checked, not trusted: a scan whose balls come back
+    # empty covers nothing.
+    cloud = interval_grid(101)
+    monkeypatch.setattr(MeasuredPointCloud, "ball_ids", lambda self, x, r: np.empty(0, np.intp))
+    with pytest.raises(RuntimeError, match="do not cover"):
+        partition_of_unity(cloud, 0.1)
 
 
 # ----------------------------------------------------------------------
@@ -74,7 +83,7 @@ def test_net_refuses_unresolvable_epsilon():
 
 def test_partition_sums_to_one_and_stays_in_range():
     cloud = interval_grid(201)
-    pou = partition_of_unity(build_net(cloud, 0.07))
+    pou = partition_of_unity(cloud, 0.07)
     col = pou.phi.sum(axis=0)
     np.testing.assert_allclose(col, 1.0, atol=1e-12)
     assert pou.phi.min() >= 0.0
@@ -83,17 +92,16 @@ def test_partition_sums_to_one_and_stays_in_range():
 
 def test_partition_supported_in_dilated_balls():
     cloud = interval_grid(201)
-    net = build_net(cloud, 0.07)
-    pou = partition_of_unity(net)
-    for i, c in enumerate(net.center_ids):
+    pou = partition_of_unity(cloud, 0.07)
+    for i, c in enumerate(pou.center_ids):
         d = cloud.distances_from(int(c))
-        assert np.all(pou.phi[i][d >= 2 * net.epsilon] == 0.0)
-        assert np.all(pou.phi[i][d < net.epsilon * 1e-9] > 0.0)
+        assert np.all(pou.phi[i][d >= 2 * pou.epsilon] == 0.0)
+        assert np.all(pou.phi[i][d < pou.epsilon * 1e-9] > 0.0)
 
 
 def test_partition_single_center_is_constant_one():
     cloud = interval_grid(51)
-    pou = partition_of_unity(build_net(cloud, 2.0))
+    pou = partition_of_unity(cloud, 2.0)
     np.testing.assert_allclose(pou.phi, 1.0)
 
 
@@ -102,7 +110,7 @@ def test_partition_slope_bounded_interval():
     # of overlapping bumps keeps the quotient under 4/eps in 1D.
     cloud = interval_grid(101)
     eps = 0.1
-    pou = partition_of_unity(build_net(cloud, eps))
+    pou = partition_of_unity(cloud, eps)
     worst = max(lip.values.max() for lip in discrete_lip(pou.fields(), eps))
     assert worst * eps <= 4.0 + 1e-12
 
@@ -118,16 +126,14 @@ def _line_matrix_cloud(n):
     [(interval_grid(801), 0.1), (gasket(5), 0.125), (_line_matrix_cloud(60), 0.1)],
 )
 def test_partition_ball_masses_equal_an_epsilon_pass(cloud, eps):
-    # The masses come from the partition's 2 eps pass, not a pass of their
-    # own, and still equal a pass at eps bit for bit.
-    pou = partition_of_unity(build_net(cloud, eps))
-    masses = np.concatenate(
-        [
-            segment_sums(cloud.weights[flat], counts)
-            for _, flat, counts, _ in cloud.ball_chunks(eps, centers=pou.net.center_ids)
-        ]
-    )
+    # The eps-balls and their masses come from the partition's 2 eps pass,
+    # not a pass of their own, and still equal a pass at eps bit for bit.
+    pou = partition_of_unity(cloud, eps)
+    chunks = list(cloud.ball_chunks(eps, centers=pou.center_ids))
+    masses = np.concatenate([segment_sums(cloud.weights[flat], counts) for _, flat, counts, _ in chunks])
     assert np.array_equal(pou.ball_masses, masses)
+    assert np.array_equal(pou.ball_members, np.concatenate([flat for _, flat, _, _ in chunks]))
+    assert np.array_equal(pou.ball_counts, np.concatenate([counts for _, _, counts, _ in chunks]))
 
 
 def test_partition_matches_brute_force():
@@ -135,14 +141,10 @@ def test_partition_matches_brute_force():
     coords = rng.uniform(size=(80, 1))
     cloud = MeasuredPointCloud(rng.uniform(0.5, 1.5, size=80), coords=coords)
     eps = max(0.2, 2.5 * cloud.mesh)
-    net = build_net(cloud, eps)
+    pou = partition_of_unity(cloud, eps)
     dmat = oracles.dist_matrix(coords)
-    want = oracles.brute_partition(dmat, net.center_ids.tolist(), eps)
-    np.testing.assert_allclose(pou_phi(net), want, atol=1e-13)
-
-
-def pou_phi(net):
-    return partition_of_unity(net).phi
+    want = oracles.brute_partition(dmat, pou.center_ids.tolist(), eps)
+    np.testing.assert_allclose(pou.phi, want, atol=1e-13)
 
 
 # ----------------------------------------------------------------------
@@ -152,7 +154,7 @@ def pou_phi(net):
 
 def test_mollify_fixes_constants():
     cloud = interval_grid(301)
-    pou = partition_of_unity(build_net(cloud, 0.05))
+    pou = partition_of_unity(cloud, 0.05)
     f = ScalarField.constant(cloud, -2.25)
     out = mollify(f, pou)
     np.testing.assert_allclose(out.values, -2.25, atol=1e-13)
@@ -160,40 +162,61 @@ def test_mollify_fixes_constants():
 
 def test_mollify_identity_error_small():
     cloud = interval_grid(2001)
-    pou = partition_of_unity(build_net(cloud, 0.05))
+    pou = partition_of_unity(cloud, 0.05)
     f = ScalarField.coordinate(cloud)
     err = mollify(f, pou).values - f.values
     l2 = np.sqrt(np.sum(cloud.weights * err**2))
     assert l2 <= 0.05
 
 
-def test_mollify_matches_brute_force():
+def _tree_cloud():
     rng = np.random.default_rng(3)
-    coords = rng.uniform(size=(90, 2))
-    cloud = MeasuredPointCloud(rng.uniform(0.5, 2.0, size=90), coords=coords)
-    eps = max(0.3, 2.5 * cloud.mesh)
-    net = build_net(cloud, eps)
-    pou = partition_of_unity(net)
-    vals = rng.normal(size=90)
+    return MeasuredPointCloud(rng.uniform(0.5, 2.0, size=90), coords=rng.uniform(size=(90, 2)))
+
+
+@pytest.mark.parametrize("blocks", ["default", "tiny"])
+@pytest.mark.parametrize(
+    "make, eps",
+    [(lambda: square_grid(13), 0.2), (_tree_cloud, 0.3), (lambda: _line_matrix_cloud(60), 0.1)],
+    ids=["lattice", "tree", "matrix"],
+)
+def test_mollify_matches_brute_force(make, eps, blocks, request):
+    # Tiny blocks spread the stored eps-balls over many engine blocks.
+    if blocks == "tiny":
+        request.getfixturevalue("tiny_blocks")
+    cloud = make()
+    pou = partition_of_unity(cloud, eps)
+    vals = np.random.default_rng(5).normal(size=cloud.n)
     got = mollify(ScalarField(cloud, vals), pou).values
-    want = oracles.brute_mollify(
-        oracles.dist_matrix(coords), cloud.weights, vals, net.center_ids.tolist(), eps
-    )
+    if cloud.coords is None:
+        dmat = np.stack([cloud.distances_from(i) for i in range(cloud.n)])
+    else:
+        dmat = oracles.dist_matrix(cloud.coords)
+    want = oracles.brute_mollify(dmat, cloud.weights, vals, pou.center_ids.tolist(), eps)
     np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+def test_partition_makes_one_pass_and_mollify_none(pass_radii):
+    # The partition's one pass is at 2 eps; mollify reads the eps-balls it
+    # kept.
+    cloud = interval_grid(401)
+    pou = partition_of_unity(cloud, 0.1)
+    assert pass_radii == [0.2]
+    mollify(ScalarField.coordinate(cloud), pou)
+    assert pass_radii == [0.2]
 
 
 def test_mollify_flattens_spike():
     cloud = interval_grid(101)
     eps = 0.1
-    net = build_net(cloud, eps)
-    pou = partition_of_unity(net)
+    pou = partition_of_unity(cloud, eps)
     vals = np.zeros(cloud.n)
     vals[50] = 1.0
     out = mollify(ScalarField(cloud, vals), pou)
     # The spike carries mass 1/101; any ball average dilutes it by the ball
     # mass, so the smoothed sup-norm cannot exceed the worst mass fraction.
     masses = np.array(
-        [cloud.weights[cloud.ball_ids(int(c), eps)].sum() for c in net.center_ids]
+        [cloud.weights[cloud.ball_ids(int(c), eps)].sum() for c in pou.center_ids]
     )
     assert out.values.max() <= (1.0 / 101.0) / masses.min() + 1e-15
     assert out.values.max() < 1.0
@@ -207,7 +230,7 @@ def test_mollify_flattens_spike():
 )
 def test_mollify_contracts_range_and_is_affine(seed, scale, shift):
     cloud = interval_grid(101)
-    pou = partition_of_unity(build_net(cloud, 0.08))
+    pou = partition_of_unity(cloud, 0.08)
     vals = np.random.default_rng(seed).normal(size=cloud.n)
     f = ScalarField(cloud, vals)
     out = mollify(f, pou)
@@ -225,7 +248,7 @@ def test_mollify_error_decreases_with_epsilon():
     f = ScalarField.from_function(cloud, lambda c: np.abs(c[:, 0] - 0.4))
     errs = []
     for eps in [0.08, 0.04, 0.02]:
-        pou = partition_of_unity(build_net(cloud, eps))
+        pou = partition_of_unity(cloud, eps)
         diff = mollify(f, pou).values - f.values
         errs.append(np.sqrt(np.sum(cloud.weights * diff**2)))
     assert errs[1] <= errs[0] * 1.05
@@ -281,7 +304,7 @@ def test_slope_constant_is_the_largest_bump_slope(pass_radii):
     # The partition's slope constant: the largest bump slope, in units of
     # 1/eps, with every bump read from one ball pass at eps.
     cloud = interval_grid(401)
-    pou = partition_of_unity(build_net(cloud, 0.1))
+    pou = partition_of_unity(cloud, 0.1)
     before = len(pass_radii)
     got = max(lip.values.max() for lip in discrete_lip(pou.fields(), 0.1))
     assert pass_radii[before:] == [0.1]
@@ -303,7 +326,7 @@ def test_lip_refuses_lonely_balls():
 
 def _one_rung(f, eps, d_w=2.0):
     """The mollifier report of ``f`` on a one-rung ladder at ``eps``."""
-    return mollifier_ladder(f, [partition_of_unity(build_net(f.cloud, eps))], d_w=d_w)[0]
+    return mollifier_ladder(f, [partition_of_unity(f.cloud, eps)], d_w=d_w)[0]
 
 
 def _first_moment(f, r):
@@ -331,7 +354,7 @@ def test_mollifier_ladder_checks_constant_fields_too(make_field, foreign, d_w, m
     # A constant field has all-zero reports, but only after the checks that
     # a varying field meets.
     cloud = interval_grid(401)
-    pou = partition_of_unity(build_net(interval_grid(201) if foreign else cloud, 0.05))
+    pou = partition_of_unity(interval_grid(201) if foreign else cloud, 0.05)
     with pytest.raises(ValueError, match=match):
         mollifier_ladder(make_field(cloud), [pou], d_w=d_w)
 
@@ -339,7 +362,7 @@ def test_mollifier_ladder_checks_constant_fields_too(make_field, foreign, d_w, m
 def test_estimates_identity_stable_across_epsilon():
     cloud = interval_grid(2001)
     f = ScalarField.coordinate(cloud)
-    r1, r2 = mollifier_ladder(f, [partition_of_unity(build_net(cloud, e)) for e in (0.05, 0.025)])
+    r1, r2 = mollifier_ladder(f, [partition_of_unity(cloud, e) for e in (0.05, 0.025)])
     assert r1.lip_bound_ratio > 0.0
     ratio = r1.lip_bound_ratio / r2.lip_bound_ratio
     assert 0.5 <= ratio <= 2.0
@@ -348,7 +371,7 @@ def test_estimates_identity_stable_across_epsilon():
 def test_estimates_sine_l2_bounded():
     cloud = interval_grid(2001)
     f = ScalarField.from_function(cloud, lambda c: np.sin(np.pi * c[:, 0]))
-    pous = [partition_of_unity(build_net(cloud, eps)) for eps in [0.05, 0.025]]
+    pous = [partition_of_unity(cloud, eps) for eps in [0.05, 0.025]]
     for rep in mollifier_ladder(f, pous):
         assert 0.0 < rep.l2_bound_ratio <= 10.0
 
@@ -373,7 +396,7 @@ def test_ball_mean_deviation_matches_direct():
 
 def test_cutoff_single_center_is_zero():
     cloud = interval_grid(101)
-    pou = partition_of_unity(build_net(cloud, 2.0))
+    pou = partition_of_unity(cloud, 2.0)
     rep = check_controlled_cutoff(pou, d_w=2.0)
     assert rep.worst == 0.0
 
@@ -382,7 +405,7 @@ def test_cutoff_stable_across_epsilon_interval():
     cloud = interval_grid(2001)
     worsts = []
     for eps in [0.1, 0.05]:
-        pou = partition_of_unity(build_net(cloud, eps))
+        pou = partition_of_unity(cloud, eps)
         worsts.append(check_controlled_cutoff(pou, d_w=2.0).worst)
     assert all(w > 0 for w in worsts)
     big, small = max(worsts), min(worsts)
@@ -394,7 +417,7 @@ def test_cutoff_stable_across_epsilon_gasket():
     d_w = np.log(5) / np.log(2)  # nominal walk exponent for this geometry
     worsts = []
     for eps in [2.0**-3, 2.0**-4]:
-        pou = partition_of_unity(build_net(cloud, eps))
+        pou = partition_of_unity(cloud, eps)
         worsts.append(check_controlled_cutoff(pou, d_w=d_w).worst)
     assert all(np.isfinite(w) and w > 0 for w in worsts)
     assert max(worsts) <= 4.0 * min(worsts)
@@ -407,10 +430,10 @@ def test_cutoff_stable_across_epsilon_gasket():
 
 def test_net_and_partition_exports():
     cloud = interval_grid(101)
-    net = build_net(cloud, 0.1)
-    pou = partition_of_unity(net)
-    assert net.n_centers == net.center_ids.size > 0
-    assert pou.phi.shape == (net.n_centers, cloud.n)
+    pou = partition_of_unity(cloud, 0.1)
+    assert pou.n_centers == pou.center_ids.size > 0
+    assert pou.phi.shape == (pou.n_centers, cloud.n)
+    assert pou.ball_counts.shape == pou.ball_masses.shape == (pou.n_centers,)
     assert np.all(pou.phi >= 0.0) and np.any(pou.phi > 0.0)
 
 
@@ -434,7 +457,7 @@ def _cutoff_reference(pou, d_w):
     masses = np.concatenate(
         [
             segment_sums(cloud.weights[flat], counts)
-            for _, flat, counts, _ in cloud.ball_chunks(eps, centers=pou.net.center_ids)
+            for _, flat, counts, _ in cloud.ball_chunks(eps, centers=pou.center_ids)
         ]
     )
     return limsups * eps**d_w / masses
@@ -442,7 +465,7 @@ def _cutoff_reference(pou, d_w):
 
 def test_cutoff_reads_only_the_window(pass_radii):
     cloud = interval_grid(801)
-    pou = partition_of_unity(build_net(cloud, 0.1))
+    pou = partition_of_unity(cloud, 0.1)
     rep = check_controlled_cutoff(pou, d_w=2.0)
     grid = make_scale_grid(cloud)
     # The partition's 2 eps pass (which also sums the bump masses), then
@@ -455,7 +478,7 @@ def test_cutoff_reads_only_the_window(pass_radii):
 def _smoothing_results():
     cloud = gasket(5)
     d_w = np.log(5) / np.log(2)
-    pou = partition_of_unity(build_net(cloud, 0.125))
+    pou = partition_of_unity(cloud, 0.125)
     f = ScalarField.from_function(cloud, lambda c: np.sin(3.0 * c[:, 0]) + c[:, 1])
     return (
         check_controlled_cutoff(pou, d_w=d_w).per_center,
@@ -482,14 +505,14 @@ def test_mollifier_ladder_equals_single_epsilon_calls(pass_radii):
     cloud = interval_grid(1001)
     f = ScalarField.from_function(cloud, lambda c: np.sin(np.pi * c[:, 0]))
     ladder = [0.2, 0.1, 0.05]
-    pous = [partition_of_unity(build_net(cloud, eps)) for eps in ladder]
+    pous = [partition_of_unity(cloud, eps) for eps in ladder]
     reports = mollifier_ladder(f, pous)
-    # The 2 eps partition pass of every rung, one mollify pass per rung, then 2 eps and 6 eps of every rung share a
-    # single stencil sweep, except 6 * 0.2, which exceeds the diameter and
-    # takes the whole-cloud route; then one slope pass at kappa * h serves
-    # every rung.
+    # The 2 eps partition pass of every rung (mollify reads its balls), then
+    # 2 eps and 6 eps of every rung share a single stencil sweep, except
+    # 6 * 0.2, which exceeds the diameter and takes the whole-cloud route;
+    # then one slope pass at kappa * h serves every rung.
     lip_r = 3.0 * cloud.mesh
     nets = [2.0 * eps for eps in ladder]
-    assert pass_radii == nets + ladder + [6.0 * 0.1] + [lip_r]
+    assert pass_radii == nets + [6.0 * 0.1] + [lip_r]
     for eps, rep in zip(ladder, reports):
         assert rep == _one_rung(f, eps)

@@ -104,16 +104,34 @@ def test_lattice_refuses_two_points_in_one_cell():
 
 @pytest.mark.parametrize("kind", ["gasket", "file"])
 def test_tree_refuses_duplicates(kind, tmp_path, built_trees):
+    # Sorted rows refuse equal coordinates before any KD-tree is built,
+    # whether or not the cloud is given its mesh.
     coords = gasket(2).coords
     coords = np.vstack([coords, coords[4:5]])
-    with pytest.raises(ValueError, match="duplicate points"):
+    with pytest.raises(ValueError, match="duplicate points: two share their coordinates"):
         if kind == "gasket":
             MeasuredPointCloud(np.ones(len(coords)), coords=coords, meta={"kind": "gasket"})
         else:
             lines = [f"{len(coords)} euclidean"] + [f"{x!r} {y!r} 1.0" for x, y in coords.tolist()]
             (tmp_path / "dup.txt").write_text("\n".join(lines) + "\n")
             read_cloud_file(tmp_path / "dup.txt")
-    assert built_trees
+    assert built_trees == []
+
+
+@pytest.mark.parametrize("n_far", [0, 1])
+def test_distinct_points_at_distance_zero_are_refused(n_far):
+    # Rows 1e-200 apart differ, but their squared difference underflows:
+    # the measured mesh refuses them, with or without a far point beside.
+    coords = [[0.0, 0.0], [1e-200, 0.0], [1.0, 0.0]][: 2 + n_far]
+    with pytest.raises(ValueError, match="duplicate points: two lie at distance zero"):
+        MeasuredPointCloud(np.ones(len(coords)), coords=coords)
+
+
+def test_coordinates_whose_distances_overflow_are_refused():
+    with np.errstate(all="raise"):
+        with pytest.raises(ValueError, match="distances overflow"):
+            MeasuredPointCloud(np.ones(2), coords=[[0.0, -1e300], [1e300, 1e300]])
+    MeasuredPointCloud(np.ones(2), coords=[[0.0, 0.0], [1e150, 1e150]])
 
 
 @pytest.mark.parametrize("repeat", ["plain", "signed_zero"])
