@@ -272,7 +272,7 @@ def _stencil_table(
     # Blocks of centre rows run on a few threads (numpy releases the GIL);
     # their workspaces share what the padded arrays leave of FLAT_BUDGET.
     workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = max(1, min(workers or 1, n0))
+    workers = max(1, workers or 1)
     free = space.FLAT_BUDGET - (m + 4) * weights.size
     cells = max(1, free // ((per_cell + m) * workers))
     bc = min(n1, cells)

@@ -45,7 +45,8 @@ __all__ = [
 ]
 
 # Three solve routes (see ``spectrum``).  A path in id order (interval
-# grids) is solved by MRRR on its tridiagonal generator at any size.  Any
+# grids) is solved at any size by bisection and inverse iteration on its
+# tridiagonal generator, in O(n k_max) memory.  Any
 # other form up to DENSE_EIGEN_LIMIT vertices takes one cached dense
 # divide-and-conquer solve, the only route that returns every mode of a
 # non-path form; above the limit shift-invert Lanczos computes the low band
@@ -259,7 +260,8 @@ class Spectrum:
     substitution v = M^{1/2} u, an eigenproblem of M^{-1/2} C M^{-1/2}, a
     matrix that is symmetric bit for bit by construction (the form's
     ``generator``).  ``spectrum`` picks one of three deterministic routes by
-    the form's shape and size (see there).  The pairs are complete when
+    the form's shape and size (see there); the path route's pairs do not
+    depend on the BLAS thread count either.  The pairs are complete when
     ``k_max == n`` and a low band otherwise; heat kernels are exact on
     either (``heat_kernel``).  Inside a degenerate eigenspace the
     eigenfields are one orthonormal basis chosen by the solver; sums over
@@ -333,9 +335,12 @@ def spectrum(form: GraphDirichletForm, k_max: int | None = None) -> Spectrum:
     """The k_max lowest eigenpairs of the generator, by one of three routes.
 
     - A path in id order (edges (i, i + 1), as on interval grids), at any
-      size: MRRR (LAPACK stemr) on the tridiagonal generator for the k_max
-      lowest pairs, solved afresh on each call.  Different k_max agree on
-      their common prefix to about 1 ulp, not bit for bit.
+      size: bisection and inverse iteration (LAPACK stebz, stein) on the
+      tridiagonal generator for the k_max lowest pairs, solved afresh on
+      each call in O(n k_max) memory.  Each eigenvalue is the form's
+      Rayleigh quotient of its field, to about 1e-15 relative.  Different
+      k_max agree on their common eigenvalues to about 2 ulp and on their
+      fields to about 1e-11 of the largest entry (n = 2001), not bit for bit.
     - Any other form at or below DENSE_EIGEN_LIMIT vertices: one full dense
       divide-and-conquer solve, cached on the form on first use; every
       k_max is a read-only view of its leading columns, so prefixes agree
@@ -352,7 +357,7 @@ def spectrum(form: GraphDirichletForm, k_max: int | None = None) -> Spectrum:
     if not (1 <= k_max <= n):
         raise ValueError(f"k_max must lie in [1, {n}], got {k_max}")
     i, j = form.edge_i, form.edge_j
-    path = i.size == n - 1 and bool(np.all(j - i == 1))
+    path = 1 < n == i.size + 1 and bool(np.all(j - i == 1))
     if n <= DENSE_EIGEN_LIMIT and not path:
         all_vals, all_fields, all_res = form._dense_eigen
         vals = all_vals[:k_max].copy()
@@ -362,14 +367,25 @@ def spectrum(form: GraphDirichletForm, k_max: int | None = None) -> Spectrum:
         w = form.cloud.weights
         inv_sqrt = 1.0 / np.sqrt(w)
         if path:
-            import scipy.linalg
+            from scipy.linalg.lapack import dstebz, dstein
 
-            off = np.empty(n - 1)
+            diag, off = form.degrees / w, np.empty(n - 1)
             off[i] = -form.conductances * (inv_sqrt[i] * inv_sqrt[j])
-            vals, vecs = scipy.linalg.eigh_tridiagonal(
-                form.degrees / w, off, select="i", select_range=(0, k_max - 1),
-                lapack_driver="stemr",
-            )
+            # Bisection for the k_max lowest eigenvalues, inverse iteration
+            # for their vectors: n x k_max in all.  stein orthogonalises a
+            # cluster (eigenvalues within 1e-3 of the norm) by BLAS sums whose
+            # order follows the thread count, so it gets one mode per call and
+            # numpy's pairwise sums orthogonalise each cluster here.
+            m, vals, block, split, info = dstebz(diag, off, 2, 0.0, 0.0, 1, k_max, 0.0, "E")
+            vecs = np.empty((n, k_max), order="F")
+            for k in range(min(m, k_max)):
+                vecs[:, k : k + 1], fail = dstein(diag, off, vals[k : k + 1], np.roll(block, -k), split)
+                info |= fail
+                for q in vecs[:, np.flatnonzero(vals[:k] > vals[k] - 2e-3 * diag.max())].T:
+                    vecs[:, k] -= np.sum(q * vecs[:, k]) * q
+                vecs[:, k] /= np.sqrt(np.sum(vecs[:, k] ** 2))
+            if info != 0 or m != k_max:
+                raise RuntimeError(f"tridiagonal eigensolver failed (info {info})")
         else:
             from scipy.sparse.linalg import eigsh
 
@@ -384,6 +400,10 @@ def spectrum(form: GraphDirichletForm, k_max: int | None = None) -> Spectrum:
             vals, vecs = vals[order], vecs[:, order]
         fields = _mu_normalize(vecs, inv_sqrt)
         fields.flags.writeable = False
+        if path:  # each eigenvalue as the form's Rayleigh quotient, by pairwise sums
+            diff = np.asfortranarray(fields[j] - fields[i])
+            energy = np.sum(form.conductances[:, None] * diff**2, axis=0)
+            vals = energy / np.sum(w[:, None] * fields**2, axis=0)
         res = _column_residuals(form, vals, fields)
 
     clamp = np.abs(vals) < 1e-11 * max(1.0, float(np.abs(vals).max()))

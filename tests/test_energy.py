@@ -685,6 +685,34 @@ def test_whole_cloud_route_on_any_cloud(abstract, pass_radii):
     assert np.all(table[2] == 0.0)
 
 
+def test_stencil_splits_a_one_row_lattice_over_every_core(monkeypatch):
+    # Blocks split lattice columns too, so the one row of an interval grid
+    # runs on two cores, and its entries do not depend on the worker count.
+    import os
+
+    import kslab.energy
+    from kslab.energy import _stencil_table
+
+    cloud = interval_grid(2001)
+    wave = np.sin(3.0 * cloud.coords[:, 0])
+    mat = np.stack([wave, wave + 1000.0])
+    radii = [float(r) for r in make_scale_grid(cloud).scales]
+    pools = []
+
+    class RecordingPool(kslab.energy.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(kslab.energy, "ThreadPoolExecutor", RecordingPool)
+    tables = []
+    for cores in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cores: set(range(c)), raising=False)
+        tables.append(_stencil_table(cloud, mat, radii, [2] * len(radii)))
+    assert len(radii) == 12 and pools == [1, 2]
+    assert tables[0].tobytes() == tables[1].tobytes()
+
+
 def test_stencil_stays_within_its_memory_budget():
     # The 50 partition bumps of the cutoff check on carpet 4: besides its
     # output, the stencil holds at most FLAT_BUDGET float64 elements, so its

@@ -341,16 +341,67 @@ def test_path_spectrum_closed_form():
     assert np.max(np.abs(spec.eigenvalues - exact)) < 1e-8 * exact.max()
 
 
-def test_path_low_band_closed_form():
+@pytest.mark.parametrize("n", [2001, 3001, 4097, 8193])
+def test_path_low_band_closed_form(n):
     # The tridiagonal solve keeps lambda_1 ... lambda_24 of a fine line to
     # near machine precision relative to each eigenvalue, not only to
-    # lambda_max.
-    cloud = interval_grid(2001)
+    # lambda_max: each is the form's Rayleigh quotient of its field, a sum
+    # of nonnegative terms, so it stays accurate as the mesh refines.
+    cloud = interval_grid(n)
     spec = spectrum(grid_form(cloud), 25)
-    n, h = cloud.n, cloud.mesh
     k = np.arange(1, 25)
-    exact = 4.0 * np.sin(k * np.pi / (2 * n)) ** 2 / h**2
-    assert np.max(np.abs(spec.eigenvalues[1:] / exact - 1.0)) < 1e-12
+    exact = 4.0 * np.sin(k * np.pi / (2 * n)) ** 2 / cloud.mesh**2
+    assert np.max(np.abs(spec.eigenvalues[1:] / exact - 1.0)) < 1e-13
+
+
+def test_path_ground_state_is_exactly_zero():
+    # The null mode's quotient is far below the clamp even in a 4-mode band,
+    # whose largest eigenvalue sets the clamp threshold.
+    spec = spectrum(grid_form(interval_grid(4097)), 4)
+    assert spec.eigenvalues[0] == 0.0 and spec.eigenvalues[1] > 0.0
+
+
+def test_path_band_memory_is_n_by_k():
+    # Bisection and inverse iteration hold n x k_max numbers, not the n x n
+    # eigenvector array of a full tridiagonal solve (128 MiB at n = 4097).
+    import tracemalloc
+
+    form = grid_form(interval_grid(4097))
+    tracemalloc.start()
+    try:
+        spectrum(form, 25)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
+
+
+def test_path_band_does_not_depend_on_blas_threads():
+    # stein's cluster orthogonalisation sums in an order that follows the
+    # BLAS thread count from n ~ 10 000 on; the path route keeps its sums
+    # in numpy, so both thread counts give the same bytes.
+    import os
+    import subprocess
+    import sys
+
+    script = """
+import hashlib
+from kslab.graphform import grid_form, spectrum
+from kslab.space import interval_grid
+
+spec = spectrum(grid_form(interval_grid(12001)), 25)
+print(hashlib.sha256(spec.eigenvalues.tobytes() + spec.eigenfields.tobytes(order="A")).hexdigest())
+"""
+    src = str(Path(gf.__file__).parent.parent)
+    digests = [
+        subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert digests[0] == digests[1] != ""
 
 
 def test_path_spectrum_by_hand_n4():
@@ -688,6 +739,9 @@ def test_subgaussian_fit_queries_each_radius_vector_once(monkeypatch):
 # n_samples) from one scalar heat_kernel call per (pair, time) and per
 # (centre, time), which the id-array calls replace.  Gasket 6 is fitted on
 # the suites' 25-mode band: the Lanczos solve and the Chebyshev kernels.
+# Interval 65 is fitted on the path route's complete spectrum, whose
+# eigenvalues are the form's Rayleigh quotients of the inverse-iteration
+# fields.
 PINNED_FITS = {
     ("gasket5", 0): (
         0.5226858376204099, 0.2779524312655161, 2.3699999999999997, 1.719999999999999,
@@ -702,8 +756,8 @@ PINNED_FITS = {
         1.403983360413386, 0.5667608553398225, 162,
     ),
     ("interval65", 0): (
-        0.5974403817320825, 0.3295179555634759, 2.075, 1.835,
-        1.0079291188746193, 0.7028089038399532, 168,
+        0.5974403817390044, 0.32951795556441427, 2.075, 1.835,
+        1.0079291188746065, 0.7028089038366332, 168,
     ),
 }
 PINNED_CLOUDS = {
