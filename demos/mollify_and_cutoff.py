@@ -49,9 +49,11 @@ for rep in mollifier_ladder(f, pous, d_w=2.0):
           f" {rep.l2_numerator:.6f}")
 
 # ----------------------------------------------------- cutoff functions
-# Each partition member is a cutoff: 1 near its center, 0 two steps out.
-# The controlled-cutoff check measures energy(phi) * eps^d_w against the
-# mass of the support annulus; the worst quotient is the reported constant.
+# Each partition bump is a cutoff: 1 near its center, 0 two steps out.
+# The controlled-cutoff check measures the bump's small-scale energy times
+# eps^d_w against the mass of the eps-ball at its center; the worst quotient
+# is the reported constant.  The stencil computes each bump only on its
+# support widened by the largest window scale.
 print("\ncontrolled cutoff quotients")
 for eps in (0.1, 0.05):
     rep = check_controlled_cutoff(partition_of_unity(cloud, eps), d_w=2.0)

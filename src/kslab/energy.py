@@ -32,6 +32,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -220,11 +221,16 @@ def _stencil_table(
     come from exact running sums of the weight rows (``_prefix_sums``).
     Offsets whose length lies within ``TIE_BAND`` of a radius are kept or
     dropped pair by pair by the canonical distance, so the balls are exactly
-    those of the ball engine.  Centres are computed on the whole lattice,
-    in blocks of rows, each worker thread in one workspace it reuses; rows
-    wholly in the padding add exact zeros and are skipped.  Besides its
-    output the call holds at most ``FLAT_BUDGET`` elements unless one cell
-    needs more; no sum depends on the block or on the other radii.
+    those of the ball engine.  Each field is computed only on its window,
+    the cells where it is nonzero widened by the largest radius: its
+    entries elsewhere are exact zeros.  Fields that share a window share
+    padded arrays, in chunks small enough to leave half of the budget to
+    the workspaces, and their centres are computed in blocks of rows, on
+    at most one worker thread per core and per block, each in one
+    workspace it reuses.  Rows wholly in the padding add exact zeros and
+    are skipped.  Besides its output the call holds at most ``FLAT_BUDGET``
+    elements unless one cell or the lattice's weight arrays need more; no
+    sum depends on the block, the window or the other radii and fields.
     """
     lat = cloud.lattice
     n0, n1 = lat.shape
@@ -247,53 +253,62 @@ def _stencil_table(
     widest = np.maximum(half[1], half[2])
     hmax = int(widest.max())
 
-    pr, pc = lat.index[:, 0] + py, lat.index[:, 1] + px
-    shape = (n0 + 2 * py, n1 + 2 * px)
-    weights = np.zeros(shape)
-    weights[pr, pc] = cloud.weights
-    fields = np.zeros((m,) + shape)
-    fields[:, pr, pc] = matrix
+    def padded(rows: list[int] | None, y0: int, y1: int, x0: int, x1: int) -> np.ndarray:
+        """The weights, or the given field rows, on a window padded by the reach."""
+        cell_ids = lat.ids[y0:y1, x0:x1]
+        on = cell_ids >= 0
+        points = cell_ids[on]
+        values = cloud.weights[points] if rows is None else matrix[np.ix_(rows, points)]
+        out = np.zeros(values.shape[:-1] + (y1 - y0 + 2 * py, x1 - x0 + 2 * px))
+        out[..., py : py + y1 - y0, px : px + x1 - x0][..., on] = values
+        return out
+
+    weights = padded(None, 0, n0, 0, n1)
     ids = np.pad(lat.ids, ((py, py), (px, px)), constant_values=-1)
     high, low = _prefix_sums(weights)
     # Offset-major window views: [j, ..., row, s] reads column s + j, so a
     # centre in padded column c finds offset dx at [hmax + dx, ..., c - hmax].
     weight_rows = np.moveaxis(sliding_window_view(weights, 2 * hmax + 1, axis=1), -1, 0)
-    field_rows = np.moveaxis(sliding_window_view(fields, 2 * hmax + 1, axis=2), -1, 0)
 
     table = np.zeros((nk, m, cloud.n))
 
-    # Per cell, a workspace holds each radius's row sums and row masses, the
-    # weight, difference and term slabs, and the levels of the widest tree
-    # (at least one row for the tie terms); a block also copies out m results.
+    # Per cell and field chunk of mc fields, a workspace holds each radius's
+    # row sums and row masses, the weight, difference and term slabs, and
+    # the levels of the widest tree (at least one row for the tie terms); a
+    # block also copies out mc results.
     width = 2 * hmax + 1
-    layout = [(2 * d + 1, m) for d in depth] + [(2 * d + 1,) for d in depth]
-    layout += [(width, 1), (width, m), (width, m), (max(hmax, *depth, 1) * m,)]
-    per_cell = sum(int(np.prod(lead)) for lead in layout)
+
+    def layout(mc: int) -> list[tuple[int, ...]]:
+        lay = [(2 * d + 1, mc) for d in depth] + [(2 * d + 1,) for d in depth]
+        return lay + [(width, 1), (width, mc), (width, mc), (max(hmax, *depth, 1) * mc,)]
+
     # Blocks of centre rows run on a few threads (numpy releases the GIL);
-    # their workspaces share what the padded arrays leave of FLAT_BUDGET.
+    # a chunk's padded fields and the workspaces share what the weight
+    # arrays and each thread's numpy iteration buffers (three operands of
+    # np.getbufsize() elements) leave of FLAT_BUDGET.
     workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = max(1, workers or 1)
-    free = space.FLAT_BUDGET - (m + 4) * weights.size
-    cells = max(1, free // ((per_cell + m) * workers))
-    bc = min(n1, cells)
-    br = min(n0, max(1, cells // bc))
+    free = space.FLAT_BUDGET - 4 * weights.size - 3 * np.getbufsize() * workers
 
-    def fill(buffer: np.ndarray, r0: int, r1: int, c0: int, c1: int) -> None:
+    def fill(lay, fields, field_rows, origin, out, buffer, r0, r1, c0, c1) -> None:
         blk = (r1 - r0, c1 - c0)
-        cuts = np.cumsum([int(np.prod(lead)) * blk[0] * blk[1] for lead in layout])
-        views = [v.reshape(*lead, *blk) for v, lead in zip(np.split(buffer, cuts), layout)]
+        cuts = np.cumsum([int(np.prod(lead)) * blk[0] * blk[1] for lead in lay])
+        views = [v.reshape(*lead, *blk) for v, lead in zip(np.split(buffer, cuts), lay)]
         sums, mass, (w, diff, term, scratch) = views[:nk], views[nk : 2 * nk], views[2 * nk :]
         scratch = scratch.reshape(-1)
         buffer[: cuts[2 * nk - 1]] = 0.0  # the row sums and masses
         centre = (slice(r0 + py, r1 + py), slice(c0 + px, c1 + px))
+        # The chunk's padded fields start at padded cell ``origin``.
+        fy, fx = r0 + py - origin[0], c0 + px - origin[1]
+        own = fields[:, fy : fy + blk[0], fx : fx + blk[1]]
         here = ids[centre]
         # Member rows wholly in the padding add exact zeros: their slots stay 0.
         for dy in range(max(-py, 1 - r1), min(py, n0 - 1 - r0) + 1):
             a, hw = abs(dy), int(widest[abs(dy)])
             n_dx = 2 * hw + 1
             rows = slice(r0 + py + dy, r1 + py + dy)
-            span = (slice(hmax - hw, hmax + hw + 1), rows, slice(c0 + px - hmax, c1 + px - hmax))
-            np.copyto(w[:n_dx, 0], weight_rows[span])
+            offsets = slice(hmax - hw, hmax + hw + 1)
+            np.copyto(w[:n_dx, 0], weight_rows[offsets, rows, c0 + px - hmax : c1 + px - hmax])
             used = [k for k in range(nk) if depth[k] >= a]
             keep = {}
             for k in used:
@@ -310,8 +325,8 @@ def _stencil_table(
                     keep[k, dx] = np.zeros(blk, dtype=bool)
                     keep[k, dx][ok] = cloud.pair_distances(here[ok], there[ok]) < radii[k]
                     row_mass += weights[rows, cols] * keep[k, dx]
-            span = span[:1] + (slice(None),) + span[1:]
-            np.subtract(field_rows[span], fields[(slice(None),) + centre], out=diff[:n_dx])
+            members = field_rows[offsets, :, fy + dy : fy + dy + blk[0], fx - hmax : fx - hmax + blk[1]]
+            np.subtract(members, own, out=diff[:n_dx])
             # Squares first: the first powers take |diff| in place.
             for p in (2, 1):
                 hp = int(half[p][a])
@@ -340,19 +355,62 @@ def _stencil_table(
                 np.divide(weights[centre], ball_mass, out=ball_mass)
             row = _pairwise_sum(sums[k], term[0], scratch)
             row *= ball_mass
-            table[k][:, here[at]] = row[:, at]
+            table[k][np.ix_(out, here[at])] = row[:, at]
 
-    starts = [(r0, c0) for r0 in range(0, n0, br) for c0 in range(0, n1, bc)]
-    blocks = [(r0, min(r0 + br, n0), c0, min(c0 + bc, n1)) for r0, c0 in starts]
-    workers = min(workers, len(blocks))
-    # Pages that worker threads allocate stay resident, so every workspace
-    # is made here, and each worker reuses its own for all its blocks.
-    buffers = [np.empty(per_cell * br * bc) for _ in range(workers)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    def sweep(pool: ThreadPoolExecutor, out: list[int], y0: int, y1: int, x0: int, x1: int) -> None:
+        """Fill the entries of the fields ``out`` on their common window."""
+        fields = padded(out, y0, y1, x0, x1)
+        field_rows = np.moveaxis(sliding_window_view(fields, width, axis=2), -1, 0)
+        lay = layout(len(out))
+        per_cell = sum(int(np.prod(lead)) for lead in lay)
+        cells = max(1, (free - fields.size) // ((per_cell + len(out)) * workers))
+        bc = min(x1 - x0, cells)
+        br = min(y1 - y0, max(1, cells // bc))
+        starts = [(r0, c0) for r0 in range(y0, y1, br) for c0 in range(x0, x1, bc)]
+        blocks = [(r0, min(r0 + br, y1), c0, min(c0 + bc, x1)) for r0, c0 in starts]
+        run = partial(fill, lay, fields, field_rows, (y0, x0), out)
+        n_workers = min(workers, len(blocks))
+        # Pages that worker threads allocate stay resident, so every
+        # workspace is made here, and each worker reuses its own for all its
+        # blocks.
+        buffers = [np.empty(per_cell * br * bc) for _ in range(n_workers)]
         # Each block writes its own centres.
-        mine = [blocks[i::workers] for i in range(workers)]
-        list(pool.map(lambda buffer, part: [fill(buffer, *b) for b in part], buffers, mine))
+        mine = [blocks[i::n_workers] for i in range(n_workers)]
+        list(pool.map(lambda buffer, part: [run(buffer, *b) for b in part], buffers, mine))
+
+    # Each field is computed on its window only, with the fields that share
+    # it.  A chunk's padded fields take at most half of what is free, so its
+    # workspaces keep the other half.  One pool serves every window: its
+    # threads start once per call, not once per window.
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for (y0, y1, x0, x1), group in _windows(lat, matrix, reach).items():
+            size = (y1 - y0 + 2 * py) * (x1 - x0 + 2 * px)
+            step = max(1, min(len(group), free // (2 * size)))
+            for start in range(0, len(group), step):
+                sweep(pool, group[start : start + step], y0, y1, x0, x1)
     return table
+
+
+def _windows(
+    lat: space.Lattice, matrix: np.ndarray, reach: int
+) -> dict[tuple[int, int, int, int], list[int]]:
+    """The rows of ``matrix`` grouped by their window on the lattice.
+
+    A row's window holds the cells where it is nonzero, widened by
+    ``reach`` and clipped to the lattice, as (first row, end row, first
+    column, end column).  Every centre outside it has only zeros among its
+    members within ``reach``, so its stencil entries are exact zeros; a row
+    that is zero everywhere has no window.
+    """
+    n0, n1 = lat.shape
+    groups: dict[tuple[int, int, int, int], list[int]] = {}
+    for i, values in enumerate(matrix):
+        cells = lat.index[np.flatnonzero(values)]
+        if cells.size:
+            (a0, b0), (a1, b1) = cells.min(axis=0) - reach, cells.max(axis=0) + reach + 1
+            window = (max(int(a0), 0), min(int(a1), n0), max(int(b0), 0), min(int(b1), n1))
+            groups.setdefault(window, []).append(i)
+    return groups
 
 
 def _tie_offsets(inside: int, band: int) -> list[int]:

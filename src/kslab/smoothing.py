@@ -2,12 +2,12 @@
 
 A maximal epsilon-separated subset of the cloud gives open balls that cover
 every point.  Tent kernels on those balls, normalized pointwise, form a
-Lipschitz partition of unity, whose one ball pass at 2 epsilon also keeps
-the epsilon-balls; recombining a field's averages over those balls against
-the partition yields the smoothed field f_eps.  The module also houses the
-discrete Lipschitz-slope operator and the diagnostic reports that tie the
-smoothing error and the cutoff energies back to the ball-increment
-functionals.
+Lipschitz partition of unity, kept on the bumps' supports, whose one ball
+pass at 2 epsilon also keeps the epsilon-balls; recombining a field's
+averages over those balls against the partition yields the smoothed field
+f_eps.  The module also houses the discrete Lipschitz-slope operator and
+the diagnostic reports that tie the smoothing error and the cutoff energies
+back to the ball-increment functionals.
 """
 
 from __future__ import annotations
@@ -43,17 +43,21 @@ __all__ = [
 class PartitionOfUnity:
     """Tent-kernel partition subordinate to the 2-epsilon dilated balls of a net.
 
-    ``center_ids`` is a maximal epsilon-separated subset of the cloud; rows
-    of ``phi``, one per center, are nonnegative, vanish outside B(c, 2 eps)
-    and sum to one at every point.  ``ball_members`` and ``ball_counts``
-    hold each center's eps-ball laid out as in ``ball_chunks``, and
-    ``ball_masses`` its mass, all cut from the partition's own 2 eps pass.
+    ``center_ids`` is a maximal epsilon-separated subset of the cloud.  Each
+    center's bump is nonnegative, vanishes outside B(c, 2 eps), and the
+    bumps sum to one at every point; they are stored on their supports, laid
+    out as in ``ball_chunks``: ``bump_members`` holds each center's 2 eps
+    ball, ``bump_counts`` its size and ``bump_values`` the bump there.
+    ``ball_members`` and ``ball_counts`` hold each center's eps-ball the
+    same way, and ``ball_masses`` its mass, all cut from the one 2 eps pass.
     """
 
     cloud: MeasuredPointCloud
     epsilon: float
     center_ids: np.ndarray
-    phi: np.ndarray
+    bump_members: np.ndarray
+    bump_counts: np.ndarray
+    bump_values: np.ndarray
     ball_members: np.ndarray
     ball_counts: np.ndarray
     ball_masses: np.ndarray
@@ -63,7 +67,14 @@ class PartitionOfUnity:
         return int(self.center_ids.size)
 
     def fields(self) -> list[ScalarField]:
-        return [ScalarField(self.cloud, row.copy()) for row in self.phi]
+        """Each bump as a field on the whole cloud, built on demand."""
+        ends = np.cumsum(self.bump_counts)
+        out = []
+        for lo, hi in zip(ends - self.bump_counts, ends):
+            row = np.zeros(self.cloud.n)
+            row[self.bump_members[lo:hi]] = self.bump_values[lo:hi]
+            out.append(ScalarField(self.cloud, row))
+        return out
 
 
 def partition_of_unity(cloud: MeasuredPointCloud, epsilon: float) -> PartitionOfUnity:
@@ -90,37 +101,39 @@ def partition_of_unity(cloud: MeasuredPointCloud, epsilon: float) -> PartitionOf
         centers.append(p)
         covered[cloud.ball_ids(p, eps)] = True
     center_ids = np.asarray(centers, dtype=np.intp)
-    psi = np.zeros((center_ids.size, cloud.n))
-    balls = []
-    pos = 0
-    for sub, flat, counts, d in cloud.ball_chunks(2.0 * eps, center_ids):
-        rows = np.repeat(np.arange(pos, pos + sub.size), counts)
-        psi[rows, flat] = np.clip(2.0 - d / eps, 0.0, 1.0)
+    bumps, balls = [], []
+    for _, flat, counts, d in cloud.ball_chunks(2.0 * eps, center_ids):
+        bumps.append((flat, counts, np.clip(2.0 - d / eps, 0.0, 1.0)))
         balls.append(_keep_below(eps, flat, counts, d)[:2])
-        pos += sub.size
-    total = psi.sum(axis=0)
+    members, sizes, psi = (np.concatenate(parts) for parts in zip(*bumps))
+    # Column totals in centre order, as a dense sum over the centres adds them.
+    total = np.bincount(members, weights=psi, minlength=cloud.n)
     # Re-check the cover instead of trusting the scan.
     if not covered.all() or np.any(total <= 0.0):
         raise RuntimeError("the net's epsilon-balls do not cover the cloud")
     flat, counts = (np.concatenate(parts) for parts in zip(*balls))
     masses = segment_sums(cloud.weights[flat], counts)
-    return PartitionOfUnity(cloud, eps, center_ids, psi / total, flat, counts, masses)
+    return PartitionOfUnity(
+        cloud, eps, center_ids, members, sizes, psi / total[members], flat, counts, masses
+    )
 
 
 def mollify(f: ScalarField, pou: PartitionOfUnity) -> ScalarField:
     """Recombine ball averages of ``f`` against the partition.
 
     f_eps(x) = sum_i avg_{B(c_i, eps)}(f) * phi_i(x), with the eps-balls
-    the partition keeps.  Constants are fixed points and the output never
-    leaves [min f, max f]: each value is a convex combination of ball
-    averages.
+    the partition keeps; each point sums its bumps' terms in centre order,
+    reading the bumps on their supports only.  Constants are fixed points
+    and the output never leaves [min f, max f]: each value is a convex
+    combination of ball averages.
     """
     cloud = pou.cloud
     if f.cloud is not cloud:
         raise ValueError("field does not live on the partition's cloud")
     flat = pou.ball_members
     sums = segment_sums(cloud.weights[flat] * f.values[flat], pou.ball_counts)
-    return ScalarField(cloud, (sums / pou.ball_masses) @ pou.phi)
+    terms = np.repeat(sums / pou.ball_masses, pou.bump_counts) * pou.bump_values
+    return ScalarField(cloud, np.bincount(pou.bump_members, weights=terms, minlength=cloud.n))
 
 
 def discrete_lip(
@@ -257,8 +270,9 @@ def check_controlled_cutoff(pou: PartitionOfUnity, d_w: float = 2.0) -> CutoffRe
     window, the ``DEFAULT_WINDOW`` smallest scales of the grid) is
     multiplied by eps^{d_w} / mu(B(c, eps)), with the masses the partition
     already summed; the report keeps the worst center.  All bumps and
-    window scales share one ball pass, which is what makes sweeping a few
-    dozen of them affordable.
+    window scales share one increment table: on a grid cloud the stencil
+    computes each bump only on its support widened by the largest window
+    scale, elsewhere one ball pass serves them all.
     """
     cloud = pou.cloud
     eps = pou.epsilon

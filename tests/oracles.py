@@ -132,6 +132,13 @@ def brute_partition(dmat: np.ndarray, centers: list[int], epsilon: float) -> np.
     return psi / psi.sum(axis=0)
 
 
+def dense_partition(pou) -> np.ndarray:
+    """A partition's bumps as one dense (n_centers, n) array, one row per center."""
+    phi = np.zeros((pou.n_centers, pou.cloud.n))
+    phi[np.repeat(np.arange(pou.n_centers), pou.bump_counts), pou.bump_members] = pou.bump_values
+    return phi
+
+
 def brute_mollify(
     dmat: np.ndarray,
     weights: np.ndarray,

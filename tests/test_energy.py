@@ -485,7 +485,10 @@ def _fsum_balls(cloud, r):
 
 
 def _max_rel_error(got, want):
-    return float(np.max(np.abs(got - want) / np.abs(want)))
+    """Largest relative error; where ``want`` is exactly 0, ``got`` must be too."""
+    err = np.abs(got - want)
+    rel = np.divide(err, np.abs(want), out=np.where(err == 0.0, 0.0, np.inf), where=want != 0.0)
+    return float(np.max(rel))
 
 
 def test_energy_density_matches_fsum_oracle():
@@ -617,15 +620,21 @@ def test_fit_walk_dimension_refuses_foreign_grid():
 
 
 def _lattice_case(kind):
-    """A grid cloud, radii that hit lattice distances, and two fields."""
+    """A grid cloud, radii that hit lattice distances, and three fields."""
+    from kslab.smoothing import partition_of_unity
+
     cloud = {"interval": interval_grid(301), "square": square_grid(31), "carpet": carpet(3)}[kind]
     h = cloud.lattice.step
     c = cloud.coords
     wave = np.sin(3.0 * c[:, 0]) + c[:, -1] ** 2
+    # A partition bump, zero outside a ball inside the lattice: at the
+    # smaller radii the stencil computes it on its window only.
+    bumps = partition_of_unity(cloud, 0.1).fields()
+    bump = bumps[len(bumps) // 2].values
     # 5 h = |(3, 4)| h and sqrt(50) h = |(5, 5)| h = |(1, 7)| h put whole
     # rings of points on the sphere; 1.01 diam puts every point inside.
     radii = [3.5 * h, 5.0 * h, np.sqrt(50.0) * h, 0.3, 1.01 * cloud.diameter]
-    return cloud, radii, [wave, wave + 1000.0]
+    return cloud, radii, [wave, wave + 1000.0, bump]
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -636,12 +645,16 @@ def test_lattice_routes_match_fsum_oracle_and_engine(kind, p):
     cloud, radii, fields = _lattice_case(kind)
     centers = np.arange(0, cloud.n, 5)
     table = _increment_table(cloud, np.stack(fields), radii, [p] * len(radii))
+    # One radius per call too, so the bump's window is narrower than the
+    # lattice at the smaller radii.
+    alone = np.stack([_increment_table(cloud, np.stack(fields), [r], [p])[0] for r in radii])
     engine = _engine_table(cloud, np.stack(fields), radii, [p] * len(radii))
     for k, r in enumerate(radii):
         for i, v in enumerate(fields):
             want = oracles.fsum_increment_rows(cloud.coords, cloud.weights, v, r, p, centers)
-            assert _max_rel_error(table[k, i, centers], want) <= 1e-15, (k, i)
-            assert _max_rel_error(table[k, i], engine[k, i]) <= 1e-13, (k, i)
+            for got in (table, alone):
+                assert _max_rel_error(got[k, i, centers], want) <= 1e-15, (k, i)
+                assert _max_rel_error(got[k, i], engine[k, i]) <= 1e-13, (k, i)
 
 
 @pytest.mark.parametrize("kind", ["interval", "carpet"])
@@ -652,6 +665,7 @@ def test_lattice_routes_ignore_other_radii_centres_and_blocks(kind, monkeypatch)
     cloud, radii, fields = _lattice_case(kind)
     mat = np.stack(fields)
     powers = [2, 1, 2, 1, 1]
+    # 1.01 diam widens every window to the whole lattice.
     full = _increment_table(cloud, mat, radii, powers)
     for k, r in enumerate(radii):
         alone = _increment_table(cloud, mat, [r], [powers[k]])[0]
@@ -734,4 +748,102 @@ def test_stencil_stays_within_its_memory_budget():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert peak <= 8 * kslab.space.FLAT_BUDGET + table.nbytes, peak
+
+
+def test_stencil_holds_partition_bumps_on_their_windows():
+    # The 50 bumps of the test above, each computed on its window in a
+    # workspace sized to it: the call holds a third of the budget besides
+    # its output (the whole lattice of 50 fields at once took 30.4 MiB).
+    import tracemalloc
+
+    import kslab.space
+    from kslab.energy import _stencil_table
+    from kslab.smoothing import partition_of_unity
+
+    cloud = carpet(4)
+    pou = partition_of_unity(cloud, cloud.diameter / 10.0)
+    mat = np.stack([f.values for f in pou.fields()])
+    assert mat.shape[0] == 50
+    radii = [float(r) for r in make_scale_grid(cloud).window()]
+    tracemalloc.start()
+    try:
+        table = _stencil_table(cloud, mat, radii, [2] * len(radii))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * kslab.space.FLAT_BUDGET / 3 + table.nbytes, peak
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: carpet(3), lambda: square_grid(41), lambda: interval_grid(257)],
+    ids=["carpet3", "square41", "interval257"],
+)
+def test_stencil_windows_equal_the_whole_lattice_bit_for_bit(make):
+    # A bump's row is exactly 0 outside its window (its nonzero cells
+    # widened by the reach), and inside it equals the row the whole lattice
+    # gives: one extra nonzero at a far corner widens the window to the
+    # whole lattice and changes no centre farther than the reach from it.
+    from kslab.energy import _stencil_table
+    from kslab.smoothing import partition_of_unity
+    from kslab.space import TIE_BAND
+
+    cloud = make()
+    lat = cloud.lattice
+    cells = lat.index
+    last = np.array(lat.shape) - 1
+    bumps = np.stack([f.values for f in partition_of_unity(cloud, cloud.diameter / 10.0).fields()])
+    radii = [float(r) for r in make_scale_grid(cloud).window()]
+    powers = [2, 1, 2]
+    reach = int(np.floor(max(radii) / lat.step * (1.0 + TIE_BAND)))
+    corners = [int(lat.ids[0, 0]), int(lat.ids[-1, -1])]
+    assert min(corners) >= 0
+    forced, far = bumps.copy(), []
+    for row in forced:
+        far.append([c for c in corners if row[c] == 0.0])
+        row[far[-1]] = 1.0
+    windowed = _stencil_table(cloud, bumps, radii, powers)
+    whole = _stencil_table(cloud, forced, radii, powers)
+    narrow = compared = 0
+    for i, row in enumerate(bumps):
+        support = cells[row != 0.0]
+        lo, hi = support.min(axis=0) - reach, support.max(axis=0) + reach
+        outside = np.any((cells < lo) | (cells > hi), axis=1)
+        narrow += bool(outside.any())
+        assert np.all(windowed[:, i, outside] == 0.0), i
+        spread = cells[forced[i] != 0.0]
+        assert np.all(spread.min(axis=0) - reach <= 0) and np.all(spread.max(axis=0) + reach >= last)
+        gap = np.abs(cells[:, None, :] - cells[far[i]][None, :, :]).max(axis=2)
+        away = np.all(gap > reach, axis=1)
+        assert windowed[:, i, away].tobytes() == whole[:, i, away].tobytes(), i
+        compared += np.count_nonzero(windowed[:, i, away])
+    assert narrow >= len(bumps) // 2 and compared > 0, (narrow, len(bumps))
+
+
+def test_stencil_chunks_fields_past_its_budget(monkeypatch):
+    # Past the budget, the fields of one window are split into chunks whose
+    # padded arrays leave room for the workspaces: the table is the same
+    # bytes, and the call holds at most FLAT_BUDGET elements besides its
+    # output (the 32 padded fields and the weight arrays alone would take
+    # 1.19 times the budget).
+    import tracemalloc
+
+    import kslab.space
+    from kslab.energy import _stencil_table
+
+    cloud = square_grid(101)
+    c = cloud.coords
+    wave = np.sin(3.0 * c[:, 0]) + c[:, 1] ** 2
+    mat = np.stack([wave + k for k in range(32)])
+    radii = [float(r) for r in make_scale_grid(cloud).window()]
+    want = _stencil_table(cloud, mat, radii, [2, 1, 2])
+    monkeypatch.setattr(kslab.space, "FLAT_BUDGET", 400_000)
+    tracemalloc.start()
+    try:
+        table = _stencil_table(cloud, mat, radii, [2, 1, 2])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.tobytes() == want.tobytes()
     assert peak <= 8 * kslab.space.FLAT_BUDGET + table.nbytes, peak

@@ -84,25 +84,27 @@ def test_partition_refuses_a_scan_that_does_not_cover(monkeypatch):
 def test_partition_sums_to_one_and_stays_in_range():
     cloud = interval_grid(201)
     pou = partition_of_unity(cloud, 0.07)
-    col = pou.phi.sum(axis=0)
+    phi = oracles.dense_partition(pou)
+    col = phi.sum(axis=0)
     np.testing.assert_allclose(col, 1.0, atol=1e-12)
-    assert pou.phi.min() >= 0.0
-    assert pou.phi.max() <= 1.0
+    assert phi.min() >= 0.0
+    assert phi.max() <= 1.0
 
 
 def test_partition_supported_in_dilated_balls():
     cloud = interval_grid(201)
     pou = partition_of_unity(cloud, 0.07)
+    phi = oracles.dense_partition(pou)
     for i, c in enumerate(pou.center_ids):
         d = cloud.distances_from(int(c))
-        assert np.all(pou.phi[i][d >= 2 * pou.epsilon] == 0.0)
-        assert np.all(pou.phi[i][d < pou.epsilon * 1e-9] > 0.0)
+        assert np.all(phi[i][d >= 2 * pou.epsilon] == 0.0)
+        assert np.all(phi[i][d < pou.epsilon * 1e-9] > 0.0)
 
 
 def test_partition_single_center_is_constant_one():
     cloud = interval_grid(51)
     pou = partition_of_unity(cloud, 2.0)
-    np.testing.assert_allclose(pou.phi, 1.0)
+    np.testing.assert_allclose(oracles.dense_partition(pou), 1.0)
 
 
 def test_partition_slope_bounded_interval():
@@ -144,7 +146,7 @@ def test_partition_matches_brute_force():
     pou = partition_of_unity(cloud, eps)
     dmat = oracles.dist_matrix(coords)
     want = oracles.brute_partition(dmat, pou.center_ids.tolist(), eps)
-    np.testing.assert_allclose(pou.phi, want, atol=1e-13)
+    np.testing.assert_allclose(oracles.dense_partition(pou), want, atol=1e-13)
 
 
 # ----------------------------------------------------------------------
@@ -432,9 +434,10 @@ def test_net_and_partition_exports():
     cloud = interval_grid(101)
     pou = partition_of_unity(cloud, 0.1)
     assert pou.n_centers == pou.center_ids.size > 0
-    assert pou.phi.shape == (pou.n_centers, cloud.n)
-    assert pou.ball_counts.shape == pou.ball_masses.shape == (pou.n_centers,)
-    assert np.all(pou.phi >= 0.0) and np.any(pou.phi > 0.0)
+    assert oracles.dense_partition(pou).shape == (pou.n_centers, cloud.n)
+    assert pou.bump_counts.shape == pou.ball_counts.shape == pou.ball_masses.shape == (pou.n_centers,)
+    assert pou.bump_members.size == pou.bump_values.size == pou.bump_counts.sum()
+    assert np.all(pou.bump_values >= 0.0) and np.any(pou.bump_values > 0.0)
 
 
 # ----------------------------------------------------------------------
