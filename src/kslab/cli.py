@@ -1,18 +1,17 @@
-"""Experiment driver: build spaces, run check suites, emit report bundles.
+"""Experiment driver: ``run`` writes a check bundle, ``report`` prints one.
 
 The single JSON config file is the audit trail: every run echoes it into the
-summary, and identical config plus identical seed gives a byte-identical
-summary.  This is the only module that writes files: reports hand it their
-rows through ``table()``.  Exit codes: 0 all selected checks pass, 1 at
-least one check fails, 2 the input is refused, 3 any other error (named
-after the suite that raised it, if any).  Refused input is an invalid
-config or invocation, a cloud file the builder rejects, an OS error, a
-cloud too coarse for the command (``Inapplicable``), or a summary.json
-without a valid check table for ``report``.  With a numeric d_w, ``run``
-turns a too-coarse cloud into skipped rows (``suites.run_suite``), so only
-a fitted d_w on a cloud with fewer than three scales, and ``space`` or
-``sweep`` on a cloud too coarse for their scale grids, refuse an accepted
-config.  Every artifact is computed first, so exits 2 and 3 write nothing.
+summary beside what the cloud was, and identical config plus identical seed
+gives a byte-identical bundle.  This is the only module that writes files:
+reports hand it their rows through ``table()``.  Exit codes: 0 all selected
+checks pass, 1 at least one check fails, 2 the input is refused, 3 any
+other error (named after the suite that raised it, if any).  Refused input
+is an invalid config or invocation, a cloud file the builder rejects, an OS
+error, a cloud too coarse for a fitted d_w (``Inapplicable``: fewer than
+three scales), or a summary.json without a valid check table for
+``report``.  With a numeric d_w, ``run`` turns a too-coarse cloud into
+skipped rows (``suites.run_suite``).  Every artifact is computed first, so
+exits 2 and 3 write nothing.
 """
 
 from __future__ import annotations
@@ -123,44 +122,12 @@ def _command_config(args: argparse.Namespace) -> dict:
     overrides applied, validated as one config; seed and out are required."""
     raw = _read_config(args.config)
     for key in ("seed", "suite", "out"):
-        if getattr(args, key, None) is not None:
+        if getattr(args, key) is not None:
             raw[key] = getattr(args, key)
     cfg = _checked_config(raw)
     _require("seed" in cfg, "seed is mandatory: set it in the config or pass --seed")
     _require("out" in cfg, "output directory is mandatory: set 'out' in the config or pass --out")
     return cfg
-
-
-def _echo(cfg: dict, ctx: SuiteContext) -> dict:
-    """The keys every bundle's JSON shares: the config (without ``out``)
-    and the resolved d_w with its provenance."""
-    config = {k: v for k, v in cfg.items() if k != "out"}
-    return {"config": config, "d_w": ctx.d_w, "d_w_provenance": ctx.dw_info}
-
-
-def _build_context(cfg: dict) -> SuiteContext:
-    try:
-        cloud = build_cloud(cfg["space"])
-    except ValueError as exc:  # the builders' word for a cloud file they refuse
-        raise ConfigError(str(exc)) from exc
-    # d_w is resolved on the run's own context, so a fit's forms and solves
-    # serve the suites as well.
-    return SuiteContext(cloud, cfg["d_w"], cfg["seed"])
-
-
-def _write_bundle(cfg: dict, tables: dict, payloads: dict) -> Path:
-    """Create the output directory and write the given artifacts into it.
-
-    Called only after everything is computed, so a run that exits 2
-    leaves nothing on disk.
-    """
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    for name, (header, rows) in tables.items():
-        write_csv(out / name, header, rows)
-    for name, payload in payloads.items():
-        write_json(out / name, payload)
-    return out
 
 
 def _select_suites(cfg: dict, cloud) -> list[str]:
@@ -177,8 +144,14 @@ def _select_suites(cfg: dict, cloud) -> list[str]:
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _command_config(args)
-    ctx = _build_context(cfg)
-    selected = _select_suites(cfg, ctx.cloud)
+    try:
+        cloud = build_cloud(cfg["space"])
+    except ValueError as exc:  # the builders' word for a cloud file they refuse
+        raise ConfigError(str(exc)) from exc
+    # d_w is resolved on the run's own context, so a fit's forms and solves
+    # serve the suites as well.
+    ctx = SuiteContext(cloud, cfg["d_w"], cfg["seed"])
+    selected = _select_suites(cfg, cloud)
 
     checks = []
     failed = []
@@ -198,53 +171,31 @@ def cmd_run(args: argparse.Namespace) -> int:
                 tables[f"{result.name}.csv"] = result.table
 
     summary = {
-        **_echo(cfg, ctx),
+        "config": {k: v for k, v in cfg.items() if k != "out"},
+        "d_w": ctx.d_w,
+        "d_w_provenance": ctx.dw_info,
+        "cloud": {
+            "kind": cloud.kind,
+            "n": cloud.n,
+            "mesh": cloud.mesh,
+            "total_mass": cloud.total_mass,
+            "abstract": cloud.is_abstract,
+        },
         "all_passed": not failed,
         "checks": checks,
         "failed": sorted(failed),
         "n_checks": len(checks),
         "suites": selected,
     }
-    out = _write_bundle(cfg, tables, {"summary.json": summary})
+    # Everything is computed before the directory is made, so a run that
+    # exits 2 or 3 leaves nothing on disk.
+    out = Path(cfg["out"])
+    out.mkdir(parents=True, exist_ok=True)
+    for name, (header, rows) in tables.items():
+        write_csv(out / name, header, rows)
+    write_json(out / "summary.json", summary)
     print(f"{len(checks)} checks, {len(failed)} failed -> {out / 'summary.json'}")
     return 1 if failed else 0
-
-
-def cmd_space(args: argparse.Namespace) -> int:
-    cfg = _command_config(args)
-    ctx = _build_context(cfg)
-    cloud = ctx.cloud
-    profile = ctx.doubling_profile()
-    payload = {
-        **_echo(cfg, ctx),
-        "cloud": {
-            "kind": cloud.kind,
-            "n": cloud.n,
-            "mesh": cloud.mesh,
-            "diameter": cloud.diameter,
-            "total_mass": cloud.total_mass,
-            "abstract": cloud.is_abstract,
-        },
-        "doubling": profile.summary(),
-    }
-    tables = {"doubling.csv": profile.table(), "cloud.csv": cloud.table()}
-    out = _write_bundle(cfg, tables, {"space.json": payload})
-    print(f"cloud with {cloud.n} points -> {out / 'space.json'}")
-    return 0
-
-
-def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _command_config(args)
-    ctx = _build_context(cfg)
-    tables = {}
-    summaries = {}
-    for label, sweep in ctx.standard_sweeps().items():
-        tables[f"sweep_{label}.csv"] = sweep.table()
-        summaries[label] = sweep.summary()
-    payload = {**_echo(cfg, ctx), "sweeps": summaries}
-    out = _write_bundle(cfg, tables, {"sweep.json": payload})
-    print(f"{len(summaries)} field sweeps -> {out / 'sweep.json'}")
-    return 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -294,21 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def with_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", required=True, help="path to the JSON experiment config")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--out", default=None, help="override the output directory")
-
-    p_space = sub.add_parser("space", help="build the cloud and profile its geometry")
-    with_common(p_space)
-    p_space.set_defaults(func=cmd_space)
-
-    p_sweep = sub.add_parser("sweep", help="multiscale energy sweeps for the standard fields")
-    with_common(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
-
     p_run = sub.add_parser("run", help="run the configured suites and write a bundle")
-    with_common(p_run)
+    p_run.add_argument("--config", required=True, help="path to the JSON experiment config")
+    p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p_run.add_argument("--out", default=None, help="override the output directory")
     p_run.add_argument("--suite", default=None, help="suite selection override")
     p_run.set_defaults(func=cmd_run)
 

@@ -32,7 +32,6 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,7 +39,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import space
 from .export import Table
-from .space import DEFAULT_KAPPA, TIE_BAND, Inapplicable, MeasuredPointCloud, segment_sums
+from .space import TIE_BAND, Inapplicable, MeasuredPointCloud, segment_sums
 
 __all__ = [
     "ScalarField",
@@ -366,17 +365,23 @@ def _stencil_table(
         cells = max(1, (free - fields.size) // ((per_cell + len(out)) * workers))
         bc = min(x1 - x0, cells)
         br = min(y1 - y0, max(1, cells // bc))
-        starts = [(r0, c0) for r0 in range(y0, y1, br) for c0 in range(x0, x1, bc)]
-        blocks = [(r0, min(r0 + br, y1), c0, min(c0 + bc, x1)) for r0, c0 in starts]
-        run = partial(fill, lay, fields, field_rows, (y0, x0), out)
-        n_workers = min(workers, len(blocks))
+        n_cols = -(-(x1 - x0) // bc)
+        n_blocks = -(-(y1 - y0) // br) * n_cols
+        n_workers = min(workers, n_blocks)
         # Pages that worker threads allocate stay resident, so every
         # workspace is made here, and each worker reuses its own for all its
         # blocks.
         buffers = [np.empty(per_cell * br * bc) for _ in range(n_workers)]
-        # Each block writes its own centres.
-        mine = [blocks[i::n_workers] for i in range(n_workers)]
-        list(pool.map(lambda buffer, part: [run(buffer, *b) for b in part], buffers, mine))
+
+        def work(i: int) -> None:
+            """Every ``n_workers``-th block from block i, row-major; each
+            block writes its own centres."""
+            for b in range(i, n_blocks, n_workers):
+                r0, c0 = y0 + b // n_cols * br, x0 + b % n_cols * bc
+                r1, c1 = min(r0 + br, y1), min(c0 + bc, x1)
+                fill(lay, fields, field_rows, (y0, x0), out, buffers[i], r0, r1, c0, c1)
+
+        list(pool.map(work, range(n_workers)))
 
     # Each field is computed on its window only, with the fields that share
     # it.  A chunk's padded fields take at most half of what is free, so its
@@ -621,23 +626,6 @@ class EnergySweep:
 
     def table(self) -> Table:
         return ("r", "energy"), tuple(zip(self.scales.tolist(), self.values.tolist()))
-
-    def summary(self) -> dict:
-        return {
-            "label": self.label,
-            "d_w": self.d_w,
-            "kappa": DEFAULT_KAPPA,
-            "ratio": DEFAULT_RATIO,
-            "window": int(self.window_scales.size),
-            "r_max": self.grid.r_max,
-            "r_min": self.grid.r_min,
-            "n_scales": int(self.scales.size),
-            "liminf_proxy": self.liminf_proxy,
-            "limsup_proxy": self.limsup_proxy,
-            "sup_all": self.sup_all,
-            "fitted_limit": self.fitted_limit,
-            "field_l2sq": self.field_l2sq,
-        }
 
 
 def _fit_window_endpoint(window_scales: np.ndarray, window_values: np.ndarray) -> float:

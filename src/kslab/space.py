@@ -612,18 +612,6 @@ class MeasuredPointCloud:
         hi = self._coords.max(axis=0)
         return np.minimum(self._coords - lo, hi - self._coords).min(axis=1)
 
-    # ------------------------------------------------------------------
-    # export
-    # ------------------------------------------------------------------
-
-    def table(self) -> Table:
-        """The cloud as a table with columns id, x0..x{d-1}, weight."""
-        if self._coords is None:
-            return ("id", "weight"), tuple(enumerate(self._weights.tolist()))
-        header = ("id", *(f"x{k}" for k in range(self.dim)), "weight")
-        rows = np.column_stack([self._coords, self._weights]).tolist()
-        return header, tuple((i, *row) for i, row in enumerate(rows))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"MeasuredPointCloud(n={self.n}, kind={self.kind!r}, h={self._mesh:.3g}, "
@@ -883,23 +871,11 @@ class DoublingProfile:
     c_d: float
     q_fit: float
     c_low: float
-    scales: np.ndarray
-    seed: int
 
     def table(self) -> Table:
         header = ("center", "r", "mass_r", "mass_2r", "ratio")
         cols = (self.centers, self.radii, self.mass_r, self.mass_2r, self.ratios)
         return header, tuple(zip(*(c.tolist() for c in cols)))
-
-    def summary(self) -> dict:
-        return {
-            "c_d": self.c_d,
-            "q_fit": self.q_fit,
-            "c_low": self.c_low,
-            "n_samples": int(self.centers.size),
-            "scales": [float(s) for s in self.scales],
-            "seed": self.seed,
-        }
 
 
 def estimate_doubling(
@@ -985,6 +961,4 @@ def estimate_doubling(
         c_d=float(ratios.max()),
         q_fit=q_fit,
         c_low=c_low,
-        scales=adm,
-        seed=seed,
     )

@@ -155,12 +155,6 @@ class SuiteContext:
             )
         return self._doubling[interior_only]
 
-    def standard_sweeps(self) -> dict[str, EnergySweep]:
-        """Energy sweep of each standard field over the fixed scale grid, one pass."""
-        labels, fields = zip(*self.standard_fields())
-        sweeps = energy_sweep(fields, d_w=self.d_w, label=labels)
-        return {s.label: s for s in sweeps}
-
     @cached_property
     def form(self) -> gf.GraphDirichletForm:
         if self.facts.form is None:
@@ -296,7 +290,9 @@ def _energy_calibration_2d(ctx: SuiteContext, sweeps: dict[str, EnergySweep]) ->
 
 
 def suite_energy(ctx: SuiteContext) -> list[CheckResult]:
-    sweeps = ctx.standard_sweeps()
+    # Each standard field's sweep over the fixed scale grid, in one pass.
+    labels, fields = zip(*ctx.standard_fields())
+    sweeps = {s.label: s for s in energy_sweep(fields, d_w=ctx.d_w, label=labels)}
     calibrate = ctx.facts.calibration if ctx.d_w == ctx.facts.d_w else _sweep_finite
     results = [calibrate(ctx, sweeps)]
 

@@ -31,10 +31,10 @@ def write_config(tmp_path, name="cfg.json", **overrides):
     return path
 
 
-def _refused(tmp_path, capsys, config_path, command="run"):
-    """The message of a command that exits 2 and writes nothing."""
+def _refused(tmp_path, capsys, config_path):
+    """The message of a run that exits 2 and writes nothing."""
     out = tmp_path / "refused"
-    assert main([command, "--config", str(config_path), "--out", str(out)]) == 2
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
     assert not out.exists()
     return capsys.readouterr().err
 
@@ -131,31 +131,20 @@ class TestRun:
         assert "unknown config keys: ['scale_grid']" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "command, space",
-        [
-            ("run", {"kind": "interval_grid", "n": 9}),
-            ("space", {"kind": "gasket", "level": 3}),
-            ("run", {"kind": "square_grid", "n": 9}),
-            ("sweep", {"kind": "gasket", "level": 1}),
-            ("space", {"kind": "carpet", "level": 1}),
-        ],
+        "space",
+        [{"kind": "interval_grid", "n": 9}, {"kind": "square_grid", "n": 9}],
+        ids=lambda space: f"{space['kind']}{space['n']}",
     )
-    def test_failure_after_validation_writes_nothing(self, tmp_path, capsys, command, space):
+    def test_failure_after_validation_writes_nothing(self, tmp_path, capsys, space):
         # The configs validate, then a computation raises: a fitted d_w
-        # needs three scales, which interval 9 lacks even on the diam/2 grid,
-        # and gasket 3 is too coarse for the doubling scale grid.  Suites
-        # skip what a cloud cannot support, but these values have no row.
-        # The same holds for square 9, and for the scale grids of gasket 1
-        # and carpet 1.
+        # needs three scales, which interval 9 and square 9 lack even on
+        # the diam/2 grid.  Suites skip what a cloud cannot support, but
+        # this value has no row.
         out = tmp_path / "bundle"
-        d_w = "fit" if command == "run" else 2.0
-        path = write_config(tmp_path, space=space, d_w=d_w, suite="all", out=str(out))
-        assert main([command, "--config", str(path)]) == 2
+        path = write_config(tmp_path, space=space, d_w="fit", suite="all", out=str(out))
+        assert main(["run", "--config", str(path)]) == 2
         assert not out.exists()
-        err = capsys.readouterr().err
-        assert "error:" in err
-        if command == "run":
-            assert "error: walk-dimension fit needs at least three scales" in err
+        assert "error: walk-dimension fit needs at least three scales" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "space",
@@ -277,17 +266,16 @@ class TestRun:
             err = _refused(tmp_path, capsys, path)
             assert "error: coordinates too far apart: their distances overflow" in err
 
-    @pytest.mark.parametrize("command", ["run", "space", "sweep"])
     @pytest.mark.parametrize(
         "mode, row", [("euclidean", "0.5 1.0"), ("abstract", "0.0 1.0")], ids=["euclidean", "abstract"]
     )
-    def test_one_point_cloud_file_is_refused(self, tmp_path, capsys, command, mode, row):
+    def test_one_point_cloud_file_is_refused(self, tmp_path, capsys, mode, row):
         # A single point has diameter 0, so no scale fits in it: refused
         # input, not a library fault.
         cloud_file = tmp_path / "one.cloud"
         cloud_file.write_text(f"1 {mode}\n{row}\n")
         path = write_config(tmp_path, space={"kind": "file", "path": str(cloud_file)})
-        err = _refused(tmp_path, capsys, path, command)
+        err = _refused(tmp_path, capsys, path)
         assert "error: a cloud file needs at least two points" in err
 
     def test_fit_provenance_recorded(self, tmp_path):
@@ -444,23 +432,48 @@ def test_one_way_out_and_fixed_bounds(tmp_path, capsys):
     assert "unknown config keys: ['tolerances']" in capsys.readouterr().err
 
 
-class TestSpaceAndSweep:
-    def test_space_bundle(self, tmp_path):
+class TestRunBundles:
+    def test_doubling_bundle(self, tmp_path):
         path = write_config(tmp_path, out=str(tmp_path / "s"))
-        assert main(["space", "--config", str(path)]) == 0
-        for name in ("cloud.csv", "doubling.csv", "space.json"):
-            assert (tmp_path / "s" / name).is_file()
-        payload = json.loads((tmp_path / "s" / "space.json").read_text())
-        assert payload["cloud"]["kind"] == "interval_grid" and payload["cloud"]["n"] == 401
-        assert payload["doubling"]["c_d"] <= 2.1
+        assert main(["run", "--config", str(path), "--suite", "doubling"]) == 0
+        assert (tmp_path / "s" / "doubling.csv").is_file()
+        summary = json.loads((tmp_path / "s" / "summary.json").read_text())
+        assert summary["cloud"]["kind"] == "interval_grid" and summary["cloud"]["n"] == 401
+        doubling = next(c for c in summary["checks"] if c["name"] == "doubling")
+        assert doubling["constant"] <= 2.1
 
-    def test_sweep_bundle(self, tmp_path):
+    def test_energy_bundle(self, tmp_path):
         path = write_config(tmp_path, out=str(tmp_path / "s"))
-        assert main(["sweep", "--config", str(path)]) == 0
-        payload = json.loads((tmp_path / "s" / "sweep.json").read_text())
-        assert set(payload["sweeps"]) == {"x", "x_squared", "sin_pi_x"}
-        for label in payload["sweeps"]:
+        assert main(["run", "--config", str(path), "--suite", "energy"]) == 0
+        for label in ("x", "x_squared", "sin_pi_x"):
             assert (tmp_path / "s" / f"sweep_{label}.csv").is_file()
+
+    def test_summary_names_the_cloud(self, tmp_path):
+        # The lattice kind comes from the kind table; a distance-matrix file
+        # is an abstract cloud.
+        out = tmp_path / "carpet"
+        path = write_config(tmp_path, space={"kind": "carpet", "level": 3}, out=str(out))
+        assert main(["run", "--config", str(path)]) == 0
+        cloud = json.loads((out / "summary.json").read_text())["cloud"]
+        assert cloud["kind"] == "carpet" and cloud["abstract"] is False
+        assert set(cloud) == {"kind", "n", "mesh", "total_mass", "abstract"}
+        line = [0.0, 0.25, 0.5, 0.75, 1.0]
+        rows = [" ".join(repr(abs(a - b)) for b in line) + " 0.2" for a in line]
+        cloud_file = tmp_path / "line.cloud"
+        cloud_file.write_text("\n".join(["5 abstract", *rows]) + "\n")
+        out = tmp_path / "file"
+        path = write_config(tmp_path, space={"kind": "file", "path": str(cloud_file)}, out=str(out))
+        assert main(["run", "--config", str(path)]) in (0, 1)
+        cloud = json.loads((out / "summary.json").read_text())["cloud"]
+        assert cloud["abstract"] is True and cloud["n"] == 5
+
+    @pytest.mark.parametrize("command", ["space", "sweep"])
+    def test_removed_commands_are_usage_errors(self, tmp_path, command):
+        path = write_config(tmp_path, out=str(tmp_path / "s"))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(path)])
+        assert exc.value.code == 2
+        assert not (tmp_path / "s").exists()
 
 
 class TestReport:

@@ -361,9 +361,8 @@ def test_sweep_csv_and_json():
     header, rows = sweep.table()
     assert header == ("r", "energy")
     assert len(rows) == sweep.scales.size
-    summary = sweep.summary()
-    assert summary["label"] == "identity"
-    assert summary["liminf_proxy"] == sweep.liminf_proxy
+    assert sweep.label == "identity"
+    assert sweep.liminf_proxy == min(sweep.values[np.isin(sweep.scales, sweep.window_scales)])
 
 
 @pytest.mark.parametrize(
@@ -385,7 +384,8 @@ def test_sweeps_of_many_fields_share_one_pass(make, pass_radii):
     for sweep, f, label in zip(sweeps, fields, labels):
         single = energy_sweep(f, d_w=2.3, label=label)
         np.testing.assert_array_equal(sweep.values, single.values)
-        assert sweep.summary() == single.summary()
+        for name in ("liminf_proxy", "limsup_proxy", "sup_all", "fitted_limit", "field_l2sq"):
+            assert getattr(sweep, name) == getattr(single, name), name
     with pytest.raises(ValueError, match="one label per field"):
         energy_sweep(fields, label="x")
     with pytest.raises(ValueError, match="one label per field"):
@@ -842,6 +842,35 @@ def test_stencil_chunks_fields_past_its_budget(monkeypatch):
     tracemalloc.start()
     try:
         table = _stencil_table(cloud, mat, radii, [2, 1, 2])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.tobytes() == want.tobytes()
+    assert peak <= 8 * kslab.space.FLAT_BUDGET + table.nbytes, peak
+
+
+def test_stencil_keeps_its_budget_over_many_blocks(monkeypatch):
+    # Past the budget an interval grid's one lattice row splits into
+    # thousands of small blocks; the workers walk them by index, so the
+    # call holds nothing per block and stays within FLAT_BUDGET elements
+    # besides its output (holding a list of the blocks put it at 1.05 times
+    # the budget).
+    import os
+    import tracemalloc
+
+    import kslab.space
+    from kslab.energy import _stencil_table
+
+    cloud = interval_grid(10001)
+    x = cloud.coords[:, 0]
+    mat = np.stack([np.sin((k + 1) * x) for k in range(6)])
+    radii = [float(r) for r in make_scale_grid(cloud).window()]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    want = _stencil_table(cloud, mat, radii, [2] * len(radii))
+    monkeypatch.setattr(kslab.space, "FLAT_BUDGET", 200_000)
+    tracemalloc.start()
+    try:
+        table = _stencil_table(cloud, mat, radii, [2] * len(radii))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -572,7 +572,8 @@ def test_inadmissible_scales_raise():
 def test_scales_beyond_half_diameter_dropped():
     cloud = interval_grid(101)
     prof = estimate_doubling(cloud, n_samples=10, scales=[0.1, 0.4, 0.9], seed=4)
-    assert prof.scales.max() <= cloud.diameter / 2
+    assert prof.radii.max() <= cloud.diameter / 2
+    assert sorted(set(prof.radii.tolist())) == [0.1, 0.4]
 
 
 def test_mass_bounds_report():
@@ -644,17 +645,6 @@ def test_cloud_file_rejects_bad_header(tmp_path):
         read_cloud_file(path)
     with pytest.raises(ValueError, match="read"):
         read_cloud_file(tmp_path / "missing.txt")
-
-
-def test_cloud_csv_export():
-    cloud = interval_grid(3)
-    header, rows = cloud.table()
-    assert header == ("id", "x0", "weight")
-    assert len(rows) == 3
-    assert rows[0][0] == 0
-    assert rows[0][2] == pytest.approx(1 / 3)
-    abstract = MeasuredPointCloud(cloud.weights, dist_matrix=oracles.dist_matrix(cloud.coords))
-    assert abstract.table() == (("id", "weight"), tuple(enumerate(cloud.weights.tolist())))
 
 
 def test_build_cloud_descriptors():
