@@ -47,7 +47,6 @@ __all__ = [
     "ks_energy",
     "ks_energy_density",
     "ScaleGrid",
-    "snap_mid_mesh",
     "make_scale_grid",
     "EnergySweep",
     "energy_sweep",
@@ -573,15 +572,11 @@ class ScaleGrid:
         return self.scales[::-1][:DEFAULT_WINDOW]
 
 
-def snap_mid_mesh(raw: np.ndarray, h: float) -> np.ndarray:
-    """Move each radius to the nearest (j + 1/2) * h (see ``ScaleGrid``)."""
-    return (np.round(raw / h - 0.5) + 0.5) * h
-
-
 def _admissible_scales(cloud: MeasuredPointCloud, raw: np.ndarray) -> np.ndarray:
-    """A ladder of radii snapped to mid-mesh, those under the floor kappa h
-    dropped: the distinct radii, descending."""
-    snapped = snap_mid_mesh(raw, cloud.mesh)
+    """A ladder of radii, each moved to the nearest (j + 1/2) h and those
+    under the floor kappa h dropped: the distinct radii, descending."""
+    h = cloud.mesh
+    snapped = (np.round(raw / h - 0.5) + 0.5) * h
     return np.unique(snapped[snapped >= cloud.floor])[::-1]
 
 

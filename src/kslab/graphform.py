@@ -44,17 +44,14 @@ __all__ = [
     "gasket_harmonic_field",
 ]
 
-# Three solve routes (see ``spectrum``).  A path in id order (interval
-# grids) is solved at any size by bisection and inverse iteration on its
-# tridiagonal generator, in O(n k_max) memory.  Any
-# other form up to DENSE_EIGEN_LIMIT vertices takes one cached dense
-# divide-and-conquer solve, the only route that returns every mode of a
-# non-path form; above the limit shift-invert Lanczos computes the low band
-# (PARTIAL_EIGEN_COUNT modes unless asked for fewer).  Lanczos is faster
-# even below the limit (square 31: 0.03 s against 0.13 s dense); the limit
-# keeps the full spectra that the tests use as reference.  Heat kernels are
-# exact on any band (``heat_kernel``), so no consumer needs every mode; a
-# suite run solves each form once, and every consumer takes that spectrum.
+# Three solve routes (see ``spectrum``): bisection and inverse iteration
+# for a path in id order (interval grids) at any size, one dense solve for
+# any other form up to DENSE_EIGEN_LIMIT vertices, and shift-invert Lanczos
+# for the low band above it (PARTIAL_EIGEN_COUNT modes unless asked for
+# fewer).  Only the dense route returns every mode of a non-path form; the
+# tests use those spectra as reference, and Lanczos is faster even below
+# the limit (square 31: 0.03 s against 0.13 s).  A form keeps only its
+# matrices: a suite run solves each form once (``SuiteContext``).
 DENSE_EIGEN_LIMIT = 1000
 PARTIAL_EIGEN_COUNT = 200
 
@@ -130,41 +127,6 @@ class GraphDirichletForm:
         cols = np.concatenate([self.edge_j, self.edge_i, diag])
         vals = np.concatenate([off, off, self.degrees / w])
         return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-    @cached_property
-    def lambda_max(self) -> float:
-        """The top eigenvalue of the generator, by one Lanczos solve.
-
-        The start is seeded noise: a constant start is the null mode itself
-        on uniform weights, an invariant subspace that stops Lanczos.
-        """
-        from scipy.sparse.linalg import eigsh
-
-        v0 = np.random.default_rng(0).standard_normal(self.n)
-        top = eigsh(self.generator, k=1, which="LA", v0=v0, return_eigenvectors=False)
-        return float(top[0])
-
-    @cached_property
-    def _dense_eigen(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One full dense eigensolve of the generator, shared by every k_max.
-
-        Returns the raw eigenvalues, the mu-normalized sign-fixed
-        eigenfields (read-only, in the Fortran order LAPACK returns, so a
-        column slice sums in the same BLAS order as a truncated solve) and
-        each column's relative residual against its raw eigenvalue.
-        """
-        # Divide and conquer (LAPACK dsyevd) overwrites the Fortran-ordered
-        # matrix with its eigenvectors, so no copy of it is made; the
-        # default MRRR solver is several times slower on the gasket's
-        # clustered, highly degenerate spectrum.
-        import scipy.linalg
-
-        vals, vecs = scipy.linalg.eigh(
-            self.generator.toarray(order="F"), overwrite_a=True, driver="evd"
-        )
-        fields = _mu_normalize(vecs, 1.0 / np.sqrt(self.cloud.weights))
-        fields.flags.writeable = False
-        return vals, fields, _column_residuals(self, vals, fields)
 
 
 def _component_count(n: int, i: np.ndarray, j: np.ndarray) -> int:
@@ -268,27 +230,41 @@ class Spectrum:
     the eigenspace do not depend on that choice.  ``residual`` is the worst
     mu-norm of L u - lambda u, relative to the generator's Gershgorin scale
     so the 1e-8 gate means the same thing on unit-scale graphs and fine
-    lattices.  ``eigenfields`` is read-only.
+    lattices.  ``eigenfields`` is read-only.  The spectrum, not its form,
+    holds every solve: its pairs and, once read, ``lambda_max``.
     """
 
     form: GraphDirichletForm
     eigenvalues: np.ndarray
     eigenfields: np.ndarray  # (n, k), column k is u_k
     residual: float
-    k_max: int
 
     @property
     def n(self) -> int:
         return self.form.n
 
     @property
+    def k_max(self) -> int:
+        return self.eigenvalues.size
+
+    @property
     def complete(self) -> bool:
         return self.k_max == self.n
 
-    @property
+    @cached_property
     def lambda_max(self) -> float:
-        """The top eigenvalue: the last one of a complete spectrum, else the form's."""
-        return float(self.eigenvalues[-1]) if self.complete else self.form.lambda_max
+        """The top eigenvalue: the last one of a complete spectrum, else one Lanczos solve.
+
+        The Lanczos start is seeded noise: a constant start is the null mode
+        itself on uniform weights, an invariant subspace that stops Lanczos.
+        """
+        if self.complete:
+            return float(self.eigenvalues[-1])
+        from scipy.sparse.linalg import eigsh
+
+        v0 = np.random.default_rng(0).standard_normal(self.n)
+        top = eigsh(self.form.generator, k=1, which="LA", v0=v0, return_eigenvectors=False)
+        return float(top[0])
 
     def field(self, k: int) -> ScalarField:
         return ScalarField(self.form.cloud, self.eigenfields[:, k].copy())
@@ -336,20 +312,22 @@ def spectrum(form: GraphDirichletForm, k_max: int | None = None) -> Spectrum:
 
     - A path in id order (edges (i, i + 1), as on interval grids), at any
       size: bisection and inverse iteration (LAPACK stebz, stein) on the
-      tridiagonal generator for the k_max lowest pairs, solved afresh on
-      each call in O(n k_max) memory.  Each eigenvalue is the form's
-      Rayleigh quotient of its field, to about 1e-15 relative.  Different
-      k_max agree on their common eigenvalues to about 2 ulp and on their
-      fields to about 1e-11 of the largest entry (n = 2001), not bit for bit.
+      tridiagonal generator for the k_max lowest pairs, in O(n k_max)
+      memory.  Each eigenvalue is the form's Rayleigh quotient of its
+      field, to about 1e-15 relative.  Different k_max agree on their
+      common eigenvalues to about 2 ulp and on their fields to about 1e-11
+      of the largest entry (n = 2001), not bit for bit.
     - Any other form at or below DENSE_EIGEN_LIMIT vertices: one full dense
-      divide-and-conquer solve, cached on the form on first use; every
-      k_max is a read-only view of its leading columns, so prefixes agree
-      bit for bit.
+      divide-and-conquer solve, of which the k_max leading columns are
+      kept; different k_max agree on their common pairs bit for bit.
     - Any other form above the limit: shift-invert Lanczos on the sparse
-      generator for the k_max lowest pairs, solved on each call.
+      generator for the k_max lowest pairs.
 
-    ``k_max`` defaults to every mode at or below the limit and to
-    PARTIAL_EIGEN_COUNT above it.
+    Each call solves afresh and nothing is kept on the form.  Every route
+    ends in one tail: mu-normalized sign-fixed fields, eigenvalues below
+    1e-11 of the largest clamped to zero, one residual pass against the
+    reported eigenvalues, and the 1e-8 gate.  ``k_max`` defaults to every
+    mode at or below the limit and to PARTIAL_EIGEN_COUNT above it.
     """
     n = form.n
     if k_max is None:
@@ -357,73 +335,68 @@ def spectrum(form: GraphDirichletForm, k_max: int | None = None) -> Spectrum:
     if not (1 <= k_max <= n):
         raise ValueError(f"k_max must lie in [1, {n}], got {k_max}")
     i, j = form.edge_i, form.edge_j
+    w = form.cloud.weights
+    inv_sqrt = 1.0 / np.sqrt(w)
     path = 1 < n == i.size + 1 and bool(np.all(j - i == 1))
-    if n <= DENSE_EIGEN_LIMIT and not path:
-        all_vals, all_fields, all_res = form._dense_eigen
-        vals = all_vals[:k_max].copy()
-        fields = all_fields[:, :k_max]
-        res = all_res[:k_max].copy()
+    if path:
+        from scipy.linalg.lapack import dstebz, dstein
+
+        diag, off = form.degrees / w, np.empty(n - 1)
+        off[i] = -form.conductances * (inv_sqrt[i] * inv_sqrt[j])
+        # Bisection for the k_max lowest eigenvalues, inverse iteration
+        # for their vectors: n x k_max in all.  stein orthogonalises a
+        # cluster (eigenvalues within 1e-3 of the norm) by BLAS sums whose
+        # order follows the thread count, so it gets one mode per call and
+        # numpy's pairwise sums orthogonalise each cluster here.
+        m, vals, block, split, info = dstebz(diag, off, 2, 0.0, 0.0, 1, k_max, 0.0, "E")
+        vecs = np.empty((n, k_max), order="F")
+        for k in range(min(m, k_max)):
+            vecs[:, k : k + 1], fail = dstein(diag, off, vals[k : k + 1], np.roll(block, -k), split)
+            info |= fail
+            for q in vecs[:, np.flatnonzero(vals[:k] > vals[k] - 2e-3 * diag.max())].T:
+                vecs[:, k] -= np.sum(q * vecs[:, k]) * q
+            vecs[:, k] /= np.sqrt(np.sum(vecs[:, k] ** 2))
+        if info != 0 or m != k_max:
+            raise RuntimeError(f"tridiagonal eigensolver failed (info {info})")
+    elif n <= DENSE_EIGEN_LIMIT:
+        import scipy.linalg
+
+        # Divide and conquer (LAPACK dsyevd) overwrites the Fortran-ordered
+        # matrix with its eigenvectors, so no copy of it is made; the
+        # default MRRR solver is several times slower on the gasket's
+        # clustered, highly degenerate spectrum.  The kept columns are
+        # copied in the same Fortran order, so the n x n array is freed.
+        vals, vecs = scipy.linalg.eigh(
+            form.generator.toarray(order="F"), overwrite_a=True, driver="evd"
+        )
+        vals, vecs = vals[:k_max], vecs[:, :k_max].copy(order="F")
     else:
-        w = form.cloud.weights
-        inv_sqrt = 1.0 / np.sqrt(w)
-        if path:
-            from scipy.linalg.lapack import dstebz, dstein
+        from scipy.sparse.linalg import eigsh
 
-            diag, off = form.degrees / w, np.empty(n - 1)
-            off[i] = -form.conductances * (inv_sqrt[i] * inv_sqrt[j])
-            # Bisection for the k_max lowest eigenvalues, inverse iteration
-            # for their vectors: n x k_max in all.  stein orthogonalises a
-            # cluster (eigenvalues within 1e-3 of the norm) by BLAS sums whose
-            # order follows the thread count, so it gets one mode per call and
-            # numpy's pairwise sums orthogonalise each cluster here.
-            m, vals, block, split, info = dstebz(diag, off, 2, 0.0, 0.0, 1, k_max, 0.0, "E")
-            vecs = np.empty((n, k_max), order="F")
-            for k in range(min(m, k_max)):
-                vecs[:, k : k + 1], fail = dstein(diag, off, vals[k : k + 1], np.roll(block, -k), split)
-                info |= fail
-                for q in vecs[:, np.flatnonzero(vals[:k] > vals[k] - 2e-3 * diag.max())].T:
-                    vecs[:, k] -= np.sum(q * vecs[:, k]) * q
-                vecs[:, k] /= np.sqrt(np.sum(vecs[:, k] ** 2))
-            if info != 0 or m != k_max:
-                raise RuntimeError(f"tridiagonal eigensolver failed (info {info})")
-        else:
-            from scipy.sparse.linalg import eigsh
+        v0 = np.full(n, 1.0 / np.sqrt(n))  # fixed start for reproducible runs
+        # Shift slightly below zero: at sigma = 0 the factorization would
+        # hit the Laplacian's own null mode.
+        scale = float(np.max(form.degrees / w))
+        vals, vecs = eigsh(form.generator.tocsc(), k=k_max, sigma=-1e-3 * scale, v0=v0)
+        order = np.argsort(vals, kind="stable")
+        vals, vecs = vals[order], vecs[:, order]
 
-            v0 = np.full(n, 1.0 / np.sqrt(n))  # fixed start for reproducible runs
-            # Shift slightly below zero: at sigma = 0 the factorization would
-            # hit the Laplacian's own null mode.
-            scale = float(np.max(form.degrees / w))
-            vals, vecs = eigsh(
-                form.generator.tocsc(), k=k_max, sigma=-1e-3 * scale, v0=v0
-            )
-            order = np.argsort(vals, kind="stable")
-            vals, vecs = vals[order], vecs[:, order]
-        fields = _mu_normalize(vecs, inv_sqrt)
-        fields.flags.writeable = False
-        if path:  # each eigenvalue as the form's Rayleigh quotient, by pairwise sums
-            diff = np.asfortranarray(fields[j] - fields[i])
-            energy = np.sum(form.conductances[:, None] * diff**2, axis=0)
-            vals = energy / np.sum(w[:, None] * fields**2, axis=0)
-        res = _column_residuals(form, vals, fields)
-
-    clamp = np.abs(vals) < 1e-11 * max(1.0, float(np.abs(vals).max()))
-    vals[clamp] = 0.0
+    fields = _mu_normalize(vecs, inv_sqrt)
+    fields.flags.writeable = False
+    if path:  # each eigenvalue as the form's Rayleigh quotient, by pairwise sums
+        diff = np.asfortranarray(fields[j] - fields[i])
+        energy = np.sum(form.conductances[:, None] * diff**2, axis=0)
+        vals = energy / np.sum(w[:, None] * fields**2, axis=0)
     # A clamped eigenvalue is reported as zero, so its residual is taken
     # against zero too.
-    res[clamp] = _column_residuals(form, vals[clamp], fields[:, clamp])
-    residual = float(res.max())
+    vals[np.abs(vals) < 1e-11 * max(1.0, float(np.abs(vals).max()))] = 0.0
+    residual = float(_column_residuals(form, vals, fields).max())
     if residual > 1e-8:
         raise RuntimeError(
             f"eigensolver relative residual {residual:.3e} exceeds 1e-8; "
             "spectrum not usable"
         )
-    return Spectrum(
-        form=form,
-        eigenvalues=vals,
-        eigenfields=fields,
-        residual=residual,
-        k_max=int(k_max),
-    )
+    return Spectrum(form=form, eigenvalues=vals, eigenfields=fields, residual=residual)
 
 
 def _heat_times(t: float | np.ndarray) -> np.ndarray:
@@ -567,8 +540,8 @@ def fit_subgaussian(spec: Spectrum, seed: int = 0) -> HeatKernelFit:
     early enough that the kernel is not saturated at the constant mode,
     late enough that single-vertex discreteness has smoothed out.  Any
     spectrum will do, a low band too: ``heat_kernel`` is exact on it, and
-    lambda_max comes from the spectrum when it is complete and from one
-    Lanczos solve otherwise.  Distances in the decay
+    ``spec.lambda_max`` is solved at most once per spectrum, whoever reads
+    it first.  Distances in the decay
     variable are network geodesics (shortest paths over the form's edges):
     the kernel propagates through edges, and on ramified geometries the
     straight-line distance understates the travel cost by an uneven factor.

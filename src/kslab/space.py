@@ -79,7 +79,6 @@ __all__ = [
     "interval_grid",
     "square_grid",
     "gasket_graph",
-    "gasket_coords",
     "gasket",
     "carpet",
     "read_cloud_file",
@@ -418,10 +417,15 @@ class MeasuredPointCloud:
         from scipy.spatial.distance import pdist
 
         if c.shape[0] > 2048:
-            from scipy.spatial import ConvexHull
+            from scipy.spatial import ConvexHull, QhullError
 
             # Large Euclidean clouds: the diameter is attained on the hull.
-            c = c[ConvexHull(c).vertices]
+            # Points in a lower-dimensional affine subspace have no full
+            # hull; joggled input gives one whose vertices index the points.
+            try:
+                c = c[ConvexHull(c).vertices]
+            except QhullError:
+                c = c[ConvexHull(c, qhull_options="QJ").vertices]
         return float(pdist(c).max()) if c.shape[0] > 1 else 0.0
 
     def _spot_check_triangles(self) -> None:
@@ -721,18 +725,14 @@ def gasket_graph(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return graph
 
 
-def gasket_coords(int_coords: np.ndarray, level: int) -> np.ndarray:
-    """Embed integer gasket lattice pairs into the plane."""
-    scale = 1.0 / 2**level
-    x = (int_coords[:, 0] + 0.5 * int_coords[:, 1]) * scale
-    y = int_coords[:, 1] * (np.sqrt(3.0) / 2.0) * scale
-    return np.column_stack([x, y])
-
-
 def gasket(level: int) -> MeasuredPointCloud:
     """Level-m Sierpinski gasket vertex cloud, uniform weights, mesh 2**-m."""
     ints, _, _ = gasket_graph(level)
-    coords = gasket_coords(ints, level)
+    # Integer lattice pairs embedded in the plane.
+    scale = 1.0 / 2**level
+    x = (ints[:, 0] + 0.5 * ints[:, 1]) * scale
+    y = ints[:, 1] * (np.sqrt(3.0) / 2.0) * scale
+    coords = np.column_stack([x, y])
     n = coords.shape[0]
     return MeasuredPointCloud(
         np.full(n, 1.0 / n),

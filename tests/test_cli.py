@@ -266,6 +266,17 @@ class TestRun:
             err = _refused(tmp_path, capsys, path)
             assert "error: coordinates too far apart: their distances overflow" in err
 
+    def test_line_file_above_the_hull_threshold_runs(self, tmp_path):
+        # 2100 points on the line x = 0 take the convex-hull route to their
+        # diameter, and span no 2-D hull.
+        rows = "".join(f"0.0 {k / 2099!r} {1 / 2100!r}\n" for k in range(2100))
+        cloud_file = tmp_path / "line.cloud"
+        cloud_file.write_text("2100 euclidean\n" + rows)
+        out = tmp_path / "bundle"
+        path = write_config(tmp_path, space={"kind": "file", "path": str(cloud_file)}, out=str(out))
+        assert main(["run", "--config", str(path), "--suite", "doubling"]) in (0, 1)
+        assert (out / "summary.json").exists()
+
     @pytest.mark.parametrize(
         "mode, row", [("euclidean", "0.5 1.0"), ("abstract", "0.0 1.0")], ids=["euclidean", "abstract"]
     )

@@ -436,16 +436,6 @@ def test_spectrum_k_max_validation():
     assert spectrum(form, k_max=3).eigenvalues.size == 3
 
 
-def test_dense_form_is_solved_once(eigh_sizes):
-    form = gasket_form(gasket(5))
-    coarse = gasket_form(gasket(4))
-    spectrum(form, 25)
-    spectrum(form)
-    eigen_walk_dimension(spectrum(coarse, 4), spectrum(form, 4))
-    assert eigh_sizes.count(form.n) == 1
-    assert eigh_sizes.count(coarse.n) == 1
-
-
 def test_path_form_takes_no_dense_solve(eigh_sizes):
     form = grid_form(interval_grid(201))
     coarse = grid_form(interval_grid(101))
@@ -461,20 +451,26 @@ def test_path_form_takes_no_dense_solve(eigh_sizes):
 @pytest.mark.parametrize(
     "kind, make_cloud, size", [("gasket", gasket, 5), ("interval_grid", interval_grid, 201)]
 )
-def test_cached_spectrum_matches_fresh_solve(kind, make_cloud, size):
-    # k_max = 1 keeps only the null mode, whose eigenvalue is clamped to zero
-    # and whose residual must then be taken against zero.
+def test_two_solves_agree_bit_for_bit(kind, make_cloud, size):
+    # A form solved before and a fresh form give the same bytes: the form
+    # keeps nothing of a solve.  k_max = 1 keeps only the null mode, whose
+    # eigenvalue is clamped to zero and whose residual must then be taken
+    # against zero.
     cloud = make_cloud(size)
     shared = KINDS[kind].form(cloud)
     assert shared.kind == kind
     spectrum(shared)
     for k_max in (25, None, 4, 1):
-        cached = spectrum(shared, k_max)
+        again = spectrum(shared, k_max)
         fresh = spectrum(KINDS[kind].form(cloud), k_max)
-        assert np.array_equal(cached.eigenvalues, fresh.eigenvalues)
-        assert np.array_equal(cached.eigenfields, fresh.eigenfields)
-        assert cached.residual == fresh.residual
-        assert cached.k_max == fresh.k_max
+        assert np.array_equal(again.eigenvalues, fresh.eigenvalues)
+        assert np.array_equal(again.eigenfields, fresh.eigenfields)
+        assert again.residual == fresh.residual
+        assert again.k_max == fresh.k_max == (k_max or cloud.n)
+    if kind == "gasket":  # dense: every k_max keeps the leading pairs of one solve
+        low, band = spectrum(shared, 4), spectrum(shared, 25)
+        assert np.array_equal(low.eigenvalues, band.eigenvalues[:4])
+        assert np.array_equal(low.eigenfields, band.eigenfields[:, :4])
 
 
 def _mu_projectors(vals, fields, weights, tol):
@@ -520,7 +516,10 @@ def test_dense_solve_matches_independent_solve(kind, make_cloud, size):
 def test_column_residuals_match_per_column_formula():
     # Gasket 5 has 366 columns, so the residuals span two column blocks.
     form = gasket_form(gasket(5))
-    vals, fields, res = form._dense_eigen
+    spec = spectrum(form)
+    vals, fields = spec.eigenvalues, spec.eigenfields
+    res = gf._column_residuals(form, vals, fields)
+    assert fields.shape[1] == 366 and spec.residual == res.max()
     w = form.cloud.weights
     scale = max(1.0, 2.0 * float(np.max(form.degrees / w)))
     per_column = []
@@ -528,6 +527,18 @@ def test_column_residuals_match_per_column_formula():
         lu = (form.degrees * u - form.adjacency @ u) / w
         per_column.append(float(np.sqrt(np.sum(w * (lu - lam * u) ** 2))) / scale)
     assert np.array_equal(res, per_column)
+
+
+@pytest.mark.parametrize("make", [lambda: gasket(5), lambda: square_grid(13)], ids=["gasket5", "square13"])
+def test_band_lambda_max_matches_complete_spectrum(make):
+    # A band takes lambda_max from one Lanczos solve of the generator's top;
+    # a complete spectrum reads its last eigenvalue.
+    cloud = make()
+    form = KINDS[cloud.kind].form(cloud)
+    full, band = spectrum(form), spectrum(form, 25)
+    assert full.complete and not band.complete
+    assert full.lambda_max == full.eigenvalues[-1]
+    assert band.lambda_max == pytest.approx(full.lambda_max, rel=1e-10, abs=0.0)
 
 
 def test_spectrum_eigenfields_are_read_only():

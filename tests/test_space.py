@@ -178,6 +178,22 @@ def test_lattice_diameter_equals_the_hull_oracle(build, size):
     assert cloud.diameter == oracles.hull_diameter(cloud.coords)
 
 
+@pytest.mark.parametrize("dim", [2, 3], ids=["line-2d", "flat-3d"])
+def test_degenerate_cloud_diameter_equals_pdist(dim):
+    # Above 2048 points the diameter is read off the convex hull's vertices;
+    # points in a lower-dimensional affine subspace (a line in the plane, a
+    # plane in space) must give the all-pairs maximum all the same.
+    from scipy.spatial.distance import pdist
+
+    k = np.arange(2100)
+    if dim == 2:
+        coords = np.column_stack([np.zeros(k.size), k / 2099])
+    else:
+        coords = np.column_stack([k % 42 / 41, k // 42 / 49, np.full(k.size, 0.5)])
+    cloud = MeasuredPointCloud(np.full(k.size, 1.0 / k.size), coords=coords)
+    assert cloud.diameter == pdist(coords).max()
+
+
 def test_abstract_cloud_builds_one_off_diagonal_matrix():
     # The constructor's checks and mesh share one copy of the matrix with
     # an infinite diagonal: besides the input, the peak is one n x n matrix

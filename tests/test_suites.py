@@ -308,6 +308,47 @@ class TestSuiteVerdicts:
         run_suite("graphform", _ctx(gasket(6), "fit"))
         assert sorted(solves) == [("gasket", 366), ("gasket", 1095)]
 
+    def test_band_lambda_max_is_solved_once(self, monkeypatch):
+        # On gasket 7 the five heat_kernel_mass rows and the sub-Gaussian fit
+        # all read the band's lambda_max; the spectrum keeps the one solve.
+        import scipy.sparse.linalg
+
+        top_solves, kernels = [], []
+        eigsh, heat_kernel = scipy.sparse.linalg.eigsh, gf.heat_kernel
+
+        def counted_eigsh(*args, **kwargs):
+            if kwargs.get("which") == "LA":
+                top_solves.append(args[0].shape[0])
+            return eigsh(*args, **kwargs)
+
+        def counted_kernel(*args):
+            kernels.append(args[1])
+            return heat_kernel(*args)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted_eigsh)
+        monkeypatch.setattr(gf, "heat_kernel", counted_kernel)
+        cloud = gasket(7)
+        run_suite("graphform", _ctx(cloud, d_w=LOG5_LOG2))
+        assert len(kernels) == 6
+        assert top_solves == [cloud.n]
+
+    def test_form_holds_only_its_matrices(self, gasket5):
+        # A spectrum holds its solves, eigenpairs and lambda_max alike; the
+        # form keeps its record fields and the matrices built from them.
+        import dataclasses
+
+        ctx = _ctx(gasket5, d_w=LOG5_LOG2)
+        run_suite("graphform", ctx)
+        form = ctx.form
+        kept = set(vars(form)) - {f.name for f in dataclasses.fields(form)}
+        assert kept <= {"adjacency", "degrees", "generator"}, kept
+        assert not any(
+            isinstance(v, np.ndarray) and v.ndim == 2 for v in vars(form).values()
+        )
+        for gone in ("lambda_max", "_dense_eigen"):
+            assert not hasattr(gf.GraphDirichletForm, gone), gone
+        assert "lambda_max" in vars(ctx.spectrum)
+
     def test_poincare_identity_pinned_on_interval(self, grid401):
         results = run_suite("poincare", _ctx(grid401))
         by_name = {r.name: r for r in results}
