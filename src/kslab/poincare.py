@@ -12,6 +12,7 @@ radii, read off the maximal field.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -29,7 +30,7 @@ from .export import Table
 from .graphform import GraphDirichletForm
 from .graphform import energy_measure as graph_energy_measure
 from .smoothing import discrete_lip
-from .space import Inapplicable, MeasuredPointCloud, ball_average, segment_sums
+from .space import Inapplicable, MeasuredPointCloud, segment_sums
 
 __all__ = [
     "PoincareSample",
@@ -86,11 +87,11 @@ class PoincareReport:
         return header, tuple((s.center, s.radius, s.lhs, s.rhs, s.ratio) for s in self.samples)
 
 
-def _default_samples(cloud: MeasuredPointCloud, lam: float, seed: int) -> list[tuple[int, float]]:
-    """``DEFAULT_CENTERS`` seeded centres crossed with ``RADII_PER_DECADE``
-    geometric radii per decade from the floor to diam / (2 lam)."""
-    r_lo = cloud.floor
-    r_hi = cloud.diameter / (2.0 * lam)
+def _default_samples(
+    cloud: MeasuredPointCloud, r_lo: float, r_hi: float, seed: int
+) -> list[tuple[int, float]]:
+    """``DEFAULT_CENTERS`` seeded centres, in ascending order, each crossed
+    with ``RADII_PER_DECADE`` geometric radii per decade from r_lo to r_hi."""
     if r_hi <= r_lo:
         raise Inapplicable(
             f"no admissible radii: floor {r_lo:g} is not below diam/(2*lambda) = {r_hi:g}"
@@ -116,8 +117,9 @@ def poincare_check(
     Returns ``{mode: PoincareReport}`` in ``POINCARE_MODES`` order:
     ``lip`` and ``ks``, and ``energy_measure`` when ``form`` is given.  Each
     sample's lhs and ball B(x, lam R) are computed once and every rhs reads
-    them.  lhs is the ball variance sum over B(x, R) of mu |f - f_B|^2; rhs
-    by mode:
+    them; both balls mask the centre's canonical distance row, read once per
+    run of equal centres (default samples come grouped by centre).  lhs is
+    the ball variance sum over B(x, R) of mu |f - f_B|^2; rhs by mode:
 
     - ``lip``: R^2 times the summed squared local slope over B(x, lam R);
     - ``ks``: R^d_w times the small-scale window minimum of the
@@ -132,13 +134,12 @@ def poincare_check(
         raise ValueError("form does not live on the field's cloud")
 
     used_seed: int | None = seed
+    r_lo, r_hi = cloud.floor, cloud.diameter / (2.0 * lam)
     if samples is None:
-        pairs = _default_samples(cloud, lam, seed)
+        pairs = _default_samples(cloud, r_lo, r_hi, seed)
     else:
         pairs = [(int(c), float(r)) for c, r in samples]
         used_seed = None
-    r_lo = cloud.floor
-    r_hi = cloud.diameter / (2.0 * lam)
     for c, r in pairs:
         cloud._checked_ids(c)
         if not (r_lo <= r <= r_hi * (1.0 + 1e-12)):
@@ -160,16 +161,18 @@ def poincare_check(
 
     floor = RHS_FLOOR_FACTOR * f.l2sq()
     out: dict[str, list[PoincareSample]] = {mode: [] for mode in rhs}
-    for c, r in pairs:
-        ids = cloud.ball_ids(c, r)
-        w_ball = mu[ids]
-        mean = float(np.dot(w_ball, fv[ids]) / w_ball.sum())
-        lhs = float(np.dot(w_ball, (fv[ids] - mean) ** 2))
-        region = ids if lam == 1.0 else cloud.ball_ids(c, lam * r)
-        for mode, (rows, power) in rhs.items():
-            value = float(r**power * rows[:, region].sum(axis=1).min())
-            ratio = lhs / value if value > floor else float("nan")
-            out[mode].append(PoincareSample(center=c, radius=r, lhs=lhs, rhs=value, ratio=ratio))
+    for c, run in itertools.groupby(pairs, key=lambda pair: pair[0]):
+        d = cloud.distances_from(c)
+        for _, r in run:
+            ids = np.flatnonzero(d < r)
+            w_ball = mu[ids]
+            mean = float(np.dot(w_ball, fv[ids]) / w_ball.sum())
+            lhs = float(np.dot(w_ball, (fv[ids] - mean) ** 2))
+            region = ids if lam == 1.0 else np.flatnonzero(d < lam * r)
+            for mode, (rows, power) in rhs.items():
+                value = float(r**power * rows[:, region].sum(axis=1).min())
+                ratio = lhs / value if value > floor else float("nan")
+                out[mode].append(PoincareSample(center=c, radius=r, lhs=lhs, rhs=value, ratio=ratio))
 
     reports = {}
     for mode, found in out.items():
@@ -354,7 +357,8 @@ def telescoping_bound(maximal: MaximalField, x: int) -> TelescopeReport:
     points at finite resolution.  M f(x) is taken over radii up to
     ``DEFAULT_LAMBDA`` rho, from the maximal field's window rows at each
     ball's members; it already carries its square root, so the right-hand
-    side applies no further root.
+    side applies no further root.  The chain ends and M's ladder all mask
+    x's canonical distance row, read once.
     """
     cloud, f, rho, d_w = maximal.cloud, maximal.field, maximal.R, maximal.d_w
     x = cloud._checked_ids(x)
@@ -370,13 +374,20 @@ def telescoping_bound(maximal: MaximalField, x: int) -> TelescopeReport:
     rho_min = float(levels[-1])
 
     fv = f.values
-    lhs = abs(ball_average(cloud, fv, x, rho) - ball_average(cloud, fv, x, rho_min))
+    mu = cloud.weights
+    d = cloud.distances_from(x)
+
+    def average(r: float) -> float:
+        inside = d < r
+        w = mu[inside]
+        return float(np.dot(w, fv[inside]) / w.sum())
+
+    lhs = abs(average(rho) - average(rho_min))
 
     rows = maximal.window_rows
-    mu = cloud.weights
     m_val = 0.0
     for r in _maximal_rho_grid(cloud, DEFAULT_LAMBDA * rho):
-        ids = cloud.ball_ids(x, float(r))
+        ids = np.flatnonzero(d < r)
         mass = float(mu[ids].sum())
         val = float(rows[:, ids].sum(axis=1).min()) / mass
         m_val = max(m_val, val)

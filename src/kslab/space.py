@@ -13,14 +13,16 @@ sized from per-centre candidate counts, so no block holds more than
 ``FLAT_BUDGET`` candidate members unless one ball alone does, and it yields
 each member's canonical distance to its centre next to its id.  Grid clouds
 take their candidates from lattice offsets, other coordinate clouds from the
-tree (``sparse_distance_matrix`` slightly beyond r), and so do single balls
-(``ball_ids``); the canonical filter then recomputes every candidate's
-distance with the one formula of ``_point_distances`` and keeps ``d < r``.
-Distance-matrix clouds read matrix rows instead and give the same interface.
-Members come in ascending id order per centre.  ``nested_ball_chunks``
-serves several radii from one ``ball_chunks`` pass at the largest by masking
-the distances, and ``segment_sums`` reduces each ball on its own members, so
-no result depends on the block layout or on which radii share a pass.
+tree (``sparse_distance_matrix`` slightly beyond r); the canonical filter
+then recomputes every candidate's distance with the one formula of
+``_point_distances`` and keeps ``d < r``.  Distance-matrix clouds read
+matrix rows instead and give the same interface.  Members come in ascending
+id order per centre.  A single ball off the lattice (``ball_ids``) masks its
+centre's canonical row (``distances_from``) and needs no tree.
+``nested_ball_chunks`` serves several radii from one ``ball_chunks`` pass at
+the largest by masking the distances, and ``segment_sums`` reduces each ball
+on its own members, so no result depends on the block layout or on which
+radii share a pass.
 
 Lattices.  ``interval_grid``, ``square_grid`` and ``carpet`` also give the
 constructor where each point sits on an integer lattice
@@ -75,7 +77,6 @@ __all__ = [
     "segment_max",
     "Lattice",
     "MeasuredPointCloud",
-    "ball_average",
     "interval_grid",
     "square_grid",
     "gasket_graph",
@@ -249,9 +250,9 @@ class MeasuredPointCloud:
         (n, n) symmetric distance matrix with zero diagonal.
     mesh : float, optional
         Mesh scale h.  Computed (max nearest-neighbour distance) if omitted,
-        the one use of a KD-tree at construction.  Constructors for exact
-        model spaces pass the closed-form value.  Every coordinate cloud
-        without a lattice refuses duplicate points by sorting its rows.
+        on a KD-tree that ``ball_chunks`` then reuses.  Constructors for
+        exact model spaces pass the closed-form value.  Every coordinate
+        cloud without a lattice refuses duplicate points by sorting its rows.
     meta : dict, optional
         Provenance tags, e.g. ``{"kind": "gasket", "level": 5}``.
     lattice : (index, step), optional
@@ -494,20 +495,15 @@ class MeasuredPointCloud:
     def ball_ids(self, x: int, r: float) -> np.ndarray:
         """Sorted member ids of the open ball B(x, r).
 
-        Lattice offsets or the tree only propose candidates; membership is
-        always decided by the canonical distance formula, so an O(n) scan
-        gives the same set.
+        Off the lattice, the mask ``d < r`` of x's canonical distance row
+        (``distances_from``).  A lattice cloud keeps the points of its window
+        around x at canonical distance below r: the same set.
         """
         x = self._checked_ids(x)
         r = self._checked_radius(r)
-        if self._dist is not None:
-            return np.flatnonzero(self._dist[x] < r)
-        if self._lattice is not None:
-            cand = self._lattice.window(x, self._lattice.disk(r))
-        else:
-            tree = self._kdtree()
-            near = tree.query_ball_point(self._coords[x], r * (1.0 + 1e-12), return_sorted=True)
-            cand = np.asarray(near, dtype=np.intp)
+        if self._lattice is None:
+            return np.flatnonzero(self.distances_from(x) < r)
+        cand = self._lattice.window(x, self._lattice.disk(r))
         d = _point_distances(self._coords[cand], self._coords[x])
         return cand[d < r]
 
@@ -621,15 +617,6 @@ class MeasuredPointCloud:
             f"MeasuredPointCloud(n={self.n}, kind={self.kind!r}, h={self._mesh:.3g}, "
             f"abstract={self.is_abstract})"
         )
-
-
-def ball_average(cloud: MeasuredPointCloud, values: np.ndarray, x: int, r: float) -> float:
-    """Weighted mean of ``values`` over the open ball B(x, r)."""
-    ids = cloud.ball_ids(x, r)
-    if ids.size == 0:
-        raise ValueError(f"ball B({x}, {r:g}) is empty")
-    w = cloud.weights[ids]
-    return float(np.dot(w, values[ids]) / w.sum())
 
 
 # ----------------------------------------------------------------------

@@ -459,6 +459,20 @@ class TestRunBundles:
         for label in ("x", "x_squared", "sin_pi_x"):
             assert (tmp_path / "s" / f"sweep_{label}.csv").is_file()
 
+    def test_square_61_writes_the_planar_calibration(self, tmp_path):
+        # Square 61 is the coarsest square whose floor kappa h resolves the
+        # calibration radius 0.05 (r = 3h, the floor itself); coarser
+        # squares fall back to sweep_finite.
+        out = tmp_path / "s"
+        path = write_config(tmp_path, space={"kind": "square_grid", "n": 61}, out=str(out))
+        assert main(["run", "--config", str(path), "--suite", "energy"]) == 0
+        row = json.loads((out / "summary.json").read_text())["checks"][0]
+        assert (row["name"], row["claim"], row["passed"]) == (
+            "energy_calibration_2d", "planar-increment-calibration", True
+        )
+        assert row["constant"] == pytest.approx(0.24007895094702103, rel=1e-12)
+        assert row["details"] == {"target": 0.25, "rel_error": pytest.approx(0.0396841962119159)}
+
     def test_summary_names_the_cloud(self, tmp_path):
         # The lattice kind comes from the kind table; a distance-matrix file
         # is an abstract cloud.
@@ -539,8 +553,9 @@ class TestReport:
     ],
 )
 def test_every_pair_query_is_a_ball_chunks_pass(tmp_path, monkeypatch, space):
-    # One ball engine: every tree pair query of a whole run is made by
-    # MeasuredPointCloud.ball_chunks itself, not by a private side door.
+    # One ball engine: every tree query of a whole run, pair or ball, is
+    # made by MeasuredPointCloud.ball_chunks itself, not by a private side
+    # door; single balls mask their centre's distance row instead.
     # Grid clouds read their balls off the lattice and build no tree at all.
     # kslab imports the tree class where it builds one, so the recording
     # class stands in for it on scipy.spatial.
@@ -572,8 +587,9 @@ def test_every_pair_query_is_a_ball_chunks_pass(tmp_path, monkeypatch, space):
     if space["kind"] in ("carpet", "interval_grid"):
         assert built == [] and callers == [] and ball_queries == []
     else:
-        assert built and callers
-        assert all(code is engine for code in callers), {code.co_name for code in callers}
+        assert built and callers and ball_queries
+        for codes in (callers, ball_queries):
+            assert all(code is engine for code in codes), {code.co_name for code in codes}
 
 
 def test_gasket_graphform_builds_each_graph_once(tmp_path, monkeypatch):
@@ -600,9 +616,10 @@ def test_gasket_graphform_builds_each_graph_once(tmp_path, monkeypatch):
 
 def test_lattice_runs_load_no_scipy(tmp_path):
     # scipy is imported only where a route calls it: the KD-tree, the hull
-    # and the graph forms.  A fresh process shows what a run loads; the
-    # gasket run at its end takes those routes and must still write the
-    # bundle this process writes.
+    # and the graph forms.  A fresh process shows what a run loads.  A gasket
+    # graphform run then loads the forms' solvers but builds no KD-tree, so
+    # no scipy.spatial module.  The gasket run at the end takes every route
+    # and must still write the bundle this process writes.
     import os
     import subprocess
     import sys
@@ -612,6 +629,9 @@ def test_lattice_runs_load_no_scipy(tmp_path):
         ({"kind": "interval_grid", "n": 257}, suite)
         for suite in ("doubling", "energy", "smoothing", "poincare")
     ]
+    form = write_config(
+        tmp_path, "form.json", space={"kind": "gasket", "level": 5}, d_w=GASKET_D_W, suite="graphform"
+    )
     gasket = write_config(tmp_path, "gasket.json", space={"kind": "gasket", "level": 4}, suite="all")
     configs = [
         str(write_config(tmp_path, f"lattice{k}.json", space=space, suite=suite))
@@ -625,19 +645,23 @@ def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
 loaded = {"import": scipy_modules()}
-for k, path in enumerate(sys.argv[1:-2]):
+for k, path in enumerate(sys.argv[1:-3]):
     assert main(["run", "--config", path, "--out", f"{sys.argv[-1]}/lattice{k}"]) in (0, 1)
     loaded[path] = scipy_modules()
+assert main(["run", "--config", sys.argv[-3], "--out", f"{sys.argv[-1]}/form"]) in (0, 1)
+loaded["form"] = scipy_modules()
 assert main(["run", "--config", sys.argv[-2], "--out", f"{sys.argv[-1]}/gasket"]) in (0, 1)
 print(json.dumps(loaded))
 """
     src = str(Path(kslab.__file__).parent.parent)
     done = subprocess.run(
-        [sys.executable, "-c", script, *configs, str(gasket), str(tmp_path / "child")],
+        [sys.executable, "-c", script, *configs, str(form), str(gasket), str(tmp_path / "child")],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
     )
     loaded = json.loads(done.stdout.splitlines()[-1])
+    form_modules = loaded.pop("form")
     assert loaded == {"import": [], **{path: [] for path in configs}}
+    assert form_modules and not [m for m in form_modules if m.startswith("scipy.spatial")]
     assert main(["run", "--config", str(gasket), "--out", str(tmp_path / "here")]) in (0, 1)
     child, here = tmp_path / "child" / "gasket", tmp_path / "here"
     names = sorted(p.name for p in here.iterdir())

@@ -449,22 +449,29 @@ def test_shared_samples_and_chain_keep_their_values(name):
 @pytest.mark.parametrize("lam", [1.0, DEFAULT_LAMBDA])
 @pytest.mark.parametrize("with_form", [False, True])
 def test_one_ball_query_per_sample_and_radius_whatever_the_modes(grid401, monkeypatch, lam, with_form):
+    # Both balls of every sample mask its centre's canonical distance row,
+    # which is read once per distinct centre; no sample calls ball_ids.
     from kslab.space import MeasuredPointCloud
 
     cloud, f = grid401
     form = grid_form(cloud) if with_form else None
-    calls = []
-    real = MeasuredPointCloud.ball_ids
+    rows, balls = [], []
+    real_row, real_ball = MeasuredPointCloud.distances_from, MeasuredPointCloud.ball_ids
 
-    def counting(self, x, r):
-        calls.append((x, r))
-        return real(self, x, r)
+    def counting_row(self, x):
+        rows.append(x)
+        return real_row(self, x)
 
-    monkeypatch.setattr(MeasuredPointCloud, "ball_ids", counting)
+    def counting_ball(self, x, r):
+        balls.append((x, r))
+        return real_ball(self, x, r)
+
+    monkeypatch.setattr(MeasuredPointCloud, "distances_from", counting_row)
+    monkeypatch.setattr(MeasuredPointCloud, "ball_ids", counting_ball)
     samples = interior_samples()
     reps = poincare_check(f, lam=lam, samples=samples, form=form)
     assert len(reps) == (3 if with_form else 2)
-    assert len(calls) == (1 if lam == 1.0 else 2) * len(samples)
+    assert rows == [120, 200, 280] and balls == []
     # Every mode reads the same lhs on the same balls.
     lhs = [[s.lhs for s in rep.samples] for rep in reps.values()]
     assert all(row == lhs[0] for row in lhs)

@@ -6,7 +6,6 @@ import pytest
 from kslab import space
 from kslab.space import (
     MeasuredPointCloud,
-    ball_average,
     build_cloud,
     carpet,
     estimate_doubling,
@@ -149,14 +148,20 @@ def test_meshed_cloud_refuses_duplicates_without_a_tree(repeat, built_trees):
 
 @pytest.mark.parametrize("level", [5, 7])
 def test_gasket_builds_its_tree_on_the_first_ball_query(level, built_trees):
+    # A single ball masks its centre's canonical row and builds no tree.
+    # The first ball-engine pass builds the cloud's one tree, which every
+    # later pass reads; a pass also builds a small tree of its centres.
     cloud = gasket(level)
-    assert built_trees == []
     x, r = cloud.n // 3, 5.5 * cloud.mesh
-    ids = cloud.ball_ids(x, r)
-    assert len(built_trees) == 1
-    np.testing.assert_array_equal(ids, np.flatnonzero(cloud.distances_from(x) < r))
-    cloud.ball_ids(x, 2.0 * r)
-    assert len(built_trees) == 1
+    row = cloud.distances_from(x)
+    for radius in (r, 2.0 * r):
+        np.testing.assert_array_equal(cloud.ball_ids(x, radius), np.flatnonzero(row < radius))
+    assert built_trees == []
+    for radius in (r, 2.0 * r):
+        [(_, flat, _, _)] = cloud.ball_chunks(radius, np.array([x]))
+        np.testing.assert_array_equal(flat, np.flatnonzero(row < radius))
+        whole = [tree for tree in built_trees if tree.n == cloud.n]
+        assert len(whole) == 1 and whole[0] is cloud._tree
 
 
 def test_gasket_graph_is_built_once_and_read_only():
@@ -239,14 +244,6 @@ def test_ball_membership_frozen_interval():
     ids = cloud.ball_ids(2, 0.3)
     np.testing.assert_array_equal(ids, [1, 2, 3])
     assert cloud.weights[ids].sum() == pytest.approx(0.6)
-
-
-def test_ball_average_frozen_value():
-    # Uniform weights: mean of x^2 over {0.25, 0.5, 0.75}.
-    cloud = interval_grid(5)
-    vals = cloud.coords[:, 0] ** 2
-    expected = (0.25**2 + 0.5**2 + 0.75**2) / 3
-    assert ball_average(cloud, vals, 2, 0.3) == pytest.approx(expected, abs=1e-15)
 
 
 def test_ball_is_open():

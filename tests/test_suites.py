@@ -437,7 +437,7 @@ class TestInapplicable:
                 lambda: fit_walk_dimension([_coordinate(interval_grid(17))]),
                 "at least three scales",
             ),
-            (lambda: pc._default_samples(interval_grid(9), 2.0, 0), "no admissible radii"),
+            (lambda: pc.poincare_check(_coordinate(interval_grid(9))), "no admissible radii"),
             (
                 lambda: pc._maximal_rho_grid(interval_grid(401), interval_grid(401).floor),
                 "at or under the floor",
